@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """Kernel scaling: events/sec and wall-time attribution vs. rank count.
 
-The typed event kernel (``repro.hpc.kernel``, see ``docs/kernel.md``)
-is what lets fig-scale experiments run at 64K-1M virtual ranks in
-seconds: per-rank event bursts are admitted with one vectorized
-``schedule_batch`` and drained in batched same-``(time, kind)`` runs
-instead of a Python sift per record.  This example sweeps a weak-scaled
-quickstart workload over increasing rank counts and, for each scale,
-prints:
+Fig-scale experiments run at 64K virtual ranks in seconds because the
+simulated event count is per step, not per rank: per-rank state lives
+in NumPy arrays, and the typed event kernel (``repro.hpc.kernel``, see
+``docs/kernel.md``) only sees each step's handful of compute, transfer
+and staging events.  This example sweeps a weak-scaled quickstart
+workload over increasing rank counts and, for each scale, prints:
 
 - the host wall seconds for the whole run (build + setup + run);
 - the kernel's always-on event tally and the resulting events/sec;
@@ -15,9 +14,9 @@ prints:
   span tree ``python -m repro profile`` renders, which must account for
   (nearly) all of the measured wall time.
 
-``benchmarks/bench_kernel.py`` is the enforced version of this sweep
-(budget ceilings, throughput floors, 1M-rank stress); this example
-keeps the rank counts modest so it runs in about a second.
+``benchmarks/bench_kernel.py`` enforces the budget ceilings at 64K
+ranks; this example keeps the rank counts modest so it runs in about a
+second.
 
 Run:  python examples/kernel_scaling.py
 """
@@ -30,7 +29,7 @@ from repro.workflow import CoupledWorkflow, Mode, WorkflowConfig
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
 
 #: Weak-scaling sweep: modest by default so the example (and its smoke
-#: test) stays fast; bench_kernel.py pushes the same shape to 1M.
+#: test) stays fast.
 SWEEP = (4096, 16384, 65536)
 
 STEPS = 20

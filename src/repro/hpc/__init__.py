@@ -2,7 +2,7 @@
 
 This package substitutes for the leadership-class systems the paper ran on
 (Intrepid IBM BG/P and Titan Cray XK7).  It provides a typed
-discrete-event engine over an array-backed heap (:mod:`repro.hpc.kernel`,
+discrete-event engine over one heapq heap (:mod:`repro.hpc.kernel`,
 see ``docs/kernel.md``), the deterministic generator-process adapter on
 top of it (:mod:`repro.hpc.event`), waitable resources
 (:mod:`repro.hpc.resources`), a machine model with nodes, cores and
@@ -23,11 +23,8 @@ from repro.hpc.event import (
 )
 from repro.hpc.kernel import (
     KERNEL_EVENT_KINDS,
-    EventHeap,
     EventKernel,
     KernelCounters,
-    ReferenceEventHeap,
-    batched_event_kinds,
     event_kind_code,
     event_kind_name,
     register_event_kind,
@@ -42,7 +39,6 @@ __all__ = [
     "AnyOf",
     "CoreAllocation",
     "Event",
-    "EventHeap",
     "EventKernel",
     "Interrupt",
     "KERNEL_EVENT_KINDS",
@@ -54,14 +50,12 @@ __all__ = [
     "Node",
     "Partition",
     "Process",
-    "ReferenceEventHeap",
     "Resource",
     "Simulator",
     "Store",
     "SystemSpec",
     "Timeout",
     "Transfer",
-    "batched_event_kinds",
     "build_workflow_machine",
     "event_kind_code",
     "event_kind_name",

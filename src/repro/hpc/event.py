@@ -4,8 +4,8 @@ The waitable API every component programs against -- :class:`Simulator`,
 :class:`Process`, :class:`Event`, :class:`Timeout`, the combinators --
 is a thin adapter over the typed event engine in
 :mod:`repro.hpc.kernel` (see ``docs/kernel.md`` for the layering).  The
-kernel owns the clock, the array-backed event heap, the per-kind
-counters and the injected RNG; this module owns generator processes,
+kernel owns the clock, the heapq event heap, the per-kind counters and
+the injected RNG; this module owns generator processes,
 callbacks and failure propagation.
 
 The design follows the classic event-list pattern (and will feel familiar
@@ -15,10 +15,9 @@ to SimPy users) but is intentionally small and fully deterministic:
   drains them one at a time.  **Tie-breaking contract:** events at the
   same timestamp fire in submission order -- the kernel orders records
   by ``(time, seq)`` with a monotonically increasing ``seq``, so a run
-  is a pure function of its inputs.  The array-backed heap and the
-  heapq-based reference heap implement the same contract; the property
-  suite replays event soups on both and the regression suite diffs whole
-  workflow traces byte-for-byte.
+  is a pure function of its inputs.  The property suite checks dispatch
+  order against a sort computed in the test, and a pinned digest guards
+  a whole workflow trace byte-for-byte.
 - :class:`Process` wraps a Python generator.  The generator *yields*
   waitables (:class:`Timeout`, :class:`Event`, another :class:`Process`,
   :class:`AllOf`, :class:`AnyOf`) and is resumed when the waitable fires.
@@ -315,19 +314,13 @@ class Simulator:
     **Determinism / tie-breaking.**  Events scheduled for the same
     timestamp fire in submission order: the kernel's heap orders records
     by ``(time, seq)`` and ``seq`` increases monotonically with each
-    :meth:`_schedule_at` call.  This holds identically for the
-    array-backed heap and the reference heap (swap via
-    ``EventKernel.heap_class``), so traces are byte-identical across
-    heap implementations.
+    :meth:`_schedule_at` call.
     """
 
     def __init__(self, faults: Any = None, profiler: Any = None, rng: Any = None):
-        self.kernel = EventKernel(rng=rng, profiler=profiler)
-        self._invoke = self._call_payload
-        # Every kind dispatches the closure payload un-batched on this
-        # path: batch dispatch would break the per-event failure barrier.
+        self.kernel = EventKernel(rng=rng)
         for name in ("control", "timer", "compute", "transfer", "staging"):
-            self.kernel.on(name, self._call_payload, batch=False)
+            self.kernel.on(name, self._call_payload)
         self._unhandled: list[tuple[Process, BaseException]] = []
         # Optional fault injector (repro.faults.FaultInjector); duck-typed
         # so the kernel stays free of upward imports.
@@ -421,23 +414,26 @@ class Simulator:
     def _run_loop(self, until: float | Event | None) -> Any:
         stop_event: Event | None = None
         horizon: float | None = None
-        kernel = self.kernel
+        engine = self.kernel
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
             horizon = float(until)
-            if horizon < kernel.now:
-                raise SimulationError(f"run(until={horizon}) is in the past (now={kernel.now})")
+            if horizon < engine.now:
+                raise SimulationError(f"run(until={horizon}) is in the past (now={engine.now})")
 
-        heap = kernel.heap
-        while len(heap):
+        heap = engine.heap
+        dispatch_next = engine.dispatch_next
+        unhandled = self._unhandled
+        while heap:
             if stop_event is not None and stop_event.triggered:
                 break
-            if horizon is not None and heap.peek_time() > horizon:
-                kernel.now = horizon
+            if horizon is not None and heap[0][0] > horizon:
+                engine.now = horizon
                 break
-            kernel.dispatch_next()
-            self._raise_orphan_failures()
+            dispatch_next()
+            if unhandled:
+                self._raise_orphan_failures()
 
         self._raise_orphan_failures()
         if stop_event is not None:

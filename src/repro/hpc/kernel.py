@@ -5,39 +5,27 @@ This module is the *engine layer* of the stack documented in
 workflows, staging or policies.  It owns exactly four things:
 
 - **Typed event records.**  Every scheduled occurrence is a
-  ``(time, seq, kind, payload)`` record.  ``kind`` is a small integer
+  ``(time, seq, kind, payload)`` tuple.  ``kind`` is a small integer
   code drawn from the :data:`KERNEL_EVENT_KINDS` registry (``control``,
   ``timer``, ``compute``, ``transfer``, ``staging``, ...), so the engine
-  can count, group and batch events without inspecting payloads.
-- **An array-backed binary heap** (:class:`EventHeap`): four parallel
-  NumPy arrays -- ``times`` (float64), ``seqs`` (int64), ``kinds``
-  (int32), ``payloads`` (int64 slot indices) -- ordered by
-  ``(time, seq)``.  ``seq`` increases monotonically with submission, so
-  same-timestamp events pop in submission order; :class:`EventHeap` and
-  the heapq-based :class:`ReferenceEventHeap` oracle produce *identical*
-  orderings (the property suite replays random event soups on both).
+  can count and route events without inspecting payloads.
+- **One heapq heap**: :class:`EventKernel` keeps the records in a plain
+  list ordered by :mod:`heapq`.  ``seq`` increases monotonically with
+  submission and is unique, so tuple comparison never reaches ``kind``
+  or ``payload`` and same-timestamp events pop in submission order.
 - **First-class cheap counters** (:class:`KernelCounters`): per-kind
   scheduled/processed tallies plus named counters, each a plain integer
   increment -- always on, no observability hook required.
 - **An injected RNG**: :class:`EventKernel` owns a
   ``numpy.random.Generator`` so stochastic domains draw from a seeded,
   replaceable stream instead of global state.
-
-Batching: event kinds registered with ``batched=True`` are *eligible*
-for batch dispatch.  :meth:`EventKernel.run` pops a maximal run of
-events sharing one ``(time, kind)`` and hands the whole payload batch to
-the kind's handler in a single call (NumPy-style: one Python dispatch
-for N events).  The :class:`~repro.hpc.event.Simulator` adapter never
-uses batch dispatch -- it drives :meth:`EventKernel.dispatch_next` one
-event at a time so closure semantics (orphan-failure barriers between
-events) stay bit-identical with the pre-kernel implementation.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,11 +33,8 @@ from repro.errors import SimulationError
 
 __all__ = [
     "KERNEL_EVENT_KINDS",
-    "EventHeap",
     "EventKernel",
     "KernelCounters",
-    "ReferenceEventHeap",
-    "batched_event_kinds",
     "event_kind_code",
     "event_kind_name",
     "register_event_kind",
@@ -63,14 +48,11 @@ KERNEL_EVENT_KINDS: dict[str, str] = {}
 
 _KIND_CODES: dict[str, int] = {}
 _KIND_NAMES: list[str] = []
-_KIND_BATCHED: list[bool] = []
 
 
-def register_event_kind(name: str, description: str, *, batched: bool = False) -> int:
+def register_event_kind(name: str, description: str) -> int:
     """Register an event kind; returns its integer code.
 
-    ``batched=True`` marks the kind *eligible* for batch dispatch in
-    :meth:`EventKernel.run` (a handler registration may still opt out).
     Codes are assigned by registration order and never reused.
     """
     if not name or not description.strip():
@@ -81,7 +63,6 @@ def register_event_kind(name: str, description: str, *, batched: bool = False) -
     KERNEL_EVENT_KINDS[name] = description
     _KIND_CODES[name] = code
     _KIND_NAMES.append(name)
-    _KIND_BATCHED.append(bool(batched))
     return code
 
 
@@ -98,13 +79,6 @@ def event_kind_name(code: int) -> str:
     if 0 <= code < len(_KIND_NAMES):
         return _KIND_NAMES[code]
     raise SimulationError(f"unknown event kind code {code}")
-
-
-def batched_event_kinds() -> tuple[str, ...]:
-    """Names of kinds registered as eligible for batch dispatch."""
-    return tuple(
-        name for name, batched in zip(_KIND_NAMES, _KIND_BATCHED) if batched
-    )
 
 
 #: The engine's own bookkeeping events: process starts and resumes,
@@ -125,349 +99,35 @@ COMPUTE = register_event_kind(
     "compute",
     "a compute interval completing: simulation steps, reductions and "
     "analysis passes",
-    batched=True,
 )
 #: Network flow-set changes (admissions, wake-ups, zero-size finishes).
 TRANSFER = register_event_kind(
     "transfer",
     "a network flow-set change: flow admission, completion wake-up or "
     "zero-size finish",
-    batched=True,
 )
 #: Staging service intervals.
 STAGING = register_event_kind(
     "staging",
     "a staging service interval completing (one analysis job's pass)",
-    batched=True,
 )
-
-
-_EMPTY_POP = "pop from an empty event heap"
-
-
-class EventHeap:
-    """Array-backed binary min-heap of typed event records.
-
-    Four parallel NumPy arrays hold the records::
-
-        times    float64  -- simulated firing time
-        seqs     int64    -- monotonically increasing submission sequence
-        kinds    int32    -- event-kind code (KERNEL_EVENT_KINDS order)
-        payloads int64    -- payload slot index (opaque to the heap)
-
-    Ordering is lexicographic on ``(time, seq)``.  Because ``seq`` is
-    strictly increasing, same-timestamp records pop in submission order
-    -- the determinism contract the simulator documents and the property
-    suite cross-checks against :class:`ReferenceEventHeap`.
-
-    ``peak_size`` tracks the high-water record count (capacity planning
-    for the scaling benchmarks).
-    """
-
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise SimulationError(f"heap capacity must be >= 1, got {capacity}")
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._seqs = np.empty(capacity, dtype=np.int64)
-        self._kinds = np.empty(capacity, dtype=np.int32)
-        self._payloads = np.empty(capacity, dtype=np.int64)
-        self._size = 0
-        self._next_seq = 0
-        self.peak_size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def capacity(self) -> int:
-        """Current backing-array length (doubles on demand)."""
-        return self._times.shape[0]
-
-    def _grow(self, need: int) -> None:
-        new = self._times.shape[0]
-        while new < need:
-            new *= 2
-        for name in ("_times", "_seqs", "_kinds", "_payloads"):
-            old = getattr(self, name)
-            fresh = np.empty(new, dtype=old.dtype)
-            fresh[: self._size] = old[: self._size]
-            setattr(self, name, fresh)
-
-    def push(self, time: float, kind: int, payload: int) -> int:
-        """Insert one record; returns its submission sequence number."""
-        n = self._size
-        t = self._times
-        if n == t.shape[0]:
-            self._grow(n + 1)
-            t = self._times
-        s, k, p = self._seqs, self._kinds, self._payloads
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        # Sift up.  The new seq is larger than every stored seq, so a
-        # time tie keeps the parent in place: compare times only.
-        i = n
-        while i > 0:
-            parent = (i - 1) >> 1
-            if t[parent] <= time:
-                break
-            t[i] = t[parent]
-            s[i] = s[parent]
-            k[i] = k[parent]
-            p[i] = p[parent]
-            i = parent
-        t[i] = time
-        s[i] = seq
-        k[i] = kind
-        p[i] = payload
-        self._size = n + 1
-        if self._size > self.peak_size:
-            self.peak_size = self._size
-        return seq
-
-    def push_batch(
-        self,
-        times: np.ndarray | Sequence[float] | float,
-        kind: int,
-        payloads: np.ndarray | Sequence[int],
-    ) -> np.ndarray:
-        """Insert many same-kind records in one vectorized pass.
-
-        ``times`` may be a scalar (broadcast over ``payloads``) or an
-        array of equal length.  Sequence numbers are assigned in array
-        order, so batch order *is* submission order.  The heap invariant
-        is restored with one ``numpy.lexsort`` over ``(time, seq)`` --
-        a sorted array is a valid binary heap -- which is far cheaper
-        than Python-level sifting for large batches.
-        """
-        payloads = np.ascontiguousarray(payloads, dtype=np.int64)
-        if payloads.ndim != 1:
-            raise SimulationError("push_batch payloads must be 1-D")
-        m = payloads.shape[0]
-        times = np.broadcast_to(
-            np.asarray(times, dtype=np.float64), (m,)
-        )
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
-        need = self._size + m
-        if need > self._times.shape[0]:
-            self._grow(need)
-        n = self._size
-        seqs = np.arange(self._next_seq, self._next_seq + m, dtype=np.int64)
-        self._next_seq += m
-        self._times[n:need] = times
-        self._seqs[n:need] = seqs
-        self._kinds[n:need] = kind
-        self._payloads[n:need] = payloads
-        order = np.lexsort((self._seqs[:need], self._times[:need]))
-        self._times[:need] = self._times[:need][order]
-        self._seqs[:need] = self._seqs[:need][order]
-        self._kinds[:need] = self._kinds[:need][order]
-        self._payloads[:need] = self._payloads[:need][order]
-        self._size = need
-        if need > self.peak_size:
-            self.peak_size = need
-        return seqs
-
-    def peek_time(self) -> float:
-        """Firing time of the next record, ``inf`` when empty."""
-        return float(self._times[0]) if self._size else math.inf
-
-    def peek_kind(self) -> int:
-        """Kind code of the next record, ``-1`` when empty."""
-        return int(self._kinds[0]) if self._size else -1
-
-    def pop(self) -> tuple[float, int, int, int]:
-        """Remove and return the next ``(time, seq, kind, payload)``."""
-        n = self._size
-        if n == 0:
-            raise SimulationError(_EMPTY_POP)
-        t, s, k, p = self._times, self._seqs, self._kinds, self._payloads
-        record = (float(t[0]), int(s[0]), int(k[0]), int(p[0]))
-        n -= 1
-        self._size = n
-        if n:
-            lt, ls, lk, lp = t[n], s[n], k[n], p[n]
-            i = 0
-            child = 1
-            while child < n:
-                right = child + 1
-                if right < n and (
-                    t[right] < t[child]
-                    or (t[right] == t[child] and s[right] < s[child])
-                ):
-                    child = right
-                tc = t[child]
-                if tc < lt or (tc == lt and s[child] < ls):
-                    t[i] = tc
-                    s[i] = s[child]
-                    k[i] = k[child]
-                    p[i] = p[child]
-                    i = child
-                    child = 2 * i + 1
-                else:
-                    break
-            t[i] = lt
-            s[i] = ls
-            k[i] = lk
-            p[i] = lp
-        return record
-
-    #: Runs at or below this length pop record-by-record; longer runs
-    #: take the vectorized extract-and-rebuild path.  Scalar pops cost
-    #: O(run * log n) Python-level sifts; the vectorized path costs one
-    #: O(n log n) NumPy lexsort of the survivors, so it only wins once
-    #: the run is a few dozen records.
-    _RUN_SCALAR_MAX = 32
-
-    def pop_run(self) -> tuple[float, int, np.ndarray, np.ndarray]:
-        """Pop the maximal run of records sharing the top ``(time, kind)``.
-
-        Returns ``(time, kind, seqs, payloads)`` with the arrays in
-        submission order -- the unit of batch dispatch.  Large runs (the
-        64K-1M virtual-rank event bursts the scaling benchmarks admit
-        with :meth:`push_batch`) are extracted in one vectorized pass:
-        select every record at the top timestamp, order by ``seq``, cut
-        at the first kind change, and re-heapify the survivors with one
-        ``numpy.lexsort`` -- never a Python-level sift per record.
-        """
-        n = self._size
-        if n == 0:
-            raise SimulationError(_EMPTY_POP)
-        time = float(self._times[0])
-        kind = int(self._kinds[0])
-        at_t = np.flatnonzero(self._times[:n] == time)
-        take = None
-        if at_t.shape[0] > self._RUN_SCALAR_MAX:
-            ordered = at_t[np.argsort(self._seqs[at_t])]
-            mismatch = np.flatnonzero(self._kinds[ordered] != kind)
-            stop = int(mismatch[0]) if mismatch.shape[0] else ordered.shape[0]
-            if stop > self._RUN_SCALAR_MAX:
-                take = ordered[:stop]
-        if take is None:
-            # Short run: record-by-record sifts are cheaper than a
-            # full rebuild of the survivor arrays.
-            _, seq, _, payload = self.pop()
-            seqs = [seq]
-            payloads = [payload]
-            while (
-                self._size
-                and self._times[0] == time
-                and self._kinds[0] == kind
-            ):
-                _, s2, _, p2 = self.pop()
-                seqs.append(s2)
-                payloads.append(p2)
-            return (
-                time,
-                kind,
-                np.asarray(seqs, dtype=np.int64),
-                np.asarray(payloads, dtype=np.int64),
-            )
-        run_seqs = self._seqs[take].copy()
-        run_payloads = self._payloads[take].copy()
-        keep = np.ones(n, dtype=bool)
-        keep[take] = False
-        times = self._times[:n][keep]
-        seqs = self._seqs[:n][keep]
-        kinds = self._kinds[:n][keep]
-        payloads = self._payloads[:n][keep]
-        order = np.lexsort((seqs, times))
-        m = times.shape[0]
-        self._times[:m] = times[order]
-        self._seqs[:m] = seqs[order]
-        self._kinds[:m] = kinds[order]
-        self._payloads[:m] = payloads[order]
-        self._size = m
-        return (time, kind, run_seqs, run_payloads)
-
-
-class ReferenceEventHeap:
-    """The heapq-based oracle with :class:`EventHeap`'s exact API.
-
-    Kept per the reference-implementation testing pattern: tuples
-    ``(time, seq, kind, payload)`` on :mod:`heapq` reproduce the
-    pre-kernel simulator's ordering exactly (``seq`` is unique, so
-    comparison never reaches ``kind``).  The property suite replays the
-    same event soups on both heaps and asserts identical pop sequences;
-    ``EventKernel.heap_class`` lets integration tests run entire
-    workflows on this heap and diff the traces byte-for-byte.
-    """
-
-    def __init__(self, capacity: int = 256):
-        self._heap: list[tuple[float, int, int, int]] = []
-        self._next_seq = 0
-        self.peak_size = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def capacity(self) -> int:
-        return max(len(self._heap), 1)
-
-    def push(self, time: float, kind: int, payload: int) -> int:
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heapq.heappush(self._heap, (float(time), seq, int(kind), int(payload)))
-        if len(self._heap) > self.peak_size:
-            self.peak_size = len(self._heap)
-        return seq
-
-    def push_batch(self, times, kind, payloads) -> np.ndarray:
-        payloads = np.ascontiguousarray(payloads, dtype=np.int64)
-        if payloads.ndim != 1:
-            raise SimulationError("push_batch payloads must be 1-D")
-        times = np.broadcast_to(
-            np.asarray(times, dtype=np.float64), payloads.shape
-        )
-        return np.asarray(
-            [self.push(t, kind, p) for t, p in zip(times, payloads)],
-            dtype=np.int64,
-        )
-
-    def peek_time(self) -> float:
-        return self._heap[0][0] if self._heap else math.inf
-
-    def peek_kind(self) -> int:
-        return self._heap[0][2] if self._heap else -1
-
-    def pop(self) -> tuple[float, int, int, int]:
-        if not self._heap:
-            raise SimulationError(_EMPTY_POP)
-        return heapq.heappop(self._heap)
-
-    def pop_run(self) -> tuple[float, int, np.ndarray, np.ndarray]:
-        time, seq, kind, payload = self.pop()
-        seqs = [seq]
-        payloads = [payload]
-        while self._heap and self._heap[0][0] == time and self._heap[0][2] == kind:
-            _, s2, _, p2 = self.pop()
-            seqs.append(s2)
-            payloads.append(p2)
-        return (
-            time,
-            kind,
-            np.asarray(seqs, dtype=np.int64),
-            np.asarray(payloads, dtype=np.int64),
-        )
 
 
 class KernelCounters:
     """Always-on integer tallies: the kernel's first-class cheap metrics.
 
     Per-kind ``scheduled``/``processed`` lists are indexed by kind code;
-    ``batches`` counts batch dispatches; :meth:`inc` maintains arbitrary
-    named counters.  Every update is one integer add, cheap enough to
-    leave on unconditionally (unlike the injected observability hooks).
+    :meth:`inc` maintains arbitrary named counters.  Every update is one
+    integer add, cheap enough to leave on unconditionally (unlike the
+    injected observability hooks).
     """
 
-    __slots__ = ("scheduled", "processed", "batches", "named")
+    __slots__ = ("scheduled", "processed", "named")
 
     def __init__(self) -> None:
         n = len(_KIND_NAMES)
         self.scheduled = [0] * n
         self.processed = [0] * n
-        self.batches = 0
         self.named: dict[str, int] = {}
 
     def _ensure(self, code: int) -> None:
@@ -510,13 +170,16 @@ class KernelCounters:
         return {
             "scheduled": self.scheduled_by_kind(),
             "processed": self.processed_by_kind(),
-            "batches": self.batches,
             "named": dict(self.named),
         }
 
 
 class EventKernel:
-    """The pure engine: clock + heap + payload table + handlers.
+    """The pure engine: clock + heapq heap + handlers + counters + RNG.
+
+    ``heap`` is a plain list of ``(time, seq, kind, payload)`` tuples
+    kept in :mod:`heapq` order.  The payload rides in the tuple; ``seq``
+    is unique, so comparison stops at ``(time, seq)``.
 
     Parameters
     ----------
@@ -524,111 +187,33 @@ class EventKernel:
         Seed or ``numpy.random.Generator`` for stochastic domains.  The
         kernel never draws from it itself; owning it here gives every
         domain one seeded, injectable stream (``kernel.rng``).
-    profiler:
-        Optional :class:`~repro.observability.Profiler`.  Only the
-        batched dispatch path opens spans (``kernel.dispatch``); the
-        one-event :meth:`dispatch_next` path stays span-free because the
-        simulator adapter already wraps its loop in ``sim.run``.
-    heap:
-        An explicit heap instance; defaults to ``heap_class()``.
-
-    The class attribute :attr:`heap_class` is the heap factory --
-    integration tests swap in :class:`ReferenceEventHeap` to replay a
-    whole workflow on the oracle heap and compare traces byte-for-byte.
     """
 
-    #: Factory for the event heap; tests swap in ReferenceEventHeap.
-    heap_class: type = EventHeap
-
-    def __init__(self, rng: Any = None, profiler: Any = None, heap: Any = None):
+    def __init__(self, rng: Any = None):
         self.now = 0.0
-        self.heap = heap if heap is not None else self.heap_class()
+        self.heap: list[tuple[float, int, int, Any]] = []
+        self._next_seq = 0
         self.counters = KernelCounters()
         self.rng = (
             rng
             if isinstance(rng, np.random.Generator)
             else np.random.default_rng(rng)
         )
-        self.profiler = profiler
-        self._dispatch_span = (
-            None if profiler is None else profiler.span("kernel.dispatch")
-        )
-        # Payload slot table with a free list: heap records carry int64
-        # slot indices, so arbitrary Python payloads ride along without
-        # entering the NumPy arrays.
-        self._payloads: list[Any] = []
-        self._free: list[int] = []
-        # kind code -> (handler, batch) or None.
-        self._handlers: list[tuple[Callable, bool] | None] = [None] * len(_KIND_NAMES)
+        # kind code -> handler(payload) or None.
+        self._handlers: list[Callable | None] = [None] * len(_KIND_NAMES)
 
     def __len__(self) -> int:
         return len(self.heap)
 
-    # -- handlers ----------------------------------------------------------
-
-    def on(self, kind: int | str, handler: Callable, batch: bool | None = None) -> None:
-        """Register ``handler`` for an event kind.
-
-        With ``batch=False`` (or for kinds not registered as batched)
-        the handler is called once per event as ``handler(payload)``.
-        With ``batch=True`` it receives a whole same-``(time, kind)``
-        run as ``handler(payloads)`` (a list, submission-ordered).
-        ``batch=None`` defers to the kind's registry eligibility.
-        """
+    def on(self, kind: int | str, handler: Callable) -> None:
+        """Register ``handler`` for an event kind; it is called once per
+        event as ``handler(payload)``."""
         code = kind if isinstance(kind, int) else event_kind_code(kind)
         if not (0 <= code < len(_KIND_NAMES)):
             raise SimulationError(f"unknown event kind code {code}")
         while len(self._handlers) <= code:
             self._handlers.append(None)
-        if batch is None:
-            batch = _KIND_BATCHED[code]
-        self._handlers[code] = (handler, bool(batch))
-
-    # -- scheduling --------------------------------------------------------
-
-    def _store(self, payload: Any) -> int:
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._payloads[slot] = payload
-        else:
-            slot = len(self._payloads)
-            self._payloads.append(payload)
-        return slot
-
-    def _take(self, slot: int) -> Any:
-        payloads = self._payloads
-        payload = payloads[slot]
-        payloads[slot] = None
-        self._free.append(slot)
-        return payload
-
-    def _store_batch(self, payloads: Sequence[Any]) -> np.ndarray:
-        """Slot a whole batch: reuse the free-list tail, extend for the rest."""
-        table = self._payloads
-        free = self._free
-        m = len(payloads)
-        slots = np.empty(m, dtype=np.int64)
-        reuse = min(len(free), m)
-        if reuse:
-            reused = free[len(free) - reuse:]
-            del free[len(free) - reuse:]
-            slots[:reuse] = reused
-            for slot, payload in zip(reused, payloads):
-                table[slot] = payload
-        base = len(table)
-        table.extend(payloads[reuse:])
-        slots[reuse:] = np.arange(base, base + (m - reuse), dtype=np.int64)
-        return slots
-
-    def _take_batch(self, slots: np.ndarray) -> list[Any]:
-        table = self._payloads
-        idx = slots.tolist()
-        out = [table[s] for s in idx]
-        for s in idx:
-            table[s] = None
-        self._free.extend(idx)
-        return out
+        self._handlers[code] = handler
 
     def schedule(self, when: float, kind: int, payload: Any = None) -> int:
         """Schedule one event; returns its sequence number.
@@ -646,55 +231,26 @@ class EventKernel:
         except IndexError:
             counters._ensure(kind)
             counters.scheduled[kind] += 1
-        return self.heap.push(when, kind, self._store(payload))
-
-    def schedule_batch(
-        self,
-        when: np.ndarray | Sequence[float] | float,
-        kind: int,
-        payloads: Sequence[Any],
-    ) -> np.ndarray:
-        """Schedule many same-kind events in one vectorized heap pass."""
-        slots = self._store_batch(payloads)
-        times = np.broadcast_to(
-            np.asarray(when, dtype=np.float64), slots.shape
-        )
-        if slots.size and float(times.min()) < self.now:
-            self._take_batch(slots)
-            raise SimulationError(
-                f"cannot schedule in the past ({float(times.min())} < {self.now})"
-            )
-        counters = self.counters
-        counters._ensure(kind)
-        counters.scheduled[kind] += slots.size
-        return self.heap.push_batch(times, kind, slots)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self.heap, (float(when), seq, kind, payload))
+        return seq
 
     def peek(self) -> float:
         """Time of the next event, ``inf`` when the heap is empty."""
-        return self.heap.peek_time()
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _handler_for(self, code: int) -> tuple[Callable, bool]:
-        handler = (
-            self._handlers[code] if 0 <= code < len(self._handlers) else None
-        )
-        if handler is None:
-            raise SimulationError(
-                f"no handler registered for event kind "
-                f"{event_kind_name(code)!r}"
-            )
-        return handler
+        return self.heap[0][0] if self.heap else math.inf
 
     def dispatch_next(self) -> None:
-        """Pop and dispatch exactly one event (the adapter's hot path).
+        """Pop and dispatch exactly one event.
 
         Advances the clock to the event's time, counts it, and calls the
-        kind's handler as ``handler(payload)`` -- never batched, so
-        callers may interleave per-event work (the simulator's
-        orphan-failure barrier) between dispatches.
+        kind's handler as ``handler(payload)``; callers may interleave
+        per-event work (the simulator's orphan-failure barrier) between
+        dispatches.
         """
-        when, _seq, code, slot = self.heap.pop()
+        if not self.heap:
+            raise SimulationError("dispatch from an empty event heap")
+        when, _seq, code, payload = heapq.heappop(self.heap)
         self.now = when
         counters = self.counters
         try:
@@ -702,45 +258,10 @@ class EventKernel:
         except IndexError:
             counters._ensure(code)
             counters.processed[code] += 1
-        handler, _batch = self._handler_for(code)
-        handler(self._take(slot))
-
-    def run(self, until: float | None = None) -> None:
-        """Drain the heap, batch-dispatching eligible kinds.
-
-        Events of a kind whose handler registered ``batch=True`` are
-        popped in maximal same-``(time, kind)`` runs and delivered as one
-        ``handler(payloads)`` call (under a ``kernel.dispatch`` span when
-        a profiler is injected); every other event goes through
-        :meth:`dispatch_next`.  With ``until`` set, the clock stops
-        there: events past the horizon stay queued, and the clock
-        advances to ``until`` exactly as :meth:`Simulator.run` does.
-        """
-        if until is not None and until < self.now:
+        handler = self._handlers[code] if code < len(self._handlers) else None
+        if handler is None:
             raise SimulationError(
-                f"run(until={until}) is in the past (now={self.now})"
+                f"no handler registered for event kind "
+                f"{event_kind_name(code)!r}"
             )
-        heap = self.heap
-        counters = self.counters
-        span = self._dispatch_span
-        while len(heap):
-            when = heap.peek_time()
-            if until is not None and when > until:
-                self.now = until
-                return
-            code = heap.peek_kind()
-            handler, batch = self._handler_for(code)
-            if not batch:
-                self.dispatch_next()
-                continue
-            when, code, _seqs, slots = heap.pop_run()
-            self.now = when
-            counters._ensure(code)
-            counters.processed[code] += len(slots)
-            counters.batches += 1
-            payloads = self._take_batch(slots)
-            if span is not None:
-                with span:
-                    handler(payloads)
-            else:
-                handler(payloads)
+        handler(payload)

@@ -239,20 +239,3 @@ class Machine:
         if cores <= 0:
             raise ResourceError(f"cores must be positive, got {cores}")
         return work_units / (self.core_rate * cores)
-
-    def compute_batch(self, work_units, cores: int):
-        """Vectorized :meth:`compute_time` over an array of work sizes.
-
-        The per-rank-block counterpart used by the kernel's batched
-        ``compute`` event path (see ``docs/kernel.md``): one NumPy
-        division prices a whole block of virtual ranks instead of one
-        Python call per rank.  Returns a float64 array.
-        """
-        import numpy as np
-
-        if cores <= 0:
-            raise ResourceError(f"cores must be positive, got {cores}")
-        work = np.asarray(work_units, dtype=np.float64)
-        if work.size and float(work.min()) < 0:
-            raise ResourceError("work_units must be non-negative")
-        return work / (self.core_rate * cores)

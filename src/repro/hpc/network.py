@@ -16,7 +16,6 @@ Routes are shortest paths on a :mod:`networkx` graph whose edges carry
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -184,52 +183,6 @@ class Network:
                                   flow, kind="transfer")
         return done
 
-    def transfer_batch(self, src: str, dst: str,
-                       sizes: "Iterable[float]") -> list[Event]:
-        """Start many same-route transfers with one flow-set change.
-
-        Semantically equivalent to calling :meth:`transfer` once per
-        size at the same timestamp -- the max-min fair allocation only
-        depends on the final flow set -- but the burst is admitted as a
-        *single* typed ``transfer`` event: progress is materialized
-        once, rates are recomputed once and one wake-up is scheduled,
-        instead of one admission event per flow.  This is the batched
-        event path that makes rank-granular data movement affordable at
-        64K+ virtual ranks (see ``docs/kernel.md``).
-
-        Returns the per-flow completion events, in ``sizes`` order.
-        """
-        route = self.route(src, dst)
-        if not route:
-            raise SimulationError(f"src and dst are the same endpoint: {src!r}")
-        propagation = sum(link.latency for link in route)
-        now = self.sim.now
-        flows: list[Transfer] = []
-        events: list[Event] = []
-        for nbytes in sizes:
-            if nbytes < 0:
-                raise SimulationError(f"negative transfer size: {nbytes}")
-            done = self.sim.event(name=f"xfer({src}->{dst}, {nbytes:.0f}B)")
-            flow = Transfer(
-                transfer_id=next(self._ids),
-                src=src,
-                dst=dst,
-                size=float(nbytes),
-                route=route,
-                done=done,
-                remaining=float(nbytes),
-                started_at=now,
-            )
-            self.total_bytes_moved += flow.size
-            for link in route:
-                link.bytes_carried += flow.size
-            flows.append(flow)
-            events.append(done)
-        if flows:
-            self.sim._schedule_at(now + propagation, self._admit_batch,
-                                  tuple(flows), kind="transfer")
-        return events
-
     def estimate_transfer_time(self, src: str, dst: str, nbytes: float) -> float:
         """Uncontended transfer time estimate (latency + size/bottleneck)."""
         route = self.route(src, dst)
@@ -249,21 +202,6 @@ class Network:
         self._materialize_progress()
         flow.started_at = min(flow.started_at, self.sim.now)
         self._flows.add(flow)
-        self._reschedule()
-
-    def _admit_batch(self, flows: tuple[Transfer, ...]) -> None:
-        """Admit a burst of flows with one materialize/recompute pass."""
-        self._materialize_progress()
-        now = self.sim.now
-        for flow in flows:
-            if flow.size <= _EPS_BYTES:
-                # Zero-size flows finish right at admission, exactly
-                # when transfer() would have finished them.
-                flow.finished_at = now
-                flow.done.succeed(flow)
-                continue
-            flow.started_at = min(flow.started_at, now)
-            self._flows.add(flow)
         self._reschedule()
 
     def _materialize_progress(self) -> None:

@@ -524,7 +524,10 @@ class StagingArea:
         remaining = 0.0
         if self._running is not None:
             remaining += max(0.0, self._running_ends_at - self.sim.now)
-        remaining += self._queued_work / (self.core_rate * self._active_cores)
+        # ``_queued_work`` is a running float sum of += / -= updates; it can
+        # drift a few ULPs below zero once the queue empties.
+        queued = max(0.0, self._queued_work)
+        remaining += queued / (self.core_rate * self._active_cores)
         return remaining
 
     def utilization_efficiency(self) -> float:

@@ -91,3 +91,20 @@ class TestFig9Small:
 
     def test_render(self, result):
         assert "Eq. 12" in fig9_resource.render(result)
+
+
+class TestQueuedWorkDriftRegression:
+    """At 4096 ranks with the paper's seed and no hints, the staging
+    queue's running float sum of work drifts a few ULPs below zero.  The
+    remaining-time estimate must still be non-negative, or the Monitor
+    rejects the snapshot and the run aborts."""
+
+    @pytest.mark.parametrize("mode", ["adaptive_application",
+                                      "adaptive_resource"])
+    def test_mode_completes_at_4k_scale(self, mode):
+        from repro.experiments.common import SCALES, run_mode_at_scale
+        from repro.workflow.config import Mode
+
+        result = run_mode_at_scale(SCALES[1], Mode(mode))
+        assert len(result.steps) == SCALES[1].steps
+        assert result.end_to_end_seconds > 0

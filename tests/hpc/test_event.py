@@ -56,6 +56,22 @@ class TestClockAndTimeout:
         sim.run(until=4.0)
         assert sim.now == 4.0
 
+    def test_run_until_keeps_later_events_queued(self, sim):
+        seen = []
+
+        def proc(sim, delay):
+            yield sim.timeout(delay)
+            seen.append(sim.now)
+
+        sim.process(proc(sim, 1.0))
+        sim.process(proc(sim, 10.0))
+        sim.run(until=4.0)
+        assert seen == [1.0]
+        assert sim.now == 4.0
+        assert sim.peek() == 10.0
+        sim.run()
+        assert seen == [1.0, 10.0] and sim.now == 10.0
+
     def test_run_until_past_raises(self, sim):
         def proc(sim):
             yield sim.timeout(5.0)

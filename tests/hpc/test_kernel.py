@@ -1,15 +1,14 @@
 """Unit + property tests for the typed event kernel.
 
-Covers the four engine pieces (kind registry, array-backed heap,
-counters, kernel) plus the adapter guarantees the rewrite must hold:
-randomized event soups replayed on the array-backed heap and the heapq
-oracle produce identical orderings and final clocks, seeded RNG
-injection is reproducible, empty-heap and interrupt edge cases behave,
-and same-timestamp events preserve submission order across both heap
-implementations -- byte-identical workflow traces included.
+Covers the engine pieces (kind registry, the kernel's heapq heap,
+counters, handlers, injected RNG) plus the adapter guarantees: random
+event soups dispatch in exactly the order a sort by ``(time, submission
+index)`` computed in the test predicts, seeded RNG injection is
+reproducible, empty-heap and interrupt edge cases behave, and a pinned
+digest guards a whole workflow trace byte-for-byte.
 """
 
-import json
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,15 +19,28 @@ from repro.errors import SimulationError
 from repro.hpc.event import Interrupt, Simulator
 from repro.hpc.kernel import (
     KERNEL_EVENT_KINDS,
-    EventHeap,
     EventKernel,
     KernelCounters,
-    ReferenceEventHeap,
-    batched_event_kinds,
     event_kind_code,
     event_kind_name,
 )
 from repro.hpc.network import Network
+
+TIMER = event_kind_code("timer")
+
+
+def _drain(engine: EventKernel) -> None:
+    while len(engine):
+        engine.dispatch_next()
+
+
+def _recording_kernel() -> tuple[EventKernel, list]:
+    """A kernel whose every built-in kind appends its payload to a log."""
+    seen: list = []
+    kernel = EventKernel()
+    for name in ("control", "timer", "compute", "transfer", "staging"):
+        kernel.on(name, seen.append)
+    return kernel, seen
 
 
 class TestEventKindRegistry:
@@ -44,11 +56,6 @@ class TestEventKindRegistry:
     def test_every_kind_has_description(self):
         assert all(desc.strip() for desc in KERNEL_EVENT_KINDS.values())
 
-    def test_domain_kinds_are_batch_eligible(self):
-        batched = set(batched_event_kinds())
-        assert {"compute", "transfer", "staging"} <= batched
-        assert "control" not in batched and "timer" not in batched
-
     def test_unknown_kind_raises(self):
         with pytest.raises(SimulationError):
             event_kind_code("no-such-kind")
@@ -56,98 +63,103 @@ class TestEventKindRegistry:
             event_kind_name(10_000)
 
 
-@pytest.fixture(params=[EventHeap, ReferenceEventHeap],
+def _array_payload(i: int) -> np.ndarray:
+    return np.array([i, i])
+
+
+def _reference_payload(i: int) -> object:
+    return type("Ref", (), {"i": i})()
+
+
+@pytest.fixture(params=[_array_payload, _reference_payload],
                 ids=["array", "reference"])
-def heap(request):
-    return request.param()
+def make_payload(request):
+    """Payloads ``<`` cannot order: arrays compare elementwise (no truth
+    value) and plain references raise ``TypeError``. The heap must settle
+    every comparison on ``(time, seq)`` before it would reach them."""
+    return request.param
+
+
+def _same(seen: list, expected: list) -> bool:
+    return len(seen) == len(expected) and all(
+        a is b for a, b in zip(seen, expected))
 
 
 class TestEventHeap:
-    def test_empty_heap_peeks_inf(self, heap):
-        assert len(heap) == 0
-        assert heap.peek_time() == float("inf")
-        assert heap.peek_kind() == -1
+    def test_empty_heap_peeks_inf(self, make_payload):
+        kernel, _seen = _recording_kernel()
+        assert len(kernel) == 0
+        assert kernel.peek() == float("inf")
+        kernel.schedule(1.0, TIMER, make_payload(0))
+        _drain(kernel)
+        assert len(kernel) == 0
+        assert kernel.peek() == float("inf")
 
-    def test_pop_empty_raises(self, heap):
-        with pytest.raises(SimulationError):
-            heap.pop()
+    def test_pop_empty_raises(self, make_payload):
+        engine, _seen = _recording_kernel()
+        with pytest.raises(SimulationError, match="empty"):
+            engine.dispatch_next()
+        engine.schedule(1.0, TIMER, make_payload(0))
+        engine.dispatch_next()
+        with pytest.raises(SimulationError, match="empty"):
+            engine.dispatch_next()
 
-    def test_pops_in_time_order(self, heap):
-        for i, t in enumerate([5.0, 1.0, 3.0, 2.0, 4.0]):
-            heap.push(t, 0, i)
-        times = [heap.pop()[0] for _ in range(5)]
+    def test_pops_in_time_order(self, make_payload):
+        engine, seen = _recording_kernel()
+        payloads = {t: make_payload(int(t)) for t in [5.0, 1.0, 3.0, 2.0, 4.0]}
+        for t, payload in payloads.items():
+            engine.schedule(t, TIMER, payload)
+        times = []
+        while len(engine):
+            engine.dispatch_next()
+            times.append(engine.now)
         assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert _same(seen, [payloads[t] for t in times])
 
-    def test_ties_pop_in_submission_order(self, heap):
-        # The documented Simulator.schedule tie-breaking contract: the
-        # seq column preserves submission order at equal timestamps.
-        for payload in range(10):
-            heap.push(7.0, 0, payload)
-        assert [heap.pop()[3] for _ in range(10)] == list(range(10))
+    def test_ties_pop_in_submission_order(self, make_payload):
+        # The documented Simulator.schedule tie-breaking contract: seq
+        # preserves submission order at equal timestamps, across kinds.
+        kernel, seen = _recording_kernel()
+        payloads = [make_payload(i) for i in range(10)]
+        for i, payload in enumerate(payloads):
+            kernel.schedule(7.0, i % 5, payload)
+        _drain(kernel)
+        assert _same(seen, payloads)
 
-    def test_seq_monotonic_across_mixed_pushes(self, heap):
-        s1 = heap.push(2.0, 0, 0)
-        s2 = heap.push(1.0, 1, 1)
-        s3 = heap.push(2.0, 2, 2)
+    def test_seq_monotonic_across_mixed_pushes(self, make_payload):
+        kernel = EventKernel()
+        s1 = kernel.schedule(2.0, 0, make_payload(1))
+        s2 = kernel.schedule(1.0, 1, make_payload(2))
+        s3 = kernel.schedule(2.0, 2, make_payload(3))
         assert s1 < s2 < s3
 
-    def test_growth_beyond_initial_capacity(self):
-        h = EventHeap(capacity=2)
-        for i in range(100):
-            h.push(float(100 - i), 0, i)
-        assert len(h) == 100
-        assert h.capacity >= 100
-        assert h.peak_size == 100
-        assert [h.pop()[3] for _ in range(100)] == list(reversed(range(100)))
-
-    def test_push_batch_orders_with_singles(self, heap):
-        heap.push(2.0, 0, 100)
-        seqs = heap.push_batch([1.0, 2.0, 3.0], 2, [0, 1, 2])
-        assert list(seqs) == sorted(seqs)
-        order = [heap.pop()[3] for _ in range(4)]
-        # t=1 batch item, then the t=2 single (older seq), then t=2
-        # batch item, then t=3.
-        assert order == [0, 100, 1, 2]
-
-    def test_push_batch_scalar_time_broadcasts(self, heap):
-        heap.push_batch(4.0, 2, np.arange(5))
-        time, kind, seqs, payloads = heap.pop_run()
-        assert time == 4.0 and kind == 2
-        assert list(payloads) == [0, 1, 2, 3, 4]
-        assert len(heap) == 0
-
-    def test_push_batch_empty_is_noop(self, heap):
-        assert heap.push_batch([], 2, []).size == 0
-        assert len(heap) == 0
-
-    def test_pop_run_stops_at_kind_boundary(self, heap):
-        heap.push(1.0, 2, 0)
-        heap.push(1.0, 2, 1)
-        heap.push(1.0, 3, 2)
-        heap.push(1.0, 2, 3)
-        time, kind, _seqs, payloads = heap.pop_run()
-        # Submission order at t=1.0 is kind 2,2,3,2: the run stops at
-        # the kind-3 record even though more kind-2 events exist.
-        assert (time, kind) == (1.0, 2)
-        assert list(payloads) == [0, 1]
-        assert heap.pop_run()[1] == 3
-        assert heap.pop_run()[3].tolist() == [3]
+    def test_payloads_are_never_compared(self):
+        # Equal times and uncomparable payloads: the unique seq settles
+        # every comparison before the tuple reaches the payload.
+        kernel, seen = _recording_kernel()
+        a, b = object(), {"x": 1}
+        kernel.schedule(1.0, TIMER, a)
+        kernel.schedule(1.0, TIMER, b)
+        _drain(kernel)
+        assert seen == [a, b]
 
 
 class TestHeapEquivalence:
-    """The array heap and the heapq oracle are observably identical."""
+    """Dispatch order equals a sort by ``(time, submission index)``
+    computed independently in the test."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.tuples(st.floats(0.0, 20.0), st.integers(0, 4)),
                     min_size=1, max_size=80))
     def test_random_soups_pop_identically(self, records):
-        fast, oracle = EventHeap(capacity=2), ReferenceEventHeap()
-        for payload, (t, kind) in enumerate(records):
-            fast.push(t, kind, payload)
-            oracle.push(t, kind, payload)
-        fast_order = [fast.pop() for _ in records]
-        oracle_order = [oracle.pop() for _ in records]
-        assert fast_order == oracle_order
+        kernel, seen = _recording_kernel()
+        for index, (t, kind) in enumerate(records):
+            kernel.schedule(t, kind, index)
+        _drain(kernel)
+        expected = sorted(range(len(records)),
+                          key=lambda i: (records[i][0], i))
+        assert seen == expected
+        assert kernel.now == max(t for t, _ in records)
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.tuples(st.floats(0.0, 10.0), st.booleans()),
@@ -155,33 +167,25 @@ class TestHeapEquivalence:
            st.integers(0, 2**32 - 1))
     def test_interleaved_push_pop_identical(self, ops, seed):
         rng = np.random.default_rng(seed)
-        fast, oracle = EventHeap(capacity=2), ReferenceEventHeap()
-        payload = 0
+        engine, seen = _recording_kernel()
+        pending: list[tuple[float, int]] = []
+        expected = []
+        index = 0
         for t, do_pop in ops:
-            if do_pop and len(fast):
-                assert fast.pop() == oracle.pop()
+            if do_pop and pending:
+                nxt = min(pending)
+                pending.remove(nxt)
+                expected.append(nxt[1])
+                engine.dispatch_next()
+                assert engine.now == nxt[0]
             else:
-                base = float(rng.uniform(0.0, 5.0))
-                fast.push(t + base, 1, payload)
-                oracle.push(t + base, 1, payload)
-                payload += 1
-        while len(fast):
-            assert fast.pop() == oracle.pop()
-        assert len(oracle) == 0
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=40),
-           st.lists(st.floats(0.0, 8.0), min_size=0, max_size=40))
-    def test_batch_push_matches_oracle(self, singles, batch):
-        fast, oracle = EventHeap(capacity=2), ReferenceEventHeap()
-        for i, t in enumerate(singles):
-            fast.push(t, 0, i)
-            oracle.push(t, 0, i)
-        payloads = np.arange(1000, 1000 + len(batch))
-        fast.push_batch(batch, 2, payloads)
-        oracle.push_batch(batch, 2, payloads)
-        n = len(singles) + len(batch)
-        assert [fast.pop() for _ in range(n)] == [oracle.pop() for _ in range(n)]
+                when = engine.now + t + float(rng.uniform(0.0, 5.0))
+                engine.schedule(when, index % 5, index)
+                pending.append((when, index))
+                index += 1
+        expected.extend(i for _, i in sorted(pending))
+        _drain(engine)
+        assert seen == expected
 
 
 class TestKernelCounters:
@@ -189,7 +193,6 @@ class TestKernelCounters:
         c = KernelCounters()
         assert c.total_scheduled == 0
         assert c.total_processed == 0
-        assert c.batches == 0
         assert c.as_dict()["named"] == {}
 
     def test_named_counters_accumulate(self):
@@ -200,86 +203,57 @@ class TestKernelCounters:
         assert c.named == {"ranks": 100, "checkpoints": 1}
 
     def test_kernel_tallies_by_kind(self):
-        kernel = EventKernel()
-        kernel.on("timer", lambda payload: None)
-        kernel.on("compute", lambda payloads: None, batch=True)
-        kernel.schedule(1.0, event_kind_code("timer"), None)
-        kernel.schedule_batch(2.0, event_kind_code("compute"), [1, 2, 3])
-        kernel.run()
+        kernel, _seen = _recording_kernel()
+        kernel.schedule(1.0, TIMER, None)
+        for payload in (1, 2, 3):
+            kernel.schedule(2.0, event_kind_code("compute"), payload)
         assert kernel.counters.scheduled_by_kind()["timer"] == 1
         assert kernel.counters.scheduled_by_kind()["compute"] == 3
+        assert kernel.counters.total_processed == 0
+        _drain(kernel)
         assert kernel.counters.processed_by_kind()["compute"] == 3
         assert kernel.counters.total_processed == 4
-        assert kernel.counters.batches == 1
 
 
 class TestEventKernel:
     def test_schedule_in_past_raises(self):
-        kernel = EventKernel()
-        kernel.on("timer", lambda payload: None)
-        kernel.schedule(5.0, event_kind_code("timer"), None)
-        kernel.run()
+        kernel, _seen = _recording_kernel()
+        kernel.schedule(5.0, TIMER, None)
+        _drain(kernel)
         assert kernel.now == 5.0
         with pytest.raises(SimulationError, match="in the past"):
-            kernel.schedule(1.0, event_kind_code("timer"), None)
-
-    def test_schedule_batch_in_past_rolls_back_slots(self):
-        kernel = EventKernel()
-        kernel.on("compute", lambda payloads: None)
-        kernel.schedule(5.0, event_kind_code("compute"), None)
-        kernel.run()
-        with pytest.raises(SimulationError, match="in the past"):
-            kernel.schedule_batch([6.0, 1.0], event_kind_code("compute"), [1, 2])
-        assert len(kernel) == 0
-        assert kernel.counters.scheduled_by_kind()["compute"] == 1
-
-    def test_missing_handler_raises(self):
-        kernel = EventKernel()
-        kernel.schedule(1.0, event_kind_code("timer"), None)
-        with pytest.raises(SimulationError, match="no handler"):
-            kernel.run()
-
-    def test_run_until_horizon_parks_clock(self):
-        seen = []
-        kernel = EventKernel()
-        kernel.on("timer", seen.append)
-        kernel.schedule(1.0, event_kind_code("timer"), "a")
-        kernel.schedule(10.0, event_kind_code("timer"), "b")
-        kernel.run(until=4.0)
-        assert seen == ["a"]
-        assert kernel.now == 4.0
-        assert len(kernel) == 1
-        kernel.run()
-        assert seen == ["a", "b"] and kernel.now == 10.0
+            kernel.schedule(1.0, TIMER, None)
 
     def test_run_until_past_raises(self):
-        kernel = EventKernel()
-        kernel.on("timer", lambda payload: None)
-        kernel.schedule(3.0, event_kind_code("timer"), None)
-        kernel.run()
-        with pytest.raises(SimulationError):
-            kernel.run(until=1.0)
+        # Simulator.run is the kernel's drain loop: a horizon behind the
+        # kernel clock is refused before it dispatches or moves anything.
+        sim = Simulator()
+        sim.timeout(3.0)
+        sim.timeout(8.0)
+        sim.run(until=5.0)
+        kernel = sim.kernel
+        processed = kernel.counters.total_processed
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.run(until=1.0)
+        assert kernel.now == 5.0
+        assert kernel.peek() == 8.0
+        assert kernel.counters.total_processed == processed
 
-    def test_batched_kinds_dispatch_as_one_call(self):
-        batches = []
-        kernel = EventKernel()
-        kernel.on("compute", lambda payloads: batches.append(list(payloads)),
-                  batch=True)
-        kernel.schedule_batch(2.0, event_kind_code("compute"), [10, 11, 12])
-        kernel.schedule(2.0, event_kind_code("compute"), 13)
-        kernel.schedule(3.0, event_kind_code("compute"), 14)
-        kernel.run()
-        assert batches == [[10, 11, 12, 13], [14]]
-        assert kernel.counters.batches == 2
+    def test_missing_handler_raises(self):
+        engine = EventKernel()
+        engine.schedule(1.0, TIMER, None)
+        with pytest.raises(SimulationError, match="no handler"):
+            engine.dispatch_next()
 
-    def test_unbatched_handler_gets_single_payloads(self):
-        seen = []
+    def test_handlers_are_routed_by_kind(self):
+        calls = []
         kernel = EventKernel()
-        kernel.on("compute", seen.append, batch=False)
-        kernel.schedule_batch(1.0, event_kind_code("compute"), ["x", "y"])
-        kernel.run()
-        assert seen == ["x", "y"]
-        assert kernel.counters.batches == 0
+        kernel.on("timer", lambda p: calls.append(("timer", p)))
+        kernel.on(event_kind_code("staging"), lambda p: calls.append(("staging", p)))
+        kernel.schedule(1.0, event_kind_code("staging"), "s")
+        kernel.schedule(1.0, TIMER, "t")
+        _drain(kernel)
+        assert calls == [("staging", "s"), ("timer", "t")]
 
     def test_injected_rng_is_reproducible(self):
         draws = []
@@ -295,8 +269,8 @@ class TestEventKernel:
             kernel = EventKernel(rng=1234)
             kernel.on("timer", sampler(kernel))
             for t in (1.0, 2.0, 3.0):
-                kernel.schedule(t, event_kind_code("timer"), None)
-            kernel.run()
+                kernel.schedule(t, TIMER, None)
+            _drain(kernel)
             results.append(list(draws))
         assert results[0] == results[1]
         assert len(results[0]) == 3
@@ -306,26 +280,10 @@ class TestEventKernel:
         kernel = EventKernel(rng=gen)
         assert kernel.rng is gen
 
-    def test_payload_slots_are_recycled(self):
-        kernel = EventKernel()
-        kernel.on("timer", lambda payload: None)
-        code = event_kind_code("timer")
-        for round_ in range(5):
-            for t in range(10):
-                kernel.schedule(kernel.now + t + 1.0, code, ("blob", round_))
-            kernel.run()
-        # Ten live slots at peak; the free list caps the table size.
-        assert len(kernel._payloads) == 10
-
-    def test_heap_class_swap_via_class_attribute(self, monkeypatch):
-        monkeypatch.setattr(EventKernel, "heap_class", ReferenceEventHeap)
-        kernel = EventKernel()
-        assert isinstance(kernel.heap, ReferenceEventHeap)
-
 
 class TestSimulatorTieBreakRegression:
-    """Satellite bugfix: same-timestamp events preserve submission order
-    across the old (reference) heap and the new array-backed heap."""
+    """Same-timestamp events preserve submission order through the
+    Simulator adapter, and a pinned workflow trace stays byte-identical."""
 
     @staticmethod
     def _scenario():
@@ -348,57 +306,51 @@ class TestSimulatorTieBreakRegression:
         assert order == [(0, 1.0), (2, 1.0), (4, 1.0), (5, 1.0),
                          (1, 2.0), (3, 2.0)]
 
-    def test_identical_on_both_heaps(self, monkeypatch):
-        fast = self._scenario()
-        monkeypatch.setattr(EventKernel, "heap_class", ReferenceEventHeap)
-        assert self._scenario() == fast
-
     @settings(deadline=None, max_examples=25)
     @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=30))
     def test_event_soup_identical_orderings_and_clocks(self, delays):
-        def replay(heap_class):
-            log = []
-            original = EventKernel.heap_class
-            EventKernel.heap_class = heap_class
-            try:
-                sim = Simulator()
+        log = []
+        sim = Simulator()
 
-                def worker(sim, tag, delay):
-                    yield sim.timeout(delay)
-                    log.append((tag, sim.now))
-                    if tag % 3 == 0:
-                        yield sim.timeout(delay)
-                        log.append((tag, sim.now))
+        def worker(sim, tag, delay):
+            yield sim.timeout(delay)
+            log.append((tag, sim.now))
 
-                for i, d in enumerate(delays):
-                    sim.process(worker(sim, i, d))
-                sim.run()
-                return log, sim.now
-            finally:
-                EventKernel.heap_class = original
+        for i, d in enumerate(delays):
+            sim.process(worker(sim, i, d))
+        sim.run()
+        # Every process starts at t=0 in submission order, so its timeout
+        # is submitted in that order too: ties fall back to the index.
+        expected = sorted(((i, d) for i, d in enumerate(delays)),
+                          key=lambda rec: (rec[1], rec[0]))
+        assert log == expected
+        assert sim.now == max(delays)
 
-        assert replay(EventHeap) == replay(ReferenceEventHeap)
+    # SHA-256 of the ``_quickstart("global", 6, 42)`` run's trace JSONL
+    # and ``result_to_json`` output, captured before the kernel moved to
+    # a single heapq heap.  Any change to event ordering moves them.
+    GOLDEN_TRACE_SHA256 = (
+        "1a1bedfc649f41708869f03e47a173395be50c6e3eb953aae52341303a851fb2"
+    )
+    GOLDEN_RESULT_SHA256 = (
+        "19fcf7d916b8a4edcc872e27e425834ea1317a81bb59aaa9a96616c1fad0d076"
+    )
 
-    def test_workflow_traces_byte_identical_across_heaps(
-            self, tmp_path, monkeypatch):
+    def test_workflow_trace_matches_pinned_digest(self, tmp_path):
         from repro.__main__ import _quickstart
         from repro.observability.tracer import Tracer
         from repro.workflow.driver import CoupledWorkflow
+        from repro.workflow.report import result_to_json
 
-        def run_traced(path):
-            config, trace = _quickstart("global", 6, 42)
-            tracer = Tracer()
-            CoupledWorkflow(config, trace, tracer=tracer).run()
-            tracer.to_jsonl(path)
-            return path.read_bytes()
-
-        fast = run_traced(tmp_path / "fast.jsonl")
-        monkeypatch.setattr(EventKernel, "heap_class", ReferenceEventHeap)
-        oracle = run_traced(tmp_path / "oracle.jsonl")
-        assert fast == oracle
-        # Sanity: the trace is real JSONL with simulated timestamps.
-        first = json.loads(fast.splitlines()[0])
-        assert "ts" in first and "kind" in first
+        config, trace = _quickstart("global", 6, 42)
+        tracer = Tracer()
+        result = CoupledWorkflow(config, trace, tracer=tracer).run()
+        path = tmp_path / "trace.jsonl"
+        tracer.to_jsonl(path)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.GOLDEN_TRACE_SHA256)
+        assert (hashlib.sha256(result_to_json(result).encode()).hexdigest()
+                == self.GOLDEN_RESULT_SHA256)
 
 
 class TestAdapterIntegration:
@@ -407,7 +359,7 @@ class TestAdapterIntegration:
     def test_simulator_owns_a_kernel(self):
         sim = Simulator()
         assert isinstance(sim.kernel, EventKernel)
-        assert sim.kernel.heap.peek_time() == float("inf")
+        assert sim.kernel.peek() == float("inf")
 
     def test_timeout_kinds_reach_the_counters(self):
         sim = Simulator()
@@ -433,47 +385,6 @@ class TestAdapterIntegration:
         sim.run(done)
         assert sim.kernel.counters.processed_by_kind()["transfer"] >= 2
 
-    def test_transfer_batch_equivalent_to_serial_admits(self):
-        def run(batched):
-            sim = Simulator()
-            net = Network(sim)
-            net.add_link("sim", "staging", bandwidth=1e9, latency=1e-6)
-            sizes = [5e8, 5e8, 0.0, 2.5e8]
-            if batched:
-                events = net.transfer_batch("sim", "staging", sizes)
-            else:
-                events = [net.transfer("sim", "staging", s) for s in sizes]
-            done = sim.all_of(events)
-            flows = sim.run(done)
-            assert net.active_flows == 0
-            return [(f.finished_at, f.size) for f in flows], sim.now
-
-        assert run(batched=True) == run(batched=False)
-
-    def test_transfer_batch_rejects_negative_and_same_endpoint(self):
-        sim = Simulator()
-        net = Network(sim)
-        net.add_link("sim", "staging", bandwidth=1e9)
-        with pytest.raises(SimulationError):
-            net.transfer_batch("sim", "staging", [1.0, -2.0])
-        with pytest.raises(SimulationError):
-            net.transfer_batch("sim", "sim", [1.0])
-
-    def test_transfer_batch_uses_fewer_events_than_serial(self):
-        def event_count(batched):
-            sim = Simulator()
-            net = Network(sim)
-            net.add_link("sim", "staging", bandwidth=1e9)
-            sizes = [1e8] * 64
-            if batched:
-                events = net.transfer_batch("sim", "staging", sizes)
-            else:
-                events = [net.transfer("sim", "staging", s) for s in sizes]
-            sim.run(sim.all_of(events))
-            return sim.kernel.counters.processed_by_kind()["transfer"]
-
-        assert event_count(True) < event_count(False)
-
     def test_interrupt_edge_case_on_kernel_path(self):
         sim = Simulator()
 
@@ -496,30 +407,6 @@ class TestAdapterIntegration:
         assert len(sim.kernel) == 0
         assert sim.now == 100.0
         assert sim.kernel.counters.processed_by_kind()["compute"] == 1
-
-    def test_machine_compute_batch_matches_scalar(self):
-        from repro.hpc.machine import Machine
-
-        sim = Simulator()
-        machine = Machine(sim, node_count=2, cores_per_node=4,
-                          memory_per_node=2**30, core_rate=1e4)
-        work = np.array([0.0, 1e4, 5e5, 2.5e6])
-        batch = machine.compute_batch(work, cores=8)
-        assert batch.shape == work.shape
-        for w, seconds in zip(work, batch):
-            assert seconds == machine.compute_time(float(w), 8)
-
-    def test_machine_compute_batch_validates(self):
-        from repro.errors import ResourceError
-        from repro.hpc.machine import Machine
-
-        sim = Simulator()
-        machine = Machine(sim, node_count=2, cores_per_node=4,
-                          memory_per_node=2**30, core_rate=1e4)
-        with pytest.raises(ResourceError):
-            machine.compute_batch([1.0], cores=0)
-        with pytest.raises(ResourceError):
-            machine.compute_batch([-1.0], cores=4)
 
     def test_seeded_simulator_rng_injection(self):
         a = Simulator(rng=99).rng.uniform(size=4)

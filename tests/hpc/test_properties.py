@@ -118,98 +118,3 @@ class TestNetworkProperties:
             sim.process(watch(sim, net.transfer("a", "b", size)))
         sim.run()
         assert np.allclose(finish, n * size / 100.0, rtol=1e-9)
-
-
-class TestPopRunBoundaryProperties:
-    """Pin ``EventHeap.pop_run`` at the scalar/vectorized boundary.
-
-    Runs of length <= ``_RUN_SCALAR_MAX`` pop record-by-record; longer
-    runs take the vectorized extract-and-rebuild path.  The two paths
-    must be observationally identical, including when the top timestamp
-    holds duplicated ``(time, kind)`` records interleaved across kinds
-    (so the run cut lands mid-timestamp).  ``ReferenceEventHeap`` is the
-    heapq oracle with the same API.
-    """
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        segments=st.lists(
-            st.tuples(
-                st.integers(0, 2),          # time index (duplicated times)
-                st.integers(0, 3),          # kind code
-                st.integers(1, 40),         # segment length around the cut
-            ),
-            min_size=1,
-            max_size=8,
-        ),
-        batched=st.booleans(),
-    )
-    def test_pop_sequences_match_reference(self, segments, batched):
-        from repro.hpc.kernel import EventHeap, ReferenceEventHeap
-
-        fast, oracle = EventHeap(capacity=4), ReferenceEventHeap()
-        payload = 0
-        times = [1.0, 2.5, 2.5]  # includes a duplicated timestamp
-        for t_idx, kind, length in segments:
-            t = times[t_idx]
-            if batched:
-                ps = np.arange(payload, payload + length, dtype=np.int64)
-                fast.push_batch(t, kind, ps)
-                oracle.push_batch(t, kind, ps)
-            else:
-                for _ in range(length):
-                    fast.push(t, kind, payload)
-                    oracle.push(t, kind, payload)
-                    payload += 1
-                continue
-            payload += length
-        while len(oracle):
-            ft, fk, fs, fp = fast.pop_run()
-            ot, ok, os_, op = oracle.pop_run()
-            assert ft == ot
-            assert fk == ok
-            assert fs.tolist() == os_.tolist()
-            assert fp.tolist() == op.tolist()
-        assert len(fast) == 0
-
-    @settings(deadline=None, max_examples=40)
-    @given(
-        head=st.integers(28, 40),   # same-kind prefix length at the top
-        tail=st.integers(0, 40),    # different-kind records at the same time
-        interleave=st.booleans(),
-    )
-    def test_exact_threshold_cut_with_interleaved_kinds(
-        self, head, tail, interleave
-    ):
-        """Drive the cut through 32 exactly, with the run's timestamp
-        shared by records of another kind before *and* after it."""
-        from repro.hpc.kernel import EventHeap, ReferenceEventHeap
-
-        fast, oracle = EventHeap(capacity=4), ReferenceEventHeap()
-        for heap in (fast, oracle):
-            p = 0
-            for _ in range(head):
-                heap.push(5.0, 1, p)
-                p += 1
-            for _ in range(tail):
-                heap.push(5.0, 2, p)
-                p += 1
-            if interleave:
-                # More of the first kind *after* the kind change: the run
-                # must still stop at the first mismatch in seq order.
-                for _ in range(3):
-                    heap.push(5.0, 1, p)
-                    p += 1
-            heap.push(9.0, 0, p)
-        runs_fast, runs_oracle = [], []
-        while len(fast):
-            t, k, s, pl = fast.pop_run()
-            runs_fast.append((t, k, s.tolist(), pl.tolist()))
-        while len(oracle):
-            t, k, s, pl = oracle.pop_run()
-            runs_oracle.append((t, k, s.tolist(), pl.tolist()))
-        assert runs_fast == runs_oracle
-        if head > 32 and not interleave:
-            # The first run crossed the scalar ceiling: it must still be
-            # the full same-kind prefix, cut exactly at the kind change.
-            assert len(runs_fast[0][3]) == head

@@ -382,40 +382,17 @@ class TestKernelDocs:
                  if not description.strip()]
         assert not empty, f"kernel event kinds without a description: {empty}"
 
-    def test_batched_kinds_marked_in_taxonomy_table(self, kernel_doc):
-        # The taxonomy table's "batched" column must agree with the
-        # registry: each kind's row says yes exactly when it was
-        # registered batched=True.
-        from repro.hpc.kernel import KERNEL_EVENT_KINDS, batched_event_kinds
-
-        batched = set(batched_event_kinds())
-        rows = {}
-        for line in kernel_doc.splitlines():
-            match = re.match(r"\| `(\w+)` \| \d+ \| (yes|no) \|", line)
-            if match:
-                rows[match.group(1)] = match.group(2) == "yes"
-        for name in KERNEL_EVENT_KINDS:
-            assert name in rows, f"kind {name!r} missing a taxonomy row"
-            assert rows[name] == (name in batched), (
-                f"taxonomy row for {name!r} disagrees with the registry "
-                f"on batching"
-            )
-
     def test_kind_codes_match_registry(self, kernel_doc):
+        # The taxonomy table has three columns: kind, code, used for.
         from repro.hpc.kernel import KERNEL_EVENT_KINDS, event_kind_code
 
-        for name in KERNEL_EVENT_KINDS:
-            code = event_kind_code(name)
-            assert f"| `{name}` | {code} |" in kernel_doc, (
-                f"taxonomy row for {name!r} does not show code {code}"
-            )
-
-    def test_kernel_span_documented(self, kernel_doc, observability_doc):
-        # The engine layer's only span must be registered and appear in
-        # both kernel.md and the span table in profiling.md.
-        assert "kernel.dispatch" in PROFILE_SPANS
-        assert "`kernel.dispatch`" in kernel_doc
-        assert "`kernel.dispatch`" in PROFILING_DOC.read_text()
+        rows = {}
+        for line in kernel_doc.splitlines():
+            match = re.fullmatch(r"\| `(\w+)` \| (\d+) \| [^|]+ \|", line)
+            if match:
+                rows[match.group(1)] = int(match.group(2))
+        assert rows == {name: event_kind_code(name)
+                        for name in KERNEL_EVENT_KINDS}
 
     def test_kernel_metric_documented(self, kernel_doc, observability_doc):
         assert "kernel.events_processed" in METRIC_NAMES
@@ -423,8 +400,7 @@ class TestKernelDocs:
         assert "`kernel.events_processed`" in observability_doc
 
     def test_public_kernel_symbols_documented(self, kernel_doc):
-        for symbol in ("EventKernel", "EventHeap", "ReferenceEventHeap",
-                       "KernelCounters", "KERNEL_EVENT_KINDS",
+        for symbol in ("EventKernel", "KernelCounters", "KERNEL_EVENT_KINDS",
                        "register_event_kind"):
             assert symbol in kernel_doc, (
                 f"kernel symbol {symbol} missing from docs/kernel.md"
