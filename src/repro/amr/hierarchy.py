@@ -25,8 +25,8 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.clustering import cluster_tags
 from repro.amr.coarsefine import restrict
-from repro.amr.layout import BoxLayout
-from repro.amr.level import LevelData
+from repro.amr.layout import BoxLayout, _overlaps
+from repro.amr.level import LevelData, _check_periodic_ghosts, _region_slices
 from repro.amr.tagging import buffer_tags
 from repro.errors import HierarchyError
 
@@ -201,104 +201,107 @@ class AMRHierarchy:
         mode = "wrap" if self.periodic else "edge"
         padded = np.pad(dense, [(0, 0)] + [(pad, pad)] * ndim, mode=mode)
 
-        parent, offsets, scatter = plan
+        parent, inverse, offsets, scatter = plan
         flat = padded.reshape(self.ncomp, -1)
         strides = _flat_strides(padded.shape[1:])
         cur = flat[:, parent]
-        vals = cur
+        vals = cur[:, inverse]
         for axis in range(ndim):
             st = strides[axis]
             nxt = flat[:, parent + st]
             prv = flat[:, parent - st]
             # Van-Leer limited central slope, replicating _limited_slope's
             # arithmetic op for op so the gathered values match prolong's.
+            # Slopes are elementwise per parent cell, so evaluating them
+            # once per distinct parent and expanding is exact.
             fwd = nxt - cur
             bwd = cur - prv
             central = 0.5 * (fwd + bwd)
             same_sign = (fwd * bwd) > 0
             mag = np.minimum(np.abs(central), 2 * np.minimum(np.abs(fwd), np.abs(bwd)))
             slope = np.where(same_sign, np.sign(central) * mag, 0.0)
-            vals = vals + slope * offsets[axis]
+            vals = vals + slope[:, inverse] * offsets[axis]
         for i, dst, start, stop in scatter:
             fine.data.data[i].reshape(self.ncomp, -1)[:, dst] = vals[:, start:stop]
 
     def _ghost_fill_plan(
         self, level: int, pad: int, interior: bool = False
-    ) -> tuple[np.ndarray, list[np.ndarray], list] | None:
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list] | None:
         """Gather/scatter plan for the coarse-fine ghost fill of ``level``.
 
         For every fine box, the plan lists the ghost cells *not* covered by
-        any same-level neighbour (those are the cells whose interpolated
-        values survive the subsequent exchange), their parent cell's flat
-        index in the padded dense coarse array, and the per-axis fractional
-        offsets of the fine centres inside the parent cell.  With
+        any same-level box or periodic image (those are the cells whose
+        interpolated values survive the subsequent exchange).  They come
+        from one coverage mask of the level domain padded by ``nghost``:
+        wrapped when periodic, so a ghost reads the cell its periodic
+        image lands on, and constant ``True`` otherwise, so ghosts past
+        the physical boundary are left to ``fill_physical``.  With
         ``interior`` the plan instead covers each box's valid cells (the
-        regrid fill).  Layouts are immutable, so the plan is cached on the
-        fine layout.  Returns ``None`` when no cell needs interpolation.
+        regrid fill).
+
+        The plan holds the distinct parent cells' flat indices in the
+        padded dense coarse array, the inverse mapping each gathered cell
+        to its parent, the per-axis fractional offsets of the fine centres
+        inside the parent cell, and the per-box scatter ranges.  Layouts
+        are immutable, so the plan is cached on the fine layout.  Returns
+        ``None`` when no cell needs interpolation.
         """
         fine = self.levels[level]
         layout = fine.layout
         g = fine.data.nghost
         r = self.ref_ratio
         cdomain = self.level_domain(level - 1)
-        key = (g, r, self.periodic, cdomain, interior)
-        cache = getattr(layout, "_coarse_fill_plans", None)
-        if cache is None:
-            cache = {}
-            layout._coarse_fill_plans = cache
-        if key in cache:
-            return cache[key]
+        key = ("coarse_fill", g, r, self.periodic, cdomain, interior)
+        if key in layout.plans:
+            return layout.plans[key]
         ndim = cdomain.ndim
-        level_domain = self.level_domain(level)
-        domain_arg = level_domain if self.periodic else None
-        pshape = tuple(s + 2 * pad for s in cdomain.shape)
-        strides = _flat_strides(pshape)
-        # Same table prolong uses: (k + 0.5)/ratio - 0.5 per fine sub-cell.
-        offs_table = (np.arange(r) + 0.5) / r - 0.5
-        parent_parts: list[np.ndarray] = []
-        offset_parts: list[list[np.ndarray]] = [[] for _ in range(ndim)]
+        fdomain = self.level_domain(level)
+        los, his = layout._corner_arrays()
+        if not interior:
+            if self.periodic:
+                _check_periodic_ghosts(fdomain, g)
+            covered = np.zeros(fdomain.shape, dtype=bool)
+            for lo, hi in zip((los - fdomain.lo).tolist(), (his - fdomain.lo + 1).tolist()):
+                covered[tuple(map(slice, lo, hi))] = True
+            if self.periodic:
+                covered = np.pad(covered, g, mode="wrap")
+            else:
+                covered = np.pad(covered, g, constant_values=True)
+        coord_parts: list[list[np.ndarray]] = [[] for _ in range(ndim)]
         scatter: list[tuple[int, np.ndarray, int, int]] = []
         total = 0
-        for i, box in enumerate(layout):
-            grown = box.grow(g)
+        for i, (lo, hi) in enumerate(zip(los.tolist(), his.tolist())):
+            shape = tuple(h - l + 1 + 2 * g for l, h in zip(lo, hi))
             if interior:
-                mask = np.zeros(grown.shape, dtype=bool)
-                mask[box.slices(origin=grown)] = True
+                mask = np.zeros(shape, dtype=bool)
+                mask[tuple(slice(g, s - g) for s in shape)] = True
             else:
-                mask = np.ones(grown.shape, dtype=bool)
-                mask[box.slices(origin=grown)] = False
-                if not self.periodic:
-                    # Ghosts past the physical boundary belong to fill_physical.
-                    keep = np.zeros(grown.shape, dtype=bool)
-                    inside = grown.intersect(level_domain)
-                    if not inside.is_empty():
-                        keep[inside.slices(origin=grown)] = True
-                    mask &= keep
-                for j, shift in layout.neighbors(i, radius=g, periodic_domain=domain_arg):
-                    covered = grown.intersect(layout.boxes[j].shift(shift))
-                    if covered.is_empty():
-                        continue
-                    mask[covered.slices(origin=grown)] = False
-            idx = np.nonzero(mask.ravel())[0]
+                # The grown box starts at lo - g, which is padded index lo - domain lo.
+                start = [l - dl for l, dl in zip(lo, fdomain.lo)]
+                mask = ~covered[tuple(slice(a, a + s) for a, s in zip(start, shape))]
+            idx = np.flatnonzero(mask)
             if idx.size == 0:
                 continue
-            coords = np.unravel_index(idx, grown.shape)
-            pidx = np.zeros(idx.size, dtype=np.int64)
-            for axis in range(ndim):
-                gx = coords[axis].astype(np.int64) + grown.lo[axis]
-                pc = gx // r
-                offset_parts[axis].append(offs_table[gx - pc * r])
-                pidx += (pc - (cdomain.lo[axis] - pad)) * strides[axis]
-            parent_parts.append(pidx)
+            for axis, c in enumerate(np.unravel_index(idx, shape)):
+                coord_parts[axis].append(c + (lo[axis] - g))
             scatter.append((i, idx, total, total + idx.size))
             total += idx.size
         if total == 0:
-            plan = None
-        else:
-            parent = np.concatenate(parent_parts)
-            offsets = [np.concatenate(parts) for parts in offset_parts]
-            plan = (parent, offsets, scatter)
-        cache[key] = plan
+            layout.plans[key] = None
+            return None
+        strides = _flat_strides(tuple(s + 2 * pad for s in cdomain.shape))
+        # Same table prolong uses: (k + 0.5)/ratio - 0.5 per fine sub-cell.
+        offs_table = (np.arange(r) + 0.5) / r - 0.5
+        parent = np.zeros(total, dtype=np.int64)
+        offsets = []
+        for axis in range(ndim):
+            gx = np.concatenate(coord_parts[axis]).astype(np.int64)
+            pc = gx // r
+            offsets.append(offs_table[gx - pc * r])
+            parent += (pc - (cdomain.lo[axis] - pad)) * strides[axis]
+        unique, inverse = np.unique(parent, return_inverse=True)
+        plan = (unique, inverse, offsets, scatter)
+        layout.plans[key] = plan
         return plan
 
     def average_down(self) -> None:
@@ -333,49 +336,33 @@ class AMRHierarchy:
                     averaged[i] = res[slot]
         # Scatter into the coarse boxes each restriction overlaps, using
         # the cached (fine layout, coarse layout) overlap plan.
-        for i, entries in self._avgdown_plan(fine, coarse):
-            arr = averaged[i]
-            for j, dst_idx, src_idx in entries:
-                coarse.data.data[j][dst_idx] = arr[src_idx]
+        for i, j, dst_idx, src_idx in self._avgdown_plan(fine, coarse):
+            coarse.data.data[j][dst_idx] = averaged[i][src_idx]
 
     def _avgdown_plan(self, fine: LevelSpec, coarse: LevelSpec) -> list:
-        """Cached overlap plan ``[(fine_i, [(coarse_j, dst_idx, src_idx)])]``.
+        """Cached overlap plan ``[(fine_i, coarse_j, dst_idx, src_idx)]``.
 
-        Pair finding is vectorized over the corner arrays of both layouts;
-        the plan is cached on the fine layout and rebuilt when the coarse
-        layout object changes (the stored reference also keeps it alive,
-        so an ``is`` check can never alias a recycled object).
+        Pairs and their regions come from the corner arrays of both
+        layouts, in row-major (fine, coarse) order; the plan is cached on
+        the fine layout and rebuilt when the coarse layout object changes
+        (the stored reference also keeps it alive, so an ``is`` check can
+        never alias a recycled object).
         """
         r = self.ref_ratio
-        key = (r, coarse.data.nghost)
-        cache = getattr(fine.layout, "_avgdown_plans", None)
-        if cache is not None:
-            entry = cache.get(key)
-            if entry is not None and entry[0] is coarse.layout:
-                return entry[1]
+        key = ("avgdown", r, coarse.data.nghost)
+        entry = fine.layout.plans.get(key)
+        if entry is not None and entry[0] is coarse.layout:
+            return entry[1]
         flos, fhis = fine.layout._corner_arrays()
         clos, chis = coarse.layout._corner_arrays()
         cf_lo = flos // r  # floor division, matching Box.coarsen
-        cf_hi = fhis // r
-        overlap = (
-            (cf_lo[:, None, :] <= chis[None, :, :])
-            & (clos[None, :, :] <= cf_hi[:, None, :])
-        ).all(axis=2)
-        plan = []
-        for i in range(len(fine.layout)):
-            cbox = fine.layout.boxes[i].coarsen(r)
-            entries = []
-            for j in np.nonzero(overlap[i])[0]:
-                region = cbox.intersect(coarse.layout.boxes[j])
-                dst_idx = (slice(None), *region.slices(origin=coarse.data.grown_box(j)))
-                src_idx = (slice(None), *region.slices(origin=cbox))
-                entries.append((int(j), dst_idx, src_idx))
-            if entries:
-                plan.append((i, entries))
-        if cache is None:
-            cache = {}
-            fine.layout._avgdown_plans = cache
-        cache[key] = (coarse.layout, plan)
+        i, j, lo, hi = _overlaps(cf_lo, fhis // r, clos, chis)
+        plan = list(zip(
+            i.tolist(), j.tolist(),
+            _region_slices(lo, hi, clos[j] - coarse.data.nghost),
+            _region_slices(lo, hi, cf_lo[i]),
+        ))
+        fine.layout.plans[key] = (coarse.layout, plan)
         return plan
 
     # -- regridding ------------------------------------------------------------

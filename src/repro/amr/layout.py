@@ -44,6 +44,21 @@ def load_balance(boxes: Sequence[Box], nranks: int) -> list[int]:
     return assignment
 
 
+def _overlaps(
+    alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Overlapping pairs of two box sets given as ``(n, ndim)`` corner arrays.
+
+    Returns ``(i, j, lo, hi)``: the pairs with box ``a[i]`` overlapping
+    box ``b[j]``, in row-major ``(i, j)`` order, and the corners of each
+    pair's intersection.  Boxes overlap iff ``lo_a <= hi_b`` and
+    ``lo_b <= hi_a`` in every direction.
+    """
+    hit = ((alo[:, None, :] <= bhi[None, :, :]) & (blo[None, :, :] <= ahi[:, None, :])).all(axis=2)
+    i, j = np.nonzero(hit)
+    return i, j, np.maximum(alo[i], blo[j]), np.minimum(ahi[i], bhi[j])
+
+
 class BoxLayout:
     """Pairwise-disjoint boxes plus their rank assignment.
 
@@ -73,7 +88,13 @@ class BoxLayout:
                 raise GeometryError("mixed dimensions in layout")
             if box.is_empty():
                 raise GeometryError(f"empty box in layout: {box}")
+        self._los = np.array([b.lo for b in self.boxes], dtype=np.int64)
+        self._his = np.array([b.hi for b in self.boxes], dtype=np.int64)
         self._verify_disjoint()
+        # Copy plans (exchange, coarse-fine fill, average-down) keyed by
+        # their parameters; layouts are immutable, so a plan built once is
+        # valid until a regrid replaces the layout.
+        self.plans: dict[tuple, object] = {}
         self.nranks = int(nranks)
         if ranks is not None:
             if len(ranks) != len(self.boxes):
@@ -85,26 +106,16 @@ class BoxLayout:
             self.ranks = tuple(load_balance(self.boxes, nranks))
 
     def _corner_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (n, ndim) arrays of box corners for vectorized queries."""
-        los = getattr(self, "_los", None)
-        if los is None:
-            self._los = np.array([b.lo for b in self.boxes], dtype=np.int64)
-            self._his = np.array([b.hi for b in self.boxes], dtype=np.int64)
+        """The (n, ndim) arrays of box corners for vectorized queries."""
         return self._los, self._his
 
     def _verify_disjoint(self) -> None:
-        los, his = self._corner_arrays()
-        # Pairwise overlap test, vectorized: boxes i, j overlap iff
-        # lo_i <= hi_j and lo_j <= hi_i in every direction.
-        overlap = (
-            (los[:, None, :] <= his[None, :, :])
-            & (los[None, :, :] <= his[:, None, :])
-        ).all(axis=2)
-        np.fill_diagonal(overlap, False)
-        if overlap.any():
-            i, j = np.argwhere(overlap)[0]
+        i, j, _, _ = _overlaps(self._los, self._his, self._los, self._his)
+        (clash,) = np.nonzero(i != j)
+        if clash.size:
+            k = clash[0]
             raise GeometryError(
-                f"layout boxes overlap: {self.boxes[i]} and {self.boxes[j]}"
+                f"layout boxes overlap: {self.boxes[i[k]]} and {self.boxes[j[k]]}"
             )
 
     # -- queries ------------------------------------------------------------
@@ -146,52 +157,4 @@ class BoxLayout:
 
     def covering_box(self) -> Box:
         """The smallest box containing every layout box."""
-        lo = tuple(min(b.lo[d] for b in self.boxes) for d in range(self.ndim))
-        hi = tuple(max(b.hi[d] for b in self.boxes) for d in range(self.ndim))
-        return Box(lo, hi)
-
-    def neighbors(self, index: int, radius: int = 1, periodic_domain: Box | None = None
-                  ) -> list[tuple[int, tuple[int, ...]]]:
-        """Boxes whose data a ghost region of ``radius`` around box ``index`` needs.
-
-        Returns ``(other_index, shift)`` pairs where ``shift`` is the
-        periodic image offset (all zeros for a direct neighbour).  With a
-        ``periodic_domain``, images shifted by full domain extents are
-        considered in every direction.
-
-        Layouts are immutable, so results are cached: ghost exchange runs
-        every time step but the neighbour graph only changes at regrids.
-        """
-        cache_key = (index, radius, periodic_domain)
-        cache = getattr(self, "_neighbor_cache", None)
-        if cache is None:
-            cache = {}
-            self._neighbor_cache = cache
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached
-        me = self.boxes[index].grow(radius)
-        me_lo = np.array(me.lo, dtype=np.int64)
-        me_hi = np.array(me.hi, dtype=np.int64)
-        zero = tuple(0 for _ in range(self.ndim))
-        shifts: list[tuple[int, ...]] = [zero]
-        if periodic_domain is not None and not periodic_domain.contains_box(me):
-            # Wrap-around images only matter when the grown box spills
-            # past the domain boundary.
-            extents = periodic_domain.shape
-            offsets: list[Sequence[int]] = [(-e, 0, e) for e in extents]
-            grid = np.stack(np.meshgrid(*offsets, indexing="ij"), -1)
-            shifts = [tuple(int(v) for v in s) for s in grid.reshape(-1, self.ndim)]
-        los, his = self._corner_arrays()
-        results: list[tuple[int, tuple[int, ...]]] = []
-        for shift in shifts:
-            offset = np.array(shift, dtype=np.int64)
-            mask = (
-                ((los + offset) <= me_hi) & ((his + offset) >= me_lo)
-            ).all(axis=1)
-            for j in np.nonzero(mask)[0]:
-                if j == index and shift == zero:
-                    continue
-                results.append((int(j), shift))
-        cache[cache_key] = results
-        return results
+        return Box(tuple(self._los.min(axis=0).tolist()), tuple(self._his.max(axis=0).tolist()))

@@ -15,10 +15,35 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.layout import BoxLayout
+from repro.amr.layout import BoxLayout, _overlaps
 from repro.errors import GeometryError
 
 __all__ = ["LevelData"]
+
+
+def _region_slices(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray) -> list[tuple]:
+    """``(slice(None), *spatial)`` indices of each row's box ``[lo, hi]``.
+
+    Rows of the ``(m, ndim)`` arrays give one inclusive box each, placed
+    in a ``(ncomp, ...)`` array whose first spatial cell is ``origin``.
+    """
+    starts = (lo - origin).tolist()
+    stops = (hi - origin + 1).tolist()
+    return [(slice(None), *map(slice, a, b)) for a, b in zip(starts, stops)]
+
+
+def _check_periodic_ghosts(domain: Box, nghost: int) -> None:
+    """Reject ghost regions wider than the periodic ``domain``.
+
+    Ghosts are filled from the -e/0/+e periodic images only, and those
+    reach every ghost cell exactly when ``nghost <= e`` on each axis.
+    """
+    for axis, extent in enumerate(domain.shape):
+        if nghost > extent:
+            raise GeometryError(
+                f"nghost {nghost} exceeds the periodic domain's extent {extent} "
+                f"on axis {axis}"
+            )
 
 
 class LevelData:
@@ -52,9 +77,9 @@ class LevelData:
 
     def valid_view(self, index: int) -> np.ndarray:
         """View of the interior (non-ghost) cells of box ``index``."""
-        box = self.layout.boxes[index]
-        slc = box.slices(origin=self.grown_box(index))
-        return self.data[index][(slice(None), *slc)]
+        g = self.nghost
+        arr = self.data[index]
+        return arr[(slice(None), *(slice(g, s - g) for s in arr.shape[1:]))]
 
     @property
     def nbytes(self) -> int:
@@ -127,30 +152,48 @@ class LevelData:
         The layout is immutable and the box geometry fixed, so the plan is
         computed once per (nghost, domain) and cached on the layout; the
         per-step exchange then reduces to slice assignments.
+
+        Periodic images are the product of per-axis -e/0/+e shifts, so
+        overlap is tested per axis on ``(n, 3, n)`` corner arrays and the
+        axes are combined by broadcasting; the combined mask's C order is
+        (box i, shift in meshgrid order, box j).
         """
-        key = (self.nghost, periodic_domain)
-        cache = getattr(self.layout, "_exchange_plans", None)
-        if cache is None:
-            cache = {}
-            self.layout._exchange_plans = cache
-        plan = cache.get(key)
+        key = ("exchange", self.nghost, periodic_domain)
+        plan = self.layout.plans.get(key)
         if plan is not None:
             return plan
-        plan = []
-        for i in range(len(self.layout)):
-            dst_origin = self.grown_box(i)
-            for j, shift in self.layout.neighbors(
-                i, radius=self.nghost, periodic_domain=periodic_domain
-            ):
-                src_box = self.layout.boxes[j].shift(shift)
-                region = dst_origin.intersect(src_box)
-                if region.is_empty():
-                    continue
-                src_origin = self.grown_box(j).shift(shift)
-                dst_idx = (slice(None), *region.slices(origin=dst_origin))
-                src_idx = (slice(None), *region.slices(origin=src_origin))
-                plan.append((i, j, dst_idx, src_idx, region.size))
-        cache[key] = plan
+        g = self.nghost
+        los, his = self.layout._corner_arrays()
+        n, ndim = los.shape
+        if periodic_domain is None:
+            offsets = np.zeros((ndim, 1), dtype=np.int64)
+        else:
+            _check_periodic_ghosts(periodic_domain, g)
+            offsets = np.array(periodic_domain.shape, dtype=np.int64)[:, None] * [-1, 0, 1]
+        nshift = offsets.shape[1]
+        glo, ghi = los - g, his + g
+        hit = np.ones((n, *(nshift,) * ndim, n), dtype=bool)
+        for d in range(ndim):
+            src_lo = los[:, d] + offsets[d][:, None]  # (nshift, n)
+            src_hi = his[:, d] + offsets[d][:, None]
+            axis_hit = (src_lo <= ghi[:, d, None, None]) & (src_hi >= glo[:, d, None, None])
+            shape = [n] + [1] * ndim + [n]
+            shape[1 + d] = nshift
+            hit &= axis_hit.reshape(shape)
+        hit = hit.reshape(n, nshift**ndim, n)
+        # A box is not its own neighbour, except through a periodic image.
+        hit[np.arange(n), nshift**ndim // 2, np.arange(n)] = False
+        i, s, j = np.nonzero(hit)
+        shift = np.stack(np.meshgrid(*offsets, indexing="ij"), -1).reshape(-1, ndim)[s]
+        lo = np.maximum(glo[i], los[j] + shift)
+        hi = np.minimum(ghi[i], his[j] + shift)
+        plan = list(zip(
+            i.tolist(), j.tolist(),
+            _region_slices(lo, hi, glo[i]),
+            _region_slices(lo, hi, glo[j] + shift),
+            (hi - lo + 1).prod(axis=1).tolist(),
+        ))
+        self.layout.plans[key] = plan
         return plan
 
     def fill_physical(self, domain: Box, mode: str = "edge", value: float = 0.0) -> None:
@@ -198,20 +241,13 @@ class LevelData:
             raise GeometryError("component count mismatch in copy_overlap_from")
         if self.layout.ndim != other.layout.ndim:
             raise GeometryError("dimension mismatch in copy_overlap_from")
-        # Vectorized pair finding: boxes i, j overlap iff lo_i <= hi_j and
-        # lo_j <= hi_i per direction.  argwhere returns row-major order,
-        # matching the nested loop this replaces.
         dlos, dhis = self.layout._corner_arrays()
         slos, shis = other.layout._corner_arrays()
-        overlap = (
-            (dlos[:, None, :] <= shis[None, :, :])
-            & (slos[None, :, :] <= dhis[:, None, :])
-        ).all(axis=2)
-        for i, j in np.argwhere(overlap):
-            region = self.layout.boxes[i].intersect(other.layout.boxes[j])
-            dst_slc = region.slices(origin=self.grown_box(i))
-            src_slc = region.slices(origin=other.grown_box(j))
-            self.data[i][(slice(None), *dst_slc)] = other.data[j][(slice(None), *src_slc)]
+        i, j, lo, hi = _overlaps(dlos, dhis, slos, shis)
+        dst = _region_slices(lo, hi, dlos[i] - self.nghost)
+        src = _region_slices(lo, hi, slos[j] - other.nghost)
+        for a, b, dst_idx, src_idx in zip(i.tolist(), j.tolist(), dst, src):
+            self.data[a][dst_idx] = other.data[b][src_idx]
 
     def to_dense(self, region: Box | None = None, fill: float = np.nan) -> np.ndarray:
         """Assemble a dense ``(ncomp, *region.shape)`` array of interior data.
@@ -221,13 +257,13 @@ class LevelData:
         """
         target = region if region is not None else self.layout.covering_box()
         out = np.full((self.ncomp, *target.shape), fill, dtype=self.dtype)
-        for i, box in enumerate(self.layout):
-            overlap = box.intersect(target)
-            if overlap.is_empty():
-                continue
-            dst_slc = overlap.slices(origin=target)
-            src_slc = overlap.slices(origin=self.grown_box(i))
-            out[(slice(None), *dst_slc)] = self.data[i][(slice(None), *src_slc)]
+        los, his = self.layout._corner_arrays()
+        tlo = np.array([target.lo])
+        boxes, _, lo, hi = _overlaps(los, his, tlo, np.array([target.hi]))
+        dst = _region_slices(lo, hi, tlo)
+        src = _region_slices(lo, hi, los[boxes] - self.nghost)
+        for i, dst_idx, src_idx in zip(boxes.tolist(), dst, src):
+            out[dst_idx] = self.data[i][src_idx]
         return out
 
     def rank_bytes(self) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import AMRHierarchy
-from repro.errors import HierarchyError
+from repro.errors import GeometryError, HierarchyError
 
 
 def make_hierarchy(**kw):
@@ -204,3 +204,12 @@ class TestInterlevelData:
         assert h.total_cells() == sum(s.layout.total_cells for s in h.levels)
         assert h.total_bytes() == sum(s.data.nbytes for s in h.levels)
         assert h.rank_bytes().sum() == h.total_bytes()
+
+    def test_ghost_fill_wider_than_periodic_level_rejected(self):
+        # Level 1 is 4 cells wide on axis 0, narrower than nghost 5.
+        h = make_hierarchy(domain=Box((0, 0), (1, 15)), nghost=5, max_levels=2)
+        h.regrid({0: np.ones((2, 16), dtype=bool)})
+        assert h.finest_level == 1
+        # The coarse-fine plan builder checks before any exchange runs.
+        with pytest.raises(GeometryError, match="nghost 5 .* extent 4 on axis 0"):
+            h._fill_from_coarser(1)

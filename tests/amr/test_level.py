@@ -122,6 +122,22 @@ class TestExchange:
                     assert arr[0, ix, iy] == pytest.approx(dense[0, gx, gy])
 
 
+    def test_ghosts_wider_than_periodic_domain_rejected(self):
+        # Only the -e/0/+e images are used, so with nghost 4 on a 3-cell
+        # periodic axis the outermost ghost on each side would stay stale.
+        domain = Box((0,), (2,))
+        ld = LevelData(BoxLayout([domain]), nghost=4)
+        with pytest.raises(GeometryError, match="nghost 4 .* extent 3 on axis 0"):
+            ld.exchange(periodic_domain=domain)
+
+    def test_ghosts_as_wide_as_periodic_domain_fill_every_cell(self):
+        domain = Box((0,), (2,))
+        ld = LevelData(BoxLayout([domain]), nghost=3)
+        ld.valid_view(0)[0] = [1.0, 2.0, 3.0]
+        ld.exchange(periodic_domain=domain)
+        np.testing.assert_array_equal(ld.data[0][0], [1, 2, 3] * 3)
+
+
 class TestFillPhysical:
     def test_edge_mode_copies_boundary(self):
         layout = BoxLayout([Box((0, 0), (3, 3))])
