@@ -25,6 +25,7 @@ from repro.analysis._blocks import (
     validate_block_shape,
 )
 from repro.errors import PolicyError
+from repro.observability.observer import Observer
 
 __all__ = ["block_entropies", "entropy_downsample_factors", "shannon_entropy"]
 
@@ -82,17 +83,13 @@ def block_entropies(
     validate_block_shape(field, block_shape)
     if bins < 2:
         raise PolicyError(f"bins must be >= 2, got {bins}")
-    start = time.perf_counter() if metrics is not None else 0.0
-    if profiler is not None:
-        with profiler.span("analysis.entropy"):
-            out = _block_entropies_vectorized(
-                field, block_shape, bins, global_range
-            )
-    else:
+    observer = Observer(metrics=metrics, profiler=profiler)
+    start = time.perf_counter()
+    with observer.profiler.span("analysis.entropy"):
         out = _block_entropies_vectorized(field, block_shape, bins, global_range)
-    if metrics is not None:
-        timer = metrics.timer("analysis.entropy_kernel_seconds")
-        timer.observe(time.perf_counter() - start)
+    observer.metrics.timer("analysis.entropy_kernel_seconds").observe(
+        time.perf_counter() - start
+    )
     return out
 
 

@@ -35,9 +35,7 @@ from repro.core.preferences import UserHints, UserPreferences
 from repro.core.state import OperationalState
 from repro.errors import PolicyError
 from repro.observability.events import ADAPT_ACTION, ADAPT_DECISION
-from repro.observability.ledger import PredictionLedger
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracer import Tracer
+from repro.observability.observer import NULL_OBSERVER, Observer
 
 __all__ = ["AdaptationDecision", "AdaptationEngine"]
 
@@ -69,24 +67,24 @@ class AdaptationEngine:
         Explicit layer set for *local* adaptation (e.g.
         ``{Layer.MIDDLEWARE}``).  ``None`` selects *global* mode: the
         cross-layer root-leaf plan derived from ``preferences.objective``.
-    tracer, metrics, ledger:
-        Optional observability hooks.  When injected, every call to
-        :meth:`adapt` emits an ``adapt.decision`` event carrying the
-        inputs the plan ran on (estimated backlog, in-situ/in-transit
-        times) plus one ``adapt.action`` event per layer with the
-        policy's own reasoning; the ledger additionally records the
-        resource layer's staging-core choice and the middleware layer's
-        implied staging-memory demand as predictions the host later
-        resolves against realized values.
     trigger:
         Optional :class:`~repro.workflow.triggers.TriggerPolicy`; when
         injected, every committed decision is reported back via
         ``note_adapted`` so change-detecting policies can reset their
         references to the state they just adapted to.
-    profiler:
-        Optional :class:`~repro.observability.Profiler`; when injected,
-        every :meth:`adapt` call runs under an ``engine.adapt`` span
-        measuring the real wall-clock cost of one pass through the plan.
+    observer:
+        The observability hooks
+        (:class:`~repro.observability.observer.Observer`).  Every call
+        to :meth:`adapt` emits an ``adapt.decision`` event carrying the
+        inputs the plan ran on (estimated backlog, in-situ/in-transit
+        times) plus one ``adapt.action`` event per layer with the
+        policy's own reasoning; the ledger records the resource layer's
+        staging-core choice and the middleware layer's implied
+        staging-memory demand as predictions the host later resolves
+        against realized values; and the call runs under an
+        ``engine.adapt`` profiler span measuring the real wall-clock
+        cost of one pass through the plan.  The default observer's hooks
+        are null objects that do nothing.
     """
 
     def __init__(
@@ -95,11 +93,8 @@ class AdaptationEngine:
         hints: UserHints | None = None,
         layers: set[Layer] | None = None,
         hybrid_placement: bool = False,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        ledger: PredictionLedger | None = None,
         trigger=None,
-        profiler=None,
+        observer: Observer = NULL_OBSERVER,
     ):
         self.preferences = preferences or UserPreferences()
         self.hints = hints or UserHints()
@@ -122,14 +117,13 @@ class AdaptationEngine:
             order = [Layer.APPLICATION, Layer.RESOURCE, Layer.MIDDLEWARE]
             self.plan = [layer for layer in order if layer in layers]
             self.mode = "local"
-        self.tracer = tracer
-        self.metrics = metrics
-        self.ledger = ledger
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
+        self.ledger = observer.ledger
         self.trigger = trigger
-        self.profiler = profiler
         # Cached reusable handle: adapt() runs every sampled step, and a
         # per-call profiler.span() lookup is measurable there.
-        self._profile_span = None if profiler is None else profiler.span("engine.adapt")
+        self._profile_span = observer.profiler.span("engine.adapt")
         self.decisions: list[AdaptationDecision] = []
 
     def adapt(self, state: OperationalState) -> AdaptationDecision:
@@ -140,57 +134,50 @@ class AdaptationEngine:
         reduction shrinks data/analysis estimates, the resource layer's
         allocation changes M and T_intransit.
         """
-        span = self._profile_span
-        if span is not None:
-            with span:
-                return self._adapt(state)
-        return self._adapt(state)
-
-    def _adapt(self, state: OperationalState) -> AdaptationDecision:
-        decision = AdaptationDecision(step=state.step)
-        working = state
-        degraded = not state.staging_reachable
-        for layer in self.plan:
-            if layer is Layer.APPLICATION:
-                action = self.application.decide(working)
-                decision.factor = action.factor
-                decision.actions.append(action)
-                working = working.with_reduction(action.factor)
-            elif layer is Layer.RESOURCE:
-                if degraded:
-                    # Every staging core is dead; there is nothing to size
-                    # until the substrate comes back.
-                    continue
-                action = self.resource.decide(working)
-                decision.staging_cores = action.cores
-                decision.actions.append(action)
-                working = replace(
-                    working,
-                    staging_active_cores=action.cores,
-                    est_intransit_time=working.analysis_work
-                    / (working.core_rate * action.cores),
-                )
-            elif layer is Layer.MIDDLEWARE:
-                if degraded:
-                    # Graceful degradation: with staging unreachable the
-                    # only feasible placement is in-situ.
-                    action = PlaceAnalysis(
-                        step=working.step,
-                        placement=Placement.IN_SITU,
-                        insitu_fraction=1.0,
-                        reason="staging unreachable; degrading to in-situ",
+        with self._profile_span:
+            decision = AdaptationDecision(step=state.step)
+            working = state
+            degraded = not state.staging_reachable
+            for layer in self.plan:
+                if layer is Layer.APPLICATION:
+                    action = self.application.decide(working)
+                    decision.factor = action.factor
+                    decision.actions.append(action)
+                    working = working.with_reduction(action.factor)
+                elif layer is Layer.RESOURCE:
+                    if degraded:
+                        # Every staging core is dead; there is nothing to size
+                        # until the substrate comes back.
+                        continue
+                    action = self.resource.decide(working)
+                    decision.staging_cores = action.cores
+                    decision.actions.append(action)
+                    working = replace(
+                        working,
+                        staging_active_cores=action.cores,
+                        est_intransit_time=working.analysis_work
+                        / (working.core_rate * action.cores),
                     )
-                else:
-                    action = self.middleware.decide(working)
-                decision.placement = action.placement
-                decision.insitu_fraction = action.insitu_fraction
-                decision.actions.append(action)
-            else:  # pragma: no cover - enum is closed
-                raise PolicyError(f"unknown layer {layer}")
-        self.decisions.append(decision)
-        if self.trigger is not None:
-            self.trigger.note_adapted(state.step, decision)
-        if self.ledger is not None:
+                elif layer is Layer.MIDDLEWARE:
+                    if degraded:
+                        # Graceful degradation: with staging unreachable the
+                        # only feasible placement is in-situ.
+                        action = PlaceAnalysis(
+                            step=working.step,
+                            placement=Placement.IN_SITU,
+                            insitu_fraction=1.0,
+                            reason="staging unreachable; degrading to in-situ",
+                        )
+                    else:
+                        action = self.middleware.decide(working)
+                    decision.placement = action.placement
+                    decision.insitu_fraction = action.insitu_fraction
+                    decision.actions.append(action)
+                else:  # pragma: no cover - enum is closed
+                    raise PolicyError(f"unknown layer {layer}")
+            self.decisions.append(decision)
+            if self.trigger is not None:
+                self.trigger.note_adapted(state.step, decision)
             if decision.staging_cores is not None:
                 self.ledger.predict(
                     "staging_cores", state.step, float(decision.staging_cores),
@@ -207,41 +194,40 @@ class AdaptationEngine:
                     (1.0 - decision.insitu_fraction) * working.data_bytes,
                     mechanism="middleware",
                 )
-        if self.metrics is not None:
             self.metrics.counter("engine.decisions").inc()
-        if self.tracer is not None and self.tracer.enabled:
-            # `degraded` is only present on degraded decisions so that
-            # fault-free traces stay byte-identical to pre-fault builds.
-            extra = {"degraded": True} if degraded else {}
-            self.tracer.emit(
-                ADAPT_DECISION,
-                step=state.step,
-                mode=self.mode,
-                plan=[layer.value for layer in self.plan],
-                **extra,
-                factor=decision.factor,
-                placement=(
-                    decision.placement.value if decision.placement else None
-                ),
-                insitu_fraction=decision.insitu_fraction,
-                staging_cores=decision.staging_cores,
-                # The inputs the plan ran on (pre-propagation snapshot).
-                data_bytes=state.data_bytes,
-                analysis_work=state.analysis_work,
-                est_insitu_time=state.est_insitu_time,
-                est_intransit_time=state.est_intransit_time,
-                est_intransit_remaining=state.est_intransit_remaining,
-                est_next_sim_time=state.est_next_sim_time,
-                staging_busy=state.staging_busy,
-                insitu_memory_ok=state.insitu_memory_ok,
-                intransit_memory_ok=state.intransit_memory_ok,
-            )
-            for layer, action in zip(self.plan, decision.actions):
+            if self.tracer.enabled:
+                # `degraded` is only present on degraded decisions so that
+                # fault-free traces stay byte-identical to pre-fault builds.
+                extra = {"degraded": True} if degraded else {}
                 self.tracer.emit(
-                    ADAPT_ACTION,
+                    ADAPT_DECISION,
                     step=state.step,
-                    layer=layer.value,
-                    action=type(action).__name__,
-                    reason=action.reason,
+                    mode=self.mode,
+                    plan=[layer.value for layer in self.plan],
+                    **extra,
+                    factor=decision.factor,
+                    placement=(
+                        decision.placement.value if decision.placement else None
+                    ),
+                    insitu_fraction=decision.insitu_fraction,
+                    staging_cores=decision.staging_cores,
+                    # The inputs the plan ran on (pre-propagation snapshot).
+                    data_bytes=state.data_bytes,
+                    analysis_work=state.analysis_work,
+                    est_insitu_time=state.est_insitu_time,
+                    est_intransit_time=state.est_intransit_time,
+                    est_intransit_remaining=state.est_intransit_remaining,
+                    est_next_sim_time=state.est_next_sim_time,
+                    staging_busy=state.staging_busy,
+                    insitu_memory_ok=state.insitu_memory_ok,
+                    intransit_memory_ok=state.intransit_memory_ok,
                 )
-        return decision
+                for layer, action in zip(self.plan, decision.actions):
+                    self.tracer.emit(
+                        ADAPT_ACTION,
+                        step=state.step,
+                        layer=layer.value,
+                        action=type(action).__name__,
+                        reason=action.reason,
+                    )
+            return decision

@@ -26,9 +26,7 @@ from repro.observability.events import (
     TRIGGER_RECALIBRATED,
     TRIGGER_SUPPRESSED,
 )
-from repro.observability.ledger import PredictionLedger
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracer import Tracer
+from repro.observability.observer import NULL_OBSERVER, Observer
 
 __all__ = ["Monitor"]
 
@@ -36,12 +34,15 @@ __all__ = ["Monitor"]
 class Monitor:
     """Collects observations and produces operational-state snapshots.
 
-    ``tracer``, ``metrics`` and ``ledger`` are optional observability
-    hooks: when injected, every snapshot emits a ``monitor.sample``
-    event, the observation intake publishes counters/timers, and each
-    next-step-time forecast lands in the prediction ledger to be paired
-    with the step duration actually observed; when left ``None`` (the
-    default) instrumentation costs one ``is not None`` test.
+    ``observer`` carries the observability hooks
+    (:class:`~repro.observability.observer.Observer`): every snapshot
+    emits a ``monitor.sample`` event, the observation intake publishes
+    counters/timers, each next-step-time forecast lands in the
+    prediction ledger to be paired with the step duration actually
+    observed, every :meth:`snapshot` runs under a ``monitor.snapshot``
+    profiler span and every :meth:`evaluate_trigger` under
+    ``monitor.trigger`` -- real wall-clock cost, not simulated time.
+    The default observer's hooks are null objects that do nothing.
 
     ``trigger`` is an optional
     :class:`~repro.workflow.triggers.TriggerPolicy`: when injected, the
@@ -52,11 +53,6 @@ class Monitor:
     (threshold + estimator-bias adjustment from ledger feedback,
     emitted as ``trigger.recalibrated``).  Left ``None``, sampling is
     bit-identical to a build without the trigger subsystem.
-
-    ``profiler`` is an optional :class:`~repro.observability.Profiler`:
-    when injected, every :meth:`snapshot` runs under a
-    ``monitor.snapshot`` span and every :meth:`evaluate_trigger` under
-    ``monitor.trigger`` -- real wall-clock cost, not simulated time.
     """
 
     def __init__(
@@ -67,11 +63,8 @@ class Monitor:
         interval: int = 1,
         analysis_rate_hint: float | None = None,
         estimate_bias: float = 1.0,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        ledger: PredictionLedger | None = None,
         trigger=None,
-        profiler=None,
+        observer: Observer = NULL_OBSERVER,
     ):
         if interval < 1:
             raise PolicyError(f"interval must be >= 1, got {interval}")
@@ -88,18 +81,14 @@ class Monitor:
         # analysis-time estimate handed to the policies is multiplied by
         # this factor (1.0 = unbiased).
         self.estimate_bias = float(estimate_bias)
-        self.tracer = tracer
-        self.metrics = metrics
-        self.ledger = ledger
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
+        self.ledger = observer.ledger
         self.trigger = trigger
-        self.profiler = profiler
         # Cached reusable handles: snapshot/trigger run every sampled step,
         # and a per-call profiler.span() lookup is measurable there.
-        if profiler is None:
-            self._snapshot_span = self._trigger_span = None
-        else:
-            self._snapshot_span = profiler.span("monitor.snapshot")
-            self._trigger_span = profiler.span("monitor.trigger")
+        self._snapshot_span = observer.profiler.span("monitor.snapshot")
+        self._trigger_span = observer.profiler.span("monitor.trigger")
         # Step whose next-sim-time forecast is awaiting its realization.
         self._sim_pred_step: int | None = None
         # Most recent off-interval sample the host forced (fault recovery);
@@ -128,31 +117,24 @@ class Monitor:
     def evaluate_trigger(self, indicators):
         """Ask the injected trigger whether ``indicators`` warrant a full
         adaptation; publishes the verdict as events and metrics."""
-        span = self._trigger_span
-        if span is not None:
-            with span:
-                return self._evaluate_trigger(indicators)
-        return self._evaluate_trigger(indicators)
-
-    def _evaluate_trigger(self, indicators):
-        decision = self.trigger.should_adapt(indicators)
-        if self.metrics is not None:
+        with self._trigger_span:
+            decision = self.trigger.should_adapt(indicators)
             if decision.budget_spent:
                 self.metrics.counter("monitor.sampling_budget_used").inc(
                     decision.budget_spent
                 )
             if decision.fire:
                 self.metrics.counter("monitor.trigger_fires").inc()
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(
-                TRIGGER_FIRED if decision.fire else TRIGGER_SUPPRESSED,
-                step=indicators.step,
-                policy=decision.policy,
-                reason=decision.reason,
-                value=decision.value,
-                budget_spent=decision.budget_spent,
-            )
-        return decision
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    TRIGGER_FIRED if decision.fire else TRIGGER_SUPPRESSED,
+                    step=indicators.step,
+                    policy=decision.policy,
+                    reason=decision.reason,
+                    value=decision.value,
+                    budget_spent=decision.budget_spent,
+                )
+            return decision
 
     def recalibrate_trigger(self, feedback) -> dict[str, tuple[float, float]]:
         """Close the self-calibration loop at ``feedback.step``.
@@ -171,7 +153,7 @@ class Monitor:
             changes["estimate_bias"] = adjusted
         if not changes:
             return {}
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             fields = {}
             for key, (old, new) in sorted(changes.items()):
                 fields[f"{key}_old"] = old
@@ -211,7 +193,7 @@ class Monitor:
         """Record a completed simulation step's duration."""
         if seconds <= 0:
             raise PolicyError(f"step duration must be positive, got {seconds}")
-        if self.ledger is not None and self._sim_pred_step is not None:
+        if self._sim_pred_step is not None:
             self.ledger.resolve("sim_step_time", self._sim_pred_step, seconds)
             self._sim_pred_step = None
         if self._sim_time_ema is None:
@@ -220,28 +202,24 @@ class Monitor:
             self._sim_time_ema = (
                 (1 - self._alpha) * self._sim_time_ema + self._alpha * seconds
             )
-        if self.metrics is not None:
-            self.metrics.timer("monitor.sim_step_seconds").observe(seconds)
+        self.metrics.timer("monitor.sim_step_seconds").observe(seconds)
 
     def observe_insitu(self, work_units: float, cores: int, seconds: float) -> None:
         """Record a completed in-situ analysis."""
         self.insitu_rate.observe(work_units, cores, seconds)
-        if self.metrics is not None:
-            self.metrics.counter("monitor.insitu_observations").inc()
+        self.metrics.counter("monitor.insitu_observations").inc()
 
     def observe_intransit(self, work_units: float, cores: int, seconds: float) -> None:
         """Record a completed in-transit analysis."""
         self.intransit_rate.observe(work_units, cores, seconds)
-        if self.metrics is not None:
-            self.metrics.counter("monitor.intransit_observations").inc()
+        self.metrics.counter("monitor.intransit_observations").inc()
 
     def observe_transfer(self, nbytes: float, seconds: float) -> None:
         """Record a completed staging transfer."""
         accepted = self.transfer.observe(nbytes, seconds)
-        if self.metrics is not None:
-            self.metrics.counter("monitor.transfer_observations").inc()
-            if not accepted and nbytes > 0:
-                self.metrics.counter("monitor.transfer_discards").inc()
+        self.metrics.counter("monitor.transfer_observations").inc()
+        if not accepted and nbytes > 0:
+            self.metrics.counter("monitor.transfer_discards").inc()
 
     # -- estimates -------------------------------------------------------------
 
@@ -285,114 +263,69 @@ class Monitor:
         staging_reachable: bool = True,
     ) -> OperationalState:
         """Build (and record) the operational state for ``step``."""
-        kwargs = dict(
-            step=step,
-            ndim=ndim,
-            data_bytes=data_bytes,
-            rank_data_bytes=rank_data_bytes,
-            rank_memory_available=rank_memory_available,
-            analysis_work=analysis_work,
-            sim_cores=sim_cores,
-            staging_active_cores=staging_active_cores,
-            staging_total_cores=staging_total_cores,
-            staging_memory_total=staging_memory_total,
-            staging_memory_used=staging_memory_used,
-            staging_busy=staging_busy,
-            est_intransit_remaining=est_intransit_remaining,
-            insitu_memory_ok=insitu_memory_ok,
-            core_rate=core_rate,
-            steps_remaining=steps_remaining,
-            staging_reachable=staging_reachable,
-        )
-        span = self._snapshot_span
-        if span is not None:
-            with span:
-                return self._snapshot(**kwargs)
-        return self._snapshot(**kwargs)
-
-    def _snapshot(
-        self,
-        step: int,
-        ndim: int,
-        data_bytes: float,
-        rank_data_bytes: float,
-        rank_memory_available: float,
-        analysis_work: float,
-        sim_cores: int,
-        staging_active_cores: int,
-        staging_total_cores: int,
-        staging_memory_total: float,
-        staging_memory_used: float,
-        staging_busy: bool,
-        est_intransit_remaining: float,
-        insitu_memory_ok: bool,
-        core_rate: float,
-        steps_remaining: int | None = None,
-        staging_reachable: bool = True,
-    ) -> OperationalState:
-        intransit_memory_ok = (
-            staging_memory_used + data_bytes
-            <= staging_memory_total * (1 + 1e-9)
-        )
-        state = OperationalState(
-            step=step,
-            ndim=ndim,
-            core_rate=core_rate,
-            data_bytes=data_bytes,
-            rank_data_bytes=rank_data_bytes,
-            rank_memory_available=rank_memory_available,
-            analysis_work=analysis_work,
-            sim_cores=sim_cores,
-            staging_active_cores=staging_active_cores,
-            est_insitu_time=self.estimate_insitu(analysis_work, sim_cores),
-            est_intransit_time=self.estimate_intransit(
-                analysis_work, staging_active_cores
-            ),
-            est_intransit_remaining=est_intransit_remaining,
-            staging_busy=staging_busy,
-            insitu_memory_ok=insitu_memory_ok,
-            intransit_memory_ok=intransit_memory_ok,
-            staging_total_cores=staging_total_cores,
-            staging_memory_total=staging_memory_total,
-            staging_memory_used=staging_memory_used,
-            est_next_sim_time=self.expected_sim_step_time,
-            est_send_time=self.estimate_send(data_bytes),
-            est_remaining_sim_time=(
-                float("inf")
-                if steps_remaining is None
-                else steps_remaining * self.expected_sim_step_time
-            ),
-            staging_reachable=staging_reachable,
-        )
-        self.history.append(state)
-        if self.ledger is not None and state.est_next_sim_time > 0:
-            # Forecast the *next* step's duration; the next observed step
-            # resolves it.  An unresolved older forecast (off-sample gap)
-            # stays pending rather than being paired with the wrong step.
-            if self._sim_pred_step is None:
+        with self._snapshot_span:
+            intransit_memory_ok = (
+                staging_memory_used + data_bytes
+                <= staging_memory_total * (1 + 1e-9)
+            )
+            state = OperationalState(
+                step=step,
+                ndim=ndim,
+                core_rate=core_rate,
+                data_bytes=data_bytes,
+                rank_data_bytes=rank_data_bytes,
+                rank_memory_available=rank_memory_available,
+                analysis_work=analysis_work,
+                sim_cores=sim_cores,
+                staging_active_cores=staging_active_cores,
+                est_insitu_time=self.estimate_insitu(analysis_work, sim_cores),
+                est_intransit_time=self.estimate_intransit(
+                    analysis_work, staging_active_cores
+                ),
+                est_intransit_remaining=est_intransit_remaining,
+                staging_busy=staging_busy,
+                insitu_memory_ok=insitu_memory_ok,
+                intransit_memory_ok=intransit_memory_ok,
+                staging_total_cores=staging_total_cores,
+                staging_memory_total=staging_memory_total,
+                staging_memory_used=staging_memory_used,
+                est_next_sim_time=self.expected_sim_step_time,
+                est_send_time=self.estimate_send(data_bytes),
+                est_remaining_sim_time=(
+                    float("inf")
+                    if steps_remaining is None
+                    else steps_remaining * self.expected_sim_step_time
+                ),
+                staging_reachable=staging_reachable,
+            )
+            self.history.append(state)
+            if state.est_next_sim_time > 0 and self._sim_pred_step is None:
+                # Forecast the *next* step's duration; the next observed
+                # step resolves it.  An unresolved older forecast
+                # (off-sample gap) stays pending rather than being paired
+                # with the wrong step.
                 self.ledger.predict(
                     "sim_step_time", step, state.est_next_sim_time,
                     mechanism="monitor",
                 )
                 self._sim_pred_step = step
-        if self.metrics is not None:
             self.metrics.counter("monitor.samples").inc()
             if self.trigger is not None:
                 self.metrics.counter("monitor.samples_taken").inc()
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(
-                MONITOR_SAMPLE,
-                step=step,
-                data_bytes=data_bytes,
-                analysis_work=analysis_work,
-                staging_active_cores=staging_active_cores,
-                staging_busy=staging_busy,
-                est_insitu_time=state.est_insitu_time,
-                est_intransit_time=state.est_intransit_time,
-                est_intransit_remaining=est_intransit_remaining,
-                est_next_sim_time=state.est_next_sim_time,
-                est_send_time=state.est_send_time,
-                insitu_memory_ok=insitu_memory_ok,
-                intransit_memory_ok=intransit_memory_ok,
-            )
-        return state
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    MONITOR_SAMPLE,
+                    step=step,
+                    data_bytes=data_bytes,
+                    analysis_work=analysis_work,
+                    staging_active_cores=staging_active_cores,
+                    staging_busy=staging_busy,
+                    est_insitu_time=state.est_insitu_time,
+                    est_intransit_time=state.est_intransit_time,
+                    est_intransit_remaining=est_intransit_remaining,
+                    est_next_sim_time=state.est_next_sim_time,
+                    est_send_time=state.est_send_time,
+                    insitu_memory_ok=insitu_memory_ok,
+                    intransit_memory_ok=intransit_memory_ok,
+                )
+            return state

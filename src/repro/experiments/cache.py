@@ -26,14 +26,13 @@ bypass the cache entirely; every request then computes exactly as the
 un-cached experiments always did.  ``""``, ``0``, ``false`` and ``no``
 keep it enabled; any other value warns once and keeps the cache on
 (bypassing is the *exceptional* state and must be asked for
-unambiguously).  When a
-:class:`~repro.observability.MetricsRegistry` is attached, lookups
-publish the ``experiments.cache_hits`` / ``experiments.cache_misses``
-counters, failed disk stores the
-``experiments.cache_store_failures`` counter, and contended per-key
-file locks the ``experiments.cache_lock_waits`` counter.  When a
-:class:`~repro.observability.Profiler` is attached
-(:meth:`ExperimentCache.attach_profiler`), every lookup runs under a
+unambiguously).  The cache publishes through its
+:class:`~repro.observability.observer.Observer` (built from the
+``metrics=`` / ``profiler=`` keywords; the sweep runner swaps in a
+per-point one): lookups count ``experiments.cache_hits`` /
+``experiments.cache_misses``, failed disk stores
+``experiments.cache_store_failures``, and contended per-key file locks
+``experiments.cache_lock_waits``; every lookup runs under a
 ``cache.lookup`` span with actual artifact computes nested under
 ``cache.compute``.
 
@@ -63,6 +62,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 import numpy as np
 
+from repro.observability.observer import Observer
 from repro.workload.capture import capture_trace
 from repro.workload.trace import WorkloadTrace
 
@@ -227,35 +227,21 @@ class ExperimentCache:
     def __init__(self, cache_dir: str | Path | None = None, metrics=None,
                  profiler=None):
         self.cache_dir = cache_dir
-        self.metrics = metrics
-        self.profiler = profiler
+        self.observer = Observer(metrics=metrics, profiler=profiler)
         self._values: dict[str, Any] = {}
         self._sessions: dict[str, Any] = {}
 
     # -- plumbing ----------------------------------------------------------
 
-    def attach_metrics(self, registry) -> None:
-        """Publish hit/miss counters to ``registry`` from now on."""
-        self.metrics = registry
-
-    def attach_profiler(self, profiler) -> None:
-        """Wrap lookups (``cache.lookup``) and artifact computes
-        (``cache.compute``) in profiler spans from now on."""
-        self.profiler = profiler
-
     def _compute(self, fn: Callable[[], Any]) -> Any:
-        """Run an artifact compute, spanned as ``cache.compute`` when a
-        profiler is attached (nested under ``cache.lookup`` on the
-        cache-enabled path)."""
-        if self.profiler is not None:
-            with self.profiler.span("cache.compute"):
-                return fn()
-        return fn()
+        """Run an artifact compute under a ``cache.compute`` span (nested
+        under ``cache.lookup`` on the cache-enabled path)."""
+        with self.observer.profiler.span("cache.compute"):
+            return fn()
 
     def _count(self, hit: bool) -> None:
-        if self.metrics is not None:
-            name = "experiments.cache_hits" if hit else "experiments.cache_misses"
-            self.metrics.counter(name).inc()
+        name = "experiments.cache_hits" if hit else "experiments.cache_misses"
+        self.observer.metrics.counter(name).inc()
 
     def key(self, kind: str, **params) -> str:
         """Content hash of (kind, params, cache version, code revision).
@@ -324,8 +310,7 @@ class ExperimentCache:
         except OSError as exc:
             # A read-only or full cache dir degrades to recomputation;
             # say so (once) instead of silently eating every future run.
-            if self.metrics is not None:
-                self.metrics.counter("experiments.cache_store_failures").inc()
+            self.observer.metrics.counter("experiments.cache_store_failures").inc()
             global _STORE_FAILURE_WARNED
             if not _STORE_FAILURE_WARNED:
                 _STORE_FAILURE_WARNED = True
@@ -362,8 +347,7 @@ class ExperimentCache:
             try:
                 fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except OSError:
-                if self.metrics is not None:
-                    self.metrics.counter("experiments.cache_lock_waits").inc()
+                self.observer.metrics.counter("experiments.cache_lock_waits").inc()
                 fcntl.flock(handle, fcntl.LOCK_EX)
             yield
         finally:
@@ -378,10 +362,8 @@ class ExperimentCache:
         """Generic memo for a deterministic, parameter-keyed computation."""
         if not cache_enabled():
             return self._compute(compute)
-        if self.profiler is not None:
-            with self.profiler.span("cache.lookup"):
-                return self._value(kind, params, compute)
-        return self._value(kind, params, compute)
+        with self.observer.profiler.span("cache.lookup"):
+            return self._value(kind, params, compute)
 
     def _value(self, kind: str, params: dict, compute: Callable[[], Any]) -> Any:
         key = self.key(kind, **params)
@@ -427,10 +409,8 @@ class ExperimentCache:
         """
         if not cache_enabled():
             return self._compute(lambda: capture_trace(build(), nsteps, name=name))
-        if self.profiler is not None:
-            with self.profiler.span("cache.lookup"):
-                return self._trace(kind, params, nsteps, build, name)
-        return self._trace(kind, params, nsteps, build, name)
+        with self.observer.profiler.span("cache.lookup"):
+            return self._trace(kind, params, nsteps, build, name)
 
     def _trace(
         self,
@@ -491,10 +471,8 @@ class ExperimentCache:
                 stepper.run(nsteps)
                 return extract(stepper)
             return self._compute(_fresh)
-        if self.profiler is not None:
-            with self.profiler.span("cache.lookup"):
-                return self._field(kind, params, nsteps, build, extract)
-        return self._field(kind, params, nsteps, build, extract)
+        with self.observer.profiler.span("cache.lookup"):
+            return self._field(kind, params, nsteps, build, extract)
 
     def _field(
         self,

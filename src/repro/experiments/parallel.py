@@ -187,23 +187,21 @@ def _execute_point(
     span, so cache lookups/computes nest beneath it.
     """
     from repro.observability.metrics import MetricsRegistry
+    from repro.observability.observer import Observer
     from repro.observability.profiler import Profiler
 
     registry = MetricsRegistry()
     profiler = Profiler()
     cache = cache_mod.default_cache()
-    previous = cache.metrics
-    previous_profiler = cache.profiler
-    cache.metrics = registry
-    cache.profiler = profiler
+    previous = cache.observer
+    cache.observer = Observer(metrics=registry, profiler=profiler)
     try:
         started = time.perf_counter()
         with profiler.span("sweep.point"):
             result = SWEEPS[name].run_point(params)
         seconds = time.perf_counter() - started
     finally:
-        cache.metrics = previous
-        cache.profiler = previous_profiler
+        cache.observer = previous
     return result, registry.dump(), profiler.dump(), seconds
 
 

@@ -1,15 +1,16 @@
 """Applies a :class:`~repro.faults.plan.FaultPlan` to a live simulation.
 
 The injector is the only piece of the fault subsystem that touches
-runtime objects.  It is wired in exactly like the tracer/ledger hooks:
-components accept ``faults=None`` and every query the hot path makes
-(:meth:`FaultInjector.may_drop`, :meth:`FaultInjector.service_multiplier`,
-...) is guarded by an ``is not None`` test at the call site, so a run
-without an injector executes byte-identical code.
+runtime objects.  Components accept ``faults=None`` and every query the
+hot path makes (:meth:`FaultInjector.may_drop`,
+:meth:`FaultInjector.service_multiplier`, ...) is guarded by an
+``is not None`` test at the call site, so a run without an injector
+executes byte-identical code.  Faults are behaviour, not observation:
+unlike the observability hooks they have no null object.
 
 Lifecycle::
 
-    injector = FaultInjector(plan, tracer=tracer, metrics=metrics)
+    injector = FaultInjector(plan, observer=Observer(tracer, metrics))
     sim = Simulator(faults=injector)          # attach_simulator
     area = StagingArea(..., faults=injector)  # attach_staging
     injector.attach_network(net)
@@ -36,6 +37,7 @@ from repro.faults.plan import (
     Straggler,
 )
 from repro.observability.events import FAULT_CLEARED, FAULT_INJECTED
+from repro.observability.observer import NULL_OBSERVER, Observer
 
 __all__ = ["FaultInjector"]
 
@@ -67,12 +69,12 @@ class _DegradedLink:
 class FaultInjector:
     """Schedules and serves one :class:`FaultPlan` against a live run."""
 
-    def __init__(self, plan: FaultPlan, tracer=None, metrics=None):
+    def __init__(self, plan: FaultPlan, observer: Observer = NULL_OBSERVER):
         if not isinstance(plan, FaultPlan):
             raise FaultError(f"FaultInjector needs a FaultPlan, got {plan!r}")
         self.plan = plan
-        self.tracer = tracer
-        self.metrics = metrics
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
         self.sim = None
         self.network = None
         self.staging = None
@@ -143,14 +145,11 @@ class FaultInjector:
 
     def _record_injection(self, kind: str, **fields) -> None:
         self.injected += 1
-        if self.metrics is not None:
-            self.metrics.counter("faults.injected").inc()
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(FAULT_INJECTED, fault=kind, **fields)
+        self.metrics.counter("faults.injected").inc()
+        self.tracer.emit(FAULT_INJECTED, fault=kind, **fields)
 
     def _record_clear(self, kind: str, **fields) -> None:
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(FAULT_CLEARED, fault=kind, **fields)
+        self.tracer.emit(FAULT_CLEARED, fault=kind, **fields)
 
     # -- timed fault callbacks ---------------------------------------------
 

@@ -38,6 +38,7 @@ from typing import Any
 
 from repro.errors import SimulationError
 from repro.hpc.kernel import EventKernel, event_kind_code
+from repro.observability.observer import NULL_OBSERVER, Observer
 
 __all__ = [
     "AllOf",
@@ -317,7 +318,8 @@ class Simulator:
     :meth:`_schedule_at` call.
     """
 
-    def __init__(self, faults: Any = None, profiler: Any = None, rng: Any = None):
+    def __init__(self, faults: Any = None,
+                 observer: Observer = NULL_OBSERVER, rng: Any = None):
         self.kernel = EventKernel(rng=rng)
         for name in ("control", "timer", "compute", "transfer", "staging"):
             self.kernel.on(name, self._call_payload)
@@ -325,10 +327,10 @@ class Simulator:
         # Optional fault injector (repro.faults.FaultInjector); duck-typed
         # so the kernel stays free of upward imports.
         self.faults = faults
-        # Optional wall-clock profiler (repro.observability.Profiler), also
-        # duck-typed: the kernel itself stays free of wall time -- the
-        # profiler only measures how long *we* take to replay simulated time.
-        self.profiler = profiler
+        # The observer's wall-clock profiler: the kernel itself stays free
+        # of wall time -- the span only measures how long *we* take to
+        # replay simulated time.
+        self._run_span = observer.profiler.span("sim.run")
         if faults is not None:
             faults.attach_simulator(self)
 
@@ -406,41 +408,36 @@ class Simulator:
         If a process died with an exception nobody was waiting on, the
         exception is re-raised here so failures are never lost.
         """
-        if self.profiler is not None:
-            with self.profiler.span("sim.run"):
-                return self._run_loop(until)
-        return self._run_loop(until)
+        with self._run_span:
+            stop_event: Event | None = None
+            horizon: float | None = None
+            engine = self.kernel
+            if isinstance(until, Event):
+                stop_event = until
+            elif until is not None:
+                horizon = float(until)
+                if horizon < engine.now:
+                    raise SimulationError(f"run(until={horizon}) is in the past (now={engine.now})")
 
-    def _run_loop(self, until: float | Event | None) -> Any:
-        stop_event: Event | None = None
-        horizon: float | None = None
-        engine = self.kernel
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            horizon = float(until)
-            if horizon < engine.now:
-                raise SimulationError(f"run(until={horizon}) is in the past (now={engine.now})")
+            heap = engine.heap
+            dispatch_next = engine.dispatch_next
+            unhandled = self._unhandled
+            while heap:
+                if stop_event is not None and stop_event.triggered:
+                    break
+                if horizon is not None and heap[0][0] > horizon:
+                    engine.now = horizon
+                    break
+                dispatch_next()
+                if unhandled:
+                    self._raise_orphan_failures()
 
-        heap = engine.heap
-        dispatch_next = engine.dispatch_next
-        unhandled = self._unhandled
-        while heap:
-            if stop_event is not None and stop_event.triggered:
-                break
-            if horizon is not None and heap[0][0] > horizon:
-                engine.now = horizon
-                break
-            dispatch_next()
-            if unhandled:
-                self._raise_orphan_failures()
-
-        self._raise_orphan_failures()
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError("event list drained before the awaited event fired")
-            return stop_event.value
-        return None
+            self._raise_orphan_failures()
+            if stop_event is not None:
+                if not stop_event.triggered:
+                    raise SimulationError("event list drained before the awaited event fired")
+                return stop_event.value
+            return None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the list is empty."""

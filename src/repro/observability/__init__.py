@@ -34,10 +34,13 @@ publishes into:
 - :func:`decision_timeline` / :func:`occupancy_gantt` -- human-readable
   renderings of a trace (the ``repro trace`` CLI's output).
 
-Instrumentation is injected: the Monitor, Adaptation Engine, staging
-area and workflow driver all accept optional ``tracer=`` / ``metrics=``
-/ ``ledger=`` arguments and publish only when given one, so a run
-without observers pays a single ``is not None`` test per would-be event.
+Instrumentation is injected as one :class:`Observer`: the simulator,
+Monitor, Adaptation Engine, staging area and fault injector each take
+``observer=``, and the workflow driver, the multi-tenant service, the
+experiment cache and the entropy kernel build one from their optional
+``tracer=`` / ``metrics=`` / ``ledger=`` / ``profiler=`` arguments.  A
+hook left out is a null object that accepts every call and does
+nothing, so call sites never branch on it (:mod:`.observer`).
 
 :data:`EVENT_KINDS`, :data:`METRIC_NAMES` and :data:`QUANTITIES` are the
 closed registries of everything the built-in instrumentation can emit;
@@ -85,6 +88,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     merge_worker_metrics,
 )
+from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.observability.profiler import (
     PROFILE_SPANS,
     Profiler,
@@ -112,6 +116,8 @@ __all__ = [
     "Gauge",
     "METRIC_NAMES",
     "MetricsRegistry",
+    "NULL_OBSERVER",
+    "Observer",
     "PlacementOutcome",
     "PredictionLedger",
     "PredictionRecord",

@@ -17,10 +17,11 @@ realized cost of the chosen path.  :meth:`PredictionLedger.finalize`
 turns these into per-step counterfactual regret -- how many decisions
 Eq. 8 got wrong, and what the wrong calls cost.
 
-The same injection discipline as the tracer applies: components take
-``ledger=None`` and publish only when one was injected, and the ledger
-itself only *reads* runtime state, so an instrumented run is
-bit-identical to an uninstrumented one.
+Components reach the ledger through their
+:class:`~repro.observability.observer.Observer`, whose null ledger
+accepts every call and records nothing; the ledger itself only *reads*
+runtime state, so an instrumented run is bit-identical to an
+uninstrumented one.
 """
 
 from __future__ import annotations
@@ -235,6 +236,10 @@ class PredictionLedger:
         the workflow driver binds this to the run's simulator, like the
         tracer's clock.  Unset, timestamps are 0.0.
     """
+
+    #: Always True; the null ledger's False lets call sites skip
+    #: computing the estimates a prediction would record.
+    enabled = True
 
     def __init__(self, clock: Callable[[], float] | None = None):
         self.clock = clock

@@ -2,10 +2,11 @@
 
 The quantitative companion to the tracer: where the tracer answers *why*
 (a decision's inputs and reasoning), the registry answers *how much* (how
-many decisions, how many bytes, what the smoothed service time is).  The
-same injection discipline applies -- components take ``metrics=None`` and
-publish only when a registry was injected, so the disabled path is one
-``is not None`` test per instrumentation point.
+many decisions, how many bytes, what the smoothed service time is).
+Components publish through their
+:class:`~repro.observability.observer.Observer`; without a registry its
+null registry hands every call one shared no-op instrument, so the
+disabled path never branches.
 
 Instruments are created lazily by name (``registry.counter("x")``), are
 idempotent (the same name returns the same instrument) and type-checked
@@ -151,10 +152,12 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | EmaTimer] = {}
 
-    def _get(self, name: str, kind: type) -> Counter | Gauge | EmaTimer:
+    def _get(self, name: str, kind: type, *args: Any) -> Counter | Gauge | EmaTimer:
+        """The instrument called ``name``, created as ``kind(*args)`` on
+        first use; reusing a name as another kind is an error."""
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = kind()
+            instrument = kind(*args)
             self._instruments[name] = instrument
         elif not isinstance(instrument, kind):
             raise ObservabilityError(
@@ -170,15 +173,7 @@ class MetricsRegistry:
         return self._get(name, Gauge)  # type: ignore[return-value]
 
     def timer(self, name: str, alpha: float = 0.3) -> EmaTimer:
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = EmaTimer(alpha)
-            self._instruments[name] = instrument
-        elif not isinstance(instrument, EmaTimer):
-            raise ObservabilityError(
-                f"metric {name!r} is a {type(instrument).__name__}, not an EmaTimer"
-            )
-        return instrument
+        return self._get(name, EmaTimer, alpha)  # type: ignore[return-value]
 
     def names(self) -> list[str]:
         """Registered metric names, sorted."""

@@ -23,11 +23,12 @@ cumulative wall-clock seconds spent inside it, and its *self* seconds
 read from ``time.perf_counter`` by default; an injected ``clock`` makes
 tests deterministic.
 
-The same injection discipline as ``tracer=``/``metrics=``/``ledger=``
-applies: components accept ``profiler=None`` and instrument only when
-one is injected, so the disabled path costs one ``is not None`` test per
-span site, and -- because the profiler only ever *reads* the wall clock
--- simulated results are bit-identical with or without one.
+The profiler reaches each layer through its
+:class:`~repro.observability.observer.Observer`, like the tracer,
+metrics and ledger.  Without one, every span site enters the null
+profiler's shared no-op span, and -- because the profiler only ever
+*reads* the wall clock -- simulated results are bit-identical with or
+without one.
 
 Spans must enclose only synchronous sections: a span held across a
 simulator ``yield`` would charge other processes' interleaved work to

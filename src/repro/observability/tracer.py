@@ -1,13 +1,13 @@
 """The Tracer: a bounded in-memory event sink with JSONL export.
 
 Components never construct a tracer themselves -- one is *injected*
-(``tracer=...``) into the Monitor, the Adaptation Engine, the staging
-area and the workflow driver.  When no tracer is injected (the default)
-instrumentation is a single ``is not None`` test; when a tracer is
-injected but disabled, the call sites also check :attr:`Tracer.enabled`
-so field construction is skipped entirely (and :meth:`Tracer.emit`
-returns on its first line as a backstop).  Either way tracing costs
-nothing measurable on the hot path.
+(``tracer=...``) at the workflow's edge and reaches the Monitor, the
+Adaptation Engine, the staging area and the driver through their
+:class:`~repro.observability.observer.Observer`.  Without one, the
+observer holds the null tracer, whose :attr:`enabled` is False; call
+sites check :attr:`Tracer.enabled` so field construction is skipped
+entirely (and :meth:`Tracer.emit` returns on its first line as a
+backstop).  Either way tracing costs nothing measurable on the hot path.
 
 Events land in a ring buffer (``capacity`` newest events are kept; the
 ``dropped`` counter records evictions) and can be exported as JSON Lines

@@ -71,6 +71,7 @@ from repro.observability.events import (
 )
 from repro.observability.ledger import PredictionLedger
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.observer import Observer
 from repro.observability.tracer import Tracer
 from repro.service.admission import AdmissionController
 from repro.service.scheduler import TenantScheduler
@@ -263,7 +264,9 @@ class WorkflowService:
         profiler: Any = None,
     ):
         self.spec = spec if spec is not None else titan()
-        self.sim = Simulator(profiler=profiler)
+        self.observer = Observer(tracer=tracer, metrics=metrics,
+                                 profiler=profiler)
+        self.sim = Simulator(observer=self.observer)
         self.sim.kernel.on(TENANT_KIND, self.sim._call_payload)
         self.machine, self.network = build_workflow_machine(
             self.sim, self.spec, sim_cores, staging_cores
@@ -290,11 +293,9 @@ class WorkflowService:
         self.sim_cores = int(sim_cores)
         self.staging_cores = int(staging_cores)
         self._staging_memory = self.machine.partition("staging").total_memory
-        self.tracer = tracer
-        self.metrics = metrics
-        self.profiler = profiler
-        if tracer is not None:
-            tracer.bind_clock(lambda: self.sim.now)
+        self.tracer = self.observer.tracer
+        self.metrics = self.observer.metrics
+        self.observer.bind_clock(lambda: self.sim.now)
         self.tenants: list[Tenant] = []
         self._starvation_count = 0
         self._ran = False
@@ -347,22 +348,13 @@ class WorkflowService:
 
     # -- service loop --------------------------------------------------------
 
-    def _emit(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(kind, **fields)
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
-
     def _set_committed_gauge(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("service.staging_committed_cores").set(
-                self.scheduler.staging_committed
-            )
+        self.metrics.gauge("service.staging_committed_cores").set(
+            self.scheduler.staging_committed
+        )
 
     def _arrive(self, tenant: Tenant) -> None:
-        self._emit(
+        self.tracer.emit(
             TENANT_SUBMITTED,
             tenant=tenant.name,
             user=tenant.user,
@@ -372,15 +364,15 @@ class WorkflowService:
         )
         if not self.admission.enqueue(tenant):
             tenant.state = "rejected"
-            self._emit(
+            self.tracer.emit(
                 TENANT_REJECTED,
                 tenant=tenant.name,
                 queue_depth=len(self.admission),
             )
-            self._count("service.tenants_rejected")
+            self.metrics.counter("service.tenants_rejected").inc()
             return
         tenant.state = "queued"
-        self._emit(
+        self.tracer.emit(
             TENANT_QUEUED, tenant=tenant.name, queue_depth=len(self.admission)
         )
         if self.starvation_wait is not None:
@@ -414,13 +406,13 @@ class WorkflowService:
             return
         tenant.starved = True
         self._starvation_count += 1
-        self._emit(
+        self.tracer.emit(
             TENANT_STARVED,
             tenant=tenant.name,
             queue_wait=self.sim.now - tenant.arrival,
             queue_depth=len(self.admission),
         )
-        self._count("service.starvations")
+        self.metrics.counter("service.starvations").inc()
 
     def _admit(self, tenant: Tenant) -> None:
         grant = self.scheduler.admit(
@@ -434,6 +426,8 @@ class WorkflowService:
         # its grant; its memory is the grant's proportional share of the
         # staging partition.  A full-pool grant is exactly the direct
         # path's construction (no mask, whole partition memory).
+        observer = Observer(tenant.tracer, tenant.metrics, tenant.ledger,
+                            self.observer.profiler)
         area = StagingArea(
             self.sim,
             self.network,
@@ -441,10 +435,7 @@ class WorkflowService:
             total_cores=self.staging_cores,
             active_cores=grant,
             memory_bytes=self._staging_memory * (grant / self.staging_cores),
-            tracer=tenant.tracer,
-            metrics=tenant.metrics,
-            ledger=tenant.ledger,
-            profiler=self.profiler,
+            observer=observer,
         )
         if grant < self.staging_cores:
             area.fail_cores(self.staging_cores - grant)
@@ -454,7 +445,7 @@ class WorkflowService:
             tracer=tenant.tracer,
             metrics=tenant.metrics,
             ledger=tenant.ledger,
-            profiler=self.profiler,
+            profiler=observer.profiler,
             sim=self.sim,
             machine=self.machine,
             network=self.network,
@@ -470,7 +461,7 @@ class WorkflowService:
             pfs=self.pfs,
         )
         self.sim.process(self._watch(tenant), name=f"tenant({tenant.name})")
-        self._emit(
+        self.tracer.emit(
             TENANT_ADMITTED,
             tenant=tenant.name,
             grant=grant,
@@ -478,9 +469,8 @@ class WorkflowService:
             queue_wait=queue_wait,
             staging_committed=self.scheduler.staging_committed,
         )
-        self._count("service.tenants_admitted")
-        if self.metrics is not None:
-            self.metrics.timer("service.queue_wait_seconds").observe(queue_wait)
+        self.metrics.counter("service.tenants_admitted").inc()
+        self.metrics.timer("service.queue_wait_seconds").observe(queue_wait)
         self._set_committed_gauge()
 
     def _watch(self, tenant: Tenant):
@@ -519,7 +509,7 @@ class WorkflowService:
             starved=tenant.starved,
             result=result,
         )
-        self._emit(
+        self.tracer.emit(
             TENANT_COMPLETED,
             tenant=tenant.name,
             time_to_solution=time_to_solution,
@@ -527,7 +517,7 @@ class WorkflowService:
             grant=tenant.grant,
             end_to_end_seconds=result.end_to_end_seconds,
         )
-        self._count("service.tenants_completed")
+        self.metrics.counter("service.tenants_completed").inc()
         self._set_committed_gauge()
         # Freed capacity: drain the queue on a fresh tenant-kind event so
         # kernel counters attribute admission work to the service.
@@ -548,7 +538,7 @@ class WorkflowService:
             if took:
                 area.restore_cores(took)
                 tenant.grant += took
-                self._emit(
+                self.tracer.emit(
                     TENANT_GRANT,
                     tenant=tenant.name,
                     delta=took,
@@ -556,7 +546,7 @@ class WorkflowService:
                     requested=requested,
                     staging_committed=self.scheduler.staging_committed,
                 )
-                self._count("service.grant_expansions")
+                self.metrics.counter("service.grant_expansions").inc()
                 self._set_committed_gauge()
         elif requested < tenant.grant and tenant.grant > tenant.base_grant:
             give = min(
@@ -565,7 +555,7 @@ class WorkflowService:
             area.fail_cores(give)
             self.scheduler.give_back(give)
             tenant.grant -= give
-            self._emit(
+            self.tracer.emit(
                 TENANT_GRANT,
                 tenant=tenant.name,
                 delta=-give,
@@ -573,7 +563,7 @@ class WorkflowService:
                 requested=requested,
                 staging_committed=self.scheduler.staging_committed,
             )
-            self._count("service.grant_shrinks")
+            self.metrics.counter("service.grant_shrinks").inc()
             self._set_committed_gauge()
         area.set_active_cores(min(requested, tenant.grant))
 

@@ -35,10 +35,8 @@ from repro.observability.events import (
     STAGING_RETRY,
     STAGING_SUBMIT,
 )
+from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.staging.messaging import RetryPolicy, retry_with_backoff
-from repro.observability.ledger import PredictionLedger
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracer import Tracer
 
 __all__ = ["AnalysisJob", "StagingArea"]
 
@@ -92,12 +90,18 @@ class StagingArea:
         Cores initially enabled (resource adaptation may change this).
     memory_bytes:
         Staging memory for in-flight step data (Eq. 10's constraint).
-    tracer, metrics, ledger:
-        Optional observability hooks; when injected, submissions, ingest
-        completions, job service boundaries and core resizes emit
-        ``staging.*`` events and publish counters/gauges, and each
+    observer:
+        The observability hooks
+        (:class:`~repro.observability.observer.Observer`).  Submissions,
+        ingest completions, job service boundaries and core resizes emit
+        ``staging.*`` events and publish counters/gauges; each
         submission resolves the middleware layer's pending
-        ``memory_demand`` prediction with the bytes actually ingested.
+        ``memory_demand`` prediction with the bytes actually ingested;
+        and each submission runs under a ``staging.submit`` profiler
+        span and each job's completion bookkeeping under
+        ``staging.drain`` -- real wall-clock cost of the staging
+        service, not simulated time.  The default observer's hooks are
+        null objects that do nothing.
     faults:
         Optional :class:`repro.faults.FaultInjector`.  When attached, the
         area can lose and regain cores (:meth:`fail_cores` /
@@ -109,11 +113,6 @@ class StagingArea:
     retry_policy:
         Bounded-backoff policy for faulted ingest attempts (only consulted
         when a fault plan drops objects).
-    profiler:
-        Optional :class:`~repro.observability.Profiler`; when injected,
-        each submission runs under a ``staging.submit`` span and each
-        job's completion bookkeeping under ``staging.drain`` -- real
-        wall-clock cost of the staging service, not simulated time.
     """
 
     def __init__(
@@ -126,12 +125,9 @@ class StagingArea:
         memory_bytes: float = float("inf"),
         src_endpoint: str = "sim",
         dst_endpoint: str = "staging",
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        ledger: PredictionLedger | None = None,
         faults=None,
         retry_policy: RetryPolicy | None = None,
-        profiler=None,
+        observer: Observer = NULL_OBSERVER,
     ):
         if total_cores < 1:
             raise StagingError(f"need at least one staging core, got {total_cores}")
@@ -150,20 +146,16 @@ class StagingArea:
         self.memory_used = 0.0
         self.src = src_endpoint
         self.dst = dst_endpoint
-        self.tracer = tracer
-        self.metrics = metrics
-        self.ledger = ledger
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
+        self.ledger = observer.ledger
         self.faults = faults
-        self.profiler = profiler
         # Cached reusable handles: submit/drain run per staged step, and a
         # per-call profiler.span() lookup is measurable there.  Safe to
         # share across in-flight jobs: neither span crosses a simulator
         # yield, so entries never overlap.
-        if profiler is None:
-            self._submit_span = self._drain_span = None
-        else:
-            self._submit_span = profiler.span("staging.submit")
-            self._drain_span = profiler.span("staging.drain")
+        self._submit_span = observer.profiler.span("staging.submit")
+        self._drain_span = observer.profiler.span("staging.drain")
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._failed_cores = 0
         self._restored: Event | None = None
@@ -211,9 +203,8 @@ class StagingArea:
         self._account_alloc()
         self._active_cores = int(count)
         self.core_history.append(_CoreSample(self.sim.now, count))
-        if self.metrics is not None:
-            self.metrics.gauge("staging.active_cores").set(count)
-        if self.tracer is not None and self.tracer.enabled and count != previous:
+        self.metrics.gauge("staging.active_cores").set(count)
+        if self.tracer.enabled and count != previous:
             self.tracer.emit(STAGING_RESIZE, cores=count, previous=previous)
         self._check_invariants()
 
@@ -330,62 +321,54 @@ class StagingArea:
         data -- callers (the middleware policy) must check :meth:`can_fit`
         first; the paper falls back to in-situ in that case.
         """
-        span = self._submit_span
-        if span is not None:
-            with span:
-                return self._submit(step, nbytes, work_units)
-        return self._submit(step, nbytes, work_units)
-
-    def _submit(self, step: int, nbytes: float, work_units: float) -> AnalysisJob:
-        if not self.reachable:
-            raise StagingError(
-                "staging unreachable: every staging core has failed"
+        with self._submit_span:
+            if not self.reachable:
+                raise StagingError(
+                    "staging unreachable: every staging core has failed"
+                )
+            if not self.can_fit(nbytes):
+                raise StagingError(
+                    f"staging memory full: {self.memory_used:.0f} + {nbytes:.0f} "
+                    f"> {self.memory_total:.0f}"
+                )
+            if work_units < 0 or nbytes < 0:
+                raise StagingError("job sizes must be non-negative")
+            self.memory_used += nbytes
+            self.bytes_ingested += nbytes
+            job = AnalysisJob(
+                job_id=next(self._ids),
+                step=step,
+                nbytes=nbytes,
+                work_units=work_units,
+                submitted_at=self.sim.now,
+                ingest_done=self._ingest(step, nbytes),
+                done=self.sim.event(name=f"analysis(step={step})"),
             )
-        if not self.can_fit(nbytes):
-            raise StagingError(
-                f"staging memory full: {self.memory_used:.0f} + {nbytes:.0f} "
-                f"> {self.memory_total:.0f}"
-            )
-        if work_units < 0 or nbytes < 0:
-            raise StagingError("job sizes must be non-negative")
-        self.memory_used += nbytes
-        self.bytes_ingested += nbytes
-        job = AnalysisJob(
-            job_id=next(self._ids),
-            step=step,
-            nbytes=nbytes,
-            work_units=work_units,
-            submitted_at=self.sim.now,
-            ingest_done=self._ingest(step, nbytes),
-            done=self.sim.event(name=f"analysis(step={step})"),
-        )
-        self._queued_work += work_units
-        self._queue.put(job)
-        if self.ledger is not None and self.ledger.has_pending("memory_demand", step):
-            self.ledger.resolve("memory_demand", step, nbytes)
-        if self.metrics is not None:
+            self._queued_work += work_units
+            self._queue.put(job)
+            if self.ledger.has_pending("memory_demand", step):
+                self.ledger.resolve("memory_demand", step, nbytes)
             self.metrics.counter("staging.jobs_submitted").inc()
             self.metrics.counter("staging.bytes_ingested").inc(nbytes)
             self.metrics.gauge("staging.memory_used").set(self.memory_used)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(
-                STAGING_SUBMIT,
-                step=step,
-                job_id=job.job_id,
-                nbytes=nbytes,
-                work_units=work_units,
-                memory_used=self.memory_used,
-            )
-            job.ingest_done.add_callback(
-                lambda _evt, job=job: self._trace_ingest(job)
-            )
-        return job
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    STAGING_SUBMIT,
+                    step=step,
+                    job_id=job.job_id,
+                    nbytes=nbytes,
+                    work_units=work_units,
+                    memory_used=self.memory_used,
+                )
+                job.ingest_done.add_callback(
+                    lambda _evt, job=job: self._trace_ingest(job)
+                )
+            return job
 
     def _trace_ingest(self, job: AnalysisJob) -> None:
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(
-                STAGING_INGEST, step=job.step, job_id=job.job_id, nbytes=job.nbytes
-            )
+        self.tracer.emit(
+            STAGING_INGEST, step=job.step, job_id=job.job_id, nbytes=job.nbytes
+        )
 
     def _ingest(self, step: int, nbytes: float) -> Event:
         """Start the ingest transfer, retrying under faults when planned.
@@ -404,9 +387,8 @@ class StagingArea:
             return not self.faults.consume_drop(step)
 
         def _on_retry(k: int, delay: float) -> None:
-            if self.metrics is not None:
-                self.metrics.counter("staging.retries").inc()
-            if self.tracer is not None and self.tracer.enabled:
+            self.metrics.counter("staging.retries").inc()
+            if self.tracer.enabled:
                 self.tracer.emit(
                     STAGING_RETRY,
                     step=step,
@@ -446,7 +428,7 @@ class StagingArea:
                 job.cores_used = cores
                 self._running = job
                 self._running_ends_at = self.sim.now + duration
-                if self.tracer is not None and self.tracer.enabled:
+                if self.tracer.enabled:
                     self.tracer.emit(
                         STAGING_JOB_START,
                         step=job.step,
@@ -464,7 +446,7 @@ class StagingArea:
                     elapsed = max(0.0, self.sim.now - job.started_at)
                     self._busy_core_seconds += cores * elapsed
                     self._running = None
-                    if self.tracer is not None and self.tracer.enabled:
+                    if self.tracer.enabled:
                         self.tracer.emit(
                             STAGING_JOB_ABORT,
                             step=job.step,
@@ -480,11 +462,7 @@ class StagingArea:
                     # is discarded and the job re-runs from the staged copy.
                     continue
                 break
-            span = self._drain_span
-            if span is not None:
-                with span:
-                    self._complete(job, duration)
-            else:
+            with self._drain_span:
                 self._complete(job, duration)
 
     def _complete(self, job: AnalysisJob, duration: float) -> None:
@@ -493,11 +471,10 @@ class StagingArea:
         # Clamp: float residue must never drive the gauge negative.
         self.memory_used = max(0.0, self.memory_used - job.nbytes)
         self.completed.append(job)
-        if self.metrics is not None:
-            self.metrics.counter("staging.jobs_completed").inc()
-            self.metrics.timer("staging.service_seconds").observe(duration)
-            self.metrics.gauge("staging.memory_used").set(self.memory_used)
-        if self.tracer is not None and self.tracer.enabled:
+        self.metrics.counter("staging.jobs_completed").inc()
+        self.metrics.timer("staging.service_seconds").observe(duration)
+        self.metrics.gauge("staging.memory_used").set(self.memory_used)
+        if self.tracer.enabled:
             self.tracer.emit(
                 STAGING_JOB_END,
                 step=job.step,

@@ -38,6 +38,7 @@ from repro.observability.events import (
 )
 from repro.observability.ledger import PredictionLedger
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.observer import Observer
 from repro.observability.profiler import Profiler
 from repro.observability.tracer import Tracer
 from repro.staging.area import AnalysisJob, StagingArea
@@ -56,15 +57,16 @@ __all__ = ["CoupledWorkflow", "run_workflow"]
 class CoupledWorkflow:
     """One workflow run; construct, then :meth:`run`.
 
-    ``tracer``, ``metrics`` and ``ledger`` are optional observability
-    hooks (:mod:`repro.observability`): when injected they are shared
-    with the Monitor, the Adaptation Engine and the staging area, their
-    clocks are bound to this run's simulator, and the driver itself
-    emits ``run.*``/``step.*``/``sim.stall`` events, records every
-    dispatch-time estimate against its realized value, and scores each
-    in-situ/in-transit placement against its exact counterfactual.
-    Left as ``None`` (the default), instrumentation reduces to
-    ``is not None`` tests.
+    ``tracer``, ``metrics``, ``ledger`` and ``profiler`` are optional
+    observability hooks (:mod:`repro.observability`), bundled into one
+    :class:`~repro.observability.observer.Observer` shared with the
+    simulator, the Monitor, the Adaptation Engine and the staging area.
+    Tracer and ledger clocks are bound to this run's simulator, and the
+    driver itself emits ``run.*``/``step.*``/``sim.stall`` events,
+    records every dispatch-time estimate against its realized value,
+    and scores each in-situ/in-transit placement against its exact
+    counterfactual.  A hook left ``None`` (the default) is a null
+    object that does nothing, so the driver never branches on it.
 
     ``faults`` accepts a :class:`~repro.faults.FaultPlan` (wrapped in an
     injector sharing this run's tracer/metrics) or a pre-built
@@ -84,14 +86,12 @@ class CoupledWorkflow:
     estimate bias on the policy's ``recalibrate_every`` cadence.  Left
     ``None``, sampling is bit-identical to a build without triggers.
 
-    ``profiler`` accepts a :class:`~repro.observability.Profiler`; when
-    injected it is shared with the simulator, the Monitor, the
-    Adaptation Engine and the staging area, and the driver wraps the
-    whole run in a ``workflow.run`` span with each decision under
-    ``workflow.decide`` (see :data:`~repro.observability.PROFILE_SPANS`
-    for the catalog).  Unlike the tracer, the profiler measures *real*
-    wall-clock seconds -- how long the host takes to replay simulated
-    time -- so spans only ever enclose synchronous sections.
+    The profiler wraps the whole run in a ``workflow.run`` span with
+    each decision under ``workflow.decide`` (see
+    :data:`~repro.observability.PROFILE_SPANS` for the catalog).  Unlike
+    the tracer, the profiler measures *real* wall-clock seconds -- how
+    long the host takes to replay simulated time -- so spans only ever
+    enclose synchronous sections.
 
     ``sim``, ``machine``/``network``, ``staging`` and ``pfs`` let an external
     orchestrator -- the multi-tenant service (:mod:`repro.service`) --
@@ -133,28 +133,26 @@ class CoupledWorkflow:
         self.config = config
         self.trace = trace
         self.trigger = trigger
+        observer = Observer(tracer, metrics, ledger, profiler)
         if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults, tracer=tracer, metrics=metrics)
+            faults = FaultInjector(faults, observer=observer)
         self.faults = faults
         if sim is None:
-            sim = Simulator(faults=faults, profiler=profiler)
+            sim = Simulator(faults=faults, observer=observer)
         elif faults is not None:
             raise WorkflowError(
                 "per-workflow fault plans need a dedicated simulator; "
                 "attach faults to the shared simulator instead"
             )
         self.sim = sim
-        self.tracer = tracer
-        self.metrics = metrics
-        self.ledger = ledger
-        self.profiler = profiler
-        # Cached reusable handle: _decide runs every step, and a per-call
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
+        self.ledger = observer.ledger
+        # Cached reusable handles: _decide runs every step, and a per-call
         # profiler.span() lookup is measurable there.
-        self._decide_span = None if profiler is None else profiler.span("workflow.decide")
-        if tracer is not None:
-            tracer.bind_clock(lambda: self.sim.now)
-        if ledger is not None:
-            ledger.bind_clock(lambda: self.sim.now)
+        self._run_span = observer.profiler.span("workflow.run")
+        self._decide_span = observer.profiler.span("workflow.decide")
+        observer.bind_clock(lambda: self.sim.now)
         if (machine is None) != (network is None):
             raise WorkflowError(
                 "machine and network must be injected together"
@@ -174,11 +172,8 @@ class CoupledWorkflow:
                 total_cores=config.staging_cores,
                 active_cores=config.staging_cores,
                 memory_bytes=staging_partition.total_memory,
-                tracer=tracer,
-                metrics=metrics,
-                ledger=ledger,
                 faults=faults,
-                profiler=profiler,
+                observer=observer,
             )
         else:
             self.staging = staging
@@ -209,38 +204,22 @@ class CoupledWorkflow:
             network_latency=uplink.latency,
             interval=config.hints.monitor_interval,
             estimate_bias=config.estimator_bias,
-            tracer=tracer,
-            metrics=metrics,
-            ledger=ledger,
             trigger=trigger,
-            profiler=profiler,
+            observer=observer,
         )
+        # None selects the global plan; an empty set is a static mode,
+        # which never consults an engine.
         layers = config.mode.adaptive_layers
-        if layers is None:
-            self.engine: AdaptationEngine | None = AdaptationEngine(
-                preferences=config.preferences,
-                hints=config.hints,
-                hybrid_placement=config.hybrid_placement,
-                tracer=tracer,
-                metrics=metrics,
-                ledger=ledger,
-                trigger=trigger,
-                profiler=profiler,
-            )
-        elif layers:
+        self.engine: AdaptationEngine | None = None
+        if layers is None or layers:
             self.engine = AdaptationEngine(
                 preferences=config.preferences,
                 hints=config.hints,
                 layers=layers,
                 hybrid_placement=config.hybrid_placement,
-                tracer=tracer,
-                metrics=metrics,
-                ledger=ledger,
                 trigger=trigger,
-                profiler=profiler,
+                observer=observer,
             )
-        else:
-            self.engine = None
         # Each trace rank owns one core's share of memory; when the trace
         # has fewer ranks than cores, a rank stands for a core group.
         self.rank_memory_capacity = (
@@ -260,14 +239,9 @@ class CoupledWorkflow:
 
     def run(self) -> WorkflowResult:
         """Execute the whole trace; returns validated aggregate metrics."""
-        if self.profiler is not None:
-            with self.profiler.span("workflow.run"):
-                return self._run()
-        return self._run()
-
-    def _run(self) -> WorkflowResult:
-        self.sim.run(self.start())
-        return self.finalize()
+        with self._run_span:
+            self.sim.run(self.start())
+            return self.finalize()
 
     def start(self):
         """Emit ``run.start`` and launch the simulation pipeline process.
@@ -282,7 +256,7 @@ class CoupledWorkflow:
         if self._main is not None:
             raise WorkflowError("workflow already started")
         self._started_at = self.sim.now
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit(
                 RUN_START,
                 mode=self.config.mode.value,
@@ -308,14 +282,12 @@ class CoupledWorkflow:
         if self._result is not None:
             return self._result
         elapsed = self.sim.now - self._started_at
-        if self.metrics is not None:
-            # The kernel's always-on tallies, published once per run so
-            # dashboards see event traffic without polling the kernel.
-            counters = self.sim.kernel.counters
-            self.metrics.counter("kernel.events_processed").inc(
-                counters.total_processed
-            )
-        if self.tracer is not None and self.tracer.enabled:
+        # The kernel's always-on tallies, published once per run so
+        # dashboards see event traffic without polling the kernel.
+        self.metrics.counter("kernel.events_processed").inc(
+            self.sim.kernel.counters.total_processed
+        )
+        if self.tracer.enabled:
             self.tracer.emit(
                 RUN_END,
                 end_to_end_seconds=elapsed,
@@ -381,7 +353,7 @@ class CoupledWorkflow:
         total_steps = len(self.trace)
         for index, record in enumerate(self.trace):
             sim_seconds = record.sim_work / (rate * n_cores)
-            if self.tracer is not None and self.tracer.enabled:
+            if self.tracer.enabled:
                 self.tracer.emit(
                     STEP_START,
                     step=record.step,
@@ -454,9 +426,7 @@ class CoupledWorkflow:
                     self._staging_resizer(requested)
                 else:
                     self.staging.set_active_cores(requested)
-                if self.ledger is not None and self.ledger.has_pending(
-                    "staging_cores", record.step
-                ):
+                if self.ledger.has_pending("staging_cores", record.step):
                     self.ledger.resolve(
                         "staging_cores", record.step,
                         float(self.staging.active_cores),
@@ -470,9 +440,8 @@ class CoupledWorkflow:
             ):
                 # Recovery: staging has no healthy cores, so a staged
                 # placement cannot execute.  Degrade to in-situ.
-                if self.metrics is not None:
-                    self.metrics.counter("placement.fallbacks").inc()
-                if self.tracer is not None and self.tracer.enabled:
+                self.metrics.counter("placement.fallbacks").inc()
+                if self.tracer.enabled:
                     self.tracer.emit(
                         PLACEMENT_FALLBACK,
                         step=record.step,
@@ -498,7 +467,7 @@ class CoupledWorkflow:
                 fraction = decision.insitu_fraction
                 insitu_work = out_work * fraction
                 analysis_seconds = insitu_work / (rate * n_cores)
-                if self.ledger is not None and insitu_work > 0:
+                if self.ledger.enabled and insitu_work > 0:
                     self.ledger.predict(
                         "insitu_time", record.step,
                         self.monitor.estimate_insitu(insitu_work, n_cores),
@@ -509,10 +478,9 @@ class CoupledWorkflow:
                 if insitu_work > 0:
                     self.monitor.observe_insitu(insitu_work, n_cores,
                                                 analysis_seconds)
-                    if self.ledger is not None:
-                        self.ledger.resolve(
-                            "insitu_time", record.step, analysis_seconds
-                        )
+                    self.ledger.resolve(
+                        "insitu_time", record.step, analysis_seconds
+                    )
                 ship_bytes = out_bytes * (1.0 - fraction)
                 ship_work = out_work * (1.0 - fraction)
                 blocked_from = self.sim.now
@@ -543,7 +511,7 @@ class CoupledWorkflow:
                 self._post_tasks.append((metric, out_bytes, out_work))
             elif placement is Placement.IN_SITU:
                 analysis_seconds = out_work / (rate * n_cores)
-                if self.ledger is not None:
+                if self.ledger.enabled:
                     self.ledger.predict(
                         "insitu_time", record.step,
                         self.monitor.estimate_insitu(out_work, n_cores),
@@ -554,15 +522,12 @@ class CoupledWorkflow:
                 metric.insitu_seconds += analysis_seconds
                 metric.analysis_done_at = self.sim.now
                 self.monitor.observe_insitu(out_work, n_cores, analysis_seconds)
-                if self.ledger is not None:
-                    self.ledger.resolve(
-                        "insitu_time", record.step, analysis_seconds
-                    )
-                    self.ledger.resolve_placement(
-                        record.step, realized_insitu=analysis_seconds
-                    )
+                self.ledger.resolve("insitu_time", record.step, analysis_seconds)
+                self.ledger.resolve_placement(
+                    record.step, realized_insitu=analysis_seconds
+                )
             else:
-                if self.ledger is not None:
+                if self.ledger.enabled:
                     self._record_placement(record.step, "in_transit", out_work)
                 blocked_from = self.sim.now
                 while not self.staging.can_fit(out_bytes):
@@ -582,9 +547,8 @@ class CoupledWorkflow:
                     lambda _evt, job=job, metric=metric: self._on_job_done(job, metric)
                 )
 
-            if self.metrics is not None:
-                self.metrics.counter("workflow.steps").inc()
-            if self.tracer is not None and self.tracer.enabled:
+            self.metrics.counter("workflow.steps").inc()
+            if self.tracer.enabled:
                 self.tracer.emit(
                     STEP_END,
                     step=record.step,
@@ -596,7 +560,7 @@ class CoupledWorkflow:
                 )
             if (
                 self.trigger is not None
-                and self.ledger is not None
+                and self.ledger.enabled
                 and self.trigger.recalibrate_every
                 and record.step % self.trigger.recalibrate_every == 0
             ):
@@ -612,11 +576,10 @@ class CoupledWorkflow:
         pending = [j.done for j in self._outstanding if not j.done.triggered]
         if pending:
             yield self.sim.all_of(pending)
-        if self.ledger is not None:
-            # Score placements now that every job's finish time is known;
-            # the unhidden tail is measured against the simulation
-            # pipeline's own end, not the drain's.
-            self.ledger.finalize(sim_pipeline_end)
+        # Score placements now that every job's finish time is known; the
+        # unhidden tail is measured against the simulation pipeline's own
+        # end, not the drain's.
+        self.ledger.finalize(sim_pipeline_end)
 
         # Post-processing phase: read everything back and analyse it on the
         # staging (analysis-cluster) cores, step by step.
@@ -642,95 +605,71 @@ class CoupledWorkflow:
     ) -> AdaptationDecision:
         # The decision is fully synchronous (no simulator yields), so the
         # span cleanly bounds one pass through monitor + engine.
-        span = self._decide_span
-        if span is not None:
-            with span:
-                return self._decide_impl(
-                    step, data_bytes, rank_out_bytes, rank_available,
-                    analysis_work, insitu_ok, last, steps_remaining,
-                    indicators,
+        with self._decide_span:
+            mode = self.config.mode
+            if mode is Mode.POST_PROCESSING:
+                return AdaptationDecision(step=step, placement=Placement.POST_PROCESS)
+            if mode is Mode.STATIC_INSITU:
+                return AdaptationDecision(step=step, placement=Placement.IN_SITU)
+            if mode is Mode.STATIC_INTRANSIT:
+                return AdaptationDecision(step=step, placement=Placement.IN_TRANSIT)
+            assert self.engine is not None
+            healthy = self.staging.healthy_cores
+            if self.trigger is not None:
+                due = self.monitor.evaluate_trigger(indicators).fire
+            else:
+                due = self.monitor.should_sample(step)
+            if not due and last is not None and healthy == self._last_healthy:
+                # Off-sample steps keep the previous adaptation settings --
+                # unless a fault changed the healthy core count, which forces
+                # the plan (Eqs. 9-10 sizing included) to re-run immediately.
+                return AdaptationDecision(
+                    step=step,
+                    factor=last.factor,
+                    placement=last.placement,
+                    insitu_fraction=last.insitu_fraction,
+                    staging_cores=last.staging_cores,
                 )
-        return self._decide_impl(
-            step, data_bytes, rank_out_bytes, rank_available,
-            analysis_work, insitu_ok, last, steps_remaining, indicators,
-        )
-
-    def _decide_impl(
-        self,
-        step: int,
-        data_bytes: float,
-        rank_out_bytes: float,
-        rank_available: float,
-        analysis_work: float,
-        insitu_ok: bool,
-        last: AdaptationDecision | None,
-        steps_remaining: int,
-        indicators: TriggerIndicators | None = None,
-    ) -> AdaptationDecision:
-        mode = self.config.mode
-        if mode is Mode.POST_PROCESSING:
-            return AdaptationDecision(step=step, placement=Placement.POST_PROCESS)
-        if mode is Mode.STATIC_INSITU:
-            return AdaptationDecision(step=step, placement=Placement.IN_SITU)
-        if mode is Mode.STATIC_INTRANSIT:
-            return AdaptationDecision(step=step, placement=Placement.IN_TRANSIT)
-        assert self.engine is not None
-        healthy = self.staging.healthy_cores
-        if self.trigger is not None:
-            due = self.monitor.evaluate_trigger(indicators).fire
-        else:
-            due = self.monitor.should_sample(step)
-        if not due and last is not None and healthy == self._last_healthy:
-            # Off-sample steps keep the previous adaptation settings --
-            # unless a fault changed the healthy core count, which forces
-            # the plan (Eqs. 9-10 sizing included) to re-run immediately.
-            return AdaptationDecision(
+            if not due and healthy != self._last_healthy:
+                # Forced off-interval re-sample (post-restore re-sizing):
+                # restart the fixed cadence here instead of re-sampling again
+                # on the next modulo hit.
+                self.monitor.note_forced_sample(step)
+            self._last_healthy = healthy
+            state = self.monitor.snapshot(
                 step=step,
-                factor=last.factor,
-                placement=last.placement,
-                insitu_fraction=last.insitu_fraction,
-                staging_cores=last.staging_cores,
+                ndim=self.trace.ndim,
+                data_bytes=data_bytes,
+                rank_data_bytes=rank_out_bytes,
+                rank_memory_available=rank_available,
+                analysis_work=analysis_work,
+                sim_cores=self.config.sim_cores,
+                # The resource layer sizes against what is physically usable:
+                # after a core loss this is the surviving pool (healthy ==
+                # total on the fault-free path).
+                staging_active_cores=min(self.staging.active_cores, max(1, healthy)),
+                staging_total_cores=(
+                    max(1, healthy)
+                    if self._staging_ceiling is None
+                    else max(1, int(self._staging_ceiling()))
+                ),
+                staging_memory_total=self.staging.memory_total,
+                staging_memory_used=self.staging.memory_used,
+                staging_busy=self.staging.busy,
+                est_intransit_remaining=self.staging.estimated_remaining_time(),
+                insitu_memory_ok=insitu_ok,
+                core_rate=self.config.spec.core_rate,
+                steps_remaining=steps_remaining,
+                staging_reachable=self.staging.reachable,
             )
-        if not due and healthy != self._last_healthy:
-            # Forced off-interval re-sample (post-restore re-sizing):
-            # restart the fixed cadence here instead of re-sampling again
-            # on the next modulo hit.
-            self.monitor.note_forced_sample(step)
-        self._last_healthy = healthy
-        state = self.monitor.snapshot(
-            step=step,
-            ndim=self.trace.ndim,
-            data_bytes=data_bytes,
-            rank_data_bytes=rank_out_bytes,
-            rank_memory_available=rank_available,
-            analysis_work=analysis_work,
-            sim_cores=self.config.sim_cores,
-            # The resource layer sizes against what is physically usable:
-            # after a core loss this is the surviving pool (healthy ==
-            # total on the fault-free path).
-            staging_active_cores=min(self.staging.active_cores, max(1, healthy)),
-            staging_total_cores=(
-                max(1, healthy)
-                if self._staging_ceiling is None
-                else max(1, int(self._staging_ceiling()))
-            ),
-            staging_memory_total=self.staging.memory_total,
-            staging_memory_used=self.staging.memory_used,
-            staging_busy=self.staging.busy,
-            est_intransit_remaining=self.staging.estimated_remaining_time(),
-            insitu_memory_ok=insitu_ok,
-            core_rate=self.config.spec.core_rate,
-            steps_remaining=steps_remaining,
-            staging_reachable=self.staging.reachable,
-        )
-        decision = self.engine.adapt(state)
-        # Layers the mode leaves unset fall back to static defaults.
-        if decision.placement is None and self.config.mode in (
-            Mode.ADAPTIVE_APPLICATION,
-            Mode.ADAPTIVE_RESOURCE,
-        ):
-            decision.placement = Placement.IN_TRANSIT
-        return decision
+            decision = self.engine.adapt(state)
+            # Layers the mode leaves unset fall back to static defaults.
+            if decision.placement is None and self.config.mode in (
+                Mode.ADAPTIVE_APPLICATION,
+                Mode.ADAPTIVE_RESOURCE,
+            ):
+                decision.placement = Placement.IN_TRANSIT
+            return decision
 
     def _record_placement(
         self, step: int, chosen: str, work_units: float
@@ -742,7 +681,6 @@ class CoupledWorkflow:
         components come from the simulator's own rates -- exact
         hindsight, not another estimate.
         """
-        assert self.ledger is not None
         rate = self.config.spec.core_rate
         n_cores = self.config.sim_cores
         backlog = self.staging.estimated_remaining_time()
@@ -763,7 +701,7 @@ class CoupledWorkflow:
         self, step: int, nbytes: float, work_units: float
     ) -> None:
         """Ledger the service/transfer estimates for a staged shipment."""
-        if self.ledger is None:
+        if not self.ledger.enabled:
             return
         if work_units > 0:
             self.ledger.predict(
@@ -784,9 +722,8 @@ class CoupledWorkflow:
         """Publish a simulation stall (no-op when nothing blocked)."""
         if metric.block_seconds <= 0:
             return
-        if self.metrics is not None:
-            self.metrics.counter("workflow.stall_seconds").inc(metric.block_seconds)
-        if self.tracer is not None and self.tracer.enabled:
+        self.metrics.counter("workflow.stall_seconds").inc(metric.block_seconds)
+        if self.tracer.enabled:
             self.tracer.emit(
                 SIM_STALL,
                 step=metric.step,
@@ -799,20 +736,17 @@ class CoupledWorkflow:
         duration = job.finished_at - job.started_at
         if duration > 0 and job.work_units > 0:
             self.monitor.observe_intransit(job.work_units, job.cores_used, duration)
-            if self.ledger is not None:
-                self.ledger.resolve("intransit_time", job.step, duration)
+            self.ledger.resolve("intransit_time", job.step, duration)
         transfer = job.ingest_done.value
         if transfer.elapsed and transfer.size > 0:
             self.monitor.observe_transfer(transfer.size, transfer.elapsed)
-            if self.ledger is not None:
-                self.ledger.resolve("transfer_time", job.step, transfer.elapsed)
-        if self.ledger is not None:
-            # No-op for hybrid steps (not recorded as scored placements).
-            self.ledger.resolve_placement(
-                job.step,
-                block_seconds=metric.block_seconds,
-                finished_at=job.finished_at,
-            )
+            self.ledger.resolve("transfer_time", job.step, transfer.elapsed)
+        # No-op for hybrid steps (not recorded as scored placements).
+        self.ledger.resolve_placement(
+            job.step,
+            block_seconds=metric.block_seconds,
+            finished_at=job.finished_at,
+        )
 
 
 def run_workflow(

@@ -15,22 +15,22 @@ from repro.faults import (
 )
 from repro.hpc.event import Simulator
 from repro.hpc.network import Network
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import MetricsRegistry, Observer, Tracer
 from repro.observability.events import FAULT_CLEARED, FAULT_INJECTED
 from repro.staging.area import StagingArea
 
 
 def wired(plan, tracer=None, metrics=None, total_cores=4):
     """A fully wired injector over a tiny simulator/network/staging trio."""
-    injector = FaultInjector(plan, tracer=tracer, metrics=metrics)
+    observer = Observer(tracer=tracer, metrics=metrics)
+    injector = FaultInjector(plan, observer=observer)
     sim = Simulator(faults=injector)
     net = Network(sim)
     net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
     area = StagingArea(sim, net, core_rate=10.0, total_cores=total_cores,
                        faults=injector)
     injector.attach_network(net)
-    if tracer is not None:
-        tracer.bind_clock(lambda: sim.now)
+    observer.bind_clock(lambda: sim.now)
     return injector, sim, net, area
 
 

@@ -1,8 +1,11 @@
 """End-to-end instrumentation: a traced workflow run emits a coherent,
 causally ordered event stream without perturbing the run itself."""
 
+import hashlib
+
 import pytest
 
+from repro.faults import CoreLoss, FaultPlan, ObjectDrop
 from repro.hpc.systems import titan
 from repro.observability import (
     EVENT_KINDS,
@@ -10,6 +13,7 @@ from repro.observability import (
     QUANTITIES,
     MetricsRegistry,
     PredictionLedger,
+    Profiler,
     Tracer,
 )
 from repro.observability.events import (
@@ -22,7 +26,10 @@ from repro.observability.events import (
     STEP_END,
     STEP_START,
 )
+from repro.service import WorkflowService
 from repro.workflow import Mode, WorkflowConfig, run_workflow
+from repro.workflow.report import result_to_json
+from repro.workflow.triggers import EntropyPercentile
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
 
 
@@ -107,11 +114,71 @@ class TestEventStream:
         assert read_jsonl(path) == tracer.events()
 
 
+def _global(tracer=None, metrics=None, ledger=None, profiler=None):
+    return run_workflow(_config(), _trace(), tracer=tracer, metrics=metrics,
+                        ledger=ledger, profiler=profiler)
+
+
+def _faulted(tracer=None, metrics=None, ledger=None, profiler=None):
+    # One dropped ingest (retried with backoff) plus a mid-run loss of
+    # three quarters of the staging pool.
+    plan = FaultPlan([ObjectDrop(step=2), CoreLoss(at=2.0, cores=48)])
+    return run_workflow(_config(Mode.STATIC_INTRANSIT), _trace(),
+                        tracer=tracer, metrics=metrics, ledger=ledger,
+                        profiler=profiler, faults=plan)
+
+
+def _triggered(tracer=None, metrics=None, ledger=None, profiler=None):
+    return run_workflow(_config(), _trace(), tracer=tracer, metrics=metrics,
+                        ledger=ledger, profiler=profiler,
+                        trigger=EntropyPercentile())
+
+
+def _service(tracer=None, metrics=None, ledger=None, profiler=None):
+    # One tenant granted the whole pool: the service's shared-infrastructure
+    # path with nothing to negotiate.
+    config = _config()
+    service = WorkflowService(sim_cores=config.sim_cores,
+                              staging_cores=config.staging_cores,
+                              metrics=metrics, profiler=profiler)
+    tenant = service.submit("solo", config, _trace(), tracer=tracer,
+                            metrics=metrics, ledger=ledger)
+    service.run()
+    return tenant.result
+
+
+#: SHA-256 of the observed run's trace JSONL, captured before the hooks
+#: were bundled into one observer; any change to what a run emits, or
+#: in which order, moves them.
+_PINNED_TRACE_SHA256 = {
+    "faulted": "0df29bc9bce98da62bb7447580e927bbfbaa0372b4eb20ca2e218b1fe636d8ff",
+    "triggered": "133344bbc3528f204265c5a738fbdf6f34c4b3e2aba1106f1aaa48b661fa86cf",
+}
+
+
+_RUNS = {
+    "global": _global,
+    "faulted": _faulted,
+    "triggered": _triggered,
+    "service": _service,
+}
+
+
 class TestZeroOverheadPath:
-    def test_uninstrumented_run_is_bitwise_identical(self, traced_run):
-        _tracer, _metrics, _ledger, instrumented = traced_run
-        plain = run_workflow(_config(), _trace())
-        assert plain == instrumented
+    @pytest.mark.parametrize("case", list(_RUNS))
+    def test_uninstrumented_run_is_bitwise_identical(self, case):
+        run = _RUNS[case]
+        tracer = Tracer()
+        observed = run(tracer=tracer, metrics=MetricsRegistry(),
+                       ledger=PredictionLedger(), profiler=Profiler())
+        plain = run()
+        assert plain == observed
+        assert result_to_json(plain) == result_to_json(observed)
+        assert len(tracer) > 0
+        pinned = _PINNED_TRACE_SHA256.get(case)
+        if pinned is not None:
+            digest = hashlib.sha256(tracer.to_jsonl().encode()).hexdigest()
+            assert digest == pinned
 
     def test_disabled_tracer_records_nothing_and_changes_nothing(self, traced_run):
         _tracer, _metrics, _ledger, instrumented = traced_run

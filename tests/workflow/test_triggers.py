@@ -10,6 +10,7 @@ from repro.faults import CoreLoss, CoreRestore, FaultPlan
 from repro.hpc.systems import titan
 from repro.observability import (
     MetricsRegistry,
+    Observer,
     PredictionLedger,
     Tracer,
 )
@@ -251,8 +252,10 @@ class TestRegistry:
 
 
 class TestMonitorTriggerSurface:
-    def make_monitor(self, **kwargs):
-        return Monitor(core_rate=1e4, network_bandwidth=1e9, **kwargs)
+    def make_monitor(self, tracer=None, metrics=None, **kwargs):
+        return Monitor(core_rate=1e4, network_bandwidth=1e9,
+                       observer=Observer(tracer=tracer, metrics=metrics),
+                       **kwargs)
 
     def test_evaluate_trigger_publishes_events_and_metrics(self):
         metrics = MetricsRegistry()
