@@ -71,41 +71,37 @@ def _scaled_quickstart(nranks: int, steps: int, seed: int):
     return config, trace
 
 
-def test_kernel_fig_scale_under_budgets(once):
+def test_kernel_fig_scale_under_budgets():
     """A >= 64K-rank workflow run in seconds, within every ceiling."""
     manifest = load_budgets(BUDGETS_PATH)
     workload = manifest["workload"]
     profiler = Profiler()
-    state = {}
 
-    def _profiled_run():
-        started = time.perf_counter()
-        with profiler.span("workload.build"):
-            config, trace = _scaled_quickstart(
-                _BUDGET_RANKS, workload["steps"], workload["seed"]
-            )
-        with profiler.span("workflow.setup"):
-            workflow = CoupledWorkflow(config, trace, profiler=profiler)
-        result = workflow.run()
-        state["wall"] = time.perf_counter() - started
-        state["events"] = workflow.sim.kernel.counters.total_processed
-        return result
+    started = time.perf_counter()
+    with profiler.span("workload.build"):
+        config, trace = _scaled_quickstart(
+            _BUDGET_RANKS, workload["steps"], workload["seed"]
+        )
+    with profiler.span("workflow.setup"):
+        workflow = CoupledWorkflow(config, trace, profiler=profiler)
+    result = workflow.run()
+    wall = time.perf_counter() - started
+    events = workflow.sim.kernel.counters.total_processed
 
-    result = once(_profiled_run)
-    attribution = profiler.total_seconds() / state["wall"]
+    attribution = profiler.total_seconds() / wall
     print(
-        f"\n{_BUDGET_RANKS} virtual ranks: wall={state['wall']:.3f}s  "
-        f"events={state['events']}  "
+        f"\n{_BUDGET_RANKS} virtual ranks: wall={wall:.3f}s  "
+        f"events={events}  "
         f"end-to-end={result.end_to_end_seconds:.1f} sim-s  "
         f"attribution={attribution:.1%}"
     )
     print(render_budget_report(profiler, manifest))
 
-    assert state["events"] > 0
+    assert events > 0
     assert unregistered_spans(profiler) == []
     violations = check_budgets(profiler, manifest)
     assert not violations, "; ".join(v.describe() for v in violations)
     assert attribution >= 0.90, (
         f"profiler attributes only {attribution:.1%} of the "
-        f"{state['wall']:.3f}s wall time (floor: 90%)"
+        f"{wall:.3f}s wall time (floor: 90%)"
     )

@@ -1,15 +1,12 @@
 """Bench: the span profiler's hot-path budgets and disabled-path overhead.
 
-Two guarantees are enforced here, per ISSUE and ROADMAP item 4:
+Two guarantees are enforced here:
 
 - **Budgets.**  The canonical profile workload (the same quickstart
   replay ``python -m repro profile`` runs) is profiled and every
   per-span-path ceiling of ``benchmarks/budgets.json`` is asserted, so
   a hot-path regression fails the bench session with the offending span
-  named.  The collected span dump is stashed for ``conftest`` to embed
-  as the ``profile`` section of ``BENCH_<rev>.json`` (schema
-  ``repro.bench/2``), making span-level drift diffable with ``repro
-  bench-diff``.
+  named.
 - **Overhead.**  Replaying the instrumented quickstart (trace
   synthesis + construction + run, exactly what ``python -m repro
   profile`` times) must cost < 5% over the uninstrumented replay,
@@ -27,8 +24,6 @@ Two guarantees are enforced here, per ISSUE and ROADMAP item 4:
 
 import time
 from pathlib import Path
-
-from benchmarks import conftest
 
 from repro.__main__ import _quickstart
 from repro.observability import (
@@ -84,33 +79,24 @@ def _trimmed_mean(samples: list) -> float:
     return sum(core) / len(core)
 
 
-def test_profile_budgets(once):
+def test_profile_budgets():
     """The canonical workload satisfies every budget ceiling."""
     manifest = load_budgets(BUDGETS_PATH)
     workload = manifest["workload"]
     profiler = Profiler()
 
-    def _profiled_run():
-        with profiler.span("workload.build"):
-            config, trace = _quickstart(
-                workload["mode"], workload["steps"], workload["seed"]
-            )
-        with profiler.span("workflow.setup"):
-            workflow = CoupledWorkflow(config, trace, profiler=profiler)
-        return workflow.run()
-
-    once(_profiled_run)
+    with profiler.span("workload.build"):
+        config, trace = _quickstart(
+            workload["mode"], workload["steps"], workload["seed"]
+        )
+    with profiler.span("workflow.setup"):
+        workflow = CoupledWorkflow(config, trace, profiler=profiler)
+    workflow.run()
     print("\n" + render_budget_report(profiler, manifest))
 
     assert unregistered_spans(profiler) == []
     violations = check_budgets(profiler, manifest)
     assert not violations, "; ".join(v.describe() for v in violations)
-
-    # Hand the span dump to the session snapshot (BENCH_<rev>.json).
-    conftest._PROFILE.clear()
-    conftest._PROFILE.update(
-        {"workload": dict(workload), "spans": profiler.dump()}
-    )
 
 
 def _overhead_pass() -> float:
@@ -128,22 +114,18 @@ def _overhead_pass() -> float:
     return _trimmed_mean(profiled) / _trimmed_mean(plains) - 1.0
 
 
-def test_profiler_overhead_under_5_percent(once):
+def test_profiler_overhead_under_5_percent():
     """Instrumented quickstart costs < 5% CPU over the uninstrumented one."""
     # Warm both paths (imports, allocator) before timing anything.
     _replay(_OVERHEAD_STEPS)
     _replay(_OVERHEAD_STEPS, profiler=Profiler())
 
-    def _measure():
-        estimates = []
-        for n in range(_PASSES):
-            estimates.append(_overhead_pass())
-            print(f"\npass {n}: overhead {estimates[-1] * 100:+.2f}%")
-            if estimates[-1] < 0.05:
-                break
-        return estimates
-
-    estimates = once(_measure)
+    estimates = []
+    for n in range(_PASSES):
+        estimates.append(_overhead_pass())
+        print(f"\npass {n}: overhead {estimates[-1] * 100:+.2f}%")
+        if estimates[-1] < 0.05:
+            break
     best = min(estimates)
     print(f"best of {len(estimates)} pass(es): {best * 100:+.2f}%")
     assert best < 0.05, (

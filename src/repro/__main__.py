@@ -12,7 +12,6 @@ Usage::
     python -m repro trace --steps 20 --jsonl trace.jsonl
     python -m repro audit --steps 20 --export run.json
     python -m repro audit --diff a.json b.json
-    python -m repro bench-diff benchmarks/BENCH_old.json benchmarks/BENCH_new.json
     python -m repro faults --list
     python -m repro faults blackout --steps 20
     python -m repro triggers --list
@@ -43,11 +42,6 @@ counterfactual placement regret.  ``--export`` writes a versioned JSON
 snapshot, ``--prometheus`` writes the text exposition format, and
 ``--diff A B`` compares two exported snapshots (estimate-error drift,
 regret delta, decision flips) without running anything.
-
-``bench-diff`` compares two benchmark wall-time snapshots
-(``benchmarks/BENCH_<rev>.json``, written at the end of a ``pytest
-benchmarks`` session) and prints the per-benchmark drift, slowest
-first, plus the aggregate speedup.
 
 ``faults`` runs a named fault scenario (:data:`repro.faults.SCENARIOS`)
 against the quickstart workload: it first replays the workload
@@ -91,8 +85,8 @@ from pathlib import Path
 __all__ = ["SUBCOMMANDS", "main"]
 
 #: Non-experiment subcommands (the docs-consistency test keys off this).
-SUBCOMMANDS = ("list", "all", "run-all", "trace", "audit", "bench-diff",
-               "faults", "triggers", "profile", "tenants")
+SUBCOMMANDS = ("list", "all", "run-all", "trace", "audit", "faults",
+               "triggers", "profile", "tenants")
 
 
 def _fig1() -> str:
@@ -393,24 +387,6 @@ def _audit_command(argv: list[str]) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(prometheus_text(metrics=metrics, ledger=ledger))
         print(f"wrote Prometheus exposition to {args.prometheus}")
-    return 0
-
-
-def _bench_diff_command(argv: list[str]) -> int:
-    """The ``repro bench-diff`` subcommand: compare two perf snapshots."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench-diff",
-        description="Compare two benchmark wall-time snapshots "
-        "(benchmarks/BENCH_<rev>.json, written by a `pytest benchmarks` "
-        "session) and print per-benchmark drift, slowest first.",
-    )
-    parser.add_argument("snapshot_a", help="baseline snapshot path")
-    parser.add_argument("snapshot_b", help="comparison snapshot path")
-    args = parser.parse_args(argv)
-
-    from repro.observability import diff_bench, render_bench_diff
-
-    print(render_bench_diff(diff_bench(args.snapshot_a, args.snapshot_b)))
     return 0
 
 
@@ -727,8 +703,6 @@ def main(argv: list[str] | None = None) -> int:
         return _trace_command(argv[1:])
     if argv and argv[0] == "audit":
         return _audit_command(argv[1:])
-    if argv and argv[0] == "bench-diff":
-        return _bench_diff_command(argv[1:])
     if argv and argv[0] == "faults":
         return _faults_command(argv[1:])
     if argv and argv[0] == "triggers":
@@ -745,8 +719,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (see 'list'), 'all', 'run-all', 'list', "
-        "'trace', 'audit', 'bench-diff', 'faults', 'triggers', "
-        "'profile', or 'tenants'",
+        "'trace', 'audit', 'faults', 'triggers', 'profile', or 'tenants'",
     )
     args = parser.parse_args(argv)
 
@@ -760,8 +733,6 @@ def main(argv: list[str] | None = None) -> int:
               "timeline + occupancy Gantt (see 'trace --help')")
         print(f"{'audit'.ljust(width)}  prediction-ledger replay: "
               "calibration report + placement regret (see 'audit --help')")
-        print(f"{'bench-diff'.ljust(width)}  compare two benchmark "
-              "wall-time snapshots (see 'bench-diff --help')")
         print(f"{'faults'.ljust(width)}  fault-scenario replay: "
               "time-to-solution delta + recovery timeline "
               "(see 'faults --help')")

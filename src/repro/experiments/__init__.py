@@ -2,8 +2,9 @@
 
 Each module exposes a ``run_*`` function returning a structured result and
 a ``render`` function producing the text table/series the paper reports.
-The benchmark harness (``benchmarks/``) wraps these; EXPERIMENTS.md
-records paper-reported vs measured values.
+The claim tests in ``tests/paper/`` call these at full scale and assert
+the paper's results; EXPERIMENTS.md records paper-reported vs measured
+values.
 
 =====================  =====================================================
 module                 reproduces

@@ -63,15 +63,11 @@ from repro.observability.calibration import (
 )
 from repro.observability.events import EVENT_KINDS, TraceEvent
 from repro.observability.export import (
-    BENCH_SCHEMA,
     SNAPSHOT_SCHEMA,
-    diff_bench,
     diff_snapshots,
     export_snapshot,
-    load_bench,
     load_snapshot,
     prometheus_text,
-    render_bench_diff,
     render_diff,
 )
 from repro.observability.ledger import (
@@ -106,7 +102,6 @@ from repro.observability.timeline import (
 from repro.observability.tracer import Tracer, read_jsonl
 
 __all__ = [
-    "BENCH_SCHEMA",
     "BUDGETS_SCHEMA",
     "BudgetViolation",
     "Counter",
@@ -133,11 +128,9 @@ __all__ = [
     "calibration_report",
     "check_budgets",
     "decision_timeline",
-    "diff_bench",
     "diff_snapshots",
     "export_snapshot",
     "fault_timeline",
-    "load_bench",
     "load_budgets",
     "load_snapshot",
     "merge_worker_metrics",
@@ -146,7 +139,6 @@ __all__ = [
     "placement_regret",
     "prometheus_text",
     "read_jsonl",
-    "render_bench_diff",
     "render_budget_report",
     "render_diff",
     "render_hot_spans",

@@ -1,10 +1,10 @@
-"""Hot-path budgets: per-span-path wall-clock ceilings for benchmarks.
+"""Hot-path budgets: per-span-path wall-clock ceilings for the profiler.
 
 ``benchmarks/budgets.json`` declares, for the canonical profile
 workload (the quickstart replay ``python -m repro profile`` runs), a
 ceiling in seconds on each guarded span path's *cumulative* wall time.
-The bench harness collects a profile, embeds it in ``BENCH_<rev>.json``
-(schema ``repro.bench/2``) and asserts every ceiling -- so a hot-path
+``benchmarks/bench_profile.py`` and ``python -m repro profile
+--budgets`` collect a profile and assert every ceiling -- so a hot-path
 regression fails CI with the offending span named, instead of surfacing
 months later as benchmark folklore.  ROADMAP item 4's event-kernel
 rewrite is measured against exactly these ceilings.
@@ -19,8 +19,8 @@ Manifest format (:data:`BUDGETS_SCHEMA`)::
 
 Ceilings are deliberately generous (an order of magnitude over a warm
 local run): they guard against *gross* regressions on arbitrary CI
-hardware, while ``repro bench-diff`` tracks the fine-grained drift
-between committed snapshots.
+hardware, while ``perfbench`` measures the fine-grained drift between
+two code states.
 """
 
 from __future__ import annotations

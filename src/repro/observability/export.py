@@ -40,15 +40,11 @@ from repro.observability.metrics import (
 from repro.observability.profiler import Profiler
 
 __all__ = [
-    "BENCH_SCHEMA",
     "SNAPSHOT_SCHEMA",
-    "diff_bench",
     "diff_snapshots",
     "export_snapshot",
-    "load_bench",
     "load_snapshot",
     "prometheus_text",
-    "render_bench_diff",
     "render_diff",
 ]
 
@@ -59,16 +55,6 @@ SNAPSHOT_SCHEMA = "repro.observability.snapshot/2"
 
 #: Older snapshot layouts :func:`load_snapshot` still accepts.
 _SNAPSHOT_SCHEMAS = (SNAPSHOT_SCHEMA, "repro.observability.snapshot/1")
-
-#: Version tag of the benchmark wall-time snapshots ``benchmarks/conftest.py``
-#: writes (``benchmarks/BENCH_<rev>.json``).  Version 2 added the
-#: ``profile`` section (span aggregates + budget audit of the canonical
-#: profile workload); version-1 snapshots still load and diff.
-BENCH_SCHEMA = "repro.bench/2"
-
-#: Older bench layouts :func:`load_bench` still accepts.
-_BENCH_SCHEMAS = (BENCH_SCHEMA, "repro.bench/1")
-
 
 def _prom_name(name: str) -> str:
     return "repro_" + name.replace(".", "_").replace("-", "_")
@@ -320,177 +306,6 @@ def diff_snapshots(
         "flips_delta": reg_b.get("flips", 0) - reg_a.get("flips", 0),
         "placement_changes": changes,
     }
-
-
-# -- benchmark snapshots -------------------------------------------------------
-
-
-def load_bench(source: str | Path | Mapping[str, Any]) -> dict[str, Any]:
-    """Load and validate a benchmark snapshot (dict, JSON text, or path)."""
-    if isinstance(source, Mapping):
-        payload: Any = dict(source)
-    else:
-        if isinstance(source, Path) or (
-            isinstance(source, str)
-            and "\n" not in source
-            and source.endswith(".json")
-        ):
-            text = Path(source).read_text()
-        else:
-            text = str(source)
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(f"not a bench snapshot: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema") not in _BENCH_SCHEMAS
-    ):
-        raise ObservabilityError(
-            f"not a {BENCH_SCHEMA} snapshot: schema="
-            f"{payload.get('schema')!r}"
-            if isinstance(payload, dict)
-            else "not a bench snapshot: top level is not an object"
-        )
-    figures = payload.get("figures")
-    if not isinstance(figures, dict):
-        raise ObservabilityError("bench snapshot has no 'figures' mapping")
-    return payload
-
-
-def diff_bench(
-    a: str | Path | Mapping[str, Any], b: str | Path | Mapping[str, Any]
-) -> dict[str, Any]:
-    """Per-benchmark wall-time drift between two bench snapshots.
-
-    Positive ``delta`` values mean ``b`` is slower than ``a``; ``speedup``
-    is ``a / b`` (>1 means ``b`` improved).  Totals cover only benchmarks
-    present in both snapshots.  When both snapshots carry a ``profile``
-    section (schema ``repro.bench/2``), the span aggregates drift the
-    same way under the ``spans`` key; a ``repro.bench/1`` snapshot on
-    either side simply yields an empty ``spans`` mapping.
-    """
-    snap_a, snap_b = load_bench(a), load_bench(b)
-    figs_a, figs_b = snap_a["figures"], snap_b["figures"]
-    figures: dict[str, Any] = {}
-    for name in sorted(set(figs_a) | set(figs_b)):
-        sec_a, sec_b = figs_a.get(name), figs_b.get(name)
-        figures[name] = {
-            "seconds_a": sec_a,
-            "seconds_b": sec_b,
-            "delta": None if sec_a is None or sec_b is None else sec_b - sec_a,
-            "speedup": (
-                None if sec_a is None or sec_b is None or sec_b <= 0
-                else sec_a / sec_b
-            ),
-        }
-    shared = [n for n in figures if n in figs_a and n in figs_b]
-    total_a = float(sum(figs_a[n] for n in shared))
-    total_b = float(sum(figs_b[n] for n in shared))
-
-    spans_a = (snap_a.get("profile") or {}).get("spans", {})
-    spans_b = (snap_b.get("profile") or {}).get("spans", {})
-    spans: dict[str, Any] = {}
-    if spans_a and spans_b:
-        for path in sorted(set(spans_a) | set(spans_b)):
-            pa, pb = spans_a.get(path), spans_b.get(path)
-            cum_a = None if pa is None else float(pa["cum_seconds"])
-            cum_b = None if pb is None else float(pb["cum_seconds"])
-            spans[path] = {
-                "cum_a": cum_a,
-                "cum_b": cum_b,
-                "count_a": None if pa is None else int(pa["count"]),
-                "count_b": None if pb is None else int(pb["count"]),
-                "delta": (
-                    None if cum_a is None or cum_b is None else cum_b - cum_a
-                ),
-                "speedup": (
-                    None if cum_a is None or cum_b is None or cum_b <= 0
-                    else cum_a / cum_b
-                ),
-            }
-    return {
-        "labels": (snap_a.get("git_rev", "a"), snap_b.get("git_rev", "b")),
-        "figures": figures,
-        "spans": spans,
-        "total_a": total_a,
-        "total_b": total_b,
-        "total_delta": total_b - total_a,
-        "total_speedup": total_a / total_b if total_b > 0 else None,
-    }
-
-
-def render_bench_diff(diff: Mapping[str, Any]) -> str:
-    """Human-readable rendering of :func:`diff_bench` (slowest first)."""
-    label_a, label_b = diff.get("labels", ("a", "b"))
-    lines = [f"bench drift: {label_a or 'a'} -> {label_b or 'b'}", ""]
-
-    def fmt(value: Any, pattern: str) -> str:
-        return "-" if value is None else pattern.format(value)
-
-    headers = ["benchmark", "a (s)", "b (s)", "delta (s)", "speedup"]
-    entries = sorted(
-        diff["figures"].items(),
-        key=lambda item: -(item[1]["seconds_a"] or 0.0),
-    )
-    rows = [
-        [
-            name,
-            fmt(f["seconds_a"], "{:.3f}"),
-            fmt(f["seconds_b"], "{:.3f}"),
-            fmt(f["delta"], "{:+.3f}"),
-            fmt(f["speedup"], "{:.2f}x"),
-        ]
-        for name, f in entries
-    ]
-    widths = [
-        max(len(h), max((len(r[i]) for r in rows), default=0))
-        for i, h in enumerate(headers)
-    ]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    lines.append("")
-    lines.append(
-        f"total (shared benchmarks): {diff['total_a']:.3f}s -> "
-        f"{diff['total_b']:.3f}s ({diff['total_delta']:+.3f}s, "
-        + (
-            f"{diff['total_speedup']:.2f}x"
-            if diff["total_speedup"] is not None
-            else "-"
-        )
-        + ")"
-    )
-    spans = diff.get("spans", {})
-    if spans:
-        lines.append("")
-        lines.append("profile span drift (cumulative seconds):")
-        span_headers = ["span path", "a (s)", "b (s)", "delta (s)", "speedup"]
-        span_entries = sorted(
-            spans.items(), key=lambda item: -(item[1]["cum_a"] or 0.0)
-        )
-        span_rows = [
-            [
-                path,
-                fmt(s["cum_a"], "{:.4f}"),
-                fmt(s["cum_b"], "{:.4f}"),
-                fmt(s["delta"], "{:+.4f}"),
-                fmt(s["speedup"], "{:.2f}x"),
-            ]
-            for path, s in span_entries
-        ]
-        span_widths = [
-            max(len(h), max((len(r[i]) for r in span_rows), default=0))
-            for i, h in enumerate(span_headers)
-        ]
-        lines.append("  ".join(h.ljust(w)
-                               for h, w in zip(span_headers, span_widths)))
-        lines.append("  ".join("-" * w for w in span_widths))
-        for row in span_rows:
-            lines.append("  ".join(c.ljust(w)
-                                   for c, w in zip(row, span_widths)))
-    return "\n".join(lines)
 
 
 def render_diff(diff: Mapping[str, Any]) -> str:

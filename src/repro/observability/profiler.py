@@ -6,8 +6,8 @@ rates); the :class:`Profiler` answers *where* -- which layer of the
 stack the host process actually spent its wall-clock seconds in.  It is
 the measurement surface ROADMAP item 4's event-kernel rewrite is gated
 on: ``benchmarks/budgets.json`` declares per-span-path ceilings over the
-profile this module collects, and the bench harness fails when a hot
-path regresses past its ceiling.
+profile this module collects, and ``benchmarks/bench_profile.py``
+fails when a hot path regresses past its ceiling.
 
 Spans nest::
 
@@ -300,8 +300,8 @@ class Profiler:
 
         The cross-process wire format: workers ship dumps back to the
         sweep parent (:func:`merge_worker_profiles`), exporters embed
-        them (``BENCH_<rev>.json``'s ``profile`` section, the
-        observability snapshot's ``profile`` key), and the renderers
+        them (the observability snapshot's ``profile`` key, ``repro
+        profile --json``), and the renderers
         accept them interchangeably with a live profiler.
         """
         self._flush()

@@ -181,5 +181,7 @@ class TestBlastPhysics:
         solver = PolytropicGasSolver(tag_threshold=0.05)
         stepper = AMRStepper(h, solver, regrid_interval=2)
         stats = stepper.run(12)
+        # Every step covers at least the whole 32^2 base level.
+        assert all(s.total_cells >= 32 * 32 for s in stats)
         assert stats[-1].state_bytes > stats[0].state_bytes * 0.9
         assert any(s.regridded for s in stats)

@@ -1,6 +1,6 @@
 """Fast unit runs of the figure experiments at reduced sizes.
 
-The full-size regenerations live in benchmarks/; these exercise the same
+The full-size regenerations live in tests/paper/; these exercise the same
 code paths with small parameters so the experiment modules stay covered
 by ``pytest tests/``.
 """

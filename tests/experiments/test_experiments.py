@@ -1,4 +1,4 @@
-"""Tests for the experiment modules (fast paths; full runs live in benchmarks)."""
+"""Tests for the experiment modules (fast paths; full runs live in tests/paper)."""
 
 import numpy as np
 import pytest

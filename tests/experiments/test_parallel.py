@@ -86,6 +86,7 @@ class TestDeterminism:
         serial = run_all(["fig6", "fig9"], jobs=1, grids=SMALL_GRIDS)
         parallel = run_all(["fig6", "fig9"], jobs=4, grids=SMALL_GRIDS)
         assert [o.name for o in serial] == [o.name for o in parallel]
+        assert all(o.text for o in serial)
         for a, b in zip(serial, parallel):
             assert a.text == b.text
             assert a.points == b.points

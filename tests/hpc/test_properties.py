@@ -1,8 +1,10 @@
 """Property-based tests for the event kernel and network invariants."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hpc.event import Simulator
@@ -48,9 +50,11 @@ class TestEventKernelProperties:
         st.integers(1, 8),
         st.lists(st.floats(0.1, 5.0), min_size=1, max_size=25),
     )
+    @example(8, [1.0] * 1000)
     def test_resource_conserves_work(self, capacity, durations):
         """Total busy core-time equals the sum of job durations, regardless
-        of contention, and the makespan respects the capacity bound."""
+        of contention, and the makespan respects the capacity bound.
+        Equal jobs run in FCFS waves of ``capacity``."""
         sim = Simulator()
         cores = Resource(sim, capacity=capacity)
 
@@ -65,6 +69,9 @@ class TestEventKernelProperties:
         assert cores.busy_time() == pytest.approx(sum(durations))
         assert sim.now >= sum(durations) / capacity - 1e-9
         assert sim.now <= sum(durations) + 1e-9
+        if len(set(durations)) == 1:
+            waves = math.ceil(len(durations) / capacity)
+            assert sim.now == pytest.approx(waves * durations[0])
 
 
 class TestNetworkProperties:

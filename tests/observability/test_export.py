@@ -6,18 +6,14 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.observability import (
-    BENCH_SCHEMA,
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
     PredictionLedger,
     Profiler,
-    diff_bench,
     diff_snapshots,
     export_snapshot,
-    load_bench,
     load_snapshot,
     prometheus_text,
-    render_bench_diff,
     render_diff,
 )
 
@@ -191,50 +187,3 @@ class TestProfileExport:
         loaded = load_snapshot(legacy)
         assert loaded["label"] == "old"
         assert "profile" not in loaded
-
-
-def _bench_snapshot(schema=BENCH_SCHEMA, figures=None, spans=None, rev="r"):
-    payload = {"schema": schema, "git_rev": rev,
-               "figures": figures if figures is not None else {"fig1": 1.0}}
-    if spans is not None:
-        payload["profile"] = {
-            "workload": {"mode": "global", "steps": 20, "seed": 42},
-            "spans": spans,
-        }
-    return payload
-
-
-class TestBenchDiffSpans:
-    SPANS_A = {"workflow.run": {"count": 1, "cum_seconds": 2.0,
-                                "self_seconds": 0.5}}
-    SPANS_B = {"workflow.run": {"count": 1, "cum_seconds": 1.0,
-                                "self_seconds": 0.25},
-               "workflow.run/sim.run": {"count": 1, "cum_seconds": 0.5,
-                                        "self_seconds": 0.5}}
-
-    def test_span_drift_between_two_v2_snapshots(self):
-        diff = diff_bench(
-            _bench_snapshot(spans=self.SPANS_A, rev="old"),
-            _bench_snapshot(spans=self.SPANS_B, rev="new"),
-        )
-        run = diff["spans"]["workflow.run"]
-        assert run["delta"] == pytest.approx(-1.0)
-        assert run["speedup"] == pytest.approx(2.0)
-        # A span present on only one side renders as a dash, not a crash.
-        sim = diff["spans"]["workflow.run/sim.run"]
-        assert sim["cum_a"] is None and sim["delta"] is None
-        text = render_bench_diff(diff)
-        assert "profile span drift" in text
-        assert "workflow.run" in text
-
-    def test_version_1_snapshot_on_either_side_yields_no_span_section(self):
-        old = _bench_snapshot(schema="repro.bench/1")
-        new = _bench_snapshot(spans=self.SPANS_B)
-        assert load_bench(old)["schema"] == "repro.bench/1"
-        diff = diff_bench(old, new)
-        assert diff["spans"] == {}
-        assert "profile span drift" not in render_bench_diff(diff)
-
-    def test_unknown_bench_schema_rejected(self):
-        with pytest.raises(ObservabilityError, match="schema"):
-            load_bench(_bench_snapshot(schema="repro.bench/99"))

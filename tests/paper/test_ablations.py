@@ -1,10 +1,15 @@
-"""Bench: ablation sweeps over the design choices (DESIGN.md section 4)."""
+"""Ablation sweeps over the design choices (DESIGN.md section 4).
+
+Not figures of the paper: each sweep varies one design choice and checks
+that the paper's conclusion survives it.
+"""
 
 from repro.experiments import ablations
 
 
-def test_staging_ratio_sweep(once):
-    rows = once(ablations.staging_ratio_sweep)
+def test_staging_ratio_sweep():
+    """Ablation: adaptation matches static in-transit at every ratio."""
+    rows = ablations.staging_ratio_sweep()
     by_key = {(r["ratio"], r["mode"]): r for r in rows}
     # With generous staging (8:1) static in-transit is already near-optimal
     # and adaptation can only match it; with lean staging adaptation must
@@ -19,8 +24,9 @@ def test_staging_ratio_sweep(once):
             > by_key[("8:1", "static_intransit")]["end_to_end_s"])
 
 
-def test_monitor_interval_sweep(once):
-    rows = once(ablations.monitor_interval_sweep)
+def test_monitor_interval_sweep():
+    """Ablation: sparser Monitor sampling never improves the overhead much."""
+    rows = ablations.monitor_interval_sweep()
     # Sparser sampling degrades (or at best matches) the adaptation's
     # overhead -- decisions go stale between samples.
     fine = rows[0]
@@ -31,8 +37,9 @@ def test_monitor_interval_sweep(once):
         assert row["end_to_end_s"] > 0
 
 
-def test_entropy_threshold_sweep(once):
-    rows = once(ablations.entropy_threshold_sweep)
+def test_entropy_threshold_sweep():
+    """Ablation: higher entropy thresholds save more bytes at more loss."""
+    rows = ablations.entropy_threshold_sweep()
     saved = [r["bytes_saved_pct"] for r in rows]
     errors = [r["rms_error"] for r in rows]
     # Higher thresholds reduce more blocks...
@@ -41,8 +48,9 @@ def test_entropy_threshold_sweep(once):
     assert all(a <= b + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
-def test_estimator_bias_sweep(once):
-    rows = once(ablations.estimator_bias_sweep)
+def test_estimator_bias_sweep():
+    """Ablation: 4x misestimation degrades adaptation gracefully."""
+    rows = ablations.estimator_bias_sweep()
     by_bias = {r["bias"]: r for r in rows}
     unbiased = by_bias[1.0]
     # The adaptation degrades gracefully under 4x misestimation in either
@@ -56,9 +64,9 @@ def test_estimator_bias_sweep(once):
         assert row["insitu_steps"] >= 0
 
 
-def test_captured_trace_sweep(once):
-    """The synthetic-family results hold on real-solver dynamics too."""
-    rows = once(ablations.captured_trace_sweep)
+def test_captured_trace_sweep():
+    """Ablation: the synthetic-family results hold on real-solver dynamics."""
+    rows = ablations.captured_trace_sweep()
     by_mode = {r["mode"]: r for r in rows}
     adaptive = by_mode["adaptive_middleware"]
     assert adaptive["end_to_end_s"] <= by_mode["static_insitu"]["end_to_end_s"] * 1.001
@@ -66,8 +74,9 @@ def test_captured_trace_sweep(once):
     assert adaptive["moved_gib"] <= by_mode["static_intransit"]["moved_gib"]
 
 
-def test_hybrid_placement_sweep(once):
-    rows = once(ablations.hybrid_placement_sweep)
+def test_hybrid_placement_sweep():
+    """Ablation: hybrid placement never loses to the binary decision."""
+    rows = ablations.hybrid_placement_sweep()
     binary, hybrid = rows
     assert binary["policy"] == "binary" and hybrid["policy"] == "hybrid"
     # The finer-grained split never loses and actually splits some steps.
@@ -75,8 +84,9 @@ def test_hybrid_placement_sweep(once):
     assert hybrid["hybrid_steps"] > 0
 
 
-def test_reduction_type_sweep(once):
-    rows = once(ablations.reduction_type_sweep)
+def test_reduction_type_sweep():
+    """Ablation: compression beats down-sampling at a matched byte budget."""
+    rows = ablations.reduction_type_sweep()
     for row in rows:
         # At a matched byte budget, error-bounded compression loses far
         # less information than stride down-sampling on the blast field.
@@ -84,8 +94,9 @@ def test_reduction_type_sweep(once):
         assert row["compression_tolerance"] is not None
 
 
-def test_coordination_sweep(once):
-    rows = once(ablations.coordination_sweep)
+def test_coordination_sweep():
+    """Ablation: root-leaf ordering activates fewer staging cores."""
+    rows = ablations.coordination_sweep()
     ordered, naive = rows
     # The root-leaf ordering lets the resource layer size staging for the
     # *reduced* data: it activates far fewer cores than naive simultaneous

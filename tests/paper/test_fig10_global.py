@@ -1,11 +1,12 @@
-"""Bench: regenerate Figure 10 (global cross-layer vs local adaptation)."""
+"""Figure 10: global cross-layer vs local adaptation."""
 
 from repro.experiments import fig10_global
 
 
-def test_fig10_global(once):
-    rows = once(fig10_global.run_fig10)
-    print("\n" + fig10_global.render(rows))
+def test_fig10_global():
+    """Fig. 10: global adaptation cuts overhead beyond local adaptation."""
+    rows = fig10_global.run_fig10()
+    assert fig10_global.render(rows)
     for row in rows:
         # Global adaptation cuts overhead further at every scale
         # (paper: 52-98%).

@@ -1,11 +1,12 @@
-"""Bench: regenerate Figure 11 (data movement, global vs local)."""
+"""Figure 11: data movement, global vs local adaptation."""
 
 from repro.experiments import fig11_global_movement
 
 
-def test_fig11_global_movement(once):
-    rows = once(fig11_global_movement.run_fig11)
-    print("\n" + fig11_global_movement.render(rows))
+def test_fig11_global_movement():
+    """Fig. 11: global adaptation moves less data than local adaptation."""
+    rows = fig11_global_movement.run_fig11()
+    assert fig11_global_movement.render(rows)
     for row in rows:
         # "the data reduction from application layer adaptation still plays
         # a dominant role" -- movement drops despite more in-transit steps.

@@ -1,4 +1,4 @@
-"""Bench: regenerate Figure 1 (peak-memory distribution, Polytropic Gas).
+"""Figure 1: peak-memory distribution, Polytropic Gas.
 
 Checks the figure's two claims: erratic (bursty) memory growth and strong
 cross-rank imbalance.
@@ -7,9 +7,10 @@ cross-rank imbalance.
 from repro.experiments import fig1_memory
 
 
-def test_fig1_memory(once):
-    result = once(fig1_memory.run_fig1, 50)
-    print("\n" + fig1_memory.render(result))
+def test_fig1_memory():
+    """Fig. 1: memory grows erratically and is imbalanced across ranks."""
+    result = fig1_memory.run_fig1(50)
+    assert fig1_memory.render(result)
     # Growth: the refined region expands over the run.
     assert result.peak[-5:].mean() > result.peak[:5].mean()
     # Erratic: increments arrive in bursts (regrids), not smoothly.

@@ -1,12 +1,13 @@
-"""Bench: regenerate Figure 4 (placement decision timeline)."""
+"""Figure 4: placement decision timeline."""
 
 from repro.core.actions import Placement
 from repro.experiments import fig4_timeline
 
 
-def test_fig4_timeline(once):
-    outcome = once(fig4_timeline.run_fig4)
-    print("\n" + fig4_timeline.render(outcome))
+def test_fig4_timeline():
+    """Fig. 4: in-transit while staging idles, in-situ around the burst."""
+    outcome = fig4_timeline.run_fig4()
+    assert fig4_timeline.render(outcome)
     placements = [m.placement for m in outcome.result.steps]
     # ts=1, 2: in-transit processors idle -> analysis placed in-transit.
     assert placements[0] is Placement.IN_TRANSIT

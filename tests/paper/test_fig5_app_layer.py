@@ -1,13 +1,14 @@
-"""Bench: regenerate Figure 5 (adaptive spatial resolution vs memory)."""
+"""Figure 5: adaptive spatial resolution vs memory."""
 
 import numpy as np
 
 from repro.experiments import fig5_app_layer
 
 
-def test_fig5_app_layer(once):
-    result = once(fig5_app_layer.run_fig5)
-    print("\n" + fig5_app_layer.render(result))
+def test_fig5_app_layer():
+    """Fig. 5: the resolution drops only once memory pressure demands it."""
+    result = fig5_app_layer.run_fig5()
+    assert fig5_app_layer.render(result)
     factors = result.factors
     hints_min_early = 2
     # Early in the run memory is plentiful: the minimum (highest-resolution)

@@ -1,11 +1,12 @@
-"""Bench: regenerate Figure 6 (entropy-based down-sampling fidelity)."""
+"""Figure 6: entropy-based down-sampling fidelity."""
 
 from repro.experiments import fig6_entropy
 
 
-def test_fig6_entropy(once):
-    result = once(fig6_entropy.run_fig6)
-    print("\n" + fig6_entropy.render(result))
+def test_fig6_entropy():
+    """Fig. 6: reducing low-entropy blocks keeps the isosurface intact."""
+    result = fig6_entropy.run_fig6()
+    assert fig6_entropy.render(result)
     # Entropies span a wide range (paper quotes 5.14-9.85 at the finest level).
     spread = result.entropies.max() - result.entropies.min()
     assert spread > 2.0

@@ -1,13 +1,14 @@
-"""Bench: regenerate Figure 7 (end-to-end time, static vs adaptive placement)."""
+"""Figure 7: end-to-end time, static vs adaptive placement."""
 
 from repro.experiments import fig7_placement
 from repro.experiments.common import PAPER
 from repro.workflow.config import Mode
 
 
-def test_fig7_placement(once):
-    rows = once(fig7_placement.run_fig7)
-    print("\n" + fig7_placement.render(rows))
+def test_fig7_placement():
+    """Fig. 7: adaptive placement beats both static modes at every scale."""
+    rows = fig7_placement.run_fig7()
+    assert fig7_placement.render(rows)
     for row in rows:
         adaptive = row.adaptive
         insitu = row.results[Mode.STATIC_INSITU]

@@ -1,4 +1,4 @@
-"""Bench: the paper's motivating claim -- post-processing I/O is infeasible.
+"""Section 6: post-processing I/O is infeasible at scale.
 
 "The increasing performance gap between computation and I/O in high-end
 computing environment renders traditional post-processing data analysis
@@ -40,8 +40,9 @@ def run_comparison():
     return results
 
 
-def test_post_processing_baseline(once):
-    results = once(run_comparison)
+def test_post_processing_baseline():
+    """Section 6: post-processing is slowest and burns the most energy."""
+    results = run_comparison()
     rows = []
     for mode in _MODES:
         r = results[mode]
@@ -52,9 +53,9 @@ def test_post_processing_baseline(once):
             format_bytes(r.pfs_bytes_written + r.pfs_bytes_read),
             f"{r.energy_joules / 1e9:.2f} GJ",
         ])
-    print("\n" + render_table(
+    assert render_table(
         ["mode", "end-to-end", "overhead", "PFS traffic", "energy"],
-        rows, title="Post-processing vs simulation-time analysis (4K cores)"))
+        rows, title="Post-processing vs simulation-time analysis (4K cores)")
 
     post = results[Mode.POST_PROCESSING]
     adaptive = results[Mode.ADAPTIVE_MIDDLEWARE]

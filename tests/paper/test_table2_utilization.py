@@ -1,4 +1,4 @@
-"""Bench: regenerate Table 2 (in-transit core usage histogram)."""
+"""Table 2: in-transit core usage histogram under global adaptation."""
 
 from repro.core.actions import Placement
 from repro.experiments import table2_utilization
@@ -7,9 +7,10 @@ from repro.experiments.common import run_mode_at_scale
 from repro.workflow.config import Mode
 
 
-def test_table2_utilization(once):
-    rows = once(table2_utilization.run_table2)
-    print("\n" + table2_utilization.render(rows))
+def test_table2_utilization():
+    """Table 2: some in-transit steps use less than the preallocation."""
+    rows = table2_utilization.run_table2()
+    assert table2_utilization.render(rows)
     for scale, row in zip(SCALES, rows):
         total = sum(row.buckets.values())
         result = run_mode_at_scale(scale, Mode.GLOBAL, with_hints=True)

@@ -23,7 +23,6 @@ import repro.service as service
 from repro.__main__ import EXPERIMENTS, SUBCOMMANDS
 from repro.faults import FAULT_KINDS, SCENARIOS
 from repro.observability import (
-    BENCH_SCHEMA,
     BUDGETS_SCHEMA,
     EVENT_KINDS,
     METRIC_NAMES,
@@ -113,9 +112,9 @@ class TestPerformanceDocs:
                    if name not in api_doc and name not in performance_doc]
         assert not missing, f"cache symbols missing from docs: {missing}"
 
-    def test_bench_diff_usage_shown(self, performance_doc):
-        assert "repro bench-diff" in performance_doc
-        assert "BENCH_" in performance_doc
+    def test_perfbench_usage_shown(self, performance_doc):
+        assert "perfbench/run.py" in performance_doc
+        assert "tests/paper" in performance_doc
 
     def test_no_cache_semantics_documented(self, performance_doc):
         # The strict REPRO_NO_CACHE parse must be documented: the
@@ -131,7 +130,6 @@ class TestPerformanceDocs:
         assert "repro run-all" in performance_doc
         assert "--jobs" in performance_doc
         assert "--only" in performance_doc
-        assert "REPRO_BENCH_JOBS" in performance_doc
         assert "parallel-smoke" in performance_doc
 
     def test_cache_locking_documented(self, performance_doc):
@@ -222,10 +220,6 @@ class TestProfilingDocs:
             f"budget schema string {BUDGETS_SCHEMA!r} must appear in "
             "docs/profiling.md"
         )
-        assert BENCH_SCHEMA in profiling_doc, (
-            f"bench schema string {BENCH_SCHEMA!r} must appear in "
-            "docs/profiling.md"
-        )
 
     def test_profile_cli_and_bench_enforcement_documented(
             self, profiling_doc):
@@ -295,6 +289,27 @@ class TestTriggerDocs:
     def test_sweep_cli_documented(self, triggers_doc):
         assert "repro triggers" in triggers_doc
         assert "fig_triggers" in triggers_doc
+
+
+class TestPaperClaimDocs:
+    """DESIGN.md's reproduction table and the claim suite stay in step."""
+
+    def test_every_figure_row_names_a_claim_test(self):
+        rows = [line for line in (REPO / "DESIGN.md").read_text().splitlines()
+                if re.match(r"\| (Fig\.|Table) ", line)]
+        assert rows, "DESIGN.md has no Fig./Table rows"
+        problems = []
+        for row in rows:
+            named = re.findall(r"`(tests/paper/test_\w+\.py)`", row)
+            if not named:
+                problems.append(f"no tests/paper file named: {row[:40]}")
+            for rel in named:
+                path = REPO / rel
+                if not path.exists():
+                    problems.append(f"{rel} does not exist")
+                elif not re.search(r"^def test_", path.read_text(), re.M):
+                    problems.append(f"{rel} holds no test")
+        assert not problems, problems
 
 
 def _markdown_links(text: str):
