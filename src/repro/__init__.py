@@ -4,13 +4,13 @@ A Python reproduction of Jin et al., "Using Cross-Layer Adaptations for
 Dynamic Data Management in Large Scale Coupled Scientific Workflows"
 (SC '13).  The package provides:
 
-- :mod:`repro.hpc` -- a discrete-event simulated HPC machine (nodes, memory,
-  interconnect with bandwidth sharing, Intrepid/Titan presets) that stands
-  in for the leadership systems used in the paper.
+- :mod:`repro.hpc` -- a discrete-event simulated HPC machine (per-node
+  shape, interconnect with bandwidth sharing, Intrepid/Titan presets) that
+  stands in for the leadership systems used in the paper.
 - :mod:`repro.amr` -- a Chombo-like block-structured AMR library with real
   advection-diffusion and polytropic-gas (Euler/Godunov) solvers.
 - :mod:`repro.analysis` -- in-situ/in-transit analysis kernels: marching
-  cubes and marching squares isosurface extraction, block entropy,
+  tetrahedra isosurface extraction, block entropy,
   downsampling operators, descriptive statistics and fidelity metrics.
 - :mod:`repro.staging` -- a DataSpaces-like staging substrate: versioned
   bounding-box object store, asynchronous transport, resizable staging

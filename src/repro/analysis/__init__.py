@@ -7,7 +7,6 @@
 - :mod:`repro.analysis.isosurface` -- 3-D isosurface extraction by
   marching tetrahedra (the table-free variant of marching cubes; see
   DESIGN.md for the substitution note) with watertight vertex welding.
-- :mod:`repro.analysis.marching_squares` -- 2-D isocontours.
 - :mod:`repro.analysis.statistics` -- descriptive-statistics kernel
   (the paper's "other scalable analysis" example).
 - :mod:`repro.analysis.fidelity` -- quantitative fidelity metrics
@@ -34,7 +33,6 @@ from repro.analysis.entropy import (
     shannon_entropy,
 )
 from repro.analysis.isosurface import extract_isosurface, surface_area, surface_stats
-from repro.analysis.marching_squares import extract_contours, contour_length
 from repro.analysis.statistics import descriptive_statistics, merge_statistics
 from repro.analysis.fidelity import reconstruction_error, isosurface_fidelity
 from repro.analysis.subset import BlockRangeIndex, query_range
@@ -46,7 +44,6 @@ __all__ = [
     "query_range",
     "compress_field",
     "compression_ratio",
-    "contour_length",
     "decompress_field",
     "select_tolerance",
     "descriptive_statistics",
@@ -55,7 +52,6 @@ __all__ = [
     "downsample_memory_cost",
     "downsample_stride",
     "entropy_downsample_factors",
-    "extract_contours",
     "extract_isosurface",
     "isosurface_fidelity",
     "reconstruction_error",

@@ -186,7 +186,7 @@ class Process(Event):
         if waited is not None and not waited.triggered:
             # Detach from whatever the process was waiting on; if that
             # leaves the event with no waiters it is a zombie (e.g. a
-            # queued resource request) and must never consume a grant.
+            # queued store get) and must never consume an item.
             self._detach(waited)
             if not waited._callbacks:
                 waited.abandoned = True

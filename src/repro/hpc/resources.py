@@ -1,15 +1,8 @@
-"""Waitable resources built on the event kernel.
+"""A waitable FIFO built on the event kernel.
 
-Two primitives cover everything the rest of the package needs:
-
-- :class:`Resource` -- a counted FCFS resource (cores, channels).  Requests
-  are events; ``release`` wakes the head of the queue.
-- :class:`Store` -- an unbounded (or bounded) FIFO of items; ``get``
-  returns an event that fires when an item is available.  This is the
-  building block for the staging request queues.
-
-Both keep simple occupancy statistics so the metrics layer can compute
-utilization without instrumenting call sites.
+:class:`Store` is an unbounded (or bounded) FIFO of items; ``get``
+returns an event that fires when an item is available.  This is the
+building block for the staging request queues and the message bus.
 """
 
 from __future__ import annotations
@@ -20,117 +13,7 @@ from typing import Any
 from repro.errors import ResourceError
 from repro.hpc.event import Event, Simulator
 
-__all__ = ["Resource", "Store"]
-
-
-class _Request(Event):
-    """Event representing a pending resource acquisition."""
-
-    def __init__(self, resource: "Resource", amount: int):
-        super().__init__(resource.sim, name=f"request({resource.name}, {amount})")
-        self.resource = resource
-        self.amount = amount
-
-
-class Resource:
-    """A counted, FCFS resource such as a pool of cores.
-
-    ``request(n)`` returns an event that fires once ``n`` units are held by
-    the caller; ``release(n)`` returns them.  Capacity may be resized at
-    runtime (the resource-layer adaptation grows/shrinks the staging pool),
-    which immediately re-evaluates the wait queue.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "resource"):
-        if capacity < 0:
-            raise ResourceError(f"negative capacity: {capacity}")
-        self.sim = sim
-        self.name = name
-        self._capacity = int(capacity)
-        self._in_use = 0
-        self._queue: deque[_Request] = deque()
-        # Occupancy statistics: integral of in_use over time.
-        self._busy_integral = 0.0
-        self._last_change = sim.now
-
-    @property
-    def capacity(self) -> int:
-        """Total units this resource currently offers."""
-        return self._capacity
-
-    @property
-    def in_use(self) -> int:
-        """Units currently held."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Units free right now."""
-        return self._capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting."""
-        return len(self._queue)
-
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_integral += self._in_use * (now - self._last_change)
-        self._last_change = now
-
-    def busy_time(self) -> float:
-        """Core-seconds of held capacity accumulated so far."""
-        self._account()
-        return self._busy_integral
-
-    def request(self, amount: int = 1) -> Event:
-        """Acquire ``amount`` units; the returned event fires on acquisition."""
-        if amount <= 0:
-            raise ResourceError(f"request amount must be positive, got {amount}")
-        if amount > self._capacity:
-            raise ResourceError(
-                f"request of {amount} exceeds capacity {self._capacity} of {self.name!r}"
-            )
-        req = _Request(self, amount)
-        self._queue.append(req)
-        self._drain()
-        return req
-
-    def release(self, amount: int = 1) -> None:
-        """Return ``amount`` units and wake queued requests that now fit."""
-        if amount <= 0:
-            raise ResourceError(f"release amount must be positive, got {amount}")
-        if amount > self._in_use:
-            raise ResourceError(
-                f"release of {amount} exceeds {self._in_use} units in use on {self.name!r}"
-            )
-        self._account()
-        self._in_use -= amount
-        self._drain()
-
-    def resize(self, capacity: int) -> None:
-        """Change total capacity.  Shrinking below ``in_use`` is allowed; the
-        deficit is absorbed as units are released."""
-        if capacity < 0:
-            raise ResourceError(f"negative capacity: {capacity}")
-        self._account()
-        self._capacity = int(capacity)
-        self._drain()
-
-    def _drain(self) -> None:
-        # FCFS: stop at the first request that does not fit to preserve order.
-        while self._queue:
-            head = self._queue[0]
-            if head.triggered or head.abandoned:
-                # Waiter vanished (e.g. interrupted process); discard.
-                self._queue.popleft()
-                continue
-            if head.amount > self._capacity - self._in_use:
-                break
-            self._queue.popleft()
-            self._account()
-            self._in_use += head.amount
-            head.succeed(head.amount)
+__all__ = ["Store"]
 
 
 class Store:

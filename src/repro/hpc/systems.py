@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 from repro.errors import ResourceError
 from repro.hpc.event import Simulator
-from repro.hpc.machine import Machine
 from repro.hpc.network import Network
 from repro.hpc.topology import staging_uplink
 from repro.units import GiB, MiB
 
-__all__ = ["SystemSpec", "intrepid", "titan", "build_workflow_machine"]
+__all__ = ["SystemSpec", "intrepid", "titan", "build_workflow_network"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,16 @@ class SystemSpec:
     core_power_idle: float = 4.0  # watts while allocated but idle
     network_energy_per_byte: float = 1.0e-9  # joules per byte moved
 
+    def __post_init__(self):
+        for attr in ("cores_per_node", "memory_per_node", "core_rate",
+                     "node_injection_bw", "pfs_write_bandwidth",
+                     "pfs_read_bandwidth"):
+            value = getattr(self, attr)
+            if not value > 0:
+                raise ResourceError(
+                    f"{self.name}: {attr} must be positive, got {value}"
+                )
+
     @property
     def memory_per_core(self) -> float:
         """Bytes of RAM per core (the paper quotes 500 MB/core on Intrepid)."""
@@ -62,6 +71,10 @@ class SystemSpec:
         if cores < 1:
             raise ResourceError(f"need at least one core, got {cores}")
         return math.ceil(cores / self.cores_per_node)
+
+    def partition_memory(self, cores: int) -> float:
+        """Bytes of RAM on the whole nodes a ``cores``-core partition spans."""
+        return float(self.nodes_for_cores(cores) * self.memory_per_node)
 
 
 def intrepid() -> SystemSpec:
@@ -96,39 +109,24 @@ def titan() -> SystemSpec:
     )
 
 
-def build_workflow_machine(
+def build_workflow_network(
     sim: Simulator,
     spec: SystemSpec,
     sim_cores: int,
     staging_cores: int,
-) -> tuple[Machine, Network]:
-    """Build a two-partition machine + staging-uplink network for a workflow.
+) -> Network:
+    """Build the staging-uplink network for a two-partition workflow.
 
-    Returns ``(machine, network)`` where the machine has partitions named
-    ``"simulation"`` and ``"staging"`` and the network has endpoints
-    ``"sim"`` and ``"staging"``.
+    The network has endpoints ``"sim"`` and ``"staging"``; each side's
+    bandwidth is the aggregate injection bandwidth of the whole nodes its
+    partition spans.
     """
-    sim_nodes = spec.nodes_for_cores(sim_cores)
-    staging_nodes = spec.nodes_for_cores(staging_cores)
-    machine = Machine(
+    return staging_uplink(
         sim,
-        node_count=sim_nodes + staging_nodes,
-        cores_per_node=spec.cores_per_node,
-        memory_per_node=spec.memory_per_node,
-        core_rate=spec.core_rate,
-        name=spec.name,
-    )
-    simulation = machine.create_partition("simulation", sim_nodes)
-    staging = machine.create_partition("staging", staging_nodes)
-    simulation.set_active_cores(min(sim_cores, simulation.physical_cores))
-    staging.set_active_cores(min(staging_cores, staging.physical_cores))
-    network = staging_uplink(
-        sim,
-        sim_injection_bw=spec.node_injection_bw * sim_nodes,
-        staging_ingest_bw=spec.node_injection_bw * staging_nodes,
+        sim_injection_bw=spec.node_injection_bw * spec.nodes_for_cores(sim_cores),
+        staging_ingest_bw=spec.node_injection_bw * spec.nodes_for_cores(staging_cores),
         latency=spec.network_latency,
     )
-    return machine, network
 
 
 # Guard against accidental unit errors in presets: Intrepid must expose the

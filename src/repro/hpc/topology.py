@@ -1,4 +1,4 @@
-"""Interconnect topology builders.
+"""The interconnect topology the workflows run on.
 
 The workflow experiments use the aggregate two-partition model
 (:func:`staging_uplink`): all simulation nodes behind one endpoint, all
@@ -6,25 +6,15 @@ staging nodes behind another, joined by a link whose capacity equals the
 aggregate injection bandwidth of the smaller partition.  This is the level
 of detail the paper's policies observe (they see transfer latencies, not
 per-hop congestion).
-
-Full 3-D torus builders are provided for topology-sensitive studies and
-are exercised by the ablation benchmarks.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from repro.errors import SimulationError
 from repro.hpc.event import Simulator
 from repro.hpc.network import Network
 
-__all__ = ["staging_uplink", "torus3d", "node_name"]
-
-
-def node_name(coords: tuple[int, int, int]) -> str:
-    """Canonical endpoint name for a torus node coordinate."""
-    return "n{}.{}.{}".format(*coords)
+__all__ = ["staging_uplink"]
 
 
 def staging_uplink(
@@ -49,32 +39,4 @@ def staging_uplink(
         latency=latency,
         name="uplink",
     )
-    return net
-
-
-def torus3d(
-    sim: Simulator,
-    shape: tuple[int, int, int],
-    link_bandwidth: float,
-    link_latency: float,
-) -> Network:
-    """A wrap-around 3-D torus of ``shape`` nodes (BG/P- and Gemini-like).
-
-    Every node is an endpoint named by :func:`node_name`; each of the six
-    neighbour links is a shared-capacity :class:`~repro.hpc.network.Link`.
-    """
-    nx_, ny, nz = shape
-    if min(shape) < 1:
-        raise SimulationError(f"torus shape must be positive, got {shape}")
-    net = Network(sim)
-    for x, y, z in itertools.product(range(nx_), range(ny), range(nz)):
-        here = node_name((x, y, z))
-        for dim, size in enumerate(shape):
-            if size == 1:
-                continue  # no self-loops on degenerate dimensions
-            coords = [x, y, z]
-            coords[dim] = (coords[dim] + 1) % size
-            there = node_name(tuple(coords))
-            if not net.graph.has_edge(here, there):
-                net.add_link(here, there, bandwidth=link_bandwidth, latency=link_latency)
     return net

@@ -14,11 +14,11 @@ staging partition.
 Mechanics
 ---------
 
-- The service builds the machine once (:func:`~repro.hpc.systems.
-  build_workflow_machine` with the pool sizes) and registers the
-  ``tenant`` kernel event kind; arrivals, queue drains and grant
-  renegotiations all ride typed ``tenant`` events so the kernel's
-  per-kind counters attribute service traffic.
+- The service builds the staging-uplink network once
+  (:func:`~repro.hpc.systems.build_workflow_network` with the pool
+  sizes) and registers the ``tenant`` kernel event kind; arrivals,
+  queue drains and grant renegotiations all ride typed ``tenant``
+  events so the kernel's per-kind counters attribute service traffic.
 - Each admitted tenant gets its own :class:`~repro.staging.area.
   StagingArea` spanning the whole pool, masked down to its grant with
   ``fail_cores`` (and expanded with ``restore_cores`` when it borrows),
@@ -59,7 +59,7 @@ from repro.hpc.kernel import (
     event_kind_code,
     register_event_kind,
 )
-from repro.hpc.systems import SystemSpec, build_workflow_machine, titan
+from repro.hpc.systems import SystemSpec, build_workflow_network, titan
 from repro.observability.events import (
     TENANT_ADMITTED,
     TENANT_COMPLETED,
@@ -268,7 +268,7 @@ class WorkflowService:
                                  profiler=profiler)
         self.sim = Simulator(observer=self.observer)
         self.sim.kernel.on(TENANT_KIND, self.sim._call_payload)
-        self.machine, self.network = build_workflow_machine(
+        self.network = build_workflow_network(
             self.sim, self.spec, sim_cores, staging_cores
         )
         self.pfs = ParallelFileSystem(
@@ -292,7 +292,7 @@ class WorkflowService:
         self.starvation_wait = starvation_wait
         self.sim_cores = int(sim_cores)
         self.staging_cores = int(staging_cores)
-        self._staging_memory = self.machine.partition("staging").total_memory
+        self._staging_memory = self.spec.partition_memory(staging_cores)
         self.tracer = self.observer.tracer
         self.metrics = self.observer.metrics
         self.observer.bind_clock(lambda: self.sim.now)
@@ -447,7 +447,6 @@ class WorkflowService:
             ledger=tenant.ledger,
             profiler=observer.profiler,
             sim=self.sim,
-            machine=self.machine,
             network=self.network,
             staging=area,
             staging_resizer=lambda requested, t=tenant: self._negotiate(

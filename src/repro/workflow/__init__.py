@@ -10,7 +10,6 @@ data movement, staging utilization efficiency (Eq. 12) and per-step core
 usage (Table 2).
 """
 
-from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.config import Mode, WorkflowConfig
 from repro.workflow.driver import CoupledWorkflow, run_workflow
 from repro.workflow.metrics import StepMetrics, WorkflowResult, core_usage_histogram
@@ -42,7 +41,6 @@ __all__ = [
     "TriggerDecision",
     "TriggerIndicators",
     "TriggerPolicy",
-    "WorkflowBuilder",
     "WorkflowConfig",
     "WorkflowResult",
     "build_trigger",

@@ -27,7 +27,7 @@ from repro.errors import WorkflowError
 from repro.faults import FaultInjector, FaultPlan
 from repro.hpc.event import Simulator
 from repro.hpc.filesystem import ParallelFileSystem
-from repro.hpc.systems import build_workflow_machine
+from repro.hpc.systems import build_workflow_network
 from repro.observability.events import (
     PLACEMENT_FALLBACK,
     RUN_END,
@@ -93,7 +93,7 @@ class CoupledWorkflow:
     long the host takes to replay simulated time -- so spans only ever
     enclose synchronous sections.
 
-    ``sim``, ``machine``/``network``, ``staging`` and ``pfs`` let an external
+    ``sim``, ``network``, ``staging`` and ``pfs`` let an external
     orchestrator -- the multi-tenant service (:mod:`repro.service`) --
     inject shared infrastructure instead of having the workflow build
     its own: the workflow then rides an existing simulator clock,
@@ -121,7 +121,6 @@ class CoupledWorkflow:
         trigger: TriggerPolicy | None = None,
         profiler: "Profiler | None" = None,
         sim: Simulator | None = None,
-        machine=None,
         network=None,
         staging: StagingArea | None = None,
         staging_resizer=None,
@@ -153,25 +152,19 @@ class CoupledWorkflow:
         self._run_span = observer.profiler.span("workflow.run")
         self._decide_span = observer.profiler.span("workflow.decide")
         observer.bind_clock(lambda: self.sim.now)
-        if (machine is None) != (network is None):
-            raise WorkflowError(
-                "machine and network must be injected together"
-            )
-        if machine is None:
-            self.machine, self.network = build_workflow_machine(
+        if network is None:
+            network = build_workflow_network(
                 self.sim, config.spec, config.sim_cores, config.staging_cores
             )
-        else:
-            self.machine, self.network = machine, network
+        self.network = network
         if staging is None:
-            staging_partition = self.machine.partition("staging")
             self.staging = StagingArea(
                 self.sim,
                 self.network,
                 core_rate=config.spec.core_rate,
                 total_cores=config.staging_cores,
                 active_cores=config.staging_cores,
-                memory_bytes=staging_partition.total_memory,
+                memory_bytes=config.spec.partition_memory(config.staging_cores),
                 faults=faults,
                 observer=observer,
             )

@@ -1,10 +1,9 @@
-"""Tests for isosurface extraction (3-D) and contouring (2-D)."""
+"""Tests for 3-D isosurface extraction."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.isosurface import extract_isosurface, surface_area, surface_stats
-from repro.analysis.marching_squares import contour_length, contour_stats, extract_contours
 from repro.errors import PolicyError
 
 
@@ -105,35 +104,3 @@ class TestIsosurface3D:
         _, t1 = extract_isosurface(f1, 0.0)
         _, t2 = extract_isosurface(f2, 0.0)
         assert len(t2) > 2.5 * len(t1)  # ~4x for 2x resolution
-
-
-class TestContours2D:
-    def test_circle_closed_and_length(self):
-        n = 64
-        ax = (np.arange(n) + 0.5) / n - 0.5
-        x, y = np.meshgrid(ax, ax, indexing="ij")
-        radius = 0.3
-        field = radius - np.hypot(x, y)
-        verts, segs = extract_contours(field, 0.0, spacing=(1 / n, 1 / n))
-        stats = contour_stats(verts, segs)
-        assert stats["closed"]
-        assert stats["length"] == pytest.approx(2 * np.pi * radius, rel=0.02)
-
-    def test_no_crossing_empty(self):
-        verts, segs = extract_contours(np.zeros((4, 4)), 5.0)
-        assert len(segs) == 0
-        assert contour_length(verts, segs) == 0.0
-
-    def test_line_contour_straight(self):
-        n = 10
-        ax = np.arange(n, dtype=float)
-        x, _y = np.meshgrid(ax, ax, indexing="ij")
-        verts, segs = extract_contours(x, 4.5)
-        np.testing.assert_allclose(verts[:, 0], 4.5)
-        assert contour_length(verts, segs) == pytest.approx(n - 1)
-
-    def test_bad_inputs(self):
-        with pytest.raises(PolicyError):
-            extract_contours(np.zeros((4, 4, 4)), 0.0)
-        with pytest.raises(PolicyError):
-            extract_contours(np.zeros((1, 4)), 0.0)

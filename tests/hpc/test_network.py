@@ -5,8 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.hpc.event import Simulator
 from repro.hpc.network import Network
-from repro.hpc.topology import node_name, staging_uplink, torus3d
-from repro.units import GiB, MiB
+from repro.hpc.topology import staging_uplink
+from repro.units import GiB
 
 
 @pytest.fixture()
@@ -175,19 +175,3 @@ class TestTopologies:
     def test_staging_uplink_rejects_bad_bw(self, sim):
         with pytest.raises(SimulationError):
             staging_uplink(sim, sim_injection_bw=0, staging_ingest_bw=1, latency=0)
-
-    def test_torus_node_and_edge_counts(self, sim):
-        net = torus3d(sim, (4, 4, 4), link_bandwidth=425 * MiB, link_latency=1e-6)
-        assert net.graph.number_of_nodes() == 64
-        # 3 links per node in a wrap-around torus with all dims > 2.
-        assert net.graph.number_of_edges() == 3 * 64
-
-    def test_torus_degenerate_dimension(self, sim):
-        net = torus3d(sim, (4, 4, 1), link_bandwidth=1.0, link_latency=0.0)
-        assert net.graph.number_of_nodes() == 16
-
-    def test_torus_transfer_routes_multi_hop(self, sim):
-        net = torus3d(sim, (4, 1, 1), link_bandwidth=100.0, link_latency=0.0)
-        done = net.transfer(node_name((0, 0, 0)), node_name((2, 0, 0)), nbytes=100.0)
-        sim.run(done)
-        assert sim.now == pytest.approx(1.0)  # bottleneck 100 B/s, 2 hops fluid

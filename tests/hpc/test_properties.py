@@ -1,15 +1,13 @@
 """Property-based tests for the event kernel and network invariants."""
 
-import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hpc.event import Simulator
 from repro.hpc.network import Network
-from repro.hpc.resources import Resource
 
 
 class TestEventKernelProperties:
@@ -44,34 +42,6 @@ class TestEventKernelProperties:
         sim.run()
         for i, (a, b) in enumerate(pairs):
             assert results[i] == pytest.approx(a + b)
-
-    @settings(deadline=None, max_examples=25)
-    @given(
-        st.integers(1, 8),
-        st.lists(st.floats(0.1, 5.0), min_size=1, max_size=25),
-    )
-    @example(8, [1.0] * 1000)
-    def test_resource_conserves_work(self, capacity, durations):
-        """Total busy core-time equals the sum of job durations, regardless
-        of contention, and the makespan respects the capacity bound.
-        Equal jobs run in FCFS waves of ``capacity``."""
-        sim = Simulator()
-        cores = Resource(sim, capacity=capacity)
-
-        def job(sim, d):
-            yield cores.request(1)
-            yield sim.timeout(d)
-            cores.release(1)
-
-        for d in durations:
-            sim.process(job(sim, d))
-        sim.run()
-        assert cores.busy_time() == pytest.approx(sum(durations))
-        assert sim.now >= sum(durations) / capacity - 1e-9
-        assert sim.now <= sum(durations) + 1e-9
-        if len(set(durations)) == 1:
-            waves = math.ceil(len(durations) / capacity)
-            assert sim.now == pytest.approx(waves * durations[0])
 
 
 class TestNetworkProperties:

@@ -1,170 +1,15 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Store."""
 
 import pytest
 
 from repro.errors import ResourceError
 from repro.hpc.event import Simulator
-from repro.hpc.resources import Resource, Store
+from repro.hpc.resources import Store
 
 
 @pytest.fixture()
 def sim():
     return Simulator()
-
-
-class TestResource:
-    def test_immediate_grant_when_available(self, sim):
-        res = Resource(sim, capacity=4)
-
-        def proc(sim):
-            yield res.request(2)
-            return (res.in_use, res.available)
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert p.value == (2, 2)
-
-    def test_fcfs_blocking_and_wakeup(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def holder(sim):
-            yield res.request(1)
-            yield sim.timeout(5.0)
-            res.release(1)
-
-        def waiter(sim, tag):
-            yield res.request(1)
-            order.append((tag, sim.now))
-            res.release(1)
-
-        sim.process(holder(sim))
-        sim.process(waiter(sim, "first"))
-        sim.process(waiter(sim, "second"))
-        sim.run()
-        assert order == [("first", 5.0), ("second", 5.0)]
-
-    def test_fcfs_head_of_line_blocking(self, sim):
-        # A large request at the head must not be overtaken by a small one.
-        res = Resource(sim, capacity=4)
-        order = []
-
-        def holder(sim):
-            yield res.request(3)
-            yield sim.timeout(10.0)
-            res.release(3)
-
-        def big(sim):
-            yield sim.timeout(1.0)
-            yield res.request(4)
-            order.append("big")
-            res.release(4)
-
-        def small(sim):
-            yield sim.timeout(2.0)
-            yield res.request(1)
-            order.append("small")
-            res.release(1)
-
-        sim.process(holder(sim))
-        sim.process(big(sim))
-        sim.process(small(sim))
-        sim.run()
-        assert order == ["big", "small"]
-
-    def test_request_exceeding_capacity_raises(self, sim):
-        res = Resource(sim, capacity=2)
-        with pytest.raises(ResourceError):
-            res.request(3)
-
-    def test_release_more_than_in_use_raises(self, sim):
-        res = Resource(sim, capacity=2)
-
-        def proc(sim):
-            yield res.request(1)
-            res.release(2)
-
-        sim.process(proc(sim))
-        with pytest.raises(ResourceError):
-            sim.run()
-
-    def test_resize_up_wakes_waiters(self, sim):
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def holder(sim):
-            yield res.request(1)
-            yield sim.timeout(100.0)
-            res.release(1)
-
-        def waiter(sim):
-            yield res.request(1)
-            log.append(sim.now)
-            res.release(1)
-
-        def grower(sim):
-            yield sim.timeout(3.0)
-            res.resize(2)
-
-        sim.process(holder(sim))
-        sim.process(waiter(sim))
-        sim.process(grower(sim))
-        sim.run()
-        assert log == [3.0]
-
-    def test_resize_down_below_in_use_allowed(self, sim):
-        res = Resource(sim, capacity=4)
-
-        def proc(sim):
-            yield res.request(3)
-            res.resize(2)
-            assert res.available == -1 or res.available <= 0
-            res.release(3)
-            return res.available
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert p.value == 2
-
-    def test_busy_time_accounting(self, sim):
-        res = Resource(sim, capacity=4, name="cores")
-
-        def proc(sim):
-            yield res.request(2)
-            yield sim.timeout(10.0)
-            res.release(2)
-            yield sim.timeout(5.0)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert res.busy_time() == pytest.approx(20.0)  # 2 cores * 10 s
-
-    def test_queue_length(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def holder(sim):
-            yield res.request(1)
-            yield sim.timeout(10.0)
-            res.release(1)
-
-        def waiter(sim):
-            yield res.request(1)
-            res.release(1)
-
-        sim.process(holder(sim))
-        sim.process(waiter(sim))
-        sim.process(waiter(sim))
-        sim.run(until=5.0)
-        assert res.queue_length == 2
-
-    def test_negative_capacity_rejected(self, sim):
-        with pytest.raises(ResourceError):
-            Resource(sim, capacity=-1)
-
-    def test_nonpositive_request_rejected(self, sim):
-        res = Resource(sim, capacity=2)
-        with pytest.raises(ResourceError):
-            res.request(0)
 
 
 class TestStore:

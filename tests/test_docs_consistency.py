@@ -9,6 +9,8 @@ public symbol without a matching docs edit fails CI here — as does a
 broken intra-repo markdown link (the CI docs job runs this module).
 """
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -490,6 +492,44 @@ class TestApiDocs:
         missing = [name for name in workflow.__all__ if name not in api_doc]
         assert not missing, f"workflow symbols missing from docs/api.md: {missing}"
 
+    def test_every_api_table_name_resolves(self):
+        """Each backticked name in a table's first column is a real attribute:
+        a dotted ``repro.`` path imports, and a bare name is defined by the
+        section's package or one of its modules."""
+        package = None
+        stale = []
+        for line in (REPO / "docs" / "api.md").read_text().splitlines():
+            if line.startswith("## "):
+                heading = re.match(r"## `(repro[\w.]*)`", line)
+                package = heading.group(1) if heading else None
+                continue
+            if not line.startswith("| ") or line.startswith("| name |"):
+                continue
+            for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                name = token.split("(")[0].strip()
+                if not _api_name_resolves(name, package):
+                    stale.append(f"{package}: {name}")
+        assert not stale, f"docs/api.md names nothing defines: {stale}"
+
     def test_architecture_diagram_names_observability(self):
         text = (REPO / "docs" / "architecture.md").read_text()
         assert "repro.observability" in text
+
+
+def _api_name_resolves(name: str, package: str | None) -> bool:
+    if name.startswith("repro."):
+        module, _, attr = name.rpartition(".")
+        try:  # an attribute of its module, or itself a module
+            return (hasattr(importlib.import_module(module), attr)
+                    or bool(importlib.import_module(name)))
+        except ImportError:
+            return False
+    if package is None:
+        return False
+    root = importlib.import_module(package)
+    modules = [root] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(getattr(root, "__path__", []),
+                                          prefix=f"{package}.")
+    ]
+    return any(hasattr(module, name) for module in modules)

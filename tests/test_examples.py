@@ -1,9 +1,9 @@
 """Smoke tests: the shipped examples must run end to end.
 
 Each example is executed in-process (``runpy``) so regressions in the
-public API surface break the suite, not just the README.  Only the
-quicker examples run here; the scale-heavy ones are exercised through
-the benchmarks.
+public API surface break the suite, not just the README.  Every shipped
+example runs here, and each test asserts the example's headline line;
+``test_every_example_has_a_smoke_test`` keeps it that way.
 """
 
 import runpy
@@ -53,6 +53,33 @@ class TestExamples:
         assert "65,536" in out
         assert "events/s" in out
         assert "events/sec attribution intact at every scale: YES" in out
+
+    def test_coupled_visualization(self, capsys):
+        out = run_example("coupled_visualization.py", capsys)
+        assert "space holds 0 bytes (all consumed)" in out
+
+    def test_crosslayer_objectives(self, capsys):
+        out = run_example("crosslayer_objectives.py", capsys)
+        assert "middleware layer: placements" in out
+
+    def test_entropy_downsampling(self, capsys):
+        out = run_example("entropy_downsampling.py", capsys)
+        assert "entropy-guided reduction keeps" in out
+
+    def test_fault_scenarios(self, capsys):
+        out = run_example("fault_scenarios.py", capsys)
+        assert "inject staging.core_restore" in out
+
+    def test_resource_autoscaling(self, capsys):
+        out = run_example("resource_autoscaling.py", capsys)
+        assert "utilization efficiency" in out
+
+    def test_every_example_has_a_smoke_test(self):
+        tested = {name[len("test_"):] for name in dir(self)
+                  if name.startswith("test_")}
+        missing = [script.stem for script in sorted(EXAMPLES.glob("*.py"))
+                   if script.stem not in tested]
+        assert not missing, f"examples without a smoke test: {missing}"
 
     def test_all_examples_exist_and_have_docstrings(self):
         scripts = sorted(EXAMPLES.glob("*.py"))

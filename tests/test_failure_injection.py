@@ -7,6 +7,8 @@ subsystem — and assert its recovery policies: bounded retry, graceful
 in-situ degradation, and loud failure when recovery is impossible.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.errors import ResourceError, SimulationError, StagingError, WorkflowE
 from repro.faults import CoreLoss, CoreRestore, FaultInjector, FaultPlan, ObjectDrop
 from repro.hpc.event import Interrupt, Simulator
 from repro.hpc.network import Network
-from repro.hpc.resources import Resource
+from repro.hpc.resources import Store
+from repro.hpc.systems import titan
 from repro.staging.area import StagingArea
 from repro.staging.messaging import RetryPolicy
 
@@ -33,31 +36,30 @@ def faulted_area(plan, total_cores=4, retry_policy=None):
 
 
 class TestInterruptedWaiters:
-    def test_interrupted_resource_waiter_does_not_block_queue(self):
-        """A process interrupted while queued must not wedge the FCFS queue."""
+    def test_interrupted_store_getter_does_not_eat_item(self):
+        """A getter interrupted while queued must not consume the next item;
+        the getter queued behind it receives it."""
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        store = Store(sim)
         served = []
-
-        def holder(sim):
-            yield res.request(1)
-            yield sim.timeout(10.0)
-            res.release(1)
 
         def doomed(sim):
             try:
-                yield res.request(1)
+                yield store.get()
             except Interrupt:
                 return "interrupted"
 
         def patient(sim):
-            yield res.request(1)
-            served.append(sim.now)
-            res.release(1)
+            item = yield store.get()
+            served.append((sim.now, item))
 
-        sim.process(holder(sim))
+        def producer(sim):
+            yield sim.timeout(5.0)
+            store.put("payload")
+
         victim = sim.process(doomed(sim))
         sim.process(patient(sim))
+        sim.process(producer(sim))
 
         def assassin(sim):
             yield sim.timeout(1.0)
@@ -66,7 +68,8 @@ class TestInterruptedWaiters:
         sim.process(assassin(sim))
         sim.run()
         assert victim.value == "interrupted"
-        assert served == [10.0]
+        assert served == [(5.0, "payload")]
+        assert len(store) == 0
 
     def test_interrupting_transfer_waiter_leaves_network_consistent(self):
         sim = Simulator()
@@ -179,21 +182,6 @@ class TestKernelFaultBarriers:
             sim.run()
         assert sim.now == 5.0  # aborted exactly at the fault
 
-    def test_release_after_resize_down_is_safe(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=8)
-
-        def proc(sim):
-            yield res.request(6)
-            res.resize(2)
-            yield sim.timeout(1.0)
-            res.release(6)
-            return res.available
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert p.value == 2
-
     def test_scheduling_in_the_past_rejected(self):
         sim = Simulator()
 
@@ -205,14 +193,14 @@ class TestKernelFaultBarriers:
         with pytest.raises(SimulationError):
             sim._schedule_at(1.0, lambda: None)
 
-    def test_machine_rejects_invalid_compute(self):
-        from repro.hpc.machine import Machine
-
-        sim = Simulator()
-        m = Machine(sim, node_count=2, cores_per_node=4,
-                    memory_per_node=2**30, core_rate=1e4)
-        with pytest.raises(ResourceError):
-            m.compute_time(1e6, cores=0)
+    @pytest.mark.parametrize("field", [
+        "cores_per_node", "memory_per_node", "core_rate",
+        "node_injection_bw", "pfs_write_bandwidth", "pfs_read_bandwidth",
+    ])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_system_spec_rejects_nonpositive_shape(self, field, value):
+        with pytest.raises(ResourceError, match=field):
+            dataclasses.replace(titan(), **{field: value})
 
 
 class TestPlannedCoreLoss:
