@@ -28,7 +28,7 @@ from repro.core.actions import (
 )
 from repro.core.mechanisms import Layer
 from repro.core.policies.application import ApplicationLayerPolicy
-from repro.core.policies.crosslayer import CrossLayerPolicy
+from repro.core.policies.crosslayer import standard_plan
 from repro.core.policies.middleware import MiddlewarePolicy
 from repro.core.policies.resource import ResourcePolicy
 from repro.core.preferences import UserHints, UserPreferences
@@ -105,9 +105,8 @@ class AdaptationEngine:
             hybrid=hybrid_placement, objective=self.preferences.objective
         )
         self.resource = ResourcePolicy()
-        self.crosslayer = CrossLayerPolicy()
         if layers is None:
-            self.plan = self.crosslayer.plan_layers(self.preferences.objective)
+            self.plan = list(standard_plan(self.preferences.objective))
             self.mode = "global"
         else:
             if not layers:

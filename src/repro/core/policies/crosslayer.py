@@ -20,13 +20,15 @@ worked examples in the paper.
 
 from __future__ import annotations
 
+import functools
+
 import networkx as nx
 
 from repro.core.mechanisms import Layer, Mechanism, standard_mechanisms
 from repro.core.preferences import Objective
 from repro.errors import PolicyError
 
-__all__ = ["CrossLayerPolicy"]
+__all__ = ["CrossLayerPolicy", "standard_plan"]
 
 
 class CrossLayerPolicy:
@@ -86,3 +88,14 @@ class CrossLayerPolicy:
     def plan_layers(self, objective: Objective) -> list[Layer]:
         """Convenience: the execution plan as layer names."""
         return [m.layer for m in self.execution_plan(objective)]
+
+
+@functools.cache
+def standard_plan(objective: Objective) -> tuple[Layer, ...]:
+    """The standard mechanisms' plan for ``objective``, computed once.
+
+    The mechanism graph and the objective fully determine the plan, so
+    every engine shares one result per objective instead of rebuilding
+    the digraph per workflow.
+    """
+    return tuple(CrossLayerPolicy().plan_layers(objective))

@@ -71,7 +71,7 @@ def _calibrated_profile(steps: int) -> tuple[MemoryProfile, np.ndarray]:
                                         usage_scale=usage_scale)
     # Per-rank output data: proportional to the rank's footprint share.
     out_raw = np.array([
-        rec.data_bytes * rec.rank_bytes.max() / rec.rank_bytes.sum()
+        rec.data_bytes * rec.peak_rank_bytes / rec.total_rank_bytes
         for rec in trace
     ])
     # Calibrate the output size so the high-resolution (factor-2) reduce

@@ -11,13 +11,14 @@ callbacks and failure propagation.
 The design follows the classic event-list pattern (and will feel familiar
 to SimPy users) but is intentionally small and fully deterministic:
 
-- :class:`Simulator` schedules typed event records on the kernel and
-  drains them one at a time.  **Tie-breaking contract:** events at the
-  same timestamp fire in submission order -- the kernel orders records
-  by ``(time, seq)`` with a monotonically increasing ``seq``, so a run
-  is a pure function of its inputs.  The property suite checks dispatch
-  order against a sort computed in the test, and a pinned digest guards
-  a whole workflow trace byte-for-byte.
+- :class:`Simulator` schedules typed ``(time, seq, kind, func, args)``
+  records on the kernel and drains them one at a time.
+  **Tie-breaking contract:** events at the same timestamp fire in
+  submission order -- the kernel orders records by ``(time, seq)`` with
+  a monotonically increasing ``seq``, so a run is a pure function of its
+  inputs.  The property suite checks dispatch order against a sort
+  computed in the test, and a pinned digest guards a whole workflow
+  trace byte-for-byte.
 - :class:`Process` wraps a Python generator.  The generator *yields*
   waitables (:class:`Timeout`, :class:`Event`, another :class:`Process`,
   :class:`AllOf`, :class:`AnyOf`) and is resumed when the waitable fires.
@@ -33,6 +34,8 @@ the kernel.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
@@ -77,9 +80,13 @@ class Event:
     event is scheduled immediately.
     """
 
+    #: Unnamed events read this class default (see :class:`Timeout`).
+    name = ""
+
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
-        self.name = name
+        if name:
+            self.name = name
         self._value: Any = _PENDING
         self._exception: BaseException | None = None
         self._callbacks: list[Callable[["Event"], None]] = []
@@ -127,7 +134,7 @@ class Event:
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)`` to run when the event triggers."""
         if self.triggered:
-            self.sim._schedule_call(lambda: callback(self))
+            self.sim._schedule_at(self.sim.now, callback, self)
         else:
             self._callbacks.append(callback)
 
@@ -141,16 +148,21 @@ class Timeout(Event):
 
     ``kind`` tags the scheduled record for the kernel's per-kind
     counters; domain components pass ``"compute"``/``"staging"`` so
-    event traffic is attributable per layer.
+    event traffic is attributable per layer.  The ``timeout(<delay>)``
+    name is built only when a message or repr reads it.
     """
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  kind: int | str = _TIMER):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"timeout({delay:g})")
+        super().__init__(sim)
         self.delay = float(delay)
         sim._schedule_at(sim.now + self.delay, self._fire, value, kind=kind)
+
+    @property
+    def name(self) -> str:
+        return f"timeout({self.delay:g})"
 
     def _fire(self, value: Any) -> None:
         if not self.triggered:
@@ -171,7 +183,7 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Event | None = None
-        sim._schedule_call(lambda: self._resume(None, None))
+        sim._schedule_at(sim.now, self._resume, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -191,7 +203,7 @@ class Process(Event):
             if not waited._callbacks:
                 waited.abandoned = True
         self._waiting_on = None
-        self.sim._schedule_call(lambda: self._resume(None, Interrupt(cause)))
+        self.sim._schedule_at(self.sim.now, self._resume, None, Interrupt(cause))
 
     def _detach(self, event: Event) -> None:
         event._callbacks = [cb for cb in event._callbacks if getattr(cb, "__self__", None) is not self]
@@ -254,7 +266,7 @@ class AllOf(Event):
         self._events = list(events)
         self._remaining = len(self._events)
         if self._remaining == 0:
-            sim._schedule_call(lambda: self.succeed([]))
+            sim._schedule_at(sim.now, self.succeed, [])
         else:
             for event in self._events:
                 event.add_callback(self._on_child)
@@ -294,11 +306,10 @@ class Simulator:
     """The generator-process adapter over :class:`~repro.hpc.kernel.EventKernel`.
 
     Owns no clock and no heap of its own: scheduling pushes typed
-    ``(time, seq, kind, payload)`` records onto the kernel and the run
-    loop drains them one at a time through
-    :meth:`~repro.hpc.kernel.EventKernel.dispatch_next`, preserving the
-    pre-kernel semantics bit-for-bit (per-event orphan-failure barrier
-    included).  Payloads on this path are ``(func, args)`` pairs.
+    ``(time, seq, kind, func, args)`` records onto the kernel, and
+    :meth:`run` -- the only drain loop -- pops them one at a time, sets
+    the kernel clock, counts the record's kind and calls ``func(*args)``,
+    checking the orphan-failure barrier after every event.
 
     Typical use::
 
@@ -321,8 +332,6 @@ class Simulator:
     def __init__(self, faults: Any = None,
                  observer: Observer = NULL_OBSERVER, rng: Any = None):
         self.kernel = EventKernel(rng=rng)
-        for name in ("control", "timer", "compute", "transfer", "staging"):
-            self.kernel.on(name, self._call_payload)
         self._unhandled: list[tuple[Process, BaseException]] = []
         # Optional fault injector (repro.faults.FaultInjector); duck-typed
         # so the kernel stays free of upward imports.
@@ -369,10 +378,6 @@ class Simulator:
 
     # -- scheduling internals --------------------------------------------
 
-    def _call_payload(self, payload: tuple[Callable, tuple]) -> None:
-        func, args = payload
-        func(*args)
-
     def _schedule_at(self, when: float, func: Callable, *args: Any,
                      kind: int | str = _CONTROL) -> None:
         """Schedule ``func(*args)`` at simulated time ``when``.
@@ -381,15 +386,16 @@ class Simulator:
         kernel's ``seq`` tie-break); scheduling in the past raises.
         """
         code = kind if type(kind) is int else event_kind_code(kind)
-        self.kernel.schedule(when, code, (func, args))
-
-    def _schedule_call(self, func: Callable[[], None]) -> None:
-        self.kernel.schedule(self.kernel.now, _CONTROL, (func, ()))
+        self.kernel.schedule(when, code, func, args)
 
     def _queue_callbacks(self, event: Event) -> None:
+        """Schedule each of ``event``'s callbacks as its own ``control``
+        event at the current time, in registration order."""
         callbacks, event._callbacks = event._callbacks, []
+        kernel = self.kernel
+        args = (event,)
         for callback in callbacks:
-            self._schedule_call(lambda cb=callback: cb(event))
+            kernel.schedule(kernel.now, _CONTROL, callback, args)
 
     def _note_process_failure(self, process: Process, error: BaseException) -> None:
         self._unhandled.append((process, error))
@@ -410,25 +416,29 @@ class Simulator:
         """
         with self._run_span:
             stop_event: Event | None = None
-            horizon: float | None = None
-            engine = self.kernel
+            horizon = math.inf
+            kernel = self.kernel
             if isinstance(until, Event):
                 stop_event = until
             elif until is not None:
                 horizon = float(until)
-                if horizon < engine.now:
-                    raise SimulationError(f"run(until={horizon}) is in the past (now={engine.now})")
+                if horizon < kernel.now:
+                    raise SimulationError(f"run(until={horizon}) is in the past (now={kernel.now})")
 
-            heap = engine.heap
-            dispatch_next = engine.dispatch_next
+            heap = kernel.heap
+            heappop = heapq.heappop
+            processed = kernel.counters.processed
             unhandled = self._unhandled
             while heap:
                 if stop_event is not None and stop_event.triggered:
                     break
-                if horizon is not None and heap[0][0] > horizon:
-                    engine.now = horizon
+                if heap[0][0] > horizon:
+                    kernel.now = horizon
                     break
-                dispatch_next()
+                when, _seq, kind, func, args = heappop(heap)
+                kernel.now = when
+                processed[kind] += 1
+                func(*args)
                 if unhandled:
                     self._raise_orphan_failures()
 

@@ -5,14 +5,15 @@ This module is the *engine layer* of the stack documented in
 workflows, staging or policies.  It owns exactly four things:
 
 - **Typed event records.**  Every scheduled occurrence is a
-  ``(time, seq, kind, payload)`` tuple.  ``kind`` is a small integer
+  ``(time, seq, kind, func, args)`` tuple.  ``kind`` is a small integer
   code drawn from the :data:`KERNEL_EVENT_KINDS` registry (``control``,
   ``timer``, ``compute``, ``transfer``, ``staging``, ...), so the engine
-  can count and route events without inspecting payloads.
+  can count events without inspecting them; ``func(*args)`` is what the
+  event does when it fires.
 - **One heapq heap**: :class:`EventKernel` keeps the records in a plain
   list ordered by :mod:`heapq`.  ``seq`` increases monotonically with
-  submission and is unique, so tuple comparison never reaches ``kind``
-  or ``payload`` and same-timestamp events pop in submission order.
+  submission and is unique, so tuple comparison never reaches ``kind``,
+  ``func`` or ``args`` and same-timestamp events pop in submission order.
 - **First-class cheap counters** (:class:`KernelCounters`): per-kind
   scheduled/processed tallies plus named counters, each a plain integer
   increment -- always on, no observability hook required.
@@ -175,11 +176,14 @@ class KernelCounters:
 
 
 class EventKernel:
-    """The pure engine: clock + heapq heap + handlers + counters + RNG.
+    """The pure engine: clock + heapq heap + counters + RNG.
 
-    ``heap`` is a plain list of ``(time, seq, kind, payload)`` tuples
-    kept in :mod:`heapq` order.  The payload rides in the tuple; ``seq``
-    is unique, so comparison stops at ``(time, seq)``.
+    ``heap`` is a plain list of ``(time, seq, kind, func, args)`` tuples
+    kept in :mod:`heapq` order; ``seq`` is unique, so comparison stops
+    at ``(time, seq)``.  The kernel has no drain loop:
+    :meth:`repro.hpc.event.Simulator.run` pops each record, sets
+    :attr:`now`, counts it in ``counters.processed`` and calls
+    ``func(*args)``.
 
     Parameters
     ----------
@@ -191,7 +195,7 @@ class EventKernel:
 
     def __init__(self, rng: Any = None):
         self.now = 0.0
-        self.heap: list[tuple[float, int, int, Any]] = []
+        self.heap: list[tuple[float, int, int, Callable, tuple]] = []
         self._next_seq = 0
         self.counters = KernelCounters()
         self.rng = (
@@ -199,69 +203,35 @@ class EventKernel:
             if isinstance(rng, np.random.Generator)
             else np.random.default_rng(rng)
         )
-        # kind code -> handler(payload) or None.
-        self._handlers: list[Callable | None] = [None] * len(_KIND_NAMES)
 
     def __len__(self) -> int:
         return len(self.heap)
 
-    def on(self, kind: int | str, handler: Callable) -> None:
-        """Register ``handler`` for an event kind; it is called once per
-        event as ``handler(payload)``."""
-        code = kind if isinstance(kind, int) else event_kind_code(kind)
-        if not (0 <= code < len(_KIND_NAMES)):
-            raise SimulationError(f"unknown event kind code {code}")
-        while len(self._handlers) <= code:
-            self._handlers.append(None)
-        self._handlers[code] = handler
+    def schedule(self, when: float, kind: int, func: Callable,
+                 args: tuple = ()) -> int:
+        """Schedule ``func(*args)`` at ``when``; returns its sequence number.
 
-    def schedule(self, when: float, kind: int, payload: Any = None) -> int:
-        """Schedule one event; returns its sequence number.
-
-        ``kind`` must be an integer code (resolve names once with
-        :func:`event_kind_code`; this is the per-event hot path).
+        ``kind`` must be a registered integer code (resolve names once
+        with :func:`event_kind_code`; this is the per-event hot path).
         """
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule in the past ({when} < {self.now})"
             )
-        counters = self.counters
+        scheduled = self.counters.scheduled
         try:
-            counters.scheduled[kind] += 1
+            scheduled[kind] += 1
         except IndexError:
-            counters._ensure(kind)
-            counters.scheduled[kind] += 1
+            if kind >= len(_KIND_NAMES):
+                raise SimulationError(f"unknown event kind code {kind}") from None
+            # A kind registered after this kernel was built.
+            self.counters._ensure(kind)
+            scheduled[kind] += 1
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self.heap, (float(when), seq, kind, payload))
+        heapq.heappush(self.heap, (float(when), seq, kind, func, args))
         return seq
 
     def peek(self) -> float:
         """Time of the next event, ``inf`` when the heap is empty."""
         return self.heap[0][0] if self.heap else math.inf
-
-    def dispatch_next(self) -> None:
-        """Pop and dispatch exactly one event.
-
-        Advances the clock to the event's time, counts it, and calls the
-        kind's handler as ``handler(payload)``; callers may interleave
-        per-event work (the simulator's orphan-failure barrier) between
-        dispatches.
-        """
-        if not self.heap:
-            raise SimulationError("dispatch from an empty event heap")
-        when, _seq, code, payload = heapq.heappop(self.heap)
-        self.now = when
-        counters = self.counters
-        try:
-            counters.processed[code] += 1
-        except IndexError:
-            counters._ensure(code)
-            counters.processed[code] += 1
-        handler = self._handlers[code] if code < len(self._handlers) else None
-        if handler is None:
-            raise SimulationError(
-                f"no handler registered for event kind "
-                f"{event_kind_name(code)!r}"
-            )
-        handler(payload)

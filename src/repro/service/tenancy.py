@@ -267,7 +267,6 @@ class WorkflowService:
         self.observer = Observer(tracer=tracer, metrics=metrics,
                                  profiler=profiler)
         self.sim = Simulator(observer=self.observer)
-        self.sim.kernel.on(TENANT_KIND, self.sim._call_payload)
         self.network = build_workflow_network(
             self.sim, self.spec, sim_cores, staging_cores
         )

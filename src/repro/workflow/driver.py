@@ -361,7 +361,7 @@ class CoupledWorkflow:
             analysis_work = (
                 record.cells * cfg.analysis_cost_per_cell * record.analysis_intensity
             )
-            peak_share = float(record.rank_bytes.max() / record.rank_bytes.sum())
+            peak_share = record.peak_rank_bytes / record.total_rank_bytes
             rank_out_bytes = record.data_bytes * peak_share
             rank_available = max(
                 0.0, self.rank_memory_capacity - record.peak_rank_bytes

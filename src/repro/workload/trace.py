@@ -31,6 +31,13 @@ class StepRecord:
     # cost tracks feature (shock surface) complexity, which varies
     # independently of the cell count; 1.0 = nominal.
     analysis_intensity: float = 1.0
+    # Reductions of rank_bytes, computed once in __post_init__: the
+    # driver reads them every step of every run that replays the record.
+    # Largest per-rank footprint (Figure 1's y-axis), the footprints'
+    # sum, and max/mean (1.0 when the mean is zero).
+    peak_rank_bytes: float = field(init=False, repr=False, compare=False)
+    total_rank_bytes: float = field(init=False, repr=False, compare=False)
+    imbalance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sim_work < 0 or self.cells < 0 or self.data_bytes < 0:
@@ -40,17 +47,11 @@ class StepRecord:
         self.rank_bytes = np.asarray(self.rank_bytes, dtype=np.float64)
         if self.rank_bytes.ndim != 1 or self.rank_bytes.size == 0:
             raise TraceError(f"rank_bytes must be a non-empty 1-D array (step {self.step})")
-
-    @property
-    def peak_rank_bytes(self) -> float:
-        """Largest per-rank footprint (Figure 1's y-axis)."""
-        return float(self.rank_bytes.max())
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean per-rank footprint."""
-        mean = self.rank_bytes.mean()
-        return float(self.rank_bytes.max() / mean) if mean > 0 else 1.0
+        self.peak_rank_bytes = float(self.rank_bytes.max())
+        self.total_rank_bytes = float(self.rank_bytes.sum())
+        # ndarray.mean() is this same sum divided by the size.
+        mean = self.total_rank_bytes / self.rank_bytes.size
+        self.imbalance = self.peak_rank_bytes / mean if mean > 0 else 1.0
 
 
 @dataclass

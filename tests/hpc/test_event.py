@@ -92,6 +92,16 @@ class TestClockAndTimeout:
     def test_peek_empty_is_inf(self, sim):
         assert sim.peek() == float("inf")
 
+    def test_timeout_name_in_messages_and_repr(self, sim):
+        # The name is built on demand; what reads it is unchanged.
+        timeout = sim.timeout(1.5)
+        assert timeout.name == "timeout(1.5)"
+        assert repr(timeout) == "<Timeout 'timeout(1.5)' pending>"
+        sim.run()
+        with pytest.raises(SimulationError, match=r"'timeout\(1\.5\)' already triggered"):
+            timeout.succeed()
+        assert repr(timeout) == "<Timeout 'timeout(1.5)' triggered>"
+
 
 class TestDeterminism:
     def test_same_time_events_fire_in_creation_order(self, sim):

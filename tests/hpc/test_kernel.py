@@ -1,11 +1,15 @@
 """Unit + property tests for the typed event kernel.
 
-Covers the engine pieces (kind registry, the kernel's heapq heap,
-counters, handlers, injected RNG) plus the adapter guarantees: random
-event soups dispatch in exactly the order a sort by ``(time, submission
-index)`` computed in the test predicts, seeded RNG injection is
-reproducible, empty-heap and interrupt edge cases behave, and a pinned
-digest guards a whole workflow trace byte-for-byte.
+Covers the engine pieces (kind registry, the kernel's heapq heap of
+``(time, seq, kind, func, args)`` records, counters, injected RNG) plus
+the adapter guarantees: random event soups dispatch in exactly the order
+a sort by ``(time, submission index)`` computed in the test predicts,
+seeded RNG injection is reproducible, empty-heap and interrupt edge
+cases behave, a pinned digest guards a whole workflow trace
+byte-for-byte, and pinned per-kind counters guard its event traffic.
+
+The kernel has no drain loop of its own: every test that dispatches
+records drains them through ``Simulator.run``.
 """
 
 import hashlib
@@ -15,6 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+# Registers the ``tenant`` kind, so every kernel built below counts it
+# and the pinned counter dicts have one shape however the suite is run.
+import repro.service  # noqa: F401
 from repro.errors import SimulationError
 from repro.hpc.event import Interrupt, Simulator
 from repro.hpc.kernel import (
@@ -29,18 +36,28 @@ from repro.hpc.network import Network
 TIMER = event_kind_code("timer")
 
 
-def _drain(engine: EventKernel) -> None:
-    while len(engine):
-        engine.dispatch_next()
+def _recording_sim() -> tuple[Simulator, EventKernel, list]:
+    """A simulator, its kernel, and a log the scheduled records append to.
+
+    Records scheduled with :func:`_schedule` append ``(now, payload)``
+    to the log when they fire.
+    """
+    sim = Simulator()
+    return sim, sim.kernel, []
 
 
-def _recording_kernel() -> tuple[EventKernel, list]:
-    """A kernel whose every built-in kind appends its payload to a log."""
-    seen: list = []
-    kernel = EventKernel()
-    for name in ("control", "timer", "compute", "transfer", "staging"):
-        kernel.on(name, seen.append)
-    return kernel, seen
+def _schedule(kernel: EventKernel, seen: list, when: float, kind: int,
+              payload) -> int:
+    return kernel.schedule(
+        when, kind, lambda p: seen.append((kernel.now, p)), (payload,))
+
+
+def _noop(*_args) -> None:
+    pass
+
+
+def _payloads(seen: list) -> list:
+    return [payload for _now, payload in seen]
 
 
 class TestEventKindRegistry:
@@ -87,61 +104,65 @@ def _same(seen: list, expected: list) -> bool:
 
 class TestEventHeap:
     def test_empty_heap_peeks_inf(self, make_payload):
-        kernel, _seen = _recording_kernel()
+        sim, kernel, seen = _recording_sim()
         assert len(kernel) == 0
         assert kernel.peek() == float("inf")
-        kernel.schedule(1.0, TIMER, make_payload(0))
-        _drain(kernel)
+        _schedule(kernel, seen, 1.0, TIMER, make_payload(0))
+        sim.run()
+        assert len(seen) == 1
         assert len(kernel) == 0
         assert kernel.peek() == float("inf")
 
     def test_pop_empty_raises(self, make_payload):
-        engine, _seen = _recording_kernel()
-        with pytest.raises(SimulationError, match="empty"):
-            engine.dispatch_next()
-        engine.schedule(1.0, TIMER, make_payload(0))
-        engine.dispatch_next()
-        with pytest.raises(SimulationError, match="empty"):
-            engine.dispatch_next()
+        # Draining an empty heap towards an event that never fires is
+        # an error, before and after the heap held a record.
+        sim, kernel, seen = _recording_sim()
+        with pytest.raises(SimulationError, match="drained"):
+            sim.run(sim.event("never"))
+        _schedule(kernel, seen, 1.0, TIMER, make_payload(0))
+        sim.run()
+        assert len(seen) == 1
+        with pytest.raises(SimulationError, match="drained"):
+            sim.run(sim.event("never"))
 
     def test_pops_in_time_order(self, make_payload):
-        engine, seen = _recording_kernel()
+        sim, kernel, seen = _recording_sim()
         payloads = {t: make_payload(int(t)) for t in [5.0, 1.0, 3.0, 2.0, 4.0]}
         for t, payload in payloads.items():
-            engine.schedule(t, TIMER, payload)
-        times = []
-        while len(engine):
-            engine.dispatch_next()
-            times.append(engine.now)
+            _schedule(kernel, seen, t, TIMER, payload)
+        sim.run()
+        times = [now for now, _payload in seen]
         assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert _same(seen, [payloads[t] for t in times])
+        assert _same(_payloads(seen), [payloads[t] for t in times])
 
     def test_ties_pop_in_submission_order(self, make_payload):
         # The documented Simulator.schedule tie-breaking contract: seq
         # preserves submission order at equal timestamps, across kinds.
-        kernel, seen = _recording_kernel()
+        sim, kernel, seen = _recording_sim()
         payloads = [make_payload(i) for i in range(10)]
         for i, payload in enumerate(payloads):
-            kernel.schedule(7.0, i % 5, payload)
-        _drain(kernel)
-        assert _same(seen, payloads)
+            _schedule(kernel, seen, 7.0, i % 5, payload)
+        sim.run()
+        assert _same(_payloads(seen), payloads)
 
     def test_seq_monotonic_across_mixed_pushes(self, make_payload):
         kernel = EventKernel()
-        s1 = kernel.schedule(2.0, 0, make_payload(1))
-        s2 = kernel.schedule(1.0, 1, make_payload(2))
-        s3 = kernel.schedule(2.0, 2, make_payload(3))
+        s1 = kernel.schedule(2.0, 0, _noop, (make_payload(1),))
+        s2 = kernel.schedule(1.0, 1, _noop, (make_payload(2),))
+        s3 = kernel.schedule(2.0, 2, _noop, (make_payload(3),))
         assert s1 < s2 < s3
 
     def test_payloads_are_never_compared(self):
-        # Equal times and uncomparable payloads: the unique seq settles
-        # every comparison before the tuple reaches the payload.
-        kernel, seen = _recording_kernel()
+        # Equal times, distinct funcs and uncomparable args: the unique
+        # seq settles every comparison before the tuple reaches the
+        # record's func or args.
+        sim, kernel, _seen = _recording_sim()
+        calls = []
         a, b = object(), {"x": 1}
-        kernel.schedule(1.0, TIMER, a)
-        kernel.schedule(1.0, TIMER, b)
-        _drain(kernel)
-        assert seen == [a, b]
+        kernel.schedule(1.0, TIMER, calls.append, (a,))
+        kernel.schedule(1.0, TIMER, lambda p: calls.append(p), (b,))
+        sim.run()
+        assert calls == [a, b]
 
 
 class TestHeapEquivalence:
@@ -152,13 +173,13 @@ class TestHeapEquivalence:
     @given(st.lists(st.tuples(st.floats(0.0, 20.0), st.integers(0, 4)),
                     min_size=1, max_size=80))
     def test_random_soups_pop_identically(self, records):
-        kernel, seen = _recording_kernel()
+        sim, kernel, seen = _recording_sim()
         for index, (t, kind) in enumerate(records):
-            kernel.schedule(t, kind, index)
-        _drain(kernel)
+            _schedule(kernel, seen, t, kind, index)
+        sim.run()
         expected = sorted(range(len(records)),
                           key=lambda i: (records[i][0], i))
-        assert seen == expected
+        assert _payloads(seen) == expected
         assert kernel.now == max(t for t, _ in records)
 
     @settings(deadline=None, max_examples=40)
@@ -166,26 +187,31 @@ class TestHeapEquivalence:
                     min_size=1, max_size=60),
            st.integers(0, 2**32 - 1))
     def test_interleaved_push_pop_identical(self, ops, seed):
+        # A "pop" runs the simulator up to the earliest pending time:
+        # exactly the records at that time fire, in submission order.
         rng = np.random.default_rng(seed)
-        engine, seen = _recording_kernel()
+        sim, kernel, seen = _recording_sim()
         pending: list[tuple[float, int]] = []
         expected = []
         index = 0
         for t, do_pop in ops:
             if do_pop and pending:
-                nxt = min(pending)
-                pending.remove(nxt)
-                expected.append(nxt[1])
-                engine.dispatch_next()
-                assert engine.now == nxt[0]
+                nxt = min(pending)[0]
+                due = sorted(rec for rec in pending if rec[0] == nxt)
+                for rec in due:
+                    pending.remove(rec)
+                expected.extend(i for _, i in due)
+                sim.run(until=nxt)
+                assert kernel.now == nxt
+                assert _payloads(seen) == expected
             else:
-                when = engine.now + t + float(rng.uniform(0.0, 5.0))
-                engine.schedule(when, index % 5, index)
+                when = kernel.now + t + float(rng.uniform(0.0, 5.0))
+                _schedule(kernel, seen, when, index % 5, index)
                 pending.append((when, index))
                 index += 1
         expected.extend(i for _, i in sorted(pending))
-        _drain(engine)
-        assert seen == expected
+        sim.run()
+        assert _payloads(seen) == expected
 
 
 class TestKernelCounters:
@@ -203,26 +229,26 @@ class TestKernelCounters:
         assert c.named == {"ranks": 100, "checkpoints": 1}
 
     def test_kernel_tallies_by_kind(self):
-        kernel, _seen = _recording_kernel()
-        kernel.schedule(1.0, TIMER, None)
+        sim, kernel, seen = _recording_sim()
+        _schedule(kernel, seen, 1.0, TIMER, None)
         for payload in (1, 2, 3):
-            kernel.schedule(2.0, event_kind_code("compute"), payload)
+            _schedule(kernel, seen, 2.0, event_kind_code("compute"), payload)
         assert kernel.counters.scheduled_by_kind()["timer"] == 1
         assert kernel.counters.scheduled_by_kind()["compute"] == 3
         assert kernel.counters.total_processed == 0
-        _drain(kernel)
+        sim.run()
         assert kernel.counters.processed_by_kind()["compute"] == 3
         assert kernel.counters.total_processed == 4
 
 
 class TestEventKernel:
     def test_schedule_in_past_raises(self):
-        kernel, _seen = _recording_kernel()
-        kernel.schedule(5.0, TIMER, None)
-        _drain(kernel)
+        sim, kernel, seen = _recording_sim()
+        _schedule(kernel, seen, 5.0, TIMER, None)
+        sim.run()
         assert kernel.now == 5.0
         with pytest.raises(SimulationError, match="in the past"):
-            kernel.schedule(1.0, TIMER, None)
+            _schedule(kernel, seen, 1.0, TIMER, None)
 
     def test_run_until_past_raises(self):
         # Simulator.run is the kernel's drain loop: a horizon behind the
@@ -239,39 +265,40 @@ class TestEventKernel:
         assert kernel.peek() == 8.0
         assert kernel.counters.total_processed == processed
 
-    def test_missing_handler_raises(self):
-        engine = EventKernel()
-        engine.schedule(1.0, TIMER, None)
-        with pytest.raises(SimulationError, match="no handler"):
-            engine.dispatch_next()
-
-    def test_handlers_are_routed_by_kind(self):
-        calls = []
+    def test_unknown_kind_raises_at_schedule(self):
+        # An unregistered code fails where it is scheduled, naming the
+        # code, and leaves neither a record nor a tally behind.
         kernel = EventKernel()
-        kernel.on("timer", lambda p: calls.append(("timer", p)))
-        kernel.on(event_kind_code("staging"), lambda p: calls.append(("staging", p)))
-        kernel.schedule(1.0, event_kind_code("staging"), "s")
-        kernel.schedule(1.0, TIMER, "t")
-        _drain(kernel)
+        before = kernel.counters.as_dict()
+        with pytest.raises(SimulationError, match="unknown event kind code 99"):
+            kernel.schedule(1.0, 99, _noop)
+        assert len(kernel) == 0
+        assert kernel.counters.as_dict() == before
+
+    def test_records_run_their_func_and_count_their_kind(self):
+        calls = []
+        sim = Simulator()
+        kernel = sim.kernel
+        kernel.schedule(1.0, event_kind_code("staging"),
+                        lambda p: calls.append(("staging", p)), ("s",))
+        kernel.schedule(1.0, TIMER, lambda p: calls.append(("timer", p)), ("t",))
+        sim.run()
         assert calls == [("staging", "s"), ("timer", "t")]
+        processed = kernel.counters.processed_by_kind()
+        assert processed["staging"] == processed["timer"] == 1
+        assert kernel.counters.total_processed == 2
 
     def test_injected_rng_is_reproducible(self):
-        draws = []
-
-        def sampler(kernel):
-            def handler(payload):
-                draws.append(float(kernel.rng.uniform()))
-            return handler
-
         results = []
         for _ in range(2):
-            draws.clear()
-            kernel = EventKernel(rng=1234)
-            kernel.on("timer", sampler(kernel))
+            draws = []
+            sim = Simulator(rng=1234)
+            kernel = sim.kernel
             for t in (1.0, 2.0, 3.0):
-                kernel.schedule(t, TIMER, None)
-            _drain(kernel)
-            results.append(list(draws))
+                kernel.schedule(
+                    t, TIMER, lambda: draws.append(float(kernel.rng.uniform())))
+            sim.run()
+            results.append(draws)
         assert results[0] == results[1]
         assert len(results[0]) == 3
 
@@ -351,6 +378,59 @@ class TestSimulatorTieBreakRegression:
                 == self.GOLDEN_TRACE_SHA256)
         assert (hashlib.sha256(result_to_json(result).encode()).hexdigest()
                 == self.GOLDEN_RESULT_SHA256)
+
+
+def _tallies(scheduled: dict[str, int]) -> dict:
+    """``as_dict()`` of a drained kernel: every scheduled event processed."""
+    return {"scheduled": scheduled, "processed": dict(scheduled), "named": {}}
+
+
+class TestPinnedEventCounts:
+    """Per-kind kernel tallies of whole runs, captured before records
+    carried their callable.  Each callback of a fired event is still one
+    ``control`` event; a change to what is scheduled under which kind, or
+    to what the drain loop counts, moves these numbers."""
+
+    QUICKSTART = _tallies({"control": 20, "timer": 0, "compute": 10,
+                           "transfer": 4, "staging": 2, "tenant": 0})
+    FLEET = {
+        "fifo": _tallies({"control": 183, "timer": 0, "compute": 51,
+                          "transfer": 58, "staging": 29, "tenant": 12}),
+        "smallest": _tallies({"control": 177, "timer": 0, "compute": 53,
+                              "transfer": 54, "staging": 27, "tenant": 12}),
+        "fair_share": _tallies({"control": 177, "timer": 0, "compute": 53,
+                                "transfer": 54, "staging": 27, "tenant": 12}),
+    }
+
+    def test_quickstart_counters(self):
+        from repro.__main__ import _quickstart
+        from repro.workflow.driver import CoupledWorkflow
+
+        config, trace = _quickstart("global", 6, 42)
+        workflow = CoupledWorkflow(config, trace)
+        workflow.run()
+        assert workflow.sim.kernel.counters.as_dict() == self.QUICKSTART
+
+    @pytest.mark.parametrize("policy", sorted(FLEET))
+    def test_four_tenant_fleet_counters(self, policy):
+        from repro.experiments import fig_tenants
+        from repro.service import WorkflowService
+
+        service = WorkflowService(
+            sim_cores=fig_tenants.POOL_SIM_CORES,
+            staging_cores=fig_tenants.POOL_STAGING_CORES,
+            policy=policy,
+            starvation_wait=fig_tenants.STARVATION_WAIT,
+        )
+        for index in range(4):
+            service.submit(
+                f"tenant-{index}", fig_tenants._tenant_config(index),
+                fig_tenants._workload(fig_tenants.SEED + index),
+                arrival=index * fig_tenants.ARRIVAL_STAGGER,
+                user=f"user-{index % 2}",
+            )
+        service.run()
+        assert service.sim.kernel.counters.as_dict() == self.FLEET[policy]
 
 
 class TestAdapterIntegration:

@@ -427,6 +427,18 @@ class TestKernelDocs:
         assert "kernel.md" in (REPO / "README.md").read_text()
         assert "kernel.md" in (REPO / "docs" / "architecture.md").read_text()
 
+    def test_no_handler_dispatch_named(self):
+        # Records carry their callable and Simulator.run is the only
+        # drain loop; neither docs nor code may point at the handler
+        # table or the one-event dispatch that records replaced.
+        stale = ("kernel.on(", "_call_payload", "dispatch_next")
+        paths = sorted((REPO / "docs").rglob("*.md"))
+        paths += sorted((REPO / "src").rglob("*.py"))
+        hits = [f"{path.relative_to(REPO)}: {needle}"
+                for path in paths for needle in stale
+                if needle in path.read_text()]
+        assert not hits, f"stale kernel dispatch references: {hits}"
+
 
 class TestServiceDocs:
     @pytest.fixture(scope="class")

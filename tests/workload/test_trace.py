@@ -34,6 +34,22 @@ class TestStepRecord:
         assert r.peak_rank_bytes == 150.0
         assert r.imbalance == pytest.approx(1.5)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.floats(0.0, 1e12), min_size=1, max_size=300))
+    def test_reductions_match_numpy_exactly(self, ranks):
+        # Computed once at construction; the driver relies on these being
+        # bit-equal to the per-step numpy reductions they replace.
+        rank_bytes = np.array(ranks)
+        r = StepRecord(1, 1.0, 10, 80.0, 100.0, rank_bytes)
+        assert r.peak_rank_bytes == float(rank_bytes.max())
+        assert r.total_rank_bytes == float(rank_bytes.sum())
+        mean = rank_bytes.mean()
+        assert r.imbalance == (
+            float(rank_bytes.max() / mean) if mean > 0 else 1.0)
+        if mean > 0:
+            assert (r.peak_rank_bytes / r.total_rank_bytes
+                    == float(rank_bytes.max() / rank_bytes.sum()))
+
     def test_negative_rejected(self):
         with pytest.raises(TraceError):
             StepRecord(1, -1.0, 10, 80.0, 100.0, np.ones(2))
