@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.hierarchy import AMRHierarchy
+from repro.amr.level import LevelData
 from repro.amr.tagging import tag_undivided_difference
 from repro.errors import GeometryError
 
@@ -36,16 +37,8 @@ _RHO_FLOOR = 1e-10
 _P_FLOOR = 1e-12
 
 
-def _shape_groups(arrays) -> list[list[int]]:
-    """Indices of ``arrays`` grouped by shape, preserving first-seen order."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, arr in enumerate(arrays):
-        groups.setdefault(arr.shape, []).append(i)
-    return list(groups.values())
-
-
-# Spatial cells per batched solver call.  Stacking a whole level into one
-# array makes every temporary tens of MB and pushes the update out of
+# Spatial cells per batched solver call.  Advancing a whole level in one
+# call makes every temporary tens of MB and pushes the update out of
 # cache; chunks of ~1e5 cells keep the working set resident (measured ~6x
 # on a 340-box level) while still amortizing NumPy dispatch overhead.
 _BATCH_CELLS = 1 << 17
@@ -55,6 +48,14 @@ def _batches(indices: list[int], cells_per_box: int) -> list[list[int]]:
     """Split one same-shape group into cache-sized chunks."""
     per = max(1, _BATCH_CELLS // max(1, cells_per_box))
     return [indices[k : k + per] for k in range(0, len(indices), per)]
+
+
+def _chunks(indices: list[int], group: np.ndarray):
+    """``(chunk, view)`` per :func:`_batches` chunk of a ``(ncomp, k, ...)`` group."""
+    start = 0
+    for chunk in _batches(indices, group[0, 0].size):
+        yield chunk, group[:, start : start + len(chunk)]
+        start += len(chunk)
 
 
 class PolytropicGasSolver:
@@ -166,38 +167,22 @@ class PolytropicGasSolver:
         return float(dt)
 
     def _level_waves(self, spec) -> list[float]:
-        """Per-box ``sum_d max(|v_d|+c)``, batched over same-shape boxes.
+        """Per-box ``sum_d max(|v_d|+c)``, one reduction per shape-group chunk.
 
-        Stacking same-shape boxes turns hundreds of small reductions into
-        a handful of large ones; ``max`` is exact, so the result is
-        bit-identical to the per-box loop.
+        The box axis of a group view rides along like an extra spatial
+        axis; ``max`` is exact, so the result is bit-identical to the
+        per-box loop.
         """
-        nboxes = len(spec.layout)
-        waves = [0.0] * nboxes
-        groups = _shape_groups(spec.data.valid_view(i) for i in range(nboxes))
-        chunks = [
-            chunk
-            for group in groups
-            for chunk in _batches(group, spec.layout.boxes[group[0]].size)
-        ]
-        for indices in chunks:
-            if len(indices) == 1:
-                U = spec.data.valid_view(indices[0])
-            else:
-                # (ncomp, k, *spatial): the box axis rides along like an
-                # extra spatial axis, the component axis stays first.
-                U = np.stack([spec.data.valid_view(i) for i in indices], axis=1)
-            rho, vel, p = self.primitives(U)
-            c = np.sqrt(self.gamma * p / rho)
-            for d in range(vel.shape[0]):
-                speeds = np.abs(vel[d]) + c
-                if len(indices) == 1:
-                    waves[indices[0]] += float(np.max(speeds))
-                else:
-                    axes = tuple(range(1, speeds.ndim))
-                    per_box = np.max(speeds, axis=axes)
-                    for slot, i in enumerate(indices):
-                        waves[i] += float(per_box[slot])
+        waves = [0.0] * len(spec.layout)
+        for indices, valid in spec.data.valid_groups():
+            for chunk, U in _chunks(indices, valid):
+                rho, vel, p = self.primitives(U)
+                c = np.sqrt(self.gamma * p / rho)
+                axes = tuple(range(1, c.ndim))
+                for d in range(vel.shape[0]):
+                    per_box = np.max(np.abs(vel[d]) + c, axis=axes)
+                    for i, wave in zip(chunk, per_box.tolist()):
+                        waves[i] += wave
         return waves
 
     def stable_dt(self, hierarchy: AMRHierarchy) -> float:
@@ -234,23 +219,18 @@ class PolytropicGasSolver:
         """One unsplit conservative update of a ghosted box array (in place)."""
         self._advance_nd(arr, arr.ndim - 1, dx, dt)
 
-    def advance_boxes(self, arrays: list[np.ndarray], dx: float, dt: float) -> None:
-        """Advance a whole level's boxes, batching same-shape arrays.
+    def advance_boxes(self, level: LevelData, dx: float, dt: float) -> None:
+        """Advance a whole :class:`~repro.amr.level.LevelData` in place,
+        one call per cache-sized chunk of each shape group.
 
         Every numerical op is elementwise (or reduces over the fixed
-        component axis), so stacking boxes along an extra axis produces
-        bit-identical updates while amortizing NumPy call overhead over
-        the level instead of paying it per box.
+        component axis), so advancing a ``(ncomp, k, *padded)`` group view
+        is bit-identical to advancing its boxes one by one, while NumPy's
+        call overhead is paid per chunk instead of per box.
         """
-        for group in _shape_groups(arrays):
-            for indices in _batches(group, arrays[group[0]][0].size):
-                if len(indices) == 1:
-                    self.advance(arrays[indices[0]], dx, dt)
-                    continue
-                stacked = np.stack([arrays[i] for i in indices], axis=1)
-                self._advance_nd(stacked, stacked.ndim - 2, dx, dt)
-                for slot, i in enumerate(indices):
-                    arrays[i][...] = stacked[:, slot]
+        for indices, view in level.groups:
+            for _, U in _chunks(indices, view):
+                self._advance_nd(U, U.ndim - 2, dx, dt)
 
     def _advance_nd(self, arr: np.ndarray, ndim: int, dx: float, dt: float) -> None:
         self.advance_with_fluxes(arr, dx, dt, self._compute_fluxes_nd(arr, ndim),

@@ -24,9 +24,8 @@ import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.clustering import cluster_tags
-from repro.amr.coarsefine import restrict
-from repro.amr.layout import BoxLayout, _overlaps
-from repro.amr.level import LevelData, _check_periodic_ghosts, _region_slices
+from repro.amr.layout import BoxLayout
+from repro.amr.level import LevelData, _relative
 from repro.amr.tagging import buffer_tags
 from repro.errors import HierarchyError
 
@@ -41,14 +40,16 @@ def _flat_strides(shape: tuple[int, ...]) -> list[int]:
     return strides
 
 
-def _restrict_batched(stacked: np.ndarray, ratio: int) -> np.ndarray:
-    """:func:`~repro.amr.coarsefine.restrict` over a ``(nbox, ncomp, ...)`` stack."""
-    new_shape = list(stacked.shape[:2])
-    for s in stacked.shape[2:]:
+def _restrict_group(group: np.ndarray, ratio: int) -> np.ndarray:
+    """:func:`~repro.amr.coarsefine.restrict` over a ``(ncomp, k, *spatial)`` group.
+
+    The blockwise mean reduces over the same trailing sub-axes as a
+    per-box restriction, so each box's result is bit-identical to it.
+    """
+    new_shape = list(group.shape[:2])
+    for s in group.shape[2:]:
         new_shape.extend([s // ratio, ratio])
-    reshaped = stacked.reshape(new_shape)
-    mean_axes = tuple(3 + 2 * d for d in range(stacked.ndim - 2))
-    return reshaped.mean(axis=mean_axes)
+    return group.reshape(new_shape).mean(axis=tuple(3 + 2 * d for d in range(group.ndim - 2)))
 
 
 @dataclass
@@ -201,11 +202,11 @@ class AMRHierarchy:
         mode = "wrap" if self.periodic else "edge"
         padded = np.pad(dense, [(0, 0)] + [(pad, pad)] * ndim, mode=mode)
 
-        parent, inverse, offsets, scatter = plan
+        parent, inverse, offsets, dst = plan
         flat = padded.reshape(self.ncomp, -1)
         strides = _flat_strides(padded.shape[1:])
         cur = flat[:, parent]
-        vals = cur[:, inverse]
+        vals = np.take(cur, inverse, axis=1)
         for axis in range(ndim):
             st = strides[axis]
             nxt = flat[:, parent + st]
@@ -220,88 +221,70 @@ class AMRHierarchy:
             same_sign = (fwd * bwd) > 0
             mag = np.minimum(np.abs(central), 2 * np.minimum(np.abs(fwd), np.abs(bwd)))
             slope = np.where(same_sign, np.sign(central) * mag, 0.0)
-            vals = vals + slope[:, inverse] * offsets[axis]
-        for i, dst, start, stop in scatter:
-            fine.data.data[i].reshape(self.ncomp, -1)[:, dst] = vals[:, start:stop]
+            term = np.take(slope, inverse, axis=1)
+            term *= offsets[axis]
+            vals += term
+        fine.data.buffer[:, dst] = vals
 
     def _ghost_fill_plan(
         self, level: int, pad: int, interior: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list] | None:
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray] | None:
         """Gather/scatter plan for the coarse-fine ghost fill of ``level``.
 
-        For every fine box, the plan lists the ghost cells *not* covered by
-        any same-level box or periodic image (those are the cells whose
-        interpolated values survive the subsequent exchange).  They come
-        from one coverage mask of the level domain padded by ``nghost``:
-        wrapped when periodic, so a ghost reads the cell its periodic
-        image lands on, and constant ``True`` otherwise, so ghosts past
-        the physical boundary are left to ``fill_physical``.  With
-        ``interior`` the plan instead covers each box's valid cells (the
-        regrid fill).
+        The plan covers the fine ghost cells that the level's exchange
+        plan does not fill, those with no owner on the level (read at
+        their periodic image when periodic): exactly the cells whose
+        interpolated values survive the exchange that follows.  Ghosts
+        past a non-periodic boundary are left to ``fill_physical``.  With
+        ``interior`` the plan instead covers every valid cell (the regrid
+        fill).
 
         The plan holds the distinct parent cells' flat indices in the
         padded dense coarse array, the inverse mapping each gathered cell
         to its parent, the per-axis fractional offsets of the fine centres
-        inside the parent cell, and the per-box scatter ranges.  Layouts
-        are immutable, so the plan is cached on the fine layout.  Returns
-        ``None`` when no cell needs interpolation.
+        inside the parent cell, and the gathered cells' buffer columns.
+        Layouts are immutable, so the ghost plan is cached on the fine
+        layout; the interior plan serves only the regrid that creates the
+        layout and is not kept.  Returns ``None`` when no cell needs
+        interpolation.
         """
         fine = self.levels[level]
         layout = fine.layout
-        g = fine.data.nghost
         r = self.ref_ratio
         cdomain = self.level_domain(level - 1)
-        key = ("coarse_fill", g, r, self.periodic, cdomain, interior)
-        if key in layout.plans:
+        key = ("coarse_fill", fine.data.nghost, r, self.periodic, cdomain)
+        if not interior and key in layout.plans:
             return layout.plans[key]
-        ndim = cdomain.ndim
         fdomain = self.level_domain(level)
-        los, his = layout._corner_arrays()
         if not interior:
-            if self.periodic:
-                _check_periodic_ghosts(fdomain, g)
-            covered = np.zeros(fdomain.shape, dtype=bool)
-            for lo, hi in zip((los - fdomain.lo).tolist(), (his - fdomain.lo + 1).tolist()):
-                covered[tuple(map(slice, lo, hi))] = True
-            if self.periodic:
-                covered = np.pad(covered, g, mode="wrap")
-            else:
-                covered = np.pad(covered, g, constant_values=True)
-        coord_parts: list[list[np.ndarray]] = [[] for _ in range(ndim)]
-        scatter: list[tuple[int, np.ndarray, int, int]] = []
-        total = 0
-        for i, (lo, hi) in enumerate(zip(los.tolist(), his.tolist())):
-            shape = tuple(h - l + 1 + 2 * g for l, h in zip(lo, hi))
-            if interior:
-                mask = np.zeros(shape, dtype=bool)
-                mask[tuple(slice(g, s - g) for s in shape)] = True
-            else:
-                # The grown box starts at lo - g, which is padded index lo - domain lo.
-                start = [l - dl for l, dl in zip(lo, fdomain.lo)]
-                mask = ~covered[tuple(slice(a, a + s) for a, s in zip(start, shape))]
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            for axis, c in enumerate(np.unravel_index(idx, shape)):
-                coord_parts[axis].append(c + (lo[axis] - g))
-            scatter.append((i, idx, total, total + idx.size))
-            total += idx.size
-        if total == 0:
-            layout.plans[key] = None
-            return None
-        strides = _flat_strides(tuple(s + 2 * pad for s in cdomain.shape))
-        # Same table prolong uses: (k + 0.5)/ratio - 0.5 per fine sub-cell.
-        offs_table = (np.arange(r) + 0.5) / r - 0.5
-        parent = np.zeros(total, dtype=np.int64)
-        offsets = []
-        for axis in range(ndim):
-            gx = np.concatenate(coord_parts[axis]).astype(np.int64)
-            pc = gx // r
-            offsets.append(offs_table[gx - pc * r])
-            parent += (pc - (cdomain.lo[axis] - pad)) * strides[axis]
-        unique, inverse = np.unique(parent, return_inverse=True)
-        plan = (unique, inverse, offsets, scatter)
-        layout.plans[key] = plan
+            exchanged = np.zeros(fine.data.buffer.shape[1], dtype=bool)
+            exchanged[fine.data._exchange_plan(fdomain if self.periodic else None)[0]] = True
+        dsts, coord_parts = [], []
+        for columns, coords in fine.data._cells(ghost=not interior):
+            if not interior:
+                needed = ~exchanged[columns]
+                if not self.periodic:
+                    needed &= _relative(fdomain, coords)[1]
+                columns, coords = columns[needed], coords[:, needed]
+            dsts.append(columns)
+            coord_parts.append(coords)
+        dst = np.concatenate(dsts)
+        plan = None
+        if dst.size:
+            coords = np.concatenate(coord_parts, axis=1)
+            strides = _flat_strides(tuple(s + 2 * pad for s in cdomain.shape))
+            # Same table prolong uses: (k + 0.5)/ratio - 0.5 per fine sub-cell.
+            offs_table = (np.arange(r) + 0.5) / r - 0.5
+            parent = np.zeros(dst.size, dtype=np.int64)
+            offsets = []
+            for axis, gx in enumerate(coords):
+                pc = gx // r
+                offsets.append(offs_table[gx - pc * r])
+                parent += (pc - (cdomain.lo[axis] - pad)) * strides[axis]
+            unique, inverse = np.unique(parent, return_inverse=True)
+            plan = (unique, inverse, offsets, dst)
+        if not interior:
+            layout.plans[key] = plan
         return plan
 
     def average_down(self) -> None:
@@ -315,53 +298,39 @@ class AMRHierarchy:
             raise HierarchyError(
                 f"no level pair ({fine_level - 1}, {fine_level}) to restrict"
             )
-        r = self.ref_ratio
         fine = self.levels[fine_level]
         coarse = self.levels[fine_level - 1]
-        # Restrict same-shape fine boxes in one stacked call: the blockwise
-        # mean reduces over the same trailing sub-axes either way, so the
-        # batched result is bit-identical to per-box restriction.
-        averaged: list[np.ndarray | None] = [None] * len(fine.layout)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, fbox in enumerate(fine.layout):
-            groups.setdefault(fbox.shape, []).append(i)
-        for indices in groups.values():
-            if len(indices) == 1:
-                i = indices[0]
-                averaged[i] = restrict(fine.data.valid_view(i), r)
-            else:
-                stacked = np.stack([fine.data.valid_view(i) for i in indices], axis=0)
-                res = _restrict_batched(stacked, r)
-                for slot, i in enumerate(indices):
-                    averaged[i] = res[slot]
-        # Scatter into the coarse boxes each restriction overlaps, using
-        # the cached (fine layout, coarse layout) overlap plan.
-        for i, j, dst_idx, src_idx in self._avgdown_plan(fine, coarse):
-            coarse.data.data[j][dst_idx] = averaged[i][src_idx]
+        plan = self._avgdown_plan(fine, coarse)
+        for (_, valid), (src, dst) in zip(fine.data.valid_groups(), plan):
+            averaged = _restrict_group(valid, self.ref_ratio).reshape(self.ncomp, -1)
+            coarse.data.buffer[:, dst] = averaged[:, src]
 
-    def _avgdown_plan(self, fine: LevelSpec, coarse: LevelSpec) -> list:
-        """Cached overlap plan ``[(fine_i, coarse_j, dst_idx, src_idx)]``.
+    def _avgdown_plan(
+        self, fine: LevelSpec, coarse: LevelSpec
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Cached ``(src, dst)`` per fine shape group for :meth:`average_down_pair`.
 
-        Pairs and their regions come from the corner arrays of both
-        layouts, in row-major (fine, coarse) order; the plan is cached on
-        the fine layout and rebuilt when the coarse layout object changes
-        (the stored reference also keeps it alive, so an ``is`` check can
-        never alias a recycled object).
+        ``src`` picks the group's restricted cells that a coarse box
+        covers, in ``(k, *coarse)`` C order, and ``dst`` is their coarse
+        buffer columns, read off the coarse owner map.  The plan is cached
+        on the fine layout and rebuilt when the coarse layout object
+        changes (the stored reference also keeps it alive, so an ``is``
+        check can never alias a recycled object).
         """
         r = self.ref_ratio
         key = ("avgdown", r, coarse.data.nghost)
         entry = fine.layout.plans.get(key)
         if entry is not None and entry[0] is coarse.layout:
             return entry[1]
-        flos, fhis = fine.layout._corner_arrays()
-        clos, chis = coarse.layout._corner_arrays()
-        cf_lo = flos // r  # floor division, matching Box.coarsen
-        i, j, lo, hi = _overlaps(cf_lo, fhis // r, clos, chis)
-        plan = list(zip(
-            i.tolist(), j.tolist(),
-            _region_slices(lo, hi, clos[j] - coarse.data.nghost),
-            _region_slices(lo, hi, cf_lo[i]),
-        ))
+        los = fine.layout._corner_arrays()[0] // r  # floor division, matching Box.coarsen
+        plan = []
+        for indices, valid in fine.data.valid_groups():
+            shape = tuple(s // r for s in valid.shape[2:])
+            at = np.indices(shape).reshape(len(shape), 1, -1)
+            coords = (los[indices].T[:, :, None] + at).reshape(len(shape), -1)
+            owner = coarse.data._owners_at(coords)
+            src = np.flatnonzero(owner >= 0)
+            plan.append((src, owner[src]))
         fine.layout.plans[key] = (coarse.layout, plan)
         return plan
 

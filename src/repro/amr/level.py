@@ -1,42 +1,48 @@
 """Level data containers with ghost cells (Chombo's ``LevelData<FArrayBox>``).
 
-A :class:`LevelData` owns one NumPy array per layout box, each padded with
-``nghost`` ghost cells per side.  Arrays have shape ``(ncomp, *padded)``.
+A :class:`LevelData` keeps a level's boxes in one zero-initialized
+``(ncomp, P)`` buffer.  Each box owns a non-overlapping slice of it,
+padded with ``nghost`` ghost cells per side, and ``data[i]`` is that
+slice as a ``(ncomp, *padded)`` view.  Equal-shape boxes sit next to each
+other, so each shape group is one ``(ncomp, k, *padded)`` view
+(:attr:`LevelData.groups`) that the solvers work on without copies.
+
+Cell copies go through an *owner map*: for each cell of a region, the
+flat buffer index of the valid cell there, or -1 where no box covers it.
 :meth:`exchange` fills ghost cells from neighbouring boxes (including
-periodic images); ghost cells on the physical boundary are handled by
-:meth:`fill_physical`, and ghosts hanging over a coarse-fine boundary are
-interpolated by the hierarchy.
+periodic images) with one gather/scatter; ghost cells on the physical
+boundary are handled by :meth:`fill_physical`, and ghosts hanging over a
+coarse-fine boundary -- the ghosts with no owner -- are interpolated by
+the hierarchy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.layout import BoxLayout, _overlaps
+from repro.amr.layout import BoxLayout
 from repro.errors import GeometryError
 
 __all__ = ["LevelData"]
 
 
-def _region_slices(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray) -> list[tuple]:
-    """``(slice(None), *spatial)`` indices of each row's box ``[lo, hi]``.
-
-    Rows of the ``(m, ndim)`` arrays give one inclusive box each, placed
-    in a ``(ncomp, ...)`` array whose first spatial cell is ``origin``.
-    """
-    starts = (lo - origin).tolist()
-    stops = (hi - origin + 1).tolist()
-    return [(slice(None), *map(slice, a, b)) for a, b in zip(starts, stops)]
+def _shape_groups(shapes: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """Indices of ``shapes`` grouped by shape, preserving first-seen order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(tuple(shape), []).append(i)
+    return list(groups.values())
 
 
 def _check_periodic_ghosts(domain: Box, nghost: int) -> None:
     """Reject ghost regions wider than the periodic ``domain``.
 
-    Ghosts are filled from the -e/0/+e periodic images only, and those
-    reach every ghost cell exactly when ``nghost <= e`` on each axis.
+    Such a ghost region would hold some domain cells more than once on
+    one side of its box.
     """
     for axis, extent in enumerate(domain.shape):
         if nghost > extent:
@@ -46,8 +52,15 @@ def _check_periodic_ghosts(domain: Box, nghost: int) -> None:
             )
 
 
+def _relative(region: Box, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``coords`` ``(ndim, m)`` relative to ``region.lo``, and which lie inside it."""
+    rel = coords - np.array(region.lo)[:, None]
+    inside = ((rel >= 0) & (rel < np.array(region.shape)[:, None])).all(axis=0)
+    return rel, inside
+
+
 class LevelData:
-    """Per-box arrays over a :class:`~repro.amr.layout.BoxLayout`."""
+    """Per-box views of one level buffer over a :class:`~repro.amr.layout.BoxLayout`."""
 
     def __init__(
         self,
@@ -64,10 +77,26 @@ class LevelData:
         self.ncomp = int(ncomp)
         self.nghost = int(nghost)
         self.dtype = np.dtype(dtype)
-        self.data: list[np.ndarray] = [
-            np.zeros((ncomp, *box.grow(nghost).shape), dtype=self.dtype)
-            for box in layout
-        ]
+        los, his = layout._corner_arrays()
+        padded = [tuple(s) for s in (his - los + 1 + 2 * self.nghost).tolist()]
+        self.buffer = np.zeros((self.ncomp, sum(map(math.prod, padded))), dtype=self.dtype)
+        #: Buffer column of each box's first (ghost) cell.
+        self.offsets = np.zeros(len(padded), dtype=np.int64)
+        #: ``(indices, view)`` per shape group; ``view`` is ``(ncomp, k, *padded)``.
+        self.groups: list[tuple[list[int], np.ndarray]] = []
+        self.data: list[np.ndarray] = [None] * len(padded)  # type: ignore[list-item]
+        start = 0
+        for indices in _shape_groups(padded):
+            shape = padded[indices[0]]
+            size = math.prod(shape)
+            stop = start + len(indices) * size
+            view = self.buffer[:, start:stop].reshape(self.ncomp, len(indices), *shape)
+            self.groups.append((indices, view))
+            for slot, i in enumerate(indices):
+                self.offsets[i] = start + slot * size
+                self.data[i] = view[:, slot]
+            start = stop
+        self._owners: dict[Box, np.ndarray] = {}
 
     # -- geometry helpers --------------------------------------------------
 
@@ -81,25 +110,80 @@ class LevelData:
         arr = self.data[index]
         return arr[(slice(None), *(slice(g, s - g) for s in arr.shape[1:]))]
 
+    def valid_groups(self) -> list[tuple[list[int], np.ndarray]]:
+        """:attr:`groups` with the ghosts stripped: ``(ncomp, k, *valid)`` views."""
+        g = self.nghost
+        return [
+            (indices, view[(slice(None), slice(None), *(slice(g, s - g) for s in view.shape[2:]))])
+            for indices, view in self.groups
+        ]
+
     @property
     def nbytes(self) -> int:
         """Total bytes across all box arrays (ghosts included)."""
-        return sum(arr.nbytes for arr in self.data)
+        return self.buffer.nbytes
 
     @property
     def valid_cells(self) -> int:
         """Total interior cells across the level."""
         return self.layout.total_cells
 
+    def _cells(self, ghost: bool):
+        """Per shape group, the buffer columns ``(m,)`` and global
+        coordinates ``(ndim, m)`` of its ghost cells (``ghost``) or its
+        valid cells.  Yielding group by group bounds the temporaries."""
+        g = self.nghost
+        los = self.layout._corner_arrays()[0]
+        for indices, view in self.groups:
+            shape = view.shape[2:]
+            valid = np.zeros(shape, dtype=bool)
+            valid[tuple(slice(g, s - g) for s in shape)] = True
+            local = np.flatnonzero(valid != ghost)
+            at = np.array(np.unravel_index(local, shape))  # (ndim, m)
+            corner = (los[indices] - g).T  # (ndim, k)
+            yield (
+                (self.offsets[indices][:, None] + local).ravel(),
+                (corner[:, :, None] + at[:, None, :]).reshape(len(shape), -1),
+            )
+
+    def owner_map(self, region: Box) -> np.ndarray:
+        """Buffer column of the valid cell at each cell of ``region``, -1 where none.
+
+        Cached per region; the cache lives and dies with this level.
+        """
+        owner = self._owners.get(region)
+        if owner is None:
+            owner = np.full(region.shape, -1, dtype=np.int64)
+            for columns, coords in self._cells(ghost=False):
+                rel, inside = _relative(region, coords)
+                owner[tuple(rel[:, inside])] = columns[inside]
+            self._owners[region] = owner
+        return owner
+
+    def _owners_at(self, coords: np.ndarray, periodic_domain: Box | None = None) -> np.ndarray:
+        """Owner column of each cell of ``coords`` ``(ndim, m)``, -1 where no box covers it.
+
+        With ``periodic_domain`` a cell is read at its periodic image.
+        """
+        region = self.layout.covering_box() if periodic_domain is None else periodic_domain
+        shape = np.array(region.shape)[:, None]
+        rel = coords - np.array(region.lo)[:, None]
+        if periodic_domain is not None:
+            _check_periodic_ghosts(periodic_domain, self.nghost)
+            rel %= shape
+        owner = self.owner_map(region).ravel()[np.ravel_multi_index(rel, region.shape, mode="clip")]
+        if periodic_domain is None:
+            owner[~((rel >= 0) & (rel < shape)).all(axis=0)] = -1
+        return owner
+
     # -- initialization ----------------------------------------------------
 
     def fill(self, value: float, comp: int | None = None) -> None:
         """Set every cell (ghosts included) to ``value``."""
-        for arr in self.data:
-            if comp is None:
-                arr[...] = value
-            else:
-                arr[comp] = value
+        if comp is None:
+            self.buffer[...] = value
+        else:
+            self.buffer[comp] = value
 
     def set_from_function(self, fn: Callable[..., np.ndarray], dx: float = 1.0) -> None:
         """Initialize interior cells from ``fn(*cell_center_coords) -> (ncomp, ...)``.
@@ -137,63 +221,30 @@ class LevelData:
         """
         if self.nghost == 0:
             return 0
-        cells_moved = 0
-        data = self.data
-        for i, j, dst_idx, src_idx, cells in self._exchange_plan(periodic_domain):
-            data[i][dst_idx] = data[j][src_idx]
-            cells_moved += cells
-        return cells_moved * self.ncomp * self.dtype.itemsize
+        dst, src = self._exchange_plan(periodic_domain)
+        for row in self.buffer:  # one component at a time: 1-D gathers are fastest
+            row[dst] = row[src]
+        return dst.size * self.ncomp * self.dtype.itemsize
 
-    def _exchange_plan(
-        self, periodic_domain: Box | None
-    ) -> list[tuple[int, int, tuple, tuple, int]]:
-        """Copy plan ``(dst, src, dst_idx, src_idx, cells)`` for :meth:`exchange`.
+    def _exchange_plan(self, periodic_domain: Box | None) -> tuple[np.ndarray, np.ndarray]:
+        """Buffer columns ``(dst, src)`` for :meth:`exchange`: every ghost
+        cell with an owner, and that owner.
 
-        The layout is immutable and the box geometry fixed, so the plan is
-        computed once per (nghost, domain) and cached on the layout; the
-        per-step exchange then reduces to slice assignments.
-
-        Periodic images are the product of per-axis -e/0/+e shifts, so
-        overlap is tested per axis on ``(n, 3, n)`` corner arrays and the
-        axes are combined by broadcasting; the combined mask's C order is
-        (box i, shift in meshgrid order, box j).
+        Boxes are disjoint, so each ghost has at most one owner.  The plan
+        depends only on the layout, ``nghost`` and the domain, so it is
+        cached on the layout.
         """
         key = ("exchange", self.nghost, periodic_domain)
         plan = self.layout.plans.get(key)
-        if plan is not None:
-            return plan
-        g = self.nghost
-        los, his = self.layout._corner_arrays()
-        n, ndim = los.shape
-        if periodic_domain is None:
-            offsets = np.zeros((ndim, 1), dtype=np.int64)
-        else:
-            _check_periodic_ghosts(periodic_domain, g)
-            offsets = np.array(periodic_domain.shape, dtype=np.int64)[:, None] * [-1, 0, 1]
-        nshift = offsets.shape[1]
-        glo, ghi = los - g, his + g
-        hit = np.ones((n, *(nshift,) * ndim, n), dtype=bool)
-        for d in range(ndim):
-            src_lo = los[:, d] + offsets[d][:, None]  # (nshift, n)
-            src_hi = his[:, d] + offsets[d][:, None]
-            axis_hit = (src_lo <= ghi[:, d, None, None]) & (src_hi >= glo[:, d, None, None])
-            shape = [n] + [1] * ndim + [n]
-            shape[1 + d] = nshift
-            hit &= axis_hit.reshape(shape)
-        hit = hit.reshape(n, nshift**ndim, n)
-        # A box is not its own neighbour, except through a periodic image.
-        hit[np.arange(n), nshift**ndim // 2, np.arange(n)] = False
-        i, s, j = np.nonzero(hit)
-        shift = np.stack(np.meshgrid(*offsets, indexing="ij"), -1).reshape(-1, ndim)[s]
-        lo = np.maximum(glo[i], los[j] + shift)
-        hi = np.minimum(ghi[i], his[j] + shift)
-        plan = list(zip(
-            i.tolist(), j.tolist(),
-            _region_slices(lo, hi, glo[i]),
-            _region_slices(lo, hi, glo[j] + shift),
-            (hi - lo + 1).prod(axis=1).tolist(),
-        ))
-        self.layout.plans[key] = plan
+        if plan is None:
+            dst, src = [], []
+            for columns, coords in self._cells(ghost=True):
+                owner = self._owners_at(coords, periodic_domain)
+                owned = owner >= 0
+                dst.append(columns[owned])
+                src.append(owner[owned])
+            plan = (np.concatenate(dst), np.concatenate(src))
+            self.layout.plans[key] = plan
         return plan
 
     def fill_physical(self, domain: Box, mode: str = "edge", value: float = 0.0) -> None:
@@ -241,13 +292,10 @@ class LevelData:
             raise GeometryError("component count mismatch in copy_overlap_from")
         if self.layout.ndim != other.layout.ndim:
             raise GeometryError("dimension mismatch in copy_overlap_from")
-        dlos, dhis = self.layout._corner_arrays()
-        slos, shis = other.layout._corner_arrays()
-        i, j, lo, hi = _overlaps(dlos, dhis, slos, shis)
-        dst = _region_slices(lo, hi, dlos[i] - self.nghost)
-        src = _region_slices(lo, hi, slos[j] - other.nghost)
-        for a, b, dst_idx, src_idx in zip(i.tolist(), j.tolist(), dst, src):
-            self.data[a][dst_idx] = other.data[b][src_idx]
+        for columns, coords in self._cells(ghost=False):
+            src = other._owners_at(coords)
+            kept = src >= 0
+            self.buffer[:, columns[kept]] = other.buffer[:, src[kept]]
 
     def to_dense(self, region: Box | None = None, fill: float = np.nan) -> np.ndarray:
         """Assemble a dense ``(ncomp, *region.shape)`` array of interior data.
@@ -256,14 +304,11 @@ class LevelData:
         ``region`` defaults to the layout's covering box.
         """
         target = region if region is not None else self.layout.covering_box()
-        out = np.full((self.ncomp, *target.shape), fill, dtype=self.dtype)
-        los, his = self.layout._corner_arrays()
-        tlo = np.array([target.lo])
-        boxes, _, lo, hi = _overlaps(los, his, tlo, np.array([target.hi]))
-        dst = _region_slices(lo, hi, tlo)
-        src = _region_slices(lo, hi, los[boxes] - self.nghost)
-        for i, dst_idx, src_idx in zip(boxes.tolist(), dst, src):
-            out[dst_idx] = self.data[i][src_idx]
+        owner = self.owner_map(target)
+        out = np.empty((self.ncomp, *target.shape), dtype=self.dtype)
+        for row, dense in zip(self.buffer, out.reshape(self.ncomp, -1)):
+            np.take(row, owner.ravel(), out=dense)
+        out[:, owner < 0] = fill  # uncovered cells read column -1 above
         return out
 
     def rank_bytes(self) -> np.ndarray:

@@ -143,11 +143,11 @@ class AMRStepper:
                     spec.data, box_fluxes, h.level_domain(level)
                 )
             else:
-                # Solvers that support it advance all same-shape boxes in
-                # one batched (bit-identical) call instead of per box.
+                # Solvers that support it advance the level's shape groups
+                # in place (bit-identical) instead of box by box.
                 advance_boxes = getattr(self.app, "advance_boxes", None)
                 if advance_boxes is not None:
-                    advance_boxes(spec.data.data, dx, dt)
+                    advance_boxes(spec.data, dx, dt)
                 else:
                     for arr in spec.data.data:
                         self.app.advance(arr, dx, dt)

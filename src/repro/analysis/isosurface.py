@@ -146,11 +146,6 @@ def extract_isosurface(
     inside = tet_vals > isovalue
     case = (inside * (1, 2, 4, 8)).sum(axis=1)
 
-    edge_keys: list[np.ndarray] = []  # (n, 2) sorted global-id pairs, per corner
-    tri_edge_a: list[np.ndarray] = []
-    tri_edge_b: list[np.ndarray] = []
-    flip_ref: list[np.ndarray] = []
-
     spacing_arr = np.asarray(spacing, dtype=np.float64)
     origin_arr = np.asarray(origin, dtype=np.float64)
 
@@ -194,9 +189,11 @@ def extract_isosurface(
     pb = gid_to_xyz(pairs[..., 1])
     pts = pa + t[..., None] * (pb - pa)  # (T, 3, 3) in index space
 
-    # Weld vertices by (sorted) global edge key.
+    # Weld vertices by (sorted) global edge key, packed into one int64 per
+    # edge: k0 * size + k1 keeps the lexicographic order of (k0, k1), so a
+    # 1-D unique yields the same vertex order as a row-wise one.
     keys = np.sort(pairs.reshape(-1, 2), axis=1)
-    uniq, index = np.unique(keys, axis=0, return_inverse=True)
+    uniq, index = np.unique(keys[:, 0] * flat.size + keys[:, 1], return_inverse=True)
     verts = np.zeros((uniq.shape[0], 3))
     verts[index] = pts.reshape(-1, 3)  # identical per key; last write wins
     tris = index.reshape(-1, 3)

@@ -1,9 +1,9 @@
 """Tests for the batched/chunked solver paths (:mod:`repro.amr.godunov`).
 
-``advance_boxes`` and ``_level_waves`` stack same-shape boxes and split
-the work into cache-sized chunks (``_BATCH_CELLS``).  Batching is a pure
-performance measure: every assertion here demands *exact* agreement with
-the per-box scalar path, for any chunk size.
+``advance_boxes`` and ``_level_waves`` run on a level's shape-group
+views and split the work into cache-sized chunks (``_BATCH_CELLS``).
+Batching is a pure performance measure: every assertion here demands
+*exact* agreement with the per-box scalar path, for any chunk size.
 """
 
 import numpy as np
@@ -11,8 +11,10 @@ import pytest
 
 from repro.amr import godunov
 from repro.amr.box import Box
-from repro.amr.godunov import PolytropicGasSolver, _batches, _shape_groups
+from repro.amr.godunov import PolytropicGasSolver, _batches
 from repro.amr.hierarchy import AMRHierarchy
+from repro.amr.layout import BoxLayout
+from repro.amr.level import LevelData, _shape_groups
 from repro.amr.stepper import AMRStepper
 
 
@@ -42,10 +44,24 @@ def blast_arrays(solver, shapes, seed=0):
     return arrays
 
 
+def level_holding(arrays, nghost):
+    """A ``LevelData`` whose box ``i`` holds ``arrays[i]``; boxes sit in a row along axis 0."""
+    boxes, x = [], 0
+    for arr in arrays:
+        shape = [s - 2 * nghost for s in arr.shape[1:]]
+        lo = (x, *[0] * (len(shape) - 1))
+        boxes.append(Box(lo, tuple(l + s - 1 for l, s in zip(lo, shape))))
+        x += shape[0]
+    level = LevelData(BoxLayout(boxes), ncomp=arrays[0].shape[0], nghost=nghost)
+    for view, arr in zip(level.data, arrays):
+        view[...] = arr
+    return level
+
+
 class TestHelpers:
     def test_shape_groups_preserve_order(self):
         arrays = [np.zeros(s) for s in [(4, 4), (8, 4), (4, 4), (8, 4), (2, 2)]]
-        assert _shape_groups(arrays) == [[0, 2], [1, 3], [4]]
+        assert _shape_groups(arr.shape for arr in arrays) == [[0, 2], [1, 3], [4]]
 
     def test_batches_split_by_cell_budget(self, monkeypatch):
         monkeypatch.setattr(godunov, "_BATCH_CELLS", 100)
@@ -59,24 +75,24 @@ class TestAdvanceBoxesEquivalence:
     def test_matches_per_box_advance_exactly(self, ndim):
         solver = PolytropicGasSolver()
         shapes = [(8,) * ndim] * 5 + [(4,) * ndim] * 3 + [(6,) * ndim]
-        batched = blast_arrays(solver, shapes)
-        scalar = [arr.copy() for arr in batched]
+        scalar = blast_arrays(solver, shapes)
+        batched = level_holding(scalar, solver.nghost)
         solver.advance_boxes(batched, dx=0.05, dt=0.004)
         for arr in scalar:
             solver.advance(arr, dx=0.05, dt=0.004)
-        for got, want in zip(batched, scalar):
+        for got, want in zip(batched.data, scalar):
             assert np.array_equal(got, want)
 
     def test_chunk_size_invariance(self, monkeypatch):
         solver = PolytropicGasSolver()
         shapes = [(8, 8)] * 9
-        reference = blast_arrays(solver, shapes, seed=1)
+        reference = level_holding(blast_arrays(solver, shapes, seed=1), solver.nghost)
         solver.advance_boxes(reference, dx=0.05, dt=0.004)
         for batch_cells in (1, 100, 1 << 30):
             monkeypatch.setattr(godunov, "_BATCH_CELLS", batch_cells)
-            arrays = blast_arrays(solver, shapes, seed=1)
+            arrays = level_holding(blast_arrays(solver, shapes, seed=1), solver.nghost)
             solver.advance_boxes(arrays, dx=0.05, dt=0.004)
-            for got, want in zip(arrays, reference):
+            for got, want in zip(arrays.data, reference.data):
                 assert np.array_equal(got, want)
 
 

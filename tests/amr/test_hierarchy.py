@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
-from repro.amr.hierarchy import AMRHierarchy
+from repro.amr.coarsefine import restrict
+from repro.amr.hierarchy import AMRHierarchy, LevelSpec
+from repro.amr.layout import BoxLayout
+from repro.amr.level import LevelData
 from repro.errors import GeometryError, HierarchyError
 
 
@@ -167,6 +170,32 @@ class TestInterlevelData:
             cb = b.coarsen(2)
             coarse_sum += dense0[(slice(None), *cb.slices(origin=h.level_domain(0)))].sum()
         assert coarse_sum == pytest.approx(fine_sum / 4, rel=1e-10)
+
+    def test_average_down_matches_per_box_restrict_exactly(self):
+        # NumPy's multi-axis mean sums in a shape-dependent order, so a
+        # 2x2x2 box restricted alone can differ in the last bit from the
+        # same cells restricted inside a bigger array.  Average-down must
+        # agree with per-box restriction on a layout mixing extents 2 and 8.
+        h = make_hierarchy(domain=Box((0, 0, 0), (15, 15, 15)), ncomp=2, max_levels=2)
+        boxes = [
+            Box((0, 0, 0), (7, 7, 7)), Box((8, 0, 0), (9, 1, 1)), Box((8, 2, 0), (9, 3, 1)),
+            Box((16, 16, 16), (23, 23, 23)), Box((10, 0, 0), (11, 7, 1)),
+            Box((24, 16, 16), (31, 17, 23)), Box((8, 4, 0), (9, 5, 1)),
+            Box((0, 8, 0), (7, 15, 7)),
+        ]
+        layout = BoxLayout(boxes)
+        h.levels.append(LevelSpec(layout, LevelData(layout, ncomp=2, nghost=2)))
+        rng = np.random.default_rng(3)
+        fine = h.levels[1].data
+        for i in range(len(boxes)):
+            view = fine.valid_view(i)
+            view[...] = rng.normal(size=view.shape) * 10.0 ** rng.integers(-3, 4, view.shape)
+        h.average_down()
+        dense0 = h.levels[0].data.to_dense(h.level_domain(0))
+        for i, box in enumerate(boxes):
+            want = restrict(fine.valid_view(i), 2)
+            got = dense0[(slice(None), *box.coarsen(2).slices(origin=h.level_domain(0)))]
+            np.testing.assert_array_equal(got, want)
 
     def test_fill_ghosts_from_coarse_linear(self):
         h = make_hierarchy()

@@ -12,24 +12,29 @@ from repro.errors import GeometryError
 
 
 def exchange_neighbors(layout, index, nghost, periodic_domain=None):
-    """``(j, shift)`` of every exchange-plan copy into box ``index``.
+    """``(j, shift)`` of every box image the exchange plan copies into box ``index``.
 
-    The shift is recovered from the plan's slices: a copied cell's global
-    index is its destination slice start plus the destination grown box's
-    corner, and the same cell of the periodic source image sits at the
-    source slice start plus the source grown box's corner plus the shift.
+    Each plan entry copies one buffer column to another.  Labelling every
+    column with its box and global cell coordinate, read through the
+    per-box views, turns a copy into ``(i, j, shift)``: the shift is the
+    destination cell minus the periodic source cell.
     """
     data = LevelData(layout, nghost=nghost)
+    data.buffer[0] = np.arange(data.buffer.shape[1])
+    box_of = np.zeros(data.buffer.shape[1], dtype=np.int64)
+    coord_of = np.zeros((data.buffer.shape[1], layout.ndim), dtype=np.int64)
+    for k, arr in enumerate(data.data):
+        columns = arr[0].astype(np.int64).ravel()
+        box_of[columns] = k
+        grown = data.grown_box(k)
+        coord_of[columns] = np.indices(grown.shape).reshape(layout.ndim, -1).T + grown.lo
     out = []
-    for i, j, dst_idx, src_idx, _ in data._exchange_plan(periodic_domain):
-        if i != index:
+    for dst, src in zip(*data._exchange_plan(periodic_domain)):
+        if box_of[dst] != index:
             continue
-        dst_lo, src_lo = data.grown_box(i).lo, data.grown_box(j).lo
-        shift = tuple(
-            (d.start + dl) - (s.start + sl)
-            for d, s, dl, sl in zip(dst_idx[1:], src_idx[1:], dst_lo, src_lo)
-        )
-        out.append((j, shift))
+        pair = (int(box_of[src]), tuple((coord_of[dst] - coord_of[src]).tolist()))
+        if pair not in out:
+            out.append(pair)
     return out
 
 

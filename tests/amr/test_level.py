@@ -213,3 +213,63 @@ class TestDataMovement:
         rb = ld.rank_bytes()
         assert rb.sum() == ld.nbytes
         assert (rb > 0).all()
+
+
+class TestBufferCoherence:
+    """Every per-box array is a view of the one level buffer."""
+
+    def mixed_layout(self):
+        # Two shapes, interleaved in layout order, so groups reorder boxes.
+        return BoxLayout([
+            Box((0, 0), (3, 3)), Box((4, 0), (9, 3)), Box((0, 4), (3, 7)),
+            Box((4, 4), (9, 7)), Box((10, 0), (13, 7)),
+        ])
+
+    def test_views_partition_the_buffer(self):
+        ld = LevelData(self.mixed_layout(), ncomp=3, nghost=2)
+        ld.buffer[...] = np.arange(ld.buffer.size).reshape(ld.buffer.shape)
+        seen = []
+        for i, arr in enumerate(ld.data):
+            assert np.shares_memory(arr, ld.buffer)
+            assert arr.shape == (3, *ld.grown_box(i).shape)
+            # Component c of every view sits in buffer row c.
+            rows = arr.reshape(3, -1) // ld.buffer.shape[1]
+            assert (rows == np.arange(3)[:, None]).all()
+            seen.append(arr[0].ravel())
+        # Each buffer column belongs to exactly one box: no overlap, no gap.
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen)), ld.buffer[0])
+        for indices, view in ld.groups:
+            assert np.shares_memory(view, ld.buffer)
+            for slot, i in enumerate(indices):
+                np.testing.assert_array_equal(view[:, slot], ld.data[i])
+
+    def test_in_place_writes_reach_the_next_exchange(self):
+        domain = Box((0, 0), (13, 7))
+        ld = LevelData(self.mixed_layout(), ncomp=2, nghost=1)
+        ld.exchange(periodic_domain=domain)
+        # A checkpoint restore writes whole ghosted arrays in place; a
+        # time interpolation rewrites them from an expression.
+        ld.data[0][...] = np.full(ld.data[0].shape, 3.0)
+        for arr in ld.data[1:]:
+            arr[...] = 0.5 * arr + 0.25
+        ld.exchange(periodic_domain=domain)
+        dense = ld.to_dense(domain)
+        np.testing.assert_array_equal(dense[:, :4, :4], 3.0)
+        np.testing.assert_array_equal(dense[:, 4:, :], 0.25)
+        # Box 1 (x 4..9, y 0..3) reads box 0's valid column x=3 in its low-x ghosts.
+        np.testing.assert_array_equal(ld.data[1][:, 0, 1:-1], 3.0)
+
+    def test_fresh_regrid_ghosts_are_zero(self):
+        from repro.amr.hierarchy import AMRHierarchy
+
+        h = AMRHierarchy(Box((0, 0), (15, 15)), ncomp=2, nghost=2, max_levels=2,
+                         max_box_size=4)
+        h.levels[0].data.fill(7.0)
+        h.regrid({0: np.eye(16, dtype=bool)})
+        fine = h.levels[1].data
+        assert len(fine.layout) > 1
+        for i in range(len(fine.layout)):
+            arr = fine.data[i].copy()
+            np.testing.assert_array_equal(fine.valid_view(i), 7.0)
+            arr[(slice(None), *(slice(2, -2) for _ in range(2)))] = 0.0
+            assert not arr.any()

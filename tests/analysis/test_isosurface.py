@@ -1,5 +1,7 @@
 """Tests for 3-D isosurface extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,39 @@ class TestIsosurface3D:
         _, t1 = extract_isosurface(f1, 0.0)
         _, t2 = extract_isosurface(f2, 0.0)
         assert len(t2) > 2.5 * len(t1)  # ~4x for 2x resolution
+
+
+class TestPinnedOutput:
+    """``extract_isosurface`` output bytes stay fixed for seeded fields.
+
+    The digests were captured before the vertex dedupe moved from a
+    row-wise ``np.unique(axis=0)`` to packed int64 keys; the welded
+    vertex order and the triangle indices must not change.
+    """
+
+    GOLDEN_SHA256 = {
+        0: "fa50d0b382aaa6f60af2635bb16caa39d4fc65bad4ecc69fb3848970ff75b190",
+        1: "9e7241ec371aaefd92aa6c39e1753349054dfb26017a79745b7c410b1f105f2a",
+        2: "3d01a20f005d4d7cb789493545f3b05e2fe15a0babda4577a37f026c560b5890",
+    }
+
+    @staticmethod
+    def seeded_field(seed):
+        rng = np.random.default_rng(seed)
+        field = rng.normal(size=(14, 11, 9))
+        # Smooth along each axis so the surface has large connected sheets.
+        for axis in range(3):
+            field = field + np.roll(field, 1, axis=axis)
+        field[rng.random(field.shape) < 0.02] = np.nan
+        return field
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SHA256))
+    def test_seeded_field_output_is_pinned(self, seed):
+        field = self.seeded_field(seed)
+        iso = float(np.nanpercentile(field, 60))
+        verts, tris = extract_isosurface(
+            field, iso, spacing=(0.5, 1.0, 2.0), origin=(1.0, 0.0, -1.0)
+        )
+        assert len(tris) > 100
+        digest = hashlib.sha256(verts.tobytes() + tris.tobytes()).hexdigest()
+        assert digest == self.GOLDEN_SHA256[seed]
