@@ -16,12 +16,15 @@ Two guarantees are enforced here:
   (``time.process_time``, immune to scheduler steal), instrumented and
   plain replays alternated so machine drift hits both alike, a
   trimmed-mean ratio (empirically far more stable here than min-of-N,
-  which chases rare turbo windows), and up to three independent
+  which chases rare turbo windows), a ``gc.collect()`` before every
+  replay so cyclic garbage from earlier replays is never collected
+  inside a timed one, and up to three independent
   measurement passes -- the assert fails only if *every* pass lands
   above the ceiling, so a single noise burst cannot fail the session
   while a real regression (all passes high) still does.
 """
 
+import gc
 import time
 from pathlib import Path
 
@@ -55,8 +58,12 @@ def _replay(steps: int, profiler=None) -> float:
 
     The full instrumented surface -- ``workload.build`` and
     ``workflow.setup`` spans included -- so the ratio measures exactly
-    what ``python -m repro profile`` instruments.
+    what ``python -m repro profile`` instruments.  A full collection
+    runs first, outside the timed region: each replay leaves garbage in
+    reference cycles, and without it the collections that garbage forces
+    would land in whichever variant happens to cross the threshold.
     """
+    gc.collect()
     started = time.process_time()
     if profiler is not None:
         with profiler.span("workload.build"):

@@ -9,8 +9,8 @@ Usage::
     python -m repro all
     python -m repro run-all --jobs 4
     python -m repro run-all --jobs 2 --only fig6,fig9
-    python -m repro trace --steps 20 --jsonl trace.jsonl
-    python -m repro audit --steps 20 --export run.json
+    python -m repro trace --steps 20 --record run.json
+    python -m repro audit --steps 20 --record run.json
     python -m repro audit --diff a.json b.json
     python -m repro faults --list
     python -m repro faults blackout --steps 20
@@ -32,16 +32,15 @@ grid-index-ordered merge makes the output bit-identical to ``--jobs 1``
 ``trace`` is the observability workflow: it replays the quickstart
 workload with a :class:`~repro.observability.Tracer` and
 :class:`~repro.observability.MetricsRegistry` injected, prints the
-per-step decision timeline and the sim-vs-staging occupancy Gantt, and
-optionally writes the full event stream as JSON Lines.
+per-step decision timeline and the sim-vs-staging occupancy Gantt.
 
 ``audit`` replays the same workload with a
 :class:`~repro.observability.PredictionLedger` injected and prints the
 calibration report: per-estimator bias/MAPE/convergence plus the
-counterfactual placement regret.  ``--export`` writes a versioned JSON
-snapshot, ``--prometheus`` writes the text exposition format, and
-``--diff A B`` compares two exported snapshots (estimate-error drift,
-regret delta, decision flips) without running anything.
+counterfactual placement regret.  ``--prometheus`` writes the text
+exposition format, and ``--diff A B`` compares two run records
+(estimate-error drift, regret delta, decision flips) without running
+anything.
 
 ``faults`` runs a named fault scenario (:data:`repro.faults.SCENARIOS`)
 against the quickstart workload: it first replays the workload
@@ -73,14 +72,21 @@ wall time the named spans attribute.  ``--budgets`` additionally
 checks the collected profile against a ``benchmarks/budgets.json``
 manifest and exits non-zero on any ceiling violation (the CI
 ``profile-smoke`` job's check).  See ``docs/profiling.md``.
+
+``trace``, ``audit``, ``faults`` and ``profile`` each take ``--record
+PATH``, which writes the run's :data:`~repro.observability.RECORD_SCHEMA`
+record (:func:`repro.workflow.report.run_record`): result, events,
+metrics, spans, kernel counters and the ledger audit in one JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import Any
 
 __all__ = ["SUBCOMMANDS", "main"]
 
@@ -222,6 +228,18 @@ def _quickstart(mode: str, steps: int, seed: int, estimator_bias: float = 1.0):
     return config, trace
 
 
+def _add_record_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--record", metavar="PATH", default=None,
+                        help="also write the run record (repro.run/1 JSON)")
+
+
+def _write_record(path: str, record: dict[str, Any]) -> None:
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"\nwrote record to {path}")
+
+
 def _run_all_command(argv: list[str]) -> int:
     """The ``repro run-all`` subcommand: the parallel sweep runner."""
     parser = argparse.ArgumentParser(
@@ -283,10 +301,9 @@ def _trace_command(argv: list[str]) -> int:
                         help="workload length in steps (default: 20)")
     parser.add_argument("--seed", type=int, default=42,
                         help="synthetic workload seed (default: 42)")
-    parser.add_argument("--jsonl", metavar="PATH", default=None,
-                        help="also write the raw event stream as JSON Lines")
     parser.add_argument("--width", type=int, default=72,
                         help="Gantt width in columns (default: 72)")
+    _add_record_flag(parser)
     args = parser.parse_args(argv)
 
     from repro.observability import (
@@ -295,12 +312,13 @@ def _trace_command(argv: list[str]) -> int:
         decision_timeline,
         occupancy_gantt,
     )
-    from repro.workflow import run_workflow
+    from repro.workflow import CoupledWorkflow, run_record
 
     config, trace = _quickstart(args.mode, args.steps, args.seed)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    result = run_workflow(config, trace, tracer=tracer, metrics=metrics)
+    workflow = CoupledWorkflow(config, trace, tracer=tracer, metrics=metrics)
+    result = workflow.run()
 
     print(f"mode={config.mode.value}  steps={len(trace)}  "
           f"end-to-end={result.end_to_end_seconds:.2f}s  "
@@ -311,10 +329,12 @@ def _trace_command(argv: list[str]) -> int:
     print(occupancy_gantt(tracer, width=args.width))
     print("\n## Metrics " + "#" * 60)
     print(metrics.render())
-    if args.jsonl is not None:
-        Path(args.jsonl).parent.mkdir(parents=True, exist_ok=True)
-        tracer.to_jsonl(args.jsonl)
-        print(f"\nwrote {len(tracer)} events to {args.jsonl}")
+    if args.record is not None:
+        label = f"{config.mode.value} steps={len(trace)} seed={args.seed}"
+        _write_record(args.record, run_record(
+            result, label=label, counters=workflow.sim.kernel.counters,
+            tracer=tracer, metrics=metrics,
+        ))
     return 0
 
 
@@ -325,7 +345,7 @@ def _audit_command(argv: list[str]) -> int:
         description="Replay the quickstart workload with a prediction "
         "ledger injected and print the calibration report (per-estimator "
         "bias/MAPE, EMA convergence, counterfactual placement regret); "
-        "or, with --diff, compare two exported snapshots.",
+        "or, with --diff, compare two run records.",
     )
     parser.add_argument("--mode", default="global",
                         choices=[m.value for m in _trace_modes()],
@@ -337,39 +357,43 @@ def _audit_command(argv: list[str]) -> int:
     parser.add_argument("--bias", type=float, default=1.0,
                         help="multiply every analysis-time estimate by "
                         "this factor (default: 1.0 = unbiased)")
-    parser.add_argument("--export", metavar="PATH", default=None,
-                        help="write a versioned JSON snapshot of the run")
+    _add_record_flag(parser)
     parser.add_argument("--prometheus", metavar="PATH", default=None,
                         help="write the metrics + ledger series in "
                         "Prometheus text exposition format")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
-                        help="compare two exported snapshots instead of "
-                        "running the workload")
+                        help="compare two run records instead of running "
+                        "the workload")
     args = parser.parse_args(argv)
 
+    from repro.errors import ObservabilityError
     from repro.observability import (
         MetricsRegistry,
         PredictionLedger,
         calibration_report,
-        diff_snapshots,
-        export_snapshot,
-        load_snapshot,
+        diff_records,
+        load_record,
         prometheus_text,
         render_diff,
     )
 
     if args.diff is not None:
-        a, b = (load_snapshot(p) for p in args.diff)
-        print(render_diff(diff_snapshots(a, b)))
+        try:
+            a, b = (load_record(p) for p in args.diff)
+        except (OSError, ObservabilityError) as exc:
+            print(f"audit --diff: {exc}", file=sys.stderr)
+            return 2
+        print(render_diff(diff_records(a, b)))
         return 0
 
-    from repro.workflow import run_workflow
+    from repro.workflow import CoupledWorkflow, run_record
 
     config, trace = _quickstart(args.mode, args.steps, args.seed,
                                 estimator_bias=args.bias)
     ledger = PredictionLedger()
     metrics = MetricsRegistry()
-    result = run_workflow(config, trace, metrics=metrics, ledger=ledger)
+    workflow = CoupledWorkflow(config, trace, metrics=metrics, ledger=ledger)
+    result = workflow.run()
 
     print(f"mode={config.mode.value}  steps={len(trace)}  "
           f"bias={args.bias:g}  "
@@ -378,14 +402,15 @@ def _audit_command(argv: list[str]) -> int:
     print(calibration_report(ledger))
     label = f"{config.mode.value} steps={len(trace)} seed={args.seed} " \
             f"bias={args.bias:g}"
-    if args.export is not None:
-        export_snapshot(metrics=metrics, ledger=ledger, label=label,
-                        path=args.export)
-        print(f"\nwrote snapshot to {args.export}")
+    record = run_record(result, label=label,
+                        counters=workflow.sim.kernel.counters,
+                        metrics=metrics, ledger=ledger)
+    if args.record is not None:
+        _write_record(args.record, record)
     if args.prometheus is not None:
         path = Path(args.prometheus)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(prometheus_text(metrics=metrics, ledger=ledger))
+        path.write_text(prometheus_text(record))
         print(f"wrote Prometheus exposition to {args.prometheus}")
     return 0
 
@@ -411,9 +436,7 @@ def _faults_command(argv: list[str]) -> int:
                         help="synthetic workload seed (default: 42)")
     parser.add_argument("--fault-seed", type=int, default=0,
                         help="fault scenario seed (default: 0)")
-    parser.add_argument("--jsonl", metavar="PATH", default=None,
-                        help="also write the faulted run's event stream "
-                        "as JSON Lines")
+    _add_record_flag(parser)
     args = parser.parse_args(argv)
 
     from repro.faults import SCENARIOS, build_scenario
@@ -427,7 +450,7 @@ def _faults_command(argv: list[str]) -> int:
         parser.error("a scenario name is required (or use --list)")
 
     from repro.observability import MetricsRegistry, Tracer, fault_timeline
-    from repro.workflow import run_workflow
+    from repro.workflow import CoupledWorkflow, run_record, run_workflow
 
     # Fault-free baseline: measures the deltas AND provides the horizon
     # the scenario's relative fault timings are scaled by.
@@ -444,8 +467,9 @@ def _faults_command(argv: list[str]) -> int:
     config, trace = _quickstart(args.mode, args.steps, args.seed)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    result = run_workflow(config, trace, tracer=tracer, metrics=metrics,
-                          faults=plan)
+    workflow = CoupledWorkflow(config, trace, tracer=tracer, metrics=metrics,
+                               faults=plan)
+    result = workflow.run()
 
     delta_t = result.end_to_end_seconds - baseline.end_to_end_seconds
     delta_pct = (
@@ -469,10 +493,13 @@ def _faults_command(argv: list[str]) -> int:
     print(fault_timeline(tracer))
     print("\n## Metrics " + "#" * 60)
     print(metrics.render())
-    if args.jsonl is not None:
-        Path(args.jsonl).parent.mkdir(parents=True, exist_ok=True)
-        tracer.to_jsonl(args.jsonl)
-        print(f"\nwrote {len(tracer)} events to {args.jsonl}")
+    if args.record is not None:
+        label = (f"{args.scenario} {config.mode.value} steps={len(trace)} "
+                 f"seed={args.seed} fault-seed={args.fault_seed}")
+        _write_record(args.record, run_record(
+            result, label=label, counters=workflow.sim.kernel.counters,
+            tracer=tracer, metrics=metrics,
+        ))
     return 0
 
 
@@ -622,11 +649,9 @@ def _profile_command(argv: list[str]) -> int:
     parser.add_argument("--budgets", metavar="PATH", default=None,
                         help="check the profile against this "
                         "repro.budgets/1 manifest (benchmarks/budgets.json)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the raw span dump as JSON")
+    _add_record_flag(parser)
     args = parser.parse_args(argv)
 
-    import json as json_mod
     import time
 
     from repro.errors import ObservabilityError
@@ -639,7 +664,7 @@ def _profile_command(argv: list[str]) -> int:
         render_profile,
         unregistered_spans,
     )
-    from repro.workflow.driver import CoupledWorkflow
+    from repro.workflow import CoupledWorkflow, run_record
 
     budgets = None
     if args.budgets is not None:
@@ -675,12 +700,12 @@ def _profile_command(argv: list[str]) -> int:
     if unknown:
         print(f"\nWARNING: unregistered span names: {', '.join(unknown)} "
               "(register them in PROFILE_SPANS)", file=sys.stderr)
-    if args.json is not None:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json_mod.dumps(profiler.dump(), indent=2,
-                                       sort_keys=True) + "\n")
-        print(f"\nwrote span dump to {args.json}")
+    if args.record is not None:
+        label = f"{config.mode.value} steps={len(trace)} seed={args.seed}"
+        _write_record(args.record, run_record(
+            result, label=label, counters=workflow.sim.kernel.counters,
+            profiler=profiler,
+        ))
     if budgets is not None:
         print("\n## Budget check " + "#" * 55)
         print(render_budget_report(profiler, budgets))

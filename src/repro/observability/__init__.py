@@ -8,7 +8,7 @@ publishes into:
 - :class:`Tracer` -- typed, timestamped :class:`TraceEvent` records
   (step boundaries, monitor samples, adaptation decisions with their
   inputs, staging ingest/drain, stalls) in a bounded ring buffer, with
-  JSONL export (:meth:`Tracer.to_jsonl` / :func:`read_jsonl`);
+  JSONL export (:meth:`Tracer.to_jsonl`);
 - :class:`MetricsRegistry` -- named :class:`Counter` / :class:`Gauge` /
   :class:`EmaTimer` instruments;
 - :class:`Profiler` -- nested wall-clock spans (``with
@@ -27,10 +27,11 @@ publishes into:
   :func:`calibration_report` -- per-estimator bias, MAPE and
   EMA-convergence curves, and the regret audit of Eq. 8's decisions
   (the ``repro audit`` CLI's output);
-- :func:`prometheus_text` / :func:`export_snapshot` /
-  :func:`load_snapshot` / :func:`diff_snapshots` / :func:`render_diff`
-  -- the exporters: Prometheus text exposition and versioned JSON
-  snapshots (:data:`SNAPSHOT_SCHEMA`), diffable across runs;
+- :func:`load_record` / :func:`diff_records` / :func:`render_diff` /
+  :func:`prometheus_text` -- the versioned run record
+  (:data:`RECORD_SCHEMA`, built by
+  :func:`repro.workflow.report.run_record`): read back, diffed across
+  runs, and rendered as Prometheus text exposition;
 - :func:`decision_timeline` / :func:`occupancy_gantt` -- human-readable
   renderings of a trace (the ``repro trace`` CLI's output).
 
@@ -62,14 +63,6 @@ from repro.observability.calibration import (
     placement_regret,
 )
 from repro.observability.events import EVENT_KINDS, TraceEvent
-from repro.observability.export import (
-    SNAPSHOT_SCHEMA,
-    diff_snapshots,
-    export_snapshot,
-    load_snapshot,
-    prometheus_text,
-    render_diff,
-)
 from repro.observability.ledger import (
     QUANTITIES,
     PlacementOutcome,
@@ -94,12 +87,19 @@ from repro.observability.profiler import (
     render_profile,
     unregistered_spans,
 )
+from repro.observability.record import (
+    RECORD_SCHEMA,
+    diff_records,
+    load_record,
+    prometheus_text,
+    render_diff,
+)
 from repro.observability.timeline import (
     decision_timeline,
     fault_timeline,
     occupancy_gantt,
 )
-from repro.observability.tracer import Tracer, read_jsonl
+from repro.observability.tracer import Tracer
 
 __all__ = [
     "BUDGETS_SCHEMA",
@@ -119,8 +119,8 @@ __all__ = [
     "PROFILE_SPANS",
     "Profiler",
     "QUANTITIES",
+    "RECORD_SCHEMA",
     "RegretSummary",
-    "SNAPSHOT_SCHEMA",
     "SpanStat",
     "TraceEvent",
     "Tracer",
@@ -128,17 +128,15 @@ __all__ = [
     "calibration_report",
     "check_budgets",
     "decision_timeline",
-    "diff_snapshots",
-    "export_snapshot",
+    "diff_records",
     "fault_timeline",
     "load_budgets",
-    "load_snapshot",
+    "load_record",
     "merge_worker_metrics",
     "merge_worker_profiles",
     "occupancy_gantt",
     "placement_regret",
     "prometheus_text",
-    "read_jsonl",
     "render_budget_report",
     "render_diff",
     "render_hot_spans",

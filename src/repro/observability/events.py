@@ -158,13 +158,3 @@ class TraceEvent:
             "fields": dict(self.fields),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TraceEvent":
-        """Rebuild an event from :meth:`as_dict` output."""
-        return cls(
-            seq=int(payload["seq"]),
-            ts=float(payload["ts"]),
-            kind=str(payload["kind"]),
-            step=payload.get("step"),
-            fields=dict(payload.get("fields", {})),
-        )

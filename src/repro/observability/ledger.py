@@ -27,7 +27,7 @@ uninstrumented one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.errors import ObservabilityError
 
@@ -112,25 +112,6 @@ class PredictionRecord:
             "realized_at": self.realized_at,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PredictionRecord":
-        return cls(
-            seq=int(payload["seq"]),
-            quantity=str(payload["quantity"]),
-            step=int(payload["step"]),
-            predicted=float(payload["predicted"]),
-            predicted_at=float(payload["predicted_at"]),
-            mechanism=str(payload.get("mechanism", "")),
-            realized=(
-                None if payload.get("realized") is None
-                else float(payload["realized"])
-            ),
-            realized_at=(
-                None if payload.get("realized_at") is None
-                else float(payload["realized_at"])
-            ),
-        )
-
 
 @dataclass
 class PlacementOutcome:
@@ -201,29 +182,6 @@ class PlacementOutcome:
             "chosen_cost": self.chosen_cost,
             "alt_cost": self.alt_cost,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PlacementOutcome":
-        def opt(key: str) -> float | None:
-            value = payload.get(key)
-            return None if value is None else float(value)
-
-        return cls(
-            step=int(payload["step"]),
-            chosen=str(payload["chosen"]),
-            est_insitu=float(payload["est_insitu"]),
-            est_intransit=float(payload["est_intransit"]),
-            insitu_true=float(payload["insitu_true"]),
-            backlog_true=float(payload["backlog_true"]),
-            service_true=float(payload["service_true"]),
-            dispatched_at=float(payload["dispatched_at"]),
-            block_seconds=float(payload.get("block_seconds", 0.0)),
-            finished_at=opt("finished_at"),
-            realized_insitu=opt("realized_insitu"),
-            scored=bool(payload.get("scored", False)),
-            chosen_cost=opt("chosen_cost"),
-            alt_cost=opt("alt_cost"),
-        )
 
 
 class PredictionLedger:
@@ -429,21 +387,3 @@ class PredictionLedger:
             "placements": [p.as_dict() for p in self.placements],
             "unmatched": self.unmatched,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PredictionLedger":
-        """Rebuild a ledger from :meth:`as_dict` output."""
-        ledger = cls()
-        for item in payload.get("records", []):
-            record = PredictionRecord.from_dict(item)
-            ledger._records.append(record)
-            ledger._seq = max(ledger._seq, record.seq + 1)
-            if not record.resolved:
-                ledger._pending.setdefault(
-                    (record.quantity, record.step), []
-                ).append(record)
-        for item in payload.get("placements", []):
-            outcome = PlacementOutcome.from_dict(item)
-            ledger._placements[outcome.step] = outcome
-        ledger.unmatched = int(payload.get("unmatched", 0))
-        return ledger

@@ -299,9 +299,8 @@ class Profiler:
         """A picklable ``path -> {count, cum_seconds, self_seconds}`` map.
 
         The cross-process wire format: workers ship dumps back to the
-        sweep parent (:func:`merge_worker_profiles`), exporters embed
-        them (the observability snapshot's ``profile`` key, ``repro
-        profile --json``), and the renderers
+        sweep parent (:func:`merge_worker_profiles`), the run record
+        embeds one as its ``spans`` section, and the renderers
         accept them interchangeably with a live profiler.
         """
         self._flush()

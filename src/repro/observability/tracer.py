@@ -10,22 +10,21 @@ entirely (and :meth:`Tracer.emit` returns on its first line as a
 backstop).  Either way tracing costs nothing measurable on the hot path.
 
 Events land in a ring buffer (``capacity`` newest events are kept; the
-``dropped`` counter records evictions) and can be exported as JSON Lines
--- one event object per line -- the format ``repro trace`` writes and
-:func:`read_jsonl` parses back.
+``dropped`` counter records evictions) and serialize as JSON Lines --
+one event object per line -- the ``events`` section of a run record
+(:mod:`repro.observability.record`), written one per line.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.errors import ObservabilityError
 from repro.observability.events import TraceEvent
 
-__all__ = ["Tracer", "read_jsonl"]
+__all__ = ["Tracer"]
 
 
 def _json_default(value: Any) -> Any:
@@ -118,37 +117,12 @@ class Tracer:
 
     # -- export ------------------------------------------------------------
 
-    def to_jsonl(self, path: str | Path | None = None) -> str:
-        """Serialize retained events as JSON Lines (optionally to ``path``)."""
+    def to_jsonl(self) -> str:
+        """Serialize retained events as JSON Lines."""
         text = "\n".join(
             json.dumps(e.as_dict(), default=_json_default) for e in self._events
         )
         if text:
             text += "\n"
-        if path is not None:
-            Path(path).write_text(text)
         return text
 
-
-def read_jsonl(source: str | Path) -> list[TraceEvent]:
-    """Parse :meth:`Tracer.to_jsonl` output (text or a file path)."""
-    if isinstance(source, Path) or (
-        isinstance(source, str)
-        and "\n" not in source
-        and source.endswith((".jsonl", ".json"))
-    ):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-            events.append(TraceEvent.from_dict(payload))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ObservabilityError(
-                f"not a trace: line {lineno} is invalid ({exc})"
-            ) from exc
-    return events

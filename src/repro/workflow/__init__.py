@@ -13,7 +13,7 @@ usage (Table 2).
 from repro.workflow.config import Mode, WorkflowConfig
 from repro.workflow.driver import CoupledWorkflow, run_workflow
 from repro.workflow.metrics import StepMetrics, WorkflowResult, core_usage_histogram
-from repro.workflow.report import compare, result_from_json, result_to_json
+from repro.workflow.report import result_to_json, run_record
 from repro.workflow.triggers import (
     TRIGGER_POLICIES,
     CalibrationFeedback,
@@ -44,10 +44,9 @@ __all__ = [
     "WorkflowConfig",
     "WorkflowResult",
     "build_trigger",
-    "compare",
     "core_usage_histogram",
     "percentile_sample_size",
-    "result_from_json",
     "result_to_json",
+    "run_record",
     "run_workflow",
 ]

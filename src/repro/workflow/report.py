@@ -1,39 +1,39 @@
-"""Result export and comparison reporting.
+"""Result export: the result payload and the run record.
 
-Utilities a downstream user needs to consume workflow results outside
-Python: JSON serialization of a :class:`~repro.workflow.metrics.
-WorkflowResult` (round-trippable, optionally carrying the run's
-observability trace), and a comparison report across modes in the style
-the paper's evaluation uses ("X% reduction vs Y").
+:func:`result_to_json` serializes a :class:`~repro.workflow.metrics.
+WorkflowResult` so a downstream user can consume it outside Python.
+:func:`run_record` wraps that payload with everything the run's
+observability hooks captured into one :data:`~repro.observability.
+record.RECORD_SCHEMA` object -- what ``python -m repro trace|audit|
+faults|profile --record PATH`` writes and :mod:`repro.observability.
+record` reads, diffs and exports.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
+from typing import Any
 
-from repro.core.actions import Placement
-from repro.errors import WorkflowError
+from repro.hpc.kernel import KernelCounters
+from repro.observability.calibration import calibrate, placement_regret
+from repro.observability.ledger import PredictionLedger
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.profiler import Profiler
+from repro.observability.record import RECORD_SCHEMA
 from repro.observability.tracer import Tracer
-from repro.workflow.metrics import StepMetrics, WorkflowResult
+from repro.workflow.metrics import WorkflowResult
 
-__all__ = ["compare", "result_from_json", "result_to_json"]
+__all__ = ["result_to_json", "run_record"]
 
 
-def result_to_json(
-    result: WorkflowResult,
-    path: str | Path | None = None,
-    *,
-    tracer: Tracer | None = None,
-) -> str:
+def result_to_json(result: WorkflowResult, path: str | Path | None = None) -> str:
     """Serialize a result (optionally writing it to ``path``).
 
     ``analysis_done_at`` serializes as JSON ``null`` when the analysis
-    never completed and round-trips back to ``None``; ``placement``
-    round-trips through the :class:`Placement` enum's value.  When a
-    ``tracer`` is given, its retained events are embedded under
-    ``trace_events`` (ignored by :func:`result_from_json`, readable with
-    :class:`~repro.observability.TraceEvent`.from_dict).
+    never completed; ``placement`` serializes as the
+    :class:`~repro.core.actions.Placement` enum's value.
     """
     payload = {
         "mode": result.mode,
@@ -63,86 +63,52 @@ def result_to_json(
             for m in result.steps
         ],
     }
-    if tracer is not None:
-        payload["trace_events"] = [e.as_dict() for e in tracer.events()]
     text = json.dumps(payload, indent=2)
     if path is not None:
         Path(path).write_text(text)
     return text
 
 
-def result_from_json(source: str | Path) -> WorkflowResult:
-    """Rebuild a result from :func:`result_to_json` output (text or file)."""
-    if isinstance(source, Path) or (
-        isinstance(source, str) and "\n" not in source and source.endswith(".json")
-    ):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkflowError(f"not a workflow result: {exc}") from exc
-    try:
-        steps = [
-            StepMetrics(
-                step=s["step"],
-                sim_seconds=s["sim_seconds"],
-                factor=s["factor"],
-                placement=Placement(s["placement"]),
-                staging_cores=s["staging_cores"],
-                data_bytes_full=s["data_bytes_full"],
-                data_bytes_out=s["data_bytes_out"],
-                insitu_seconds=s["insitu_seconds"],
-                block_seconds=s["block_seconds"],
-                # Absent and null both mean "never completed".
-                analysis_done_at=s.get("analysis_done_at"),
-            )
-            for s in payload["steps"]
-        ]
-        return WorkflowResult(
-            mode=payload["mode"],
-            steps=steps,
-            end_to_end_seconds=payload["end_to_end_seconds"],
-            total_sim_seconds=payload["total_sim_seconds"],
-            data_moved_bytes=payload["data_moved_bytes"],
-            utilization_efficiency=payload["utilization_efficiency"],
-            staging_idle_core_seconds=payload["staging_idle_core_seconds"],
-            staging_total_cores=payload["staging_total_cores"],
-            pfs_bytes_written=payload.get("pfs_bytes_written", 0.0),
-            pfs_bytes_read=payload.get("pfs_bytes_read", 0.0),
-            energy_joules=payload.get("energy_joules", 0.0),
-            energy_breakdown=payload.get("energy_breakdown", {}),
-        )
-    except KeyError as exc:
-        raise WorkflowError(f"workflow result missing field {exc}") from exc
-    except ValueError as exc:
-        raise WorkflowError(f"workflow result malformed: {exc}") from exc
+def run_record(
+    result: WorkflowResult,
+    *,
+    label: str = "",
+    counters: KernelCounters | None = None,
+    tracer: Tracer | None = None,
+    metrics: MetricsRegistry | None = None,
+    ledger: PredictionLedger | None = None,
+    profiler: Profiler | None = None,
+) -> dict[str, Any]:
+    """One run's :data:`~repro.observability.record.RECORD_SCHEMA` record.
 
-
-def compare(baseline: WorkflowResult, candidate: WorkflowResult) -> dict[str, float]:
-    """Percentage improvements of ``candidate`` over ``baseline``.
-
-    Positive numbers mean the candidate is better (lower time/overhead/
-    movement/energy, higher utilization) -- the paper's reporting style.
+    ``counters`` is the run's ``sim.kernel.counters``; each hook left
+    ``None`` leaves its sections empty.  The record holds only JSON
+    values, so it compares equal to itself written and read back.
     """
-
-    def cut(base: float, cand: float) -> float:
-        if base <= 0:
-            return 0.0
-        return 100.0 * (1.0 - cand / base)
-
-    return {
-        "end_to_end_cut_pct": cut(
-            baseline.end_to_end_seconds, candidate.end_to_end_seconds
+    record: dict[str, Any] = {
+        "schema": RECORD_SCHEMA,
+        "label": label,
+        "result": json.loads(result_to_json(result)),
+        # Parsed from the JSONL text, so each event re-serializes to
+        # exactly its line of Tracer.to_jsonl().
+        "events": (
+            [] if tracer is None
+            else [json.loads(line) for line in tracer.to_jsonl().splitlines()]
         ),
-        "overhead_cut_pct": cut(
-            baseline.overhead_seconds, candidate.overhead_seconds
-        ),
-        "data_movement_cut_pct": cut(
-            baseline.data_moved_bytes, candidate.data_moved_bytes
-        ),
-        "energy_cut_pct": cut(baseline.energy_joules, candidate.energy_joules),
-        "utilization_gain_pts": 100.0
-        * (candidate.utilization_efficiency - baseline.utilization_efficiency),
+        "metrics": {} if metrics is None else metrics.dump(),
+        "spans": {} if profiler is None else profiler.dump(),
+        "counters": {} if counters is None else counters.as_dict(),
+        "calibration": {},
+        "regret": {},
+        "placements": {},
+        "ledger": {},
     }
+    if ledger is not None:
+        record["calibration"] = {
+            quantity: asdict(stats)
+            for quantity, stats in calibrate(ledger).items()
+        }
+        record["regret"] = asdict(placement_regret(ledger))
+        record["placements"] = {str(p.step): p.chosen for p in ledger.placements}
+        record["ledger"] = ledger.as_dict()
+    return json.loads(json.dumps(record))

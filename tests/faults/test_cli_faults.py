@@ -4,7 +4,7 @@ import pytest
 
 from repro.__main__ import SUBCOMMANDS, main
 from repro.faults import SCENARIOS
-from repro.observability import read_jsonl
+from repro.observability import load_record
 from repro.observability.events import FAULT_INJECTED
 
 
@@ -26,13 +26,13 @@ class TestFaultsCommand:
         assert "inject staging.core_loss" in out
         assert "faults.injected" in out  # the metrics table
 
-    def test_jsonl_holds_the_injections(self, capsys, tmp_path):
-        path = tmp_path / "faults.jsonl"
+    def test_record_holds_the_injections(self, capsys, tmp_path):
+        path = tmp_path / "faults.json"
         assert main(["faults", "core-loss", "--steps", "5",
-                     "--jsonl", str(path)]) == 0
-        events = read_jsonl(path)
-        injected = [e for e in events if e.kind == FAULT_INJECTED]
-        kinds = {e.fields["fault"] for e in injected}
+                     "--record", str(path)]) == 0
+        events = load_record(path)["events"]
+        injected = [e for e in events if e["kind"] == FAULT_INJECTED]
+        kinds = {e["fields"]["fault"] for e in injected}
         assert kinds == {"staging.core_loss", "staging.core_restore"}
 
     def test_missing_scenario_is_an_argparse_error(self, capsys):

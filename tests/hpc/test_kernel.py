@@ -363,7 +363,7 @@ class TestSimulatorTieBreakRegression:
         "19fcf7d916b8a4edcc872e27e425834ea1317a81bb59aaa9a96616c1fad0d076"
     )
 
-    def test_workflow_trace_matches_pinned_digest(self, tmp_path):
+    def test_workflow_trace_matches_pinned_digest(self):
         from repro.__main__ import _quickstart
         from repro.observability.tracer import Tracer
         from repro.workflow.driver import CoupledWorkflow
@@ -372,9 +372,7 @@ class TestSimulatorTieBreakRegression:
         config, trace = _quickstart("global", 6, 42)
         tracer = Tracer()
         result = CoupledWorkflow(config, trace, tracer=tracer).run()
-        path = tmp_path / "trace.jsonl"
-        tracer.to_jsonl(path)
-        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (hashlib.sha256(tracer.to_jsonl().encode()).hexdigest()
                 == self.GOLDEN_TRACE_SHA256)
         assert (hashlib.sha256(result_to_json(result).encode()).hexdigest()
                 == self.GOLDEN_RESULT_SHA256)

@@ -3,6 +3,7 @@
 import json
 
 from repro.__main__ import SUBCOMMANDS, main
+from repro.observability import load_record
 
 
 class TestProfileCommand:
@@ -24,10 +25,12 @@ class TestProfileCommand:
         coverage = float(line.rsplit("(", 1)[1].rstrip("%)"))
         assert coverage >= 90.0
 
-    def test_json_dump_is_a_span_mapping(self, capsys, tmp_path):
-        path = tmp_path / "spans.json"
-        assert main(["profile", "--steps", "5", "--json", str(path)]) == 0
-        dump = json.loads(path.read_text())
+    def test_record_spans_are_a_span_mapping(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        assert main(["profile", "--steps", "5", "--record", str(path)]) == 0
+        record = load_record(path)
+        assert record["counters"]["processed"]["compute"] > 0
+        dump = record["spans"]
         assert "workflow.run/sim.run" in dump
         for snap in dump.values():
             assert set(snap) == {"count", "cum_seconds", "self_seconds"}

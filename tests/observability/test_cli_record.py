@@ -1,0 +1,77 @@
+"""The ``--record`` run record of the single-run CLI subcommands.
+
+Writing the record must not change what a subcommand prints (beyond the
+one line naming the file), and the record must hold exactly what the
+library produces for the same run: the ``result_to_json`` payload and,
+written one per line, the tracer's JSONL bytes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.__main__ import _quickstart, main
+from repro.observability import MetricsRegistry, Tracer, load_record
+from repro.workflow import CoupledWorkflow
+from repro.workflow.report import result_to_json
+
+#: SHA-256 of ``audit --steps 20 --prometheus PATH``'s file, captured
+#: when the exporter still read the metrics registry and ledger directly.
+_PINNED_PROMETHEUS_SHA256 = (
+    "4c276ff0a9b95c28acdf1812815e0f67175338be8bb00064e57b9bf1bf5decfb"
+)
+
+_COMMANDS = {
+    "trace": ["trace", "--steps", "5"],
+    "audit": ["audit", "--steps", "5"],
+    "faults": ["faults", "blackout", "--steps", "5"],
+}
+
+
+@pytest.fixture(scope="module")
+def traced_record(tmp_path_factory):
+    """``trace --steps 5 --record``'s record, plus the same run replayed
+    in-process with the same hooks."""
+    path = tmp_path_factory.mktemp("record") / "run.json"
+    assert main(["trace", "--steps", "5", "--record", str(path)]) == 0
+    config, trace = _quickstart("global", 5, 42)
+    tracer = Tracer()
+    workflow = CoupledWorkflow(config, trace, tracer=tracer,
+                               metrics=MetricsRegistry())
+    return load_record(path), workflow.run(), tracer, workflow
+
+
+class TestRecordFlag:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_stdout_unchanged_but_for_the_wrote_line(
+        self, command, capsys, tmp_path
+    ):
+        argv = _COMMANDS[command]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        path = tmp_path / "run.json"
+        assert main(argv + ["--record", str(path)]) == 0
+        recorded = capsys.readouterr().out
+        assert recorded == plain + f"\nwrote record to {path}\n"
+        assert load_record(path)["label"]
+
+    def test_result_is_the_result_to_json_payload(self, traced_record):
+        record, result, _tracer, _workflow = traced_record
+        assert record["result"] == json.loads(result_to_json(result))
+
+    def test_events_one_per_line_are_the_trace_jsonl(self, traced_record):
+        record, _result, tracer, _workflow = traced_record
+        lines = "".join(json.dumps(e) + "\n" for e in record["events"])
+        assert lines == tracer.to_jsonl()
+
+    def test_counters_are_the_kernel_tallies(self, traced_record):
+        record, _result, _tracer, workflow = traced_record
+        assert record["counters"] == workflow.sim.kernel.counters.as_dict()
+
+    def test_prometheus_exposition_matches_pinned_digest(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "run.prom"
+        assert main(["audit", "--steps", "20", "--prometheus", str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _PINNED_PROMETHEUS_SHA256

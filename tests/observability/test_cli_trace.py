@@ -1,7 +1,7 @@
 """Smoke tests for the ``repro trace`` CLI subcommand."""
 
 from repro.__main__ import SUBCOMMANDS, main
-from repro.observability import read_jsonl
+from repro.observability import load_record
 from repro.observability.events import ADAPT_DECISION
 
 
@@ -15,16 +15,16 @@ class TestTraceCommand:
         assert "sim      |" in out
         assert "staging  |" in out
 
-    def test_jsonl_contains_every_decision_with_inputs(self, capsys, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        assert main(["trace", "--steps", "5", "--jsonl", str(path)]) == 0
-        events = read_jsonl(path)
-        decisions = [e for e in events if e.kind == ADAPT_DECISION]
+    def test_record_contains_every_decision_with_inputs(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        assert main(["trace", "--steps", "5", "--record", str(path)]) == 0
+        events = load_record(path)["events"]
+        decisions = [e for e in events if e["kind"] == ADAPT_DECISION]
         # monitor_interval defaults to 1: one decision per step.
         assert len(decisions) == 5
         for event in decisions:
-            assert "est_intransit_remaining" in event.fields
-            assert "est_insitu_time" in event.fields
+            assert "est_intransit_remaining" in event["fields"]
+            assert "est_insitu_time" in event["fields"]
 
     def test_mode_option(self, capsys):
         assert main(["trace", "--steps", "4",

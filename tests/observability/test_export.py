@@ -1,4 +1,4 @@
-"""Unit tests for the Prometheus and JSON snapshot exporters."""
+"""Unit tests for the run record and its Prometheus exporter."""
 
 import json
 
@@ -6,16 +6,21 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.observability import (
-    SNAPSHOT_SCHEMA,
+    RECORD_SCHEMA,
     MetricsRegistry,
     PredictionLedger,
     Profiler,
-    diff_snapshots,
-    export_snapshot,
-    load_snapshot,
+    diff_records,
+    load_record,
     prometheus_text,
     render_diff,
 )
+from repro.workflow import WorkflowResult, run_record
+
+
+def _record(label="", **hooks):
+    """A run record of an empty result with the given hooks."""
+    return run_record(WorkflowResult(mode="global"), label=label, **hooks)
 
 
 def _registry():
@@ -45,7 +50,7 @@ def _ledger():
 
 class TestPrometheus:
     def test_counter_gauge_and_timer_conventions(self):
-        text = prometheus_text(metrics=_registry())
+        text = prometheus_text(_record(metrics=_registry()))
         assert "# TYPE repro_workflow_steps_total counter" in text
         assert "repro_workflow_steps_total 10" in text
         assert "# TYPE repro_staging_active_cores gauge" in text
@@ -56,7 +61,7 @@ class TestPrometheus:
         assert "repro_staging_service_seconds_sum 6" in text
 
     def test_ledger_series_carry_quantity_labels(self):
-        text = prometheus_text(ledger=_ledger())
+        text = prometheus_text(_record(ledger=_ledger()))
         assert 'repro_ledger_predictions_total{quantity="insitu_time"} 2' in text
         assert 'repro_ledger_resolved_total{quantity="insitu_time"} 1' in text
         assert 'repro_calibration_mape_pct{quantity="insitu_time"}' in text
@@ -65,47 +70,69 @@ class TestPrometheus:
         assert "repro_ledger_unmatched_total 0" in text
 
     def test_help_and_type_emitted_once_per_metric(self):
-        text = prometheus_text(metrics=_registry(), ledger=_ledger())
+        text = prometheus_text(_record(metrics=_registry(), ledger=_ledger()))
         for line in (l for l in text.splitlines() if l.startswith("# TYPE")):
             assert text.count(line) == 1
 
     def test_empty_inputs_render_empty(self):
-        assert prometheus_text() == ""
+        assert prometheus_text(_record()) == ""
 
 
 class TestSnapshot:
+    """The run record: one versioned JSON snapshot of a run."""
+
     def test_payload_shape_and_write(self, tmp_path):
         path = tmp_path / "run.json"
-        payload = export_snapshot(metrics=_registry(), ledger=_ledger(),
-                                  label="baseline", path=path)
-        assert payload["schema"] == SNAPSHOT_SCHEMA
+        payload = _record(metrics=_registry(), ledger=_ledger(),
+                          label="baseline")
+        assert payload["schema"] == RECORD_SCHEMA
         assert payload["label"] == "baseline"
+        assert payload["result"]["mode"] == "global"
         assert payload["metrics"]["workflow.steps"]["value"] == 10
         assert payload["metrics"]["staging.service_seconds"]["count"] == 2
         assert payload["calibration"]["insitu_time"]["count"] == 1
         assert payload["regret"]["scored"] == 1
         assert payload["placements"] == {"0": "in_situ"}
-        assert json.loads(path.read_text()) == payload
-
-    def test_load_accepts_dict_text_and_path(self, tmp_path):
-        payload = export_snapshot(ledger=_ledger())
-        assert load_snapshot(payload) == payload
-        assert load_snapshot(json.dumps(payload)) == payload
-        path = tmp_path / "snap.json"
         path.write_text(json.dumps(payload))
-        assert load_snapshot(path) == payload
+        assert load_record(path) == payload
 
-    def test_load_rejects_wrong_schema(self):
+    def test_load_reads_a_written_record(self, tmp_path):
+        payload = _record(ledger=_ledger())
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload, indent=2))
+        assert load_record(path) == payload
+        assert load_record(str(path)) == payload
+
+    def test_load_rejects_wrong_schema(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"schema": "something/else"}))
         with pytest.raises(ObservabilityError, match="schema"):
-            load_snapshot({"schema": "something/else"})
-        with pytest.raises(ObservabilityError, match="not a snapshot"):
-            load_snapshot("{not json")
+            load_record(path)
+        path.write_text("{not json")
+        with pytest.raises(ObservabilityError, match="not JSON"):
+            load_record(path)
 
-    def test_ledger_roundtrips_through_the_snapshot(self):
+    def test_parent_snapshot_format_is_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "schema": "repro.observability.snapshot/2", "label": "old",
+            "profile": {}, "metrics": {}, "calibration": {}, "regret": {},
+            "placements": {}, "ledger": {},
+        }))
+        with pytest.raises(ObservabilityError, match=RECORD_SCHEMA):
+            load_record(path)
+
+    def test_ledger_roundtrips_through_the_snapshot(self, tmp_path):
         ledger = _ledger()
-        payload = export_snapshot(ledger=ledger)
-        clone = PredictionLedger.from_dict(payload["ledger"])
-        assert clone.as_dict() == ledger.as_dict()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_record(ledger=ledger)))
+        assert load_record(path)["ledger"] == ledger.as_dict()
+
+    def test_sections_are_empty_without_their_hooks(self):
+        payload = _record()
+        for section in ("events", "metrics", "spans", "counters",
+                        "calibration", "regret", "placements", "ledger"):
+            assert not payload[section], section
 
 
 class TestDiff:
@@ -131,9 +158,9 @@ class TestDiff:
                                          finished_at=30.0)
             ledger.finalize(sim_end=20.0)
 
-        a = export_snapshot(ledger=good, label="good")
-        b = export_snapshot(ledger=bad, label="bad")
-        diff = diff_snapshots(a, b)
+        a = _record(ledger=good, label="good")
+        b = _record(ledger=bad, label="bad")
+        diff = diff_records(a, b)
         assert diff["labels"] == ("good", "bad")
         assert diff["calibration"]["insitu_time"]["mape_delta"] == pytest.approx(50.0)
         assert diff["regret_delta"] > 0
@@ -147,9 +174,9 @@ class TestDiff:
         assert "step 0: in_situ -> in_transit" in text
 
     def test_disjoint_quantities_render_dashes(self):
-        a = export_snapshot(ledger=_ledger(), label="a")
-        b = export_snapshot(label="b")
-        diff = diff_snapshots(a, b)
+        a = _record(ledger=_ledger(), label="a")
+        b = _record(label="b")
+        diff = diff_records(a, b)
         assert diff["calibration"]["insitu_time"]["mape_b"] is None
         assert "-" in render_diff(diff)
 
@@ -164,7 +191,7 @@ def _profiler():
 
 class TestProfileExport:
     def test_prometheus_emits_span_series(self):
-        text = prometheus_text(profiler=_profiler())
+        text = prometheus_text(_record(profiler=_profiler()))
         assert "# TYPE repro_span_calls_total counter" in text
         assert 'repro_span_calls_total{span="workflow.run"} 1' in text
         assert 'repro_span_seconds_total{span="workflow.run/sim.run"}' in text
@@ -172,18 +199,9 @@ class TestProfileExport:
 
     def test_snapshot_carries_the_span_dump(self):
         profiler = _profiler()
-        payload = export_snapshot(profiler=profiler)
-        assert payload["schema"] == SNAPSHOT_SCHEMA
-        assert payload["profile"] == profiler.dump()
-        assert load_snapshot(payload) == payload
+        payload = _record(profiler=profiler)
+        assert payload["schema"] == RECORD_SCHEMA
+        assert payload["spans"] == profiler.dump()
 
     def test_snapshot_without_profiler_has_empty_profile(self):
-        assert export_snapshot()["profile"] == {}
-
-    def test_version_1_snapshots_still_load(self):
-        legacy = {"schema": "repro.observability.snapshot/1", "label": "old",
-                  "metrics": {}, "calibration": {}, "regret": {},
-                  "placements": {}, "ledger": {}}
-        loaded = load_snapshot(legacy)
-        assert loaded["label"] == "old"
-        assert "profile" not in loaded
+        assert _record()["spans"] == {}

@@ -2,6 +2,7 @@
 causally ordered event stream without perturbing the run itself."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -105,13 +106,12 @@ class TestEventStream:
         events = tracer.events()
         assert all(a.ts <= b.ts for a, b in zip(events, events[1:]))
 
-    def test_jsonl_roundtrip_of_a_real_run(self, traced_run, tmp_path):
-        from repro.observability import read_jsonl
-
+    def test_jsonl_roundtrip_of_a_real_run(self, traced_run):
         tracer, _metrics, _ledger, _result = traced_run
-        path = tmp_path / "run.jsonl"
-        tracer.to_jsonl(path)
-        assert read_jsonl(path) == tracer.events()
+        lines = tracer.to_jsonl().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            e.as_dict() for e in tracer.events()
+        ]
 
 
 def _global(tracer=None, metrics=None, ledger=None, profiler=None):

@@ -30,7 +30,7 @@ from repro.observability import (
     METRIC_NAMES,
     PROFILE_SPANS,
     QUANTITIES,
-    SNAPSHOT_SCHEMA,
+    RECORD_SCHEMA,
     load_budgets,
 )
 from repro.workflow.triggers import TRIGGER_POLICIES
@@ -79,8 +79,9 @@ class TestObservabilityDocs:
         assert not missing, f"undocumented ledger quantities: {missing}"
 
     def test_snapshot_schema_documented(self, observability_doc):
-        assert SNAPSHOT_SCHEMA in observability_doc, (
-            f"snapshot schema string {SNAPSHOT_SCHEMA!r} must appear in "
+        """The schema of the run record, a run's JSON snapshot."""
+        assert RECORD_SCHEMA in observability_doc, (
+            f"run record schema string {RECORD_SCHEMA!r} must appear in "
             "docs/observability.md"
         )
 

@@ -1,17 +1,15 @@
-"""Tests for result serialization and comparisons."""
+"""Tests for result serialization."""
 
 import json
 
 import pytest
 
 from repro.core.actions import Placement
-from repro.errors import WorkflowError
 from repro.hpc.systems import titan
-from repro.observability import Tracer
 from repro.workflow.config import Mode, WorkflowConfig
 from repro.workflow.driver import run_workflow
 from repro.workflow.metrics import StepMetrics, WorkflowResult
-from repro.workflow.report import compare, result_from_json, result_to_json
+from repro.workflow.report import result_to_json
 from repro.workload.synthetic import SyntheticAMRConfig, synthetic_amr_trace
 
 
@@ -29,10 +27,19 @@ def results():
     return out
 
 
+def _rebuild(text: str) -> WorkflowResult:
+    """The result a payload describes.  Its keys are the dataclass
+    fields, so equality with the original means nothing was lost."""
+    payload = json.loads(text)
+    steps = [StepMetrics(**{**s, "placement": Placement(s["placement"])})
+             for s in payload.pop("steps")]
+    return WorkflowResult(**payload, steps=steps)
+
+
 class TestJsonRoundtrip:
     def test_roundtrip_preserves_everything(self, results):
         original = results[Mode.ADAPTIVE_MIDDLEWARE]
-        restored = result_from_json(result_to_json(original))
+        restored = _rebuild(result_to_json(original))
         assert restored.mode == original.mode
         assert restored.end_to_end_seconds == original.end_to_end_seconds
         assert restored.energy_joules == original.energy_joules
@@ -44,21 +51,15 @@ class TestJsonRoundtrip:
 
     def test_file_roundtrip(self, results, tmp_path):
         path = tmp_path / "run.json"
-        result_to_json(results[Mode.STATIC_INSITU], path)
-        restored = result_from_json(path)
-        assert restored.mode == "static_insitu"
-
-    def test_garbage_rejected(self):
-        with pytest.raises(WorkflowError):
-            result_from_json("this is not json {")
-        with pytest.raises(WorkflowError):
-            result_from_json('{"mode": "x"}')
+        text = result_to_json(results[Mode.STATIC_INSITU], path)
+        assert path.read_text() == text
+        assert _rebuild(path.read_text()).mode == "static_insitu"
 
     def test_full_equality_roundtrip(self, results):
         # Regression: dataclass equality must survive the round trip
         # exactly, enums and None fields included.
         for result in results.values():
-            assert result_from_json(result_to_json(result)) == result
+            assert _rebuild(result_to_json(result)) == result
 
     def test_none_analysis_done_at_and_enum_roundtrip(self):
         step = StepMetrics(
@@ -71,49 +72,8 @@ class TestJsonRoundtrip:
         original = WorkflowResult(mode="post_processing", steps=[step],
                                   end_to_end_seconds=2.0,
                                   total_sim_seconds=1.0)
-        restored = result_from_json(result_to_json(original))
-        assert restored == original
-        assert restored.steps[0].analysis_done_at is None
-        assert restored.steps[0].placement is Placement.POST_PROCESS
-
-    def test_absent_analysis_done_at_reads_as_none(self, results):
-        payload = json.loads(result_to_json(results[Mode.STATIC_INSITU]))
-        for step in payload["steps"]:
-            del step["analysis_done_at"]
-        restored = result_from_json(json.dumps(payload))
-        assert all(s.analysis_done_at is None for s in restored.steps)
-
-    def test_unknown_placement_rejected(self, results):
-        payload = json.loads(result_to_json(results[Mode.STATIC_INSITU]))
-        payload["steps"][0]["placement"] = "teleport"
-        with pytest.raises(WorkflowError):
-            result_from_json(json.dumps(payload))
-
-    def test_trace_events_embedded_and_ignored_on_read(self, results):
-        tracer = Tracer()
-        tracer.emit("run.start", mode="test")
-        original = results[Mode.STATIC_INSITU]
-        text = result_to_json(original, tracer=tracer)
+        text = result_to_json(original)
         payload = json.loads(text)
-        assert payload["trace_events"][0]["kind"] == "run.start"
-        assert result_from_json(text) == original
-
-
-class TestCompare:
-    def test_improvements_positive_for_better_candidate(self, results):
-        report = compare(results[Mode.STATIC_INSITU],
-                         results[Mode.ADAPTIVE_MIDDLEWARE])
-        assert report["overhead_cut_pct"] > 0
-        assert report["end_to_end_cut_pct"] > 0
-
-    def test_self_comparison_is_zero(self, results):
-        r = results[Mode.STATIC_INSITU]
-        report = compare(r, r)
-        assert report["overhead_cut_pct"] == pytest.approx(0.0)
-        assert report["utilization_gain_pts"] == pytest.approx(0.0)
-
-    def test_zero_baseline_handled(self, results):
-        insitu = results[Mode.STATIC_INSITU]  # moves zero bytes
-        adaptive = results[Mode.ADAPTIVE_MIDDLEWARE]
-        report = compare(insitu, adaptive)
-        assert report["data_movement_cut_pct"] == 0.0
+        assert payload["steps"][0]["analysis_done_at"] is None
+        assert payload["steps"][0]["placement"] == "post_process"
+        assert _rebuild(text) == original
