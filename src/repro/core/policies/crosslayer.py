@@ -1,7 +1,8 @@
 """Combined cross-layer policy: root-leaf coordination (paper Section 4.4).
 
-The three steps of the paper's procedure, implemented over a mechanism
-dependency digraph (networkx):
+The three steps of the paper's procedure, implemented over the mechanism
+dependency graph, held as each mechanism's table of direct producers
+(``a`` feeds ``b`` when ``a``'s outputs meet ``b``'s inputs):
 
 1. **Look up root mechanisms** -- mechanisms whose own objective equals
    the user-defined objective.
@@ -9,7 +10,8 @@ dependency digraph (networkx):
    feed a root's inputs ("goes through the formulation of root mechanisms
    and looks for their data dependencies with other layers' mechanisms").
 3. **Execute** -- leaves before roots, leaves without dependencies first
-   (topological order of the induced subgraph).
+   (Kahn's topological generations of the chosen mechanisms, each sorted
+   by name).
 
 For ``MINIMIZE_TIME_TO_SOLUTION`` this yields
 ``application -> resource -> middleware`` (S_data feeds both M and the
@@ -21,8 +23,6 @@ worked examples in the paper.
 from __future__ import annotations
 
 import functools
-
-import networkx as nx
 
 from repro.core.mechanisms import Layer, Mechanism, standard_mechanisms
 from repro.core.preferences import Objective
@@ -36,21 +36,29 @@ class CrossLayerPolicy:
 
     def __init__(self, mechanisms: dict[Layer, Mechanism] | None = None):
         self.mechanisms = mechanisms or standard_mechanisms()
-        self.graph = self._build_graph()
-
-    def _build_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
         mechs = list(self.mechanisms.values())
-        graph.add_nodes_from(mechs)
-        for producer in mechs:
-            for consumer in mechs:
-                if producer is consumer:
-                    continue
-                if producer.feeds(consumer):
-                    graph.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(graph):
-            raise PolicyError("mechanism dependency graph has a cycle")
-        return graph
+        self._producers = {
+            consumer: [p for p in mechs if p is not consumer and p.feeds(consumer)]
+            for consumer in mechs
+        }
+        self._generations(mechs)  # raises on a cycle
+
+    def _generations(self, chosen: list[Mechanism]) -> list[Mechanism]:
+        """``chosen`` in dependency order: Kahn generations, each by name."""
+        waiting = {m: {p for p in self._producers[m] if p in chosen}
+                   for m in chosen}
+        ordered: list[Mechanism] = []
+        while waiting:
+            ready = sorted((m for m, deps in waiting.items() if not deps),
+                           key=lambda m: m.name)
+            if not ready:
+                raise PolicyError("mechanism dependency graph has a cycle")
+            for m in ready:
+                del waiting[m]
+            for deps in waiting.values():
+                deps.difference_update(ready)
+            ordered.extend(ready)
+        return ordered
 
     def roots(self, objective: Objective) -> list[Mechanism]:
         """Step 1: mechanisms sharing (serving) the user's objective."""
@@ -59,8 +67,12 @@ class CrossLayerPolicy:
     def leaves(self, roots: list[Mechanism]) -> list[Mechanism]:
         """Step 2: mechanisms transitively feeding any root's inputs."""
         selected: set[Mechanism] = set()
-        for root in roots:
-            selected |= nx.ancestors(self.graph, root)
+        frontier = list(roots)
+        while frontier:
+            for producer in self._producers[frontier.pop()]:
+                if producer not in selected:
+                    selected.add(producer)
+                    frontier.append(producer)
         return [m for m in self.mechanisms.values()
                 if m in selected and m not in roots]
 
@@ -76,14 +88,7 @@ class CrossLayerPolicy:
                 f"no mechanism has objective {objective.value!r}; "
                 "cannot select a root"
             )
-        chosen = set(roots) | set(self.leaves(roots))
-        sub = self.graph.subgraph(chosen)
-        order = list(nx.topological_sort(sub))
-        # Deterministic tie-breaks: topological generations sorted by name.
-        ordered: list[Mechanism] = []
-        for generation in nx.topological_generations(sub):
-            ordered.extend(sorted(generation, key=lambda m: m.name))
-        return ordered if len(ordered) == len(order) else order
+        return self._generations(roots + self.leaves(roots))
 
     def plan_layers(self, objective: Objective) -> list[Layer]:
         """Convenience: the execution plan as layer names."""
@@ -96,6 +101,6 @@ def standard_plan(objective: Objective) -> tuple[Layer, ...]:
 
     The mechanism graph and the objective fully determine the plan, so
     every engine shares one result per objective instead of rebuilding
-    the digraph per workflow.
+    the dependency table per workflow.
     """
     return tuple(CrossLayerPolicy().plan_layers(objective))

@@ -26,7 +26,7 @@ additionally emit ``fault.cleared`` when they end.
 
 from __future__ import annotations
 
-from repro.errors import FaultError
+from repro.errors import FaultError, SimulationError
 from repro.faults.plan import (
     CoreLoss,
     CoreRestore,
@@ -105,7 +105,8 @@ class FaultInjector:
         """Validate the wiring and schedule every timed fault.
 
         Raises :class:`FaultError` if a fault in the plan targets a
-        component that was never attached, or if called twice.
+        component that was never attached or a link the network lacks,
+        or if called twice.  Nothing is scheduled when it raises.
         """
         if self._armed:
             raise FaultError("fault injector already armed")
@@ -121,9 +122,18 @@ class FaultInjector:
         if needs_staging and self.staging is None:
             raise FaultError("fault plan targets staging but no StagingArea "
                             "was attached (pass StagingArea(..., faults=injector))")
-        if any(isinstance(f, LinkDegrade) for f in timed) and self.network is None:
+        degrades = [f for f in timed if isinstance(f, LinkDegrade)]
+        if degrades and self.network is None:
             raise FaultError("fault plan degrades links but no Network was "
                             "attached (call injector.attach_network(net))")
+        for fault in degrades:
+            try:
+                self.network.link_between(fault.src, fault.dst)
+            except SimulationError:
+                raise FaultError(
+                    f"{fault.kind} at t={fault.at}: no link between "
+                    f"{fault.src!r} and {fault.dst!r}"
+                ) from None
         self._armed = True
         for fault in timed:
             if isinstance(fault, CoreLoss):

@@ -5,10 +5,11 @@ This package substitutes for the leadership-class systems the paper ran on
 discrete-event engine over one heapq heap (:mod:`repro.hpc.kernel`,
 see ``docs/kernel.md``), the deterministic generator-process adapter on
 top of it (:mod:`repro.hpc.event`), a waitable FIFO store
-(:mod:`repro.hpc.resources`), an interconnect model with
-processor-sharing bandwidth allocation (:mod:`repro.hpc.network`), the
-two-partition staging uplink (:mod:`repro.hpc.topology`) and calibrated
-presets for the two systems used in the paper (:mod:`repro.hpc.systems`).
+(:mod:`repro.hpc.resources`), an interconnect of shared links that split
+their bandwidth evenly among their flows (:mod:`repro.hpc.network`), a
+parallel file system on two such links (:mod:`repro.hpc.filesystem`) and
+calibrated presets for the two systems used in the paper, with the
+two-partition staging uplink built from them (:mod:`repro.hpc.systems`).
 A workflow sees the machine only through a preset's aggregate numbers
 and its two partitions' core counts.
 """

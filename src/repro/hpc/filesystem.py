@@ -4,18 +4,19 @@ The paper's opening argument: "the increasing performance gap between
 computation and I/O in high-end computing environment renders traditional
 post-processing data analysis approach based on disk I/O infeasible."
 To make that comparison runnable, this module models a Lustre/GPFS-class
-parallel file system as two shared fluid-flow links (write and read
-paths) hanging off the machine's network, with byte accounting.
+parallel file system as two shared links on the machine's network -- one
+write link, one read link -- with byte accounting.
 
-Writes/reads contend with each other and with concurrent clients exactly
-like network transfers do (max-min fair sharing on the PFS links).
+Every attached client's writes ride the one write link, and its reads the
+one read link, so concurrent clients split the storage system's aggregate
+bandwidth evenly, exactly like network transfers, while a read burst
+cannot starve writers.
 """
 
 from __future__ import annotations
 
-from repro.errors import SimulationError
 from repro.hpc.event import Event, Simulator
-from repro.hpc.network import Network
+from repro.hpc.network import Link, Network
 
 __all__ = ["ParallelFileSystem"]
 
@@ -32,7 +33,8 @@ class ParallelFileSystem:
     latency:
         Per-operation software/metadata latency.
     endpoint:
-        Name of the PFS endpoint created on the network.
+        Prefix of the PFS endpoints (``"<endpoint>.write"`` and
+        ``"<endpoint>.read"``) created on the network.
     """
 
     def __init__(
@@ -44,67 +46,32 @@ class ParallelFileSystem:
         latency: float = 1e-3,
         endpoint: str = "pfs",
     ):
-        if write_bandwidth <= 0 or read_bandwidth <= 0:
-            raise SimulationError("PFS bandwidths must be positive")
         self.sim = sim
         self.network = network
-        self.endpoint = endpoint
-        # Two disjoint paths model the separate write/read pipes, each with
-        # ONE shared capacity link: all clients' writes contend for the
-        # storage system's aggregate write bandwidth (and likewise reads),
-        # while a read burst cannot starve writers.
         self._write_ep = f"{endpoint}.write"
         self._read_ep = f"{endpoint}.read"
-        self._write_hub = f"{endpoint}.write.hub"
-        self._read_hub = f"{endpoint}.read.hub"
+        self._write_link = Link(self._write_ep, float(write_bandwidth), float(latency))
+        self._read_link = Link(self._read_ep, float(read_bandwidth), float(latency))
         self.bytes_written = 0.0
         self.bytes_read = 0.0
-        self._clients: set[str] = set()
-        self._latency = float(latency)
-        network.add_link(self._write_hub, self._write_ep,
-                         bandwidth=float(write_bandwidth), latency=0.0)
-        network.add_link(self._read_hub, self._read_ep,
-                         bandwidth=float(read_bandwidth), latency=0.0)
-
-    # Client links are effectively unconstrained: the client side's real
-    # injection limit lives on the machine's own links; the PFS hub link is
-    # the shared bottleneck.
-    _CLIENT_BW = 1e18
 
     def attach(self, client: str) -> None:
-        """Give ``client`` (an existing network endpoint) a PFS path."""
-        if client in self._clients:
-            return
-        self.network.add_link(client, self._write_hub,
-                              bandwidth=self._CLIENT_BW, latency=self._latency)
-        self.network.add_link(client, self._read_hub,
-                              bandwidth=self._CLIENT_BW, latency=self._latency)
-        self._clients.add(client)
-
-    def _check(self, client: str) -> None:
-        if client not in self._clients:
-            raise SimulationError(
-                f"client {client!r} not attached to PFS {self.endpoint!r}"
-            )
+        """Put ``client`` (a network endpoint) on the shared write/read links."""
+        self.network.connect(client, self._write_ep, self._write_link)
+        self.network.connect(self._read_ep, client, self._read_link)
 
     def write(self, client: str, nbytes: float) -> Event:
-        """Start a write from ``client``; returns the completion event."""
-        self._check(client)
+        """Start a write from ``client``; returns the completion event.
+
+        Raises :class:`~repro.errors.SimulationError` if ``client`` was
+        never attached.
+        """
+        done = self.network.transfer(client, self._write_ep, nbytes)
         self.bytes_written += nbytes
-        return self.network.transfer(client, self._write_ep, nbytes)
+        return done
 
     def read(self, client: str, nbytes: float) -> Event:
         """Start a read into ``client``; returns the completion event."""
-        self._check(client)
+        done = self.network.transfer(self._read_ep, client, nbytes)
         self.bytes_read += nbytes
-        return self.network.transfer(self._read_ep, client, nbytes)
-
-    def estimate_write_time(self, client: str, nbytes: float) -> float:
-        """Uncontended write-time estimate."""
-        self._check(client)
-        return self.network.estimate_transfer_time(client, self._write_ep, nbytes)
-
-    def estimate_read_time(self, client: str, nbytes: float) -> float:
-        """Uncontended read-time estimate."""
-        self._check(client)
-        return self.network.estimate_transfer_time(self._read_ep, client, nbytes)
+        return done

@@ -1,24 +1,25 @@
-"""Interconnect model with max-min fair bandwidth sharing.
+"""Interconnect model: a few shared links, each split fairly among its flows.
 
-Transfers are fluid flows: each active flow drains at a rate computed by
-progressive filling (water-filling) over the links on its route, the
-textbook max-min fair allocation.  Whenever the flow set changes, progress
-is materialized, rates are recomputed and the next completion is
+Transfers are fluid flows, and every transfer crosses exactly one finite
+link: the simulation-staging uplink, or a parallel file system's write or
+read link.  A link's bandwidth is split equally among the flows it
+carries, so each drains at ``link.bandwidth / len(link.flows)`` -- the
+max-min fair allocation progressive filling computes when each flow has
+one binding link.  Whenever a link's flow set or capacity changes,
+progress is materialized, rates are recomputed and the next completion is
 rescheduled.  This captures the first-order behaviour that matters to the
 paper's policies -- concurrent in-transit sends contend for staging ingest
-bandwidth -- without modelling packets.
+bandwidth -- without modelling packets or hops.
 
-Routes are shortest paths on a :mod:`networkx` graph whose edges carry
-:class:`Link` objects, so arbitrary topologies from
-:mod:`repro.hpc.topology` plug in directly.
+Endpoints are plain names; the network maps each connected endpoint pair
+(either direction) to its :class:`Link`, and several pairs may share one
+link (every PFS client shares the PFS write link).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.errors import SimulationError
 from repro.hpc.event import Event, Simulator
@@ -31,22 +32,29 @@ _MIN_STEP = 1e-9  # seconds; smallest wake-up interval the scheduler will use
 
 @dataclass(eq=False)
 class Link:
-    """A directed-capacity link: ``bandwidth`` bytes/s shared by its flows.
+    """A shared-capacity link: ``bandwidth`` bytes/s split among ``flows``.
 
-    ``latency`` is a one-way propagation delay added once per route hop.
-    ``bytes_carried`` accumulates for the data-movement metrics.
+    ``latency`` is a one-way propagation delay added once per transfer.
+    ``flows`` holds the link's active transfers in admission order.
     """
 
     name: str
     bandwidth: float
     latency: float = 0.0
-    bytes_carried: float = field(default=0.0)
+    flows: list[Transfer] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
             raise SimulationError(f"link {self.name!r} needs positive bandwidth")
         if self.latency < 0:
             raise SimulationError(f"link {self.name!r} has negative latency")
+
+    def _share(self) -> None:
+        """Give each active flow an equal share of the bandwidth."""
+        if self.flows:
+            rate = self.bandwidth / len(self.flows)
+            for flow in self.flows:
+                flow.rate = rate
 
 
 @dataclass(eq=False)
@@ -57,7 +65,7 @@ class Transfer:
     src: str
     dst: str
     size: float
-    route: tuple[Link, ...]
+    link: Link
     done: Event
     remaining: float = 0.0
     rate: float = 0.0
@@ -73,7 +81,7 @@ class Transfer:
 
 
 class Network:
-    """Topology + flow scheduler.
+    """Endpoint pairs mapped to shared links, plus the flow scheduler.
 
     Usage::
 
@@ -85,22 +93,23 @@ class Network:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.graph = nx.Graph()
-        self._flows: set[Transfer] = set()
+        self._links: dict[tuple[str, str], Link] = {}
+        self._flows: dict[Transfer, None] = {}  # active flows, admission order
         self._ids = itertools.count()
         self._last_update = sim.now
         self._wake_version = 0
-        self._route_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
         self.total_bytes_moved = 0.0
 
-    # -- topology ---------------------------------------------------------
+    # -- links --------------------------------------------------------------
 
     def add_link(self, a: str, b: str, bandwidth: float, latency: float = 0.0,
                  name: str | None = None) -> Link:
-        """Connect endpoints ``a`` and ``b`` with a shared-capacity link."""
-        link = Link(name or f"{a}--{b}", bandwidth, latency)
-        self.graph.add_edge(a, b, link=link)
-        self._route_cache.clear()
+        """Connect endpoints ``a`` and ``b`` with a new shared-capacity link."""
+        return self.connect(a, b, Link(name or f"{a}--{b}", bandwidth, latency))
+
+    def connect(self, a: str, b: str, link: Link) -> Link:
+        """Route the endpoint pair ``a``/``b`` over an existing ``link``."""
+        self._links[a, b] = self._links[b, a] = link
         return link
 
     def update_link(self, a: str, b: str, bandwidth: float | None = None,
@@ -120,77 +129,42 @@ class Network:
         self._materialize_progress()
         if bandwidth is not None:
             link.bandwidth = float(bandwidth)
+            link._share()
         if latency is not None:
             link.latency = float(latency)
         self._reschedule()
         return link
 
     def link_between(self, a: str, b: str) -> Link:
-        """The link directly joining ``a`` and ``b``."""
+        """The link joining ``a`` and ``b`` (either direction)."""
         try:
-            return self.graph.edges[a, b]["link"]
+            return self._links[a, b]
         except KeyError:
             raise SimulationError(f"no link between {a!r} and {b!r}") from None
 
-    def route(self, src: str, dst: str) -> tuple[Link, ...]:
-        """Shortest-hop route between endpoints (cached)."""
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
-        try:
-            path = nx.shortest_path(self.graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise SimulationError(f"no route from {src!r} to {dst!r}") from exc
-        links = tuple(self.graph.edges[u, v]["link"] for u, v in zip(path, path[1:]))
-        self._route_cache[key] = links
-        return links
-
     # -- transfers ----------------------------------------------------------
-
-    @property
-    def active_flows(self) -> int:
-        """Number of flows currently draining."""
-        return len(self._flows)
 
     def transfer(self, src: str, dst: str, nbytes: float) -> Event:
         """Start an asynchronous transfer; returns its completion event."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        route = self.route(src, dst)
-        if not route:
-            raise SimulationError(f"src and dst are the same endpoint: {src!r}")
+        link = self.link_between(src, dst)
         done = self.sim.event(name=f"xfer({src}->{dst}, {nbytes:.0f}B)")
         flow = Transfer(
             transfer_id=next(self._ids),
             src=src,
             dst=dst,
             size=float(nbytes),
-            route=route,
+            link=link,
             done=done,
             remaining=float(nbytes),
             started_at=self.sim.now,
         )
         self.total_bytes_moved += flow.size
-        for link in route:
-            link.bytes_carried += flow.size
-        propagation = sum(link.latency for link in route)
-        if nbytes <= _EPS_BYTES:
-            self.sim._schedule_at(self.sim.now + propagation, self._finish_zero,
-                                  flow, kind="transfer")
-        else:
-            self.sim._schedule_at(self.sim.now + propagation, self._admit,
-                                  flow, kind="transfer")
+        arrive = self._finish_zero if nbytes <= _EPS_BYTES else self._admit
+        self.sim._schedule_at(self.sim.now + link.latency, arrive, flow,
+                              kind="transfer")
         return done
-
-    def estimate_transfer_time(self, src: str, dst: str, nbytes: float) -> float:
-        """Uncontended transfer time estimate (latency + size/bottleneck)."""
-        route = self.route(src, dst)
-        latency = sum(link.latency for link in route)
-        if nbytes <= 0:
-            return latency
-        bottleneck = min(link.bandwidth for link in route)
-        return latency + nbytes / bottleneck
 
     # -- fluid-flow internals ---------------------------------------------
 
@@ -201,7 +175,9 @@ class Network:
     def _admit(self, flow: Transfer) -> None:
         self._materialize_progress()
         flow.started_at = min(flow.started_at, self.sim.now)
-        self._flows.add(flow)
+        self._flows[flow] = None
+        flow.link.flows.append(flow)
+        flow.link._share()
         self._reschedule()
 
     def _materialize_progress(self) -> None:
@@ -212,40 +188,11 @@ class Network:
                 flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
         self._last_update = now
 
-    def _recompute_rates(self) -> None:
-        """Max-min fair allocation by progressive filling."""
-        unfrozen = set(self._flows)
-        capacity = {link: link.bandwidth for links in (f.route for f in self._flows)
-                    for link in links}
-        for flow in self._flows:
-            flow.rate = 0.0
-        while unfrozen:
-            # Bottleneck link: smallest fair share among links carrying
-            # unfrozen flows.
-            shares: dict[Link, float] = {}
-            loads: dict[Link, int] = {}
-            for flow in unfrozen:
-                for link in flow.route:
-                    loads[link] = loads.get(link, 0) + 1
-            for link, load in loads.items():
-                shares[link] = capacity[link] / load
-            bottleneck = min(shares, key=lambda lk: shares[lk])
-            fair = shares[bottleneck]
-            frozen_now = {f for f in unfrozen if bottleneck in f.route}
-            for flow in frozen_now:
-                flow.rate = fair
-                for link in flow.route:
-                    capacity[link] -= fair
-            unfrozen -= frozen_now
-
     def _reschedule(self) -> None:
-        self._recompute_rates()
         self._wake_version += 1
         if not self._flows:
             return
-        horizon = min(
-            (f.remaining / f.rate) for f in self._flows if f.rate > 0
-        )
+        horizon = min(f.remaining / f.rate for f in self._flows)
         # Never schedule a zero/denormal step: float residue on `remaining`
         # could otherwise pin the wake-up at the current timestamp forever.
         horizon = max(horizon, _MIN_STEP)
@@ -263,8 +210,11 @@ class Network:
             if f.remaining <= max(_EPS_BYTES, f.rate * _MIN_STEP)
         ]
         for flow in finished:
-            self._flows.discard(flow)
+            del self._flows[flow]
+            flow.link.flows.remove(flow)
             flow.remaining = 0.0
             flow.finished_at = self.sim.now
             flow.done.succeed(flow)
+        for link in dict.fromkeys(f.link for f in finished):
+            link._share()
         self._reschedule()

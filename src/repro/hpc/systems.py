@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.errors import ResourceError
 from repro.hpc.event import Simulator
 from repro.hpc.network import Network
-from repro.hpc.topology import staging_uplink
 from repro.units import GiB, MiB
 
 __all__ = ["SystemSpec", "intrepid", "titan", "build_workflow_network"]
@@ -117,16 +116,21 @@ def build_workflow_network(
 ) -> Network:
     """Build the staging-uplink network for a two-partition workflow.
 
-    The network has endpoints ``"sim"`` and ``"staging"``; each side's
-    bandwidth is the aggregate injection bandwidth of the whole nodes its
-    partition spans.
+    All simulation nodes sit behind endpoint ``"sim"`` and all staging
+    nodes behind ``"staging"``, joined by one shared link whose capacity
+    is the smaller of the two partitions' aggregate injection bandwidths
+    (over the whole nodes each spans): whichever side saturates first
+    bounds in-transit sends.  This is the level of detail the paper's
+    policies observe -- transfer latencies, not per-hop congestion.  A
+    non-positive uplink bandwidth raises
+    :class:`~repro.errors.SimulationError` from the link.
     """
-    return staging_uplink(
-        sim,
-        sim_injection_bw=spec.node_injection_bw * spec.nodes_for_cores(sim_cores),
-        staging_ingest_bw=spec.node_injection_bw * spec.nodes_for_cores(staging_cores),
-        latency=spec.network_latency,
-    )
+    sim_bw = spec.node_injection_bw * spec.nodes_for_cores(sim_cores)
+    staging_bw = spec.node_injection_bw * spec.nodes_for_cores(staging_cores)
+    net = Network(sim)
+    net.add_link("sim", "staging", bandwidth=min(sim_bw, staging_bw),
+                 latency=spec.network_latency, name="uplink")
+    return net
 
 
 # Guard against accidental unit errors in presets: Intrepid must expose the

@@ -63,6 +63,17 @@ class TestWiring:
         with pytest.raises(FaultError, match="[Nn]etwork"):
             injector.arm()
 
+    @pytest.mark.parametrize("dst", ["pfs.write.hub", "nowhere"])
+    def test_link_fault_on_missing_link_rejected_at_arm(self, dst):
+        plan = FaultPlan([LinkDegrade(at=1.0, duration=1.0, src="sim", dst=dst,
+                                      bandwidth_factor=0.5)])
+        injector, sim, _net, _area = wired(plan)
+        with pytest.raises(FaultError, match=(
+                rf"network\.degrade at t=1\.0: no link between 'sim' and '{dst}'")):
+            injector.arm()
+        sim.run()  # nothing was scheduled: the clock never reaches t=1
+        assert sim.now == 0
+
     def test_double_arm_rejected(self):
         injector, _sim, _net, _area = wired(FaultPlan.empty())
         injector.arm()

@@ -50,14 +50,6 @@ class TestReadWrite:
         sim.run(sim.all_of([w, r]))
         assert sim.now == pytest.approx(10.5)
 
-    def test_estimates_match_uncontended(self, setup):
-        sim, _net, pfs = setup
-        est = pfs.estimate_write_time("sim", 1000.0)
-        done = pfs.write("sim", 1000.0)
-        sim.run(done)
-        assert sim.now == pytest.approx(est)
-        assert pfs.estimate_read_time("sim", 1000.0) == pytest.approx(5.5)
-
 
 class TestValidation:
     def test_unattached_client_rejected(self, setup):
@@ -69,9 +61,13 @@ class TestValidation:
 
     def test_double_attach_is_noop(self, setup):
         sim, net, pfs = setup
-        links_before = net.graph.number_of_edges()
+        write_link = net.link_between("sim", "pfs.write")
+        read_link = net.link_between("pfs.read", "sim")
         pfs.attach("sim")
-        assert net.graph.number_of_edges() == links_before
+        assert net.link_between("sim", "pfs.write") is write_link
+        assert net.link_between("pfs.read", "sim") is read_link
+        # Every client still shares the one write link.
+        assert net.link_between("staging", "pfs.write") is write_link
 
     def test_bad_bandwidths_rejected(self):
         sim = Simulator()

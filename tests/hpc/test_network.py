@@ -1,12 +1,13 @@
 """Unit tests for the fluid-flow network model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.hpc.event import Simulator
+from repro.hpc.filesystem import ParallelFileSystem
 from repro.hpc.network import Network
-from repro.hpc.topology import staging_uplink
-from repro.units import GiB
 
 
 @pytest.fixture()
@@ -112,66 +113,131 @@ class TestBandwidthSharing:
         d2 = net.transfer("a", "b", nbytes=200.0)
         sim.run(sim.all_of([d1, d2]))
         assert net.total_bytes_moved == pytest.approx(500.0)
-        assert net.link_between("a", "b").bytes_carried == pytest.approx(500.0)
 
+    def test_simultaneous_completions_fire_in_admission_order(self, sim):
+        net = simple_net(sim, bandwidth=100.0)
+        events = [net.transfer("a", "b", nbytes=100.0) for _ in range(8)]
+        fired = []
 
-class TestMultiLinkRoutes:
-    def test_bottleneck_limits_rate(self, sim):
-        net = Network(sim)
-        net.add_link("a", "m", bandwidth=100.0)
-        net.add_link("m", "b", bandwidth=10.0)
-        done = net.transfer("a", "b", nbytes=100.0)
-        sim.run(done)
-        assert sim.now == pytest.approx(10.0)
+        def watch(sim, evt):
+            xfer = yield evt
+            fired.append((xfer.transfer_id, sim.now))
 
-    def test_cross_traffic_on_shared_link(self, sim):
-        # Flows a->b and c->b share only the m->b link.
-        net = Network(sim)
-        net.add_link("a", "m", bandwidth=1000.0)
-        net.add_link("c", "m", bandwidth=1000.0)
-        net.add_link("m", "b", bandwidth=100.0)
-        d1 = net.transfer("a", "b", nbytes=500.0)
-        d2 = net.transfer("c", "b", nbytes=500.0)
-        sim.run(sim.all_of([d1, d2]))
-        assert sim.now == pytest.approx(10.0)
-
-    def test_max_min_fairness_disjoint_bottlenecks(self, sim):
-        # Flow 1 uses a narrow private link; flow 2 shares the wide link.
-        # Max-min: flow 1 is capped at 10, flow 2 gets the remaining 90.
-        net = Network(sim)
-        net.add_link("x", "m", bandwidth=10.0)
-        net.add_link("m", "y", bandwidth=100.0)
-        net.add_link("w", "m", bandwidth=1000.0)
-        d1 = net.transfer("x", "y", nbytes=100.0)  # rate 10 -> t=10
-        d2 = net.transfer("w", "y", nbytes=450.0)  # rate 90 -> t=5
-        finish = {}
-
-        def watch(sim, evt, tag):
-            yield evt
-            finish[tag] = sim.now
-
-        sim.process(watch(sim, d1, "narrow"))
-        sim.process(watch(sim, d2, "wide"))
+        for evt in reversed(events):
+            sim.process(watch(sim, evt))
         sim.run()
-        assert finish["narrow"] == pytest.approx(10.0)
-        assert finish["wide"] == pytest.approx(5.0)
-
-    def test_estimate_matches_uncontended_run(self, sim):
-        net = Network(sim)
-        net.add_link("a", "m", bandwidth=100.0, latency=0.5)
-        net.add_link("m", "b", bandwidth=50.0, latency=0.5)
-        est = net.estimate_transfer_time("a", "b", 100.0)
-        done = net.transfer("a", "b", 100.0)
-        sim.run(done)
-        assert sim.now == pytest.approx(est)
+        assert fired == [(i, pytest.approx(8.0)) for i in range(8)]
 
 
-class TestTopologies:
-    def test_staging_uplink_capacity_is_min(self, sim):
-        net = staging_uplink(sim, sim_injection_bw=10 * GiB,
-                             staging_ingest_bw=2 * GiB, latency=1e-6)
-        assert net.link_between("sim", "staging").bandwidth == 2 * GiB
+def progressive_filling(routes, bandwidth):
+    """Max-min fair rates by progressive filling over multi-link routes.
 
-    def test_staging_uplink_rejects_bad_bw(self, sim):
-        with pytest.raises(SimulationError):
-            staging_uplink(sim, sim_injection_bw=0, staging_ingest_bw=1, latency=0)
+    The rate code of the former general-topology network, kept as an
+    oracle that shares no code with :mod:`repro.hpc.network`: ``routes``
+    maps each flow to the names of the links it crosses and ``bandwidth``
+    maps each link name to its capacity.
+    """
+    rates = {}
+    unfrozen = set(routes)
+    capacity = {link: bandwidth[link] for links in routes.values()
+                for link in links}
+    for flow in routes:
+        rates[flow] = 0.0
+    while unfrozen:
+        # Bottleneck link: smallest fair share among links carrying
+        # unfrozen flows.
+        shares = {}
+        loads = {}
+        for flow in unfrozen:
+            for link in routes[flow]:
+                loads[link] = loads.get(link, 0) + 1
+        for link, load in loads.items():
+            shares[link] = capacity[link] / load
+        bottleneck = min(shares, key=lambda lk: shares[lk])
+        fair = shares[bottleneck]
+        frozen_now = {f for f in unfrozen if bottleneck in routes[f]}
+        for flow in frozen_now:
+            rates[flow] = fair
+            for link in routes[flow]:
+                capacity[link] -= fair
+        unfrozen -= frozen_now
+    return rates
+
+
+_KINDS = ["uplink", "write", "read"]
+
+
+class TestProgressiveFillingOracle:
+    """Each flow's rate is the exact float progressive filling assigns.
+
+    The oracle sees the former topology: uplink flows cross the uplink,
+    and a PFS flow crosses its client's own effectively unbounded link
+    (1e18 B/s) and then the shared write or read link.
+    """
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        flows=st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.sampled_from(["sim", "staging"]),
+                      st.floats(1.0, 1e4), st.floats(0.0, 20.0)),
+            min_size=1, max_size=12,
+        ),
+        update=st.tuples(st.sampled_from(_KINDS), st.floats(0.0, 20.0),
+                         st.floats(10.0, 2000.0)),
+    )
+    def test_rates_match_oracle(self, flows, update):
+        sim = Simulator()
+        checked = []
+
+        class CheckedNetwork(Network):
+            def _reschedule(self):
+                super()._reschedule()
+                check()
+
+        net = CheckedNetwork(sim)
+        net.add_link("sim", "staging", bandwidth=700.0)
+        pfs = ParallelFileSystem(sim, net, write_bandwidth=300.0,
+                                 read_bandwidth=450.0, latency=0.25)
+        pfs.attach("sim")
+        pfs.attach("staging")
+        pairs = {"uplink": ("sim", "staging"), "write": ("sim", "pfs.write"),
+                 "read": ("pfs.read", "sim")}
+        links = {kind: net.link_between(*pair) for kind, pair in pairs.items()}
+
+        def route(flow):
+            if flow.link is links["uplink"]:
+                return ("uplink",)
+            if flow.link is links["write"]:
+                return (f"{flow.src}--write.hub", "write")
+            return (f"{flow.dst}--read.hub", "read")
+
+        def check():
+            active = [f for link in links.values() for f in link.flows]
+            bandwidth = {kind: link.bandwidth for kind, link in links.items()}
+            for client in ("sim", "staging"):
+                bandwidth[f"{client}--write.hub"] = 1e18
+                bandwidth[f"{client}--read.hub"] = 1e18
+            expected = progressive_filling({f: route(f) for f in active}, bandwidth)
+            assert {f: f.rate for f in active} == expected
+            checked.append(len(active))
+
+        def start(kind, client, size, offset):
+            yield sim.timeout(offset)
+            if kind == "uplink":
+                peer = "staging" if client == "sim" else "sim"
+                yield net.transfer(client, peer, size)
+            elif kind == "write":
+                yield pfs.write(client, size)
+            else:
+                yield pfs.read(client, size)
+
+        def degrade(kind, at, bandwidth):
+            yield sim.timeout(at)
+            net.update_link(*pairs[kind], bandwidth=bandwidth)
+
+        procs = [sim.process(start(*flow)) for flow in flows]
+        sim.process(degrade(*update))
+        sim.run()
+        assert all(p.triggered for p in procs)
+        assert not any(link.flows for link in links.values())
+        assert max(checked) >= 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ResourceError
+from repro.errors import ResourceError, SimulationError
 from repro.hpc.event import Simulator
 from repro.hpc.systems import build_workflow_network, intrepid, titan
 from repro.units import GiB
@@ -49,3 +49,24 @@ class TestWorkflowNetwork:
         with pytest.raises(ResourceError):
             build_workflow_network(Simulator(), titan(), sim_cores=0,
                                    staging_cores=64)
+
+
+class TestTopologies:
+    def test_staging_uplink_capacity_is_min(self):
+        spec = titan()
+        # 32 simulation nodes against 64 staging nodes: the simulation
+        # side's injection bandwidth bounds the uplink.
+        net = build_workflow_network(Simulator(), spec, sim_cores=512,
+                                     staging_cores=1024)
+        assert net.link_between("sim", "staging").bandwidth == (
+            spec.node_injection_bw * 32)
+        assert net.link_between("staging", "sim") is net.link_between("sim", "staging")
+
+    def test_staging_uplink_rejects_bad_bw(self):
+        # SystemSpec refuses a non-positive injection bandwidth when built;
+        # the uplink itself re-checks the bandwidth it is handed.
+        spec = titan()
+        object.__setattr__(spec, "node_injection_bw", 0.0)
+        with pytest.raises(SimulationError, match="'uplink' needs positive bandwidth"):
+            build_workflow_network(Simulator(), spec, sim_cores=16,
+                                   staging_cores=16)
