@@ -10,8 +10,7 @@ Run:  python examples/quickstart.py
 
 The paper-figure experiments (``python -m repro list``) memoize their
 deterministic solver runs through ``repro.experiments.cache``; set
-``REPRO_NO_CACHE=1`` to force every run to recompute from scratch, or
-``REPRO_CACHE_DIR=.cache`` to persist artifacts across processes (the
+``REPRO_NO_CACHE=1`` to force every run to recompute from scratch (the
 outputs are bit-identical either way — see docs/performance.md).
 """
 

@@ -24,8 +24,8 @@ Usage::
 
 ``run-all`` regenerates experiments through the parallel sweep runner
 (:mod:`repro.experiments.parallel`): each experiment's parameter grid is
-fanned over ``--jobs`` worker processes sharing the disk cache, and the
-grid-index-ordered merge makes the output bit-identical to ``--jobs 1``
+fanned over ``--jobs`` worker processes, each with its own in-memory
+experiment cache, and the grid-index-ordered merge makes the output bit-identical to ``--jobs 1``
 (and to the serial ``all`` command's per-experiment sections).  See
 ``docs/performance.md``.
 
@@ -245,9 +245,9 @@ def _run_all_command(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro run-all",
         description="Regenerate experiments through the parallel sweep "
-        "runner: parameter grids fan out over --jobs worker processes "
-        "sharing the disk cache, and results merge in grid order so the "
-        "output is bit-identical to --jobs 1.",
+        "runner: parameter grids fan out over --jobs worker processes, "
+        "and results merge in grid order so the output is bit-identical "
+        "to --jobs 1.",
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (default: 1 = in-process)")

@@ -16,11 +16,9 @@ protocol --
 order), so the rendered output is bit-identical to the serial path:
 ``run_all(jobs=8)`` and ``run_all(jobs=1)`` print the same bytes.
 
-Workers share the content-addressed disk cache (``REPRO_CACHE_DIR``):
-per-key advisory locks in :mod:`repro.experiments.cache` turn would-be
-stampedes into one compute plus N-1 disk hits, and the parent resolves
-the git code salt once (:func:`~repro.experiments.cache.set_code_salt`)
-instead of each worker spawning its own ``git rev-parse``.
+Each worker has its own in-memory experiment cache
+(:mod:`repro.experiments.cache`); points that need the same solver run
+compute it once per worker, never across processes.
 
 Observability: each completed point returns its worker's metrics dump
 and profiler span dump; the parent folds them into an injected
@@ -45,7 +43,7 @@ from importlib import import_module
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments import cache as cache_mod
+from repro.experiments.cache import default_cache
 
 __all__ = [
     "SWEEPS",
@@ -192,7 +190,7 @@ def _execute_point(
 
     registry = MetricsRegistry()
     profiler = Profiler()
-    cache = cache_mod.default_cache()
+    cache = default_cache()
     previous = cache.observer
     cache.observer = Observer(metrics=registry, profiler=profiler)
     try:
@@ -203,17 +201,6 @@ def _execute_point(
     finally:
         cache.observer = previous
     return result, registry.dump(), profiler.dump(), seconds
-
-
-def _worker_init(code_salt: str, cache_dir: str | None) -> None:
-    """Seed a pool worker: pinned code salt, shared disk cache dir.
-
-    Pinning the salt means a pool of N workers runs zero git
-    subprocesses; the parent resolved it once.
-    """
-    cache_mod.set_code_salt(code_salt)
-    if cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
 
 
 def _worker_run(
@@ -285,12 +272,7 @@ def run_all(
             for name, index, params in tasks
         ]
     else:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=(cache_mod._code_salt(), cache_dir),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             # ``map`` yields in submission order, so the aggregation
             # below is deterministic no matter which worker finishes
             # first; chunksize=1 keeps the pool load-balanced.

@@ -5,8 +5,7 @@ when* during one simulated run: staging cores dying and returning, network
 links browning out, analysis service straggling, staged objects being
 corrupted in flight or at rest.  The plan is pure data -- applying it is
 the :class:`~repro.faults.injector.FaultInjector`'s job -- so a plan can
-be hashed into experiment cache keys, serialized next to results, and
-replayed bit-identically.
+be compared, serialized next to results, and replayed bit-identically.
 
 Determinism contract:
 
@@ -27,8 +26,6 @@ two in sync, like ``EVENT_KINDS``).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import ClassVar, Iterable, Union
 
@@ -277,17 +274,6 @@ class FaultPlan:
                 payload[spec.name] = getattr(fault, spec.name)
             out.append(payload)
         return out
-
-    def cache_token(self) -> str:
-        """A stable content hash of the plan.
-
-        :meth:`repro.experiments.cache.ExperimentCache.key` folds this
-        into the cache key for any parameter exposing ``cache_token()``,
-        so artifacts computed under one fault plan are never served to
-        another (see ``docs/performance.md``).
-        """
-        payload = json.dumps(self.as_dicts(), sort_keys=True)
-        return "faultplan:" + hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def describe(self) -> str:
         """One line per fault, firing order, for reports and the CLI."""

@@ -53,13 +53,9 @@ METRIC_NAMES: dict[str, str] = {
     "analysis.entropy_kernel_seconds": "EMA timer: recent block-entropy "
     "kernel durations",
     "experiments.cache_hits": "counter: experiment cache lookups served "
-    "from memory or disk",
+    "from memory",
     "experiments.cache_misses": "counter: experiment cache lookups that "
     "had to compute",
-    "experiments.cache_store_failures": "counter: disk-cache artifact stores "
-    "that failed (read-only or full REPRO_CACHE_DIR)",
-    "experiments.cache_lock_waits": "counter: per-key cache lock acquisitions "
-    "that had to wait for a concurrent holder",
     "faults.injected": "counter: planned faults the injector applied",
     "staging.retries": "counter: staging ingest attempts retried with backoff",
     "placement.fallbacks": "counter: staging placements degraded to in-situ "

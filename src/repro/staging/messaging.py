@@ -128,10 +128,6 @@ class Subscription:
         """Waitable event firing with the next message on this topic."""
         return self._queue.get()
 
-    def pending(self) -> int:
-        """Messages delivered but not yet consumed."""
-        return len(self._queue)
-
 
 class MessageBus:
     """Fan-out pub/sub: each message is delivered to every subscriber."""
@@ -139,7 +135,6 @@ class MessageBus:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._subs: dict[str, list[Subscription]] = defaultdict(list)
-        self.published: dict[str, int] = defaultdict(int)
 
     def subscribe(self, topic: str) -> Subscription:
         """Register a new subscriber on ``topic``."""
@@ -149,18 +144,9 @@ class MessageBus:
         self._subs[topic].append(sub)
         return sub
 
-    def unsubscribe(self, sub: Subscription) -> None:
-        """Remove a subscriber; its queued messages remain readable."""
-        subs = self._subs.get(sub.topic, [])
-        try:
-            subs.remove(sub)
-        except ValueError:
-            raise StagingError(f"subscription not active on {sub.topic!r}") from None
-
     def publish(self, topic: str, message: Any) -> int:
         """Deliver ``message`` to all current subscribers; returns fan-out."""
         subs = self._subs.get(topic, [])
         for sub in subs:
             sub._queue.put(message)
-        self.published[topic] += 1
         return len(subs)

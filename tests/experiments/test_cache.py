@@ -1,15 +1,17 @@
 """Tests for the memoized experiment cache (:mod:`repro.experiments.cache`).
 
 The cache's contract is *bit-identity*: a hit, a prefix slice, a stepper
-extension, a disk round-trip and a ``REPRO_NO_CACHE=1`` bypass must all
-yield exactly the output of an uncached run.  These tests exercise each
-path with small solver configurations so they stay fast.
+extension, a rebuild and a ``REPRO_NO_CACHE=1`` bypass must all yield
+exactly the output of an uncached run.  These tests exercise each path
+with small solver configurations so they stay fast.
 """
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
@@ -20,7 +22,8 @@ from repro.experiments.cache import (
 )
 from repro.experiments.common import SCALES, advection_trace
 from repro.experiments.fig1_memory import _gas_stepper, captured_gas_trace
-from repro.experiments.fig6_entropy import density_field
+from repro.experiments.fig6_entropy import _density, density_field
+from repro.experiments.fig6_entropy import _gas_stepper as _field_stepper
 from repro.observability.metrics import MetricsRegistry
 from repro.workload.capture import capture_trace
 
@@ -32,9 +35,18 @@ def small_stepper():
     return _gas_stepper(**SMALL)
 
 
+@lru_cache(maxsize=None)
 def fresh_trace(nsteps):
-    """Uncached ground truth for the small configuration."""
+    """Uncached ground truth for the small configuration, one run per length."""
     return capture_trace(small_stepper(), nsteps, name="t")
+
+
+@lru_cache(maxsize=None)
+def fresh_field(nsteps):
+    """Uncached density field after ``nsteps`` on a 16^3 base grid."""
+    stepper = _field_stepper(16)
+    stepper.run(nsteps)
+    return _density(stepper)
 
 
 def assert_traces_identical(a, b):
@@ -55,7 +67,6 @@ def assert_traces_identical(a, b):
 @pytest.fixture(autouse=True)
 def isolated_cache(monkeypatch):
     """Each test gets a clean default cache and no ambient env settings."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     reset_default_cache()
     yield
@@ -69,6 +80,11 @@ class TestKeying:
         assert cache.key("trace", n=16) == base
         assert cache.key("trace", n=17) != base
         assert cache.key("field", n=16) != base
+
+    def test_key_rejects_non_json_params(self):
+        # A parameter is keyed by its JSON value, never by its str().
+        with pytest.raises(TypeError):
+            ExperimentCache().key("trace", n=object())
 
     def test_cache_enabled_env(self, monkeypatch):
         assert cache_enabled()
@@ -140,66 +156,18 @@ class TestValueMemo:
         assert len(calls) == 1
         assert registry.counter("experiments.cache_hits").value == 1
 
-    def test_cached_none_roundtrips_through_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        writer = ExperimentCache()
-        assert writer.value("v", {"a": 1}, lambda: None) is None
-        registry = MetricsRegistry()
-        reader = ExperimentCache(metrics=registry)
-        calls = []
-        assert reader.value("v", {"a": 1}, lambda: calls.append(1)) is None
-        assert not calls
-        assert registry.counter("experiments.cache_hits").value == 1
-
-    def test_store_failure_warns_and_counts(self, tmp_path, monkeypatch):
-        # Regression: an unwritable REPRO_CACHE_DIR used to fail silently
-        # (bare `except OSError: pass`), recomputing artifacts forever.
-        # Pointing the dir at a regular file breaks mkdir() even when the
-        # suite runs as root (which ignores read-only permission bits).
-        not_a_dir = tmp_path / "cache"
-        not_a_dir.write_text("in the way")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(not_a_dir))
-        monkeypatch.setattr(cache_mod, "_STORE_FAILURE_WARNED", False)
-        registry = MetricsRegistry()
-        cache = ExperimentCache(metrics=registry)
-        with pytest.warns(RuntimeWarning, match="cache store"):
-            assert cache.value("v", {"a": 1}, lambda: 41) == 41
-        assert registry.counter("experiments.cache_store_failures").value == 1
-        # Later failures keep counting but stay quiet.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cache.value("v", {"a": 2}, lambda: 42) == 42
-        assert registry.counter("experiments.cache_store_failures").value == 2
-
 
 class TestTraceSessions:
-    def test_prefix_and_extension_bit_identical(self):
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(st.lists(st.integers(1, 10), min_size=1, max_size=6))
+    @example([8, 12, 5])
+    def test_prefix_and_extension_bit_identical(self, requests):
+        # One cache serves every request: longer ones advance the live
+        # stepper, shorter ones slice the longest capture so far.
         cache = ExperimentCache()
-        t8 = cache.trace("t", SMALL, 8, small_stepper, name="t")
-        assert_traces_identical(t8, fresh_trace(8))
-        # Longer request: the live stepper advances forward.
-        t12 = cache.trace("t", SMALL, 12, small_stepper, name="t")
-        assert_traces_identical(t12, fresh_trace(12))
-        # Shorter request: served as a slice of the 12-step session.
-        t5 = cache.trace("t", SMALL, 5, small_stepper, name="t")
-        assert_traces_identical(t5, fresh_trace(5))
-
-    def test_disk_roundtrip_and_prefix(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        writer = ExperimentCache()
-        writer.trace("t", SMALL, 10, small_stepper, name="t")
-        assert list(tmp_path.glob("*.pkl"))
-        # A fresh cache (new process stand-in) serves a shorter request
-        # straight from the stored artifact.
-        registry = MetricsRegistry()
-        reader = ExperimentCache(metrics=registry)
-        t6 = reader.trace("t", SMALL, 6, small_stepper, name="t")
-        assert_traces_identical(t6, fresh_trace(6))
-        assert registry.counter("experiments.cache_hits").value == 1
-        # Extending past a disk prefix restarts from scratch (no live
-        # stepper to advance) but must still be bit-identical.
-        t12 = reader.trace("t", SMALL, 12, small_stepper, name="t")
-        assert_traces_identical(t12, fresh_trace(12))
+        for nsteps in requests:
+            got = cache.trace("t", SMALL, nsteps, small_stepper, name="t")
+            assert_traces_identical(got, fresh_trace(nsteps))
 
     def test_no_cache_bit_identical(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -228,22 +196,16 @@ class TestFieldSessions:
         third = density_field(n=16, nsteps=3, cache=cache)
         assert np.array_equal(first, third)
 
-    def test_overshoot_rebuilds(self):
-        cache = ExperimentCache()
-        f5 = density_field(n=16, nsteps=5, cache=cache)
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    @example([5, 2, 5])
+    def test_overshoot_rebuilds(self, requests):
         # Requesting fewer steps than the live stepper has run forces a
         # rebuild from step zero (state cannot be rewound).
-        f2 = density_field(n=16, nsteps=2, cache=cache)
-        assert np.array_equal(f2, density_field(n=16, nsteps=2, cache=ExperimentCache()))
-        assert np.array_equal(f5, density_field(n=16, nsteps=5, cache=cache))
-
-    def test_disk_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        f4 = density_field(n=16, nsteps=4, cache=ExperimentCache())
-        registry = MetricsRegistry()
-        reader = ExperimentCache(metrics=registry)
-        assert np.array_equal(density_field(n=16, nsteps=4, cache=reader), f4)
-        assert registry.counter("experiments.cache_hits").value == 1
+        cache = ExperimentCache()
+        for nsteps in requests:
+            got = density_field(n=16, nsteps=nsteps, cache=cache)
+            assert np.array_equal(got, fresh_field(nsteps))
 
 
 class TestDefaultCache:
@@ -252,22 +214,3 @@ class TestDefaultCache:
         assert default_cache() is cache
         reset_default_cache()
         assert default_cache() is not cache
-
-    def test_code_salt_isolation(self, monkeypatch):
-        # Different code revisions must produce different disk keys.
-        cache = ExperimentCache()
-        base = cache.key("t", n=1)
-        monkeypatch.setattr(cache_mod, "_CODE_SALT", "other-revision")
-        assert cache.key("t", n=1) != base
-
-    def test_set_code_salt_pins_keys(self, monkeypatch):
-        # The sweep runner resolves the salt once in the parent and pins
-        # it in every worker -- no git subprocess per worker, and keys
-        # match the parent's exactly.
-        monkeypatch.setattr(cache_mod, "_CODE_SALT", None)
-        cache_mod.set_code_salt("pinned-rev")
-        assert cache_mod._code_salt() == "pinned-rev"
-        cache = ExperimentCache()
-        a = cache.key("t", n=1)
-        cache_mod.set_code_salt("other-rev")
-        assert cache.key("t", n=1) != a

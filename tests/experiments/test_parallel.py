@@ -1,28 +1,18 @@
 """Tests for the parallel sweep runner (:mod:`repro.experiments.parallel`).
 
-Three contracts matter:
+Two contracts matter:
 
 - **Determinism.**  ``run_all(jobs=N)`` must render byte-identical text
   to ``run_all(jobs=1)`` -- results merge in grid order, never in
   completion order.
-- **Cache safety.**  N processes hammering one ``REPRO_CACHE_DIR`` must
-  produce exactly one artifact per key (no torn files, no duplicate
-  computes once the first store lands) and leave no temp files behind.
-- **Observability.**  Lock contention increments
-  ``experiments.cache_lock_waits``, worker metric dumps fold into the
-  parent registry, and one ``sweep.point`` event fires per grid point.
+- **Observability.**  Worker metric dumps fold into the parent
+  registry, and one ``sweep.point`` event fires per grid point.
 """
-
-import os
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import cache as cache_mod
-from repro.experiments.cache import ExperimentCache, reset_default_cache
+from repro.experiments.cache import reset_default_cache
 from repro.experiments.parallel import (
     SWEEPS,
     expand_grid,
@@ -41,9 +31,8 @@ SMALL_GRIDS = {
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Each test gets a private disk cache and a clean default cache."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+def isolated_cache(monkeypatch):
+    """Each test gets a clean default cache."""
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     reset_default_cache()
     yield
@@ -108,80 +97,6 @@ class TestDeterminism:
         assert [e.fields["index"] for e in points] == [0, 1]
         assert all(e.fields["experiment"] == "fig9" for e in points)
         assert all(e.fields["seconds"] >= 0 for e in points)
-
-
-# -- cross-process hammer ------------------------------------------------------
-
-#: Observable side effect of one compute: a pid-stamped sentinel file.
-_SENTINEL_DIR_ENV = "REPRO_TEST_SENTINEL_DIR"
-
-
-def _hammer_compute():
-    sentinel_dir = os.environ[_SENTINEL_DIR_ENV]
-    with open(os.path.join(sentinel_dir, f"compute-{os.getpid()}"), "w") as fh:
-        fh.write(str(os.getpid()))
-    time.sleep(0.05)  # widen the stampede window
-    return {"answer": 42}
-
-
-def _hammer_worker(task):
-    cache_dir, sentinel_dir = task
-    os.environ["REPRO_CACHE_DIR"] = cache_dir
-    os.environ[_SENTINEL_DIR_ENV] = sentinel_dir
-    cache_mod.set_code_salt("hammer-salt")
-    cache = ExperimentCache()
-    return cache.value("hammer", {"x": 1}, _hammer_compute)
-
-
-class TestConcurrentCache:
-    def test_hammer_one_cache_dir(self, tmp_path):
-        """N processes, one key: one artifact, no torn or temp files."""
-        cache_dir = tmp_path / "shared"
-        sentinel_dir = tmp_path / "sentinels"
-        cache_dir.mkdir()
-        sentinel_dir.mkdir()
-        tasks = [(str(cache_dir), str(sentinel_dir))] * 8
-        with ProcessPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(_hammer_worker, tasks))
-        assert results == [{"answer": 42}] * 8
-        artifacts = list(cache_dir.glob("*.pkl"))
-        assert len(artifacts) == 1
-        assert not list(cache_dir.glob("*.tmp*"))
-        # The per-key lock turns the stampede into one compute: only the
-        # first lock holder runs _hammer_compute; everyone else adopts
-        # its stored artifact.
-        assert len(list(sentinel_dir.iterdir())) == 1
-
-    def test_lock_wait_metric_increments(self, tmp_path):
-        """A blocked acquisition counts experiments.cache_lock_waits."""
-        cache_dir = tmp_path / "locks"
-        registry = MetricsRegistry()
-        cache = ExperimentCache(cache_dir=cache_dir, metrics=registry)
-        key = cache.key("contended", x=1)
-        waits = registry.counter("experiments.cache_lock_waits")
-        results = []
-        with cache._locked(cache_dir, key):
-            worker = threading.Thread(
-                target=lambda: results.append(
-                    cache.value("contended", {"x": 1}, lambda: 7)
-                )
-            )
-            worker.start()
-            deadline = time.monotonic() + 10.0
-            while waits.value < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert waits.value >= 1  # registered the wait while we hold it
-        worker.join(timeout=10.0)
-        assert not worker.is_alive()
-        assert results == [7]
-
-    def test_worker_init_pins_salt_and_cache_dir(self, tmp_path, monkeypatch):
-        from repro.experiments.parallel import _worker_init
-
-        monkeypatch.setattr(cache_mod, "_CODE_SALT", None)
-        _worker_init("pinned", str(tmp_path / "workers"))
-        assert cache_mod._code_salt() == "pinned"
-        assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "workers")
 
 
 class TestMetricsMerge:

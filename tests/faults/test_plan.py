@@ -112,21 +112,16 @@ class TestViews:
 
 
 class TestIdentity:
-    def test_cache_token_stable_across_construction_order(self):
+    def test_identity_stable_across_construction_order(self):
         a = FaultPlan([CoreLoss(at=1.0, cores=2), Straggler(at=3.0, duration=1.0, factor=2.0)])
         b = FaultPlan([Straggler(at=3.0, duration=1.0, factor=2.0), CoreLoss(at=1.0, cores=2)])
-        assert a.cache_token() == b.cache_token()
+        assert a.as_dicts() == b.as_dicts()
 
-    def test_cache_token_distinguishes_plans(self):
+    def test_identity_distinguishes_plans(self):
         a = FaultPlan([CoreLoss(at=1.0, cores=2)])
         b = FaultPlan([CoreLoss(at=1.0, cores=3)])
-        assert a.cache_token() != b.cache_token()
-        assert a.cache_token() != FaultPlan.empty().cache_token()
-
-    def test_cache_token_format(self):
-        token = FaultPlan.empty().cache_token()
-        assert token.startswith("faultplan:")
-        assert len(token) == len("faultplan:") + 16
+        assert a.as_dicts() != b.as_dicts()
+        assert a.as_dicts() != FaultPlan.empty().as_dicts()
 
     def test_as_dicts_carries_kind_and_fields(self):
         plan = FaultPlan([LinkDegrade(at=1.0, duration=2.0, bandwidth_factor=0.5)])

@@ -92,13 +92,20 @@ class TestMessageBus:
         bus = MessageBus(sim)
         subs = [bus.subscribe("t") for _ in range(3)]
         assert bus.publish("t", "hello") == 3
+        received = []
+
+        def consumer(sim, sub):
+            msg = yield sub.get()
+            received.append(msg)
+
+        for sub in subs:
+            sim.process(consumer(sim, sub))
         sim.run()
-        assert all(s.pending() == 1 for s in subs)
+        assert received == ["hello"] * 3
 
     def test_publish_without_subscribers(self, sim):
         bus = MessageBus(sim)
         assert bus.publish("nobody", 1) == 0
-        assert bus.published["nobody"] == 1
 
     def test_messages_ordered(self, sim):
         bus = MessageBus(sim)
@@ -115,14 +122,6 @@ class TestMessageBus:
         sim.process(consumer(sim))
         sim.run()
         assert received == [0, 1, 2]
-
-    def test_unsubscribe_stops_delivery(self, sim):
-        bus = MessageBus(sim)
-        sub = bus.subscribe("t")
-        bus.unsubscribe(sub)
-        assert bus.publish("t", "x") == 0
-        with pytest.raises(StagingError):
-            bus.unsubscribe(sub)
 
     def test_empty_topic_rejected(self, sim):
         with pytest.raises(StagingError):

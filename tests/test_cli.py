@@ -37,10 +37,9 @@ class TestCLI:
 
 class TestRunAllCLI:
     @pytest.fixture(autouse=True)
-    def isolated_cache(self, tmp_path, monkeypatch):
+    def isolated_cache(self, monkeypatch):
         from repro.experiments.cache import reset_default_cache
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         reset_default_cache()
         yield
