@@ -95,11 +95,12 @@ def test_kernel_fig_scale_under_budgets():
         f"end-to-end={result.end_to_end_seconds:.1f} sim-s  "
         f"attribution={attribution:.1%}"
     )
-    print(render_budget_report(profiler, manifest))
+    spans = profiler.dump()
+    print(render_budget_report(spans, manifest))
 
     assert events > 0
-    assert unregistered_spans(profiler) == []
-    violations = check_budgets(profiler, manifest)
+    assert unregistered_spans(spans) == []
+    violations = check_budgets(spans, manifest)
     assert not violations, "; ".join(v.describe() for v in violations)
     assert attribution >= 0.90, (
         f"profiler attributes only {attribution:.1%} of the "

@@ -99,10 +99,11 @@ def test_profile_budgets():
     with profiler.span("workflow.setup"):
         workflow = CoupledWorkflow(config, trace, profiler=profiler)
     workflow.run()
-    print("\n" + render_budget_report(profiler, manifest))
+    spans = profiler.dump()
+    print("\n" + render_budget_report(spans, manifest))
 
-    assert unregistered_spans(profiler) == []
-    violations = check_budgets(profiler, manifest)
+    assert unregistered_spans(spans) == []
+    violations = check_budgets(spans, manifest)
     assert not violations, "; ".join(v.describe() for v in violations)
 
 

@@ -18,7 +18,7 @@ from repro.faults import FaultPlan, LinkDegrade, Straggler, build_scenario
 from repro.hpc.systems import intrepid
 from repro.observability import MetricsRegistry, Tracer, fault_timeline
 from repro.units import format_seconds
-from repro.workflow import Mode, WorkflowConfig, run_workflow
+from repro.workflow import Mode, WorkflowConfig, run_record, run_workflow
 
 
 def config() -> WorkflowConfig:
@@ -38,7 +38,7 @@ def run_with(plan: FaultPlan | None, label: str):
                           metrics=MetricsRegistry(), faults=plan)
     print(f"{label:<22s} end-to-end {format_seconds(result.end_to_end_seconds):>9s}"
           f"   data moved {result.data_moved_bytes / 1e9:6.2f} GB")
-    return result, tracer
+    return result, run_record(result, tracer=tracer)
 
 
 def main() -> None:
@@ -48,7 +48,7 @@ def main() -> None:
     # A named scenario, scaled to this workload's fault-free duration.
     blackout = build_scenario("blackout", horizon=horizon,
                               staging_cores=256, steps=30)
-    _result, tracer = run_with(blackout, "blackout scenario")
+    _result, record = run_with(blackout, "blackout scenario")
 
     # A hand-built plan: brownout + stragglers overlapping mid-run.
     custom = FaultPlan([
@@ -59,7 +59,7 @@ def main() -> None:
     run_with(custom, "brownout + stragglers")
 
     print("\nblackout fault/recovery timeline:\n")
-    print(fault_timeline(tracer))
+    print(fault_timeline(record))
     print("\nwhile staging is dark the engine degrades every placement to "
           "in-situ;\nafter the restore the resource layer re-sizes the pool "
           "(Eqs. 9-10).")

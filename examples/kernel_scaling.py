@@ -93,7 +93,7 @@ def main() -> None:
         last_profiler = profiler
 
     print("\nPer-layer attribution at the largest scale (hot spans):")
-    print(render_hot_spans(last_profiler, top=6))
+    print(render_hot_spans(last_profiler.dump(), top=6))
     print("\nevents/sec attribution intact at every scale: YES")
 
 

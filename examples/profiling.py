@@ -61,13 +61,14 @@ def main() -> None:
     wall = time.perf_counter() - started
 
     attributed = profiler.total_seconds()
+    spans = profiler.dump()
     print(f"simulated end-to-end: {result.end_to_end_seconds:.1f} s; "
           f"host wall time {wall * 1e3:.1f} ms, "
           f"{100.0 * attributed / wall:.1f}% attributed to spans")
     print()
-    print(render_profile(profiler, total_seconds=wall))
+    print(render_profile(spans, total_seconds=wall))
     print()
-    print(render_hot_spans(profiler, top=5))
+    print(render_hot_spans(spans, top=5))
     print()
 
     # Cross-process aggregation: a worker ships back its dump() and the
@@ -82,8 +83,8 @@ def main() -> None:
     print(f"merged one worker profile: sweep.point count {point.count}, "
           f"its nested workflow.run count {nested.count}")
 
-    assert unregistered_spans(profiler) == []
-    violations = check_budgets(profiler, BUDGETS)
+    assert unregistered_spans(profiler.dump()) == []
+    violations = check_budgets(profiler.dump(), BUDGETS)
     assert not violations, "; ".join(v.describe() for v in violations)
     print("every span registered and within budget: YES")
 

@@ -22,33 +22,45 @@ Usage::
     python -m repro tenants --policy smallest --tenants 4
     python -m repro tenants --smoke
 
-``run-all`` regenerates experiments through the parallel sweep runner
-(:mod:`repro.experiments.parallel`): each experiment's parameter grid is
-fanned over ``--jobs`` worker processes, each with its own in-memory
-experiment cache, and the grid-index-ordered merge makes the output bit-identical to ``--jobs 1``
-(and to the serial ``all`` command's per-experiment sections).  See
+Experiments are the entries of :data:`repro.experiments.parallel.SWEEPS`:
+``list`` prints them, ``<id>`` and ``all`` compute every grid point in
+this process and render the merged result.  ``run-all`` regenerates them
+through the parallel sweep runner (:mod:`repro.experiments.parallel`):
+each experiment's parameter grid is fanned over ``--jobs`` worker
+processes, each with its own in-memory experiment cache, and the
+grid-index-ordered merge makes the output bit-identical to ``--jobs 1``
+(and to the ``all`` command's per-experiment sections).  See
 ``docs/performance.md``.
 
-``trace`` is the observability workflow: it replays the quickstart
-workload with a :class:`~repro.observability.Tracer` and
-:class:`~repro.observability.MetricsRegistry` injected, prints the
-per-step decision timeline and the sim-vs-staging occupancy Gantt.
+``trace``, ``audit``, ``faults`` and ``profile`` are views of one
+observed quickstart run.  They share ``--mode/--steps/--seed/--record``
+and one runner, which injects each view's hooks into the workflow and
+into the run record (:func:`repro.workflow.report.run_record`, schema
+:data:`~repro.observability.RECORD_SCHEMA`); the view renders that
+record, and ``--record PATH`` writes it.
 
-``audit`` replays the same workload with a
-:class:`~repro.observability.PredictionLedger` injected and prints the
-calibration report: per-estimator bias/MAPE/convergence plus the
-counterfactual placement regret.  ``--prometheus`` writes the text
-exposition format, and ``--diff A B`` compares two run records
-(estimate-error drift, regret delta, decision flips) without running
-anything.
-
-``faults`` runs a named fault scenario (:data:`repro.faults.SCENARIOS`)
-against the quickstart workload: it first replays the workload
-fault-free to measure the baseline end-to-end time (which also scales
-the scenario's fault timings), then replays it with the seeded
-:class:`~repro.faults.FaultPlan` injected, and prints the
-time-to-solution and data-movement deltas plus the fault/recovery
-timeline.  See ``docs/faults.md``.
+- ``trace`` injects a :class:`~repro.observability.Tracer` and a
+  :class:`~repro.observability.MetricsRegistry` and prints the per-step
+  decision timeline and the sim-vs-staging occupancy Gantt.
+- ``audit`` injects a :class:`~repro.observability.PredictionLedger` and
+  prints the calibration report: per-estimator bias/MAPE/convergence
+  plus the counterfactual placement regret.  ``--prometheus`` writes the
+  text exposition format, and ``--diff A B`` compares two run records
+  (estimate-error drift, regret delta, decision flips) without running
+  anything.
+- ``faults`` runs a named fault scenario (:data:`repro.faults.SCENARIOS`):
+  it first replays the workload fault-free to measure the baseline
+  end-to-end time (which also scales the scenario's fault timings), then
+  replays it traced with the seeded :class:`~repro.faults.FaultPlan`
+  injected, and prints the time-to-solution and data-movement deltas
+  plus the fault/recovery timeline.  See ``docs/faults.md``.
+- ``profile`` injects a :class:`~repro.observability.Profiler` and prints
+  the span tree (call counts, cumulative and self wall-clock seconds per
+  span path), the top-N hot list by self time, and the fraction of
+  measured wall time the named spans attribute.  ``--budgets`` also
+  checks the spans against a ``benchmarks/budgets.json`` manifest and
+  exits non-zero on any ceiling violation (the CI ``profile-smoke``
+  job's check).  See ``docs/profiling.md``.
 
 ``triggers`` compares every registered trigger-detection policy
 (:data:`repro.workflow.triggers.TRIGGER_POLICIES`) on one workload --
@@ -63,20 +75,6 @@ the solo baseline, queue waits, starvations and Jain fairness (the
 interactive face of the ``fig_tenants`` sweep).  ``--smoke`` runs the
 short two-tenant point the CI ``tenant-smoke`` job checks.  See
 ``docs/service.md``.
-
-``profile`` replays the quickstart workload with a
-:class:`~repro.observability.Profiler` injected and prints the span
-tree (call counts, cumulative and self wall-clock seconds per span
-path), the top-N hot list by self time, and the fraction of measured
-wall time the named spans attribute.  ``--budgets`` additionally
-checks the collected profile against a ``benchmarks/budgets.json``
-manifest and exits non-zero on any ceiling violation (the CI
-``profile-smoke`` job's check).  See ``docs/profiling.md``.
-
-``trace``, ``audit``, ``faults`` and ``profile`` each take ``--record
-PATH``, which writes the run's :data:`~repro.observability.RECORD_SCHEMA`
-record (:func:`repro.workflow.report.run_record`): result, events,
-metrics, spans, kernel counters and the ledger audit in one JSON object.
 """
 
 from __future__ import annotations
@@ -84,123 +82,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
+import time
 from pathlib import Path
 from typing import Any
 
 __all__ = ["SUBCOMMANDS", "main"]
 
-#: Non-experiment subcommands (the docs-consistency test keys off this).
-SUBCOMMANDS = ("list", "all", "run-all", "trace", "audit", "faults",
-               "triggers", "profile", "tenants")
-
-
-def _fig1() -> str:
-    from repro.experiments import fig1_memory
-
-    return fig1_memory.render(fig1_memory.run_fig1())
-
-
-def _fig4() -> str:
-    from repro.experiments import fig4_timeline
-
-    return fig4_timeline.render(fig4_timeline.run_fig4())
-
-
-def _fig5() -> str:
-    from repro.experiments import fig5_app_layer
-
-    return fig5_app_layer.render(fig5_app_layer.run_fig5())
-
-
-def _fig6() -> str:
-    from repro.experiments import fig6_entropy
-
-    return fig6_entropy.render(fig6_entropy.run_fig6())
-
-
-def _fig7() -> str:
-    from repro.experiments import fig7_placement
-
-    return fig7_placement.render(fig7_placement.run_fig7())
-
-
-def _fig8() -> str:
-    from repro.experiments import fig8_data_movement
-
-    return fig8_data_movement.render(fig8_data_movement.run_fig8())
-
-
-def _fig9() -> str:
-    from repro.experiments import fig9_resource
-
-    return fig9_resource.render(fig9_resource.run_fig9())
-
-
-def _fig10() -> str:
-    from repro.experiments import fig10_global
-
-    return fig10_global.render(fig10_global.run_fig10())
-
-
-def _fig11() -> str:
-    from repro.experiments import fig11_global_movement
-
-    return fig11_global_movement.render(fig11_global_movement.run_fig11())
-
-
-def _table2() -> str:
-    from repro.experiments import table2_utilization
-
-    return table2_utilization.render(table2_utilization.run_table2())
-
-
-def _ablations() -> str:
-    from repro.experiments import ablations
-
-    return ablations.render_all()
-
-
-def _objectives() -> str:
-    from repro.experiments import objectives
-
-    return objectives.render(objectives.run_objectives())
-
-
-def _fig_triggers() -> str:
-    from repro.experiments import fig_triggers
-
-    return fig_triggers.render(fig_triggers.run_fig_triggers())
-
-
-def _fig_tenants() -> str:
-    from repro.experiments import fig_tenants
-
-    return fig_tenants.render(fig_tenants.run_fig_tenants())
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable[[], str]]] = {
-    "fig1": ("peak-memory distribution, Polytropic Gas", _fig1),
-    "fig4": ("placement decision timeline", _fig4),
-    "fig5": ("adaptive spatial resolution vs memory", _fig5),
-    "fig6": ("entropy-based down-sampling fidelity", _fig6),
-    "fig7": ("end-to-end time: static vs adaptive placement", _fig7),
-    "fig8": ("data movement: in-transit vs adaptive", _fig8),
-    "fig9": ("adaptive staging allocation + Eq. 12", _fig9),
-    "fig10": ("global cross-layer vs local adaptation", _fig10),
-    "fig11": ("data movement: global vs local", _fig11),
-    "table2": ("staging core usage histogram", _table2),
-    "ablations": ("design-choice sweeps", _ablations),
-    "objectives": ("user-preference trade-off comparison", _objectives),
-    "fig_triggers": ("monitoring overhead vs adaptation lag across "
-                     "trigger policies", _fig_triggers),
-    "fig_tenants": ("multi-tenant contention across admission policies",
-                    _fig_tenants),
-}
-
 
 def _quickstart(mode: str, steps: int, seed: int, estimator_bias: float = 1.0):
-    """The quickstart workload + config shared by ``trace`` and ``audit``."""
+    """The quickstart workload + config the observed views replay."""
     from repro.hpc.systems import titan
     from repro.workflow import Mode, WorkflowConfig
     from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
@@ -228,16 +118,61 @@ def _quickstart(mode: str, steps: int, seed: int, estimator_bias: float = 1.0):
     return config, trace
 
 
-def _add_record_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--record", metavar="PATH", default=None,
-                        help="also write the run record (repro.run/1 JSON)")
+def _observed_run_flags() -> argparse.ArgumentParser:
+    """The flags shared by the views of one observed quickstart run."""
+    from repro.workflow import Mode
+
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--mode", default="global",
+                       choices=[m.value for m in Mode],
+                       help="execution mode (default: global)")
+    flags.add_argument("--steps", type=int, default=20,
+                       help="workload length in steps (default: 20)")
+    flags.add_argument("--seed", type=int, default=42,
+                       help="synthetic workload seed (default: 42)")
+    flags.add_argument("--record", metavar="PATH", default=None,
+                       help="also write the run record (repro.run/1 JSON)")
+    return flags
 
 
-def _write_record(path: str, record: dict[str, Any]) -> None:
-    target = Path(path)
+def _label(args: argparse.Namespace) -> str:
+    return f"{args.mode} steps={args.steps} seed={args.seed}"
+
+
+def _observe(args: argparse.Namespace, hooks: dict[str, Any], label: str,
+             *, estimator_bias: float = 1.0, faults=None):
+    """Run the quickstart once; return ``(result, record, wall seconds)``.
+
+    ``hooks`` maps ``tracer``/``metrics``/``ledger``/``profiler`` to the
+    instruments the view injects.  The one mapping reaches both the
+    workflow and :func:`~repro.workflow.report.run_record`, so the view
+    renders exactly the record ``--record`` writes.  The wall seconds
+    cover building and running the workflow, not building the record.
+    """
+    from repro.observability.observer import NULL_PROFILER
+    from repro.workflow import CoupledWorkflow, run_record
+
+    profiler = hooks.get("profiler", NULL_PROFILER)
+    started = time.perf_counter()
+    with profiler.span("workload.build"):
+        config, trace = _quickstart(args.mode, args.steps, args.seed,
+                                    estimator_bias=estimator_bias)
+    with profiler.span("workflow.setup"):
+        workflow = CoupledWorkflow(config, trace, faults=faults, **hooks)
+    result = workflow.run()
+    wall = time.perf_counter() - started
+    record = run_record(result, label=label,
+                        counters=workflow.sim.kernel.counters, **hooks)
+    return result, record, wall
+
+
+def _write_record(args: argparse.Namespace, record: dict[str, Any]) -> None:
+    if args.record is None:
+        return
+    target = Path(args.record)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"\nwrote record to {path}")
+    print(f"\nwrote record to {args.record}")
 
 
 def _run_all_command(argv: list[str]) -> int:
@@ -288,22 +223,15 @@ def _run_all_command(argv: list[str]) -> int:
 
 
 def _trace_command(argv: list[str]) -> int:
-    """The ``repro trace`` subcommand: an instrumented quickstart replay."""
+    """The ``repro trace`` subcommand: decision timeline + occupancy."""
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
         description="Replay the quickstart workload with cross-layer "
         "tracing enabled and render the decision timeline.",
+        parents=[_observed_run_flags()],
     )
-    parser.add_argument("--mode", default="global",
-                        choices=[m.value for m in _trace_modes()],
-                        help="execution mode (default: global)")
-    parser.add_argument("--steps", type=int, default=20,
-                        help="workload length in steps (default: 20)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="synthetic workload seed (default: 42)")
     parser.add_argument("--width", type=int, default=72,
                         help="Gantt width in columns (default: 72)")
-    _add_record_flag(parser)
     args = parser.parse_args(argv)
 
     from repro.observability import (
@@ -312,29 +240,19 @@ def _trace_command(argv: list[str]) -> int:
         decision_timeline,
         occupancy_gantt,
     )
-    from repro.workflow import CoupledWorkflow, run_record
 
-    config, trace = _quickstart(args.mode, args.steps, args.seed)
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    workflow = CoupledWorkflow(config, trace, tracer=tracer, metrics=metrics)
-    result = workflow.run()
-
-    print(f"mode={config.mode.value}  steps={len(trace)}  "
+    hooks = {"tracer": Tracer(), "metrics": MetricsRegistry()}
+    result, record, _ = _observe(args, hooks, _label(args))
+    print(f"mode={args.mode}  steps={args.steps}  "
           f"end-to-end={result.end_to_end_seconds:.2f}s  "
           f"overhead={result.overhead_seconds:.2f}s")
     print("\n## Decision timeline " + "#" * 50)
-    print(decision_timeline(tracer))
+    print(decision_timeline(record))
     print("\n## Occupancy (sim vs in-transit) " + "#" * 38)
-    print(occupancy_gantt(tracer, width=args.width))
+    print(occupancy_gantt(record, width=args.width))
     print("\n## Metrics " + "#" * 60)
-    print(metrics.render())
-    if args.record is not None:
-        label = f"{config.mode.value} steps={len(trace)} seed={args.seed}"
-        _write_record(args.record, run_record(
-            result, label=label, counters=workflow.sim.kernel.counters,
-            tracer=tracer, metrics=metrics,
-        ))
+    print(hooks["metrics"].render())
+    _write_record(args, record)
     return 0
 
 
@@ -346,18 +264,11 @@ def _audit_command(argv: list[str]) -> int:
         "ledger injected and print the calibration report (per-estimator "
         "bias/MAPE, EMA convergence, counterfactual placement regret); "
         "or, with --diff, compare two run records.",
+        parents=[_observed_run_flags()],
     )
-    parser.add_argument("--mode", default="global",
-                        choices=[m.value for m in _trace_modes()],
-                        help="execution mode (default: global)")
-    parser.add_argument("--steps", type=int, default=20,
-                        help="workload length in steps (default: 20)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="synthetic workload seed (default: 42)")
     parser.add_argument("--bias", type=float, default=1.0,
                         help="multiply every analysis-time estimate by "
                         "this factor (default: 1.0 = unbiased)")
-    _add_record_flag(parser)
     parser.add_argument("--prometheus", metavar="PATH", default=None,
                         help="write the metrics + ledger series in "
                         "Prometheus text exposition format")
@@ -386,27 +297,16 @@ def _audit_command(argv: list[str]) -> int:
         print(render_diff(diff_records(a, b)))
         return 0
 
-    from repro.workflow import CoupledWorkflow, run_record
-
-    config, trace = _quickstart(args.mode, args.steps, args.seed,
-                                estimator_bias=args.bias)
-    ledger = PredictionLedger()
-    metrics = MetricsRegistry()
-    workflow = CoupledWorkflow(config, trace, metrics=metrics, ledger=ledger)
-    result = workflow.run()
-
-    print(f"mode={config.mode.value}  steps={len(trace)}  "
-          f"bias={args.bias:g}  "
+    hooks = {"metrics": MetricsRegistry(), "ledger": PredictionLedger()}
+    result, record, _ = _observe(
+        args, hooks, f"{_label(args)} bias={args.bias:g}",
+        estimator_bias=args.bias,
+    )
+    print(f"mode={args.mode}  steps={args.steps}  bias={args.bias:g}  "
           f"end-to-end={result.end_to_end_seconds:.2f}s")
     print("\n## Calibration " + "#" * 56)
-    print(calibration_report(ledger))
-    label = f"{config.mode.value} steps={len(trace)} seed={args.seed} " \
-            f"bias={args.bias:g}"
-    record = run_record(result, label=label,
-                        counters=workflow.sim.kernel.counters,
-                        metrics=metrics, ledger=ledger)
-    if args.record is not None:
-        _write_record(args.record, record)
+    print(calibration_report(record))
+    _write_record(args, record)
     if args.prometheus is not None:
         path = Path(args.prometheus)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -422,21 +322,14 @@ def _faults_command(argv: list[str]) -> int:
         description="Run a named fault scenario against the quickstart "
         "workload and report the time-to-solution delta against the "
         "fault-free baseline, plus the fault/recovery timeline.",
+        parents=[_observed_run_flags()],
     )
     parser.add_argument("scenario", nargs="?", default=None,
                         help="scenario name (see --list)")
     parser.add_argument("--list", action="store_true", dest="list_scenarios",
                         help="list the available scenarios and exit")
-    parser.add_argument("--mode", default="global",
-                        choices=[m.value for m in _trace_modes()],
-                        help="execution mode (default: global)")
-    parser.add_argument("--steps", type=int, default=20,
-                        help="workload length in steps (default: 20)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="synthetic workload seed (default: 42)")
     parser.add_argument("--fault-seed", type=int, default=0,
                         help="fault scenario seed (default: 0)")
-    _add_record_flag(parser)
     args = parser.parse_args(argv)
 
     from repro.faults import SCENARIOS, build_scenario
@@ -450,7 +343,7 @@ def _faults_command(argv: list[str]) -> int:
         parser.error("a scenario name is required (or use --list)")
 
     from repro.observability import MetricsRegistry, Tracer, fault_timeline
-    from repro.workflow import CoupledWorkflow, run_record, run_workflow
+    from repro.workflow import run_workflow
 
     # Fault-free baseline: measures the deltas AND provides the horizon
     # the scenario's relative fault timings are scaled by.
@@ -464,21 +357,20 @@ def _faults_command(argv: list[str]) -> int:
         steps=len(trace),
     )
 
-    config, trace = _quickstart(args.mode, args.steps, args.seed)
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    workflow = CoupledWorkflow(config, trace, tracer=tracer, metrics=metrics,
-                               faults=plan)
-    result = workflow.run()
-
+    hooks = {"tracer": Tracer(), "metrics": MetricsRegistry()}
+    result, record, _ = _observe(
+        args, hooks,
+        f"{args.scenario} {_label(args)} fault-seed={args.fault_seed}",
+        faults=plan,
+    )
     delta_t = result.end_to_end_seconds - baseline.end_to_end_seconds
     delta_pct = (
         100.0 * delta_t / baseline.end_to_end_seconds
         if baseline.end_to_end_seconds > 0 else 0.0
     )
     delta_bytes = result.data_moved_bytes - baseline.data_moved_bytes
-    print(f"scenario={args.scenario}  mode={config.mode.value}  "
-          f"steps={len(trace)}  fault-seed={args.fault_seed}")
+    print(f"scenario={args.scenario}  mode={args.mode}  "
+          f"steps={args.steps}  fault-seed={args.fault_seed}")
     print("\n## Fault plan " + "#" * 57)
     print(plan.describe())
     print("\n## Time to solution " + "#" * 51)
@@ -490,16 +382,10 @@ def _faults_command(argv: list[str]) -> int:
     print(f"faulted    : {result.data_moved_bytes:15.0f} B")
     print(f"delta      : {delta_bytes:+15.0f} B")
     print("\n## Fault/recovery timeline " + "#" * 44)
-    print(fault_timeline(tracer))
+    print(fault_timeline(record))
     print("\n## Metrics " + "#" * 60)
-    print(metrics.render())
-    if args.record is not None:
-        label = (f"{args.scenario} {config.mode.value} steps={len(trace)} "
-                 f"seed={args.seed} fault-seed={args.fault_seed}")
-        _write_record(args.record, run_record(
-            result, label=label, counters=workflow.sim.kernel.counters,
-            tracer=tracer, metrics=metrics,
-        ))
+    print(hooks["metrics"].render())
+    _write_record(args, record)
     return 0
 
 
@@ -636,23 +522,14 @@ def _profile_command(argv: list[str]) -> int:
         "list by self time, and the attributed fraction of measured "
         "wall time.  With --budgets, check the profile against a "
         "budget manifest and exit 1 on any ceiling violation.",
+        parents=[_observed_run_flags()],
     )
-    parser.add_argument("--mode", default="global",
-                        choices=[m.value for m in _trace_modes()],
-                        help="execution mode (default: global)")
-    parser.add_argument("--steps", type=int, default=20,
-                        help="workload length in steps (default: 20)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="synthetic workload seed (default: 42)")
     parser.add_argument("--top", type=int, default=10,
                         help="hot-list length (default: 10)")
     parser.add_argument("--budgets", metavar="PATH", default=None,
                         help="check the profile against this "
                         "repro.budgets/1 manifest (benchmarks/budgets.json)")
-    _add_record_flag(parser)
     args = parser.parse_args(argv)
-
-    import time
 
     from repro.errors import ObservabilityError
     from repro.observability import (
@@ -664,7 +541,6 @@ def _profile_command(argv: list[str]) -> int:
         render_profile,
         unregistered_spans,
     )
-    from repro.workflow import CoupledWorkflow, run_record
 
     budgets = None
     if args.budgets is not None:
@@ -675,67 +551,66 @@ def _profile_command(argv: list[str]) -> int:
                   file=sys.stderr)
             return 2
 
-    profiler = Profiler()
-    started = time.perf_counter()
-    with profiler.span("workload.build"):
-        config, trace = _quickstart(args.mode, args.steps, args.seed)
-    with profiler.span("workflow.setup"):
-        workflow = CoupledWorkflow(config, trace, profiler=profiler)
-    result = workflow.run()
-    wall = time.perf_counter() - started
-
-    attributed = profiler.total_seconds()
+    result, record, wall = _observe(args, {"profiler": Profiler()},
+                                    _label(args))
+    spans = record["spans"]
+    attributed = sum(snap["cum_seconds"] for path, snap in spans.items()
+                     if "/" not in path)
     coverage = 100.0 * attributed / wall if wall > 0 else 0.0
-    print(f"mode={config.mode.value}  steps={len(trace)}  "
+    print(f"mode={args.mode}  steps={args.steps}  "
           f"seed={args.seed}  end-to-end={result.end_to_end_seconds:.2f}s "
           f"(simulated)")
     print(f"host wall time {wall:.4f}s, {attributed:.4f}s attributed to "
           f"spans ({coverage:.1f}%)")
     print("\n## Span tree " + "#" * 58)
-    print(render_profile(profiler, total_seconds=wall))
+    print(render_profile(spans, total_seconds=wall))
     print(f"\n## Hot spans (top {args.top} by self time) "
           + "#" * max(0, 70 - 31 - len(str(args.top))))
-    print(render_hot_spans(profiler, top=args.top))
-    unknown = unregistered_spans(profiler)
+    print(render_hot_spans(spans, top=args.top))
+    unknown = unregistered_spans(spans)
     if unknown:
         print(f"\nWARNING: unregistered span names: {', '.join(unknown)} "
               "(register them in PROFILE_SPANS)", file=sys.stderr)
-    if args.record is not None:
-        label = f"{config.mode.value} steps={len(trace)} seed={args.seed}"
-        _write_record(args.record, run_record(
-            result, label=label, counters=workflow.sim.kernel.counters,
-            profiler=profiler,
-        ))
+    _write_record(args, record)
     if budgets is not None:
         print("\n## Budget check " + "#" * 55)
-        print(render_budget_report(profiler, budgets))
-        if check_budgets(profiler, budgets):
+        print(render_budget_report(spans, budgets))
+        if check_budgets(spans, budgets):
             return 1
     return 0
 
 
-def _trace_modes():
-    from repro.workflow import Mode
+def _regenerate(spec) -> str:
+    """One experiment's rendered result, every grid point in process."""
+    return spec.render(spec.merge([spec.run_point(p) for p in spec.grid()]))
 
-    return list(Mode)
+
+#: Subcommand -> (entry point, ``list`` summary), in ``list`` order.
+_COMMANDS = {
+    "run-all": (_run_all_command, "regenerate experiments via the "
+                "parallel sweep runner"),
+    "trace": (_trace_command, "instrumented replay: decision timeline + "
+              "occupancy Gantt"),
+    "audit": (_audit_command, "prediction-ledger replay: calibration "
+              "report + placement regret"),
+    "faults": (_faults_command, "fault-scenario replay: time-to-solution "
+               "delta + recovery timeline"),
+    "triggers": (_triggers_command, "trigger-policy comparison: "
+                 "monitoring overhead vs adaptation lag"),
+    "profile": (_profile_command, "span profile of a quickstart run: "
+                "where host wall time goes, budget check"),
+    "tenants": (_tenants_command, "multi-tenant service: contention, "
+                "queue waits and fairness on a shared machine"),
+}
+
+#: Non-experiment subcommands (the docs-consistency test keys off this).
+SUBCOMMANDS = ("list", "all", *_COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "run-all":
-        return _run_all_command(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_command(argv[1:])
-    if argv and argv[0] == "audit":
-        return _audit_command(argv[1:])
-    if argv and argv[0] == "faults":
-        return _faults_command(argv[1:])
-    if argv and argv[0] == "triggers":
-        return _triggers_command(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile_command(argv[1:])
-    if argv and argv[0] == "tenants":
-        return _tenants_command(argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        return _COMMANDS[argv[0]][0](argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -748,42 +623,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.experiments.parallel import SWEEPS
+
     if args.experiment == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name, (description, _fn) in EXPERIMENTS.items():
-            print(f"{name.ljust(width)}  {description}")
-        print(f"{'run-all'.ljust(width)}  regenerate experiments via the "
-              "parallel sweep runner (see 'run-all --help')")
-        print(f"{'trace'.ljust(width)}  instrumented replay: decision "
-              "timeline + occupancy Gantt (see 'trace --help')")
-        print(f"{'audit'.ljust(width)}  prediction-ledger replay: "
-              "calibration report + placement regret (see 'audit --help')")
-        print(f"{'faults'.ljust(width)}  fault-scenario replay: "
-              "time-to-solution delta + recovery timeline "
-              "(see 'faults --help')")
-        print(f"{'triggers'.ljust(width)}  trigger-policy comparison: "
-              "monitoring overhead vs adaptation lag "
-              "(see 'triggers --help')")
-        print(f"{'profile'.ljust(width)}  span profile of a quickstart "
-              "run: where host wall time goes, budget check "
-              "(see 'profile --help')")
-        print(f"{'tenants'.ljust(width)}  multi-tenant service: "
-              "contention, queue waits and fairness on a shared machine "
-              "(see 'tenants --help')")
+        width = max(len(name) for name in SWEEPS)
+        for name, spec in SWEEPS.items():
+            print(f"{name.ljust(width)}  {spec.description}")
+        for name, (_command, summary) in _COMMANDS.items():
+            print(f"{name.ljust(width)}  {summary} (see '{name} --help')")
         return 0
 
     if args.experiment == "all":
-        for name, (_description, fn) in EXPERIMENTS.items():
+        for name, spec in SWEEPS.items():
             print(f"\n### {name} " + "#" * max(0, 66 - len(name)))
-            print(fn())
+            print(_regenerate(spec))
         return 0
 
-    entry = EXPERIMENTS.get(args.experiment)
-    if entry is None:
+    spec = SWEEPS.get(args.experiment)
+    if spec is None:
         print(f"unknown experiment {args.experiment!r}; try 'list'",
               file=sys.stderr)
         return 2
-    print(entry[1]())
+    print(_regenerate(spec))
     return 0
 
 

@@ -33,7 +33,7 @@ from repro.analysis.entropy import (
     shannon_entropy,
 )
 from repro.analysis.isosurface import extract_isosurface, surface_area, surface_stats
-from repro.analysis.statistics import descriptive_statistics, merge_statistics
+from repro.analysis.statistics import descriptive_statistics
 from repro.analysis.fidelity import reconstruction_error, isosurface_fidelity
 from repro.analysis.subset import BlockRangeIndex, query_range
 
@@ -47,7 +47,6 @@ __all__ = [
     "decompress_field",
     "select_tolerance",
     "descriptive_statistics",
-    "merge_statistics",
     "downsample_mean",
     "downsample_memory_cost",
     "downsample_stride",

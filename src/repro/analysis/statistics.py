@@ -3,9 +3,8 @@
 The paper notes its approach "could be extensible to other scalable
 analysis approaches with no/rare communications, such as descriptive
 statistic analysis, data subsetting, etc."  This module provides that
-kernel: single-pass moments, extrema, histogram -- with a partial-result
-merge so the statistics can be computed per-block in-situ and combined
-in-transit (exactly the communication pattern the paper describes).
+kernel: single-pass moments (mean and Welford second moment), extrema
+and a histogram of a field's finite values.
 """
 
 from __future__ import annotations
@@ -14,29 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis._blocks import (
-    block_counts,
-    block_ids,
-    block_rows,
-    block_slice,
-    blockwise_histogram,
-    full_block_counts,
-    linspace_rows,
-    validate_block_shape,
-)
 from repro.errors import PolicyError
 
-__all__ = [
-    "FieldStatistics",
-    "blockwise_statistics",
-    "descriptive_statistics",
-    "merge_statistics",
-]
+__all__ = ["FieldStatistics", "descriptive_statistics"]
 
 
 @dataclass(frozen=True)
 class FieldStatistics:
-    """Single-field summary; mergeable across blocks."""
+    """Single-field summary."""
 
     count: int
     mean: float
@@ -86,148 +70,4 @@ def descriptive_statistics(
         maximum=float(flat.max()),
         histogram=hist,
         bin_edges=edges,
-    )
-
-
-def blockwise_statistics(
-    field: np.ndarray,
-    block_shape: tuple[int, ...],
-    bins: int = 64,
-    value_range: tuple[float, float] | None = None,
-) -> list[FieldStatistics]:
-    """:func:`descriptive_statistics` of every block, in one pass.
-
-    Returns one summary per block in C order over the block grid
-    (``np.ndindex`` order).  Counts, extrema, and histograms come from a
-    single routing pass over the field; means and second moments of
-    fully populated all-finite blocks reduce contiguous rows in the same
-    element order as the per-block slice, so the fast path matches
-    :func:`_reference_blockwise_statistics` bit for bit.  Blocks with
-    missing values (NaNs or trailing partial extents) fall back to the
-    scalar path.
-    """
-    if bins < 1:
-        raise PolicyError(f"bins must be >= 1, got {bins}")
-    field = np.asarray(field, dtype=np.float64)
-    validate_block_shape(field, block_shape)
-    counts_shape = block_counts(field.shape, block_shape)
-    nblocks = int(np.prod(counts_shape)) if counts_shape else 1
-    if field.size == 0:
-        return [
-            descriptive_statistics(field[block_slice(idx, field.shape, block_shape)],
-                                   bins=bins, value_range=value_range)
-            for idx in np.ndindex(*counts_shape)
-        ]
-    flat = field.ravel()
-    bids = block_ids(field.shape, block_shape).ravel()
-    finite = np.isfinite(flat)
-    values = flat[finite]
-    vbids = bids[finite]
-    fcounts = np.bincount(vbids, minlength=nblocks)
-    mins = np.full(nblocks, np.inf)
-    maxs = np.full(nblocks, -np.inf)
-    np.minimum.at(mins, vbids, values)
-    np.maximum.at(maxs, vbids, values)
-    if value_range is not None:
-        lo, hi = float(value_range[0]), float(value_range[1])
-        if lo == hi:
-            # np.histogram widens a degenerate explicit range to +-0.5.
-            lo, hi = lo - 0.5, hi + 0.5
-        lo_b = np.full(nblocks, lo)
-        hi_b = np.full(nblocks, hi)
-    else:
-        lo_b = mins.copy()
-        hi_b = maxs.copy()
-        degenerate = (lo_b == hi_b) & (fcounts > 0)
-        hi_b[degenerate] = lo_b[degenerate] + 1.0
-        empty = fcounts == 0
-        lo_b[empty] = 0.0
-        hi_b[empty] = 1.0
-    hist = blockwise_histogram(values, vbids, nblocks, bins, lo_b, hi_b)
-    edges = linspace_rows(lo_b, hi_b, bins + 1)
-
-    vol = int(np.prod(block_shape))
-    means = np.zeros(nblocks)
-    m2s = np.zeros(nblocks)
-    fast = np.zeros(nblocks, dtype=bool)
-    full = full_block_counts(field.shape, block_shape)
-    if all(f > 0 for f in full):
-        interior = tuple(slice(0, f * b) for f, b in zip(full, block_shape))
-        rows = block_rows(field[interior], block_shape)
-        grid = np.indices(full).reshape(len(full), -1)
-        gids = np.ravel_multi_index(tuple(grid), counts_shape)
-        ok = fcounts[gids] == vol
-        if ok.any():
-            sel = rows[ok]
-            mu = sel.mean(axis=1)
-            m2 = ((sel - mu[:, None]) ** 2).sum(axis=1)
-            ids = gids[ok]
-            means[ids] = mu
-            m2s[ids] = m2
-            fast[ids] = True
-
-    stats: list[FieldStatistics] = []
-    for k in range(nblocks):
-        if fast[k]:
-            stats.append(
-                FieldStatistics(
-                    count=vol,
-                    mean=float(means[k]),
-                    m2=float(m2s[k]),
-                    minimum=float(mins[k]),
-                    maximum=float(maxs[k]),
-                    histogram=hist[k],
-                    bin_edges=edges[k],
-                )
-            )
-        else:
-            idx = np.unravel_index(k, counts_shape)
-            slc = block_slice(idx, field.shape, block_shape)
-            stats.append(
-                descriptive_statistics(field[slc], bins=bins, value_range=value_range)
-            )
-    return stats
-
-
-def _reference_blockwise_statistics(
-    field: np.ndarray,
-    block_shape: tuple[int, ...],
-    bins: int = 64,
-    value_range: tuple[float, float] | None = None,
-) -> list[FieldStatistics]:
-    """Scalar oracle: one :func:`descriptive_statistics` call per block."""
-    field = np.asarray(field, dtype=np.float64)
-    validate_block_shape(field, block_shape)
-    counts = block_counts(field.shape, block_shape)
-    return [
-        descriptive_statistics(field[block_slice(idx, field.shape, block_shape)],
-                               bins=bins, value_range=value_range)
-        for idx in np.ndindex(*counts)
-    ]
-
-
-def merge_statistics(a: FieldStatistics, b: FieldStatistics) -> FieldStatistics:
-    """Combine two partial summaries (Chan et al. parallel-variance merge).
-
-    Histograms must share bin edges (compute blocks with a common
-    ``value_range``), as they would in a real in-situ deployment.
-    """
-    if a.count == 0:
-        return b
-    if b.count == 0:
-        return a
-    if not np.array_equal(a.bin_edges, b.bin_edges):
-        raise PolicyError("cannot merge statistics with different bin edges")
-    n = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * b.count / n
-    m2 = a.m2 + b.m2 + delta * delta * a.count * b.count / n
-    return FieldStatistics(
-        count=n,
-        mean=mean,
-        m2=m2,
-        minimum=min(a.minimum, b.minimum),
-        maximum=max(a.maximum, b.maximum),
-        histogram=a.histogram + b.histogram,
-        bin_edges=a.bin_edges,
     )

@@ -1,8 +1,11 @@
 """Experiment reproductions: one module per figure/table of the paper.
 
-Each module exposes a ``run_*`` function returning a structured result and
-a ``render`` function producing the text table/series the paper reports.
-The claim tests in ``tests/paper/`` call these at full scale and assert
+Each module exposes the sweep protocol (``grid()``, ``run_point()``,
+``merge()``; see :mod:`repro.experiments.parallel`), usually a ``run_*``
+function returning the merged result, and a ``render`` function producing
+the text table/series the paper reports.  The ``python -m repro`` CLI
+reads them through :data:`~repro.experiments.parallel.SWEEPS`.  The
+claim tests in ``tests/paper/`` call these at full scale and assert
 the paper's results; EXPERIMENTS.md records paper-reported vs measured
 values.
 

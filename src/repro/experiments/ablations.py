@@ -44,7 +44,6 @@ __all__ = [
     "monitor_interval_sweep",
     "reduction_type_sweep",
     "render",
-    "render_all",
     "staging_ratio_sweep",
 ]
 
@@ -380,11 +379,6 @@ def merge(results: list) -> list[list[dict]]:
     return list(results)
 
 
-def render_all() -> str:
-    """Run every sweep and format one combined report."""
-    return render([fn() for _, fn in _SWEEP_ORDER])
-
-
 def render(rowsets: list[list[dict]]) -> str:
     """Format the combined report from grid-ordered sweep row sets."""
     sections = []
@@ -461,4 +455,4 @@ def render(rowsets: list[list[dict]]) -> str:
 
 
 if __name__ == "__main__":
-    print(render_all())
+    print(render(merge([run_point(params) for params in grid()])))

@@ -44,7 +44,6 @@ __all__ = [
     "grid",
     "merge",
     "render",
-    "run_fig_tenants",
     "run_point",
 ]
 
@@ -180,13 +179,6 @@ def merge(results: list) -> FigTenantsResult:
     return FigTenantsResult(rows=tuple(results))
 
 
-def run_fig_tenants(steps: int = STEPS) -> FigTenantsResult:
-    """Run the whole sweep in-process (the serial reference path)."""
-    return merge(
-        [run_point({**params, "steps": steps}) for params in grid()]
-    )
-
-
 def render(result: FigTenantsResult) -> str:
     """The contention table: per-policy degradation vs the solo point."""
     body = []
@@ -226,4 +218,4 @@ def render(result: FigTenantsResult) -> str:
 
 
 if __name__ == "__main__":
-    print(render(run_fig_tenants()))
+    print(render(merge([run_point(params) for params in grid()])))

@@ -51,7 +51,6 @@ __all__ = [
     "SweepSpec",
     "expand_grid",
     "run_all",
-    "sweep_names",
 ]
 
 
@@ -88,8 +87,8 @@ class SweepSpec:
         return self._mod().render(merged)
 
 
-#: Every experiment the ``run-all`` sweep covers, in report order
-#: (mirrors ``repro.__main__.EXPERIMENTS``).
+#: Every experiment, in report order: the CLI's ``list``, ``all`` and
+#: ``<id>`` read it, and ``run-all`` sweeps it.
 SWEEPS: dict[str, SweepSpec] = {
     spec.name: spec
     for spec in (
@@ -124,11 +123,6 @@ SWEEPS: dict[str, SweepSpec] = {
                   "multi-tenant contention across admission policies"),
     )
 }
-
-
-def sweep_names() -> list[str]:
-    """Every sweepable experiment id, in report order."""
-    return list(SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,7 @@ def run_all(
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if only is None:
-        names = sweep_names()
+        names = list(SWEEPS)
     else:
         requested = set(only)
         unknown = sorted(requested - set(SWEEPS))

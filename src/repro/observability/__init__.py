@@ -32,8 +32,9 @@ publishes into:
   (:data:`RECORD_SCHEMA`, built by
   :func:`repro.workflow.report.run_record`): read back, diffed across
   runs, and rendered as Prometheus text exposition;
-- :func:`decision_timeline` / :func:`occupancy_gantt` -- human-readable
-  renderings of a trace (the ``repro trace`` CLI's output).
+- :func:`decision_timeline` / :func:`occupancy_gantt` /
+  :func:`fault_timeline` -- human-readable renderings of a run record's
+  events (the ``repro trace`` and ``repro faults`` CLI output).
 
 Instrumentation is injected as one :class:`Observer`: the simulator,
 Monitor, Adaptation Engine, staging area and fault injector each take

@@ -6,8 +6,9 @@ ceiling in seconds on each guarded span path's *cumulative* wall time.
 ``benchmarks/bench_profile.py`` and ``python -m repro profile
 --budgets`` collect a profile and assert every ceiling -- so a hot-path
 regression fails CI with the offending span named, instead of surfacing
-months later as benchmark folklore.  ROADMAP item 4's event-kernel
-rewrite is measured against exactly these ceilings.
+months later as benchmark folklore.  Both checks read a
+:meth:`~repro.observability.profiler.Profiler.dump` (a run record's
+``spans`` section).
 
 Manifest format (:data:`BUDGETS_SCHEMA`)::
 
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ObservabilityError
-from repro.observability.profiler import PROFILE_SPANS, Profiler, _as_dump
+from repro.observability.profiler import PROFILE_SPANS
 
 __all__ = [
     "BUDGETS_SCHEMA",
@@ -118,17 +119,16 @@ def load_budgets(source: str | Path | Mapping[str, Any]) -> dict[str, Any]:
 
 
 def check_budgets(
-    profile: Profiler | Mapping[str, Mapping[str, Any]],
+    dump: Mapping[str, Mapping[str, Any]],
     budgets: str | Path | Mapping[str, Any],
 ) -> list[BudgetViolation]:
-    """Every ceiling violated by ``profile`` (empty list = all within).
+    """Every ceiling a span ``dump`` violates (empty list = all within).
 
     A guarded span path that never ran is also a violation: the budget
     exists because the path is hot, so its disappearance means the
     instrumentation (or the workload) silently changed.
     """
     manifest = load_budgets(budgets)
-    dump = _as_dump(profile)
     violations = []
     for path, ceiling in sorted(manifest["budgets"].items()):
         snap = dump.get(path)
@@ -142,12 +142,11 @@ def check_budgets(
 
 
 def render_budget_report(
-    profile: Profiler | Mapping[str, Mapping[str, Any]],
+    dump: Mapping[str, Mapping[str, Any]],
     budgets: str | Path | Mapping[str, Any],
 ) -> str:
     """One line per guarded path: measured vs ceiling, violations marked."""
     manifest = load_budgets(budgets)
-    dump = _as_dump(profile)
     entries = sorted(manifest["budgets"].items())
     width = max(len(path) for path, _ in entries)
     lines = []

@@ -14,15 +14,21 @@ plus the **counterfactual placement regret** over the scored decisions:
 how many placements hindsight flips, and the summed seconds the wrong
 calls cost (:class:`RegretSummary`).
 
-Everything renders as plain text (:func:`calibration_report`) -- the
-body of ``python -m repro audit``.
+:func:`repro.workflow.report.run_record` stores both in a run record,
+and :func:`calibration_report` renders them from there as plain text --
+the body of ``python -m repro audit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
-from repro.observability.ledger import QUANTITIES, PredictionLedger
+from repro.observability.ledger import (
+    QUANTITIES,
+    PlacementOutcome,
+    PredictionLedger,
+)
 
 __all__ = [
     "EstimatorCalibration",
@@ -180,9 +186,16 @@ def _strip(curve: tuple[float, ...], width: int = 24) -> str:
     return "".join(cells)
 
 
-def calibration_report(ledger: PredictionLedger, alpha: float = 0.3) -> str:
-    """The audit rendering: calibration table + convergence + regret."""
-    stats = calibrate(ledger, alpha=alpha)
+def calibration_report(record: Mapping[str, Any]) -> str:
+    """The audit rendering of a run record: calibration table,
+    convergence strips and the regret of its ledger sections."""
+    stats = {
+        quantity: EstimatorCalibration(
+            **{**snap, "ema_curve": tuple(snap["ema_curve"])}
+        )
+        for quantity, snap in record["calibration"].items()
+    }
+    ledger = record["ledger"]
     lines: list[str] = []
     if not stats:
         lines.append("(no predictions recorded)")
@@ -213,18 +226,18 @@ def calibration_report(ledger: PredictionLedger, alpha: float = 0.3) -> str:
         undocumented = sorted(set(stats) - set(QUANTITIES))
         if undocumented:  # pragma: no cover - predict() rejects these
             lines.append(f"(unregistered quantities: {undocumented})")
-    if ledger.unmatched:
+    if ledger.get("unmatched"):
         lines.append(
-            f"({ledger.unmatched} realized values arrived with no "
+            f"({ledger['unmatched']} realized values arrived with no "
             "matching prediction -- off-sample steps reuse old decisions)"
         )
 
-    regret = placement_regret(ledger)
     lines.append("")
     lines.append("placement regret (Eq. 8 audited with hindsight):")
-    if regret.decisions == 0:
+    if not record["regret"] or record["regret"]["decisions"] == 0:
         lines.append("  (no placement decisions recorded)")
     else:
+        regret = RegretSummary(**record["regret"])
         lines.append(
             f"  decisions scored : {regret.scored}/{regret.decisions}"
             + (
@@ -243,7 +256,8 @@ def calibration_report(ledger: PredictionLedger, alpha: float = 0.3) -> str:
         )
         if regret.worst_step is not None:
             worst = next(
-                p for p in ledger.placements if p.step == regret.worst_step
+                PlacementOutcome(**p) for p in ledger["placements"]
+                if p["step"] == regret.worst_step
             )
             lines.append(
                 f"  worst call       : step {worst.step} chose "

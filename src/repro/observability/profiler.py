@@ -3,11 +3,11 @@
 The third observability pillar.  The tracer answers *why* (a decision's
 inputs), the metrics registry answers *how much* (counts and smoothed
 rates); the :class:`Profiler` answers *where* -- which layer of the
-stack the host process actually spent its wall-clock seconds in.  It is
-the measurement surface ROADMAP item 4's event-kernel rewrite is gated
-on: ``benchmarks/budgets.json`` declares per-span-path ceilings over the
+stack the host process actually spent its wall-clock seconds in.
+``benchmarks/budgets.json`` declares per-span-path ceilings over the
 profile this module collects, and ``benchmarks/bench_profile.py``
-fails when a hot path regresses past its ceiling.
+fails when a hot path regresses past its ceiling.  The renderers read a
+:meth:`Profiler.dump` (a run record's ``spans`` section).
 
 Spans nest::
 
@@ -301,7 +301,7 @@ class Profiler:
         The cross-process wire format: workers ship dumps back to the
         sweep parent (:func:`merge_worker_profiles`), the run record
         embeds one as its ``spans`` section, and the renderers
-        accept them interchangeably with a live profiler.
+        and budget checks read it.
         """
         self._flush()
         return {
@@ -348,41 +348,27 @@ def merge_worker_profiles(
     return parent
 
 
-def _as_dump(source: Profiler | Mapping[str, Mapping[str, Any]]) -> dict:
-    if isinstance(source, Profiler):
-        return source.dump()
-    return {
-        path: {
-            "count": int(snap["count"]),
-            "cum_seconds": float(snap["cum_seconds"]),
-            "self_seconds": float(snap["self_seconds"]),
-        }
-        for path, snap in dict(source).items()
-    }
-
-
-def unregistered_spans(
-    source: Profiler | Mapping[str, Mapping[str, Any]],
-) -> list[str]:
-    """Span *names* in ``source`` that :data:`PROFILE_SPANS` does not
-    register (the honesty check the docs-consistency suite runs)."""
-    names = {path.rsplit("/", 1)[-1] for path in _as_dump(source)}
+def unregistered_spans(dump: Mapping[str, Mapping[str, Any]]) -> list[str]:
+    """Span *names* in a :meth:`Profiler.dump` that :data:`PROFILE_SPANS`
+    does not register (the honesty check the docs-consistency suite
+    runs)."""
+    names = {path.rsplit("/", 1)[-1] for path in dump}
     return sorted(names - set(PROFILE_SPANS))
 
 
 def render_profile(
-    source: Profiler | Mapping[str, Mapping[str, Any]],
+    dump: Mapping[str, Mapping[str, Any]],
     total_seconds: float | None = None,
 ) -> str:
-    """Top-down tree: one row per span path, children indented under
-    their parent, ordered hottest (cumulative) first.
+    """Top-down tree of a :meth:`Profiler.dump` (or a run record's
+    ``spans``): one row per span path, children indented under their
+    parent, ordered hottest (cumulative) first.
 
     ``total_seconds`` sets the denominator of the ``cum%`` column --
     pass the measured wall time of the profiled section to see how much
     of it the spans attribute; it defaults to the root spans' cumulative
     total (making the roots sum to 100%).
     """
-    dump = _as_dump(source)
     if not dump:
         return "(no spans recorded)"
     roots = [p for p in dump if "/" not in p]
@@ -444,15 +430,13 @@ def render_profile(
 
 
 def render_hot_spans(
-    source: Profiler | Mapping[str, Mapping[str, Any]],
-    top: int = 10,
+    dump: Mapping[str, Mapping[str, Any]], top: int = 10
 ) -> str:
-    """The top-N hot list: span paths ordered by *self* seconds.
+    """The top-N hot list of a span dump: paths ordered by *self* seconds.
 
     Self time is where optimization effort actually lands -- a parent
     whose cumulative time is all children is not itself hot.
     """
-    dump = _as_dump(source)
     if not dump:
         return "(no spans recorded)"
     if top < 1:

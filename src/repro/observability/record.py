@@ -11,6 +11,9 @@
   :meth:`~repro.observability.events.TraceEvent.as_dict` each (written
   one per line, they are exactly :meth:`Tracer.to_jsonl
   <repro.observability.tracer.Tracer.to_jsonl>`);
+- ``trace`` -- the tracer's ring-buffer ``capacity`` and the count of
+  events it ``dropped``, so a truncated ``events`` section renders with
+  its banner;
 - ``metrics`` -- :meth:`MetricsRegistry.dump
   <repro.observability.metrics.MetricsRegistry.dump>`;
 - ``spans`` -- :meth:`Profiler.dump
@@ -20,12 +23,16 @@
   prediction ledger's per-estimator calibration, counterfactual regret,
   per-step placements and full record list.
 
-A section is empty when its hook was not injected.  This module works
-only on the record dict: :func:`load_record` reads one back,
-:func:`diff_records` / :func:`render_diff` compare two (``repro audit
---diff``: estimate-error drift, regret delta, placement decision flips)
-and :func:`prometheus_text` renders one in the Prometheus text
-exposition format (metric names prefixed ``repro_``, dots mapped to
+A section is empty when its hook was not injected.  The renderers
+(:func:`~repro.observability.timeline.decision_timeline`,
+:func:`~repro.observability.calibration.calibration_report`,
+:func:`~repro.observability.profiler.render_profile`, ...) read a
+record or its ``spans``, so a stored record re-renders what the CLI
+printed.  This module works only on the record dict: :func:`load_record`
+reads one back, :func:`diff_records` / :func:`render_diff` compare two
+(``repro audit --diff``: estimate-error drift, regret delta, placement
+decision flips) and :func:`prometheus_text` renders one in the
+Prometheus text exposition format (metric names prefixed ``repro_``, dots mapped to
 underscores: ``workflow.steps`` -> ``repro_workflow_steps_total``).
 """
 

@@ -1,6 +1,8 @@
-"""Render traces for humans: decision timelines and occupancy Gantts.
+"""Render run records for humans: decision timelines and occupancy Gantts.
 
-Two views of one trace, both plain text (the repo's output discipline):
+Views of one run record's ``events`` section
+(:mod:`repro.observability.record`), all plain text (the repo's output
+discipline), so a stored record re-renders exactly what the CLI printed:
 
 - :func:`decision_timeline` -- one row per ``adapt.decision`` event with
   the inputs the engine decided on (backlog, estimated in-situ vs
@@ -16,6 +18,8 @@ Two views of one trace, both plain text (the repo's output discipline):
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 from repro.observability.events import (
     ADAPT_ACTION,
     ADAPT_DECISION,
@@ -30,7 +34,6 @@ from repro.observability.events import (
     STEP_END,
     STEP_START,
 )
-from repro.observability.tracer import Tracer
 
 __all__ = ["decision_timeline", "fault_timeline", "occupancy_gantt"]
 
@@ -41,43 +44,49 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _truncation_banner(tracer: Tracer) -> str | None:
+def _events(record: Mapping[str, Any], kind: str) -> list[dict]:
+    return [e for e in record["events"] if e["kind"] == kind]
+
+
+def _truncation_banner(record: Mapping[str, Any]) -> str | None:
     """A warning line when the ring buffer evicted events, else None.
 
-    Both renderers prepend it so a wrapped trace is never silently
-    presented as the whole run.
+    Every renderer prepends it so a wrapped trace is never silently
+    presented as the whole run.  A record without a ``trace`` section
+    (written before it existed) shows no banner.
     """
-    if tracer.dropped <= 0:
+    trace = record.get("trace", {})
+    if trace.get("dropped", 0) <= 0:
         return None
     return (
-        f"!! trace truncated: ring buffer (capacity {tracer.capacity}) "
-        f"evicted {tracer.dropped} older events; "
-        f"showing the newest {len(tracer)}"
+        f"!! trace truncated: ring buffer (capacity {trace['capacity']}) "
+        f"evicted {trace['dropped']} older events; "
+        f"showing the newest {len(record['events'])}"
     )
 
 
-def decision_timeline(tracer: Tracer) -> str:
+def decision_timeline(record: Mapping[str, Any]) -> str:
     """One row per adaptation decision: outputs, inputs, reasoning."""
-    banner = _truncation_banner(tracer)
-    decisions = tracer.events(kind=ADAPT_DECISION)
+    banner = _truncation_banner(record)
+    decisions = _events(record, ADAPT_DECISION)
     if not decisions:
         empty = "(no adaptation decisions in trace)"
         return f"{banner}\n{empty}" if banner else empty
     reasons: dict[int | None, list[str]] = {}
-    for action in tracer.events(kind=ADAPT_ACTION):
-        layer = action.fields.get("layer", "?")
-        reason = action.fields.get("reason", "")
+    for action in _events(record, ADAPT_ACTION):
+        layer = action["fields"].get("layer", "?")
+        reason = action["fields"].get("reason", "")
         if reason:
-            reasons.setdefault(action.step, []).append(f"[{layer}] {reason}")
+            reasons.setdefault(action["step"], []).append(f"[{layer}] {reason}")
 
     headers = ["t(s)", "step", "factor", "placement", "M", "backlog(s)",
                "T_insitu(s)", "T_intransit(s)"]
     rows = []
     for event in decisions:
-        f = event.fields
+        f = event["fields"]
         rows.append([
-            f"{event.ts:.2f}",
-            _fmt(event.step),
+            f"{event['ts']:.2f}",
+            _fmt(event["step"]),
             _fmt(f.get("factor") or 1),
             _fmt(f.get("placement") or "-"),
             _fmt(f.get("staging_cores") or "-"),
@@ -92,56 +101,55 @@ def decision_timeline(tracer: Tracer) -> str:
               "  ".join("-" * w for w in widths)]
     for event, row in zip(decisions, rows):
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        for reason in reasons.get(event.step, []):
+        for reason in reasons.get(event["step"], []):
             lines.append(" " * 4 + reason)
     return "\n".join(lines)
 
 
 def _intervals(
-    tracer: Tracer, open_kind: str, close_kind: str, key
+    record: Mapping[str, Any], open_kind: str, close_kind: str, key
 ) -> list[tuple[float, float]]:
     """Pair open/close events by ``key`` into (start, end) intervals."""
     pending: dict[object, float] = {}
     out: list[tuple[float, float]] = []
-    paired = tracer.events(kind=open_kind) + tracer.events(kind=close_kind)
-    for event in sorted(paired, key=lambda e: e.seq):
-        k = key(event)
-        if event.kind == open_kind:
-            pending[k] = event.ts
-        else:
-            start = pending.pop(k, None)
-            if start is not None and event.ts > start:
-                out.append((start, event.ts))
+    for event in record["events"]:
+        if event["kind"] == open_kind:
+            pending[key(event)] = event["ts"]
+        elif event["kind"] == close_kind:
+            start = pending.pop(key(event), None)
+            if start is not None and event["ts"] > start:
+                out.append((start, event["ts"]))
     return out
 
 
-def occupancy_gantt(tracer: Tracer, width: int = 72) -> str:
+def occupancy_gantt(record: Mapping[str, Any], width: int = 72) -> str:
     """Sim vs in-transit occupancy bars over the run (Fig. 4's picture).
 
     ``=`` marks busy time, ``x`` marks simulation stalls (blocked on
     staging memory or a collective PFS write), ``.`` marks idle.
     """
-    banner = _truncation_banner(tracer)
-    events = tracer.events()
+    banner = _truncation_banner(record)
+    events = record["events"]
     if not events:
         empty = "(empty trace)"
         return f"{banner}\n{empty}" if banner else empty
-    t_end = max(e.ts for e in events)
+    t_end = max(e["ts"] for e in events)
     if t_end <= 0:
         flat = "(trace spans zero simulated time)"
         return f"{banner}\n{flat}" if banner else flat
     width = max(10, int(width))
     scale = width / t_end
 
-    sim_busy = _intervals(tracer, STEP_START, STEP_END, key=lambda e: e.step)
+    sim_busy = _intervals(record, STEP_START, STEP_END,
+                          key=lambda e: e["step"])
     staging_busy = _intervals(
-        tracer, STAGING_JOB_START, STAGING_JOB_END,
-        key=lambda e: e.fields.get("job_id"),
+        record, STAGING_JOB_START, STAGING_JOB_END,
+        key=lambda e: e["fields"].get("job_id"),
     )
     stalls = [
-        (e.ts - e.fields.get("seconds", 0.0), e.ts)
-        for e in tracer.events(kind=SIM_STALL)
-        if e.fields.get("seconds", 0.0) > 0
+        (e["ts"] - e["fields"].get("seconds", 0.0), e["ts"])
+        for e in _events(record, SIM_STALL)
+        if e["fields"].get("seconds", 0.0) > 0
     ]
 
     def bar(intervals: list[tuple[float, float]], overlay=None) -> str:
@@ -179,7 +187,7 @@ _FAULT_TIMELINE_KINDS = (
 )
 
 
-def fault_timeline(tracer: Tracer) -> str:
+def fault_timeline(record: Mapping[str, Any]) -> str:
     """Chronological log of injected faults and the recovery they triggered.
 
     One line per ``fault.injected`` / ``fault.cleared`` /
@@ -187,32 +195,31 @@ def fault_timeline(tracer: Tracer) -> str:
     event, plus any degraded adaptation decisions, so an operator can
     read cause (injection) and effect (recovery decision) off one page.
     """
-    banner = _truncation_banner(tracer)
+    banner = _truncation_banner(record)
     picked = [
-        e for e in tracer.events()
-        if e.kind in _FAULT_TIMELINE_KINDS
-        or (e.kind == ADAPT_DECISION and e.fields.get("degraded"))
+        e for e in record["events"]
+        if e["kind"] in _FAULT_TIMELINE_KINDS
+        or (e["kind"] == ADAPT_DECISION and e["fields"].get("degraded"))
     ]
     if not picked:
         empty = "(no fault activity in trace)"
         return f"{banner}\n{empty}" if banner else empty
     lines = [banner] if banner else []
     for event in picked:
-        if event.kind == ADAPT_DECISION:
+        kind, fields = event["kind"], event["fields"]
+        if kind == ADAPT_DECISION:
             what = "adapt.decision DEGRADED placement=in_situ"
         else:
             detail = " ".join(
-                f"{k}={_fmt(v)}"
-                for k, v in event.fields.items()
-                if k != "fault"
+                f"{k}={_fmt(v)}" for k, v in fields.items() if k != "fault"
             )
-            if event.kind == FAULT_INJECTED:
-                parts = ["inject", event.fields.get("fault", "?"), detail]
-            elif event.kind == FAULT_CLEARED:
-                parts = ["clear", event.fields.get("fault", "?"), detail]
+            if kind == FAULT_INJECTED:
+                parts = ["inject", fields.get("fault", "?"), detail]
+            elif kind == FAULT_CLEARED:
+                parts = ["clear", fields.get("fault", "?"), detail]
             else:
-                parts = [event.kind, detail]
+                parts = [kind, detail]
             what = " ".join(p for p in parts if p)
-        step = f" step={event.step}" if event.step is not None else ""
-        lines.append(f"t={event.ts:10.3f}s{step}  {what}")
+        step = f" step={event['step']}" if event["step"] is not None else ""
+        lines.append(f"t={event['ts']:10.3f}s{step}  {what}")
     return "\n".join(lines)

@@ -95,6 +95,10 @@ def run_record(
             [] if tracer is None
             else [json.loads(line) for line in tracer.to_jsonl().splitlines()]
         ),
+        "trace": (
+            {} if tracer is None
+            else {"capacity": tracer.capacity, "dropped": tracer.dropped}
+        ),
         "metrics": {} if metrics is None else metrics.dump(),
         "spans": {} if profiler is None else profiler.dump(),
         "counters": {} if counters is None else counters.as_dict(),

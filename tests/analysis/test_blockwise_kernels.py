@@ -21,10 +21,6 @@ from repro.analysis.fidelity import (
     _reference_blockwise_reconstruction_errors,
     blockwise_reconstruction_errors,
 )
-from repro.analysis.statistics import (
-    _reference_blockwise_statistics,
-    blockwise_statistics,
-)
 from repro.errors import PolicyError
 from repro.observability.metrics import MetricsRegistry
 
@@ -150,45 +146,3 @@ class TestBlockwiseReconstructionErrors:
         field[0, 0] = np.nan
         with pytest.raises(PolicyError):
             blockwise_reconstruction_errors(field, (4, 4), 2)
-
-
-class TestBlockwiseStatistics:
-    @staticmethod
-    def _assert_stats_equal(a, b):
-        assert a.count == b.count
-        assert a.mean == b.mean
-        assert a.m2 == b.m2
-        assert (a.minimum == b.minimum
-                or (np.isnan(a.minimum) and np.isnan(b.minimum)))
-        assert (a.maximum == b.maximum
-                or (np.isnan(a.maximum) and np.isnan(b.maximum)))
-        assert np.array_equal(a.histogram, b.histogram)
-        assert np.array_equal(a.bin_edges, b.bin_edges)
-
-    @pytest.mark.parametrize("shape,block", CASES)
-    @pytest.mark.parametrize("kind", ["random", "nan", "constant", "all_nan"])
-    @pytest.mark.parametrize("value_range", [None, (-60.0, 60.0), (4.0, 4.0)])
-    def test_matches_reference_exactly(self, shape, block, kind, value_range):
-        field = _field(shape, kind, np.random.default_rng(4))
-        got = blockwise_statistics(field, block, bins=16,
-                                   value_range=value_range)
-        want = _reference_blockwise_statistics(field, block, bins=16,
-                                               value_range=value_range)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            self._assert_stats_equal(a, b)
-
-    def test_single_bin(self):
-        field = np.random.default_rng(5).standard_normal((10, 10))
-        got = blockwise_statistics(field, (4, 4), bins=1)
-        want = _reference_blockwise_statistics(field, (4, 4), bins=1)
-        for a, b in zip(got, want):
-            self._assert_stats_equal(a, b)
-
-    def test_bad_bins_rejected(self):
-        with pytest.raises(PolicyError):
-            blockwise_statistics(np.zeros((4, 4)), (2, 2), bins=0)
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(PolicyError):
-            blockwise_statistics(np.zeros((4, 4)), (2, 2, 2))

@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.analysis.fidelity import isosurface_fidelity, reconstruction_error
-from repro.analysis.statistics import descriptive_statistics, merge_statistics
+from repro.analysis.statistics import descriptive_statistics
 from repro.errors import PolicyError
 
 
@@ -37,47 +34,6 @@ class TestDescriptiveStatistics:
     def test_bad_bins(self):
         with pytest.raises(PolicyError):
             descriptive_statistics(np.zeros(4), bins=0)
-
-    def test_merge_equals_whole(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=500)
-        vr = (float(data.min()), float(data.max()))
-        whole = descriptive_statistics(data, bins=16, value_range=vr)
-        left = descriptive_statistics(data[:200], bins=16, value_range=vr)
-        right = descriptive_statistics(data[200:], bins=16, value_range=vr)
-        merged = merge_statistics(left, right)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean)
-        assert merged.variance == pytest.approx(whole.variance)
-        np.testing.assert_array_equal(merged.histogram, whole.histogram)
-
-    def test_merge_with_empty(self):
-        stats = descriptive_statistics(np.arange(4.0))
-        empty = descriptive_statistics(np.array([np.nan]))
-        assert merge_statistics(stats, empty) is stats
-        assert merge_statistics(empty, stats) is stats
-
-    def test_merge_mismatched_edges_rejected(self):
-        a = descriptive_statistics(np.arange(4.0), value_range=(0, 4))
-        b = descriptive_statistics(np.arange(4.0), value_range=(0, 8))
-        with pytest.raises(PolicyError):
-            merge_statistics(a, b)
-
-    @settings(deadline=None, max_examples=30)
-    @given(
-        hnp.arrays(np.float64, st.integers(2, 100), elements=st.floats(-50, 50)),
-        st.integers(1, 99),
-    )
-    def test_merge_associativity_with_split_point(self, data, frac):
-        split = max(1, min(len(data) - 1, int(len(data) * frac / 100)))
-        vr = (float(data.min()), float(data.max()) + 1e-9)
-        whole = descriptive_statistics(data, value_range=vr)
-        merged = merge_statistics(
-            descriptive_statistics(data[:split], value_range=vr),
-            descriptive_statistics(data[split:], value_range=vr),
-        )
-        assert merged.mean == pytest.approx(whole.mean, abs=1e-9)
-        assert merged.m2 == pytest.approx(whole.m2, abs=1e-6)
 
 
 class TestReconstructionError:

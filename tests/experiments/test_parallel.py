@@ -17,7 +17,6 @@ from repro.experiments.parallel import (
     SWEEPS,
     expand_grid,
     run_all,
-    sweep_names,
 )
 from repro.observability.metrics import MetricsRegistry, merge_worker_metrics
 from repro.observability.tracer import Tracer
@@ -40,11 +39,6 @@ def isolated_cache(monkeypatch):
 
 
 class TestGrid:
-    def test_sweeps_cover_every_cli_experiment(self):
-        from repro.__main__ import EXPERIMENTS
-
-        assert sweep_names() == list(EXPERIMENTS)
-
     def test_every_spec_has_a_nonempty_grid(self):
         for name, spec in SWEEPS.items():
             grid = spec.grid()

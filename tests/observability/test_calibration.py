@@ -8,6 +8,14 @@ from repro.observability import (
     calibration_report,
     placement_regret,
 )
+from repro.workflow import WorkflowResult, run_record
+
+
+def _report(ledger):
+    """The audit text of a run record holding ``ledger``."""
+    return calibration_report(
+        run_record(WorkflowResult(mode="global"), ledger=ledger)
+    )
 
 
 def _ledger_with_errors(rels):
@@ -90,22 +98,22 @@ class TestReport:
         )
         ledger.resolve_placement(0, realized_insitu=1.0)
         ledger.finalize(sim_end=100.0)
-        report = calibration_report(ledger)
+        report = _report(ledger)
         assert "insitu_time" in report
         assert "MAPE%" in report
         assert "placement regret" in report
         assert "decisions scored : 1/1" in report
 
     def test_empty_report_renders(self):
-        report = calibration_report(PredictionLedger())
+        report = _report(PredictionLedger())
         assert "(no predictions recorded)" in report
         assert "(no placement decisions recorded)" in report
 
     def test_unmatched_note_appears(self):
         ledger = PredictionLedger()
         ledger.resolve("insitu_time", 0, 1.0)
-        assert "no\nmatching prediction" not in calibration_report(ledger)
-        assert "1 realized values" in calibration_report(ledger)
+        assert "no\nmatching prediction" not in _report(ledger)
+        assert "1 realized values" in _report(ledger)
 
     def test_near_zero_errors_render_a_flat_strip(self):
         # Float residue must not be normalized into a fake ramp.
@@ -113,7 +121,7 @@ class TestReport:
         for step in range(4):
             ledger.predict("transfer_time", step, 1.0 + 1e-14 * step)
             ledger.resolve("transfer_time", step, 1.0)
-        report = calibration_report(ledger)
+        report = _report(ledger)
         row = next(line for line in report.splitlines()
                    if line.startswith("transfer_time"))
         assert "@" not in row

@@ -28,7 +28,7 @@ from repro.observability.events import (
     STEP_START,
 )
 from repro.service import WorkflowService
-from repro.workflow import Mode, WorkflowConfig, run_workflow
+from repro.workflow import CoupledWorkflow, Mode, WorkflowConfig, run_workflow
 from repro.workflow.report import result_to_json
 from repro.workflow.triggers import EntropyPercentile
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
@@ -114,24 +114,27 @@ class TestEventStream:
         ]
 
 
-def _global(tracer=None, metrics=None, ledger=None, profiler=None):
-    return run_workflow(_config(), _trace(), tracer=tracer, metrics=metrics,
-                        ledger=ledger, profiler=profiler)
+# Each case returns its result and the kernel's counters.
 
 
-def _faulted(tracer=None, metrics=None, ledger=None, profiler=None):
+def _workflow(config, **kwargs):
+    workflow = CoupledWorkflow(config, _trace(), **kwargs)
+    return workflow.run(), workflow.sim.kernel.counters.as_dict()
+
+
+def _global(**hooks):
+    return _workflow(_config(), **hooks)
+
+
+def _faulted(**hooks):
     # One dropped ingest (retried with backoff) plus a mid-run loss of
     # three quarters of the staging pool.
     plan = FaultPlan([ObjectDrop(step=2), CoreLoss(at=2.0, cores=48)])
-    return run_workflow(_config(Mode.STATIC_INTRANSIT), _trace(),
-                        tracer=tracer, metrics=metrics, ledger=ledger,
-                        profiler=profiler, faults=plan)
+    return _workflow(_config(Mode.STATIC_INTRANSIT), faults=plan, **hooks)
 
 
-def _triggered(tracer=None, metrics=None, ledger=None, profiler=None):
-    return run_workflow(_config(), _trace(), tracer=tracer, metrics=metrics,
-                        ledger=ledger, profiler=profiler,
-                        trigger=EntropyPercentile())
+def _triggered(**hooks):
+    return _workflow(_config(), trigger=EntropyPercentile(), **hooks)
 
 
 def _service(tracer=None, metrics=None, ledger=None, profiler=None):
@@ -144,7 +147,7 @@ def _service(tracer=None, metrics=None, ledger=None, profiler=None):
     tenant = service.submit("solo", config, _trace(), tracer=tracer,
                             metrics=metrics, ledger=ledger)
     service.run()
-    return tenant.result
+    return tenant.result, service.sim.kernel.counters.as_dict()
 
 
 #: SHA-256 of the observed run's trace JSONL, captured before the hooks
@@ -169,9 +172,9 @@ class TestZeroOverheadPath:
     def test_uninstrumented_run_is_bitwise_identical(self, case):
         run = _RUNS[case]
         tracer = Tracer()
-        observed = run(tracer=tracer, metrics=MetricsRegistry(),
-                       ledger=PredictionLedger(), profiler=Profiler())
-        plain = run()
+        observed, _ = run(tracer=tracer, metrics=MetricsRegistry(),
+                          ledger=PredictionLedger(), profiler=Profiler())
+        plain, _ = run()
         assert plain == observed
         assert result_to_json(plain) == result_to_json(observed)
         assert len(tracer) > 0
@@ -179,6 +182,22 @@ class TestZeroOverheadPath:
         if pinned is not None:
             digest = hashlib.sha256(tracer.to_jsonl().encode()).hexdigest()
             assert digest == pinned
+
+    @pytest.mark.parametrize("case", list(_RUNS))
+    def test_tracer_adds_one_control_event_per_staging_job(self, case):
+        # The tracer's ingest callback (StagingArea.submit) is the only
+        # kernel work tracing adds; every other event kind is untouched.
+        run = _RUNS[case]
+        tracer = Tracer()
+        _, traced = run(tracer=tracer)
+        _, plain = run()
+        jobs = len(tracer.events(kind=STAGING_SUBMIT))
+        assert jobs > 0
+        for tally in ("scheduled", "processed"):
+            extra = {kind: traced[tally][kind] - plain[tally][kind]
+                     for kind in plain[tally]}
+            assert extra == {kind: jobs if kind == "control" else 0
+                             for kind in plain[tally]}
 
     def test_disabled_tracer_records_nothing_and_changes_nothing(self, traced_run):
         _tracer, _metrics, _ledger, instrumented = traced_run

@@ -263,7 +263,7 @@ class TestRenderers:
         p = self._profiler()
         with p.span("c"):
             pass
-        text = render_profile(p)
+        text = render_profile(p.dump())
         lines = text.splitlines()
         assert lines[0].split() == ["span", "count", "cum", "(s)",
                                     "self", "(s)", "cum%"]
@@ -275,41 +275,41 @@ class TestRenderers:
         assert body[2].startswith("c ")
 
     def test_tree_percentages_default_to_root_total(self):
-        text = render_profile(self._profiler())
+        text = render_profile(self._profiler().dump())
         a_row = next(l for l in text.splitlines() if l.startswith("a "))
         assert a_row.rstrip().endswith("100.0")
 
     def test_tree_total_seconds_override_sets_denominator(self):
-        text = render_profile(self._profiler(), total_seconds=10.0)
+        text = render_profile(self._profiler().dump(), total_seconds=10.0)
         a_row = next(l for l in text.splitlines() if l.startswith("a "))
         assert a_row.rstrip().endswith("50.0")
 
     def test_renderers_accept_dumps_and_empty_sources(self):
-        p = self._profiler()
-        assert render_profile(p.dump()) == render_profile(p)
+        dump = self._profiler().dump()
+        assert render_profile(dump).splitlines()[2].startswith("a ")
         assert render_profile({}) == "(no spans recorded)"
         assert render_hot_spans({}) == "(no spans recorded)"
 
     def test_hot_list_orders_by_self_seconds(self):
-        text = render_hot_spans(self._profiler())
+        text = render_hot_spans(self._profiler().dump())
         rows = [row.rstrip() for row in text.splitlines()[2:]]
         assert rows[0].endswith("a")
         assert rows[1].endswith("a/b")
 
     def test_hot_list_top_limits_rows(self):
-        text = render_hot_spans(self._profiler(), top=1)
+        text = render_hot_spans(self._profiler().dump(), top=1)
         assert len(text.splitlines()) == 3  # header, rule, one row
 
     def test_hot_list_rejects_nonpositive_top(self):
         with pytest.raises(ObservabilityError, match="top must be"):
-            render_hot_spans(self._profiler(), top=0)
+            render_hot_spans(self._profiler().dump(), top=0)
 
     def test_unregistered_spans_flags_unknown_names_only(self):
         p = _ticking()
         with p.span("workflow.run"):
             with p.span("mystery.section"):
                 pass
-        assert unregistered_spans(p) == ["mystery.section"]
+        assert unregistered_spans(p.dump()) == ["mystery.section"]
         assert unregistered_spans({}) == []
 
 
@@ -451,7 +451,7 @@ class TestProfiledWorkflow:
 
     def test_every_recorded_name_is_registered(self, profiled_run):
         profiler, _result = profiled_run
-        assert unregistered_spans(profiler) == []
+        assert unregistered_spans(profiler.dump()) == []
 
     def test_attribution_covers_the_run(self, profiled_run):
         profiler, _result = profiled_run

@@ -22,7 +22,8 @@ import repro.observability as observability
 # Importing the service package registers the `tenant` kernel event
 # kind, so the kernel-taxonomy checks below see the full registry.
 import repro.service as service
-from repro.__main__ import EXPERIMENTS, SUBCOMMANDS
+from repro.__main__ import SUBCOMMANDS
+from repro.experiments.parallel import SWEEPS
 from repro.faults import FAULT_KINDS, SCENARIOS
 from repro.observability import (
     BUDGETS_SCHEMA,
@@ -93,7 +94,7 @@ class TestCliDocs:
         assert not missing, f"undocumented CLI subcommands: {missing}"
 
     def test_every_experiment_listed_in_docs(self, all_docs):
-        missing = [name for name in EXPERIMENTS if name not in all_docs]
+        missing = [name for name in SWEEPS if name not in all_docs]
         assert not missing, f"undocumented experiments: {missing}"
 
 
