@@ -149,15 +149,15 @@ def _observe(args: argparse.Namespace, hooks: dict[str, Any], label: str,
     renders exactly the record ``--record`` writes.  The wall seconds
     cover building and running the workflow, not building the record.
     """
-    from repro.observability.observer import NULL_PROFILER
+    from repro.observability.observer import section
     from repro.workflow import CoupledWorkflow, run_record
 
-    profiler = hooks.get("profiler", NULL_PROFILER)
+    profiler = hooks.get("profiler")
     started = time.perf_counter()
-    with profiler.span("workload.build"):
+    with section(profiler, "workload.build"):
         config, trace = _quickstart(args.mode, args.steps, args.seed,
                                     estimator_bias=estimator_bias)
-    with profiler.span("workflow.setup"):
+    with section(profiler, "workflow.setup"):
         workflow = CoupledWorkflow(config, trace, faults=faults, **hooks)
     result = workflow.run()
     wall = time.perf_counter() - started

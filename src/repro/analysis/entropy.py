@@ -13,7 +13,6 @@ down-sampled at every 4th grid point").
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.analysis._blocks import (
     validate_block_shape,
 )
 from repro.errors import PolicyError
-from repro.observability.observer import Observer
 
 __all__ = ["block_entropies", "entropy_downsample_factors", "shannon_entropy"]
 
@@ -57,8 +55,6 @@ def block_entropies(
     block_shape: tuple[int, ...],
     bins: int = 256,
     global_range: bool = True,
-    metrics=None,
-    profiler=None,
 ) -> np.ndarray:
     """Entropy of each non-overlapping block of ``field``.
 
@@ -73,32 +69,11 @@ def block_entropies(
     ``block_id * bins + bin``); only the O(blocks * bins) entropy
     reduction runs per block.  Bit-identical to
     :func:`_reference_block_entropies`, the per-block scalar oracle.
-    When a :class:`~repro.observability.MetricsRegistry` is injected via
-    ``metrics``, the kernel time is published as the
-    ``analysis.entropy_kernel_seconds`` EMA timer; an injected
-    :class:`~repro.observability.Profiler` wraps the kernel in an
-    ``analysis.entropy`` span.
     """
     field = np.asarray(field)
     validate_block_shape(field, block_shape)
     if bins < 2:
         raise PolicyError(f"bins must be >= 2, got {bins}")
-    observer = Observer(metrics=metrics, profiler=profiler)
-    start = time.perf_counter()
-    with observer.profiler.span("analysis.entropy"):
-        out = _block_entropies_vectorized(field, block_shape, bins, global_range)
-    observer.metrics.timer("analysis.entropy_kernel_seconds").observe(
-        time.perf_counter() - start
-    )
-    return out
-
-
-def _block_entropies_vectorized(
-    field: np.ndarray,
-    block_shape: tuple[int, ...],
-    bins: int,
-    global_range: bool,
-) -> np.ndarray:
     counts_shape = block_counts(field.shape, block_shape)
     nblocks = int(np.prod(counts_shape)) if counts_shape else 1
     out = np.zeros(counts_shape, dtype=np.float64)

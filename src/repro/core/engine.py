@@ -81,10 +81,8 @@ class AdaptationEngine:
         policy's own reasoning; the ledger records the resource layer's
         staging-core choice and the middleware layer's implied
         staging-memory demand as predictions the host later resolves
-        against realized values; and the call runs under an
-        ``engine.adapt`` profiler span measuring the real wall-clock
-        cost of one pass through the plan.  The default observer's hooks
-        are null objects that do nothing.
+        against realized values.  The default observer's hooks are null
+        objects that do nothing.
     """
 
     def __init__(
@@ -120,9 +118,6 @@ class AdaptationEngine:
         self.metrics = observer.metrics
         self.ledger = observer.ledger
         self.trigger = trigger
-        # Cached reusable handle: adapt() runs every sampled step, and a
-        # per-call profiler.span() lookup is measurable there.
-        self._profile_span = observer.profiler.span("engine.adapt")
         self.decisions: list[AdaptationDecision] = []
 
     def adapt(self, state: OperationalState) -> AdaptationDecision:
@@ -133,100 +128,99 @@ class AdaptationEngine:
         reduction shrinks data/analysis estimates, the resource layer's
         allocation changes M and T_intransit.
         """
-        with self._profile_span:
-            decision = AdaptationDecision(step=state.step)
-            working = state
-            degraded = not state.staging_reachable
-            for layer in self.plan:
-                if layer is Layer.APPLICATION:
-                    action = self.application.decide(working)
-                    decision.factor = action.factor
-                    decision.actions.append(action)
-                    working = working.with_reduction(action.factor)
-                elif layer is Layer.RESOURCE:
-                    if degraded:
-                        # Every staging core is dead; there is nothing to size
-                        # until the substrate comes back.
-                        continue
-                    action = self.resource.decide(working)
-                    decision.staging_cores = action.cores
-                    decision.actions.append(action)
-                    working = replace(
-                        working,
-                        staging_active_cores=action.cores,
-                        est_intransit_time=working.analysis_work
-                        / (working.core_rate * action.cores),
+        decision = AdaptationDecision(step=state.step)
+        working = state
+        degraded = not state.staging_reachable
+        for layer in self.plan:
+            if layer is Layer.APPLICATION:
+                action = self.application.decide(working)
+                decision.factor = action.factor
+                decision.actions.append(action)
+                working = working.with_reduction(action.factor)
+            elif layer is Layer.RESOURCE:
+                if degraded:
+                    # Every staging core is dead; there is nothing to size
+                    # until the substrate comes back.
+                    continue
+                action = self.resource.decide(working)
+                decision.staging_cores = action.cores
+                decision.actions.append(action)
+                working = replace(
+                    working,
+                    staging_active_cores=action.cores,
+                    est_intransit_time=working.analysis_work
+                    / (working.core_rate * action.cores),
+                )
+            elif layer is Layer.MIDDLEWARE:
+                if degraded:
+                    # Graceful degradation: with staging unreachable the
+                    # only feasible placement is in-situ.
+                    action = PlaceAnalysis(
+                        step=working.step,
+                        placement=Placement.IN_SITU,
+                        insitu_fraction=1.0,
+                        reason="staging unreachable; degrading to in-situ",
                     )
-                elif layer is Layer.MIDDLEWARE:
-                    if degraded:
-                        # Graceful degradation: with staging unreachable the
-                        # only feasible placement is in-situ.
-                        action = PlaceAnalysis(
-                            step=working.step,
-                            placement=Placement.IN_SITU,
-                            insitu_fraction=1.0,
-                            reason="staging unreachable; degrading to in-situ",
-                        )
-                    else:
-                        action = self.middleware.decide(working)
-                    decision.placement = action.placement
-                    decision.insitu_fraction = action.insitu_fraction
-                    decision.actions.append(action)
-                else:  # pragma: no cover - enum is closed
-                    raise PolicyError(f"unknown layer {layer}")
-            self.decisions.append(decision)
-            if self.trigger is not None:
-                self.trigger.note_adapted(state.step, decision)
-            if decision.staging_cores is not None:
-                self.ledger.predict(
-                    "staging_cores", state.step, float(decision.staging_cores),
-                    mechanism="resource",
-                )
-            if decision.placement is Placement.IN_TRANSIT:
-                self.ledger.predict(
-                    "memory_demand", state.step, working.data_bytes,
-                    mechanism="middleware",
-                )
-            elif decision.placement is Placement.HYBRID:
-                self.ledger.predict(
-                    "memory_demand", state.step,
-                    (1.0 - decision.insitu_fraction) * working.data_bytes,
-                    mechanism="middleware",
-                )
-            self.metrics.counter("engine.decisions").inc()
-            if self.tracer.enabled:
-                # `degraded` is only present on degraded decisions so that
-                # fault-free traces stay byte-identical to pre-fault builds.
-                extra = {"degraded": True} if degraded else {}
+                else:
+                    action = self.middleware.decide(working)
+                decision.placement = action.placement
+                decision.insitu_fraction = action.insitu_fraction
+                decision.actions.append(action)
+            else:  # pragma: no cover - enum is closed
+                raise PolicyError(f"unknown layer {layer}")
+        self.decisions.append(decision)
+        if self.trigger is not None:
+            self.trigger.note_adapted(state.step, decision)
+        if decision.staging_cores is not None:
+            self.ledger.predict(
+                "staging_cores", state.step, float(decision.staging_cores),
+                mechanism="resource",
+            )
+        if decision.placement is Placement.IN_TRANSIT:
+            self.ledger.predict(
+                "memory_demand", state.step, working.data_bytes,
+                mechanism="middleware",
+            )
+        elif decision.placement is Placement.HYBRID:
+            self.ledger.predict(
+                "memory_demand", state.step,
+                (1.0 - decision.insitu_fraction) * working.data_bytes,
+                mechanism="middleware",
+            )
+        self.metrics.counter("engine.decisions").inc()
+        if self.tracer.enabled:
+            # `degraded` is only present on degraded decisions so that
+            # fault-free traces stay byte-identical to pre-fault builds.
+            extra = {"degraded": True} if degraded else {}
+            self.tracer.emit(
+                ADAPT_DECISION,
+                step=state.step,
+                mode=self.mode,
+                plan=[layer.value for layer in self.plan],
+                **extra,
+                factor=decision.factor,
+                placement=(
+                    decision.placement.value if decision.placement else None
+                ),
+                insitu_fraction=decision.insitu_fraction,
+                staging_cores=decision.staging_cores,
+                # The inputs the plan ran on (pre-propagation snapshot).
+                data_bytes=state.data_bytes,
+                analysis_work=state.analysis_work,
+                est_insitu_time=state.est_insitu_time,
+                est_intransit_time=state.est_intransit_time,
+                est_intransit_remaining=state.est_intransit_remaining,
+                est_next_sim_time=state.est_next_sim_time,
+                staging_busy=state.staging_busy,
+                insitu_memory_ok=state.insitu_memory_ok,
+                intransit_memory_ok=state.intransit_memory_ok,
+            )
+            for layer, action in zip(self.plan, decision.actions):
                 self.tracer.emit(
-                    ADAPT_DECISION,
+                    ADAPT_ACTION,
                     step=state.step,
-                    mode=self.mode,
-                    plan=[layer.value for layer in self.plan],
-                    **extra,
-                    factor=decision.factor,
-                    placement=(
-                        decision.placement.value if decision.placement else None
-                    ),
-                    insitu_fraction=decision.insitu_fraction,
-                    staging_cores=decision.staging_cores,
-                    # The inputs the plan ran on (pre-propagation snapshot).
-                    data_bytes=state.data_bytes,
-                    analysis_work=state.analysis_work,
-                    est_insitu_time=state.est_insitu_time,
-                    est_intransit_time=state.est_intransit_time,
-                    est_intransit_remaining=state.est_intransit_remaining,
-                    est_next_sim_time=state.est_next_sim_time,
-                    staging_busy=state.staging_busy,
-                    insitu_memory_ok=state.insitu_memory_ok,
-                    intransit_memory_ok=state.intransit_memory_ok,
+                    layer=layer.value,
+                    action=type(action).__name__,
+                    reason=action.reason,
                 )
-                for layer, action in zip(self.plan, decision.actions):
-                    self.tracer.emit(
-                        ADAPT_ACTION,
-                        step=state.step,
-                        layer=layer.value,
-                        action=type(action).__name__,
-                        reason=action.reason,
-                    )
-            return decision
+        return decision

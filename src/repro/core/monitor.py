@@ -37,12 +37,10 @@ class Monitor:
     ``observer`` carries the observability hooks
     (:class:`~repro.observability.observer.Observer`): every snapshot
     emits a ``monitor.sample`` event, the observation intake publishes
-    counters/timers, each next-step-time forecast lands in the
+    counters/timers, and each next-step-time forecast lands in the
     prediction ledger to be paired with the step duration actually
-    observed, every :meth:`snapshot` runs under a ``monitor.snapshot``
-    profiler span and every :meth:`evaluate_trigger` under
-    ``monitor.trigger`` -- real wall-clock cost, not simulated time.
-    The default observer's hooks are null objects that do nothing.
+    observed.  The default observer's hooks are null objects that do
+    nothing.
 
     ``trigger`` is an optional
     :class:`~repro.workflow.triggers.TriggerPolicy`: when injected, the
@@ -85,10 +83,6 @@ class Monitor:
         self.metrics = observer.metrics
         self.ledger = observer.ledger
         self.trigger = trigger
-        # Cached reusable handles: snapshot/trigger run every sampled step,
-        # and a per-call profiler.span() lookup is measurable there.
-        self._snapshot_span = observer.profiler.span("monitor.snapshot")
-        self._trigger_span = observer.profiler.span("monitor.trigger")
         # Step whose next-sim-time forecast is awaiting its realization.
         self._sim_pred_step: int | None = None
         # Most recent off-interval sample the host forced (fault recovery);
@@ -117,24 +111,23 @@ class Monitor:
     def evaluate_trigger(self, indicators):
         """Ask the injected trigger whether ``indicators`` warrant a full
         adaptation; publishes the verdict as events and metrics."""
-        with self._trigger_span:
-            decision = self.trigger.should_adapt(indicators)
-            if decision.budget_spent:
-                self.metrics.counter("monitor.sampling_budget_used").inc(
-                    decision.budget_spent
-                )
-            if decision.fire:
-                self.metrics.counter("monitor.trigger_fires").inc()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    TRIGGER_FIRED if decision.fire else TRIGGER_SUPPRESSED,
-                    step=indicators.step,
-                    policy=decision.policy,
-                    reason=decision.reason,
-                    value=decision.value,
-                    budget_spent=decision.budget_spent,
-                )
-            return decision
+        decision = self.trigger.should_adapt(indicators)
+        if decision.budget_spent:
+            self.metrics.counter("monitor.sampling_budget_used").inc(
+                decision.budget_spent
+            )
+        if decision.fire:
+            self.metrics.counter("monitor.trigger_fires").inc()
+        if self.tracer.enabled:
+            self.tracer.emit(
+                TRIGGER_FIRED if decision.fire else TRIGGER_SUPPRESSED,
+                step=indicators.step,
+                policy=decision.policy,
+                reason=decision.reason,
+                value=decision.value,
+                budget_spent=decision.budget_spent,
+            )
+        return decision
 
     def recalibrate_trigger(self, feedback) -> dict[str, tuple[float, float]]:
         """Close the self-calibration loop at ``feedback.step``.
@@ -263,69 +256,68 @@ class Monitor:
         staging_reachable: bool = True,
     ) -> OperationalState:
         """Build (and record) the operational state for ``step``."""
-        with self._snapshot_span:
-            intransit_memory_ok = (
-                staging_memory_used + data_bytes
-                <= staging_memory_total * (1 + 1e-9)
+        intransit_memory_ok = (
+            staging_memory_used + data_bytes
+            <= staging_memory_total * (1 + 1e-9)
+        )
+        state = OperationalState(
+            step=step,
+            ndim=ndim,
+            core_rate=core_rate,
+            data_bytes=data_bytes,
+            rank_data_bytes=rank_data_bytes,
+            rank_memory_available=rank_memory_available,
+            analysis_work=analysis_work,
+            sim_cores=sim_cores,
+            staging_active_cores=staging_active_cores,
+            est_insitu_time=self.estimate_insitu(analysis_work, sim_cores),
+            est_intransit_time=self.estimate_intransit(
+                analysis_work, staging_active_cores
+            ),
+            est_intransit_remaining=est_intransit_remaining,
+            staging_busy=staging_busy,
+            insitu_memory_ok=insitu_memory_ok,
+            intransit_memory_ok=intransit_memory_ok,
+            staging_total_cores=staging_total_cores,
+            staging_memory_total=staging_memory_total,
+            staging_memory_used=staging_memory_used,
+            est_next_sim_time=self.expected_sim_step_time,
+            est_send_time=self.estimate_send(data_bytes),
+            est_remaining_sim_time=(
+                float("inf")
+                if steps_remaining is None
+                else steps_remaining * self.expected_sim_step_time
+            ),
+            staging_reachable=staging_reachable,
+        )
+        self.history.append(state)
+        if state.est_next_sim_time > 0 and self._sim_pred_step is None:
+            # Forecast the *next* step's duration; the next observed
+            # step resolves it.  An unresolved older forecast
+            # (off-sample gap) stays pending rather than being paired
+            # with the wrong step.
+            self.ledger.predict(
+                "sim_step_time", step, state.est_next_sim_time,
+                mechanism="monitor",
             )
-            state = OperationalState(
+            self._sim_pred_step = step
+        self.metrics.counter("monitor.samples").inc()
+        if self.trigger is not None:
+            self.metrics.counter("monitor.samples_taken").inc()
+        if self.tracer.enabled:
+            self.tracer.emit(
+                MONITOR_SAMPLE,
                 step=step,
-                ndim=ndim,
-                core_rate=core_rate,
                 data_bytes=data_bytes,
-                rank_data_bytes=rank_data_bytes,
-                rank_memory_available=rank_memory_available,
                 analysis_work=analysis_work,
-                sim_cores=sim_cores,
                 staging_active_cores=staging_active_cores,
-                est_insitu_time=self.estimate_insitu(analysis_work, sim_cores),
-                est_intransit_time=self.estimate_intransit(
-                    analysis_work, staging_active_cores
-                ),
-                est_intransit_remaining=est_intransit_remaining,
                 staging_busy=staging_busy,
+                est_insitu_time=state.est_insitu_time,
+                est_intransit_time=state.est_intransit_time,
+                est_intransit_remaining=est_intransit_remaining,
+                est_next_sim_time=state.est_next_sim_time,
+                est_send_time=state.est_send_time,
                 insitu_memory_ok=insitu_memory_ok,
                 intransit_memory_ok=intransit_memory_ok,
-                staging_total_cores=staging_total_cores,
-                staging_memory_total=staging_memory_total,
-                staging_memory_used=staging_memory_used,
-                est_next_sim_time=self.expected_sim_step_time,
-                est_send_time=self.estimate_send(data_bytes),
-                est_remaining_sim_time=(
-                    float("inf")
-                    if steps_remaining is None
-                    else steps_remaining * self.expected_sim_step_time
-                ),
-                staging_reachable=staging_reachable,
             )
-            self.history.append(state)
-            if state.est_next_sim_time > 0 and self._sim_pred_step is None:
-                # Forecast the *next* step's duration; the next observed
-                # step resolves it.  An unresolved older forecast
-                # (off-sample gap) stays pending rather than being paired
-                # with the wrong step.
-                self.ledger.predict(
-                    "sim_step_time", step, state.est_next_sim_time,
-                    mechanism="monitor",
-                )
-                self._sim_pred_step = step
-            self.metrics.counter("monitor.samples").inc()
-            if self.trigger is not None:
-                self.metrics.counter("monitor.samples_taken").inc()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    MONITOR_SAMPLE,
-                    step=step,
-                    data_bytes=data_bytes,
-                    analysis_work=analysis_work,
-                    staging_active_cores=staging_active_cores,
-                    staging_busy=staging_busy,
-                    est_insitu_time=state.est_insitu_time,
-                    est_intransit_time=state.est_intransit_time,
-                    est_intransit_remaining=est_intransit_remaining,
-                    est_next_sim_time=state.est_next_sim_time,
-                    est_send_time=state.est_send_time,
-                    insitu_memory_ok=insitu_memory_ok,
-                    intransit_memory_ok=intransit_memory_ok,
-                )
-            return state
+        return state

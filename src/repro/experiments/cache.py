@@ -23,11 +23,12 @@ keep it enabled; any other value warns once and keeps the cache on
 (bypassing is the *exceptional* state and must be asked for
 unambiguously).  The cache publishes through its
 :class:`~repro.observability.observer.Observer` (built from the
-``metrics=`` / ``profiler=`` keywords; the sweep runner swaps in a
-per-point one): lookups count ``experiments.cache_hits`` /
-``experiments.cache_misses``; every lookup runs under a
-``cache.lookup`` span with actual artifact computes nested under
-``cache.compute``.
+``metrics=`` keyword; the sweep runner swaps in a per-point one):
+lookups count ``experiments.cache_hits`` /
+``experiments.cache_misses``.  The sweep runner also wraps the
+``_value`` / ``_trace`` / ``_field`` lookups in ``cache.lookup`` spans
+and ``_compute`` in ``cache.compute`` from outside
+(:func:`~repro.observability.observer.instrument`).
 
 The cache lives in one process.  Nothing is written to disk, so a
 figure is always computed by the code that prints it.
@@ -148,18 +149,17 @@ class ExperimentCache:
     the compute path.
     """
 
-    def __init__(self, metrics=None, profiler=None):
-        self.observer = Observer(metrics=metrics, profiler=profiler)
+    def __init__(self, metrics=None):
+        self.observer = Observer(metrics=metrics)
         self._values: dict[str, Any] = {}
         self._sessions: dict[str, Any] = {}
 
     # -- plumbing ----------------------------------------------------------
 
     def _compute(self, fn: Callable[[], Any]) -> Any:
-        """Run an artifact compute under a ``cache.compute`` span (nested
-        under ``cache.lookup`` on the cache-enabled path)."""
-        with self.observer.profiler.span("cache.compute"):
-            return fn()
+        """Run one artifact compute (the sweep runner's ``cache.compute``
+        span, nested under ``cache.lookup`` on the cache-enabled path)."""
+        return fn()
 
     def _count(self, hit: bool) -> None:
         name = "experiments.cache_hits" if hit else "experiments.cache_misses"
@@ -175,8 +175,7 @@ class ExperimentCache:
         """Generic memo for a deterministic, parameter-keyed computation."""
         if not cache_enabled():
             return self._compute(compute)
-        with self.observer.profiler.span("cache.lookup"):
-            return self._value(kind, params, compute)
+        return self._value(kind, params, compute)
 
     def _value(self, kind: str, params: dict, compute: Callable[[], Any]) -> Any:
         key = self.key(kind, **params)
@@ -205,8 +204,7 @@ class ExperimentCache:
         """
         if not cache_enabled():
             return self._compute(lambda: capture_trace(build(), nsteps, name=name))
-        with self.observer.profiler.span("cache.lookup"):
-            return self._trace(kind, params, nsteps, build, name)
+        return self._trace(kind, params, nsteps, build, name)
 
     def _trace(
         self,
@@ -244,8 +242,7 @@ class ExperimentCache:
                 stepper.run(nsteps)
                 return extract(stepper)
             return self._compute(_fresh)
-        with self.observer.profiler.span("cache.lookup"):
-            return self._field(kind, params, nsteps, build, extract)
+        return self._field(kind, params, nsteps, build, extract)
 
     def _field(
         self,

@@ -89,11 +89,10 @@ class Fig6Result:
     triangle_ratio: float
 
 
-def run_fig6(n: int = 48, nsteps: int = 25, metrics=None) -> Fig6Result:
+def run_fig6(n: int = 48, nsteps: int = 25) -> Fig6Result:
     """Entropy-guided reduction of the real density field."""
     field = density_field(n, nsteps)
-    entropies = block_entropies(field, (BLOCK, BLOCK, BLOCK), bins=256,
-                                metrics=metrics)
+    entropies = block_entropies(field, (BLOCK, BLOCK, BLOCK), bins=256)
     # A threshold inside the observed range, as the paper's user picks one
     # between the finest level's 5.14 and 9.85 bits.  The range midpoint
     # separates near-constant ambient blocks from feature-bearing ones.

@@ -167,26 +167,33 @@ def expand_grid(
     return tasks
 
 
+#: The cache methods a grid point's profiler spans (:func:`_execute_point`).
+_CACHE_SPANS = {"_value": "cache.lookup", "_trace": "cache.lookup",
+                "_field": "cache.lookup", "_compute": "cache.compute"}
+
+
 def _execute_point(
     name: str, params: Mapping[str, Any]
 ) -> tuple[Any, dict, dict, float]:
     """Run one grid point with private metrics + profiler attached.
 
-    The registry and profiler are swapped onto the process-wide default
-    cache for the duration of the point, so the returned dumps attribute
-    cache traffic and wall time to exactly this point (workers ship them
-    back to the parent).  The whole point runs under a ``sweep.point``
-    span, so cache lookups/computes nest beneath it.
+    The registry is swapped onto the process-wide default cache and the
+    profiler wired onto its lookups for the duration of the point, so
+    the returned dumps attribute cache traffic and wall time to exactly
+    this point (workers ship them back to the parent).  The whole point
+    runs under a ``sweep.point`` span, so cache lookups/computes nest
+    beneath it.
     """
     from repro.observability.metrics import MetricsRegistry
-    from repro.observability.observer import Observer
+    from repro.observability.observer import Observer, instrument
     from repro.observability.profiler import Profiler
 
     registry = MetricsRegistry()
     profiler = Profiler()
     cache = default_cache()
     previous = cache.observer
-    cache.observer = Observer(metrics=registry, profiler=profiler)
+    cache.observer = Observer(metrics=registry)
+    instrument(profiler, cache, _CACHE_SPANS)
     try:
         started = time.perf_counter()
         with profiler.span("sweep.point"):
@@ -194,6 +201,8 @@ def _execute_point(
         seconds = time.perf_counter() - started
     finally:
         cache.observer = previous
+        for attr in _CACHE_SPANS:
+            delattr(cache, attr)
     return result, registry.dump(), profiler.dump(), seconds
 
 

@@ -41,7 +41,6 @@ from typing import Any
 
 from repro.errors import SimulationError
 from repro.hpc.kernel import EventKernel, event_kind_code
-from repro.observability.observer import NULL_OBSERVER, Observer
 
 __all__ = [
     "AllOf",
@@ -329,17 +328,12 @@ class Simulator:
     :meth:`_schedule_at` call.
     """
 
-    def __init__(self, faults: Any = None,
-                 observer: Observer = NULL_OBSERVER, rng: Any = None):
+    def __init__(self, faults: Any = None, rng: Any = None):
         self.kernel = EventKernel(rng=rng)
         self._unhandled: list[tuple[Process, BaseException]] = []
         # Optional fault injector (repro.faults.FaultInjector); duck-typed
         # so the kernel stays free of upward imports.
         self.faults = faults
-        # The observer's wall-clock profiler: the kernel itself stays free
-        # of wall time -- the span only measures how long *we* take to
-        # replay simulated time.
-        self._run_span = observer.profiler.span("sim.run")
         if faults is not None:
             faults.attach_simulator(self)
 
@@ -414,40 +408,39 @@ class Simulator:
         If a process died with an exception nobody was waiting on, the
         exception is re-raised here so failures are never lost.
         """
-        with self._run_span:
-            stop_event: Event | None = None
-            horizon = math.inf
-            kernel = self.kernel
-            if isinstance(until, Event):
-                stop_event = until
-            elif until is not None:
-                horizon = float(until)
-                if horizon < kernel.now:
-                    raise SimulationError(f"run(until={horizon}) is in the past (now={kernel.now})")
+        stop_event: Event | None = None
+        horizon = math.inf
+        kernel = self.kernel
+        if isinstance(until, Event):
+            stop_event = until
+        elif until is not None:
+            horizon = float(until)
+            if horizon < kernel.now:
+                raise SimulationError(f"run(until={horizon}) is in the past (now={kernel.now})")
 
-            heap = kernel.heap
-            heappop = heapq.heappop
-            processed = kernel.counters.processed
-            unhandled = self._unhandled
-            while heap:
-                if stop_event is not None and stop_event.triggered:
-                    break
-                if heap[0][0] > horizon:
-                    kernel.now = horizon
-                    break
-                when, _seq, kind, func, args = heappop(heap)
-                kernel.now = when
-                processed[kind] += 1
-                func(*args)
-                if unhandled:
-                    self._raise_orphan_failures()
+        heap = kernel.heap
+        heappop = heapq.heappop
+        processed = kernel.counters.processed
+        unhandled = self._unhandled
+        while heap:
+            if stop_event is not None and stop_event.triggered:
+                break
+            if heap[0][0] > horizon:
+                kernel.now = horizon
+                break
+            when, _seq, kind, func, args = heappop(heap)
+            kernel.now = when
+            processed[kind] += 1
+            func(*args)
+            if unhandled:
+                self._raise_orphan_failures()
 
-            self._raise_orphan_failures()
-            if stop_event is not None:
-                if not stop_event.triggered:
-                    raise SimulationError("event list drained before the awaited event fired")
-                return stop_event.value
-            return None
+        self._raise_orphan_failures()
+        if stop_event is not None:
+            if not stop_event.triggered:
+                raise SimulationError("event list drained before the awaited event fired")
+            return stop_event.value
+        return None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the list is empty."""

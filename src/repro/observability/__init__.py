@@ -14,7 +14,8 @@ publishes into:
 - :class:`Profiler` -- nested wall-clock spans (``with
   profiler.span("engine.adapt")``) aggregating call counts, cumulative
   and self seconds per span path (:data:`PROFILE_SPANS` is the closed
-  registry of span names), with :func:`render_profile` /
+  registry of span names), put on the layers' methods from outside by
+  :func:`instrument`, with :func:`render_profile` /
   :func:`render_hot_spans` renderings, :func:`merge_worker_profiles`
   cross-process aggregation and the :func:`check_budgets` /
   :func:`load_budgets` hot-path budget layer over
@@ -36,13 +37,15 @@ publishes into:
   :func:`fault_timeline` -- human-readable renderings of a run record's
   events (the ``repro trace`` and ``repro faults`` CLI output).
 
-Instrumentation is injected as one :class:`Observer`: the simulator,
-Monitor, Adaptation Engine, staging area and fault injector each take
-``observer=``, and the workflow driver, the multi-tenant service, the
-experiment cache and the entropy kernel build one from their optional
-``tracer=`` / ``metrics=`` / ``ledger=`` / ``profiler=`` arguments.  A
-hook left out is a null object that accepts every call and does
-nothing, so call sites never branch on it (:mod:`.observer`).
+Instrumentation is injected as one :class:`Observer` of tracer, metrics
+and ledger: the Monitor, Adaptation Engine, staging area and fault
+injector each take ``observer=``, and the workflow driver, the
+multi-tenant service and the experiment cache build one from their
+optional ``tracer=`` / ``metrics=`` / ``ledger=`` arguments.  A hook
+left out is a null object that accepts every call and does nothing, so
+call sites never branch on it (:mod:`.observer`).  A ``profiler=`` is
+not part of it: :func:`instrument` wraps the layers' methods in spans
+from outside.
 
 :data:`EVENT_KINDS`, :data:`METRIC_NAMES` and :data:`QUANTITIES` are the
 closed registries of everything the built-in instrumentation can emit;
@@ -78,7 +81,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     merge_worker_metrics,
 )
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import NULL_OBSERVER, Observer, instrument
 from repro.observability.profiler import (
     PROFILE_SPANS,
     Profiler,
@@ -131,6 +134,7 @@ __all__ = [
     "decision_timeline",
     "diff_records",
     "fault_timeline",
+    "instrument",
     "load_budgets",
     "load_record",
     "merge_worker_metrics",

@@ -50,8 +50,6 @@ METRIC_NAMES: dict[str, str] = {
     "staging.service_seconds": "EMA timer: recent staging job service times",
     "staging.memory_used": "gauge: staging memory currently held by jobs",
     "staging.active_cores": "gauge: staging cores currently enabled",
-    "analysis.entropy_kernel_seconds": "EMA timer: recent block-entropy "
-    "kernel durations",
     "experiments.cache_hits": "counter: experiment cache lookups served "
     "from memory",
     "experiments.cache_misses": "counter: experiment cache lookups that "

@@ -1,13 +1,17 @@
-"""The observer: the four observability hooks as one bundle.
+"""The observer: the tracer, metrics and ledger hooks as one bundle,
+and the wiring that puts a profiler's spans on a layer from outside.
 
 Every layer that publishes runtime status takes one ``observer=``: an
-:class:`Observer` holding a tracer, a metrics registry, a prediction
-ledger and a profiler.  A hook left ``None`` becomes its shared null
-object, which accepts the same calls as the real one and does nothing,
-so call sites never branch on whether a hook is present.
-:meth:`Observer.__post_init__` is the one place that knows a hook can be
-absent; the public entry points keep their per-hook keywords and build
-an :class:`Observer` at the edge.
+:class:`Observer` holding a tracer, a metrics registry and a prediction
+ledger.  A hook left ``None`` becomes its shared null object, which
+accepts the same calls as the real one and does nothing, so call sites
+never branch on whether a hook is present.  This module is the one place
+that knows a hook can be absent; the public entry points keep their
+per-hook keywords and build an :class:`Observer` at the edge.
+
+Wall-clock spans are not a hook the layers hold: :func:`instrument`
+wraps whole methods of a built object in profiler spans from outside,
+and :func:`section` spans an inline block at the CLI edge.
 
 ``enabled`` is ``False`` on the null tracer and the null ledger, so call
 sites skip building an event's fields or computing the estimates a
@@ -18,22 +22,23 @@ created by the real registry.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Mapping
 
 if TYPE_CHECKING:
     from repro.observability.ledger import PredictionLedger
     from repro.observability.metrics import MetricsRegistry
-    from repro.observability.profiler import Profiler
     from repro.observability.tracer import Tracer
 
 __all__ = [
     "NULL_LEDGER",
     "NULL_METRICS",
     "NULL_OBSERVER",
-    "NULL_PROFILER",
     "NULL_TRACER",
     "Observer",
+    "instrument",
+    "section",
 ]
 
 
@@ -119,51 +124,24 @@ class _NullLedger:
         pass
 
 
-class _NullSpan:
-    """A reusable context manager that measures nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullProfiler:
-    """A profiler whose every span is the same no-op handle."""
-
-    __slots__ = ()
-
-    def span(self, name: str) -> _NullSpan:
-        return _NULL_SPAN
-
-
 NULL_TRACER = _NullTracer()
 NULL_METRICS = _NullMetrics()
 NULL_LEDGER = _NullLedger()
-NULL_PROFILER = _NullProfiler()
 
 _NULLS = {
     "tracer": NULL_TRACER,
     "metrics": NULL_METRICS,
     "ledger": NULL_LEDGER,
-    "profiler": NULL_PROFILER,
 }
 
 
 @dataclass(frozen=True)
 class Observer:
-    """The tracer, metrics registry, ledger and profiler of one run."""
+    """The tracer, metrics registry and ledger of one run."""
 
     tracer: Tracer | _NullTracer | None = None
     metrics: MetricsRegistry | _NullMetrics | None = None
     ledger: PredictionLedger | _NullLedger | None = None
-    profiler: Profiler | _NullProfiler | None = None
 
     def __post_init__(self) -> None:
         for name, null in _NULLS.items():
@@ -178,3 +156,37 @@ class Observer:
 
 #: The observer of an unobserved run: every hook is its null object.
 NULL_OBSERVER = Observer()
+
+
+def instrument(profiler: Any, obj: Any, spans: Mapping[str, str]) -> None:
+    """Run every call of ``obj.<attr>`` inside a ``profiler`` span.
+
+    ``spans`` maps attribute names to span names.  Each method is
+    replaced on the instance by a wrapper around one span handle, bound
+    here once (``del obj.<attr>`` undoes it): a callable handle, the
+    :class:`~repro.observability.Profiler`'s, wraps the method itself,
+    and any other is entered as a context manager.  With
+    ``profiler=None`` nothing is wrapped.  A wrapped method must not
+    yield to the simulator mid-call, and its callers must look it up
+    on the instance at call time.
+    """
+    if profiler is None:
+        return
+    for attr, name in spans.items():
+        span = profiler.span(name)
+        method = getattr(obj, attr)
+        setattr(obj, attr,
+                span(method) if callable(span) else _spanned(method, span))
+
+
+def _spanned(method: Callable, span: Any) -> Callable:
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        with span:
+            return method(*args, **kwargs)
+    return wrapper
+
+
+def section(profiler: Any, name: str) -> ContextManager:
+    """A ``profiler.span(name)`` around an inline block, or a no-op
+    context when ``profiler`` is ``None``."""
+    return nullcontext() if profiler is None else profiler.span(name)

@@ -23,12 +23,12 @@ cumulative wall-clock seconds spent inside it, and its *self* seconds
 read from ``time.perf_counter`` by default; an injected ``clock`` makes
 tests deterministic.
 
-The profiler reaches each layer through its
-:class:`~repro.observability.observer.Observer`, like the tracer,
-metrics and ledger.  Without one, every span site enters the null
-profiler's shared no-op span, and -- because the profiler only ever
-*reads* the wall clock -- simulated results are bit-identical with or
-without one.
+The layers hold no span code.  The workflow driver, the multi-tenant
+service and the sweep runner wire a profiler onto whole methods from
+outside with :func:`~repro.observability.observer.instrument`; without
+one nothing is wrapped, and -- because the profiler only ever *reads*
+the wall clock -- simulated results are bit-identical with or without
+one.
 
 Spans must enclose only synchronous sections: a span held across a
 simulator ``yield`` would charge other processes' interleaved work to
@@ -46,6 +46,7 @@ counts.
 
 from __future__ import annotations
 
+import inspect
 import time
 from typing import Any, Callable, Iterable, Mapping
 
@@ -85,10 +86,8 @@ PROFILE_SPANS: dict[str, str] = {
     "staging (memory accounting + ingest kickoff)",
     "staging.drain": "middleware layer: one staging job's completion "
     "bookkeeping (memory release, callbacks)",
-    "analysis.entropy": "application layer: the vectorized block-entropy "
-    "kernel",
     "cache.lookup": "experiment layer: one ExperimentCache request "
-    "(memory, disk and compute included)",
+    "(memory and compute included)",
     "cache.compute": "experiment layer: a cache miss actually computing "
     "its artifact (nested under cache.lookup)",
     "sweep.point": "experiment layer: one sweep grid point computed by a "
@@ -122,18 +121,18 @@ class _Span:
     against the workload's own working set; the buffered design touches
     two cache lines (list tail and handle) per event.
 
-    A handle is freely *reusable* -- hot instrumentation sites cache
-    one at construction time (``self._span_x = profiler.span("x")``)
-    and re-enter it per call, skipping the per-call ``span()`` lookup
-    and allocation.  Nesting, recursion, and sharing one handle across
+    A handle is freely *reusable* --
+    :func:`~repro.observability.observer.instrument` binds one per
+    wrapped method (calling the handle on the method) and re-enters it
+    on every call, skipping the per-call ``span()`` lookup and
+    allocation.  Nesting, recursion, and sharing one handle across
     overlapping sections are all well-defined: the buffer records
     enter/exit *order*, which is what attribution replays.
     """
 
-    __slots__ = ("_profiler", "name", "_append", "_clock")
+    __slots__ = ("name", "_append", "_clock")
 
     def __init__(self, profiler: "Profiler", name: str):
-        self._profiler = profiler
         self.name = name
         # Bound references, so enter/exit skip the profiler indirection.
         self._append = profiler._events.append
@@ -150,6 +149,64 @@ class _Span:
         ap(self.name)
         ap(self._clock())
         return False
+
+    def __call__(self, func: Callable) -> Callable:
+        """``func`` wrapped so that every call runs inside this span.
+
+        The wrapper takes ``func``'s own parameters and appends the
+        enter/exit records inline: forwarding ``*args, **kwargs`` or
+        entering a ``with`` block each cost about as much again per call
+        (``docs/profiling.md`` has the measurements).
+        """
+        target = getattr(func, "__func__", func)
+        spanned = _wrapper_factory(func)(
+            func, self._append, self._clock, self, self.name
+        )
+        spanned.__defaults__ = target.__defaults__
+        spanned.__kwdefaults__ = target.__kwdefaults__
+        return spanned
+
+
+#: Compiled wrapper factories, keyed by (code object, bound method?).
+_FACTORIES: dict[tuple[Any, bool], Callable] = {}
+
+
+def _wrapper_factory(func: Callable) -> Callable:
+    """The factory of span wrappers with ``func``'s parameter list,
+    compiled once per code object (defaults are copied on afterwards).
+    Its own names start with ``__``, which the compiler mangles out of
+    every method's parameter names, so the two cannot clash."""
+    target = getattr(func, "__func__", func)
+    key = (target.__code__, target is not func)
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        params = [
+            p.replace(default=p.empty, annotation=p.empty)
+            for p in inspect.signature(func).parameters.values()
+        ]
+        args = ", ".join(
+            f"*{p.name}" if p.kind is p.VAR_POSITIONAL
+            else f"**{p.name}" if p.kind is p.VAR_KEYWORD
+            else f"{p.name}={p.name}" if p.kind is p.KEYWORD_ONLY
+            else p.name
+            for p in params
+        )
+        source = (
+            "def factory(__func, __append, __clock, __span, __name):\n"
+            f"    def spanned{inspect.Signature(params)}:\n"
+            "        __append(__span)\n"
+            "        __append(__clock())\n"
+            "        try:\n"
+            f"            return __func({args})\n"
+            "        finally:\n"
+            "            __append(__name)\n"
+            "            __append(__clock())\n"
+            "    return spanned\n"
+        )
+        namespace: dict[str, Any] = {}
+        exec(source, namespace)
+        factory = _FACTORIES[key] = namespace["factory"]
+    return factory
 
 
 class Profiler:
@@ -249,37 +306,7 @@ class Profiler:
                 frames.append([path, stat, seconds, 0.0, name])
         events.clear()
 
-    @property
-    def current_path(self) -> str:
-        """The open span path, or ``""`` outside any span."""
-        self._flush()
-        return self._frames[-1][0] if self._frames else ""
-
-    def clear(self) -> None:
-        """Zero every recorded aggregate (open spans keep recording).
-
-        Buffered events are attributed first, then stats are reset in
-        place rather than dropped: open-span frames and the replay
-        cache hold direct references into them.
-        """
-        self._flush()
-        for stat in self._stats.values():
-            stat.count = 0
-            stat.cum_seconds = 0.0
-            stat.self_seconds = 0.0
-
     # -- reading -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        self._flush()
-        return sum(1 for stat in self._stats.values() if stat.count)
-
-    def paths(self) -> list[str]:
-        """Every recorded span path (at least one completed call), sorted."""
-        self._flush()
-        return sorted(
-            path for path, stat in self._stats.items() if stat.count
-        )
 
     def get(self, path: str) -> SpanStat | None:
         """The aggregate for ``path``, or ``None`` if never recorded."""

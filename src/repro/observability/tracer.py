@@ -4,10 +4,10 @@ Components never construct a tracer themselves -- one is *injected*
 (``tracer=...``) at the workflow's edge and reaches the Monitor, the
 Adaptation Engine, the staging area and the driver through their
 :class:`~repro.observability.observer.Observer`.  Without one, the
-observer holds the null tracer, whose :attr:`enabled` is False; call
-sites check :attr:`Tracer.enabled` so field construction is skipped
-entirely (and :meth:`Tracer.emit` returns on its first line as a
-backstop).  Either way tracing costs nothing measurable on the hot path.
+observer holds the null tracer, whose ``enabled`` is False; call sites
+check :attr:`Tracer.enabled` (always True on a real tracer) so field
+construction is skipped entirely.  Either way tracing costs nothing
+measurable on the hot path.
 
 Events land in a ring buffer (``capacity`` newest events are kept; the
 ``dropped`` counter records evictions) and serialize as JSON Lines --
@@ -48,20 +48,19 @@ class Tracer:
     capacity:
         Ring-buffer size; the oldest events are evicted (and counted in
         :attr:`dropped`) once it fills.
-    enabled:
-        When False, :meth:`emit` is a no-op returning ``None``.
     """
+
+    #: A real tracer always records; only the null tracer is disabled.
+    enabled = True
 
     def __init__(
         self,
         clock: Callable[[], float] | None = None,
         capacity: int = 65536,
-        enabled: bool = True,
     ):
         if capacity < 1:
             raise ObservabilityError(f"capacity must be >= 1, got {capacity}")
         self.clock = clock
-        self.enabled = bool(enabled)
         self.capacity = int(capacity)
         self.dropped = 0
         self._events: deque[TraceEvent] = deque(maxlen=self.capacity)
@@ -73,10 +72,8 @@ class Tracer:
         """Attach (or replace) the time source for subsequent events."""
         self.clock = clock
 
-    def emit(self, kind: str, step: int | None = None, **fields: Any) -> TraceEvent | None:
-        """Record one event; returns it, or ``None`` when disabled."""
-        if not self.enabled:
-            return None
+    def emit(self, kind: str, step: int | None = None, **fields: Any) -> TraceEvent:
+        """Record one event and return it."""
         event = TraceEvent(
             seq=self._seq,
             ts=self.clock() if self.clock is not None else 0.0,
@@ -89,11 +86,6 @@ class Tracer:
             self.dropped += 1
         self._events.append(event)
         return event
-
-    def clear(self) -> None:
-        """Discard all recorded events (sequence numbers keep counting)."""
-        self._events.clear()
-        self.dropped = 0
 
     # -- reading -----------------------------------------------------------
 
@@ -110,10 +102,6 @@ class Tracer:
         if step is not None:
             out = (e for e in out if e.step == step)
         return list(out)
-
-    def kinds_seen(self) -> set[str]:
-        """Distinct event kinds currently retained."""
-        return {e.kind for e in self._events}
 
     # -- export ------------------------------------------------------------
 

@@ -71,7 +71,7 @@ from repro.observability.events import (
 )
 from repro.observability.ledger import PredictionLedger
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.observer import Observer
+from repro.observability.observer import Observer, instrument
 from repro.observability.tracer import Tracer
 from repro.service.admission import AdmissionController
 from repro.service.scheduler import TenantScheduler
@@ -245,7 +245,8 @@ class WorkflowService:
     tracer, metrics, profiler:
         Service-level observability: ``tenant.*`` events and
         ``service.*`` metrics land here, distinct from each tenant's own
-        hooks (which see exactly what a solo run would emit).
+        hooks (which see exactly what a solo run would emit).  The
+        profiler spans the shared ``sim.run`` and reaches every tenant.
     """
 
     def __init__(
@@ -264,9 +265,10 @@ class WorkflowService:
         profiler: Any = None,
     ):
         self.spec = spec if spec is not None else titan()
-        self.observer = Observer(tracer=tracer, metrics=metrics,
-                                 profiler=profiler)
-        self.sim = Simulator(observer=self.observer)
+        self.observer = Observer(tracer=tracer, metrics=metrics)
+        self.profiler = profiler
+        self.sim = Simulator()
+        instrument(profiler, self.sim, {"run": "sim.run"})
         self.network = build_workflow_network(
             self.sim, self.spec, sim_cores, staging_cores
         )
@@ -425,8 +427,7 @@ class WorkflowService:
         # its grant; its memory is the grant's proportional share of the
         # staging partition.  A full-pool grant is exactly the direct
         # path's construction (no mask, whole partition memory).
-        observer = Observer(tenant.tracer, tenant.metrics, tenant.ledger,
-                            self.observer.profiler)
+        observer = Observer(tenant.tracer, tenant.metrics, tenant.ledger)
         area = StagingArea(
             self.sim,
             self.network,
@@ -444,7 +445,7 @@ class WorkflowService:
             tracer=tenant.tracer,
             metrics=tenant.metrics,
             ledger=tenant.ledger,
-            profiler=observer.profiler,
+            profiler=self.profiler,
             sim=self.sim,
             network=self.network,
             staging=area,

@@ -96,12 +96,8 @@ class StagingArea:
         ingest completions, job service boundaries and core resizes emit
         ``staging.*`` events and publish counters/gauges; each
         submission resolves the middleware layer's pending
-        ``memory_demand`` prediction with the bytes actually ingested;
-        and each submission runs under a ``staging.submit`` profiler
-        span and each job's completion bookkeeping under
-        ``staging.drain`` -- real wall-clock cost of the staging
-        service, not simulated time.  The default observer's hooks are
-        null objects that do nothing.
+        ``memory_demand`` prediction with the bytes actually ingested.
+        The default observer's hooks are null objects that do nothing.
     faults:
         Optional :class:`repro.faults.FaultInjector`.  When attached, the
         area can lose and regain cores (:meth:`fail_cores` /
@@ -150,12 +146,6 @@ class StagingArea:
         self.metrics = observer.metrics
         self.ledger = observer.ledger
         self.faults = faults
-        # Cached reusable handles: submit/drain run per staged step, and a
-        # per-call profiler.span() lookup is measurable there.  Safe to
-        # share across in-flight jobs: neither span crosses a simulator
-        # yield, so entries never overlap.
-        self._submit_span = observer.profiler.span("staging.submit")
-        self._drain_span = observer.profiler.span("staging.drain")
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._failed_cores = 0
         self._restored: Event | None = None
@@ -321,49 +311,48 @@ class StagingArea:
         data -- callers (the middleware policy) must check :meth:`can_fit`
         first; the paper falls back to in-situ in that case.
         """
-        with self._submit_span:
-            if not self.reachable:
-                raise StagingError(
-                    "staging unreachable: every staging core has failed"
-                )
-            if not self.can_fit(nbytes):
-                raise StagingError(
-                    f"staging memory full: {self.memory_used:.0f} + {nbytes:.0f} "
-                    f"> {self.memory_total:.0f}"
-                )
-            if work_units < 0 or nbytes < 0:
-                raise StagingError("job sizes must be non-negative")
-            self.memory_used += nbytes
-            self.bytes_ingested += nbytes
-            job = AnalysisJob(
-                job_id=next(self._ids),
+        if not self.reachable:
+            raise StagingError(
+                "staging unreachable: every staging core has failed"
+            )
+        if not self.can_fit(nbytes):
+            raise StagingError(
+                f"staging memory full: {self.memory_used:.0f} + {nbytes:.0f} "
+                f"> {self.memory_total:.0f}"
+            )
+        if work_units < 0 or nbytes < 0:
+            raise StagingError("job sizes must be non-negative")
+        self.memory_used += nbytes
+        self.bytes_ingested += nbytes
+        job = AnalysisJob(
+            job_id=next(self._ids),
+            step=step,
+            nbytes=nbytes,
+            work_units=work_units,
+            submitted_at=self.sim.now,
+            ingest_done=self._ingest(step, nbytes),
+            done=self.sim.event(name=f"analysis(step={step})"),
+        )
+        self._queued_work += work_units
+        self._queue.put(job)
+        if self.ledger.has_pending("memory_demand", step):
+            self.ledger.resolve("memory_demand", step, nbytes)
+        self.metrics.counter("staging.jobs_submitted").inc()
+        self.metrics.counter("staging.bytes_ingested").inc(nbytes)
+        self.metrics.gauge("staging.memory_used").set(self.memory_used)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                STAGING_SUBMIT,
                 step=step,
+                job_id=job.job_id,
                 nbytes=nbytes,
                 work_units=work_units,
-                submitted_at=self.sim.now,
-                ingest_done=self._ingest(step, nbytes),
-                done=self.sim.event(name=f"analysis(step={step})"),
+                memory_used=self.memory_used,
             )
-            self._queued_work += work_units
-            self._queue.put(job)
-            if self.ledger.has_pending("memory_demand", step):
-                self.ledger.resolve("memory_demand", step, nbytes)
-            self.metrics.counter("staging.jobs_submitted").inc()
-            self.metrics.counter("staging.bytes_ingested").inc(nbytes)
-            self.metrics.gauge("staging.memory_used").set(self.memory_used)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    STAGING_SUBMIT,
-                    step=step,
-                    job_id=job.job_id,
-                    nbytes=nbytes,
-                    work_units=work_units,
-                    memory_used=self.memory_used,
-                )
-                job.ingest_done.add_callback(
-                    lambda _evt, job=job: self._trace_ingest(job)
-                )
-            return job
+            job.ingest_done.add_callback(
+                lambda _evt, job=job: self._trace_ingest(job)
+            )
+        return job
 
     def _trace_ingest(self, job: AnalysisJob) -> None:
         self.tracer.emit(
@@ -462,8 +451,7 @@ class StagingArea:
                     # is discarded and the job re-runs from the staged copy.
                     continue
                 break
-            with self._drain_span:
-                self._complete(job, duration)
+            self._complete(job, duration)
 
     def _complete(self, job: AnalysisJob, duration: float) -> None:
         """Completion bookkeeping for one drained job (synchronous)."""

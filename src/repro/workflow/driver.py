@@ -38,7 +38,7 @@ from repro.observability.events import (
 )
 from repro.observability.ledger import PredictionLedger
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.observer import Observer
+from repro.observability.observer import Observer, instrument
 from repro.observability.profiler import Profiler
 from repro.observability.tracer import Tracer
 from repro.staging.area import AnalysisJob, StagingArea
@@ -57,10 +57,10 @@ __all__ = ["CoupledWorkflow", "run_workflow"]
 class CoupledWorkflow:
     """One workflow run; construct, then :meth:`run`.
 
-    ``tracer``, ``metrics``, ``ledger`` and ``profiler`` are optional
-    observability hooks (:mod:`repro.observability`), bundled into one
+    ``tracer``, ``metrics`` and ``ledger`` are optional observability
+    hooks (:mod:`repro.observability`), bundled into one
     :class:`~repro.observability.observer.Observer` shared with the
-    simulator, the Monitor, the Adaptation Engine and the staging area.
+    Monitor, the Adaptation Engine and the staging area.
     Tracer and ledger clocks are bound to this run's simulator, and the
     driver itself emits ``run.*``/``step.*``/``sim.stall`` events,
     records every dispatch-time estimate against its realized value,
@@ -86,12 +86,14 @@ class CoupledWorkflow:
     estimate bias on the policy's ``recalibrate_every`` cadence.  Left
     ``None``, sampling is bit-identical to a build without triggers.
 
-    The profiler wraps the whole run in a ``workflow.run`` span with
-    each decision under ``workflow.decide`` (see
-    :data:`~repro.observability.PROFILE_SPANS` for the catalog).  Unlike
-    the tracer, the profiler measures *real* wall-clock seconds -- how
-    long the host takes to replay simulated time -- so spans only ever
-    enclose synchronous sections.
+    ``profiler`` is wired from outside:
+    :func:`~repro.observability.observer.instrument` wraps whole methods
+    of the run, its Monitor, engine and staging area and -- when the
+    workflow built it -- its simulator in spans (see
+    :data:`~repro.observability.PROFILE_SPANS`).  Unlike the tracer, the
+    profiler measures *real* wall-clock seconds -- how long the host
+    takes to replay simulated time -- so only methods that never yield
+    to the simulator are wrapped.
 
     ``sim``, ``network``, ``staging`` and ``pfs`` let an external
     orchestrator -- the multi-tenant service (:mod:`repro.service`) --
@@ -132,12 +134,13 @@ class CoupledWorkflow:
         self.config = config
         self.trace = trace
         self.trigger = trigger
-        observer = Observer(tracer, metrics, ledger, profiler)
+        observer = Observer(tracer, metrics, ledger)
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults, observer=observer)
         self.faults = faults
         if sim is None:
-            sim = Simulator(faults=faults, observer=observer)
+            sim = Simulator(faults=faults)
+            instrument(profiler, sim, {"run": "sim.run"})
         elif faults is not None:
             raise WorkflowError(
                 "per-workflow fault plans need a dedicated simulator; "
@@ -147,10 +150,6 @@ class CoupledWorkflow:
         self.tracer = observer.tracer
         self.metrics = observer.metrics
         self.ledger = observer.ledger
-        # Cached reusable handles: _decide runs every step, and a per-call
-        # profiler.span() lookup is measurable there.
-        self._run_span = observer.profiler.span("workflow.run")
-        self._decide_span = observer.profiler.span("workflow.decide")
         observer.bind_clock(lambda: self.sim.now)
         if network is None:
             network = build_workflow_network(
@@ -227,14 +226,21 @@ class CoupledWorkflow:
         self._main = None
         self._started_at = 0.0
         self._result: WorkflowResult | None = None
+        instrument(profiler, self,
+                   {"run": "workflow.run", "_decide": "workflow.decide"})
+        instrument(profiler, self.monitor, {"snapshot": "monitor.snapshot",
+                                            "evaluate_trigger": "monitor.trigger"})
+        if self.engine is not None:
+            instrument(profiler, self.engine, {"adapt": "engine.adapt"})
+        instrument(profiler, self.staging, {"submit": "staging.submit",
+                                            "_complete": "staging.drain"})
 
     # -- public API ---------------------------------------------------------
 
     def run(self) -> WorkflowResult:
         """Execute the whole trace; returns validated aggregate metrics."""
-        with self._run_span:
-            self.sim.run(self.start())
-            return self.finalize()
+        self.sim.run(self.start())
+        return self.finalize()
 
     def start(self):
         """Emit ``run.start`` and launch the simulation pipeline process.
@@ -596,73 +602,70 @@ class CoupledWorkflow:
         steps_remaining: int,
         indicators: TriggerIndicators | None = None,
     ) -> AdaptationDecision:
-        # The decision is fully synchronous (no simulator yields), so the
-        # span cleanly bounds one pass through monitor + engine.
-        with self._decide_span:
-            mode = self.config.mode
-            if mode is Mode.POST_PROCESSING:
-                return AdaptationDecision(step=step, placement=Placement.POST_PROCESS)
-            if mode is Mode.STATIC_INSITU:
-                return AdaptationDecision(step=step, placement=Placement.IN_SITU)
-            if mode is Mode.STATIC_INTRANSIT:
-                return AdaptationDecision(step=step, placement=Placement.IN_TRANSIT)
-            assert self.engine is not None
-            healthy = self.staging.healthy_cores
-            if self.trigger is not None:
-                due = self.monitor.evaluate_trigger(indicators).fire
-            else:
-                due = self.monitor.should_sample(step)
-            if not due and last is not None and healthy == self._last_healthy:
-                # Off-sample steps keep the previous adaptation settings --
-                # unless a fault changed the healthy core count, which forces
-                # the plan (Eqs. 9-10 sizing included) to re-run immediately.
-                return AdaptationDecision(
-                    step=step,
-                    factor=last.factor,
-                    placement=last.placement,
-                    insitu_fraction=last.insitu_fraction,
-                    staging_cores=last.staging_cores,
-                )
-            if not due and healthy != self._last_healthy:
-                # Forced off-interval re-sample (post-restore re-sizing):
-                # restart the fixed cadence here instead of re-sampling again
-                # on the next modulo hit.
-                self.monitor.note_forced_sample(step)
-            self._last_healthy = healthy
-            state = self.monitor.snapshot(
+        mode = self.config.mode
+        if mode is Mode.POST_PROCESSING:
+            return AdaptationDecision(step=step, placement=Placement.POST_PROCESS)
+        if mode is Mode.STATIC_INSITU:
+            return AdaptationDecision(step=step, placement=Placement.IN_SITU)
+        if mode is Mode.STATIC_INTRANSIT:
+            return AdaptationDecision(step=step, placement=Placement.IN_TRANSIT)
+        assert self.engine is not None
+        healthy = self.staging.healthy_cores
+        if self.trigger is not None:
+            due = self.monitor.evaluate_trigger(indicators).fire
+        else:
+            due = self.monitor.should_sample(step)
+        if not due and last is not None and healthy == self._last_healthy:
+            # Off-sample steps keep the previous adaptation settings --
+            # unless a fault changed the healthy core count, which forces
+            # the plan (Eqs. 9-10 sizing included) to re-run immediately.
+            return AdaptationDecision(
                 step=step,
-                ndim=self.trace.ndim,
-                data_bytes=data_bytes,
-                rank_data_bytes=rank_out_bytes,
-                rank_memory_available=rank_available,
-                analysis_work=analysis_work,
-                sim_cores=self.config.sim_cores,
-                # The resource layer sizes against what is physically usable:
-                # after a core loss this is the surviving pool (healthy ==
-                # total on the fault-free path).
-                staging_active_cores=min(self.staging.active_cores, max(1, healthy)),
-                staging_total_cores=(
-                    max(1, healthy)
-                    if self._staging_ceiling is None
-                    else max(1, int(self._staging_ceiling()))
-                ),
-                staging_memory_total=self.staging.memory_total,
-                staging_memory_used=self.staging.memory_used,
-                staging_busy=self.staging.busy,
-                est_intransit_remaining=self.staging.estimated_remaining_time(),
-                insitu_memory_ok=insitu_ok,
-                core_rate=self.config.spec.core_rate,
-                steps_remaining=steps_remaining,
-                staging_reachable=self.staging.reachable,
+                factor=last.factor,
+                placement=last.placement,
+                insitu_fraction=last.insitu_fraction,
+                staging_cores=last.staging_cores,
             )
-            decision = self.engine.adapt(state)
-            # Layers the mode leaves unset fall back to static defaults.
-            if decision.placement is None and self.config.mode in (
-                Mode.ADAPTIVE_APPLICATION,
-                Mode.ADAPTIVE_RESOURCE,
-            ):
-                decision.placement = Placement.IN_TRANSIT
-            return decision
+        if not due and healthy != self._last_healthy:
+            # Forced off-interval re-sample (post-restore re-sizing):
+            # restart the fixed cadence here instead of re-sampling again
+            # on the next modulo hit.
+            self.monitor.note_forced_sample(step)
+        self._last_healthy = healthy
+        state = self.monitor.snapshot(
+            step=step,
+            ndim=self.trace.ndim,
+            data_bytes=data_bytes,
+            rank_data_bytes=rank_out_bytes,
+            rank_memory_available=rank_available,
+            analysis_work=analysis_work,
+            sim_cores=self.config.sim_cores,
+            # The resource layer sizes against what is physically usable:
+            # after a core loss this is the surviving pool (healthy ==
+            # total on the fault-free path).
+            staging_active_cores=min(self.staging.active_cores, max(1, healthy)),
+            staging_total_cores=(
+                max(1, healthy)
+                if self._staging_ceiling is None
+                else max(1, int(self._staging_ceiling()))
+            ),
+            staging_memory_total=self.staging.memory_total,
+            staging_memory_used=self.staging.memory_used,
+            staging_busy=self.staging.busy,
+            est_intransit_remaining=self.staging.estimated_remaining_time(),
+            insitu_memory_ok=insitu_ok,
+            core_rate=self.config.spec.core_rate,
+            steps_remaining=steps_remaining,
+            staging_reachable=self.staging.reachable,
+        )
+        decision = self.engine.adapt(state)
+        # Layers the mode leaves unset fall back to static defaults.
+        if decision.placement is None and self.config.mode in (
+            Mode.ADAPTIVE_APPLICATION,
+            Mode.ADAPTIVE_RESOURCE,
+        ):
+            decision.placement = Placement.IN_TRANSIT
+        return decision
 
     def _record_placement(
         self, step: int, chosen: str, work_units: float

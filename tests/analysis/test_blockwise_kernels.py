@@ -22,7 +22,6 @@ from repro.analysis.fidelity import (
     blockwise_reconstruction_errors,
 )
 from repro.errors import PolicyError
-from repro.observability.metrics import MetricsRegistry
 
 #: (field shape, block shape) cases: aligned, partial-trailing, 1-D/2-D,
 #: block == field, block larger than field.
@@ -83,14 +82,6 @@ class TestBlockEntropies:
     def test_bad_bins_rejected(self):
         with pytest.raises(PolicyError):
             block_entropies(np.zeros((4, 4)), (2, 2), bins=1)
-
-    def test_metrics_timer_published(self):
-        registry = MetricsRegistry()
-        block_entropies(np.random.default_rng(0).standard_normal((16, 16)),
-                        (8, 8), metrics=registry)
-        timer = registry.timer("analysis.entropy_kernel_seconds")
-        assert timer.count == 1
-        assert timer.value >= 0.0
 
 
 class TestBlockwiseStrideReconstruction:

@@ -27,6 +27,7 @@ from repro.observability.events import (
     STEP_END,
     STEP_START,
 )
+from repro.observability.observer import NULL_TRACER
 from repro.service import WorkflowService
 from repro.workflow import CoupledWorkflow, Mode, WorkflowConfig, run_workflow
 from repro.workflow.report import result_to_json
@@ -95,7 +96,7 @@ class TestEventStream:
 
     def test_all_emitted_kinds_are_registered(self, traced_run):
         tracer, _metrics, _ledger, _result = traced_run
-        assert tracer.kinds_seen() <= set(EVENT_KINDS)
+        assert {e.kind for e in tracer.events()} <= set(EVENT_KINDS)
 
     def test_all_published_metrics_are_registered(self, traced_run):
         _tracer, metrics, _ledger, _result = traced_run
@@ -200,10 +201,11 @@ class TestZeroOverheadPath:
                              for kind in plain[tally]}
 
     def test_disabled_tracer_records_nothing_and_changes_nothing(self, traced_run):
+        # "Off" is the null tracer: passed explicitly, it keeps no state.
         _tracer, _metrics, _ledger, instrumented = traced_run
-        tracer = Tracer(enabled=False)
-        result = run_workflow(_config(), _trace(), tracer=tracer)
-        assert len(tracer) == 0
+        result = run_workflow(_config(), _trace(), tracer=NULL_TRACER)
+        assert NULL_TRACER.enabled is False
+        assert not hasattr(NULL_TRACER, "__dict__")
         assert result == instrumented
 
     def test_ledger_only_run_is_bitwise_identical(self, traced_run):

@@ -1,5 +1,6 @@
 """The observer's null objects: drop-in for the real hooks, and the only
-place left that knows a hook may be absent."""
+place left that knows a hook may be absent; and :func:`instrument`, the
+only way spans reach the layers."""
 
 import inspect
 import re
@@ -21,11 +22,11 @@ from repro.observability import (
 )
 from repro.observability.observer import (
     _NULL_INSTRUMENT,
-    _NULL_SPAN,
     NULL_LEDGER,
     NULL_METRICS,
-    NULL_PROFILER,
     NULL_TRACER,
+    instrument,
+    section,
 )
 from repro.workflow import Mode, WorkflowConfig, run_workflow
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
@@ -49,9 +50,6 @@ _PAIRS = [
     (NULL_LEDGER, "record_placement", PredictionLedger),
     (NULL_LEDGER, "resolve_placement", PredictionLedger),
     (NULL_LEDGER, "finalize", PredictionLedger),
-    (NULL_PROFILER, "span", Profiler),
-    (_NULL_SPAN, "__enter__", type(Profiler().span("x"))),
-    (_NULL_SPAN, "__exit__", type(Profiler().span("x"))),
 ]
 
 
@@ -84,9 +82,7 @@ class TestSignatureParity:
         covered = {(type(n), m) for n, m, _ in _PAIRS}
         for null in {n for n, _, _ in _PAIRS}:
             for name, member in vars(type(null)).items():
-                if callable(member) and (
-                    not name.startswith("_") or name in ("__enter__", "__exit__")
-                ):
+                if callable(member) and not name.startswith("_"):
                     assert (type(null), name) in covered
 
     def test_enabled_flags(self):
@@ -103,7 +99,6 @@ class TestObserver:
         assert observer.tracer is NULL_TRACER
         assert observer.metrics is NULL_METRICS
         assert observer.ledger is NULL_LEDGER
-        assert observer.profiler is NULL_PROFILER
 
     def test_real_hooks_pass_through_even_when_empty(self):
         # An empty Tracer/PredictionLedger is falsy (they define __len__);
@@ -120,18 +115,89 @@ class TestObserver:
         assert tracer.emit("run.start").ts == 7.5
         assert ledger.predict("sim_step_time", 0, 1.0).predicted_at == 7.5
 
-    def test_null_span_is_one_reusable_handle(self):
-        assert NULL_PROFILER.span("a") is NULL_PROFILER.span("b")
-        with NULL_PROFILER.span("a") as span:
-            with span:
-                pass
+
+class _Layer:
+    def __init__(self):
+        self.calls = []
+
+    def work(self, x, scale=1):
+        self.calls.append(x)
+        return x * scale
+
+    def fail(self):
+        raise ValueError("boom")
+
+
+class TestInstrument:
+    def test_without_a_profiler_nothing_is_wrapped(self):
+        layer = _Layer()
+        instrument(None, layer, {"work": "layer.work"})
+        assert "work" not in vars(layer)
+
+    def test_each_call_runs_inside_its_span(self):
+        layer, profiler = _Layer(), Profiler()
+        instrument(profiler, layer, {"work": "layer.work"})
+        with profiler.span("outer"):
+            assert layer.work(3, scale=2) == 6
+        assert layer.work(4) == 4
+        assert layer.calls == [3, 4]
+        assert {p: s["count"] for p, s in profiler.dump().items()} == {
+            "layer.work": 1, "outer": 1, "outer/layer.work": 1}
+
+    def test_a_raising_call_still_closes_its_span(self):
+        layer, profiler = _Layer(), Profiler()
+        instrument(profiler, layer, {"fail": "layer.fail"})
+        with pytest.raises(ValueError, match="boom"):
+            layer.fail()
+        assert profiler.dump()["layer.fail"]["count"] == 1
+
+    def test_any_context_manager_handle_works(self):
+        # A duck-typed hook whose handles are plain context managers,
+        # bound once per wrapped method.
+        names, entered = [], []
+
+        class Handle:
+            def __enter__(self):
+                entered.append("enter")
+
+            def __exit__(self, *exc):
+                entered.append("exit")
+                return False
+
+        class Hook:
+            def span(self, name):
+                names.append(name)
+                return Handle()
+
+        layer = _Layer()
+        instrument(Hook(), layer, {"work": "layer.work", "fail": "layer.fail"})
+        assert layer.work(1) + layer.work(2) == 3
+        with pytest.raises(ValueError, match="boom"):
+            layer.fail()
+        assert names == ["layer.work", "layer.fail"]
+        assert entered == ["enter", "exit"] * 3
+
+    def test_deleting_the_attribute_unwires_it(self):
+        layer, profiler = _Layer(), Profiler()
+        instrument(profiler, layer, {"work": "layer.work"})
+        del layer.work
+        layer.work(1)
+        assert profiler.dump() == {}
+
+    def test_section_spans_a_block_or_does_nothing(self):
+        profiler = Profiler()
+        with section(profiler, "block"):
+            pass
+        with section(None, "block"):
+            pass
+        assert profiler.dump()["block"]["count"] == 1
 
 
 class TestNoStrayInstruments:
     def test_null_observed_run_keeps_no_state(self):
         _run(tracer=Tracer())
-        for null in (NULL_TRACER, NULL_METRICS, NULL_LEDGER, NULL_PROFILER,
-                     _NULL_INSTRUMENT, _NULL_SPAN):
+        for null in (NULL_TRACER, NULL_METRICS, NULL_LEDGER,
+                     _NULL_INSTRUMENT):
             assert not hasattr(null, "__dict__")
             assert type(null).__slots__ == ()
         assert NULL_METRICS.counter("a") is NULL_METRICS.timer("b")
@@ -154,7 +220,6 @@ class TestNoStrayInstruments:
 #: Files whose hook ``is None`` tests decide an output's *format* (which
 #: sections, keys or merge targets exist), not whether to publish.
 _GUARD_ALLOWED = {
-    "observability/export.py",
     "observability/observer.py",
     "workflow/report.py",
     "experiments/parallel.py",
@@ -162,6 +227,11 @@ _GUARD_ALLOWED = {
 _HOOK_GUARD = re.compile(
     r"\b_?(tracer|metrics|ledger|profiler)[a-z_]* is (not )?None")
 _SPAN_GUARD = re.compile(r"\b_?[a-z_]*span is (not )?None")
+#: Where a ``.span(`` call may appear: the profiler and its wiring, and
+#: the sweep runner's ``sweep.point`` root.  Every layer's spans come
+#: from :func:`instrument`, and the CLI's sections from :func:`section`.
+_SPAN_CALL_ALLOWED = ("observability/", "experiments/parallel.py")
+_SPAN_CALL = re.compile(r"\.span\(")
 
 
 class TestGuardLint:
@@ -181,3 +251,8 @@ class TestGuardLint:
 
     def test_no_span_site_has_an_unspanned_path(self):
         assert self._matches(_SPAN_GUARD) == []
+
+    def test_spans_are_opened_only_at_the_edges(self):
+        stray = [hit for hit in self._matches(_SPAN_CALL)
+                 if not hit[0].startswith(_SPAN_CALL_ALLOWED)]
+        assert stray == []

@@ -66,14 +66,6 @@ class TestRingBuffer:
         with pytest.raises(ObservabilityError):
             Tracer(capacity=0)
 
-    def test_clear_resets_buffer_but_not_seq(self):
-        tracer = Tracer()
-        tracer.emit("a")
-        tracer.clear()
-        event = tracer.emit("b")
-        assert len(tracer) == 1
-        assert event.seq == 1
-
 
 class TestFiltering:
     def test_filter_by_kind_and_step(self):
@@ -84,22 +76,7 @@ class TestFiltering:
         assert len(tracer.events(kind="step.start")) == 2
         assert len(tracer.events(step=1)) == 2
         assert len(tracer.events(kind="step.end", step=2)) == 0
-        assert tracer.kinds_seen() == {"step.start", "step.end"}
-
-
-class TestDisabled:
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.emit("step.start", step=1, data=123) is None
-        assert len(tracer) == 0
-        assert tracer.to_jsonl() == ""
-
-    def test_reenabling_resumes_recording(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit("a")
-        tracer.enabled = True
-        tracer.emit("b")
-        assert [e.kind for e in tracer.events()] == ["b"]
+        assert {e.kind for e in tracer.events()} == {"step.start", "step.end"}
 
 
 class TestJsonl:
