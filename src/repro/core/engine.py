@@ -17,7 +17,7 @@ The engine supports the paper's experimental configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.actions import (
     AdaptationAction,
@@ -145,8 +145,7 @@ class AdaptationEngine:
                 action = self.resource.decide(working)
                 decision.staging_cores = action.cores
                 decision.actions.append(action)
-                working = replace(
-                    working,
+                working = working._derive(
                     staging_active_cores=action.cores,
                     est_intransit_time=working.analysis_work
                     / (working.core_rate * action.cores),

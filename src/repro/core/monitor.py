@@ -260,36 +260,36 @@ class Monitor:
             staging_memory_used + data_bytes
             <= staging_memory_total * (1 + 1e-9)
         )
-        state = OperationalState(
-            step=step,
-            ndim=ndim,
-            core_rate=core_rate,
-            data_bytes=data_bytes,
-            rank_data_bytes=rank_data_bytes,
-            rank_memory_available=rank_memory_available,
-            analysis_work=analysis_work,
-            sim_cores=sim_cores,
-            staging_active_cores=staging_active_cores,
-            est_insitu_time=self.estimate_insitu(analysis_work, sim_cores),
-            est_intransit_time=self.estimate_intransit(
+        state = OperationalState._from_fields({
+            "step": step,
+            "ndim": ndim,
+            "core_rate": core_rate,
+            "data_bytes": data_bytes,
+            "rank_data_bytes": rank_data_bytes,
+            "rank_memory_available": rank_memory_available,
+            "analysis_work": analysis_work,
+            "sim_cores": sim_cores,
+            "staging_active_cores": staging_active_cores,
+            "est_insitu_time": self.estimate_insitu(analysis_work, sim_cores),
+            "est_intransit_time": self.estimate_intransit(
                 analysis_work, staging_active_cores
             ),
-            est_intransit_remaining=est_intransit_remaining,
-            staging_busy=staging_busy,
-            insitu_memory_ok=insitu_memory_ok,
-            intransit_memory_ok=intransit_memory_ok,
-            staging_total_cores=staging_total_cores,
-            staging_memory_total=staging_memory_total,
-            staging_memory_used=staging_memory_used,
-            est_next_sim_time=self.expected_sim_step_time,
-            est_send_time=self.estimate_send(data_bytes),
-            est_remaining_sim_time=(
+            "est_intransit_remaining": est_intransit_remaining,
+            "staging_busy": staging_busy,
+            "insitu_memory_ok": insitu_memory_ok,
+            "intransit_memory_ok": intransit_memory_ok,
+            "staging_total_cores": staging_total_cores,
+            "staging_memory_total": staging_memory_total,
+            "staging_memory_used": staging_memory_used,
+            "est_next_sim_time": self.expected_sim_step_time,
+            "est_send_time": self.estimate_send(data_bytes),
+            "est_remaining_sim_time": (
                 float("inf")
                 if steps_remaining is None
                 else steps_remaining * self.expected_sim_step_time
             ),
-            staging_reachable=staging_reachable,
-        )
+            "staging_reachable": staging_reachable,
+        })
         self.history.append(state)
         if state.est_next_sim_time > 0 and self._sim_pred_step is None:
             # Forecast the *next* step's duration; the next observed

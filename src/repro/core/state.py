@@ -8,11 +8,55 @@ estimated execution/transfer times, staging occupancy, and core counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import PolicyError
 
 __all__ = ["OperationalState"]
+
+#: The fields a state may never hold negative, in the order they are
+#: checked (the first offender names the error).
+_NON_NEGATIVE = (
+    "data_bytes",
+    "rank_data_bytes",
+    "rank_memory_available",
+    "analysis_work",
+    "est_insitu_time",
+    "est_intransit_time",
+    "est_intransit_remaining",
+    "staging_memory_total",
+    "staging_memory_used",
+    "est_next_sim_time",
+    "est_send_time",
+    "est_remaining_sim_time",
+)
+
+
+def _check(fields: dict[str, Any], non_negative: Iterable[str] = _NON_NEGATIVE) -> None:
+    """Raise :class:`PolicyError` unless ``fields`` make a valid state.
+
+    Dimension, core rate and core counts are always checked; of the
+    non-negative fields, only those named in ``non_negative``.
+    """
+    ndim = fields["ndim"]
+    if ndim not in (1, 2, 3):
+        raise PolicyError(f"ndim must be 1, 2 or 3, got {ndim}")
+    core_rate = fields["core_rate"]
+    if core_rate <= 0:
+        raise PolicyError(f"core_rate must be positive, got {core_rate}")
+    active = fields["staging_active_cores"]
+    if fields["sim_cores"] < 1 or active < 1:
+        raise PolicyError("core counts must be >= 1")
+    if active > fields["staging_total_cores"]:
+        raise PolicyError(
+            f"active staging cores {active} exceed "
+            f"total {fields['staging_total_cores']}"
+        )
+    for name in non_negative:
+        if fields[name] < 0:
+            raise PolicyError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,33 +122,38 @@ class OperationalState:
     staging_reachable: bool = True
 
     def __post_init__(self) -> None:
-        if self.ndim not in (1, 2, 3):
-            raise PolicyError(f"ndim must be 1, 2 or 3, got {self.ndim}")
-        if self.core_rate <= 0:
-            raise PolicyError(f"core_rate must be positive, got {self.core_rate}")
-        if self.sim_cores < 1 or self.staging_active_cores < 1:
-            raise PolicyError("core counts must be >= 1")
-        if self.staging_active_cores > self.staging_total_cores:
-            raise PolicyError(
-                f"active staging cores {self.staging_active_cores} exceed "
-                f"total {self.staging_total_cores}"
-            )
-        for attr in (
-            "data_bytes",
-            "rank_data_bytes",
-            "rank_memory_available",
-            "analysis_work",
-            "est_insitu_time",
-            "est_intransit_time",
-            "est_intransit_remaining",
-            "staging_memory_total",
-            "staging_memory_used",
-            "est_next_sim_time",
-            "est_send_time",
-            "est_remaining_sim_time",
-        ):
-            if getattr(self, attr) < 0:
-                raise PolicyError(f"{attr} must be non-negative")
+        _check(self.__dict__)
+
+    @classmethod
+    def _from_fields(cls, fields: dict[str, Any]) -> "OperationalState":
+        """A state from a dict of every field, checked by :func:`_check`.
+
+        Fills the instance dict in one update instead of the dataclass
+        constructor's one frozen ``__setattr__`` per field.
+        """
+        _check(fields)
+        state = object.__new__(cls)
+        # From items, not from the dict: updating an empty instance dict
+        # from a dict clones that dict's oversized key table instead of
+        # sharing the class's, and every snapshot the Monitor keeps would
+        # take about 2.6x the memory.
+        state.__dict__.update(fields.items())
+        return state
+
+    def _derive(self, **changes: Any) -> "OperationalState":
+        """This state with ``changes`` applied, checked as the
+        constructor would check it.
+
+        Copies this state's ``__dict__`` (sharing its key table).  Every
+        other field comes from this already valid state, so of the
+        non-negative fields only the changed ones are checked.
+        """
+        fields = self.__dict__.copy()
+        fields.update(changes)
+        _check(fields, [name for name in _NON_NEGATIVE if name in changes])
+        state = object.__new__(type(self))
+        object.__setattr__(state, "__dict__", fields)
+        return state
 
     def with_reduction(self, factor: int) -> "OperationalState":
         """The state as seen after down-sampling by ``factor``.
@@ -118,8 +167,7 @@ class OperationalState:
         if factor == 1:
             return self
         shrink = 1.0 / factor**self.ndim
-        return replace(
-            self,
+        return self._derive(
             data_bytes=self.data_bytes * shrink,
             rank_data_bytes=self.rank_data_bytes * shrink,
             analysis_work=self.analysis_work * shrink,

@@ -25,9 +25,10 @@ to SimPy users) but is intentionally small and fully deterministic:
 - :class:`Event` is a one-shot triggerable with a value; failing an event
   propagates the exception into every waiter.
 
-Domain components tag the events they schedule (``kind="compute"``,
-``"transfer"``, ``"staging"``) so the kernel's counters attribute event
-traffic per layer; untagged engine bookkeeping is ``control`` and plain
+Domain components tag the events they schedule with the ``compute``,
+``transfer`` and ``staging`` kind codes (resolved once at import with
+:func:`~repro.hpc.kernel.event_kind_code`) so the kernel's counters
+attribute event traffic per layer; untagged engine bookkeeping is ``control`` and plain
 timeouts are ``timer``.  There is no wall-clock or thread anywhere in
 the kernel.
 """
@@ -81,6 +82,9 @@ class Event:
 
     #: Unnamed events read this class default (see :class:`Timeout`).
     name = ""
+    #: True once the event has been succeeded or failed; every path that
+    #: fires an event sets it.
+    triggered = False
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -92,11 +96,6 @@ class Event:
         # Set when the last waiter detached (interrupt) before the trigger:
         # resources/stores use it to drop zombie requests from their queues.
         self.abandoned = False
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been succeeded or failed."""
-        return self._value is not _PENDING or self._exception is not None
 
     @property
     def ok(self) -> bool:
@@ -117,6 +116,7 @@ class Event:
         if self.triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._value = value
+        self.triggered = True
         self.sim._queue_callbacks(self)
         return self
 
@@ -127,6 +127,7 @@ class Event:
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail requires an exception instance")
         self._exception = exception
+        self.triggered = True
         self.sim._queue_callbacks(self)
         return self
 
@@ -146,8 +147,8 @@ class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future.
 
     ``kind`` tags the scheduled record for the kernel's per-kind
-    counters; domain components pass ``"compute"``/``"staging"`` so
-    event traffic is attributable per layer.  The ``timeout(<delay>)``
+    counters; domain components pass the ``compute``/``staging`` codes
+    so event traffic is attributable per layer.  The ``timeout(<delay>)``
     name is built only when a message or repr reads it.
     """
 
@@ -166,6 +167,7 @@ class Timeout(Event):
     def _fire(self, value: Any) -> None:
         if not self.triggered:
             self._value = value
+            self.triggered = True
             self.sim._queue_callbacks(self)
 
 
@@ -228,10 +230,12 @@ class Process(Event):
                 target = self._generator.send(value)
         except StopIteration as stop:
             self._value = stop.value
+            self.triggered = True
             self.sim._queue_callbacks(self)
             return
         except BaseException as error:  # noqa: BLE001 - deliberate fault barrier
             self._exception = error
+            self.triggered = True
             # A failure is "handled" iff somebody was already waiting on this
             # process when it died; that waiter receives the exception.
             handled = bool(self._callbacks)
@@ -239,18 +243,16 @@ class Process(Event):
             if not handled:
                 self.sim._note_process_failure(self, error)
             return
-        self._wait_on(self._coerce(target))
-
-    def _coerce(self, target: Any) -> Event:
-        if isinstance(target, Event):
-            return target
-        raise SimulationError(
-            f"process {self.name!r} yielded {target!r}; processes must yield Event instances"
-        )
-
-    def _wait_on(self, event: Event) -> None:
-        self._waiting_on = event
-        event.add_callback(self._on_event)
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes must yield Event instances"
+            )
+        self._waiting_on = target
+        if target.triggered:
+            kernel = self.sim.kernel
+            kernel.schedule(kernel.now, _CONTROL, self._on_event, (target,))
+        else:
+            target._callbacks.append(self._on_event)
 
 
 class AllOf(Event):

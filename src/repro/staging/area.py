@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import StagingError
 from repro.hpc.event import Event, Interrupt, Simulator
+from repro.hpc.kernel import event_kind_code
 from repro.hpc.network import Network
 from repro.hpc.resources import Store
 from repro.observability.events import (
@@ -39,6 +40,8 @@ from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.staging.messaging import RetryPolicy, retry_with_backoff
 
 __all__ = ["AnalysisJob", "StagingArea"]
+
+_STAGING = event_kind_code("staging")
 
 
 @dataclass(eq=False)
@@ -427,7 +430,7 @@ class StagingArea:
                         work_units=job.work_units,
                     )
                 try:
-                    yield self.sim.timeout(duration, kind="staging")
+                    yield self.sim.timeout(duration, kind=_STAGING)
                 except Interrupt as interrupt:
                     # Core loss aborted the pass; the partial service is
                     # real core time, and the job re-runs from the staged

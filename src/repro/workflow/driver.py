@@ -27,6 +27,7 @@ from repro.errors import WorkflowError
 from repro.faults import FaultInjector, FaultPlan
 from repro.hpc.event import Simulator
 from repro.hpc.filesystem import ParallelFileSystem
+from repro.hpc.kernel import event_kind_code
 from repro.hpc.systems import build_workflow_network
 from repro.observability.events import (
     PLACEMENT_FALLBACK,
@@ -52,6 +53,8 @@ from repro.workflow.triggers import (
 from repro.workload.trace import WorkloadTrace
 
 __all__ = ["CoupledWorkflow", "run_workflow"]
+
+_COMPUTE = event_kind_code("compute")
 
 
 class CoupledWorkflow:
@@ -360,7 +363,7 @@ class CoupledWorkflow:
                     cells=record.cells,
                     data_bytes=record.data_bytes,
                 )
-            yield self.sim.timeout(sim_seconds, kind="compute")
+            yield self.sim.timeout(sim_seconds, kind=_COMPUTE)
             self.monitor.observe_sim_step(sim_seconds)
             self._total_sim_seconds += sim_seconds
 
@@ -414,7 +417,7 @@ class CoupledWorkflow:
                 reduce_seconds = record.cells * cfg.reduce_cost_per_cell / (
                     rate * n_cores
                 )
-                yield self.sim.timeout(reduce_seconds, kind="compute")
+                yield self.sim.timeout(reduce_seconds, kind=_COMPUTE)
                 insitu_seconds += reduce_seconds
 
             if decision.staging_cores is not None:
@@ -472,7 +475,7 @@ class CoupledWorkflow:
                         self.monitor.estimate_insitu(insitu_work, n_cores),
                         mechanism="monitor",
                     )
-                yield self.sim.timeout(analysis_seconds, kind="compute")
+                yield self.sim.timeout(analysis_seconds, kind=_COMPUTE)
                 metric.insitu_seconds += analysis_seconds
                 if insitu_work > 0:
                     self.monitor.observe_insitu(insitu_work, n_cores,
@@ -517,7 +520,7 @@ class CoupledWorkflow:
                         mechanism="monitor",
                     )
                     self._record_placement(record.step, "in_situ", out_work)
-                yield self.sim.timeout(analysis_seconds, kind="compute")
+                yield self.sim.timeout(analysis_seconds, kind=_COMPUTE)
                 metric.insitu_seconds += analysis_seconds
                 metric.analysis_done_at = self.sim.now
                 self.monitor.observe_insitu(out_work, n_cores, analysis_seconds)
@@ -586,7 +589,7 @@ class CoupledWorkflow:
         for metric, nbytes, work in self._post_tasks:
             yield self.pfs.read("staging", nbytes)
             analysis_seconds = work / (rate * m_cores)
-            yield self.sim.timeout(analysis_seconds, kind="compute")
+            yield self.sim.timeout(analysis_seconds, kind=_COMPUTE)
             self._post_busy_core_seconds += analysis_seconds * m_cores
             metric.analysis_done_at = self.sim.now
 

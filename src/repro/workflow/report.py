@@ -35,7 +35,15 @@ def result_to_json(result: WorkflowResult, path: str | Path | None = None) -> st
     never completed; ``placement`` serializes as the
     :class:`~repro.core.actions.Placement` enum's value.
     """
-    payload = {
+    text = json.dumps(_result_payload(result), indent=2)
+    if path is not None:
+        Path(path).write_text(text)
+    return text
+
+
+def _result_payload(result: WorkflowResult) -> dict[str, Any]:
+    """The :func:`result_to_json` payload as JSON-native values."""
+    return {
         "mode": result.mode,
         "end_to_end_seconds": result.end_to_end_seconds,
         "total_sim_seconds": result.total_sim_seconds,
@@ -63,10 +71,6 @@ def result_to_json(result: WorkflowResult, path: str | Path | None = None) -> st
             for m in result.steps
         ],
     }
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        Path(path).write_text(text)
-    return text
 
 
 def run_record(
@@ -88,7 +92,7 @@ def run_record(
     record: dict[str, Any] = {
         "schema": RECORD_SCHEMA,
         "label": label,
-        "result": json.loads(result_to_json(result)),
+        "result": _result_payload(result),
         # Parsed from the JSONL text, so each event re-serializes to
         # exactly its line of Tracer.to_jsonl().
         "events": (
@@ -109,10 +113,10 @@ def run_record(
     }
     if ledger is not None:
         record["calibration"] = {
-            quantity: asdict(stats)
+            quantity: {**asdict(stats), "ema_curve": list(stats.ema_curve)}
             for quantity, stats in calibrate(ledger).items()
         }
         record["regret"] = asdict(placement_regret(ledger))
         record["placements"] = {str(p.step): p.chosen for p in ledger.placements}
         record["ledger"] = ledger.as_dict()
-    return json.loads(json.dumps(record))
+    return record

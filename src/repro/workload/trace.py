@@ -44,6 +44,12 @@ class StepRecord:
             raise TraceError(f"negative quantities in step {self.step}")
         if self.analysis_intensity < 0:
             raise TraceError(f"negative analysis intensity in step {self.step}")
+        # Python floats, not NumPy scalars: what the workflow derives
+        # from them lands in results and run records as JSON values.
+        self.sim_work = float(self.sim_work)
+        self.data_bytes = float(self.data_bytes)
+        self.memory_bytes = float(self.memory_bytes)
+        self.analysis_intensity = float(self.analysis_intensity)
         self.rank_bytes = np.asarray(self.rank_bytes, dtype=np.float64)
         if self.rank_bytes.ndim != 1 or self.rank_bytes.size == 0:
             raise TraceError(f"rank_bytes must be a non-empty 1-D array (step {self.step})")
