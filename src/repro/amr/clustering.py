@@ -14,6 +14,8 @@ Berger-Rigoutsos (1991) algorithm used by Chombo's ``BRMeshRefine``:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.amr.box import Box
@@ -56,104 +58,108 @@ def cluster_tags(
     if not tags.any():
         return []
 
-    bound = _bounding_box(tags)
-    accepted: list[Box] = []
-    _recurse(tags, bound, fill_ratio, max_box_size, accepted)
-    return [box.shift(origin) for box in accepted]
+    along = tags.sum(axis=tuple(range(1, tags.ndim))).tolist()
+    accepted: list[tuple[list[int], list[int]]] = []
+    _recurse(tags, [0] * tags.ndim, _signatures(tags, 0, along), fill_ratio, max_box_size,
+             accepted)
+    return [
+        Box(tuple(l + o for l, o in zip(lo, origin)),
+            tuple(l + n - 1 + o for l, n, o in zip(lo, shape, origin)))
+        for lo, shape in accepted
+    ]
 
 
-def _bounding_box(tags: np.ndarray) -> Box:
-    """Minimal box (in local array coordinates) containing all True cells."""
-    coords = np.nonzero(tags)
-    lo = tuple(int(c.min()) for c in coords)
-    hi = tuple(int(c.max()) for c in coords)
-    return Box(lo, hi)
-
-
-def _abs_slices(region: Box) -> tuple[slice, ...]:
-    """Slices of ``region`` in an array whose index 0 is coordinate 0."""
-    return tuple(slice(l, h + 1) for l, h in zip(region.lo, region.hi))
+def _signatures(sub: np.ndarray, axis: int, along: list[int]) -> list[list[int]]:
+    """Tag counts per plane perpendicular to each axis of ``sub``, as
+    lists, given ``along``, the signature along ``axis``."""
+    plane = sub.sum(axis=axis)  # ``axis`` summed out first: a smaller array to reduce
+    sigs = []
+    for d in range(sub.ndim):
+        if d == axis:
+            sigs.append(along)
+        else:
+            k = d - (d > axis)
+            sigs.append(plane.sum(axis=tuple(j for j in range(plane.ndim) if j != k)).tolist())
+    return sigs
 
 
 def _recurse(
     tags: np.ndarray,
-    region: Box,
+    lo: list[int],
+    sigs: list[list[int]],
     fill_ratio: float,
     max_box_size: int,
-    accepted: list[Box],
+    accepted: list[tuple[list[int], list[int]]],
 ) -> None:
-    sub = tags[_abs_slices(region)]
-    count = int(sub.sum())
-    if count == 0:
+    """Cluster the tags of the region at ``lo`` whose signatures are ``sigs``.
+
+    Every region handed here holds a tag, so every signature has a
+    non-zero entry.
+    """
+    # Shrink to the tight bounding box: trim the zero planes off both ends
+    # of every signature.  A plane without tags adds nothing to the other
+    # axes' counts, so the trimmed signatures stay exact.
+    for d, sig in enumerate(sigs):
+        first = next(i for i, v in enumerate(sig) if v)
+        end = len(sig) - next(i for i, v in enumerate(reversed(sig)) if v)
+        lo[d] += first
+        sigs[d] = sig[first:end]
+    shape = [len(sig) for sig in sigs]
+    if sum(sigs[0]) / math.prod(shape) >= fill_ratio and max(shape) <= max_box_size:
+        accepted.append((lo, shape))
         return
-    # Shrink to the tight bounding box inside this region first.
-    tight = _bounding_box(sub).shift(region.lo)
-    if tight != region:
-        _recurse(tags, tight, fill_ratio, max_box_size, accepted)
-        return
-    ratio = count / region.size
-    if ratio >= fill_ratio and max(region.shape) <= max_box_size:
-        accepted.append(region)
-        return
-    axis, cut = _find_cut(sub, region)
+    axis, cut = _find_cut(sigs)
     if cut is None:
         # Cannot split (all extents are 1): accept regardless of ratio.
-        accepted.append(region)
+        accepted.append((lo, shape))
         return
-    low, high = region.split_axis(axis, cut)
-    _recurse(tags, low, fill_ratio, max_box_size, accepted)
-    _recurse(tags, high, fill_ratio, max_box_size, accepted)
+    high = lo.copy()
+    high[axis] += cut
+    for start, along in ((lo, sigs[axis][:cut]), (high, sigs[axis][cut:])):
+        extent = shape.copy()
+        extent[axis] = len(along)
+        sub = tags[tuple(slice(l, l + n) for l, n in zip(start, extent))]
+        _recurse(tags, start.copy(), _signatures(sub, axis, along), fill_ratio, max_box_size,
+                 accepted)
 
 
-def _find_cut(sub: np.ndarray, region: Box) -> tuple[int, int | None]:
+def _find_cut(sigs: list[list[int]]) -> tuple[int, int | None]:
     """Choose a cut plane: holes first, then inflections, then midpoint.
 
-    Returns ``(axis, absolute_cut_index)`` with the cut strictly inside the
-    region; ``(0, None)`` when no axis can be split.
+    ``sigs`` are the signatures of a tight region.  Returns ``(axis,
+    cut)`` with the cut strictly inside the region, relative to its low
+    corner; ``(0, None)`` when no axis can be split.
     """
-    splittable = [d for d in range(sub.ndim) if region.shape[d] >= 2]
+    shape = [len(sig) for sig in sigs]
+    # Prefer splitting the longest axis when quality ties.
+    splittable = sorted((d for d in range(len(sigs)) if shape[d] >= 2), key=lambda d: -shape[d])
     if not splittable:
         return 0, None
-    # Prefer splitting the longest axis when quality ties.
-    splittable.sort(key=lambda d: -region.shape[d])
 
-    # 1. Look for holes in the signature (Berger-Rigoutsos "Phi = 0").
+    # 1. Look for holes in the signature (Berger-Rigoutsos "Phi = 0").  A
+    # tight region's end planes hold tags, so every hole is interior.
     for axis in splittable:
-        signature = _signature(sub, axis)
-        zeros = np.nonzero(signature == 0)[0]
-        if zeros.size:
-            # Cut at the hole nearest the centre for balanced halves.
-            centre = (len(signature) - 1) / 2
-            hole = int(zeros[np.argmin(np.abs(zeros - centre))])
-            cut_local = hole + 1 if hole + 1 < len(signature) else hole
-            if 0 < cut_local < len(signature):
-                return axis, region.lo[axis] + cut_local
+        zeros = [i for i, count in enumerate(sigs[axis]) if count == 0]
+        if zeros:
+            # Cut after the hole nearest the centre for balanced halves.
+            centre = (shape[axis] - 1) / 2
+            return axis, min(zeros, key=lambda i: abs(i - centre)) + 1
 
     # 2. Strongest inflection in the Laplacian of the signature.
-    best: tuple[float, int, int] | None = None
+    best: tuple[int, int, int] | None = None
     for axis in splittable:
-        signature = _signature(sub, axis)
-        if len(signature) < 4:
+        sig = sigs[axis]
+        if len(sig) < 4:
             continue
-        lap = signature[:-2] - 2 * signature[1:-1] + signature[2:]
-        jump = np.abs(np.diff(lap))
-        if jump.size == 0:
-            continue
-        k = int(np.argmax(jump))
-        strength = float(jump[k])
-        cut_local = k + 2  # between lap[k] and lap[k+1], in cell coordinates
-        if 0 < cut_local < len(signature) and strength > 0:
-            if best is None or strength > best[0]:
-                best = (strength, axis, region.lo[axis] + cut_local)
+        lap = [a - 2 * b + c for a, b, c in zip(sig, sig[1:], sig[2:])]
+        jump = [abs(b - a) for a, b in zip(lap, lap[1:])]
+        strength = max(jump)
+        if strength > 0 and (best is None or strength > best[0]):
+            # Between lap[k] and lap[k+1], in cell coordinates.
+            best = (strength, axis, jump.index(strength) + 2)
     if best is not None:
         return best[1], best[2]
 
     # 3. Fall back to the midpoint of the longest splittable axis.
     axis = splittable[0]
-    return axis, region.lo[axis] + region.shape[axis] // 2
-
-
-def _signature(sub: np.ndarray, axis: int) -> np.ndarray:
-    """Tag counts per plane perpendicular to ``axis``."""
-    other = tuple(d for d in range(sub.ndim) if d != axis)
-    return sub.sum(axis=other).astype(np.int64)
+    return axis, shape[axis] // 2

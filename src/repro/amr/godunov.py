@@ -4,7 +4,9 @@ The paper's second, memory- and compute-intensive Chombo application:
 ``AMRGodunov PolytropicGas`` integrates the Euler equations of gas
 dynamics with a gamma-law equation of state.  This module implements an
 unsplit finite-volume update with MUSCL (minmod-limited) reconstruction
-and HLL fluxes -- per-box, fully vectorized over cells, in 1/2/3-D.
+and HLL fluxes in 1/2/3-D: per box (:meth:`PolytropicGasSolver.advance`),
+or for a whole level at once as one sweep per axis over the pencils of
+all its boxes (:meth:`PolytropicGasSolver.advance_boxes`).
 
 Conserved state layout (component axis first):
 
@@ -24,6 +26,9 @@ Figure 1.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.amr.hierarchy import AMRHierarchy
@@ -37,25 +42,115 @@ _RHO_FLOOR = 1e-10
 _P_FLOOR = 1e-12
 
 
-# Spatial cells per batched solver call.  Advancing a whole level in one
-# call makes every temporary tens of MB and pushes the update out of
-# cache; chunks of ~1e5 cells keep the working set resident (measured ~6x
-# on a 340-box level) while still amortizing NumPy dispatch overhead.
-_BATCH_CELLS = 1 << 17
+# Pencil cells per sweep chunk.  Sweeping a whole level in one pass
+# makes every temporary several MB and raised peak RSS by ~17% on the
+# Figs. 1/5 run; at 16Ki the allocator still kept ~5% more.  Chunks of
+# whole boxes capped at 8Ki pencil cells stay within ~1% and keep the
+# working set in cache, while NumPy's dispatch is paid per chunk, not
+# per box.
+_BATCH_CELLS = 1 << 13
 
 
-def _batches(indices: list[int], cells_per_box: int) -> list[list[int]]:
-    """Split one same-shape group into cache-sized chunks."""
-    per = max(1, _BATCH_CELLS // max(1, cells_per_box))
-    return [indices[k : k + per] for k in range(0, len(indices), per)]
+class _Chunk(NamedTuple):
+    """A run of whole boxes that :meth:`PolytropicGasSolver.advance_boxes`
+    sweeps together, as buffer-column plans."""
+
+    #: Layout index of each box.
+    boxes: np.ndarray
+    #: Position of each box's first cell in ``valid``.
+    starts: np.ndarray
+    #: Buffer column of every valid cell, box by box in C order.
+    valid: np.ndarray
+    #: Per axis ``(pencils, faces, cells)``.  ``pencils``: buffer columns
+    #: of every padded line along the axis through the boxes' interior
+    #: cross-sections, concatenated.  ``faces``: per face a box needs, the
+    #: position of its left cell in ``pencils``, minus one.  ``cells``:
+    #: per valid cell, the position of its low face in ``faces``.
+    axes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _chunks(indices: list[int], group: np.ndarray):
-    """``(chunk, view)`` per :func:`_batches` chunk of a ``(ncomp, k, ...)`` group."""
-    start = 0
-    for chunk in _batches(indices, group[0, 0].size):
-        yield chunk, group[:, start : start + len(chunk)]
-        start += len(chunk)
+def _box_stencil(padded: tuple[int, ...], g: int):
+    """Box-local ``(valid, axes)`` of :class:`_Chunk` for one padded shape."""
+    flat = np.arange(math.prod(padded)).reshape(padded)
+    inner = tuple(slice(g, s - g) for s in padded)
+    shape = flat[inner].shape
+    axes = []
+    for d, n in enumerate(shape):
+        lines = list(inner)
+        lines[d] = slice(None)
+        pencils = np.moveaxis(flat[tuple(lines)], d, -1)  # (*cross, n + 2g)
+        count = pencils.size // padded[d]
+        # Face f (0..n) has interior cell f - 1 on its left.
+        faces = np.arange(count)[:, None] * padded[d] + np.arange(g - 2, g - 1 + n)
+        low = (np.arange(count)[:, None] * (n + 1) + np.arange(n)).reshape(*pencils.shape[:-1], n)
+        axes.append((pencils.ravel(), faces.ravel(), np.moveaxis(low, -1, d).ravel()))
+    return flat[inner].ravel(), axes
+
+
+def _sweep_plan(level: LevelData) -> list[_Chunk]:
+    """The level's sweep chunks, cached on its layout like the copy plans."""
+    key = ("sweep", level.nghost, _BATCH_CELLS)
+    plan = level.layout.plans.get(key)
+    if plan is None:
+        plan = level.layout.plans[key] = _build_sweep_plan(level)
+    return plan
+
+
+def _build_sweep_plan(level: LevelData) -> list[_Chunk]:
+    """Split the boxes, in buffer order, into chunks of at most
+    ``_BATCH_CELLS`` pencil cells along any axis (a bigger box is a chunk
+    of its own), and lay out each chunk's plan."""
+    stencils = [(indices, _box_stencil(view.shape[2:], level.nghost))
+                for indices, view in level.groups]
+    chunks: list[list[tuple[int, int, int]]] = [[]]  # (stencil, first row, end row)
+    cells = 0
+    for s, (indices, (_, axes)) in enumerate(stencils):
+        cost = max(pencils.size for pencils, _, _ in axes)
+        for row in range(len(indices)):
+            if cells + cost > _BATCH_CELLS and chunks[-1]:
+                chunks.append([])
+                cells = 0
+            pieces = chunks[-1]
+            if pieces and pieces[-1][0] == s:
+                pieces[-1] = (s, pieces[-1][1], row + 1)
+            else:
+                pieces.append((s, row, row + 1))
+            cells += cost
+    return [_chunk_plan(level, stencils, pieces) for pieces in chunks]
+
+
+def _chunk_plan(level: LevelData, stencils, pieces) -> _Chunk:
+    """Concatenate the box stencils of ``pieces`` into one :class:`_Chunk`."""
+    boxes: list[int] = []
+    starts, valid = [], []
+    axes = [([], [], []) for _ in range(level.layout.ndim)]
+    nvalid = 0
+    bases = [[0, 0] for _ in axes]  # pencil cells and faces so far, per axis
+    for s, first, end in pieces:
+        indices, (local, stencil) = stencils[s]
+        rows = np.arange(end - first)[:, None]
+        at = level.offsets[indices[first:end]][:, None]
+        boxes += indices[first:end]
+        starts.append(nvalid + rows[:, 0] * local.size)
+        valid.append((at + local).ravel())
+        nvalid += (end - first) * local.size
+        for (pencils, faces, cells), out, base in zip(stencil, axes, bases):
+            out[0].append((at + pencils).ravel())
+            out[1].append((base[0] + rows * pencils.size + faces).ravel())
+            out[2].append((base[1] + rows * faces.size + cells).ravel())
+            base[0] += (end - first) * pencils.size
+            base[1] += (end - first) * faces.size
+    return _Chunk(
+        np.array(boxes),
+        np.concatenate(starts),
+        _index(valid),
+        tuple(tuple(_index(part) for part in out) for out in axes),
+    )
+
+
+def _index(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenated plan indices as int32, which halves a plan's memory."""
+    return np.concatenate(parts).astype(np.int32)
 
 
 class PolytropicGasSolver:
@@ -161,29 +256,25 @@ class PolytropicGasSolver:
         """Unsplit CFL limit for one level: ``cfl * dx / sum_d max(|v_d|+c)``."""
         del ndim
         dt = np.inf
-        for wave in self._level_waves(spec):
+        for wave in self._level_waves(spec.data):
             if wave > 0:
                 dt = min(dt, self.cfl * dx / wave)
         return float(dt)
 
-    def _level_waves(self, spec) -> list[float]:
-        """Per-box ``sum_d max(|v_d|+c)``, one reduction per shape-group chunk.
+    def _level_waves(self, level: LevelData) -> list[float]:
+        """Per-box ``sum_d max(|v_d|+c)``: one gather of the valid cells per
+        sweep chunk, then one ``maximum.reduceat`` per axis.
 
-        The box axis of a group view rides along like an extra spatial
-        axis; ``max`` is exact, so the result is bit-identical to the
-        per-box loop.
+        ``max`` is exact, so the result is bit-identical to the per-box loop.
         """
-        waves = [0.0] * len(spec.layout)
-        for indices, valid in spec.data.valid_groups():
-            for chunk, U in _chunks(indices, valid):
-                rho, vel, p = self.primitives(U)
-                c = np.sqrt(self.gamma * p / rho)
-                axes = tuple(range(1, c.ndim))
-                for d in range(vel.shape[0]):
-                    per_box = np.max(np.abs(vel[d]) + c, axis=axes)
-                    for i, wave in zip(chunk, per_box.tolist()):
-                        waves[i] += wave
-        return waves
+        waves = np.zeros(len(level.layout))
+        buffer = level.buffer
+        for chunk in _sweep_plan(level):
+            rho, vel, p = self.primitives(np.take(buffer, chunk.valid, axis=1))
+            c = np.sqrt(self.gamma * p / rho)
+            for speed in vel:
+                waves[chunk.boxes] += np.maximum.reduceat(np.abs(speed) + c, chunk.starts)
+        return waves.tolist()
 
     def stable_dt(self, hierarchy: AMRHierarchy) -> float:
         """Global (non-subcycled) CFL limit over all levels."""
@@ -203,38 +294,35 @@ class PolytropicGasSolver:
         kept for the shared flux-provider signature.
         """
         del dx
-        return self._compute_fluxes_nd(arr, arr.ndim - 1)
-
-    def _compute_fluxes_nd(self, arr: np.ndarray, ndim: int) -> list[np.ndarray]:
-        """Fluxes with an explicit spatial dimension (batched arrays carry
-        an extra box axis between the component and spatial axes)."""
-        g = self.nghost
-        fluxes: list[np.ndarray] = []
-        for axis in range(ndim):
-            UL, UR = self._face_states(arr, axis, g, ndim)
-            fluxes.append(self._hll_flux(UL, UR, axis))
-        return fluxes
+        return [self._hll_flux(*self._face_states(arr, axis), axis)
+                for axis in range(arr.ndim - 1)]
 
     def advance(self, arr: np.ndarray, dx: float, dt: float) -> None:
         """One unsplit conservative update of a ghosted box array (in place)."""
-        self._advance_nd(arr, arr.ndim - 1, dx, dt)
+        self.advance_with_fluxes(arr, dx, dt, self.compute_fluxes(arr, dx))
 
     def advance_boxes(self, level: LevelData, dx: float, dt: float) -> None:
-        """Advance a whole :class:`~repro.amr.level.LevelData` in place,
-        one call per cache-sized chunk of each shape group.
+        """Advance a whole :class:`~repro.amr.level.LevelData` in place, one
+        sweep per axis over each chunk's pencils (:func:`_sweep_plan`).
 
-        Every numerical op is elementwise (or reduces over the fixed
-        component axis), so advancing a ``(ncomp, k, *padded)`` group view
-        is bit-identical to advancing its boxes one by one, while NumPy's
-        call overhead is paid per chunk instead of per box.
+        Bit-identical to :meth:`advance` box by box: every op is
+        elementwise on the same inputs (``primitives`` reduces over the
+        same leading component axis), only the faces each box needs reach
+        the Riemann solver, ``flux_div`` sums the axes in the same order,
+        and the values computed where two pencils meet are never read.
+        Ghost cells are read, never written.
         """
-        for indices, view in level.groups:
-            for _, U in _chunks(indices, view):
-                self._advance_nd(U, U.ndim - 2, dx, dt)
-
-    def _advance_nd(self, arr: np.ndarray, ndim: int, dx: float, dt: float) -> None:
-        self.advance_with_fluxes(arr, dx, dt, self._compute_fluxes_nd(arr, ndim),
-                                 ndim=ndim)
+        buffer = level.buffer
+        for chunk in _sweep_plan(level):
+            flux_div = np.zeros((level.ncomp, chunk.valid.size))
+            for axis, (pencils, faces, cells) in enumerate(chunk.axes):
+                UL, UR = self._pencil_states(np.take(buffer, pencils, axis=1), faces)
+                F = self._hll_flux(UL, UR, axis)
+                flux_div += np.take(F[:, 1:] - F[:, :-1], cells, axis=1) / dx
+            U = np.take(buffer, chunk.valid, axis=1)
+            U -= dt * flux_div
+            self._apply_floors(U)
+            buffer[:, chunk.valid] = U
 
     def advance_with_fluxes(
         self,
@@ -242,30 +330,25 @@ class PolytropicGasSolver:
         dx: float,
         dt: float,
         fluxes: list[np.ndarray],
-        ndim: int | None = None,
     ) -> None:
         """Apply the divergence of precomputed fluxes, then physical floors."""
-        g = self.nghost
-        if ndim is None:
-            ndim = arr.ndim - 1
-        lead = arr.ndim - ndim
-        U = arr
-        interior_idx = (slice(None),) * lead + self._interior(ndim, g)
-        flux_div = np.zeros_like(U[interior_idx])
+        ndim = arr.ndim - 1
+        interior_idx = (slice(None), *self._interior(ndim, self.nghost))
+        flux_div = np.zeros_like(arr[interior_idx])
         for axis, F in enumerate(fluxes):
             # F has one more entry along `axis` than the interior; difference it.
-            hi = [slice(None)] * F.ndim
-            lo = [slice(None)] * F.ndim
-            hi[lead + axis] = slice(1, None)
-            lo[lead + axis] = slice(None, -1)
-            flux_div += (F[tuple(hi)] - F[tuple(lo)]) / dx
-        U[interior_idx] -= dt * flux_div
-        # Floors guard against negative density/pressure from strong shocks.
-        interior = U[interior_idx]
-        interior[0] = np.maximum(interior[0], _RHO_FLOOR)
-        rho, vel, p = self.primitives(interior)
+            hi = self._axis_slice(ndim, axis, slice(1, None))
+            lo = self._axis_slice(ndim, axis, slice(None, -1))
+            flux_div += (F[hi] - F[lo]) / dx
+        arr[interior_idx] -= dt * flux_div
+        self._apply_floors(arr[interior_idx])
+
+    def _apply_floors(self, U: np.ndarray) -> None:
+        """Floors guard against negative density/pressure from strong shocks."""
+        U[0] = np.maximum(U[0], _RHO_FLOOR)
+        rho, vel, p = self.primitives(U)
         kinetic = 0.5 * rho * np.sum(vel * vel, axis=0)
-        interior[-1] = np.maximum(interior[-1], kinetic + _P_FLOOR / (self.gamma - 1.0))
+        U[-1] = np.maximum(U[-1], kinetic + _P_FLOOR / (self.gamma - 1.0))
 
     def tag_cells(self, dense: np.ndarray, level: int, dx: float) -> np.ndarray:
         """Refine on relative undivided density differences (shock tracking)."""
@@ -285,22 +368,19 @@ class PolytropicGasSolver:
     def _interior(ndim: int, g: int) -> tuple[slice, ...]:
         return tuple(slice(g, -g) for _ in range(ndim))
 
-    def _face_states(
-        self, U: np.ndarray, axis: int, g: int, ndim: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right states at the ``n_interior + 1`` faces along ``axis``.
+    def _face_states(self, U: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """Left/right states at the ``n_interior + 1`` faces along ``axis``
+        of a ghosted box array.
 
         Other axes are restricted to the interior.  With ``order == 2`` a
-        minmod-limited linear reconstruction is used.  ``ndim`` counts the
-        trailing spatial axes (leading component/batch axes pass through).
+        minmod-limited linear reconstruction is used.
         """
-        if ndim is None:
-            ndim = U.ndim - 1
-        lead = U.ndim - ndim
+        g = self.nghost
+        ndim = U.ndim - 1
 
         def band(offset_lo: int, offset_hi: int) -> np.ndarray:
             """Slice: interior on other axes, [g+offset_lo, -g+offset_hi) on axis."""
-            slc: list[slice] = [slice(None)] * lead
+            slc: list[slice] = [slice(None)]
             for d in range(ndim):
                 if d == axis:
                     stop = -g + offset_hi
@@ -312,8 +392,8 @@ class PolytropicGasSolver:
         # Cells i = -1 .. n (one beyond the interior each way along `axis`).
         center = band(-1, 1)
         if self.order == 1:
-            UL = center[self._axis_slice(lead, ndim, axis, slice(None, -1))]
-            UR = center[self._axis_slice(lead, ndim, axis, slice(1, None))]
+            UL = center[self._axis_slice(ndim, axis, slice(None, -1))]
+            UR = center[self._axis_slice(ndim, axis, slice(1, None))]
             return UL, UR
         left = band(-2, 0)
         right = band(0, 2)
@@ -322,13 +402,24 @@ class PolytropicGasSolver:
         slope = self._minmod(dl, dr)
         recon_l = center + 0.5 * slope  # right face of each cell
         recon_r = center - 0.5 * slope  # left face of each cell
-        UL = recon_l[self._axis_slice(lead, ndim, axis, slice(None, -1))]
-        UR = recon_r[self._axis_slice(lead, ndim, axis, slice(1, None))]
+        UL = recon_l[self._axis_slice(ndim, axis, slice(None, -1))]
+        UR = recon_r[self._axis_slice(ndim, axis, slice(1, None))]
         return UL, UR
 
+    def _pencil_states(self, X: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_face_states` on concatenated pencils ``X`` ``(ncomp, m)``:
+        the left/right states at ``faces`` (left cell positions, minus one)."""
+        center = X[:, 1:-1]
+        if self.order == 1:
+            return np.take(center, faces, axis=1), np.take(center, faces + 1, axis=1)
+        slope = self._minmod(center - X[:, :-2], X[:, 2:] - center)
+        recon_l = center + 0.5 * slope  # right face of each cell
+        recon_r = center - 0.5 * slope  # left face of each cell
+        return np.take(recon_l, faces, axis=1), np.take(recon_r, faces + 1, axis=1)
+
     @staticmethod
-    def _axis_slice(lead: int, ndim: int, axis: int, sl: slice) -> tuple[slice, ...]:
-        out: list[slice] = [slice(None)] * lead
+    def _axis_slice(ndim: int, axis: int, sl: slice) -> tuple[slice, ...]:
+        out: list[slice] = [slice(None)]
         for d in range(ndim):
             out.append(sl if d == axis else slice(None))
         return tuple(out)

@@ -91,6 +91,8 @@ class BoxLayout:
         self._los = np.array([b.lo for b in self.boxes], dtype=np.int64)
         self._his = np.array([b.hi for b in self.boxes], dtype=np.int64)
         self._verify_disjoint()
+        #: Sum of cells across all boxes.
+        self.total_cells = int((self._his - self._los + 1).prod(axis=1).sum())
         # Copy plans (exchange, coarse-fine fill, average-down) keyed by
         # their parameters; layouts are immutable, so a plan built once is
         # valid until a regrid replaces the layout.
@@ -130,11 +132,6 @@ class BoxLayout:
 
     def __iter__(self) -> Iterator[Box]:
         return iter(self.boxes)
-
-    @property
-    def total_cells(self) -> int:
-        """Sum of cells across all boxes."""
-        return sum(box.size for box in self.boxes)
 
     def cells_per_rank(self) -> np.ndarray:
         """Cell count owned by each rank (length ``nranks``)."""

@@ -5,7 +5,7 @@ A :class:`LevelData` keeps a level's boxes in one zero-initialized
 padded with ``nghost`` ghost cells per side, and ``data[i]`` is that
 slice as a ``(ncomp, *padded)`` view.  Equal-shape boxes sit next to each
 other, so each shape group is one ``(ncomp, k, *padded)`` view
-(:attr:`LevelData.groups`) that the solvers work on without copies.
+(:attr:`LevelData.groups`) that index plans and restriction work on.
 
 Cell copies go through an *owner map*: for each cell of a region, the
 flat buffer index of the valid cell there, or -1 where no box covers it.

@@ -143,8 +143,8 @@ class AMRStepper:
                     spec.data, box_fluxes, h.level_domain(level)
                 )
             else:
-                # Solvers that support it advance the level's shape groups
-                # in place (bit-identical) instead of box by box.
+                # Solvers that support it advance the whole level in place
+                # (bit-identical) instead of box by box.
                 advance_boxes = getattr(self.app, "advance_boxes", None)
                 if advance_boxes is not None:
                     advance_boxes(spec.data, dx, dt)

@@ -88,7 +88,8 @@ class Monitor:
         # Most recent off-interval sample the host forced (fault recovery);
         # the fixed cadence restarts from it rather than double-sampling.
         self._forced_at: int | None = None
-        self.history: list[OperationalState] = []
+        #: Step of each snapshot taken, in order.
+        self.history: list[int] = []
 
     # -- sampling cadence -----------------------------------------------------
 
@@ -290,7 +291,7 @@ class Monitor:
             ),
             "staging_reachable": staging_reachable,
         })
-        self.history.append(state)
+        self.history.append(step)
         if state.est_next_sim_time > 0 and self._sim_pred_step is None:
             # Forecast the *next* step's duration; the next observed
             # step resolves it.  An unresolved older forecast

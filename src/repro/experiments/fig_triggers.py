@@ -158,7 +158,7 @@ def run_point(params: dict) -> TriggerRow:
         trigger=build_trigger(policy, recalibrate_every=RECALIBRATE_EVERY),
     )
     result = workflow.run()
-    sampled = [state.step for state in workflow.monitor.history]
+    sampled = workflow.monitor.history
     lags = []
     for step in range(1, steps + 1):
         newest = max((s for s in sampled if s <= step), default=step)

@@ -35,6 +35,20 @@ def _json_default(value: Any) -> Any:
     return str(value)
 
 
+def _json_value(value: Any) -> Any:
+    """``value`` as its JSON text (with :func:`_json_default`) parses back,
+    without the text: JSON scalars pass through, lists, tuples and
+    str-keyed dicts are walked, and anything else takes the round trip."""
+    kind = type(value)
+    if kind in (str, int, float, bool) or value is None:
+        return value
+    if kind in (list, tuple):
+        return [_json_value(v) for v in value]
+    if kind is dict and all(type(k) is str for k in value):
+        return {k: _json_value(v) for k, v in value.items()}
+    return json.loads(json.dumps(value, default=_json_default))
+
+
 class Tracer:
     """Collects :class:`TraceEvent` records in emission order.
 
@@ -104,6 +118,10 @@ class Tracer:
         return list(out)
 
     # -- export ------------------------------------------------------------
+
+    def json_events(self) -> list[dict[str, Any]]:
+        """Retained events as JSON values; each dumps to its :meth:`to_jsonl` line."""
+        return [_json_value(e.as_dict()) for e in self._events]
 
     def to_jsonl(self) -> str:
         """Serialize retained events as JSON Lines."""

@@ -93,12 +93,7 @@ def run_record(
         "schema": RECORD_SCHEMA,
         "label": label,
         "result": _result_payload(result),
-        # Parsed from the JSONL text, so each event re-serializes to
-        # exactly its line of Tracer.to_jsonl().
-        "events": (
-            [] if tracer is None
-            else [json.loads(line) for line in tracer.to_jsonl().splitlines()]
-        ),
+        "events": [] if tracer is None else tracer.json_events(),
         "trace": (
             {} if tracer is None
             else {"capacity": tracer.capacity, "dropped": tracer.dropped}

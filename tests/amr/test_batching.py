@@ -1,9 +1,10 @@
-"""Tests for the batched/chunked solver paths (:mod:`repro.amr.godunov`).
+"""Tests for the level-wide solver paths (:mod:`repro.amr.godunov`).
 
-``advance_boxes`` and ``_level_waves`` run on a level's shape-group
-views and split the work into cache-sized chunks (``_BATCH_CELLS``).
-Batching is a pure performance measure: every assertion here demands
-*exact* agreement with the per-box scalar path, for any chunk size.
+``advance_boxes`` and ``_level_waves`` sweep a level's boxes through
+cached pencil plans, split into chunks of at most ``_BATCH_CELLS``
+pencil cells.  The sweep is a pure performance measure: every assertion
+here demands *exact* agreement with the per-box scalar path, for any
+chunk size, box shape mix and reconstruction order.
 """
 
 import numpy as np
@@ -11,11 +12,14 @@ import pytest
 
 from repro.amr import godunov
 from repro.amr.box import Box
-from repro.amr.godunov import PolytropicGasSolver, _batches
+from repro.amr.godunov import PolytropicGasSolver, _sweep_plan
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.layout import BoxLayout
 from repro.amr.level import LevelData, _shape_groups
 from repro.amr.stepper import AMRStepper
+
+#: Chunk caps to sweep with: one box per chunk, a few, the whole level.
+CAPS = (1, 300, 1 << 30)
 
 
 def gas_hierarchy(n=32, ndim=2, max_levels=1, max_box_size=8, periodic=True):
@@ -58,42 +62,83 @@ def level_holding(arrays, nghost):
     return level
 
 
+def mixed_shapes(ndim):
+    """Repeated and one-off shapes, with an extent-1 and an extent-2 box on every axis."""
+    shapes = [(8,) * ndim] * 3 + [(4,) * ndim] * 2 + [(6, 3, 5)[:ndim]]
+    for axis in range(ndim):
+        for extent in (1, 2):
+            shape = [3] * ndim
+            shape[axis] = extent
+            shapes.append(tuple(shape))
+    return shapes
+
+
+def ghost_columns(level):
+    """Boolean mask of the buffer columns that hold ghost cells."""
+    probe = LevelData(level.layout, ncomp=1, nghost=level.nghost)
+    probe.fill(1.0)
+    for i in range(len(probe.layout)):
+        probe.valid_view(i)[...] = 0.0
+    return probe.buffer[0] == 1.0
+
+
 class TestHelpers:
     def test_shape_groups_preserve_order(self):
         arrays = [np.zeros(s) for s in [(4, 4), (8, 4), (4, 4), (8, 4), (2, 2)]]
         assert _shape_groups(arr.shape for arr in arrays) == [[0, 2], [1, 3], [4]]
 
-    def test_batches_split_by_cell_budget(self, monkeypatch):
+    def test_sweep_chunks_split_by_cell_budget(self, monkeypatch):
+        solver = PolytropicGasSolver()
+        # Pencil cells per box along either axis: 4 * (4 + 4) = 32 for 4x4, 192 for 12x12.
+        level = level_holding(blast_arrays(solver, [(4, 4)] * 5 + [(12, 12)]), solver.nghost)
         monkeypatch.setattr(godunov, "_BATCH_CELLS", 100)
-        assert _batches(list(range(7)), cells_per_box=40) == [[0, 1], [2, 3], [4, 5], [6]]
-        # A single box larger than the budget still forms a batch of one.
-        assert _batches([0, 1], cells_per_box=1000) == [[0], [1]]
+        chunks = _sweep_plan(level)
+        # Whole boxes in buffer order; a box larger than the budget is a chunk of one.
+        assert [c.boxes.tolist() for c in chunks] == [[0, 1, 2], [3, 4], [5]]
+        assert [c.starts.tolist() for c in chunks] == [[0, 16, 32], [0, 16], [0]]
+        assert _sweep_plan(level) is chunks  # cached on the layout
+        monkeypatch.setattr(godunov, "_BATCH_CELLS", 1 << 30)
+        assert [c.boxes.tolist() for c in _sweep_plan(level)] == [list(range(6))]
 
 
 class TestAdvanceBoxesEquivalence:
     @pytest.mark.parametrize("ndim", [1, 2, 3])
-    def test_matches_per_box_advance_exactly(self, ndim):
-        solver = PolytropicGasSolver()
-        shapes = [(8,) * ndim] * 5 + [(4,) * ndim] * 3 + [(6,) * ndim]
-        scalar = blast_arrays(solver, shapes)
-        batched = level_holding(scalar, solver.nghost)
-        solver.advance_boxes(batched, dx=0.05, dt=0.004)
-        for arr in scalar:
-            solver.advance(arr, dx=0.05, dt=0.004)
-        for got, want in zip(batched.data, scalar):
-            assert np.array_equal(got, want)
+    def test_matches_per_box_advance_exactly(self, ndim, monkeypatch):
+        for order in (1, 2):
+            solver = PolytropicGasSolver(order=order)
+            for cap in CAPS:
+                monkeypatch.setattr(godunov, "_BATCH_CELLS", cap)
+                scalar = blast_arrays(solver, mixed_shapes(ndim), seed=order)
+                level = level_holding(scalar, solver.nghost)
+                ghosts = ghost_columns(level)
+                before = level.buffer[:, ghosts].copy()
+                solver.advance_boxes(level, dx=0.05, dt=0.004)
+                for arr in scalar:
+                    solver.advance(arr, dx=0.05, dt=0.004)
+                for got, want in zip(level.data, scalar):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(level.buffer[:, ghosts], before)
 
     def test_chunk_size_invariance(self, monkeypatch):
         solver = PolytropicGasSolver()
-        shapes = [(8, 8)] * 9
+        shapes = [(8, 8)] * 9 + mixed_shapes(2)
         reference = level_holding(blast_arrays(solver, shapes, seed=1), solver.nghost)
         solver.advance_boxes(reference, dx=0.05, dt=0.004)
-        for batch_cells in (1, 100, 1 << 30):
+        for batch_cells in CAPS:
             monkeypatch.setattr(godunov, "_BATCH_CELLS", batch_cells)
             arrays = level_holding(blast_arrays(solver, shapes, seed=1), solver.nghost)
             solver.advance_boxes(arrays, dx=0.05, dt=0.004)
-            for got, want in zip(arrays.data, reference.data):
-                assert np.array_equal(got, want)
+            assert np.array_equal(arrays.buffer, reference.buffer)
+
+
+def per_box_waves(solver, level):
+    """``sum_d max(|v_d|+c)`` box by box: the scalar reference."""
+    want = []
+    for i in range(len(level.layout)):
+        rho, vel, p = solver.primitives(level.valid_view(i))
+        c = np.sqrt(solver.gamma * p / rho)
+        want.append(sum(float(np.max(np.abs(v) + c)) for v in vel))
+    return want
 
 
 class TestLevelWavesEquivalence:
@@ -103,16 +148,17 @@ class TestLevelWavesEquivalence:
         solver.initialize(h)
         return solver, h.levels[0]
 
-    def test_matches_per_box_waves_exactly(self):
+    def test_matches_per_box_waves_exactly(self, monkeypatch):
         solver, spec = self._blast_level()
         assert len(spec.layout) > 1  # batching must actually engage
-        got = solver._level_waves(spec)
-        want = []
-        for i in range(len(spec.layout)):
-            rho, vel, p = solver.primitives(spec.data.valid_view(i))
-            c = np.sqrt(solver.gamma * p / rho)
-            want.append(sum(float(np.max(np.abs(vel[d]) + c)) for d in range(2)))
-        assert got == want
+        assert solver._level_waves(spec.data) == per_box_waves(solver, spec.data)
+        for ndim in (1, 2, 3):
+            level = level_holding(blast_arrays(solver, mixed_shapes(ndim), seed=ndim),
+                                  solver.nghost)
+            want = per_box_waves(solver, level)
+            for cap in CAPS:
+                monkeypatch.setattr(godunov, "_BATCH_CELLS", cap)
+                assert solver._level_waves(level) == want
 
     def test_stable_dt_chunk_size_invariance(self, monkeypatch):
         solver, spec = self._blast_level()

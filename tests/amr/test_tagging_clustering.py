@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -171,3 +171,120 @@ class TestClusterTags:
         for b in boxes:
             covered[b.slices(origin=origin)] = True
         assert (covered | ~tags).all()
+
+
+# -- oracle: the Berger-Rigoutsos implementation that built a Box and
+# recomputed every signature per region, kept verbatim as the reference --
+
+
+def _reference_cluster_tags(tags, fill_ratio=0.7, max_box_size=32, origin=None):
+    tags = np.asarray(tags, dtype=bool)
+    if origin is None:
+        origin = tuple(0 for _ in range(tags.ndim))
+    if not tags.any():
+        return []
+    accepted = []
+    _reference_recurse(tags, _reference_bounding_box(tags), fill_ratio, max_box_size,
+                       accepted)
+    return [box.shift(origin) for box in accepted]
+
+
+def _reference_bounding_box(tags):
+    coords = np.nonzero(tags)
+    return Box(tuple(int(c.min()) for c in coords), tuple(int(c.max()) for c in coords))
+
+
+def _reference_recurse(tags, region, fill_ratio, max_box_size, accepted):
+    sub = tags[tuple(slice(l, h + 1) for l, h in zip(region.lo, region.hi))]
+    count = int(sub.sum())
+    if count == 0:
+        return
+    tight = _reference_bounding_box(sub).shift(region.lo)
+    if tight != region:
+        _reference_recurse(tags, tight, fill_ratio, max_box_size, accepted)
+        return
+    ratio = count / region.size
+    if ratio >= fill_ratio and max(region.shape) <= max_box_size:
+        accepted.append(region)
+        return
+    axis, cut = _reference_find_cut(sub, region)
+    if cut is None:
+        accepted.append(region)
+        return
+    low, high = region.split_axis(axis, cut)
+    _reference_recurse(tags, low, fill_ratio, max_box_size, accepted)
+    _reference_recurse(tags, high, fill_ratio, max_box_size, accepted)
+
+
+def _reference_find_cut(sub, region):
+    splittable = [d for d in range(sub.ndim) if region.shape[d] >= 2]
+    if not splittable:
+        return 0, None
+    splittable.sort(key=lambda d: -region.shape[d])
+    for axis in splittable:
+        signature = _reference_signature(sub, axis)
+        zeros = np.nonzero(signature == 0)[0]
+        if zeros.size:
+            centre = (len(signature) - 1) / 2
+            hole = int(zeros[np.argmin(np.abs(zeros - centre))])
+            cut_local = hole + 1 if hole + 1 < len(signature) else hole
+            if 0 < cut_local < len(signature):
+                return axis, region.lo[axis] + cut_local
+    best = None
+    for axis in splittable:
+        signature = _reference_signature(sub, axis)
+        if len(signature) < 4:
+            continue
+        lap = signature[:-2] - 2 * signature[1:-1] + signature[2:]
+        jump = np.abs(np.diff(lap))
+        if jump.size == 0:
+            continue
+        k = int(np.argmax(jump))
+        strength = float(jump[k])
+        cut_local = k + 2
+        if 0 < cut_local < len(signature) and strength > 0:
+            if best is None or strength > best[0]:
+                best = (strength, axis, region.lo[axis] + cut_local)
+    if best is not None:
+        return best[1], best[2]
+    axis = splittable[0]
+    return axis, region.lo[axis] + region.shape[axis] // 2
+
+
+def _reference_signature(sub, axis):
+    other = tuple(d for d in range(sub.ndim) if d != axis)
+    return sub.sum(axis=other).astype(np.int64)
+
+
+@st.composite
+def tag_masks(draw):
+    """A 1-3-D mask of any tag density, and a nonzero-able origin for it."""
+    ndim = draw(st.integers(1, 3))
+    side = st.integers(1, 14 if ndim < 3 else 9)
+    shape = tuple(draw(st.lists(side, min_size=ndim, max_size=ndim)))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = tuple(draw(st.lists(st.integers(-20, 40), min_size=ndim, max_size=ndim)))
+    return rng.random(shape) < density, origin
+
+
+class TestClusterTagsOracle:
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(
+        tag_masks(),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.integers(1, 10),
+    )
+    # Ties random masks rarely hit: two holes equally near the centre ...
+    @example((np.array([1, 0, 1, 1, 0, 1], dtype=bool), (3,)), 0.7, 10)
+    # ... two equal inflection jumps on one axis ...
+    @example((np.array([[1, 1], [1, 0], [1, 1], [1, 1], [1, 0], [1, 1]], dtype=bool), (0, 5)),
+             0.9, 10)
+    # ... and equal jumps on two equally long axes.
+    @example((np.array([[1, 1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 1]], dtype=bool),
+              (2, -1)), 0.9, 10)
+    def test_same_boxes_in_same_order(self, mask, fill_ratio, max_box_size):
+        tags, origin = mask
+        assert cluster_tags(tags, fill_ratio, max_box_size, origin) == (
+            _reference_cluster_tags(tags, fill_ratio, max_box_size, origin)
+        )

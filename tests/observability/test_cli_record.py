@@ -11,7 +11,10 @@ import json
 
 import pytest
 
+import repro.__main__
+import repro.workflow
 from repro.__main__ import _quickstart, main
+from repro.faults import SCENARIOS
 from repro.observability import MetricsRegistry, Tracer, load_record
 from repro.workflow import CoupledWorkflow
 from repro.workflow.report import result_to_json
@@ -75,3 +78,39 @@ class TestRecordFlag:
         assert main(["audit", "--steps", "20", "--prometheus", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _PINNED_PROMETHEUS_SHA256
+
+
+class TestRecordEvents:
+    """``run_record`` builds its events without parsing the JSONL text;
+    each must still dump to exactly its line of ``Tracer.to_jsonl()``.
+    Views that inject no tracer (``audit``) get one here."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace"], ["audit", "--bias", "1.7"]]
+        + [["faults", name] for name in sorted(SCENARIOS)],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_each_event_dumps_to_its_jsonl_line(self, argv, monkeypatch, capsys):
+        records = []
+        run_record = repro.workflow.run_record
+
+        def spy(result, **hooks):
+            record = run_record(result, **hooks)
+            records.append((record, hooks["tracer"]))
+            return record
+
+        def traced(args, hooks, label, **kwargs):
+            hooks.setdefault("tracer", Tracer())
+            return observe(args, hooks, label, **kwargs)
+
+        observe = repro.__main__._observe
+        monkeypatch.setattr(repro.__main__, "_observe", traced)
+        monkeypatch.setattr(repro.workflow, "run_record", spy)
+        assert main(argv) == 0
+        capsys.readouterr()
+        (record, tracer), = records
+        lines = tracer.to_jsonl().splitlines()
+        assert len(lines) == len(record["events"]) > 0
+        for event, line in zip(record["events"], lines):
+            assert json.dumps(event) == line

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
@@ -87,6 +88,16 @@ class TestJsonl:
         restored = [TraceEvent(**json.loads(line))
                     for line in tracer.to_jsonl().splitlines()]
         assert restored == tracer.events()
+
+    def test_json_events_dump_to_the_jsonl_lines(self):
+        tracer = Tracer()
+        tracer.emit("adapt.decision", step=1, factor=np.int64(2), share=np.float64(0.5),
+                    cores=(4, 8), nested={"a": [np.float32(1.5), None]}, by_step={3: True},
+                    mode=ObservabilityError("x"))
+        tracer.emit("sim.stall", seconds=float("inf"), cause="staging_memory")
+        lines = tracer.to_jsonl().splitlines()
+        assert [json.dumps(e) for e in tracer.json_events()] == lines
+        assert tracer.json_events() == [json.loads(line) for line in lines]
 
 
 class TestEventRegistry:

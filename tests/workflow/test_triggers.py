@@ -343,8 +343,7 @@ class TestWorkflowIntegration:
             result = triggered.run()
             assert result.end_to_end_seconds == base.end_to_end_seconds
             assert result.data_moved_bytes == base.data_moved_bytes
-            assert [s.step for s in triggered.monitor.history] == [
-                s.step for s in plain.monitor.history]
+            assert triggered.monitor.history == plain.monitor.history
 
     def test_entropy_trigger_spends_less_than_full_snapshots(self):
         metrics = MetricsRegistry()
@@ -403,7 +402,7 @@ class TestForcedSampleCadence:
         ])
         workflow = CoupledWorkflow(config, small_trace(12), faults=plan)
         workflow.run()
-        sampled = [s.step for s in workflow.monitor.history]
+        sampled = workflow.monitor.history
         forced = [s for s in sampled if s != 1 and s % 4 != 0]
         assert forced, "fault should force off-cadence re-samples"
         for f in forced:
@@ -416,4 +415,4 @@ class TestForcedSampleCadence:
         workflow = CoupledWorkflow(small_config(monitor_interval=4),
                                    small_trace(12))
         workflow.run()
-        assert [s.step for s in workflow.monitor.history] == [1, 4, 8, 12]
+        assert workflow.monitor.history == [1, 4, 8, 12]
