@@ -115,7 +115,6 @@ class AdaptationEngine:
             self.plan = [layer for layer in order if layer in layers]
             self.mode = "local"
         self.tracer = observer.tracer
-        self.metrics = observer.metrics
         self.ledger = observer.ledger
         self.trigger = trigger
         self.decisions: list[AdaptationDecision] = []
@@ -186,7 +185,6 @@ class AdaptationEngine:
                 (1.0 - decision.insitu_fraction) * working.data_bytes,
                 mechanism="middleware",
             )
-        self.metrics.counter("engine.decisions").inc()
         if self.tracer.enabled:
             # `degraded` is only present on degraded decisions so that
             # fault-free traces stay byte-identical to pre-fault builds.

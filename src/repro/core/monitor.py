@@ -26,6 +26,7 @@ from repro.observability.events import (
     TRIGGER_RECALIBRATED,
     TRIGGER_SUPPRESSED,
 )
+from repro.observability.metrics import EmaTimer
 from repro.observability.observer import NULL_OBSERVER, Observer
 
 __all__ = ["Monitor"]
@@ -36,11 +37,10 @@ class Monitor:
 
     ``observer`` carries the observability hooks
     (:class:`~repro.observability.observer.Observer`): every snapshot
-    emits a ``monitor.sample`` event, the observation intake publishes
-    counters/timers, and each next-step-time forecast lands in the
-    prediction ledger to be paired with the step duration actually
-    observed.  The default observer's hooks are null objects that do
-    nothing.
+    emits a ``monitor.sample`` event, and each next-step-time forecast
+    lands in the prediction ledger to be paired with the step duration
+    actually observed.  The default observer's hooks are null objects
+    that do nothing.  Its intake counts are plain attributes.
 
     ``trigger`` is an optional
     :class:`~repro.workflow.triggers.TriggerPolicy`: when injected, the
@@ -73,16 +73,22 @@ class Monitor:
         self.insitu_rate = RateEstimator(rate)
         self.intransit_rate = RateEstimator(rate)
         self.transfer = TransferEstimator(network_bandwidth, network_latency)
-        self._sim_time_ema: float | None = None
-        self._alpha = 0.3
+        #: EMA of recent step times, seeded by the first (T_{i+1}_sim).
+        self.sim_step_seconds = EmaTimer(0.3)
         # Systematic misestimation injector for robustness studies: every
         # analysis-time estimate handed to the policies is multiplied by
         # this factor (1.0 = unbiased).
         self.estimate_bias = float(estimate_bias)
         self.tracer = observer.tracer
-        self.metrics = observer.metrics
         self.ledger = observer.ledger
         self.trigger = trigger
+        #: Calls of each ``observe_*`` (the estimators skip some), trigger
+        #: fires and the per-rank probes the trigger spent.
+        self.insitu_observations = 0
+        self.intransit_observations = 0
+        self.transfer_observations = 0
+        self.trigger_fires = 0
+        self.sampling_budget_used = 0
         # Step whose next-sim-time forecast is awaiting its realization.
         self._sim_pred_step: int | None = None
         # Most recent off-interval sample the host forced (fault recovery);
@@ -111,14 +117,11 @@ class Monitor:
 
     def evaluate_trigger(self, indicators):
         """Ask the injected trigger whether ``indicators`` warrant a full
-        adaptation; publishes the verdict as events and metrics."""
+        adaptation; emits the verdict and counts fires and budget."""
         decision = self.trigger.should_adapt(indicators)
-        if decision.budget_spent:
-            self.metrics.counter("monitor.sampling_budget_used").inc(
-                decision.budget_spent
-            )
+        self.sampling_budget_used += decision.budget_spent
         if decision.fire:
-            self.metrics.counter("monitor.trigger_fires").inc()
+            self.trigger_fires += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 TRIGGER_FIRED if decision.fire else TRIGGER_SUPPRESSED,
@@ -190,37 +193,29 @@ class Monitor:
         if self._sim_pred_step is not None:
             self.ledger.resolve("sim_step_time", self._sim_pred_step, seconds)
             self._sim_pred_step = None
-        if self._sim_time_ema is None:
-            self._sim_time_ema = seconds
-        else:
-            self._sim_time_ema = (
-                (1 - self._alpha) * self._sim_time_ema + self._alpha * seconds
-            )
-        self.metrics.timer("monitor.sim_step_seconds").observe(seconds)
+        self.sim_step_seconds.observe(seconds)
 
     def observe_insitu(self, work_units: float, cores: int, seconds: float) -> None:
         """Record a completed in-situ analysis."""
         self.insitu_rate.observe(work_units, cores, seconds)
-        self.metrics.counter("monitor.insitu_observations").inc()
+        self.insitu_observations += 1
 
     def observe_intransit(self, work_units: float, cores: int, seconds: float) -> None:
         """Record a completed in-transit analysis."""
         self.intransit_rate.observe(work_units, cores, seconds)
-        self.metrics.counter("monitor.intransit_observations").inc()
+        self.intransit_observations += 1
 
     def observe_transfer(self, nbytes: float, seconds: float) -> None:
         """Record a completed staging transfer."""
-        accepted = self.transfer.observe(nbytes, seconds)
-        self.metrics.counter("monitor.transfer_observations").inc()
-        if not accepted and nbytes > 0:
-            self.metrics.counter("monitor.transfer_discards").inc()
+        self.transfer.observe(nbytes, seconds)
+        self.transfer_observations += 1
 
     # -- estimates -------------------------------------------------------------
 
     @property
     def expected_sim_step_time(self) -> float:
         """EMA of recent step times (T_{i+1}_sim); 0 before any observation."""
-        return self._sim_time_ema or 0.0
+        return self.sim_step_seconds.value
 
     def estimate_insitu(self, work_units: float, cores: int) -> float:
         """T_insitu(N, S_data)."""
@@ -302,9 +297,6 @@ class Monitor:
                 mechanism="monitor",
             )
             self._sim_pred_step = step
-        self.metrics.counter("monitor.samples").inc()
-        if self.trigger is not None:
-            self.metrics.counter("monitor.samples_taken").inc()
         if self.tracer.enabled:
             self.tracer.emit(
                 MONITOR_SAMPLE,

@@ -21,13 +21,12 @@ bypass the cache entirely; every request then computes exactly as the
 un-cached experiments always did.  ``""``, ``0``, ``false`` and ``no``
 keep it enabled; any other value warns once and keeps the cache on
 (bypassing is the *exceptional* state and must be asked for
-unambiguously).  The cache publishes through its
-:class:`~repro.observability.observer.Observer` (built from the
-``metrics=`` keyword; the sweep runner swaps in a per-point one):
-lookups count ``experiments.cache_hits`` /
-``experiments.cache_misses``.  The sweep runner also wraps the
-``_value`` / ``_trace`` / ``_field`` lookups in ``cache.lookup`` spans
-and ``_compute`` in ``cache.compute`` from outside
+unambiguously).  Lookups count into :attr:`ExperimentCache.hits` /
+:attr:`ExperimentCache.misses`; the sweep runner publishes each grid
+point's share of them as ``experiments.cache_hits`` /
+``experiments.cache_misses``, and wraps the ``_value`` / ``_trace`` /
+``_field`` lookups in ``cache.lookup`` spans and ``_compute`` in
+``cache.compute`` from outside
 (:func:`~repro.observability.observer.instrument`).
 
 The cache lives in one process.  Nothing is written to disk, so a
@@ -43,7 +42,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.observability.observer import Observer
 from repro.workload.capture import capture_trace
 from repro.workload.trace import WorkloadTrace
 
@@ -149,8 +147,10 @@ class ExperimentCache:
     the compute path.
     """
 
-    def __init__(self, metrics=None):
-        self.observer = Observer(metrics=metrics)
+    def __init__(self):
+        #: Lookups served from memory / that had to compute.
+        self.hits = 0
+        self.misses = 0
         self._values: dict[str, Any] = {}
         self._sessions: dict[str, Any] = {}
 
@@ -160,10 +160,6 @@ class ExperimentCache:
         """Run one artifact compute (the sweep runner's ``cache.compute``
         span, nested under ``cache.lookup`` on the cache-enabled path)."""
         return fn()
-
-    def _count(self, hit: bool) -> None:
-        name = "experiments.cache_hits" if hit else "experiments.cache_misses"
-        self.observer.metrics.counter(name).inc()
 
     def key(self, kind: str, **params) -> str:
         """Canonical JSON of (kind, params); params must be JSON-native."""
@@ -181,9 +177,9 @@ class ExperimentCache:
         key = self.key(kind, **params)
         cached = self._values.get(key, _MISS)
         if cached is not _MISS:
-            self._count(hit=True)
+            self.hits += 1
             return cached
-        self._count(hit=False)
+        self.misses += 1
         result = self._values[key] = self._compute(compute)
         return result
 
@@ -219,9 +215,9 @@ class ExperimentCache:
         if session is None:
             session = self._sessions[skey] = _TraceSession(build, name)
         if len(session.records) >= nsteps:
-            self._count(hit=True)
+            self.hits += 1
             return session.prefix(nsteps)
-        self._count(hit=False)
+        self.misses += 1
         return self._compute(lambda: session.extend_to(nsteps))
 
     def field(
@@ -257,9 +253,9 @@ class ExperimentCache:
         if session is None:
             session = self._sessions[skey] = _FieldSession(build, extract)
         if nsteps in session.fields:
-            self._count(hit=True)
+            self.hits += 1
             return session.fields[nsteps].copy()
-        self._count(hit=False)
+        self.misses += 1
         field = self._compute(lambda: session.advance_to(nsteps))
         session.fields[nsteps] = field
         return field.copy()

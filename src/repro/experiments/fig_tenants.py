@@ -32,7 +32,6 @@ from functools import lru_cache
 from repro.errors import ExperimentError
 from repro.experiments.common import render_table
 from repro.hpc.systems import titan
-from repro.observability import MetricsRegistry
 from repro.service import ADMISSION_POLICIES, WorkflowService
 from repro.workflow.config import Mode, WorkflowConfig
 from repro.workload.synthetic import SyntheticAMRConfig, synthetic_amr_trace
@@ -140,13 +139,11 @@ def run_point(params: dict) -> TenantRow:
     policy = params["policy"]
     count = int(params["tenants"])
     steps = int(params.get("steps", STEPS))
-    metrics = MetricsRegistry()
     service = WorkflowService(
         sim_cores=POOL_SIM_CORES,
         staging_cores=POOL_STAGING_CORES,
         policy=policy,
         starvation_wait=STARVATION_WAIT,
-        metrics=metrics,
     )
     for index in range(count):
         service.submit(
@@ -168,9 +165,7 @@ def run_point(params: dict) -> TenantRow:
         mean_queue_wait=sum(waits) / len(waits),
         fairness_index=report.fairness_index,
         starvations=report.starvations,
-        grant_expansions=int(
-            metrics.counter("service.grant_expansions").value
-        ),
+        grant_expansions=service.grant_expansions,
     )
 
 

@@ -30,7 +30,7 @@ from repro.errors import ExperimentError
 from repro.experiments.common import render_table
 from repro.faults import build_scenario
 from repro.hpc.systems import titan
-from repro.observability import MetricsRegistry, PredictionLedger, placement_regret
+from repro.observability import PredictionLedger, placement_regret
 from repro.workflow.config import Mode, WorkflowConfig
 from repro.workflow.driver import CoupledWorkflow, run_workflow
 from repro.workflow.triggers import TRIGGER_POLICIES, build_trigger
@@ -147,31 +147,30 @@ def run_point(params: dict) -> TriggerRow:
             staging_cores=STAGING_CORES,
             steps=steps,
         )
-    metrics = MetricsRegistry()
     ledger = PredictionLedger()
     workflow = CoupledWorkflow(
         _config(),
         trace,
-        metrics=metrics,
         ledger=ledger,
         faults=plan,
         trigger=build_trigger(policy, recalibrate_every=RECALIBRATE_EVERY),
     )
     result = workflow.run()
-    sampled = workflow.monitor.history
+    monitor = workflow.monitor
+    sampled = monitor.history
     lags = []
     for step in range(1, steps + 1):
         newest = max((s for s in sampled if s <= step), default=step)
         lags.append(step - newest)
-    snapshots = int(metrics.counter("monitor.samples").value)
-    budget = int(metrics.counter("monitor.sampling_budget_used").value)
+    snapshots = len(sampled)
+    budget = monitor.sampling_budget_used
     return TriggerRow(
         policy=policy,
         scenario=scenario,
         end_to_end_seconds=result.end_to_end_seconds,
         data_moved_bytes=result.data_moved_bytes,
         snapshots=snapshots,
-        fires=int(metrics.counter("monitor.trigger_fires").value),
+        fires=monitor.trigger_fires,
         budget_used=budget,
         monitor_cost=snapshots * trace.nranks + budget,
         mean_lag_steps=sum(lags) / len(lags),

@@ -177,22 +177,20 @@ def _execute_point(
 ) -> tuple[Any, dict, dict, float]:
     """Run one grid point with private metrics + profiler attached.
 
-    The registry is swapped onto the process-wide default cache and the
-    profiler wired onto its lookups for the duration of the point, so
-    the returned dumps attribute cache traffic and wall time to exactly
-    this point (workers ship them back to the parent).  The whole point
-    runs under a ``sweep.point`` span, so cache lookups/computes nest
-    beneath it.
+    The point's metrics are the process-wide default cache's hits and
+    misses during the point, and the profiler is wired onto its lookups
+    for the duration of the point, so the returned dumps attribute cache
+    traffic and wall time to exactly this point (workers ship them back
+    to the parent).  The whole point runs under a ``sweep.point`` span,
+    so cache lookups/computes nest beneath it.
     """
     from repro.observability.metrics import MetricsRegistry
-    from repro.observability.observer import Observer, instrument
+    from repro.observability.observer import instrument, publish
     from repro.observability.profiler import Profiler
 
-    registry = MetricsRegistry()
     profiler = Profiler()
     cache = default_cache()
-    previous = cache.observer
-    cache.observer = Observer(metrics=registry)
+    hits, misses = cache.hits, cache.misses
     instrument(profiler, cache, _CACHE_SPANS)
     try:
         started = time.perf_counter()
@@ -200,9 +198,13 @@ def _execute_point(
             result = SWEEPS[name].run_point(params)
         seconds = time.perf_counter() - started
     finally:
-        cache.observer = previous
         for attr in _CACHE_SPANS:
             delattr(cache, attr)
+    registry = MetricsRegistry()
+    publish(registry, lambda: {
+        "experiments.cache_hits": cache.hits - hits,
+        "experiments.cache_misses": cache.misses - misses,
+    })
     return result, registry.dump(), profiler.dump(), seconds
 
 

@@ -10,7 +10,7 @@ unlike the observability hooks they have no null object.
 
 Lifecycle::
 
-    injector = FaultInjector(plan, observer=Observer(tracer, metrics))
+    injector = FaultInjector(plan, observer=Observer(tracer))
     sim = Simulator(faults=injector)          # attach_simulator
     area = StagingArea(..., faults=injector)  # attach_staging
     injector.attach_network(net)
@@ -20,8 +20,9 @@ Lifecycle::
 when given ``faults=``.  Timed faults fire at their planned simulated
 times; per-step faults (drops/corruptions) are consumed when the staging
 area touches that step.  Every application emits a ``fault.injected``
-trace event and bumps the ``faults.injected`` counter; windowed faults
-additionally emit ``fault.cleared`` when they end.
+trace event and bumps :attr:`FaultInjector.injected` (the run publishes
+it as ``faults.injected``); windowed faults additionally emit
+``fault.cleared`` when they end.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class FaultInjector:
             raise FaultError(f"FaultInjector needs a FaultPlan, got {plan!r}")
         self.plan = plan
         self.tracer = observer.tracer
-        self.metrics = observer.metrics
         self.sim = None
         self.network = None
         self.staging = None
@@ -155,7 +155,6 @@ class FaultInjector:
 
     def _record_injection(self, kind: str, **fields) -> None:
         self.injected += 1
-        self.metrics.counter("faults.injected").inc()
         self.tracer.emit(FAULT_INJECTED, fault=kind, **fields)
 
     def _record_clear(self, kind: str, **fields) -> None:

@@ -15,8 +15,8 @@ workflows, staging or policies.  It owns exactly four things:
   submission and is unique, so tuple comparison never reaches ``kind``,
   ``func`` or ``args`` and same-timestamp events pop in submission order.
 - **First-class cheap counters** (:class:`KernelCounters`): per-kind
-  scheduled/processed tallies plus named counters, each a plain integer
-  increment -- always on, no observability hook required.
+  scheduled/processed tallies, each a plain integer increment -- always
+  on, no observability hook required.
 - **An injected RNG**: :class:`EventKernel` owns a
   ``numpy.random.Generator`` so stochastic domains draw from a seeded,
   replaceable stream instead of global state.
@@ -117,28 +117,22 @@ STAGING = register_event_kind(
 class KernelCounters:
     """Always-on integer tallies: the kernel's first-class cheap metrics.
 
-    Per-kind ``scheduled``/``processed`` lists are indexed by kind code;
-    :meth:`inc` maintains arbitrary named counters.  Every update is one
-    integer add, cheap enough to leave on unconditionally (unlike the
-    injected observability hooks).
+    Per-kind ``scheduled``/``processed`` lists are indexed by kind code.
+    Every update is one integer add, cheap enough to leave on
+    unconditionally.
     """
 
-    __slots__ = ("scheduled", "processed", "named")
+    __slots__ = ("scheduled", "processed")
 
     def __init__(self) -> None:
         n = len(_KIND_NAMES)
         self.scheduled = [0] * n
         self.processed = [0] * n
-        self.named: dict[str, int] = {}
 
     def _ensure(self, code: int) -> None:
         while len(self.scheduled) <= code:
             self.scheduled.append(0)
             self.processed.append(0)
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to the named counter (created at zero)."""
-        self.named[name] = self.named.get(name, 0) + amount
 
     @property
     def total_scheduled(self) -> int:
@@ -171,7 +165,6 @@ class KernelCounters:
         return {
             "scheduled": self.scheduled_by_kind(),
             "processed": self.processed_by_kind(),
-            "named": dict(self.named),
         }
 
 

@@ -37,15 +37,15 @@ publishes into:
   :func:`fault_timeline` -- human-readable renderings of a run record's
   events (the ``repro trace`` and ``repro faults`` CLI output).
 
-Instrumentation is injected as one :class:`Observer` of tracer, metrics
-and ledger: the Monitor, Adaptation Engine, staging area and fault
-injector each take ``observer=``, and the workflow driver, the
-multi-tenant service and the experiment cache build one from their
-optional ``tracer=`` / ``metrics=`` / ``ledger=`` arguments.  A hook
-left out is a null object that accepts every call and does nothing, so
-call sites never branch on it (:mod:`.observer`).  A ``profiler=`` is
-not part of it: :func:`instrument` wraps the layers' methods in spans
-from outside.
+Instrumentation is injected as one :class:`Observer` of tracer and
+ledger: the Monitor, Adaptation Engine, staging area and fault injector
+each take ``observer=``, and the workflow driver and the multi-tenant
+service build one from their optional ``tracer=`` / ``ledger=``
+arguments.  A hook left out is a null object that accepts every call
+and does nothing, so call sites never branch on it (:mod:`.observer`).
+A ``metrics=`` registry is filled from the components' own tallies
+when a run ends, and a ``profiler=`` is wired from outside by
+:func:`instrument`; neither is part of the observer.
 
 :data:`EVENT_KINDS`, :data:`METRIC_NAMES` and :data:`QUANTITIES` are the
 closed registries of everything the built-in instrumentation can emit;

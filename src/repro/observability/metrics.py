@@ -3,10 +3,9 @@
 The quantitative companion to the tracer: where the tracer answers *why*
 (a decision's inputs and reasoning), the registry answers *how much* (how
 many decisions, how many bytes, what the smoothed service time is).
-Components publish through their
-:class:`~repro.observability.observer.Observer`; without a registry its
-null registry hands every call one shared no-op instrument, so the
-disabled path never branches.
+Components keep their own plain tallies; when a run ends,
+:func:`~repro.observability.observer.publish` writes them into the
+registry the run was given, so a run without one counts nothing twice.
 
 Instruments are created lazily by name (``registry.counter("x")``), are
 idempotent (the same name returns the same instrument) and type-checked
@@ -104,8 +103,8 @@ class Gauge:
 
     __slots__ = ("value",)
 
-    def __init__(self) -> None:
-        self.value = 0.0
+    def __init__(self, value: float = 0.0) -> None:
+        self.value = float(value)
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -138,6 +137,19 @@ class EmaTimer:
             self.value = (1 - self.alpha) * self.value + self.alpha * seconds
         self.count += 1
         self.total += seconds
+
+    def fold(self, value: float, count: int, total: float) -> None:
+        """Combine another timer's tallies into this one.
+
+        ``count`` (> 0) and ``total`` add exactly; an empty timer takes
+        ``value`` as is, otherwise the value becomes the count-weighted
+        average (the interleaving is gone, so no exact EMA exists).
+        """
+        if self.count:
+            value = (self.count * self.value + count * value) / (self.count + count)
+        self.value = float(value)
+        self.count += count
+        self.total += total
 
 
 class MetricsRegistry:
@@ -172,10 +184,6 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
         return sorted(self._instruments)
-
-    def instruments(self) -> dict[str, Counter | Gauge | EmaTimer]:
-        """A copy of the name -> instrument mapping (for exporters)."""
-        return dict(self._instruments)
 
     def as_dict(self) -> dict[str, float]:
         """Current value of every instrument (EMA value for timers)."""
@@ -229,10 +237,7 @@ def merge_worker_metrics(
 
     Counters sum, gauges take the last dump's value (the dumps arrive in
     grid order, so "last" is deterministic), and timers combine their raw
-    tallies -- ``count`` and ``total`` add exactly, while the smoothed
-    value becomes a count-weighted average of the per-worker EMAs (the
-    original observation interleaving is gone, so an exact EMA cannot be
-    reconstructed).  Returns ``parent`` for chaining.
+    tallies with :meth:`EmaTimer.fold`.  Returns ``parent`` for chaining.
     """
     for dump in dumps:
         for name, snap in dump.items():
@@ -243,15 +248,11 @@ def merge_worker_metrics(
                 parent.gauge(name).set(float(snap["value"]))
             elif kind == "timer":
                 count = int(snap.get("count", 0))
-                if count <= 0:
-                    continue
-                timer = parent.timer(name, float(snap.get("alpha", 0.3)))
-                merged_count = timer.count + count
-                timer.value = (
-                    timer.count * timer.value + count * float(snap["value"])
-                ) / merged_count
-                timer.count = merged_count
-                timer.total += float(snap.get("total", 0.0))
+                if count > 0:
+                    parent.timer(name, float(snap.get("alpha", 0.3))).fold(
+                        float(snap["value"]), count,
+                        float(snap.get("total", 0.0)),
+                    )
             else:
                 raise ObservabilityError(
                     f"worker dump for metric {name!r} has unknown kind {kind!r}"

@@ -1,23 +1,23 @@
-"""The observer: the tracer, metrics and ledger hooks as one bundle,
-and the wiring that puts a profiler's spans on a layer from outside.
+"""The observer: the tracer and ledger hooks as one bundle, plus the
+wiring that puts spans and metrics on a layer from outside.
 
 Every layer that publishes runtime status takes one ``observer=``: an
-:class:`Observer` holding a tracer, a metrics registry and a prediction
-ledger.  A hook left ``None`` becomes its shared null object, which
-accepts the same calls as the real one and does nothing, so call sites
-never branch on whether a hook is present.  This module is the one place
-that knows a hook can be absent; the public entry points keep their
-per-hook keywords and build an :class:`Observer` at the edge.
+:class:`Observer` holding a tracer and a prediction ledger.  A hook
+left ``None`` becomes its shared null object, which accepts the same
+calls as the real one and does nothing, so call sites never branch on
+whether a hook is present.  This module is the one place that knows a
+hook can be absent; the public entry points keep their per-hook
+keywords and build an :class:`Observer` at the edge.
 
-Wall-clock spans are not a hook the layers hold: :func:`instrument`
-wraps whole methods of a built object in profiler spans from outside,
-and :func:`section` spans an inline block at the CLI edge.
+Metrics and spans are not hooks the layers hold: components count in
+plain attributes that :func:`publish` copies into a metrics registry
+when a run ends, :func:`instrument` wraps whole methods of a built
+object in profiler spans, and :func:`section` spans an inline block at
+the CLI edge.
 
 ``enabled`` is ``False`` on the null tracer and the null ledger, so call
 sites skip building an event's fields or computing the estimates a
-prediction would record.  The null registry hands every call one shared
-no-op instrument and records no name, so instruments stay lazily
-created by the real registry.
+prediction would record.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Mapping
 
+from repro.observability.metrics import EmaTimer, Gauge
+
 if TYPE_CHECKING:
     from repro.observability.ledger import PredictionLedger
     from repro.observability.metrics import MetricsRegistry
@@ -33,11 +35,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "NULL_LEDGER",
-    "NULL_METRICS",
     "NULL_OBSERVER",
     "NULL_TRACER",
     "Observer",
     "instrument",
+    "publish",
     "section",
 ]
 
@@ -53,39 +55,6 @@ class _NullTracer:
 
     def emit(self, kind: str, step: int | None = None, **fields: Any) -> None:
         return None
-
-
-class _NullInstrument:
-    """Counter, gauge and timer at once; every update is dropped."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, seconds: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class _NullMetrics:
-    """A registry that hands out one shared no-op instrument."""
-
-    __slots__ = ()
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def timer(self, name: str, alpha: float = 0.3) -> _NullInstrument:
-        return _NULL_INSTRUMENT
 
 
 class _NullLedger:
@@ -125,22 +94,16 @@ class _NullLedger:
 
 
 NULL_TRACER = _NullTracer()
-NULL_METRICS = _NullMetrics()
 NULL_LEDGER = _NullLedger()
 
-_NULLS = {
-    "tracer": NULL_TRACER,
-    "metrics": NULL_METRICS,
-    "ledger": NULL_LEDGER,
-}
+_NULLS = {"tracer": NULL_TRACER, "ledger": NULL_LEDGER}
 
 
 @dataclass(frozen=True)
 class Observer:
-    """The tracer, metrics registry and ledger of one run."""
+    """The tracer and ledger of one run."""
 
     tracer: Tracer | _NullTracer | None = None
-    metrics: MetricsRegistry | _NullMetrics | None = None
     ledger: PredictionLedger | _NullLedger | None = None
 
     def __post_init__(self) -> None:
@@ -156,6 +119,27 @@ class Observer:
 
 #: The observer of an unobserved run: every hook is its null object.
 NULL_OBSERVER = Observer()
+
+
+def publish(registry: MetricsRegistry | None,
+            tallies: Callable[[], Mapping[str, Any]]) -> None:
+    """Add a finished run's tallies to ``registry`` (a no-op without one).
+
+    ``tallies()`` maps metric names to what the components counted: a
+    number > 0 adds to a counter, a :class:`Gauge` sets a gauge, and an
+    :class:`EmaTimer` with observations folds into a timer.
+    """
+    if registry is None:
+        return
+    for name, tally in tallies().items():
+        if isinstance(tally, EmaTimer):
+            if tally.count:
+                registry.timer(name, tally.alpha).fold(
+                    tally.value, tally.count, tally.total)
+        elif isinstance(tally, Gauge):
+            registry.gauge(name).set(tally.value)
+        elif tally > 0:
+            registry.counter(name).inc(tally)
 
 
 def instrument(profiler: Any, obj: Any, spans: Mapping[str, str]) -> None:

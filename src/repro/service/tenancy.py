@@ -70,8 +70,8 @@ from repro.observability.events import (
     TENANT_SUBMITTED,
 )
 from repro.observability.ledger import PredictionLedger
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.observer import Observer, instrument
+from repro.observability.metrics import EmaTimer, Gauge, MetricsRegistry
+from repro.observability.observer import Observer, instrument, publish
 from repro.observability.tracer import Tracer
 from repro.service.admission import AdmissionController
 from repro.service.scheduler import TenantScheduler
@@ -243,10 +243,10 @@ class WorkflowService:
         When set, a queued tenant waiting longer than this (simulated
         seconds) raises the ``tenant.starved`` event and counter once.
     tracer, metrics, profiler:
-        Service-level observability: ``tenant.*`` events and
-        ``service.*`` metrics land here, distinct from each tenant's own
-        hooks (which see exactly what a solo run would emit).  The
-        profiler spans the shared ``sim.run`` and reaches every tenant.
+        Service-level observability: ``tenant.*`` events, and the
+        ``service.*`` tallies :meth:`run` adds to ``metrics``, distinct
+        from each tenant's own hooks (which see what a solo run would
+        emit).  The profiler spans ``sim.run`` and reaches every tenant.
     """
 
     def __init__(
@@ -265,7 +265,8 @@ class WorkflowService:
         profiler: Any = None,
     ):
         self.spec = spec if spec is not None else titan()
-        self.observer = Observer(tracer=tracer, metrics=metrics)
+        self.observer = Observer(tracer=tracer)
+        self._registry = metrics
         self.profiler = profiler
         self.sim = Simulator()
         instrument(profiler, self.sim, {"run": "sim.run"})
@@ -295,10 +296,14 @@ class WorkflowService:
         self.staging_cores = int(staging_cores)
         self._staging_memory = self.spec.partition_memory(staging_cores)
         self.tracer = self.observer.tracer
-        self.metrics = self.observer.metrics
         self.observer.bind_clock(lambda: self.sim.now)
         self.tenants: list[Tenant] = []
         self._starvation_count = 0
+        #: Grant renegotiations that borrowed / returned pool cores, and
+        #: the EMA of admitted tenants' queue waits.
+        self.grant_expansions = 0
+        self.grant_shrinks = 0
+        self.queue_wait_seconds = EmaTimer(0.3)
         self._ran = False
 
     # -- submission ----------------------------------------------------------
@@ -349,11 +354,6 @@ class WorkflowService:
 
     # -- service loop --------------------------------------------------------
 
-    def _set_committed_gauge(self) -> None:
-        self.metrics.gauge("service.staging_committed_cores").set(
-            self.scheduler.staging_committed
-        )
-
     def _arrive(self, tenant: Tenant) -> None:
         self.tracer.emit(
             TENANT_SUBMITTED,
@@ -370,7 +370,6 @@ class WorkflowService:
                 tenant=tenant.name,
                 queue_depth=len(self.admission),
             )
-            self.metrics.counter("service.tenants_rejected").inc()
             return
         tenant.state = "queued"
         self.tracer.emit(
@@ -413,7 +412,6 @@ class WorkflowService:
             queue_wait=self.sim.now - tenant.arrival,
             queue_depth=len(self.admission),
         )
-        self.metrics.counter("service.starvations").inc()
 
     def _admit(self, tenant: Tenant) -> None:
         grant = self.scheduler.admit(
@@ -427,7 +425,7 @@ class WorkflowService:
         # its grant; its memory is the grant's proportional share of the
         # staging partition.  A full-pool grant is exactly the direct
         # path's construction (no mask, whole partition memory).
-        observer = Observer(tenant.tracer, tenant.metrics, tenant.ledger)
+        observer = Observer(tenant.tracer, tenant.ledger)
         area = StagingArea(
             self.sim,
             self.network,
@@ -468,9 +466,7 @@ class WorkflowService:
             queue_wait=queue_wait,
             staging_committed=self.scheduler.staging_committed,
         )
-        self.metrics.counter("service.tenants_admitted").inc()
-        self.metrics.timer("service.queue_wait_seconds").observe(queue_wait)
-        self._set_committed_gauge()
+        self.queue_wait_seconds.observe(queue_wait)
 
     def _watch(self, tenant: Tenant):
         """Completion watcher: finalize at the tenant's exact end time."""
@@ -516,8 +512,6 @@ class WorkflowService:
             grant=tenant.grant,
             end_to_end_seconds=result.end_to_end_seconds,
         )
-        self.metrics.counter("service.tenants_completed").inc()
-        self._set_committed_gauge()
         # Freed capacity: drain the queue on a fresh tenant-kind event so
         # kernel counters attribute admission work to the service.
         self.sim._schedule_at(self.sim.now, self._drain, kind=TENANT_KIND)
@@ -545,8 +539,7 @@ class WorkflowService:
                     requested=requested,
                     staging_committed=self.scheduler.staging_committed,
                 )
-                self.metrics.counter("service.grant_expansions").inc()
-                self._set_committed_gauge()
+                self.grant_expansions += 1
         elif requested < tenant.grant and tenant.grant > tenant.base_grant:
             give = min(
                 tenant.grant - requested, tenant.grant - tenant.base_grant
@@ -562,9 +555,26 @@ class WorkflowService:
                 requested=requested,
                 staging_committed=self.scheduler.staging_committed,
             )
-            self.metrics.counter("service.grant_shrinks").inc()
-            self._set_committed_gauge()
+            self.grant_shrinks += 1
         area.set_active_cores(min(requested, tenant.grant))
+
+    def _tallies(self) -> dict:
+        """The service's counts, by metric name (:func:`publish`)."""
+        states = [t.state for t in self.tenants]
+        admitted = sum(t.admitted_at is not None for t in self.tenants)
+        tallies = {
+            "service.tenants_admitted": admitted,
+            "service.tenants_rejected": states.count("rejected"),
+            "service.tenants_completed": states.count("completed"),
+            "service.starvations": self._starvation_count,
+            "service.grant_expansions": self.grant_expansions,
+            "service.grant_shrinks": self.grant_shrinks,
+            "service.queue_wait_seconds": self.queue_wait_seconds,
+        }
+        if admitted:  # every grant change from the first admission on
+            tallies["service.staging_committed_cores"] = Gauge(
+                self.scheduler.staging_committed)
+        return tallies
 
     # -- terminal ------------------------------------------------------------
 
@@ -576,6 +586,7 @@ class WorkflowService:
             raise ServiceError("no tenants submitted")
         self._ran = True
         self.sim.run()
+        publish(self._registry, self._tallies)
         unserved = [
             t.name for t in self.tenants
             if t.state not in ("completed", "rejected")

@@ -19,7 +19,6 @@ The area tracks exactly what the paper's policies and metrics consume:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import StagingError
@@ -58,6 +57,8 @@ class AnalysisJob:
     started_at: float | None = None
     finished_at: float | None = None
     cores_used: int = 0
+    #: Duration of the pass that completed the job (0 until it completes).
+    service_seconds: float = 0.0
 
     @property
     def queue_delay(self) -> float | None:
@@ -97,10 +98,10 @@ class StagingArea:
         The observability hooks
         (:class:`~repro.observability.observer.Observer`).  Submissions,
         ingest completions, job service boundaries and core resizes emit
-        ``staging.*`` events and publish counters/gauges; each
-        submission resolves the middleware layer's pending
-        ``memory_demand`` prediction with the bytes actually ingested.
-        The default observer's hooks are null objects that do nothing.
+        ``staging.*`` events; each submission resolves the middleware
+        layer's pending ``memory_demand`` prediction with the bytes
+        actually ingested.  The default observer's hooks are null
+        objects that do nothing.
     faults:
         Optional :class:`repro.faults.FaultInjector`.  When attached, the
         area can lose and regain cores (:meth:`fail_cores` /
@@ -146,14 +147,15 @@ class StagingArea:
         self.src = src_endpoint
         self.dst = dst_endpoint
         self.tracer = observer.tracer
-        self.metrics = observer.metrics
         self.ledger = observer.ledger
         self.faults = faults
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._failed_cores = 0
         self._restored: Event | None = None
 
-        self._ids = itertools.count()
+        #: Jobs submitted (the next job's id), ingests retried on faults.
+        self.jobs_submitted = 0
+        self.retries = 0
         self._queue: Store = Store(sim, name="staging-jobs")
         self._queued_work = 0.0
         self._running: AnalysisJob | None = None
@@ -196,7 +198,6 @@ class StagingArea:
         self._account_alloc()
         self._active_cores = int(count)
         self.core_history.append(_CoreSample(self.sim.now, count))
-        self.metrics.gauge("staging.active_cores").set(count)
         if self.tracer.enabled and count != previous:
             self.tracer.emit(STAGING_RESIZE, cores=count, previous=previous)
         self._check_invariants()
@@ -328,7 +329,7 @@ class StagingArea:
         self.memory_used += nbytes
         self.bytes_ingested += nbytes
         job = AnalysisJob(
-            job_id=next(self._ids),
+            job_id=self.jobs_submitted,
             step=step,
             nbytes=nbytes,
             work_units=work_units,
@@ -336,13 +337,11 @@ class StagingArea:
             ingest_done=self._ingest(step, nbytes),
             done=self.sim.event(name=f"analysis(step={step})"),
         )
+        self.jobs_submitted += 1
         self._queued_work += work_units
         self._queue.put(job)
         if self.ledger.has_pending("memory_demand", step):
             self.ledger.resolve("memory_demand", step, nbytes)
-        self.metrics.counter("staging.jobs_submitted").inc()
-        self.metrics.counter("staging.bytes_ingested").inc(nbytes)
-        self.metrics.gauge("staging.memory_used").set(self.memory_used)
         if self.tracer.enabled:
             self.tracer.emit(
                 STAGING_SUBMIT,
@@ -379,7 +378,7 @@ class StagingArea:
             return not self.faults.consume_drop(step)
 
         def _on_retry(k: int, delay: float) -> None:
-            self.metrics.counter("staging.retries").inc()
+            self.retries += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     STAGING_RETRY,
@@ -459,12 +458,10 @@ class StagingArea:
     def _complete(self, job: AnalysisJob, duration: float) -> None:
         """Completion bookkeeping for one drained job (synchronous)."""
         job.finished_at = self.sim.now
+        job.service_seconds = duration
         # Clamp: float residue must never drive the gauge negative.
         self.memory_used = max(0.0, self.memory_used - job.nbytes)
         self.completed.append(job)
-        self.metrics.counter("staging.jobs_completed").inc()
-        self.metrics.timer("staging.service_seconds").observe(duration)
-        self.metrics.gauge("staging.memory_used").set(self.memory_used)
         if self.tracer.enabled:
             self.tracer.emit(
                 STAGING_JOB_END,

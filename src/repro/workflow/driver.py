@@ -38,8 +38,8 @@ from repro.observability.events import (
     STEP_START,
 )
 from repro.observability.ledger import PredictionLedger
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.observer import Observer, instrument
+from repro.observability.metrics import EmaTimer, Gauge, MetricsRegistry
+from repro.observability.observer import Observer, instrument, publish
 from repro.observability.profiler import Profiler
 from repro.observability.tracer import Tracer
 from repro.staging.area import AnalysisJob, StagingArea
@@ -60,8 +60,8 @@ _COMPUTE = event_kind_code("compute")
 class CoupledWorkflow:
     """One workflow run; construct, then :meth:`run`.
 
-    ``tracer``, ``metrics`` and ``ledger`` are optional observability
-    hooks (:mod:`repro.observability`), bundled into one
+    ``tracer`` and ``ledger`` are optional observability hooks
+    (:mod:`repro.observability`), bundled into one
     :class:`~repro.observability.observer.Observer` shared with the
     Monitor, the Adaptation Engine and the staging area.
     Tracer and ledger clocks are bound to this run's simulator, and the
@@ -70,9 +70,11 @@ class CoupledWorkflow:
     and scores each in-situ/in-transit placement against its exact
     counterfactual.  A hook left ``None`` (the default) is a null
     object that does nothing, so the driver never branches on it.
+    ``metrics`` is an optional registry :meth:`finalize` fills from the
+    run's tallies (:func:`~repro.observability.observer.publish`).
 
     ``faults`` accepts a :class:`~repro.faults.FaultPlan` (wrapped in an
-    injector sharing this run's tracer/metrics) or a pre-built
+    injector sharing this run's tracer) or a pre-built
     :class:`~repro.faults.FaultInjector`; the driver attaches it to the
     simulator, the network and the staging area and arms it.  Injected
     faults surface as ``fault.*`` trace events; the driver degrades
@@ -137,7 +139,7 @@ class CoupledWorkflow:
         self.config = config
         self.trace = trace
         self.trigger = trigger
-        observer = Observer(tracer, metrics, ledger)
+        observer = Observer(tracer, ledger)
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults, observer=observer)
         self.faults = faults
@@ -151,8 +153,8 @@ class CoupledWorkflow:
             )
         self.sim = sim
         self.tracer = observer.tracer
-        self.metrics = observer.metrics
         self.ledger = observer.ledger
+        self._registry = metrics
         observer.bind_clock(lambda: self.sim.now)
         if network is None:
             network = build_workflow_network(
@@ -226,6 +228,7 @@ class CoupledWorkflow:
         self._post_tasks: list[tuple[StepMetrics, float, float]] = []
         self._post_busy_core_seconds = 0.0
         self._last_healthy = self.staging.healthy_cores
+        self._fallbacks = 0
         self._main = None
         self._started_at = 0.0
         self._result: WorkflowResult | None = None
@@ -284,11 +287,7 @@ class CoupledWorkflow:
         if self._result is not None:
             return self._result
         elapsed = self.sim.now - self._started_at
-        # The kernel's always-on tallies, published once per run so
-        # dashboards see event traffic without polling the kernel.
-        self.metrics.counter("kernel.events_processed").inc(
-            self.sim.kernel.counters.total_processed
-        )
+        publish(self._registry, self._tallies)
         if self.tracer.enabled:
             self.tracer.emit(
                 RUN_END,
@@ -343,6 +342,47 @@ class CoupledWorkflow:
             * self.network.total_bytes_moved,
         }
         return sum(breakdown.values()), breakdown
+
+    def _tallies(self) -> dict:
+        """What the run's components counted, by metric name (read once,
+        at :meth:`finalize`: a tenant of a shared simulator reads the
+        kernel's total so far)."""
+        monitor, staging, engine = self.monitor, self.staging, self.engine
+        stall = 0.0
+        for metric in self._metrics:
+            stall += metric.block_seconds  # >= 0; a zero adds exactly 0
+        service = EmaTimer()
+        for job in staging.completed:
+            service.observe(job.service_seconds)
+        tallies = {
+            "workflow.steps": len(self._metrics),
+            "workflow.stall_seconds": stall,
+            "kernel.events_processed": self.sim.kernel.counters.total_processed,
+            "placement.fallbacks": self._fallbacks,
+            "faults.injected": 0 if self.faults is None else self.faults.injected,
+            "monitor.samples": len(monitor.history),
+            "monitor.samples_taken": (
+                0 if monitor.trigger is None else len(monitor.history)),
+            "monitor.sim_step_seconds": monitor.sim_step_seconds,
+            "monitor.insitu_observations": monitor.insitu_observations,
+            "monitor.intransit_observations": monitor.intransit_observations,
+            "monitor.transfer_observations": monitor.transfer_observations,
+            "monitor.transfer_discards": monitor.transfer.discards.value,
+            "monitor.trigger_fires": monitor.trigger_fires,
+            "monitor.sampling_budget_used": monitor.sampling_budget_used,
+            "engine.decisions": 0 if engine is None else len(engine.decisions),
+            "staging.jobs_submitted": staging.jobs_submitted,
+            "staging.bytes_ingested": staging.bytes_ingested,
+            "staging.jobs_completed": len(staging.completed),
+            "staging.retries": staging.retries,
+            "staging.service_seconds": service,
+        }
+        # A gauge exists once it was set: by a resize, by a submission.
+        if len(staging.core_history) > 1:
+            tallies["staging.active_cores"] = Gauge(staging.active_cores)
+        if staging.jobs_submitted:
+            tallies["staging.memory_used"] = Gauge(staging.memory_used)
+        return tallies
 
     # -- pipeline ------------------------------------------------------------
 
@@ -442,7 +482,7 @@ class CoupledWorkflow:
             ):
                 # Recovery: staging has no healthy cores, so a staged
                 # placement cannot execute.  Degrade to in-situ.
-                self.metrics.counter("placement.fallbacks").inc()
+                self._fallbacks += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
                         PLACEMENT_FALLBACK,
@@ -549,7 +589,6 @@ class CoupledWorkflow:
                     lambda _evt, job=job, metric=metric: self._on_job_done(job, metric)
                 )
 
-            self.metrics.counter("workflow.steps").inc()
             if self.tracer.enabled:
                 self.tracer.emit(
                     STEP_END,
@@ -718,11 +757,8 @@ class CoupledWorkflow:
             )
 
     def _note_stall(self, metric: StepMetrics, cause: str) -> None:
-        """Publish a simulation stall (no-op when nothing blocked)."""
-        if metric.block_seconds <= 0:
-            return
-        self.metrics.counter("workflow.stall_seconds").inc(metric.block_seconds)
-        if self.tracer.enabled:
+        """Trace a simulation stall (no-op when nothing blocked)."""
+        if metric.block_seconds > 0 and self.tracer.enabled:
             self.tracer.emit(
                 SIM_STALL,
                 step=metric.step,

@@ -173,8 +173,6 @@ class TriggerPolicy:
                 f"recalibrate_every must be >= 0, got {recalibrate_every}"
             )
         self.recalibrate_every = int(recalibrate_every)
-        self.evaluations = 0
-        self.fires = 0
 
     def should_adapt(self, indicators: TriggerIndicators) -> TriggerDecision:
         """Decide whether ``indicators`` warrant a full adaptation."""
@@ -199,9 +197,6 @@ class TriggerPolicy:
         value: float = 0.0,
         budget: int = 0,
     ) -> TriggerDecision:
-        self.evaluations += 1
-        if fire:
-            self.fires += 1
         return TriggerDecision(
             fire=fire,
             step=indicators.step,

@@ -24,7 +24,6 @@ from repro.experiments.common import SCALES, advection_trace
 from repro.experiments.fig1_memory import _gas_stepper, captured_gas_trace
 from repro.experiments.fig6_entropy import _density, density_field
 from repro.experiments.fig6_entropy import _gas_stepper as _field_stepper
-from repro.observability.metrics import MetricsRegistry
 from repro.workload.capture import capture_trace
 
 #: Small, fast solver configuration shared by the trace tests.
@@ -126,13 +125,12 @@ class TestValueMemo:
         assert len(calls) == 1
 
     def test_counters(self):
-        registry = MetricsRegistry()
-        cache = ExperimentCache(metrics=registry)
+        cache = ExperimentCache()
         cache.value("v", {"a": 1}, lambda: 1)
         cache.value("v", {"a": 1}, lambda: 1)
         cache.value("v", {"a": 2}, lambda: 2)
-        assert registry.counter("experiments.cache_misses").value == 2
-        assert registry.counter("experiments.cache_hits").value == 1
+        assert cache.misses == 2
+        assert cache.hits == 1
 
     def test_no_cache_recomputes(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -148,13 +146,12 @@ class TestValueMemo:
     def test_cached_none_is_a_hit(self):
         # Regression: `stored is not None` as the hit test recomputed a
         # legitimately cached None artifact on every call.
-        registry = MetricsRegistry()
-        cache = ExperimentCache(metrics=registry)
+        cache = ExperimentCache()
         calls = []
         assert cache.value("v", {"a": 1}, lambda: calls.append(1)) is None
         assert cache.value("v", {"a": 1}, lambda: calls.append(1)) is None
         assert len(calls) == 1
-        assert registry.counter("experiments.cache_hits").value == 1
+        assert cache.hits == 1
 
 
 class TestTraceSessions:

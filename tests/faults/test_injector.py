@@ -15,14 +15,14 @@ from repro.faults import (
 )
 from repro.hpc.event import Simulator
 from repro.hpc.network import Network
-from repro.observability import MetricsRegistry, Observer, Tracer
+from repro.observability import Observer, Tracer
 from repro.observability.events import FAULT_CLEARED, FAULT_INJECTED
 from repro.staging.area import StagingArea
 
 
-def wired(plan, tracer=None, metrics=None, total_cores=4):
+def wired(plan, tracer=None, total_cores=4):
     """A fully wired injector over a tiny simulator/network/staging trio."""
-    observer = Observer(tracer=tracer, metrics=metrics)
+    observer = Observer(tracer=tracer)
     injector = FaultInjector(plan, observer=observer)
     sim = Simulator(faults=injector)
     net = Network(sim)
@@ -84,12 +84,11 @@ class TestWiring:
 class TestCoreFaults:
     def test_core_loss_and_restore_fire_at_planned_times(self):
         tracer = Tracer()
-        metrics = MetricsRegistry()
         plan = FaultPlan([
             CoreLoss(at=5.0, cores=2),
             CoreRestore(at=9.0, cores=2),
         ])
-        injector, sim, _net, area = wired(plan, tracer=tracer, metrics=metrics)
+        injector, sim, _net, area = wired(plan, tracer=tracer)
         injector.arm()
         observed = []
 
@@ -102,7 +101,6 @@ class TestCoreFaults:
         sim.run()
         assert observed == [(4.0, 4), (6.0, 2), (10.0, 4)]
         assert injector.injected == 2
-        assert metrics.counter("faults.injected").value == 2.0
         kinds = [e.fields["fault"] for e in tracer.events(kind=FAULT_INJECTED)]
         assert kinds == ["staging.core_loss", "staging.core_restore"]
 

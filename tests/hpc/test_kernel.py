@@ -219,14 +219,6 @@ class TestKernelCounters:
         c = KernelCounters()
         assert c.total_scheduled == 0
         assert c.total_processed == 0
-        assert c.as_dict()["named"] == {}
-
-    def test_named_counters_accumulate(self):
-        c = KernelCounters()
-        c.inc("ranks", 64)
-        c.inc("ranks", 36)
-        c.inc("checkpoints")
-        assert c.named == {"ranks": 100, "checkpoints": 1}
 
     def test_kernel_tallies_by_kind(self):
         sim, kernel, seen = _recording_sim()
@@ -380,7 +372,7 @@ class TestSimulatorTieBreakRegression:
 
 def _tallies(scheduled: dict[str, int]) -> dict:
     """``as_dict()`` of a drained kernel: every scheduled event processed."""
-    return {"scheduled": scheduled, "processed": dict(scheduled), "named": {}}
+    return {"scheduled": scheduled, "processed": dict(scheduled)}
 
 
 class TestPinnedEventCounts:

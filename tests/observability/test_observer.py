@@ -1,9 +1,11 @@
 """The observer's null objects: drop-in for the real hooks, and the only
-place left that knows a hook may be absent; and :func:`instrument`, the
-only way spans reach the layers."""
+place left that knows a hook may be absent; :func:`instrument`, the only
+way spans reach the layers; and :func:`publish`, the only way metrics
+reach a registry."""
 
 import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,6 @@ import pytest
 from repro.hpc.systems import titan
 from repro.observability import (
     NULL_OBSERVER,
-    Counter,
     EmaTimer,
     Gauge,
     MetricsRegistry,
@@ -21,11 +22,10 @@ from repro.observability import (
     Tracer,
 )
 from repro.observability.observer import (
-    _NULL_INSTRUMENT,
     NULL_LEDGER,
-    NULL_METRICS,
     NULL_TRACER,
     instrument,
+    publish,
     section,
 )
 from repro.workflow import Mode, WorkflowConfig, run_workflow
@@ -37,12 +37,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 _PAIRS = [
     (NULL_TRACER, "bind_clock", Tracer),
     (NULL_TRACER, "emit", Tracer),
-    (NULL_METRICS, "counter", MetricsRegistry),
-    (NULL_METRICS, "gauge", MetricsRegistry),
-    (NULL_METRICS, "timer", MetricsRegistry),
-    (_NULL_INSTRUMENT, "inc", Counter),
-    (_NULL_INSTRUMENT, "set", Gauge),
-    (_NULL_INSTRUMENT, "observe", EmaTimer),
     (NULL_LEDGER, "bind_clock", PredictionLedger),
     (NULL_LEDGER, "predict", PredictionLedger),
     (NULL_LEDGER, "resolve", PredictionLedger),
@@ -97,8 +91,10 @@ class TestObserver:
         observer = Observer()
         assert observer == NULL_OBSERVER
         assert observer.tracer is NULL_TRACER
-        assert observer.metrics is NULL_METRICS
         assert observer.ledger is NULL_LEDGER
+
+    def test_holds_only_the_tracer_and_the_ledger(self):
+        assert [f.name for f in fields(Observer)] == ["tracer", "ledger"]
 
     def test_real_hooks_pass_through_even_when_empty(self):
         # An empty Tracer/PredictionLedger is falsy (they define __len__);
@@ -193,14 +189,44 @@ class TestInstrument:
         assert profiler.dump()["block"]["count"] == 1
 
 
+class TestPublish:
+    def test_without_a_registry_the_tallies_are_not_read(self):
+        def tallies():
+            raise AssertionError("read without a registry")
+
+        publish(None, tallies)
+
+    def test_each_tally_fills_its_instrument(self):
+        timer = EmaTimer()
+        for seconds in (0.1, 0.7, 0.2):
+            timer.observe(seconds)
+        registry = MetricsRegistry()
+        publish(registry, lambda: {
+            "steps": 3, "bytes": 2.5, "idle": 0, "none": 0.0,
+            "cores": Gauge(0), "lat": timer, "empty": EmaTimer(),
+        })
+        assert registry.names() == ["bytes", "cores", "lat", "steps"]
+        assert registry.counter("steps").value == 3.0
+        assert registry.counter("bytes").value == 2.5
+        assert registry.gauge("cores").value == 0.0
+        # An empty registry timer takes the tally bit for bit.
+        assert registry.dump()["lat"] == {
+            "kind": "timer", "value": timer.value, "count": 3,
+            "total": timer.total, "alpha": 0.3}
+
+    def test_a_shared_registry_sums_counters(self):
+        registry = MetricsRegistry()
+        publish(registry, lambda: {"steps": 3})
+        publish(registry, lambda: {"steps": 4})
+        assert registry.counter("steps").value == 7.0
+
+
 class TestNoStrayInstruments:
     def test_null_observed_run_keeps_no_state(self):
         _run(tracer=Tracer())
-        for null in (NULL_TRACER, NULL_METRICS, NULL_LEDGER,
-                     _NULL_INSTRUMENT):
+        for null in (NULL_TRACER, NULL_LEDGER):
             assert not hasattr(null, "__dict__")
             assert type(null).__slots__ == ()
-        assert NULL_METRICS.counter("a") is NULL_METRICS.timer("b")
 
     def test_only_written_instruments_are_registered(self):
         # Instruments are created lazily by name: a pre-created one would
@@ -208,11 +234,11 @@ class TestNoStrayInstruments:
         metrics = MetricsRegistry()
         _run(metrics=metrics)
         assert metrics.names()
-        for name, instrument in metrics.instruments().items():
-            if isinstance(instrument, Counter):
-                assert instrument.value > 0, name
-            elif isinstance(instrument, EmaTimer):
-                assert instrument.count > 0, name
+        for name, snap in metrics.dump().items():
+            if snap["kind"] == "counter":
+                assert snap["value"] > 0, name
+            elif snap["kind"] == "timer":
+                assert snap["count"] > 0, name
         assert "faults.injected" not in metrics.names()
         assert "placement.fallbacks" not in metrics.names()
 
@@ -232,6 +258,9 @@ _SPAN_GUARD = re.compile(r"\b_?[a-z_]*span is (not )?None")
 #: from :func:`instrument`, and the CLI's sections from :func:`section`.
 _SPAN_CALL_ALLOWED = ("observability/", "experiments/parallel.py")
 _SPAN_CALL = re.compile(r"\.span\(")
+#: An instrument lookup.  Components count in plain attributes, and only
+#: :func:`publish` (and the registry's own merge) writes a registry.
+_METRIC_CALL = re.compile(r"\.(counter|gauge|timer)\(")
 
 
 class TestGuardLint:
@@ -255,4 +284,9 @@ class TestGuardLint:
     def test_spans_are_opened_only_at_the_edges(self):
         stray = [hit for hit in self._matches(_SPAN_CALL)
                  if not hit[0].startswith(_SPAN_CALL_ALLOWED)]
+        assert stray == []
+
+    def test_instruments_are_looked_up_only_in_observability(self):
+        stray = [hit for hit in self._matches(_METRIC_CALL)
+                 if not hit[0].startswith("observability/")]
         assert stray == []

@@ -84,8 +84,6 @@ class TestFixedInterval:
         assert decision.fire
         assert decision.policy == "fixed-interval"
         assert decision.budget_spent == 0
-        assert trig.evaluations == 2
-        assert trig.fires == 1
 
     def test_invalid_interval(self):
         with pytest.raises(PolicyError):
@@ -252,21 +250,18 @@ class TestRegistry:
 
 
 class TestMonitorTriggerSurface:
-    def make_monitor(self, tracer=None, metrics=None, **kwargs):
+    def make_monitor(self, tracer=None, **kwargs):
         return Monitor(core_rate=1e4, network_bandwidth=1e9,
-                       observer=Observer(tracer=tracer, metrics=metrics),
-                       **kwargs)
+                       observer=Observer(tracer=tracer), **kwargs)
 
     def test_evaluate_trigger_publishes_events_and_metrics(self):
-        metrics = MetricsRegistry()
         tracer = Tracer()
-        monitor = self.make_monitor(
-            trigger=EntropyPercentile(), metrics=metrics, tracer=tracer)
+        monitor = self.make_monitor(trigger=EntropyPercentile(), tracer=tracer)
         monitor.evaluate_trigger(indicators(step=1))  # bootstrap: fires
         monitor.trigger.note_adapted(1, None)
         monitor.evaluate_trigger(indicators(step=2))  # no drift: suppressed
-        assert metrics.counter("monitor.trigger_fires").value == 1
-        assert metrics.counter("monitor.sampling_budget_used").value == 2 * 64
+        assert monitor.trigger_fires == 1
+        assert monitor.sampling_budget_used == 2 * 64
         assert len(tracer.events(kind=TRIGGER_FIRED)) == 1
         assert len(tracer.events(kind=TRIGGER_SUPPRESSED)) == 1
 
@@ -366,8 +361,8 @@ class TestWorkflowIntegration:
         workflow.run()
         fired = tracer.events(kind=TRIGGER_FIRED)
         suppressed = tracer.events(kind=TRIGGER_SUPPRESSED)
-        assert len(fired) == workflow.trigger.fires > 0
-        assert len(fired) + len(suppressed) == workflow.trigger.evaluations == 8
+        assert len(fired) == workflow.monitor.trigger_fires > 0
+        assert len(fired) + len(suppressed) == 8
 
     def test_recalibration_cadence_runs_from_ledger(self):
         tracer = Tracer()
