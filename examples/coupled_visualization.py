@@ -1,17 +1,19 @@
 #!/usr/bin/env python
-"""A real coupled simulation + visualization workflow through DataSpaces.
+"""A real coupled simulation + visualization run, step by step.
 
-This example exercises the full substrate stack with *real* data, the way
-the paper's workflow couples Chombo to its visualization service:
+The paper's workflow couples Chombo to its visualization service.  This
+example does the same with *real* data:
 
-- a **simulation process** advances the 3-D Polytropic Gas solver (real
-  NumPy Godunov updates on an adaptive hierarchy) and publishes each
-  step's density field into the shared :class:`~repro.staging.DataSpace`
-  as a versioned object, announcing it on the message bus;
-- an **analysis process** subscribes, retrieves each version, extracts an
-  isosurface with marching tetrahedra and computes descriptive
-  statistics and block entropy -- reporting triangles, surface area and
+- the 3-D Polytropic Gas solver advances a blast on an adaptive hierarchy
+  (real NumPy Godunov updates);
+- after each step its density field goes straight to the analysis, which
+  extracts an isosurface with marching tetrahedra and computes block
+  entropy -- reporting triangles, surface area, peak density and the
   entropy range per step.
+
+The simulated workflow (staging, placement, adaptation) is what
+``examples/quickstart.py`` shows; here the analysis consumes the solver's
+actual output.
 
 Run:  python examples/coupled_visualization.py
 """
@@ -19,24 +21,13 @@ Run:  python examples/coupled_visualization.py
 import numpy as np
 
 from repro.amr import AMRHierarchy, AMRStepper, Box, PolytropicGasSolver
-from repro.analysis import (
-    block_entropies,
-    descriptive_statistics,
-    extract_isosurface,
-    surface_area,
-)
-from repro.hpc import Simulator
-from repro.staging import DataObject, DataSpace, MessageBus
+from repro.analysis import block_entropies, extract_isosurface, surface_area
 
 N = 32
 STEPS = 12
 
 
 def main() -> None:
-    sim = Simulator()
-    space = DataSpace(sim)
-    bus = MessageBus(sim)
-
     domain = Box((0, 0, 0), (N - 1, N - 1, N - 1))
     hierarchy = AMRHierarchy(
         domain, ncomp=5, nghost=2, max_levels=2, max_box_size=16,
@@ -45,47 +36,30 @@ def main() -> None:
     solver = PolytropicGasSolver(tag_threshold=0.06, blast_pressure_jump=25.0)
     stepper = AMRStepper(hierarchy, solver, regrid_interval=4)
 
-    def simulation(sim):
-        """Advance the gas solver; publish density each step."""
-        for version in range(STEPS):
-            stats = stepper.step()
-            # Cost model: each step occupies the (virtual) machine for a
-            # time proportional to its work.
-            yield sim.timeout(stats.work_units / 1e6)
-            density = hierarchy.levels[0].data.to_dense(hierarchy.level_domain(0))[0]
-            space.put(DataObject("density", version, domain, payload=density))
-            bus.publish("new-step", version)
-        bus.publish("new-step", None)  # end-of-run marker
+    print(f"{'step':>4s} {'cells':>7s} {'tris':>7s} {'area':>7s} "
+          f"{'rho max':>8s} {'H range (bits)':>15s}")
+    areas, totals = [], []
+    for step in range(STEPS):
+        stepper.step()
+        density = hierarchy.levels[0].data.to_dense(domain)[0]
+        iso = float(np.percentile(density, 85))
+        verts, tris = extract_isosurface(
+            density, iso, spacing=(1 / N, 1 / N, 1 / N)
+        )
+        entropies = block_entropies(density, (8, 8, 8), bins=64)
+        areas.append(surface_area(verts, tris))
+        totals.append(density.sum())
+        print(
+            f"{step:4d} {density.size:7d} {len(tris):7d} "
+            f"{areas[-1]:7.3f} {density.max():8.3f} "
+            f"{entropies.min():6.2f} - {entropies.max():5.2f}"
+        )
 
-    def analysis(sim):
-        """Consume versions as they appear; visualize and summarize."""
-        sub = bus.subscribe("new-step")
-        print(f"{'step':>4s} {'cells':>7s} {'tris':>7s} {'area':>7s} "
-              f"{'rho max':>8s} {'H range (bits)':>15s}")
-        while True:
-            version = yield sub.get()
-            if version is None:
-                return
-            objs = space.get("density", version)
-            density = objs[0].payload
-            iso = float(np.percentile(density, 85))
-            verts, tris = extract_isosurface(
-                density, iso, spacing=(1 / N, 1 / N, 1 / N)
-            )
-            stats = descriptive_statistics(density)
-            entropies = block_entropies(density, (8, 8, 8), bins=64)
-            print(
-                f"{version:4d} {density.size:7d} {len(tris):7d} "
-                f"{surface_area(verts, tris):7.3f} {stats.maximum:8.3f} "
-                f"{entropies.min():6.2f} - {entropies.max():5.2f}"
-            )
-            space.remove_version("density", version)
-
-    sim.process(simulation(sim), name="simulation")
-    done = sim.process(analysis(sim), name="analysis")
-    sim.run(done)
-    print(f"\nworkflow finished at simulated t={sim.now:.2f}s; "
-          f"space holds {space.bytes_stored:.0f} bytes (all consumed)")
+    grows = areas[-1] > areas[0]
+    conserved = max(totals) - min(totals) < 1e-6 * abs(totals[0])
+    verdict = "YES" if grows and conserved else "NO"
+    print(f"\nshock surface grows and total density is conserved over "
+          f"{STEPS} steps: {verdict}")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,11 @@ Dynamic Data Management in Large Scale Coupled Scientific Workflows"
   advection-diffusion and polytropic-gas (Euler/Godunov) solvers.
 - :mod:`repro.analysis` -- in-situ/in-transit analysis kernels: marching
   tetrahedra isosurface extraction, block entropy,
-  downsampling operators, descriptive statistics and fidelity metrics.
-- :mod:`repro.staging` -- a DataSpaces-like staging substrate: versioned
-  bounding-box object store, asynchronous transport, resizable staging
-  server pool and pub/sub messaging.
+  downsampling operators, compression and fidelity metrics.
+- :mod:`repro.staging` -- the in-transit staging area standing in for
+  the paper's staging service: a resizable pool of staging cores that
+  ingests data over the simulated network under a memory limit, with
+  bounded retry on faults.
 - :mod:`repro.workload` -- workload traces captured from real AMR runs,
   trace scaling and a synthetic AMR workload generator.
 - :mod:`repro.core` -- the paper's contribution: the autonomic Monitor /

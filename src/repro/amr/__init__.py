@@ -5,11 +5,13 @@ box geometry (:mod:`repro.amr.box`), distributed box layouts
 (:mod:`repro.amr.layout`), level data containers with ghost exchange
 (:mod:`repro.amr.level`), cell tagging (:mod:`repro.amr.tagging`),
 Berger-Rigoutsos-style grid generation (:mod:`repro.amr.clustering`), the
-multi-level hierarchy with regridding (:mod:`repro.amr.hierarchy`) and two
+multi-level hierarchy with regridding (:mod:`repro.amr.hierarchy`), two
 real applications matching the paper's workloads: an adaptive
 advection-diffusion solver (:mod:`repro.amr.advection`) and a
 polytropic-gas Euler solver using an unsplit Godunov scheme
-(:mod:`repro.amr.godunov`).
+(:mod:`repro.amr.godunov`), and the stepper that drives them
+(:mod:`repro.amr.stepper`): every level advances with one global time
+step, and average-down keeps coarse and fine data consistent.
 
 All data lives in NumPy arrays; solvers are fully vectorized.  Dimensions
 2 and 3 are supported throughout.
@@ -24,9 +26,6 @@ from repro.amr.clustering import cluster_tags
 from repro.amr.advection import AdvectionDiffusionSolver
 from repro.amr.godunov import PolytropicGasSolver
 from repro.amr.stepper import AMRStepper, StepStats
-from repro.amr.subcycle import SubcycledStepper
-from repro.amr.fluxregister import FluxRegister
-from repro.amr.io import read_checkpoint, write_checkpoint
 
 __all__ = [
     "AMRHierarchy",
@@ -34,15 +33,11 @@ __all__ = [
     "AdvectionDiffusionSolver",
     "Box",
     "BoxLayout",
-    "FluxRegister",
     "LevelData",
     "LevelSpec",
     "PolytropicGasSolver",
     "StepStats",
-    "SubcycledStepper",
     "cluster_tags",
-    "read_checkpoint",
     "tag_gradient",
     "tag_undivided_difference",
-    "write_checkpoint",
 ]

@@ -103,14 +103,14 @@ class AdvectionDiffusionSolver:
             for level, spec in enumerate(hierarchy.levels)
         )
 
-    def compute_fluxes(self, arr: np.ndarray, dx: float) -> list[np.ndarray]:
-        """Face fluxes per axis: upwind advective plus central diffusive.
+    def advance(self, arr: np.ndarray, dx: float, dt: float) -> None:
+        """One conservative explicit update of the ghosted array (in place).
 
-        The returned array for axis ``d`` covers the ``n_d + 1`` interior
-        faces (other axes restricted to the interior) with shape
-        ``(ncomp, ..., n_d + 1, ...)``.  ``advance`` differences exactly
-        these fluxes, so the update is conservative and the flux register
-        can consume them for coarse-fine refluxing.
+        ``arr`` has shape ``(1, *padded)`` with ``nghost`` ghost cells per
+        side; only interior cells are updated.  The face fluxes per axis
+        (upwind advective plus central diffusive, over the ``n_d + 1``
+        interior faces) are all computed from the old state before any
+        is differenced, so the update is conservative.
         """
         g = self.nghost
         u = arr[0]
@@ -125,22 +125,6 @@ class AdvectionDiffusionSolver:
             advective = v * (left if v > 0 else right)
             diffusive = -self.nu * (right - left) / dx if self.nu > 0 else 0.0
             fluxes.append((advective + diffusive)[None, ...])
-        return fluxes
-
-    def advance(self, arr: np.ndarray, dx: float, dt: float) -> None:
-        """One conservative explicit update of the ghosted array (in place).
-
-        ``arr`` has shape ``(1, *padded)`` with ``nghost`` ghost cells per
-        side; only interior cells are updated.
-        """
-        self.advance_with_fluxes(arr, dx, dt, self.compute_fluxes(arr, dx))
-
-    def advance_with_fluxes(
-        self, arr: np.ndarray, dx: float, dt: float, fluxes: list[np.ndarray]
-    ) -> None:
-        """Apply the flux divergence of precomputed ``fluxes``."""
-        g = self.nghost
-        ndim = arr.ndim - 1
         interior = (slice(None), *self._interior(ndim, g))
         for axis, F in enumerate(fluxes):
             hi = [slice(None)] * F.ndim

@@ -106,10 +106,6 @@ class Box:
             tuple(min(a, b) for a, b in zip(self.hi, other.hi)),
         )
 
-    def intersects(self, other: "Box") -> bool:
-        """True when the boxes overlap in at least one cell."""
-        return not self.intersect(other).is_empty()
-
     def refine(self, ratio: int) -> "Box":
         """Index-space refinement: each cell becomes ``ratio**ndim`` cells."""
         if ratio < 1:

@@ -287,19 +287,23 @@ class PolytropicGasSolver:
             raise GeometryError("no finite CFL limit; state may be uninitialized")
         return float(dt)
 
-    def compute_fluxes(self, arr: np.ndarray, dx: float) -> list[np.ndarray]:
-        """HLL face fluxes per axis over the ``n_d + 1`` interior faces.
-
-        ``dx`` is unused (the Riemann flux is resolution-independent) but
-        kept for the shared flux-provider signature.
-        """
-        del dx
-        return [self._hll_flux(*self._face_states(arr, axis), axis)
-                for axis in range(arr.ndim - 1)]
-
     def advance(self, arr: np.ndarray, dx: float, dt: float) -> None:
-        """One unsplit conservative update of a ghosted box array (in place)."""
-        self.advance_with_fluxes(arr, dx, dt, self.compute_fluxes(arr, dx))
+        """One unsplit conservative update of a ghosted box array (in place):
+        the divergence of the HLL face fluxes per axis over the ``n_d + 1``
+        interior faces, all computed from the old state, then physical
+        floors."""
+        ndim = arr.ndim - 1
+        fluxes = [self._hll_flux(*self._face_states(arr, axis), axis)
+                  for axis in range(ndim)]
+        interior_idx = (slice(None), *self._interior(ndim, self.nghost))
+        flux_div = np.zeros_like(arr[interior_idx])
+        for axis, F in enumerate(fluxes):
+            # F has one more entry along `axis` than the interior; difference it.
+            hi = self._axis_slice(ndim, axis, slice(1, None))
+            lo = self._axis_slice(ndim, axis, slice(None, -1))
+            flux_div += (F[hi] - F[lo]) / dx
+        arr[interior_idx] -= dt * flux_div
+        self._apply_floors(arr[interior_idx])
 
     def advance_boxes(self, level: LevelData, dx: float, dt: float) -> None:
         """Advance a whole :class:`~repro.amr.level.LevelData` in place, one
@@ -323,25 +327,6 @@ class PolytropicGasSolver:
             U -= dt * flux_div
             self._apply_floors(U)
             buffer[:, chunk.valid] = U
-
-    def advance_with_fluxes(
-        self,
-        arr: np.ndarray,
-        dx: float,
-        dt: float,
-        fluxes: list[np.ndarray],
-    ) -> None:
-        """Apply the divergence of precomputed fluxes, then physical floors."""
-        ndim = arr.ndim - 1
-        interior_idx = (slice(None), *self._interior(ndim, self.nghost))
-        flux_div = np.zeros_like(arr[interior_idx])
-        for axis, F in enumerate(fluxes):
-            # F has one more entry along `axis` than the interior; difference it.
-            hi = self._axis_slice(ndim, axis, slice(1, None))
-            lo = self._axis_slice(ndim, axis, slice(None, -1))
-            flux_div += (F[hi] - F[lo]) / dx
-        arr[interior_idx] -= dt * flux_div
-        self._apply_floors(arr[interior_idx])
 
     def _apply_floors(self, U: np.ndarray) -> None:
         """Floors guard against negative density/pressure from strong shocks."""

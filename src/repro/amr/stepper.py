@@ -7,9 +7,9 @@ cycle -- ghost fill, per-box advance, average-down, periodic regrid -- and
 records per-step :class:`StepStats` consumed by the workload-capture layer.
 
 Simplification vs Chombo (documented in DESIGN.md): all levels advance
-with the same time step (no subcycling) and no flux-register refluxing is
-applied at coarse-fine boundaries; :meth:`AMRHierarchy.average_down`
-re-imposes coarse-fine consistency each step.
+with the same global time step, and :meth:`AMRHierarchy.average_down`
+re-imposes coarse-fine consistency each step in place of flux
+correction at coarse-fine boundaries.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.amr.fluxregister import assemble_dense_fluxes
 from repro.amr.hierarchy import AMRHierarchy
 from repro.errors import HierarchyError
 
@@ -90,21 +89,12 @@ class AMRStepper:
         app: AMRApplication,
         regrid_interval: int = 4,
         initialize: bool = True,
-        reflux: bool = False,
     ):
         if regrid_interval < 0:
             raise HierarchyError(f"regrid_interval must be >= 0, got {regrid_interval}")
-        if reflux and not hasattr(app, "compute_fluxes"):
-            raise HierarchyError(
-                f"{type(app).__name__} does not expose compute_fluxes; "
-                "refluxing needs a flux-form solver"
-            )
         self.hierarchy = hierarchy
         self.app = app
         self.regrid_interval = int(regrid_interval)
-        self.reflux = bool(reflux)
-        self._registers: dict[tuple[int, int], object] = {}
-        self.last_reflux_delta = 0.0
         self.step_count = 0
         self.time = 0.0
         self.history: list[StepStats] = []
@@ -130,30 +120,17 @@ class AMRStepper:
         for level in range(len(h.levels)):
             halo += h.fill_ghosts(level)
         work = 0.0
-        dense_fluxes: dict[int, list[np.ndarray]] = {}
         for level, spec in enumerate(h.levels):
             dx = h.dx(level)
-            if self.reflux:
-                box_fluxes = []
-                for arr in spec.data.data:
-                    fluxes = self.app.compute_fluxes(arr, dx)  # type: ignore[attr-defined]
-                    self.app.advance_with_fluxes(arr, dx, dt, fluxes)  # type: ignore[attr-defined]
-                    box_fluxes.append(fluxes)
-                dense_fluxes[level] = assemble_dense_fluxes(
-                    spec.data, box_fluxes, h.level_domain(level)
-                )
+            # Solvers that support it advance the whole level in place
+            # (bit-identical) instead of box by box.
+            advance_boxes = getattr(self.app, "advance_boxes", None)
+            if advance_boxes is not None:
+                advance_boxes(spec.data, dx, dt)
             else:
-                # Solvers that support it advance the whole level in place
-                # (bit-identical) instead of box by box.
-                advance_boxes = getattr(self.app, "advance_boxes", None)
-                if advance_boxes is not None:
-                    advance_boxes(spec.data, dx, dt)
-                else:
-                    for arr in spec.data.data:
-                        self.app.advance(arr, dx, dt)
+                for arr in spec.data.data:
+                    self.app.advance(arr, dx, dt)
             work += spec.layout.total_cells * self.app.work_per_cell()
-        if self.reflux:
-            self.last_reflux_delta = self._apply_reflux(dense_fluxes, dt)
         h.average_down()
         self.step_count += 1
         self.time += dt
@@ -171,38 +148,6 @@ class AMRStepper:
         return [self.step() for _ in range(nsteps)]
 
     # -- internals ----------------------------------------------------------
-
-    def _apply_reflux(self, dense_fluxes: dict[int, list[np.ndarray]], dt: float
-                      ) -> float:
-        """Correct each coarse level against its finer level's fluxes."""
-        from repro.amr.fluxregister import FluxRegister
-
-        h = self.hierarchy
-        max_delta = 0.0
-        for level in range(h.finest_level):
-            fine_layout = h.levels[level + 1].layout
-            key = (level, id(fine_layout))
-            register = self._registers.get(key)
-            if register is None:
-                self._registers = {
-                    k: v for k, v in self._registers.items() if k[0] != level
-                }
-                register = FluxRegister(
-                    h.level_domain(level),
-                    [b.coarsen(h.ref_ratio) for b in fine_layout],
-                    ncomp=h.ncomp,
-                    ref_ratio=h.ref_ratio,
-                    periodic=h.periodic,
-                )
-                self._registers[key] = register
-            register.reset()
-            for axis in range(h.domain.ndim):
-                register.add_coarse(axis, dense_fluxes[level][axis], dt)
-                register.add_fine(axis, dense_fluxes[level + 1][axis], dt)
-            max_delta = max(
-                max_delta, register.apply(h.levels[level].data, h.dx(level))
-            )
-        return max_delta
 
     def _do_regrid(self) -> bool:
         h = self.hierarchy

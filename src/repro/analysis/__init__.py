@@ -7,8 +7,8 @@
 - :mod:`repro.analysis.isosurface` -- 3-D isosurface extraction by
   marching tetrahedra (the table-free variant of marching cubes; see
   DESIGN.md for the substitution note) with watertight vertex welding.
-- :mod:`repro.analysis.statistics` -- descriptive-statistics kernel
-  (the paper's "other scalable analysis" example).
+- :mod:`repro.analysis.compression` -- error-bounded compression, the
+  application layer's second reduction type.
 - :mod:`repro.analysis.fidelity` -- quantitative fidelity metrics
   replacing the paper's rendered-image comparison (Fig. 6).
 """
@@ -33,20 +33,15 @@ from repro.analysis.entropy import (
     shannon_entropy,
 )
 from repro.analysis.isosurface import extract_isosurface, surface_area, surface_stats
-from repro.analysis.statistics import descriptive_statistics
 from repro.analysis.fidelity import reconstruction_error, isosurface_fidelity
-from repro.analysis.subset import BlockRangeIndex, query_range
 
 __all__ = [
-    "BlockRangeIndex",
     "CompressedField",
     "block_entropies",
-    "query_range",
     "compress_field",
     "compression_ratio",
     "decompress_field",
     "select_tolerance",
-    "descriptive_statistics",
     "downsample_mean",
     "downsample_memory_cost",
     "downsample_stride",

@@ -11,7 +11,6 @@ Monitor.
 from __future__ import annotations
 
 from repro.errors import PolicyError
-from repro.observability.metrics import Counter
 
 __all__ = ["RateEstimator", "TransferEstimator"]
 
@@ -73,7 +72,7 @@ class TransferEstimator:
         self.alpha = float(alpha)
         self.observations = 0
         #: Latency-saturated observations dropped without updating the EMA.
-        self.discards = Counter()
+        self.discards = 0
 
     def observe(self, nbytes: float, seconds: float) -> bool:
         """Fold in one completed transfer; False when it was discarded."""
@@ -83,7 +82,7 @@ class TransferEstimator:
             return False
         effective = seconds - self.latency
         if effective <= 0:
-            self.discards.inc()
+            self.discards += 1
             return False
         measured = nbytes / effective
         self.bandwidth = (1 - self.alpha) * self.bandwidth + self.alpha * measured

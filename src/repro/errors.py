@@ -27,7 +27,7 @@ class HierarchyError(ReproError):
 
 
 class StagingError(ReproError):
-    """Raised by the DataSpaces-like staging substrate."""
+    """Raised by the staging area and its retry policy."""
 
 
 class PolicyError(ReproError):

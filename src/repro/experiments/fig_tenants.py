@@ -1,8 +1,8 @@
 """Multi-tenant contention sweep: admission policies on a shared machine.
 
 Not a figure of the paper -- the service-layer extension (ISSUE 10):
-the paper runs one coupled workflow per machine, while the DataSpaces
-deployments it builds on serve several applications from one staging
+the paper runs one coupled workflow per machine, while the staging
+services it builds on serve several applications from one staging
 pool.  This sweep quantifies what that sharing costs.  Each point admits
 ``tenants`` workflows (alternating wide/narrow staging footprints, two
 users) onto ONE shared :class:`~repro.service.WorkflowService` machine

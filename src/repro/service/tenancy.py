@@ -1,7 +1,7 @@
 """The multi-tenant workflow service: N coupled workflows, one machine.
 
 The paper runs one coupled workflow per machine; production staging
-systems (the DataSpaces deployments the paper builds on) serve *several*
+systems (the deployments the paper builds on) serve *several*
 applications from one staging pool.  :class:`WorkflowService` closes
 that gap: tenants -- complete :class:`~repro.workflow.driver.
 CoupledWorkflow` configurations with an arrival time -- are admitted

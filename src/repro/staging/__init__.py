@@ -1,34 +1,23 @@
-"""DataSpaces-like staging substrate.
+"""The in-transit staging area, standing in for the paper's staging service.
 
-The paper implements its adaptive runtime on top of DataSpaces, a
-distributed interaction/coordination service offering versioned,
-geometry-indexed shared objects with asynchronous put/get.  This package
-provides the equivalent over the simulated machine:
+The paper implements its adaptive runtime on top of an RDMA staging
+service whose dynamic staging servers run the in-transit analysis.  The
+adaptations act on one thing there: a resizable pool of staging cores
+that ingests data under a memory limit (Eqs. 9-10, 12).  This package
+models exactly that over the simulated machine:
 
-- :mod:`repro.staging.objects` -- versioned, box-addressed data objects;
-- :mod:`repro.staging.index` -- the (name, version, box) query index;
-- :mod:`repro.staging.space` -- the shared-space server with memory
-  accounting (put/get/query semantics);
-- :mod:`repro.staging.area` -- the in-transit staging area: a resizable
-  pool of staging cores executing analysis jobs, with ingest transfers
-  over the simulated network and utilization accounting (Eq. 12);
-- :mod:`repro.staging.messaging` -- topic pub/sub, mirroring the
-  messaging layer of the authors' earlier work, plus the bounded
-  retry-with-backoff recovery policy used by faulted ingests.
+- :mod:`repro.staging.area` -- the staging area: a resizable pool of
+  staging cores executing analysis jobs, with ingest transfers over the
+  simulated network and utilization accounting (Eq. 12);
+- :mod:`repro.staging.messaging` -- the bounded retry-with-backoff
+  recovery policy used by faulted ingests.
 """
 
-from repro.staging.objects import DataObject
-from repro.staging.index import BoxIndex
-from repro.staging.space import DataSpace
 from repro.staging.area import AnalysisJob, StagingArea
-from repro.staging.messaging import MessageBus, RetryPolicy, retry_with_backoff
+from repro.staging.messaging import RetryPolicy, retry_with_backoff
 
 __all__ = [
     "AnalysisJob",
-    "BoxIndex",
-    "DataObject",
-    "DataSpace",
-    "MessageBus",
     "RetryPolicy",
     "StagingArea",
     "retry_with_backoff",

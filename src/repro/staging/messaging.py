@@ -1,22 +1,19 @@
-"""Topic-based publish/subscribe over the shared space.
+"""Bounded retry with exponential backoff for staging operations.
 
-Mirrors the messaging layer the authors built on DataSpaces ("a scalable
-messaging system for accelerating discovery from large scale scientific
-simulations"): subscribers register interest in a topic and receive every
-message published after their subscription, in order, as waitable events.
+A faulted ingest (a failed or corrupted transfer into the staging area)
+is retried under a :class:`RetryPolicy` by :func:`retry_with_backoff`,
+which runs the attempts as one simulated process.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import StagingError
 from repro.hpc.event import Event, Process, Simulator
-from repro.hpc.resources import Store
 
-__all__ = ["MessageBus", "RetryPolicy", "Subscription", "retry_with_backoff"]
+__all__ = ["RetryPolicy", "retry_with_backoff"]
 
 
 @dataclass(frozen=True)
@@ -115,38 +112,3 @@ def retry_with_backoff(
         ) from last_error
 
     return sim.process(_runner(), name=f"retry({describe})")
-
-
-@dataclass(eq=False)
-class Subscription:
-    """One subscriber's ordered message queue."""
-
-    topic: str
-    _queue: Store
-
-    def get(self):
-        """Waitable event firing with the next message on this topic."""
-        return self._queue.get()
-
-
-class MessageBus:
-    """Fan-out pub/sub: each message is delivered to every subscriber."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._subs: dict[str, list[Subscription]] = defaultdict(list)
-
-    def subscribe(self, topic: str) -> Subscription:
-        """Register a new subscriber on ``topic``."""
-        if not topic:
-            raise StagingError("topic must be non-empty")
-        sub = Subscription(topic, Store(self.sim, name=f"sub({topic})"))
-        self._subs[topic].append(sub)
-        return sub
-
-    def publish(self, topic: str, message: Any) -> int:
-        """Deliver ``message`` to all current subscribers; returns fan-out."""
-        subs = self._subs.get(topic, [])
-        for sub in subs:
-            sub._queue.put(message)
-        return len(subs)

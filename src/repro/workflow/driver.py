@@ -367,7 +367,7 @@ class CoupledWorkflow:
             "monitor.insitu_observations": monitor.insitu_observations,
             "monitor.intransit_observations": monitor.intransit_observations,
             "monitor.transfer_observations": monitor.transfer_observations,
-            "monitor.transfer_discards": monitor.transfer.discards.value,
+            "monitor.transfer_discards": monitor.transfer.discards,
             "monitor.trigger_fires": monitor.trigger_fires,
             "monitor.sampling_budget_used": monitor.sampling_budget_used,
             "engine.decisions": 0 if engine is None else len(engine.decisions),

@@ -77,7 +77,6 @@ class TestOperations:
         a = Box((0, 0), (2, 2))
         b = Box((5, 5), (7, 7))
         assert a.intersect(b).is_empty()
-        assert not a.intersects(b)
 
     def test_refine_coarsen_shapes(self):
         b = Box((1, 2), (3, 4))
@@ -157,7 +156,7 @@ class TestSplitting:
         pieces = b.chop(8)
         for i in range(len(pieces)):
             for j in range(i + 1, len(pieces)):
-                assert not pieces[i].intersects(pieces[j])
+                assert pieces[i].intersect(pieces[j]).is_empty()
 
 
 class TestProperties:

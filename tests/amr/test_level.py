@@ -247,8 +247,8 @@ class TestBufferCoherence:
         domain = Box((0, 0), (13, 7))
         ld = LevelData(self.mixed_layout(), ncomp=2, nghost=1)
         ld.exchange(periodic_domain=domain)
-        # A checkpoint restore writes whole ghosted arrays in place; a
-        # time interpolation rewrites them from an expression.
+        # Whole ghosted arrays written in place, or rewritten from an
+        # expression, are what the next exchange reads.
         ld.data[0][...] = np.full(ld.data[0].shape, 3.0)
         for arr in ld.data[1:]:
             arr[...] = 0.5 * arr + 0.25

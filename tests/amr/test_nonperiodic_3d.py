@@ -86,26 +86,6 @@ class TestAdvection3D:
         peak_x = xs[np.argmax(dense.max(axis=(1, 2)))]
         assert peak_x > 0.3 + 0.5 * stepper.time  # moved right
 
-    def test_3d_refined_conservation_with_reflux(self):
-        n = 16
-        h = AMRHierarchy(Box((0, 0, 0), (n - 1,) * 3), ncomp=1, nghost=2,
-                         max_levels=2, max_box_size=8, dx0=1.0 / n,
-                         periodic=True)
-        mask = np.zeros((n,) * 3, dtype=bool)
-        mask[3:9, 3:9, 3:9] = True
-        h.regrid({0: mask})
-        solver = AdvectionDiffusionSolver((1.0, 0.5, 0.25), nu=0.0,
-                                          blob_center=(0.4, 0.4, 0.4),
-                                          blob_radius=0.15)
-        solver.initialize(h)
-        h.average_down()
-        stepper = AMRStepper(h, solver, regrid_interval=0, reflux=True,
-                             initialize=False)
-        before = h.levels[0].data.to_dense(h.level_domain(0)).sum()
-        stepper.run(6)
-        after = h.levels[0].data.to_dense(h.level_domain(0)).sum()
-        assert after == pytest.approx(before, rel=1e-11)
-
 
 class TestHierarchyErrors:
     def test_average_down_pair_bounds(self):

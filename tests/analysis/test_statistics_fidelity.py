@@ -1,39 +1,10 @@
-"""Tests for descriptive statistics and fidelity metrics."""
+"""Tests for the fidelity metrics."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.fidelity import isosurface_fidelity, reconstruction_error
-from repro.analysis.statistics import descriptive_statistics
 from repro.errors import PolicyError
-
-
-class TestDescriptiveStatistics:
-    def test_basic_moments(self):
-        stats = descriptive_statistics(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert stats.count == 4
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.variance == pytest.approx(1.25)
-        assert stats.minimum == 1.0 and stats.maximum == 4.0
-
-    def test_histogram_sums_to_count(self):
-        field = np.random.default_rng(0).normal(size=1000)
-        stats = descriptive_statistics(field, bins=32)
-        assert stats.histogram.sum() == 1000
-
-    def test_nan_excluded(self):
-        stats = descriptive_statistics(np.array([1.0, np.nan, 3.0]))
-        assert stats.count == 2
-        assert stats.mean == pytest.approx(2.0)
-
-    def test_empty_field(self):
-        stats = descriptive_statistics(np.array([np.nan]))
-        assert stats.count == 0
-        assert stats.std == 0.0
-
-    def test_bad_bins(self):
-        with pytest.raises(PolicyError):
-            descriptive_statistics(np.zeros(4), bins=0)
 
 
 class TestReconstructionError:

@@ -81,18 +81,18 @@ class TestTransferEstimator:
 
     def test_discards_are_counted(self):
         est = TransferEstimator(initial_bandwidth=100.0, latency=1.0)
-        assert est.discards.value == 0
+        assert est.discards == 0
         est.observe(nbytes=10.0, seconds=0.5)
         est.observe(nbytes=10.0, seconds=1.0)  # exactly at the floor
-        assert est.discards.value == 2
+        assert est.discards == 2
         assert est.observe(nbytes=10.0, seconds=2.0) is True
-        assert est.discards.value == 2
+        assert est.discards == 2
         assert est.observations == 1
 
     def test_empty_transfer_is_not_a_discard(self):
         est = TransferEstimator(initial_bandwidth=100.0, latency=1.0)
         assert est.observe(nbytes=0.0, seconds=0.5) is False
-        assert est.discards.value == 0
+        assert est.discards == 0
         assert est.observations == 0
 
     def test_validation(self):

@@ -1,10 +1,10 @@
-"""Tests for the pub/sub message bus and the retry/backoff runner."""
+"""Tests for the retry/backoff runner."""
 
 import pytest
 
 from repro.errors import StagingError
 from repro.hpc.event import Simulator
-from repro.staging.messaging import MessageBus, RetryPolicy, retry_with_backoff
+from repro.staging.messaging import RetryPolicy, retry_with_backoff
 
 
 @pytest.fixture()
@@ -69,60 +69,3 @@ class TestRetryErrorAttribution:
         assert isinstance(excinfo.value.__cause__, StagingError)
         assert "attempt 1 failed" in str(excinfo.value.__cause__)
 
-
-class TestMessageBus:
-    def test_publish_reaches_subscriber(self, sim):
-        bus = MessageBus(sim)
-        sub = bus.subscribe("memory")
-
-        def consumer(sim):
-            msg = yield sub.get()
-            return msg
-
-        def producer(sim):
-            yield sim.timeout(1.0)
-            bus.publish("memory", {"rank": 3, "mb": 250})
-
-        c = sim.process(consumer(sim))
-        sim.process(producer(sim))
-        sim.run()
-        assert c.value == {"rank": 3, "mb": 250}
-
-    def test_fanout_to_all_subscribers(self, sim):
-        bus = MessageBus(sim)
-        subs = [bus.subscribe("t") for _ in range(3)]
-        assert bus.publish("t", "hello") == 3
-        received = []
-
-        def consumer(sim, sub):
-            msg = yield sub.get()
-            received.append(msg)
-
-        for sub in subs:
-            sim.process(consumer(sim, sub))
-        sim.run()
-        assert received == ["hello"] * 3
-
-    def test_publish_without_subscribers(self, sim):
-        bus = MessageBus(sim)
-        assert bus.publish("nobody", 1) == 0
-
-    def test_messages_ordered(self, sim):
-        bus = MessageBus(sim)
-        sub = bus.subscribe("t")
-        received = []
-
-        def consumer(sim):
-            for _ in range(3):
-                msg = yield sub.get()
-                received.append(msg)
-
-        for i in range(3):
-            bus.publish("t", i)
-        sim.process(consumer(sim))
-        sim.run()
-        assert received == [0, 1, 2]
-
-    def test_empty_topic_rejected(self, sim):
-        with pytest.raises(StagingError):
-            MessageBus(sim).subscribe("")

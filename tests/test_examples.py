@@ -25,15 +25,6 @@ class TestExamples:
         assert "adaptive_middleware" in out
         assert "static_insitu" in out
 
-    def test_checkpoint_restart(self, capsys):
-        out = run_example("checkpoint_restart.py", capsys)
-        assert "bit-exact restart: YES" in out
-
-    def test_subset_query(self, capsys):
-        out = run_example("subset_query.py", capsys)
-        assert "shock front" in out
-        assert "in-situ index" in out
-
     def test_trigger_policies(self, capsys):
         out = run_example("trigger_policies.py", capsys)
         assert "entropy-percentile" in out
@@ -56,7 +47,9 @@ class TestExamples:
 
     def test_coupled_visualization(self, capsys):
         out = run_example("coupled_visualization.py", capsys)
-        assert "space holds 0 bytes (all consumed)" in out
+        assert "rho max" in out
+        assert ("shock surface grows and total density is conserved "
+                "over 12 steps: YES") in out
 
     def test_crosslayer_objectives(self, capsys):
         out = run_example("crosslayer_objectives.py", capsys)

@@ -1,109 +1,57 @@
-"""End-to-end integration: the real coupled simulation->staging->analysis pipeline.
+"""End-to-end integration: the real solver feeding the real analysis.
 
-Runs the actual NumPy Godunov solver inside the event simulation,
-publishing density fields through the DataSpaces-like shared space to a
-marching-tetrahedra consumer -- the full substrate stack with real data,
-asserting physical and coordination invariants.
+Runs the actual NumPy Godunov solver on an adaptive hierarchy and hands
+each step's density field to the marching-tetrahedra consumer, asserting
+physical invariants of what the analysis sees.
 """
 
 import numpy as np
 import pytest
 
 from repro.amr import AMRHierarchy, AMRStepper, Box, PolytropicGasSolver
-from repro.analysis import descriptive_statistics, extract_isosurface, surface_area
+from repro.analysis import extract_isosurface, surface_area
 from repro.analysis.isosurface import surface_stats
-from repro.hpc import Simulator
-from repro.staging import DataObject, DataSpace, MessageBus
 
 N = 24
 STEPS = 8
 
 
 @pytest.fixture(scope="module")
-def pipeline_run():
-    sim = Simulator()
-    space = DataSpace(sim)
-    bus = MessageBus(sim)
+def analyzed():
     domain = Box((0, 0, 0), (N - 1, N - 1, N - 1))
     hierarchy = AMRHierarchy(domain, ncomp=5, nghost=2, max_levels=2,
                              max_box_size=12, dx0=1.0 / N, periodic=True)
     solver = PolytropicGasSolver(tag_threshold=0.06, blast_pressure_jump=25.0)
     stepper = AMRStepper(hierarchy, solver, regrid_interval=4)
 
-    published = []
-    analyzed = []
-
-    def simulation(sim):
-        for version in range(STEPS):
-            stats = stepper.step()
-            yield sim.timeout(stats.work_units / 1e6)
-            density = hierarchy.levels[0].data.to_dense(
-                hierarchy.level_domain(0))[0]
-            space.put(DataObject("density", version, domain,
-                                 payload=density.copy()))
-            published.append((version, sim.now))
-            bus.publish("new-step", version)
-        bus.publish("new-step", None)
-
-    def analysis(sim):
-        sub = bus.subscribe("new-step")
-        while True:
-            version = yield sub.get()
-            if version is None:
-                return
-            objs = space.get("density", version)
-            density = objs[0].payload
-            iso = float(np.percentile(density, 85))
-            verts, tris = extract_isosurface(density, iso,
-                                             spacing=(1 / N,) * 3)
-            stats = descriptive_statistics(density)
-            analyzed.append({
-                "version": version,
-                "time": sim.now,
-                "n_tris": len(tris),
-                "area": surface_area(verts, tris),
-                "mesh": surface_stats(verts, tris),
-                "rho_total": stats.mean * stats.count,
-            })
-            space.remove_version("density", version)
-
-    sim.process(simulation(sim), name="simulation")
-    done = sim.process(analysis(sim), name="analysis")
-    sim.run(done)
-    return sim, space, published, analyzed
+    records = []
+    for _ in range(STEPS):
+        stepper.step()
+        density = hierarchy.levels[0].data.to_dense(
+            hierarchy.level_domain(0))[0]
+        iso = float(np.percentile(density, 85))
+        verts, tris = extract_isosurface(density, iso, spacing=(1 / N,) * 3)
+        records.append({
+            "n_tris": len(tris),
+            "area": surface_area(verts, tris),
+            "mesh": surface_stats(verts, tris),
+            "rho_total": density.sum(),
+        })
+    return records
 
 
 class TestCoupledPipeline:
-    def test_every_version_analyzed_in_order(self, pipeline_run):
-        _sim, _space, published, analyzed = pipeline_run
-        assert [a["version"] for a in analyzed] == list(range(STEPS))
-        assert len(published) == STEPS
-
-    def test_analysis_never_precedes_publication(self, pipeline_run):
-        _sim, _space, published, analyzed = pipeline_run
-        pub_times = dict(published)
-        for record in analyzed:
-            assert record["time"] >= pub_times[record["version"]]
-
-    def test_space_fully_drained(self, pipeline_run):
-        _sim, space, _published, _analyzed = pipeline_run
-        assert space.bytes_stored == 0.0
-        assert space.bytes_put_total > 0
-
-    def test_isosurfaces_are_watertight(self, pipeline_run):
-        _sim, _space, _published, analyzed = pipeline_run
+    def test_isosurfaces_are_watertight(self, analyzed):
         for record in analyzed:
             if record["n_tris"]:
                 assert record["mesh"].closed
 
-    def test_shock_surface_grows(self, pipeline_run):
-        _sim, _space, _published, analyzed = pipeline_run
+    def test_shock_surface_grows(self, analyzed):
         areas = [a["area"] for a in analyzed]
         assert areas[-1] > areas[0]
 
-    def test_mass_conserved_across_pipeline(self, pipeline_run):
+    def test_mass_conserved_across_pipeline(self, analyzed):
         # The analysis side sees the same (conserved) total density the
         # solver maintains on the periodic domain.
-        _sim, _space, _published, analyzed = pipeline_run
         totals = [a["rho_total"] for a in analyzed]
         assert max(totals) - min(totals) < 1e-6 * abs(totals[0])
