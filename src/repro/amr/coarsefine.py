@@ -103,3 +103,11 @@ def _limited_slope(coarse: np.ndarray, axis: int) -> np.ndarray:
     same_sign = (fwd * bwd) > 0
     mag = np.minimum(np.abs(central), 2 * np.minimum(np.abs(fwd), np.abs(bwd)))
     return np.where(same_sign, np.sign(central) * mag, 0.0)
+
+
+def _zero_unless(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.where(mask, values, 0.0)`` bit for bit, in place and cheaper:
+    clearing every bit of a float64 leaves +0.0."""
+    bits = values.view(np.int64)
+    np.bitwise_and(bits, -mask.astype(np.int64), out=bits)
+    return values

@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.amr.coarsefine import _zero_unless
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.level import LevelData
 from repro.amr.tagging import tag_undivided_difference
@@ -99,9 +100,17 @@ def _sweep_plan(level: LevelData) -> list[_Chunk]:
 def _build_sweep_plan(level: LevelData) -> list[_Chunk]:
     """Split the boxes, in buffer order, into chunks of at most
     ``_BATCH_CELLS`` pencil cells along any axis (a bigger box is a chunk
-    of its own), and lay out each chunk's plan."""
-    stencils = [(indices, _box_stencil(view.shape[2:], level.nghost))
-                for indices, view in level.groups]
+    of its own), and lay out each chunk's plan from the per-shape box
+    stencils cached in ``level.stencils``."""
+    stencils = []
+    for indices, view in level.groups:
+        key = ("sweep", view.shape[2:], level.nghost)
+        if key not in level.stencils:
+            # Kept for the hierarchy's life, so as int32 like the plans.
+            valid, axes = _box_stencil(*key[1:])
+            level.stencils[key] = (valid.astype(np.int32),
+                                   [tuple(a.astype(np.int32) for a in axis) for axis in axes])
+        stencils.append((indices, level.stencils[key]))
     chunks: list[list[tuple[int, int, int]]] = [[]]  # (stencil, first row, end row)
     cells = 0
     for s, (indices, (_, axes)) in enumerate(stencils):
@@ -330,10 +339,11 @@ class PolytropicGasSolver:
 
     def _apply_floors(self, U: np.ndarray) -> None:
         """Floors guard against negative density/pressure from strong shocks."""
-        U[0] = np.maximum(U[0], _RHO_FLOOR)
-        rho, vel, p = self.primitives(U)
+        rho = np.maximum(U[0], _RHO_FLOOR, out=U[0])
+        # Already floored: primitives' own floor would return rho unchanged.
+        vel = U[1:-1] / rho
         kinetic = 0.5 * rho * np.sum(vel * vel, axis=0)
-        U[-1] = np.maximum(U[-1], kinetic + _P_FLOOR / (self.gamma - 1.0))
+        np.maximum(U[-1], kinetic + _P_FLOOR / (self.gamma - 1.0), out=U[-1])
 
     def tag_cells(self, dense: np.ndarray, level: int, dx: float) -> np.ndarray:
         """Refine on relative undivided density differences (shock tracking)."""
@@ -393,13 +403,22 @@ class PolytropicGasSolver:
 
     def _pencil_states(self, X: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_face_states` on concatenated pencils ``X`` ``(ncomp, m)``:
-        the left/right states at ``faces`` (left cell positions, minus one)."""
+        the left/right states at ``faces`` (left cell positions, minus one),
+        with one difference array for both minmod arguments."""
         center = X[:, 1:-1]
         if self.order == 1:
             return np.take(center, faces, axis=1), np.take(center, faces + 1, axis=1)
-        slope = self._minmod(center - X[:, :-2], X[:, 2:] - center)
-        recon_l = center + 0.5 * slope  # right face of each cell
-        recon_r = center - 0.5 * slope  # left face of each cell
+        diff = X[:, 1:] - X[:, :-1]
+        size = np.abs(diff)
+        dl = diff[:, :-1]
+        # _minmod(dl, diff[:, 1:]): where both differences share a strict
+        # sign, the smaller magnitude carries that sign, so it is the one
+        # `_minmod` selects; 0 elsewhere, NaN included.
+        half = _zero_unless(np.copysign(np.minimum(size[:, :-1], size[:, 1:]), dl),
+                            dl * diff[:, 1:] > 0)
+        half *= 0.5
+        recon_l = center + half  # right face of each cell
+        recon_r = center - half  # left face of each cell
         return np.take(recon_l, faces, axis=1), np.take(recon_r, faces + 1, axis=1)
 
     @staticmethod
@@ -423,11 +442,12 @@ class PolytropicGasSolver:
         rho, vel, p = self.primitives(U) if prims is None else prims
         vd = vel[axis]
         F = np.empty_like(U)
-        F[0] = rho * vd
+        np.multiply(rho, vd, out=F[0])
         for k in range(vel.shape[0]):
-            F[1 + k] = rho * vel[k] * vd
+            # rho * vel[axis] is F[0]: the same product, not recomputed.
+            np.multiply(F[0] if k == axis else rho * vel[k], vd, out=F[1 + k])
         F[1 + axis] += p
-        F[-1] = (U[-1] + p) * vd
+        np.multiply(U[-1] + p, vd, out=F[-1])
         return F
 
     def _hll_flux(self, UL: np.ndarray, UR: np.ndarray, axis: int) -> np.ndarray:
@@ -441,7 +461,14 @@ class PolytropicGasSolver:
         FL = self._physical_flux(UL, axis, (rhoL, velL, pL))
         FR = self._physical_flux(UR, axis, (rhoR, velR, pR))
         denom = sR - sL
-        denom = np.where(np.abs(denom) < 1e-14, 1e-14, denom)
-        F_star = (sR * FL - sL * FR + (sL * sR) * (UR - UL)) / denom
-        F = np.where(sL >= 0, FL, np.where(sR <= 0, FR, F_star))
+        np.copyto(denom, 1e-14, where=np.abs(denom) < 1e-14)
+        # (sR*FL - sL*FR + (sL*sR)*(UR - UL)) / denom, accumulated in place.
+        F = sR * FL
+        F -= sL * FR
+        jump = UR - UL
+        F += np.multiply(sL * sR, jump, out=jump)
+        F /= denom
+        # Supersonic faces take the upwind flux; sL >= 0 wins over sR <= 0.
+        np.copyto(F, FR, where=sR <= 0)
+        np.copyto(F, FL, where=sL >= 0)
         return F

@@ -7,13 +7,15 @@ slice as a ``(ncomp, *padded)`` view.  Equal-shape boxes sit next to each
 other, so each shape group is one ``(ncomp, k, *padded)`` view
 (:attr:`LevelData.groups`) that index plans and restriction work on.
 
-Cell copies go through an *owner map*: for each cell of a region, the
-flat buffer index of the valid cell there, or -1 where no box covers it.
-:meth:`exchange` fills ghost cells from neighbouring boxes (including
-periodic images) with one gather/scatter; ghost cells on the physical
-boundary are handled by :meth:`fill_physical`, and ghosts hanging over a
-coarse-fine boundary -- the ghosts with no owner -- are interpolated by
-the hierarchy.
+Cell copies go through the level's *owner map*: for each cell of the
+layout's covering box, the flat buffer index of the valid cell there, or
+-1 where no box covers it.  Plans read it at per-shape cell offsets
+(:attr:`LevelData.stencils`), so a new layout costs one pass over its
+cells, not one per plan.  :meth:`exchange` fills ghost cells from
+neighbouring boxes (including periodic images) with one gather/scatter;
+ghost cells on the physical boundary are handled by
+:meth:`fill_physical`, and ghosts hanging over a coarse-fine boundary --
+the ghosts with no owner -- are interpolated by the hierarchy.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def _check_periodic_ghosts(domain: Box, nghost: int) -> None:
                 f"nghost {nghost} exceeds the periodic domain's extent {extent} "
                 f"on axis {axis}"
             )
+
+
+def _flat_strides(shape: tuple[int, ...]) -> list[int]:
+    """Row-major flat-index strides of a spatial ``shape``."""
+    strides = [1] * len(shape)
+    for d in range(len(shape) - 2, -1, -1):
+        strides[d] = strides[d + 1] * shape[d + 1]
+    return strides
 
 
 def _relative(region: Box, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +106,11 @@ class LevelData:
                 self.offsets[i] = start + slot * size
                 self.data[i] = view[:, slot]
             start = stop
-        self._owners: dict[Box, np.ndarray] = {}
+        #: Index stencils per padded box shape (:meth:`_stencil`, and the
+        #: solver's sweep stencils).  Shapes recur across regrids, so a
+        #: hierarchy shares one dict among all the levels it builds.
+        self.stencils: dict[tuple, object] = {}
+        self._owner: tuple[Box, np.ndarray] | None = None
 
     # -- geometry helpers --------------------------------------------------
 
@@ -123,58 +137,59 @@ class LevelData:
         """Total bytes across all box arrays (ghosts included)."""
         return self.buffer.nbytes
 
-    @property
-    def valid_cells(self) -> int:
-        """Total interior cells across the level."""
-        return self.layout.total_cells
-
-    def _cells(self, ghost: bool):
-        """Per shape group, the buffer columns ``(m,)`` and global
-        coordinates ``(ndim, m)`` of its ghost cells (``ghost``) or its
-        valid cells.  Yielding group by group bounds the temporaries."""
-        g = self.nghost
-        los = self.layout._corner_arrays()[0]
-        for indices, view in self.groups:
-            shape = view.shape[2:]
-            valid = np.zeros(shape, dtype=bool)
-            valid[tuple(slice(g, s - g) for s in shape)] = True
+    def _stencil(self, padded: tuple[int, ...], ghost: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Box-local buffer offsets ``(m,)`` of the ghost (``ghost``) or valid
+        cells of a ``padded`` box, and their coordinates ``(ndim, m)`` from
+        its low ghost corner; cached in :attr:`stencils` as int32, which
+        halves what the cache holds for the life of a hierarchy."""
+        key = ("cells", padded, self.nghost, ghost)
+        if key not in self.stencils:
+            valid = np.zeros(padded, dtype=bool)
+            valid[tuple(slice(self.nghost, s - self.nghost) for s in padded)] = True
             local = np.flatnonzero(valid != ghost)
-            at = np.array(np.unravel_index(local, shape))  # (ndim, m)
-            corner = (los[indices] - g).T  # (ndim, k)
-            yield (
-                (self.offsets[indices][:, None] + local).ravel(),
-                (corner[:, :, None] + at[:, None, :]).reshape(len(shape), -1),
-            )
+            self.stencils[key] = (local.astype(np.int32),
+                                  np.array(np.unravel_index(local, padded), dtype=np.int32))
+        return self.stencils[key]
 
-    def owner_map(self, region: Box) -> np.ndarray:
-        """Buffer column of the valid cell at each cell of ``region``, -1 where none.
+    def _cells(self, ghost: bool, region: Box | None = None):
+        """Per shape group, the buffer columns ``(m,)`` of its ghost cells
+        (``ghost``) or its valid cells, and their global coordinates
+        ``(ndim, m)``; given ``region``, which must hold them, their flat
+        positions in a C-order array over it instead.  Yielding group by
+        group bounds the temporaries."""
+        corners = self.layout._corner_arrays()[0] - self.nghost
+        if region is not None:
+            strides = np.array(_flat_strides(region.shape))
+            corners = (corners - region.lo) @ strides
+        for indices, view in self.groups:
+            local, at = self._stencil(view.shape[2:], ghost)
+            columns = (self.offsets[indices][:, None] + local).ravel()
+            if region is None:
+                yield columns, (corners[indices].T[:, :, None] + at[:, None, :]).reshape(len(at), -1)
+            else:
+                yield columns, (corners[indices][:, None] + strides @ at).ravel()
 
-        Cached per region; the cache lives and dies with this level.
-        """
-        owner = self._owners.get(region)
-        if owner is None:
+    def _owner_map(self) -> tuple[Box, np.ndarray]:
+        """``(region, owner)``: the layout's covering box, and for each of
+        its cells the buffer column of the valid cell there, -1 where none.
+        Built once per level."""
+        if self._owner is None:
+            region = self.layout.covering_box()
             owner = np.full(region.shape, -1, dtype=np.int64)
-            for columns, coords in self._cells(ghost=False):
-                rel, inside = _relative(region, coords)
-                owner[tuple(rel[:, inside])] = columns[inside]
-            self._owners[region] = owner
-        return owner
+            flat = owner.reshape(-1)
+            for columns, positions in self._cells(False, region):
+                flat[positions] = columns
+            self._owner = (region, owner)
+        return self._owner
 
-    def _owners_at(self, coords: np.ndarray, periodic_domain: Box | None = None) -> np.ndarray:
-        """Owner column of each cell of ``coords`` ``(ndim, m)``, -1 where no box covers it.
-
-        With ``periodic_domain`` a cell is read at its periodic image.
-        """
-        region = self.layout.covering_box() if periodic_domain is None else periodic_domain
-        shape = np.array(region.shape)[:, None]
-        rel = coords - np.array(region.lo)[:, None]
-        if periodic_domain is not None:
-            _check_periodic_ghosts(periodic_domain, self.nghost)
-            rel %= shape
-        owner = self.owner_map(region).ravel()[np.ravel_multi_index(rel, region.shape, mode="clip")]
-        if periodic_domain is None:
-            owner[~((rel >= 0) & (rel < shape)).all(axis=0)] = -1
-        return owner
+    def _owners_over(self, region: Box) -> np.ndarray:
+        """The owner map cut or extended to ``region``: -1 past the covering box."""
+        mapped, owner = self._owner_map()
+        out = np.full(region.shape, -1, dtype=np.int64)
+        inner = region.intersect(mapped)
+        if not inner.is_empty():
+            out[inner.slices(origin=region)] = owner[inner.slices(origin=mapped)]
+        return out
 
     # -- initialization ----------------------------------------------------
 
@@ -237,12 +252,25 @@ class LevelData:
         key = ("exchange", self.nghost, periodic_domain)
         plan = self.layout.plans.get(key)
         if plan is None:
+            g = self.nghost
+            if periodic_domain is None:
+                region = self.layout.covering_box().grow(g)
+                owner = self._owners_over(region)
+            else:
+                # The owner map over the domain, grown by a ring that holds
+                # the periodic images.
+                _check_periodic_ghosts(periodic_domain, g)
+                if not periodic_domain.contains_box(self.layout.covering_box()):
+                    raise GeometryError(f"layout leaves the periodic domain {periodic_domain}")
+                region = periodic_domain.grow(g)
+                owner = np.pad(self._owners_over(periodic_domain), g, mode="wrap")
+            owner = owner.reshape(-1)
             dst, src = [], []
-            for columns, coords in self._cells(ghost=True):
-                owner = self._owners_at(coords, periodic_domain)
-                owned = owner >= 0
+            for columns, positions in self._cells(True, region):
+                found = owner[positions]
+                owned = found >= 0
                 dst.append(columns[owned])
-                src.append(owner[owned])
+                src.append(found[owned])
             plan = (np.concatenate(dst), np.concatenate(src))
             self.layout.plans[key] = plan
         return plan
@@ -292,8 +320,10 @@ class LevelData:
             raise GeometryError("component count mismatch in copy_overlap_from")
         if self.layout.ndim != other.layout.ndim:
             raise GeometryError("dimension mismatch in copy_overlap_from")
-        for columns, coords in self._cells(ghost=False):
-            src = other._owners_at(coords)
+        region = self.layout.covering_box()
+        owner = other._owners_over(region).reshape(-1)
+        for columns, positions in self._cells(False, region):
+            src = owner[positions]
             kept = src >= 0
             self.buffer[:, columns[kept]] = other.buffer[:, src[kept]]
 
@@ -304,7 +334,7 @@ class LevelData:
         ``region`` defaults to the layout's covering box.
         """
         target = region if region is not None else self.layout.covering_box()
-        owner = self.owner_map(target)
+        owner = self._owners_over(target)
         out = np.empty((self.ncomp, *target.shape), dtype=self.dtype)
         for row, dense in zip(self.buffer, out.reshape(self.ncomp, -1)):
             np.take(row, owner.ravel(), out=dense)

@@ -89,6 +89,14 @@ def _tet_triangle_table() -> dict[int, list[tuple[tuple[int, int], ...]]]:
 
 _TRIANGLE_TABLE = _tet_triangle_table()
 
+# The table as arrays indexed by inside mask: triangle count, and per
+# (template, triangle corner) the local tet corners of the cut edge.
+_TRIANGLE_COUNT = np.array([len(_TRIANGLE_TABLE[mask]) for mask in range(16)])
+_TRIANGLE_EDGES = np.zeros((16, 2, 3, 2), dtype=np.int64)
+for _mask, _templates in _TRIANGLE_TABLE.items():
+    for _t, _tri in enumerate(_templates):
+        _TRIANGLE_EDGES[_mask, _t] = _tri
+
 
 @dataclass(frozen=True)
 class SurfaceStats:
@@ -123,79 +131,68 @@ def extract_isosurface(
     nx, ny, nz = field.shape
 
     flat = field.ravel()
-    # Candidate cubes: those whose corner values straddle the isovalue.
+    # Candidate cubes: those whose corner values straddle the isovalue,
+    # all of them finite (NaN and inf reach the corner max or min).
     base = (
         np.arange(nx - 1)[:, None, None] * (ny * nz)
         + np.arange(ny - 1)[None, :, None] * nz
         + np.arange(nz - 1)[None, None, :]
     ).ravel()
     corner_offsets = _CORNERS[:, 0] * (ny * nz) + _CORNERS[:, 1] * nz + _CORNERS[:, 2]
-    cube_vals = flat[base[:, None] + corner_offsets[None, :]]
-    finite = np.isfinite(cube_vals).all(axis=1)
-    crossing = (
-        (cube_vals > isovalue).any(axis=1) & (cube_vals <= isovalue).any(axis=1) & finite
-    )
-    base = base[crossing]
-    if base.size == 0:
+    cube_vals = flat[corner_offsets[:, None] + base[None, :]]  # (8, cubes)
+    high, low = cube_vals.max(axis=0), cube_vals.min(axis=0)
+    crossing = (high > isovalue) & (low <= isovalue) & np.isfinite(high) & np.isfinite(low)
+    if not crossing.any():
         return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
+    base = base[crossing]
 
-    # All tets of the crossing cubes: global vertex ids (T, 4).
-    tet_gids = base[:, None, None] + corner_offsets[_TETS][None, :, :]
-    tet_gids = tet_gids.reshape(-1, 4)
-    tet_vals = flat[tet_gids]
-    inside = tet_vals > isovalue
-    case = (inside * (1, 2, 4, 8)).sum(axis=1)
+    # Global vertex ids (4, T) and index-space positions (3, 4, T) of
+    # every tet of the crossing cubes, tet j of cube i at column 6 * i + j,
+    # then of only the tets the surface cuts.
+    gids = (corner_offsets[_TETS].T[:, None, :] + base[None, :, None]).reshape(4, -1)
+    cubes = np.array(np.unravel_index(np.flatnonzero(crossing), (nx - 1, ny - 1, nz - 1)))
+    at = _CORNERS[_TETS].transpose(2, 1, 0)[:, :, None, :] + cubes[:, None, :, None]
+    at = at.reshape(3, 4, -1)
+    inside = flat[gids] > isovalue
+    case = np.array([1, 2, 4, 8]) @ inside
+    cut = np.flatnonzero(_TRIANGLE_COUNT[case])
+    gids, at, inside, case = gids[:, cut], at[:, :, cut], inside[:, cut], case[cut]
 
-    spacing_arr = np.asarray(spacing, dtype=np.float64)
-    origin_arr = np.asarray(origin, dtype=np.float64)
+    # One triangle per (tet, template), ordered by case, then template,
+    # then tet: the order of a walk over the table.
+    count = _TRIANGLE_COUNT[case]
+    tet = np.repeat(np.arange(case.size), count)
+    template = np.arange(tet.size) - np.repeat(np.cumsum(count) - count, count)
+    order = np.argsort((2 * case[tet] + template).astype(np.int8), kind="stable")
+    tet, template = tet[order], template[order]
+    # Per (triangle, corner) the flat (local corner, tet) index of both
+    # ends of its cut edge.
+    ends = _TRIANGLE_EDGES[case[tet], template] * case.size + tet[:, None, None]
+    pairs = gids.ravel()[ends]  # (T, 3, 2) global-id edge pairs
 
-    def gid_to_xyz(gids: np.ndarray) -> np.ndarray:
-        x = gids // (ny * nz)
-        rem = gids % (ny * nz)
-        y = rem // nz
-        z = rem % nz
-        return np.stack([x, y, z], axis=-1).astype(np.float64)
+    # Reference direction (3, T): mean outside corner minus mean inside
+    # corner.  The corner sums are of small integers, so exact in any
+    # order, and divided by the corner counts they equal a float mean.
+    inner = (at * inside).sum(axis=1)
+    n_in = inside.sum(axis=0)
+    refs = ((at.sum(axis=1) - inner) / (4 - n_in) - inner / n_in)[:, tet]
 
-    all_pairs: list[np.ndarray] = []  # (n_tris, 3, 2) global-id edge pairs
-    all_ref: list[np.ndarray] = []  # (n_tris, 3) reference direction
-
-    for mask, templates in _TRIANGLE_TABLE.items():
-        if not templates:
-            continue
-        sel = np.nonzero(case == mask)[0]
-        if sel.size == 0:
-            continue
-        gids = tet_gids[sel]
-        ins = [i for i in range(4) if mask >> i & 1]
-        outs = [i for i in range(4) if not mask >> i & 1]
-        pos = gid_to_xyz(gids)  # (n, 4, 3)
-        ref = pos[:, outs].mean(axis=1) - pos[:, ins].mean(axis=1)
-        for tri in templates:
-            pairs = np.stack(
-                [np.stack([gids[:, a], gids[:, b]], axis=-1) for a, b in tri],
-                axis=1,
-            )  # (n, 3, 2)
-            all_pairs.append(pairs)
-            all_ref.append(ref)
-
-    pairs = np.concatenate(all_pairs, axis=0)  # (T, 3, 2)
-    refs = np.concatenate(all_ref, axis=0)  # (T, 3)
-
-    # Interpolated position per (triangle, corner).
+    # Interpolated position (3, T, 3) per (triangle, corner).
     va = flat[pairs[..., 0]]
     vb = flat[pairs[..., 1]]
     t = (isovalue - va) / (vb - va)
-    pa = gid_to_xyz(pairs[..., 0])
-    pb = gid_to_xyz(pairs[..., 1])
-    pts = pa + t[..., None] * (pb - pa)  # (T, 3, 3) in index space
+    at = at.reshape(3, -1).astype(np.float64)
+    pa = at[:, ends[..., 0]]
+    pts = pa + t * (at[:, ends[..., 1]] - pa)
 
     # Weld vertices by (sorted) global edge key, packed into one int64 per
     # edge: k0 * size + k1 keeps the lexicographic order of (k0, k1), so a
     # 1-D unique yields the same vertex order as a row-wise one.
-    keys = np.sort(pairs.reshape(-1, 2), axis=1)
-    uniq, index = np.unique(keys[:, 0] * flat.size + keys[:, 1], return_inverse=True)
-    verts = np.zeros((uniq.shape[0], 3))
-    verts[index] = pts.reshape(-1, 3)  # identical per key; last write wins
+    k0 = np.minimum(pairs[..., 0], pairs[..., 1]).ravel()
+    k1 = np.maximum(pairs[..., 0], pairs[..., 1]).ravel()
+    uniq, index = np.unique(k0 * flat.size + k1, return_inverse=True)
+    verts = np.zeros((3, uniq.shape[0]))
+    verts[:, index] = pts.reshape(3, -1)  # identical per key; last write wins
     tris = index.reshape(-1, 3)
 
     # Drop degenerate triangles (duplicate welded vertices).
@@ -205,16 +202,17 @@ def extract_isosurface(
         & (tris[:, 0] != tris[:, 2])
     )
     tris = tris[ok]
-    refs = refs[ok]
+    refs = refs[:, ok]
 
     # Orient: normal must point from inside to outside.
-    p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    normals = np.cross(p1 - p0, p2 - p0)
-    flip = (normals * refs).sum(axis=1) < 0
+    p0, p1, p2 = verts[:, tris[:, 0]], verts[:, tris[:, 1]], verts[:, tris[:, 2]]
+    normals = np.cross(p1 - p0, p2 - p0, axis=0)
+    flip = (normals * refs).sum(axis=0) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
 
-    verts = origin_arr + verts * spacing_arr
-    return verts, tris
+    spacing_arr = np.asarray(spacing, dtype=np.float64)[:, None]
+    origin_arr = np.asarray(origin, dtype=np.float64)[:, None]
+    return np.ascontiguousarray((origin_arr + verts * spacing_arr).T), tris
 
 
 def surface_area(verts: np.ndarray, tris: np.ndarray) -> float:

@@ -1,4 +1,13 @@
-"""Convergence studies: observed order of accuracy of the solvers."""
+"""Convergence studies: observed order of accuracy of the solvers.
+
+The error norms and the order fit below are test-local: production
+solver suites measure observed order of accuracy by running the same
+problem at several resolutions against a reference solution, and only
+these tests do that here.
+"""
+
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,8 +16,76 @@ from repro.amr.advection import AdvectionDiffusionSolver
 from repro.amr.box import Box
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.stepper import AMRStepper
-from repro.amr.validation import ConvergenceStudy, convergence_order, l1_error, l2_error
 from repro.errors import GeometryError
+
+
+def l1_error(numerical: np.ndarray, exact: np.ndarray) -> float:
+    """Mean absolute error between fields of equal shape."""
+    numerical = np.asarray(numerical)
+    exact = np.asarray(exact)
+    if numerical.shape != exact.shape:
+        raise GeometryError(
+            f"shape mismatch: {numerical.shape} vs {exact.shape}"
+        )
+    return float(np.abs(numerical - exact).mean())
+
+
+def l2_error(numerical: np.ndarray, exact: np.ndarray) -> float:
+    """Root-mean-square error between fields of equal shape."""
+    numerical = np.asarray(numerical)
+    exact = np.asarray(exact)
+    if numerical.shape != exact.shape:
+        raise GeometryError(
+            f"shape mismatch: {numerical.shape} vs {exact.shape}"
+        )
+    return float(np.sqrt(np.mean((numerical - exact) ** 2)))
+
+
+@dataclass(frozen=True)
+class ConvergenceStudy:
+    """Resolutions, errors and the fitted observed order."""
+
+    resolutions: tuple[int, ...]
+    errors: tuple[float, ...]
+    order: float
+
+    def pairwise_orders(self) -> list[float]:
+        """Order estimates from consecutive resolution pairs."""
+        out = []
+        for (n1, e1), (n2, e2) in zip(
+            zip(self.resolutions, self.errors),
+            zip(self.resolutions[1:], self.errors[1:]),
+        ):
+            if e1 <= 0 or e2 <= 0:
+                out.append(float("inf"))
+            else:
+                out.append(float(np.log(e1 / e2) / np.log(n2 / n1)))
+        return out
+
+
+def convergence_order(
+    run: Callable[[int], float],
+    resolutions: Sequence[int],
+) -> ConvergenceStudy:
+    """Run ``run(n) -> error`` at each resolution and fit the order.
+
+    The order is the least-squares slope of ``log(error)`` against
+    ``log(1/n)``; errors must be positive and resolutions increasing.
+    """
+    resolutions = tuple(int(n) for n in resolutions)
+    if len(resolutions) < 2:
+        raise GeometryError("need at least two resolutions")
+    if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise GeometryError(f"resolutions must increase: {resolutions}")
+    errors = tuple(float(run(n)) for n in resolutions)
+    if any(e <= 0 for e in errors):
+        raise GeometryError(f"errors must be positive: {errors}")
+    slope, _intercept = np.polyfit(
+        np.log(1.0 / np.asarray(resolutions, dtype=float)),
+        np.log(np.asarray(errors)),
+        deg=1,
+    )
+    return ConvergenceStudy(resolutions, errors, float(slope))
 
 
 class TestErrorNorms:

@@ -236,7 +236,7 @@ def test_ghost_fill_plans_match_oracle(h):
             if want is None:
                 assert got is None
                 continue
-            unique, inverse, offsets, dst = got
+            unique, inverse, offsets, dst = got[:4]
             # The oracle gathers box by box; the plan may gather in any
             # order, so both are compared cell by cell in column order.
             box_labels = labels(h.levels[level].data)
@@ -289,6 +289,49 @@ def test_uncovered_ghosts_equal_prolonged_coarse_region(h, seed):
         want = values[(slice(None), *grown.slices(origin=region.refine(r)))]
         mask = oracle_ghost_mask(h, 1, i, interior=False)
         np.testing.assert_array_equal(fine.data.data[i][:, mask], want[:, mask])
+
+
+@st.composite
+def regrids(draw):
+    """A hierarchy from :func:`hierarchies` and a second random level-0 mask."""
+    h = draw(hierarchies())
+    return h, draw(hnp.arrays(dtype=bool, shape=h.level_domain(0).shape))
+
+
+@settings(deadline=None, max_examples=40)
+@given(regrids(), st.integers(0, 2**32 - 1))
+def test_second_regrid_keeps_overlap_and_prolongs_the_rest(case, seed):
+    """After a second regrid every valid fine cell is either copied from the
+    old fine level (where an old box covered it) or ``prolong(order=1)`` of
+    the coarse data, checked box by box against ``Box`` intersections."""
+    h, mask = case
+    rng = np.random.default_rng(seed)
+    for spec in h.levels:
+        for i in range(len(spec.layout)):
+            view = spec.data.valid_view(i)
+            view[...] = rng.normal(size=view.shape)
+    old = [(box, h.levels[1].data.valid_view(i).copy())
+           for i, box in enumerate(h.levels[1].layout)] if h.finest_level else []
+    r = h.ref_ratio
+    cdomain = h.level_domain(0)
+    pad = pad_width(h)
+    padded = np.pad(h.levels[0].data.to_dense(cdomain), [(0, 0)] + [(pad, pad)] * cdomain.ndim,
+                    mode="wrap" if h.periodic else "edge")
+    padded_box = cdomain.grow(pad)
+    h.regrid({0: mask})
+    if h.finest_level == 0:
+        return
+    fine = h.levels[1]
+    for i, box in enumerate(fine.layout):
+        region = box.coarsen(r).grow(1)
+        values = prolong(padded[(slice(None), *region.slices(origin=padded_box))], r, order=1)
+        want = values[(slice(None), *box.slices(origin=region.refine(r)))]
+        for old_box, old_valid in old:
+            kept = box.intersect(old_box)
+            if not kept.is_empty():
+                want[(slice(None), *kept.slices(origin=box))] = \
+                    old_valid[(slice(None), *kept.slices(origin=old_box))]
+        np.testing.assert_array_equal(fine.data.valid_view(i), want)
 
 
 # -- pinned gas-solver digest ----------------------------------------------------
