@@ -580,11 +580,6 @@ def _profile_command(argv: list[str]) -> int:
     return 0
 
 
-def _regenerate(spec) -> str:
-    """One experiment's rendered result, every grid point in process."""
-    return spec.render(spec.merge([spec.run_point(p) for p in spec.grid()]))
-
-
 #: Subcommand -> (entry point, ``list`` summary), in ``list`` order.
 _COMMANDS = {
     "run-all": (_run_all_command, "regenerate experiments via the "
@@ -636,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "all":
         for name, spec in SWEEPS.items():
             print(f"\n### {name} " + "#" * max(0, 66 - len(name)))
-            print(_regenerate(spec))
+            print(spec.render(spec.result()))
         return 0
 
     spec = SWEEPS.get(args.experiment)
@@ -644,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiment {args.experiment!r}; try 'list'",
               file=sys.stderr)
         return 2
-    print(_regenerate(spec))
+    print(spec.render(spec.result()))
     return 0
 
 

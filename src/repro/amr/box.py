@@ -9,7 +9,6 @@ the corner tuples and may be 1, 2 or 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -61,12 +60,6 @@ class Box:
     def is_empty(self) -> bool:
         """True when any direction has ``hi < lo``."""
         return any(h < l for l, h in zip(self.lo, self.hi))
-
-    def contains_point(self, point: tuple[int, ...]) -> bool:
-        """True when ``point`` lies inside the box."""
-        if len(point) != self.ndim:
-            raise GeometryError(f"point rank {len(point)} != box rank {self.ndim}")
-        return all(l <= p <= h for l, p, h in zip(self.lo, point, self.hi))
 
     def contains_box(self, other: "Box") -> bool:
         """True when ``other`` lies entirely inside this box."""
@@ -139,15 +132,6 @@ class Box:
             slice(l - bl, h - bl + 1)
             for l, h, bl in zip(self.lo, self.hi, base.lo)
         )
-
-    def coordinates(self) -> Iterator[tuple[int, ...]]:
-        """Iterate all integer cell coordinates in the box (row-major)."""
-        if self.is_empty():
-            return
-        ranges = [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
-        grids = np.meshgrid(*ranges, indexing="ij")
-        for idx in zip(*(g.ravel() for g in grids)):
-            yield tuple(int(v) for v in idx)
 
     # -- splitting ----------------------------------------------------------
 

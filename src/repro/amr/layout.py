@@ -133,25 +133,6 @@ class BoxLayout:
     def __iter__(self) -> Iterator[Box]:
         return iter(self.boxes)
 
-    def cells_per_rank(self) -> np.ndarray:
-        """Cell count owned by each rank (length ``nranks``)."""
-        counts = np.zeros(self.nranks, dtype=np.int64)
-        for box, rank in zip(self.boxes, self.ranks):
-            counts[rank] += box.size
-        return counts
-
-    def boxes_on_rank(self, rank: int) -> list[int]:
-        """Indices of boxes assigned to ``rank``."""
-        return [i for i, r in enumerate(self.ranks) if r == rank]
-
-    def imbalance(self) -> float:
-        """max/mean per-rank cell load (1.0 = perfectly balanced)."""
-        counts = self.cells_per_rank()
-        mean = counts.mean()
-        if mean == 0:
-            return 1.0
-        return float(counts.max() / mean)
-
     def covering_box(self) -> Box:
         """The smallest box containing every layout box."""
         return Box(tuple(self._los.min(axis=0).tolist()), tuple(self._his.max(axis=0).tolist()))

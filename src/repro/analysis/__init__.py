@@ -16,9 +16,7 @@
 from repro.analysis.compression import (
     CompressedField,
     compress_field,
-    compression_ratio,
     decompress_field,
-    select_tolerance,
 )
 from repro.analysis.downsample import (
     downsample_mean,
@@ -32,16 +30,14 @@ from repro.analysis.entropy import (
     entropy_downsample_factors,
     shannon_entropy,
 )
-from repro.analysis.isosurface import extract_isosurface, surface_area, surface_stats
+from repro.analysis.isosurface import extract_isosurface, surface_area
 from repro.analysis.fidelity import reconstruction_error, isosurface_fidelity
 
 __all__ = [
     "CompressedField",
     "block_entropies",
     "compress_field",
-    "compression_ratio",
     "decompress_field",
-    "select_tolerance",
     "downsample_mean",
     "downsample_memory_cost",
     "downsample_stride",
@@ -52,6 +48,5 @@ __all__ = [
     "reduced_nbytes",
     "shannon_entropy",
     "surface_area",
-    "surface_stats",
     "upsample_nearest",
 ]

@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.errors import PolicyError
 
-__all__ = ["CompressedField", "compress_field", "decompress_field",
-           "compression_ratio", "select_tolerance"]
+__all__ = ["CompressedField", "compress_field", "decompress_field"]
 
 
 @dataclass(frozen=True)
@@ -91,34 +90,3 @@ def decompress_field(compressed: CompressedField) -> np.ndarray:
         raise PolicyError(f"corrupt payload: {len(raw)} bytes for {n} samples")
     codes = np.frombuffer(raw, dtype=dtype).reshape(compressed.shape)
     return compressed.minimum + codes.astype(np.float64) * compressed.step
-
-
-def compression_ratio(field: np.ndarray, tolerance: float = 1e-3) -> float:
-    """Original bytes / compressed bytes at the given bound."""
-    compressed = compress_field(field, tolerance)
-    if compressed.nbytes == 0:
-        return float("inf")
-    return np.asarray(field).astype(np.float64).nbytes / compressed.nbytes
-
-
-def select_tolerance(
-    field: np.ndarray,
-    tolerances: tuple[float, ...],
-    budget_bytes: float,
-) -> tuple[float, CompressedField]:
-    """Eq. 1-3 with compression: tightest hinted bound fitting the budget.
-
-    Mirrors the down-sampling policy: try tolerances from tightest
-    (highest fidelity) to loosest and return the first whose compressed
-    size fits ``budget_bytes``; the loosest is returned (flagged by being
-    over budget) when nothing fits.
-    """
-    if not tolerances:
-        raise PolicyError("need at least one tolerance")
-    ordered = sorted(tolerances)
-    last = None
-    for tolerance in ordered:
-        last = compress_field(field, tolerance)
-        if last.nbytes <= budget_bytes:
-            return tolerance, last
-    return ordered[-1], last

@@ -20,13 +20,11 @@ are adjacent vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import PolicyError
 
-__all__ = ["SurfaceStats", "extract_isosurface", "surface_area", "surface_stats"]
+__all__ = ["extract_isosurface", "surface_area"]
 
 # Cube corner offsets, Chombo/Bourke numbering adapted to (x, y, z).
 _CORNERS = np.array(
@@ -96,18 +94,6 @@ _TRIANGLE_EDGES = np.zeros((16, 2, 3, 2), dtype=np.int64)
 for _mask, _templates in _TRIANGLE_TABLE.items():
     for _t, _tri in enumerate(_templates):
         _TRIANGLE_EDGES[_mask, _t] = _tri
-
-
-@dataclass(frozen=True)
-class SurfaceStats:
-    """Topology/geometry summary of an extracted surface."""
-
-    n_vertices: int
-    n_edges: int
-    n_triangles: int
-    euler_characteristic: int
-    closed: bool
-    area: float
 
 
 def extract_isosurface(
@@ -223,24 +209,3 @@ def surface_area(verts: np.ndarray, tris: np.ndarray) -> float:
     p1 = verts[tris[:, 1]]
     p2 = verts[tris[:, 2]]
     return float(0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1).sum())
-
-
-def surface_stats(verts: np.ndarray, tris: np.ndarray) -> SurfaceStats:
-    """Vertex/edge/face counts, Euler characteristic and closedness."""
-    if len(tris) == 0:
-        return SurfaceStats(0, 0, 0, 0, True, 0.0)
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    used_vertices = np.unique(tris)
-    v = int(used_vertices.size)
-    e = int(uniq.shape[0])
-    f = int(tris.shape[0])
-    return SurfaceStats(
-        n_vertices=v,
-        n_edges=e,
-        n_triangles=f,
-        euler_characteristic=v - e + f,
-        closed=bool((counts == 2).all()),
-        area=surface_area(verts, tris),
-    )

@@ -1,10 +1,11 @@
 """Experiment reproductions: one module per figure/table of the paper.
 
 Each module exposes the sweep protocol (``grid()``, ``run_point()``,
-``merge()``; see :mod:`repro.experiments.parallel`), usually a ``run_*``
-function returning the merged result, and a ``render`` function producing
-the text table/series the paper reports.  The ``python -m repro`` CLI
-reads them through :data:`~repro.experiments.parallel.SWEEPS`.  The
+``merge()``; see :mod:`repro.experiments.parallel`) and a ``render``
+function producing the text table/series the paper reports.  The
+``python -m repro`` CLI reads them through
+:data:`~repro.experiments.parallel.SWEEPS`, and
+``SWEEPS[id].result()`` computes one merged figure in process.  The
 claim tests in ``tests/paper/`` call these at full scale and assert
 the paper's results; EXPERIMENTS.md records paper-reported vs measured
 values.
@@ -30,6 +31,11 @@ module                 reproduces
 ``table2_utilization`` Table 2 -- per-step staging core usage histogram
 ``ablations``          design-choice sweeps (staging ratio, monitor
                        interval, entropy threshold, coordination scheme)
+``objectives``         user-preference objectives compared under global
+                       adaptation
+``fig_triggers``       monitoring overhead vs adaptation lag across the
+                       trigger-detection policies
+``fig_tenants``        multi-tenant contention across admission policies
 =====================  =====================================================
 """
 
@@ -45,5 +51,8 @@ __all__ = [
     "fig9_resource",
     "fig10_global",
     "fig11_global_movement",
+    "fig_tenants",
+    "fig_triggers",
+    "objectives",
     "table2_utilization",
 ]

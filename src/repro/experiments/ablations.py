@@ -18,8 +18,6 @@ Four sweeps, each isolating one knob of the system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from repro.core.actions import Placement
@@ -452,7 +450,3 @@ def render(rowsets: list[list[dict]]) -> str:
     ))
 
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":
-    print(render(merge([run_point(params) for params in grid()])))

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scale configs, runners, rendering.
+"""Shared experiment infrastructure: scale configs, runners, sweeps, rendering.
 
 The paper's placement/global experiments run the Advection-Diffusion
 workflow on Titan at four scales with a 16:1 simulation-to-staging core
@@ -10,8 +10,9 @@ paper's 1000-4500 s band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any, Callable
 
 from repro.core.preferences import UserHints, UserPreferences
 from repro.hpc.systems import SystemSpec, titan
@@ -27,8 +28,10 @@ __all__ = [
     "ScaleConfig",
     "advection_trace",
     "default_hints",
+    "per_scale_sweep",
     "render_table",
     "run_mode_at_scale",
+    "single_point_sweep",
 ]
 
 
@@ -156,6 +159,47 @@ def run_mode_at_scale(
         hints=default_hints() if with_hints else UserHints(),
     )
     return run_workflow(config, advection_trace(scale))
+
+
+def per_scale_sweep(row: Callable[[ScaleConfig], Any]):
+    """The sweep protocol of a figure with one point per scale.
+
+    ``row(scale)`` computes one column of the figure; the grid indexes
+    :data:`SCALES`, and the merged figure is the grid-ordered rows.
+    Returns the ``(grid, run_point, merge)`` triplet the module binds.
+    """
+
+    def grid() -> list[dict]:
+        return [{"scale": index} for index in range(len(SCALES))]
+
+    def run_point(params: dict) -> Any:
+        return row(SCALES[params["scale"]])
+
+    def merge(results: list) -> list:
+        return list(results)
+
+    return grid, run_point, merge
+
+
+def single_point_sweep(run: Callable[..., Any]):
+    """The sweep protocol of a figure that is one deterministic point.
+
+    The grid is one empty parameter dict, the point is ``run()``, and
+    that point's result is the merged figure.  Returns the ``(grid,
+    run_point, merge)`` triplet the module binds.
+    """
+
+    def grid() -> list[dict]:
+        return [{}]
+
+    def run_point(params: dict) -> Any:
+        return run(**params)
+
+    def merge(results: list) -> Any:
+        (result,) = results
+        return result
+
+    return grid, run_point, merge
 
 
 def render_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

@@ -11,15 +11,15 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     PAPER,
-    SCALES,
     ScaleConfig,
+    per_scale_sweep,
     render_table,
     run_mode_at_scale,
 )
 from repro.workflow.config import Mode
 from repro.workflow.metrics import WorkflowResult
 
-__all__ = ["Fig10Row", "render", "run_fig10"]
+__all__ = ["Fig10Row", "render"]
 
 
 @dataclass(frozen=True)
@@ -45,24 +45,7 @@ def _row(scale: ScaleConfig) -> Fig10Row:
     return Fig10Row(scale=scale.label, local=local, global_=global_)
 
 
-def run_fig10(scales: tuple[ScaleConfig, ...] = SCALES) -> list[Fig10Row]:
-    """Run local middleware-only and global cross-layer at every scale."""
-    return [_row(scale) for scale in scales]
-
-
-def grid() -> list[dict]:
-    """Sweep protocol: one point per scale (the figure's bar pairs)."""
-    return [{"scale": index} for index in range(len(SCALES))]
-
-
-def run_point(params: dict) -> Fig10Row:
-    """Sweep protocol: compute one scale's row (worker-side)."""
-    return _row(SCALES[params["scale"]])
-
-
-def merge(results: list) -> list[Fig10Row]:
-    """Sweep protocol: grid-ordered rows are ``run_fig10``'s output."""
-    return list(results)
+grid, run_point, merge = per_scale_sweep(_row)
 
 
 def render(rows: list[Fig10Row]) -> str:
@@ -89,7 +72,3 @@ def render(rows: list[Fig10Row]) -> str:
         headers, body,
         title="Fig. 10: end-to-end time, global cross-layer vs local adaptation",
     )
-
-
-if __name__ == "__main__":
-    print(render(run_fig10()))

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     PAPER,
-    SCALES,
     ScaleConfig,
+    per_scale_sweep,
     render_table,
     run_mode_at_scale,
 )
 from repro.units import format_bytes
 from repro.workflow.config import Mode
 
-__all__ = ["Fig11Row", "render", "run_fig11"]
+__all__ = ["Fig11Row", "render"]
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,7 @@ def _row(scale: ScaleConfig) -> Fig11Row:
     )
 
 
-def run_fig11(scales: tuple[ScaleConfig, ...] = SCALES) -> list[Fig11Row]:
-    """Measure movement for local and global adaptation."""
-    return [_row(scale) for scale in scales]
-
-
-def grid() -> list[dict]:
-    """Sweep protocol: one point per scale (the figure's bar pairs)."""
-    return [{"scale": index} for index in range(len(SCALES))]
-
-
-def run_point(params: dict) -> Fig11Row:
-    """Sweep protocol: compute one scale's row (worker-side)."""
-    return _row(SCALES[params["scale"]])
-
-
-def merge(results: list) -> list[Fig11Row]:
-    """Sweep protocol: grid-ordered rows are ``run_fig11``'s output."""
-    return list(results)
+grid, run_point, merge = per_scale_sweep(_row)
 
 
 def render(rows: list[Fig11Row]) -> str:
@@ -91,7 +74,3 @@ def render(rows: list[Fig11Row]) -> str:
         ])
     return render_table(headers, body,
                         title="Fig. 11: data movement, global vs local adaptation")
-
-
-if __name__ == "__main__":
-    print(render(run_fig11()))

@@ -18,7 +18,7 @@ from repro.amr.godunov import PolytropicGasSolver
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.stepper import AMRStepper
 from repro.experiments.cache import default_cache
-from repro.experiments.common import render_table
+from repro.experiments.common import render_table, single_point_sweep
 from repro.units import MiB, format_bytes
 from repro.workload.scale import scale_trace
 from repro.workload.trace import WorkloadTrace
@@ -125,20 +125,7 @@ def run_fig1(nsteps: int = 50, memory_scale: float | None = None) -> Fig1Result:
     )
 
 
-def grid() -> list[dict]:
-    """Sweep protocol: the whole figure is one deterministic point."""
-    return [{}]
-
-
-def run_point(params: dict) -> Fig1Result:
-    """Sweep protocol: compute one grid point (worker-side)."""
-    return run_fig1(**params)
-
-
-def merge(results: list) -> Fig1Result:
-    """Sweep protocol: a single-point grid merges to its only result."""
-    (result,) = results
-    return result
+grid, run_point, merge = single_point_sweep(run_fig1)
 
 
 def render(result: Fig1Result) -> str:
@@ -165,7 +152,3 @@ def render(result: Fig1Result) -> str:
         f"cross-rank imbalance (peak/median), mean: {result.imbalance.mean():.2f}x"
     )
     return table + summary
-
-
-if __name__ == "__main__":
-    print(render(run_fig1()))

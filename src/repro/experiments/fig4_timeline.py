@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.actions import Placement
-from repro.experiments.common import render_table
+from repro.experiments.common import render_table, single_point_sweep
 from repro.hpc.systems import titan
 from repro.workflow.config import Mode, WorkflowConfig
 from repro.workflow.driver import CoupledWorkflow
@@ -76,20 +76,7 @@ def run_fig4() -> Fig4Result:
     return Fig4Result(result=result, reasons=reasons)
 
 
-def grid() -> list[dict]:
-    """Sweep protocol: the whole figure is one deterministic point."""
-    return [{}]
-
-
-def run_point(params: dict) -> Fig4Result:
-    """Sweep protocol: compute one grid point (worker-side)."""
-    return run_fig4(**params)
-
-
-def merge(results: list) -> Fig4Result:
-    """Sweep protocol: a single-point grid merges to its only result."""
-    (result,) = results
-    return result
+grid, run_point, merge = single_point_sweep(run_fig4)
 
 
 def render(outcome: Fig4Result) -> str:
@@ -118,7 +105,3 @@ def render(outcome: Fig4Result) -> str:
         "\n\nscenario check (idle->in-transit at ts=1,2; busy->in-situ near "
         f"ts=30): {'PASS' if check else 'FAIL'}"
     )
-
-
-if __name__ == "__main__":
-    print(render(run_fig4()))

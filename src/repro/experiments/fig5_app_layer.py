@@ -22,10 +22,10 @@ from repro.analysis.downsample import downsample_memory_cost
 from repro.core.policies.application import ApplicationLayerPolicy
 from repro.core.preferences import UserHints
 from repro.core.state import OperationalState
-from repro.experiments.common import PAPER, render_table
+from repro.experiments.common import PAPER, render_table, single_point_sweep
 from repro.experiments.fig1_memory import captured_gas_trace
 from repro.hpc.systems import intrepid
-from repro.units import MiB, format_bytes
+from repro.units import format_bytes
 from repro.workload.memory import MemoryProfile, memory_profile_from_trace
 
 __all__ = ["Fig5Result", "render", "run_fig5"]
@@ -134,20 +134,7 @@ def run_fig5(steps: int = STEPS) -> Fig5Result:
     )
 
 
-def grid() -> list[dict]:
-    """Sweep protocol: the whole figure is one deterministic point."""
-    return [{}]
-
-
-def run_point(params: dict) -> Fig5Result:
-    """Sweep protocol: compute one grid point (worker-side)."""
-    return run_fig5(**params)
-
-
-def merge(results: list) -> Fig5Result:
-    """Sweep protocol: a single-point grid merges to its only result."""
-    (result,) = results
-    return result
+grid, run_point, merge = single_point_sweep(run_fig5)
 
 
 def render(result: Fig5Result) -> str:
@@ -173,7 +160,3 @@ def render(result: Fig5Result) -> str:
         f"x{int(result.factors[-1])} (paper: minimal resolution, x16)"
     )
     return table + note
-
-
-if __name__ == "__main__":
-    print(render(run_fig5()))

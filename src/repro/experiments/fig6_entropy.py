@@ -32,7 +32,7 @@ from repro.analysis.entropy import block_entropies, entropy_downsample_factors
 from repro.analysis.fidelity import blockwise_reconstruction_errors
 from repro.analysis.isosurface import extract_isosurface, surface_area
 from repro.experiments.cache import default_cache
-from repro.experiments.common import render_table
+from repro.experiments.common import render_table, single_point_sweep
 
 __all__ = ["Fig6Result", "density_field", "render", "run_fig6"]
 
@@ -140,20 +140,7 @@ def run_fig6(n: int = 48, nsteps: int = 25) -> Fig6Result:
     )
 
 
-def grid() -> list[dict]:
-    """Sweep protocol: the whole figure is one deterministic point."""
-    return [{}]
-
-
-def run_point(params: dict) -> Fig6Result:
-    """Sweep protocol: compute one grid point (worker-side)."""
-    return run_fig6(**params)
-
-
-def merge(results: list) -> Fig6Result:
-    """Sweep protocol: a single-point grid merges to its only result."""
-    (result,) = results
-    return result
+grid, run_point, merge = single_point_sweep(run_fig6)
 
 
 def render(result: Fig6Result) -> str:
@@ -180,7 +167,3 @@ def render(result: Fig6Result) -> str:
         and result.area_ratio > 0.8 else "FAIL"
     )
     return table + f"\n\nclaim check (low-entropy regions reduce cheaply): {verdict}"
-
-
-if __name__ == "__main__":
-    print(render(run_fig6()))

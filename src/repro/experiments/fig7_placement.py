@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     PAPER,
-    SCALES,
     ScaleConfig,
+    per_scale_sweep,
     render_table,
     run_mode_at_scale,
 )
 from repro.workflow.config import Mode
 from repro.workflow.metrics import WorkflowResult
 
-__all__ = ["Fig7Row", "render", "run_fig7"]
+__all__ = ["Fig7Row", "render"]
 
 _MODES = (Mode.STATIC_INSITU, Mode.STATIC_INTRANSIT, Mode.ADAPTIVE_MIDDLEWARE)
 
@@ -52,24 +52,7 @@ def _row(scale: ScaleConfig) -> Fig7Row:
     return Fig7Row(scale=scale.label, results=results)
 
 
-def run_fig7(scales: tuple[ScaleConfig, ...] = SCALES) -> list[Fig7Row]:
-    """Run the three placement modes at every scale."""
-    return [_row(scale) for scale in scales]
-
-
-def grid() -> list[dict]:
-    """Sweep protocol: one point per scale (the figure's bar groups)."""
-    return [{"scale": index} for index in range(len(SCALES))]
-
-
-def run_point(params: dict) -> Fig7Row:
-    """Sweep protocol: compute one scale's row (worker-side)."""
-    return _row(SCALES[params["scale"]])
-
-
-def merge(results: list) -> list[Fig7Row]:
-    """Sweep protocol: grid-ordered rows are ``run_fig7``'s output."""
-    return list(results)
+grid, run_point, merge = per_scale_sweep(_row)
 
 
 def render(rows: list[Fig7Row]) -> str:
@@ -113,7 +96,3 @@ def render(rows: list[Fig7Row]) -> str:
     comparison = render_table(cmp_headers, cmp_rows,
                               title="Adaptive overhead reduction (measured vs paper)")
     return table + "\n\n" + comparison
-
-
-if __name__ == "__main__":
-    print(render(run_fig7()))

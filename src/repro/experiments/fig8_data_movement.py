@@ -11,15 +11,15 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     PAPER,
-    SCALES,
     ScaleConfig,
+    per_scale_sweep,
     render_table,
     run_mode_at_scale,
 )
 from repro.units import format_bytes
 from repro.workflow.config import Mode
 
-__all__ = ["Fig8Row", "render", "run_fig8"]
+__all__ = ["Fig8Row", "render"]
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,7 @@ def _row(scale: ScaleConfig) -> Fig8Row:
     )
 
 
-def run_fig8(scales: tuple[ScaleConfig, ...] = SCALES) -> list[Fig8Row]:
-    """Measure movement for static in-transit and adaptive placement."""
-    return [_row(scale) for scale in scales]
-
-
-def grid() -> list[dict]:
-    """Sweep protocol: one point per scale (the figure's bar pairs)."""
-    return [{"scale": index} for index in range(len(SCALES))]
-
-
-def run_point(params: dict) -> Fig8Row:
-    """Sweep protocol: compute one scale's row (worker-side)."""
-    return _row(SCALES[params["scale"]])
-
-
-def merge(results: list) -> list[Fig8Row]:
-    """Sweep protocol: grid-ordered rows are ``run_fig8``'s output."""
-    return list(results)
+grid, run_point, merge = per_scale_sweep(_row)
 
 
 def render(rows: list[Fig8Row]) -> str:
@@ -83,7 +66,3 @@ def render(rows: list[Fig8Row]) -> str:
         ])
     return render_table(headers, body,
                         title="Fig. 8: aggregated in-situ -> in-transit data transfers")
-
-
-if __name__ == "__main__":
-    print(render(run_fig8()))

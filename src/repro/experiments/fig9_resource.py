@@ -23,7 +23,7 @@ from repro.workflow.metrics import WorkflowResult
 from repro.workload.synthetic import SyntheticAMRConfig, synthetic_amr_trace
 from repro.workload.trace import WorkloadTrace
 
-__all__ = ["Fig9Result", "polytropic_trace", "render", "run_fig9"]
+__all__ = ["Fig9Result", "polytropic_trace", "render"]
 
 SIM_CORES = 4096
 STAGING_CORES = 256
@@ -86,14 +86,6 @@ def _run_mode(mode: Mode, steps: int) -> WorkflowResult:
     return run_workflow(config, polytropic_trace(steps))
 
 
-def run_fig9(steps: int = STEPS) -> Fig9Result:
-    """Run static and resource-adaptive allocation on the gas workload."""
-    return Fig9Result(
-        static=_run_mode(Mode.STATIC_INTRANSIT, steps),
-        adaptive=_run_mode(Mode.ADAPTIVE_RESOURCE, steps),
-    )
-
-
 def grid() -> list[dict]:
     """Sweep protocol: one point per allocation mode, static first."""
     return [{"role": role, "steps": STEPS} for role in _ROLES]
@@ -148,7 +140,3 @@ def render(result: Fig9Result) -> str:
         title="Eq. 12: CPU utilization efficiency",
     )
     return series + "\n\n" + summary
-
-
-if __name__ == "__main__":
-    print(render(run_fig9()))

@@ -210,7 +210,3 @@ def render(result: FigTenantsResult) -> str:
         f"{POOL_STAGING_CORES}-core shared machine "
         "(tts = arrival to completion, queue wait included)",
     )
-
-
-if __name__ == "__main__":
-    print(render(merge([run_point(params) for params in grid()])))

@@ -43,7 +43,6 @@ __all__ = [
     "grid",
     "merge",
     "render",
-    "run_fig_triggers",
     "run_point",
 ]
 
@@ -183,13 +182,6 @@ def merge(results: list) -> FigTriggersResult:
     return FigTriggersResult(rows=tuple(results))
 
 
-def run_fig_triggers(steps: int = STEPS) -> FigTriggersResult:
-    """Run the whole sweep in-process (the serial reference path)."""
-    return merge(
-        [run_point({**params, "steps": steps}) for params in grid()]
-    )
-
-
 def render(result: FigTriggersResult) -> str:
     """The overhead-vs-adaptation-lag table, one block per scenario."""
     blocks = []
@@ -233,7 +225,3 @@ def render(result: FigTriggersResult) -> str:
             "(cost = snapshots x ranks + sampling budget)",
         ))
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":
-    print(render(run_fig_triggers()))

@@ -24,7 +24,7 @@ from repro.workflow.config import Mode, WorkflowConfig
 from repro.workflow.driver import run_workflow
 from repro.workflow.metrics import WorkflowResult
 
-__all__ = ["render", "run_objectives"]
+__all__ = ["render"]
 
 OBJECTIVES = (
     Objective.MINIMIZE_TIME_TO_SOLUTION,
@@ -46,14 +46,6 @@ def _run_objective(objective: Objective, scale_index: int) -> WorkflowResult:
         hints=default_hints(),
     )
     return run_workflow(config, advection_trace(scale))
-
-
-def run_objectives(scale_index: int = 1) -> dict[Objective, WorkflowResult]:
-    """Run global adaptation under each objective on one scale's workload."""
-    return {
-        objective: _run_objective(objective, scale_index)
-        for objective in OBJECTIVES
-    }
 
 
 def grid() -> list[dict]:
@@ -89,7 +81,3 @@ def render(results: dict[Objective, WorkflowResult]) -> str:
         ])
     return render_table(headers, rows,
                         title="User objectives compared (global adaptation, 4K cores)")
-
-
-if __name__ == "__main__":
-    print(render(run_objectives()))

@@ -40,7 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments.cache import default_cache
@@ -85,6 +85,10 @@ class SweepSpec:
     def render(self, merged: Any) -> str:
         """The module's existing text rendering of the merged result."""
         return self._mod().render(merged)
+
+    def result(self) -> Any:
+        """The merged figure, every grid point computed in this process."""
+        return self.merge([self.run_point(params) for params in self.grid()])
 
 
 #: Every experiment, in report order: the CLI's ``list``, ``all`` and

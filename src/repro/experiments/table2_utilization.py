@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     PAPER,
-    SCALES,
     ScaleConfig,
+    per_scale_sweep,
     render_table,
     run_mode_at_scale,
 )
 from repro.workflow.config import Mode
 from repro.workflow.metrics import core_usage_histogram
 
-__all__ = ["Table2Row", "render", "run_table2"]
+__all__ = ["Table2Row", "render"]
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,7 @@ def _row(scale: ScaleConfig) -> Table2Row:
     )
 
 
-def run_table2(scales: tuple[ScaleConfig, ...] = SCALES) -> list[Table2Row]:
-    """Histogram per-step staging core usage for the global runs."""
-    return [_row(scale) for scale in scales]
-
-
-def grid() -> list[dict]:
-    """Sweep protocol: one point per scale (the table's rows)."""
-    return [{"scale": index} for index in range(len(SCALES))]
-
-
-def run_point(params: dict) -> Table2Row:
-    """Sweep protocol: compute one scale's row (worker-side)."""
-    return _row(SCALES[params["scale"]])
-
-
-def merge(results: list) -> list[Table2Row]:
-    """Sweep protocol: grid-ordered rows are ``run_table2``'s output."""
-    return list(results)
+grid, run_point, merge = per_scale_sweep(_row)
 
 
 def render(rows: list[Table2Row]) -> str:
@@ -84,7 +67,3 @@ def render(rows: list[Table2Row]) -> str:
         headers, body,
         title="Table 2: in-transit core utilization while performing in-transit analysis",
     )
-
-
-if __name__ == "__main__":
-    print(render(run_table2()))

@@ -236,11 +236,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.faults)
 
-    @classmethod
-    def empty(cls) -> "FaultPlan":
-        """A plan that perturbs nothing (injection becomes a no-op)."""
-        return cls(())
-
     # -- views the injector consumes --------------------------------------
 
     def timed(self) -> tuple[Fault, ...]:
@@ -261,18 +256,6 @@ class FaultPlan:
         for fault in self.faults:
             if isinstance(fault, ObjectCorrupt):
                 out[fault.step] = out.get(fault.step, 0) + fault.repeats
-        return out
-
-    # -- serialization / cache identity ------------------------------------
-
-    def as_dicts(self) -> list[dict]:
-        """JSON-ready representation, one dict per fault (kind + fields)."""
-        out = []
-        for fault in self.faults:
-            payload = {"kind": fault.kind}
-            for spec in dataclass_fields(fault):
-                payload[spec.name] = getattr(fault, spec.name)
-            out.append(payload)
         return out
 
     def describe(self) -> str:

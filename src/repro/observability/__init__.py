@@ -7,8 +7,7 @@ publishes into:
 
 - :class:`Tracer` -- typed, timestamped :class:`TraceEvent` records
   (step boundaries, monitor samples, adaptation decisions with their
-  inputs, staging ingest/drain, stalls) in a bounded ring buffer, with
-  JSONL export (:meth:`Tracer.to_jsonl`);
+  inputs, staging ingest/drain, stalls) in a bounded ring buffer;
 - :class:`MetricsRegistry` -- named :class:`Counter` / :class:`Gauge` /
   :class:`EmaTimer` instruments;
 - :class:`Profiler` -- nested wall-clock spans (``with

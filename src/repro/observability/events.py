@@ -149,7 +149,7 @@ class TraceEvent:
     fields: Mapping[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (one JSONL line's payload)."""
+        """JSON-ready representation (one run-record event's payload)."""
         return {
             "seq": self.seq,
             "ts": self.ts,

@@ -79,26 +79,11 @@ class PredictionRecord:
         return self.realized is not None
 
     @property
-    def error(self) -> float | None:
-        """Signed error (predicted - realized); None until resolved."""
-        if self.realized is None:
-            return None
-        return self.predicted - self.realized
-
-    @property
     def signed_relative_error(self) -> float | None:
         """(predicted - realized) / realized; None unless realized > 0."""
         if self.realized is None or self.realized <= 0:
             return None
         return (self.predicted - self.realized) / self.realized
-
-    @property
-    def absolute_percentage_error(self) -> float | None:
-        """|predicted - realized| / realized * 100; None unless realized > 0."""
-        rel = self.signed_relative_error
-        if rel is None:
-            return None
-        return abs(rel) * 100.0
 
     def as_dict(self) -> dict[str, Any]:
         return {

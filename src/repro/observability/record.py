@@ -8,9 +8,9 @@
 - ``result`` -- the :func:`~repro.workflow.report.result_to_json`
   payload;
 - ``events`` -- the tracer's retained events, one
-  :meth:`~repro.observability.events.TraceEvent.as_dict` each (written
-  one per line, they are exactly :meth:`Tracer.to_jsonl
-  <repro.observability.tracer.Tracer.to_jsonl>`);
+  :meth:`~repro.observability.events.TraceEvent.as_dict` each
+  (:meth:`Tracer.json_events
+  <repro.observability.tracer.Tracer.json_events>`);
 - ``trace`` -- the tracer's ring-buffer ``capacity`` and the count of
   events it ``dropped``, so a truncated ``events`` section renders with
   its banner;

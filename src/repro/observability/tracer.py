@@ -1,4 +1,4 @@
-"""The Tracer: a bounded in-memory event sink with JSONL export.
+"""The Tracer: a bounded in-memory event sink.
 
 Components never construct a tracer themselves -- one is *injected*
 (``tracer=...``) at the workflow's edge and reaches the Monitor, the
@@ -10,9 +10,9 @@ construction is skipped entirely.  Either way tracing costs nothing
 measurable on the hot path.
 
 Events land in a ring buffer (``capacity`` newest events are kept; the
-``dropped`` counter records evictions) and serialize as JSON Lines --
-one event object per line -- the ``events`` section of a run record
-(:mod:`repro.observability.record`), written one per line.
+``dropped`` counter records evictions), and :meth:`Tracer.json_events`
+gives them as the ``events`` section of a run record
+(:mod:`repro.observability.record`).
 """
 
 from __future__ import annotations
@@ -120,15 +120,5 @@ class Tracer:
     # -- export ------------------------------------------------------------
 
     def json_events(self) -> list[dict[str, Any]]:
-        """Retained events as JSON values; each dumps to its :meth:`to_jsonl` line."""
+        """Retained events as JSON values, the run record's ``events``."""
         return [_json_value(e.as_dict()) for e in self._events]
-
-    def to_jsonl(self) -> str:
-        """Serialize retained events as JSON Lines."""
-        text = "\n".join(
-            json.dumps(e.as_dict(), default=_json_default) for e in self._events
-        )
-        if text:
-            text += "\n"
-        return text
-

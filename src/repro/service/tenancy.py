@@ -194,19 +194,6 @@ class ServiceReport:
             return 1.0
         return square_of_sum / (len(slowdowns) * sum_of_squares)
 
-    def occupancy_share(self, name: str) -> float:
-        """One tenant's share of all tenants' busy staging core-seconds."""
-        total = sum(t.busy_core_seconds for t in self.tenants)
-        if total <= 0:
-            return 0.0
-        return self.tenant(name).busy_core_seconds / total
-
-    def tenant(self, name: str) -> TenantReport:
-        for report in self.tenants:
-            if report.name == name:
-                return report
-        raise ServiceError(f"no tenant report for {name!r}")
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "policy": self.policy,

@@ -1,4 +1,4 @@
-"""Unit helpers: byte/second constants, parsing and human-readable formatting.
+"""Unit helpers: byte/second constants and human-readable formatting.
 
 All sizes in the package are plain ``float``/``int`` bytes and all times are
 ``float`` seconds; these helpers exist so configuration code reads naturally
@@ -12,11 +12,6 @@ MiB = 1024 * KiB
 GiB = 1024 * MiB
 TiB = 1024 * GiB
 
-KB = 1000
-MB = 1000 * KB
-GB = 1000 * MB
-TB = 1000 * GB
-
 MICROSECOND = 1e-6
 MILLISECOND = 1e-3
 SECOND = 1.0
@@ -24,18 +19,6 @@ MINUTE = 60.0
 HOUR = 3600.0
 
 _BINARY_SUFFIXES = [(TiB, "TiB"), (GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")]
-
-_SUFFIX_TO_BYTES = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": TB,
-    "kib": KiB,
-    "mib": MiB,
-    "gib": GiB,
-    "tib": TiB,
-}
 
 
 def format_bytes(n: float) -> str:
@@ -49,24 +32,6 @@ def format_bytes(n: float) -> str:
         if n >= factor:
             return f"{sign}{n / factor:.2f} {suffix}"
     return f"{sign}{n:.0f} B"
-
-
-def parse_bytes(text: str) -> float:
-    """Parse a human-readable size such as ``"512 MiB"`` or ``"2GB"`` to bytes.
-
-    Raises :class:`ValueError` on unknown suffixes or malformed numbers.
-    """
-    stripped = text.strip().lower()
-    for suffix in sorted(_SUFFIX_TO_BYTES, key=len, reverse=True):
-        if stripped.endswith(suffix):
-            number = stripped[: -len(suffix)].strip()
-            if not number:
-                raise ValueError(f"missing numeric part in size string: {text!r}")
-            return float(number) * _SUFFIX_TO_BYTES[suffix]
-    try:
-        return float(stripped)
-    except ValueError as exc:
-        raise ValueError(f"unrecognized size string: {text!r}") from exc
 
 
 def format_seconds(t: float) -> str:

@@ -103,11 +103,3 @@ class WorkloadTrace:
     def peak_memory_series(self) -> np.ndarray:
         """Per-step peak rank memory (Figure 1's trajectory)."""
         return np.array([record.peak_rank_bytes for record in self.steps])
-
-    def validate(self) -> None:
-        """Re-check cross-record invariants (steps contiguous from 1)."""
-        for i, record in enumerate(self.steps):
-            if record.step != self.steps[0].step + i:
-                raise TraceError(
-                    f"steps not contiguous at index {i}: {record.step}"
-                )

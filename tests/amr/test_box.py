@@ -42,12 +42,6 @@ class TestBasics:
         with pytest.raises(GeometryError):
             Box((), ())
 
-    def test_contains_point(self):
-        b = Box((0, 0), (3, 3))
-        assert b.contains_point((0, 0))
-        assert b.contains_point((3, 3))
-        assert not b.contains_point((4, 0))
-
     def test_contains_box(self):
         outer = Box((0, 0), (10, 10))
         assert outer.contains_box(Box((2, 2), (5, 5)))
@@ -119,13 +113,6 @@ class TestSlices:
         with pytest.raises(GeometryError):
             Box((5, 5), (12, 12)).slices(origin=Box((0, 0), (9, 9)))
 
-    def test_coordinates_cover_box(self):
-        b = Box((0, 0), (2, 1))
-        coords = list(b.coordinates())
-        assert len(coords) == b.size
-        assert (0, 0) in coords and (2, 1) in coords
-
-
 class TestSplitting:
     def test_split_axis(self):
         b = Box((0, 0), (7, 7))
@@ -190,7 +177,3 @@ class TestProperties:
         grown = b.grow(r)
         if not grown.is_empty():
             assert grown.grow(-r) == b
-
-    @given(boxes(ndim=3, span=8))
-    def test_coordinates_count_matches_size_3d(self, b):
-        assert sum(1 for _ in b.coordinates()) == b.size

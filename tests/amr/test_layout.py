@@ -106,21 +106,12 @@ class TestBoxLayout:
     def test_explicit_ranks(self):
         layout = BoxLayout(grid_boxes(3), nranks=2, ranks=[0, 1, 0])
         assert layout.ranks == (0, 1, 0)
-        assert layout.boxes_on_rank(0) == [0, 2]
 
     def test_explicit_ranks_validation(self):
         with pytest.raises(GeometryError):
             BoxLayout(grid_boxes(3), nranks=2, ranks=[0, 1])
         with pytest.raises(GeometryError):
             BoxLayout(grid_boxes(3), nranks=2, ranks=[0, 1, 5])
-
-    def test_cells_per_rank_sums_to_total(self):
-        layout = BoxLayout(grid_boxes(9), nranks=4)
-        assert layout.cells_per_rank().sum() == layout.total_cells
-
-    def test_imbalance_perfect(self):
-        layout = BoxLayout(grid_boxes(4), nranks=2)
-        assert layout.imbalance() == pytest.approx(1.0)
 
     def test_covering_box(self):
         layout = BoxLayout([Box((0, 0), (3, 3)), Box((10, 2), (12, 8))])

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis.compression import (
-    compress_field,
-    compression_ratio,
-    decompress_field,
-    select_tolerance,
-)
+from repro.analysis.compression import compress_field, decompress_field
 from repro.errors import PolicyError
 
 
@@ -77,6 +72,12 @@ class TestRoundtrip:
         assert np.abs(recon - field).max() <= tol * span + 1e-9 * max(1.0, span)
 
 
+def compression_ratio(field, tolerance):
+    """Original bytes / compressed bytes at the given bound."""
+    compressed = compress_field(field, tolerance)
+    return field.astype(np.float64).nbytes / compressed.nbytes
+
+
 class TestRatios:
     def test_smooth_beats_noisy(self):
         x = np.linspace(0, 2 * np.pi, 64)
@@ -102,24 +103,3 @@ class TestRatios:
         stepper.run(5)
         rho = h.levels[0].data.to_dense(h.level_domain(0))[0]
         assert compression_ratio(rho, 1e-3) > 3.0
-
-
-class TestSelectTolerance:
-    def test_tightest_fitting_bound_chosen(self):
-        rng = np.random.default_rng(0)
-        field = np.cumsum(rng.normal(size=4096)).reshape(64, 64)
-        sizes = {t: compress_field(field, t).nbytes for t in (1e-4, 1e-3, 1e-2)}
-        budget = (sizes[1e-4] + sizes[1e-3]) / 2
-        tol, comp = select_tolerance(field, (1e-4, 1e-3, 1e-2), budget)
-        assert tol == 1e-3
-        assert comp.nbytes <= budget
-
-    def test_over_budget_returns_loosest(self):
-        field = np.random.default_rng(0).uniform(size=(32, 32))
-        tol, comp = select_tolerance(field, (1e-4, 1e-3), budget_bytes=1.0)
-        assert tol == 1e-3
-        assert comp.nbytes > 1.0
-
-    def test_empty_tolerances_rejected(self):
-        with pytest.raises(PolicyError):
-            select_tolerance(np.zeros((2, 2)), (), 100.0)

@@ -5,8 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis.isosurface import extract_isosurface, surface_area, surface_stats
+from repro.analysis.isosurface import extract_isosurface, surface_area
 from repro.errors import PolicyError
+from tests.analysis.mesh_topology import surface_stats
 
 
 def sphere_field(n=32, radius=0.3):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.isosurface import extract_isosurface, surface_stats
+from repro.analysis.isosurface import extract_isosurface
+from tests.analysis.mesh_topology import surface_stats
 
 
 def smooth_field(seed: int, n: int) -> np.ndarray:

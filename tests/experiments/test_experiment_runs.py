@@ -75,7 +75,10 @@ class TestFig6Small:
 class TestFig9Small:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig9_resource.run_fig9(steps=10)
+        return fig9_resource.merge([
+            fig9_resource.run_point({"role": role, "steps": 10})
+            for role in ("static", "adaptive")
+        ])
 
     def test_static_series_constant(self, result):
         assert (result.static_series == fig9_resource.STAGING_CORES).all()

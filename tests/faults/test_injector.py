@@ -40,7 +40,7 @@ class TestWiring:
             FaultInjector([CoreLoss(at=1.0, cores=2)])
 
     def test_empty_plan_arms_without_attachments(self):
-        injector = FaultInjector(FaultPlan.empty())
+        injector = FaultInjector(FaultPlan())
         injector.arm()  # nothing to schedule, nothing to validate
         assert injector.injected == 0
 
@@ -75,7 +75,7 @@ class TestWiring:
         assert sim.now == 0
 
     def test_double_arm_rejected(self):
-        injector, _sim, _net, _area = wired(FaultPlan.empty())
+        injector, _sim, _net, _area = wired(FaultPlan())
         injector.arm()
         with pytest.raises(FaultError, match="already armed"):
             injector.arm()

@@ -57,12 +57,12 @@ class TestBitIdentity:
     def test_empty_plan_matches_no_faults_exactly(self):
         baseline = run_workflow(config(), small_trace())
         faulted = run_workflow(config(), small_trace(),
-                               faults=FaultPlan.empty())
+                               faults=FaultPlan())
         assert result_to_json(faulted) == result_to_json(baseline)
 
     def test_accepts_prewired_injector(self):
         baseline = run_workflow(config(), small_trace())
-        injector = FaultInjector(FaultPlan.empty())
+        injector = FaultInjector(FaultPlan())
         via_injector = run_workflow(config(), small_trace(), faults=injector)
         assert result_to_json(via_injector) == result_to_json(baseline)
 

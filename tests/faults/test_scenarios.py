@@ -47,12 +47,12 @@ class TestDeterminism:
                            steps=15)
         b = build_scenario(name, horizon=123.0, seed=7, staging_cores=32,
                            steps=15)
-        assert a.as_dicts() == b.as_dicts()
+        assert a == b
 
     def test_seed_varies_the_random_scenarios(self):
         a = build_scenario("stragglers", horizon=100.0, seed=0)
         b = build_scenario("stragglers", horizon=100.0, seed=1)
-        assert a.as_dicts() != b.as_dicts()
+        assert a != b
 
 
 class TestErrors:

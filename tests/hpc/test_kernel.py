@@ -32,6 +32,7 @@ from repro.hpc.kernel import (
     event_kind_name,
 )
 from repro.hpc.network import Network
+from tests.observability.jsonl import to_jsonl
 
 TIMER = event_kind_code("timer")
 
@@ -364,7 +365,7 @@ class TestSimulatorTieBreakRegression:
         config, trace = _quickstart("global", 6, 42)
         tracer = Tracer()
         result = CoupledWorkflow(config, trace, tracer=tracer).run()
-        assert (hashlib.sha256(tracer.to_jsonl().encode()).hexdigest()
+        assert (hashlib.sha256(to_jsonl(tracer).encode()).hexdigest()
                 == self.GOLDEN_TRACE_SHA256)
         assert (hashlib.sha256(result_to_json(result).encode()).hexdigest()
                 == self.GOLDEN_RESULT_SHA256)

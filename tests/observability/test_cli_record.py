@@ -18,6 +18,7 @@ from repro.faults import SCENARIOS
 from repro.observability import MetricsRegistry, Tracer, load_record
 from repro.workflow import CoupledWorkflow
 from repro.workflow.report import result_to_json
+from tests.observability.jsonl import to_jsonl
 
 #: SHA-256 of ``audit --steps 20 --prometheus PATH``'s file, captured
 #: when the exporter still read the metrics registry and ledger directly.
@@ -66,7 +67,7 @@ class TestRecordFlag:
     def test_events_one_per_line_are_the_trace_jsonl(self, traced_record):
         record, _result, tracer, _workflow = traced_record
         lines = "".join(json.dumps(e) + "\n" for e in record["events"])
-        assert lines == tracer.to_jsonl()
+        assert lines == to_jsonl(tracer)
 
     def test_counters_are_the_kernel_tallies(self, traced_record):
         record, _result, _tracer, workflow = traced_record
@@ -82,7 +83,7 @@ class TestRecordFlag:
 
 class TestRecordEvents:
     """``run_record`` builds its events without parsing the JSONL text;
-    each must still dump to exactly its line of ``Tracer.to_jsonl()``.
+    each must still dump to exactly its line of ``to_jsonl(Tracer)``.
     Views that inject no tracer (``audit``) get one here."""
 
     @pytest.mark.parametrize(
@@ -110,7 +111,7 @@ class TestRecordEvents:
         assert main(argv) == 0
         capsys.readouterr()
         (record, tracer), = records
-        lines = tracer.to_jsonl().splitlines()
+        lines = to_jsonl(tracer).splitlines()
         assert len(lines) == len(record["events"]) > 0
         for event, line in zip(record["events"], lines):
             assert json.dumps(event) == line

@@ -33,6 +33,7 @@ from repro.workflow import CoupledWorkflow, Mode, WorkflowConfig, run_workflow
 from repro.workflow.report import result_to_json
 from repro.workflow.triggers import EntropyPercentile
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
+from tests.observability.jsonl import to_jsonl
 
 
 def _trace(steps=10):
@@ -109,7 +110,7 @@ class TestEventStream:
 
     def test_jsonl_roundtrip_of_a_real_run(self, traced_run):
         tracer, _metrics, _ledger, _result = traced_run
-        lines = tracer.to_jsonl().splitlines()
+        lines = to_jsonl(tracer).splitlines()
         assert [json.loads(line) for line in lines] == [
             e.as_dict() for e in tracer.events()
         ]
@@ -181,7 +182,7 @@ class TestZeroOverheadPath:
         assert len(tracer) > 0
         pinned = _PINNED_TRACE_SHA256.get(case)
         if pinned is not None:
-            digest = hashlib.sha256(tracer.to_jsonl().encode()).hexdigest()
+            digest = hashlib.sha256(to_jsonl(tracer).encode()).hexdigest()
             assert digest == pinned
 
     @pytest.mark.parametrize("case", list(_RUNS))

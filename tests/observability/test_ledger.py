@@ -51,19 +51,15 @@ class TestPredictResolve:
     def test_error_properties(self):
         record = PredictionRecord(seq=0, quantity="insitu_time", step=0,
                                   predicted=12.0, predicted_at=0.0)
-        assert record.error is None
+        assert record.signed_relative_error is None
         record.realized = 10.0
-        assert record.error == pytest.approx(2.0)
         assert record.signed_relative_error == pytest.approx(0.2)
-        assert record.absolute_percentage_error == pytest.approx(20.0)
 
     def test_zero_realization_yields_no_relative_error(self):
         record = PredictionRecord(seq=0, quantity="insitu_time", step=0,
                                   predicted=1.0, predicted_at=0.0,
                                   realized=0.0)
-        assert record.error == 1.0
         assert record.signed_relative_error is None
-        assert record.absolute_percentage_error is None
 
     def test_filters_and_counts(self):
         ledger = PredictionLedger()

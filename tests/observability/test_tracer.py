@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.hpc.event import Simulator
 from repro.observability import EVENT_KINDS, TraceEvent, Tracer
+from tests.observability.jsonl import to_jsonl
 
 
 class TestOrderingUnderSimulator:
@@ -86,7 +87,7 @@ class TestJsonl:
         tracer.emit("adapt.decision", step=3, factor=2, placement="in_situ")
         tracer.emit("sim.stall", step=4, seconds=1.25, cause="staging_memory")
         restored = [TraceEvent(**json.loads(line))
-                    for line in tracer.to_jsonl().splitlines()]
+                    for line in to_jsonl(tracer).splitlines()]
         assert restored == tracer.events()
 
     def test_json_events_dump_to_the_jsonl_lines(self):
@@ -95,7 +96,7 @@ class TestJsonl:
                     cores=(4, 8), nested={"a": [np.float32(1.5), None]}, by_step={3: True},
                     mode=ObservabilityError("x"))
         tracer.emit("sim.stall", seconds=float("inf"), cause="staging_memory")
-        lines = tracer.to_jsonl().splitlines()
+        lines = to_jsonl(tracer).splitlines()
         assert [json.dumps(e) for e in tracer.json_events()] == lines
         assert tracer.json_events() == [json.loads(line) for line in lines]
 

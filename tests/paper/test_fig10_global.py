@@ -1,11 +1,12 @@
 """Figure 10: global cross-layer vs local adaptation."""
 
 from repro.experiments import fig10_global
+from repro.experiments.parallel import SWEEPS
 
 
 def test_fig10_global():
     """Fig. 10: global adaptation cuts overhead beyond local adaptation."""
-    rows = fig10_global.run_fig10()
+    rows = SWEEPS["fig10"].result()
     assert fig10_global.render(rows)
     for row in rows:
         # Global adaptation cuts overhead further at every scale

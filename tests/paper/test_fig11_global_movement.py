@@ -1,11 +1,12 @@
 """Figure 11: data movement, global vs local adaptation."""
 
 from repro.experiments import fig11_global_movement
+from repro.experiments.parallel import SWEEPS
 
 
 def test_fig11_global_movement():
     """Fig. 11: global adaptation moves less data than local adaptation."""
-    rows = fig11_global_movement.run_fig11()
+    rows = SWEEPS["fig11"].result()
     assert fig11_global_movement.render(rows)
     for row in rows:
         # "the data reduction from application layer adaptation still plays

@@ -2,12 +2,13 @@
 
 from repro.experiments import fig7_placement
 from repro.experiments.common import PAPER
+from repro.experiments.parallel import SWEEPS
 from repro.workflow.config import Mode
 
 
 def test_fig7_placement():
     """Fig. 7: adaptive placement beats both static modes at every scale."""
-    rows = fig7_placement.run_fig7()
+    rows = SWEEPS["fig7"].result()
     assert fig7_placement.render(rows)
     for row in rows:
         adaptive = row.adaptive

@@ -1,11 +1,12 @@
 """Figure 9 and Eq. 12: adaptive in-transit allocation."""
 
 from repro.experiments import fig9_resource
+from repro.experiments.parallel import SWEEPS
 
 
 def test_fig9_resource():
     """Fig. 9 + Eq. 12: staging grows with refinement at higher utilization."""
-    result = fig9_resource.run_fig9()
+    result = SWEEPS["fig9"].result()
     assert fig9_resource.render(result)
     adaptive = result.adaptive_series
     # Start small: "only around 50 in-transit cores are needed".

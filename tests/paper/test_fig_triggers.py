@@ -5,11 +5,12 @@ compares the Monitor's trigger-detection policies.
 """
 
 from repro.experiments import fig_triggers
+from repro.experiments.parallel import SWEEPS
 
 
 def test_fig_triggers():
     """Triggers: entropy-percentile halves monitor cost at equal quality."""
-    result = fig_triggers.run_fig_triggers()
+    result = SWEEPS["fig_triggers"].result()
     assert fig_triggers.render(result)
     fixed = result.row("fixed-interval", "none")
     entropy = result.row("entropy-percentile", "none")

@@ -2,11 +2,12 @@
 
 from repro.core.preferences import Objective
 from repro.experiments import objectives
+from repro.experiments.parallel import SWEEPS
 
 
 def test_objectives_pareto():
     """Section 3: each objective wins (or ties within 1%) its own metric."""
-    results = objectives.run_objectives()
+    results = SWEEPS["objectives"].result()
     assert objectives.render(results)
     tts = results[Objective.MINIMIZE_TIME_TO_SOLUTION]
     movement = results[Objective.MINIMIZE_DATA_MOVEMENT]

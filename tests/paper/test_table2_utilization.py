@@ -4,12 +4,13 @@ from repro.core.actions import Placement
 from repro.experiments import table2_utilization
 from repro.experiments.common import SCALES
 from repro.experiments.common import run_mode_at_scale
+from repro.experiments.parallel import SWEEPS
 from repro.workflow.config import Mode
 
 
 def test_table2_utilization():
     """Table 2: some in-transit steps use less than the preallocation."""
-    rows = table2_utilization.run_table2()
+    rows = SWEEPS["table2"].result()
     assert table2_utilization.render(rows)
     for scale, row in zip(SCALES, rows):
         total = sum(row.buckets.values())

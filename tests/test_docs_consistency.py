@@ -97,6 +97,17 @@ class TestCliDocs:
         missing = [name for name in SWEEPS if name not in all_docs]
         assert not missing, f"undocumented experiments: {missing}"
 
+    def test_every_experiment_module_in_package_docs(self):
+        # repro.experiments' module table and __all__ name every module
+        # the CLI runs.
+        import repro.experiments as experiments
+
+        modules = [spec.module.rpartition(".")[2] for spec in SWEEPS.values()]
+        missing = [module for module in modules
+                   if module not in experiments.__all__
+                   or f"``{module}``" not in experiments.__doc__]
+        assert not missing, f"missing from repro.experiments: {missing}"
+
 
 class TestPerformanceDocs:
     @pytest.fixture(scope="class")

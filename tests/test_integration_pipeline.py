@@ -10,7 +10,7 @@ import pytest
 
 from repro.amr import AMRHierarchy, AMRStepper, Box, PolytropicGasSolver
 from repro.analysis import extract_isosurface, surface_area
-from repro.analysis.isosurface import surface_stats
+from tests.analysis.mesh_topology import surface_stats
 
 N = 24
 STEPS = 8

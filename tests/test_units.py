@@ -1,8 +1,6 @@
 """Unit tests for unit helpers."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.units import (
     GiB,
@@ -10,7 +8,6 @@ from repro.units import (
     MiB,
     format_bytes,
     format_seconds,
-    parse_bytes,
 )
 
 
@@ -29,33 +26,6 @@ class TestFormatBytes:
     )
     def test_examples(self, value, expected):
         assert format_bytes(value) == expected
-
-
-class TestParseBytes:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("512 MiB", 512 * MiB),
-            ("2GiB", 2 * GiB),
-            ("1.5 kb", 1500),
-            ("100", 100.0),
-            ("0 B", 0.0),
-        ],
-    )
-    def test_examples(self, text, expected):
-        assert parse_bytes(text) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("bad", ["", "MiB", "12 parsecs", "x GiB"])
-    def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
-            parse_bytes(bad)
-
-    @given(st.floats(min_value=0, max_value=1e15, allow_nan=False))
-    def test_roundtrip_via_binary_suffix(self, n):
-        # format -> parse must recover the value within rendering precision.
-        text = format_bytes(n)
-        recovered = parse_bytes(text)
-        assert recovered == pytest.approx(n, rel=5e-3, abs=1.0)
 
 
 class TestFormatSeconds:

