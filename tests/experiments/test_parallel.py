@@ -9,12 +9,16 @@ Two contracts matter:
   registry, and one ``sweep.point`` event fires per grid point.
 """
 
+import sys
+import types
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.cache import reset_default_cache
 from repro.experiments.parallel import (
     SWEEPS,
+    SweepSpec,
     expand_grid,
     run_all,
 )
@@ -62,6 +66,31 @@ class TestGrid:
             run_all(["fig6"], jobs=0)
         with pytest.raises(ExperimentError, match="nope"):
             run_all(["nope"])
+
+
+class TestSweepSpec:
+    def test_every_module_binds_the_protocol(self):
+        for name, spec in SWEEPS.items():
+            module = spec._mod()
+            for attr in ("grid", "run_point", "merge", "render"):
+                assert callable(getattr(module, attr, None)), (name, attr)
+
+    def test_result_merges_every_point_in_grid_order(self, monkeypatch):
+        seen = []
+
+        def run_point(params):
+            seen.append(params["x"])
+            return params["x"] * 10
+
+        module = types.ModuleType("sweep_stub")
+        module.grid = lambda: [{"x": 2}, {"x": 1}, {"x": 3}]
+        module.run_point = run_point
+        module.merge = lambda results: ("merged", results)
+        monkeypatch.setitem(sys.modules, "sweep_stub", module)
+
+        spec = SweepSpec("stub", "sweep_stub", "stub sweep")
+        assert spec.result() == ("merged", [20, 10, 30])
+        assert seen == [2, 1, 3]
 
 
 class TestDeterminism:
