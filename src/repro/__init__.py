@@ -7,8 +7,8 @@ Dynamic Data Management in Large Scale Coupled Scientific Workflows"
 - :mod:`repro.hpc` -- a discrete-event simulated HPC machine (per-node
   shape, interconnect with bandwidth sharing, Intrepid/Titan presets) that
   stands in for the leadership systems used in the paper.
-- :mod:`repro.amr` -- a Chombo-like block-structured AMR library with real
-  advection-diffusion and polytropic-gas (Euler/Godunov) solvers.
+- :mod:`repro.amr` -- a Chombo-like block-structured AMR library with a
+  real polytropic-gas (Euler/Godunov) solver.
 - :mod:`repro.analysis` -- in-situ/in-transit analysis kernels: marching
   tetrahedra isosurface extraction, block entropy,
   downsampling operators, compression and fidelity metrics.

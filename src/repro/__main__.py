@@ -28,9 +28,10 @@ this process and render the merged result.  ``run-all`` regenerates them
 through the parallel sweep runner (:mod:`repro.experiments.parallel`):
 each experiment's parameter grid is fanned over ``--jobs`` worker
 processes, each with its own in-memory experiment cache, and the
-grid-index-ordered merge makes the output bit-identical to ``--jobs 1``
-(and to the ``all`` command's per-experiment sections).  See
-``docs/performance.md``.
+grid-index-ordered merge makes every ``### <id>`` section bit-identical
+to ``--jobs 1`` (and to the ``all`` command's sections).  The closing
+``ran ... jobs=N`` line and the ``Cache metrics`` section differ, since
+each worker keeps its own cache.  See ``docs/performance.md``.
 
 ``trace``, ``audit``, ``faults`` and ``profile`` are views of one
 observed quickstart run.  They share ``--mode/--steps/--seed/--record``
@@ -181,8 +182,9 @@ def _run_all_command(argv: list[str]) -> int:
         prog="python -m repro run-all",
         description="Regenerate experiments through the parallel sweep "
         "runner: parameter grids fan out over --jobs worker processes, "
-        "and results merge in grid order so the output is bit-identical "
-        "to --jobs 1.",
+        "and results merge in grid order so each experiment's section is "
+        "bit-identical to --jobs 1 (the closing summary and the cache "
+        "metrics differ: each worker has its own cache).",
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (default: 1 = in-process)")

@@ -4,9 +4,11 @@ The paper's second, memory- and compute-intensive Chombo application:
 ``AMRGodunov PolytropicGas`` integrates the Euler equations of gas
 dynamics with a gamma-law equation of state.  This module implements an
 unsplit finite-volume update with MUSCL (minmod-limited) reconstruction
-and HLL fluxes in 1/2/3-D: per box (:meth:`PolytropicGasSolver.advance`),
-or for a whole level at once as one sweep per axis over the pencils of
-all its boxes (:meth:`PolytropicGasSolver.advance_boxes`).
+and HLL fluxes in 1/2/3-D.  The stepper advances a whole level at once,
+one sweep per axis over the pencils of all its boxes
+(:meth:`PolytropicGasSolver.advance_boxes`); the per-box update
+(:meth:`PolytropicGasSolver.advance`) is the reference that sweep is
+tested against.
 
 Conserved state layout (component axis first):
 
@@ -261,9 +263,8 @@ class PolytropicGasSolver:
         for level, spec in enumerate(hierarchy.levels):
             spec.data.set_from_function(blast, dx=hierarchy.dx(level))
 
-    def stable_dt_level(self, spec, dx: float, ndim: int) -> float:
+    def stable_dt_level(self, spec, dx: float) -> float:
         """Unsplit CFL limit for one level: ``cfl * dx / sum_d max(|v_d|+c)``."""
-        del ndim
         dt = np.inf
         for wave in self._level_waves(spec.data):
             if wave > 0:
@@ -287,9 +288,8 @@ class PolytropicGasSolver:
 
     def stable_dt(self, hierarchy: AMRHierarchy) -> float:
         """Global (non-subcycled) CFL limit over all levels."""
-        ndim = hierarchy.domain.ndim
         dt = min(
-            self.stable_dt_level(spec, hierarchy.dx(level), ndim)
+            self.stable_dt_level(spec, hierarchy.dx(level))
             for level, spec in enumerate(hierarchy.levels)
         )
         if not np.isfinite(dt):
@@ -354,7 +354,7 @@ class PolytropicGasSolver:
         return tag_undivided_difference(rho / scale, self.tag_threshold)
 
     def work_per_cell(self) -> float:
-        """Relative cost of one cell update; Euler is ~8x the scalar tracer."""
+        """Relative cost of one cell update, in the cost model's work units."""
         return 8.0
 
     # -- numerics ------------------------------------------------------------

@@ -13,7 +13,7 @@ paper's applications:
   proper nesting, preserving data on regions that stay refined.
 
 The hierarchy is solver-agnostic; :mod:`repro.amr.stepper` couples it to
-the advection-diffusion and polytropic-gas kernels.
+the polytropic-gas kernel.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """AMR time stepping: couples an application kernel to the hierarchy.
 
-:class:`AMRStepper` drives one of the application solvers
-(:class:`~repro.amr.advection.AdvectionDiffusionSolver` or
-:class:`~repro.amr.godunov.PolytropicGasSolver`) through the Chombo step
-cycle -- ghost fill, per-box advance, average-down, periodic regrid -- and
-records per-step :class:`StepStats` consumed by the workload-capture layer.
+:class:`AMRStepper` drives the application solver
+(:class:`~repro.amr.godunov.PolytropicGasSolver`) through the Chombo step
+cycle -- ghost fill, level-wide advance, average-down, periodic regrid --
+and records per-step :class:`StepStats` consumed by the workload-capture
+layer.
 
 Simplification vs Chombo (documented in DESIGN.md): all levels advance
 with the same global time step, and :meth:`AMRHierarchy.average_down`
@@ -20,6 +20,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.amr.hierarchy import AMRHierarchy
+from repro.amr.level import LevelData
 from repro.errors import HierarchyError
 
 __all__ = ["AMRApplication", "AMRStepper", "StepStats"]
@@ -38,7 +39,7 @@ class AMRApplication(Protocol):
 
     def stable_dt(self, hierarchy: AMRHierarchy) -> float: ...
 
-    def advance(self, arr: np.ndarray, dx: float, dt: float) -> None: ...
+    def advance_boxes(self, level: LevelData, dx: float, dt: float) -> None: ...
 
     def tag_cells(self, dense: np.ndarray, level: int, dx: float) -> np.ndarray: ...
 
@@ -121,15 +122,8 @@ class AMRStepper:
             halo += h.fill_ghosts(level)
         work = 0.0
         for level, spec in enumerate(h.levels):
-            dx = h.dx(level)
-            # Solvers that support it advance the whole level in place
-            # (bit-identical) instead of box by box.
-            advance_boxes = getattr(self.app, "advance_boxes", None)
-            if advance_boxes is not None:
-                advance_boxes(spec.data, dx, dt)
-            else:
-                for arr in spec.data.data:
-                    self.app.advance(arr, dx, dt)
+            # Looked up per call, so wrappers set on the instance see it.
+            self.app.advance_boxes(spec.data, h.dx(level), dt)
             work += spec.layout.total_cells * self.app.work_per_cell()
         h.average_down()
         self.step_count += 1

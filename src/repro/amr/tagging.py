@@ -1,7 +1,7 @@
 """Cell tagging for refinement.
 
-Chombo's applications tag cells where the *undivided difference* (or a
-gradient magnitude) of a tracked quantity exceeds a threshold; tagged
+Chombo's applications tag cells where the *undivided difference* of a
+tracked quantity exceeds a threshold; tagged
 cells are then clustered into boxes by :mod:`repro.amr.clustering`.
 
 Taggers operate on dense per-level arrays (as produced by
@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 
-__all__ = ["tag_gradient", "tag_undivided_difference", "buffer_tags"]
+__all__ = ["tag_undivided_difference", "buffer_tags"]
 
 
 def tag_undivided_difference(field: np.ndarray, threshold: float) -> np.ndarray:
@@ -39,18 +39,6 @@ def tag_undivided_difference(field: np.ndarray, threshold: float) -> np.ndarray:
         tags |= np.pad(diff, lo_pad) > threshold
         tags |= np.pad(diff, hi_pad) > threshold
     return tags
-
-
-def tag_gradient(field: np.ndarray, threshold: float, dx: float = 1.0) -> np.ndarray:
-    """Tag cells where the central-difference gradient magnitude exceeds ``threshold``."""
-    if dx <= 0:
-        raise GeometryError(f"dx must be positive, got {dx}")
-    field = np.asarray(field, dtype=np.float64)
-    sq = np.zeros(field.shape, dtype=np.float64)
-    for axis in range(field.ndim):
-        grad = np.gradient(field, dx, axis=axis)
-        sq += grad * grad
-    return np.sqrt(sq) > threshold
 
 
 def buffer_tags(tags: np.ndarray, buffer_cells: int) -> np.ndarray:

@@ -13,8 +13,9 @@ protocol --
 -- and :func:`run_all` fans every selected experiment's points over a
 ``ProcessPoolExecutor`` with ``jobs`` workers.  Results are merged
 **deterministically, ordered by grid index** (never by completion
-order), so the rendered output is bit-identical to the serial path:
-``run_all(jobs=8)`` and ``run_all(jobs=1)`` print the same bytes.
+order), so each experiment's rendered text is bit-identical to the
+serial path: ``run_all(jobs=8)`` and ``run_all(jobs=1)`` return the same
+outcome texts; only the merged cache hit/miss tallies differ.
 
 Each worker has its own in-memory experiment cache
 (:mod:`repro.experiments.cache`); points that need the same solver run
@@ -240,7 +241,7 @@ def run_all(
     jobs:
         Worker processes.  ``1`` (the default) runs every point in this
         process -- no pool, no pickling -- and is the reference output;
-        any higher value must produce bit-identical text.
+        any higher value must produce bit-identical outcome texts.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`; worker
         dumps are folded in with

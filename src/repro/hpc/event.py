@@ -4,9 +4,9 @@ The waitable API every component programs against -- :class:`Simulator`,
 :class:`Process`, :class:`Event`, :class:`Timeout`, the combinators --
 is a thin adapter over the typed event engine in
 :mod:`repro.hpc.kernel` (see ``docs/kernel.md`` for the layering).  The
-kernel owns the clock, the heapq event heap, the per-kind counters and
-the injected RNG; this module owns generator processes,
-callbacks and failure propagation.
+kernel owns the clock, the heapq event heap and the per-kind counters;
+this module owns generator processes, callbacks and failure
+propagation.
 
 The design follows the classic event-list pattern (and will feel familiar
 to SimPy users) but is intentionally small and fully deterministic:
@@ -330,8 +330,8 @@ class Simulator:
     :meth:`_schedule_at` call.
     """
 
-    def __init__(self, faults: Any = None, rng: Any = None):
-        self.kernel = EventKernel(rng=rng)
+    def __init__(self, faults: Any = None):
+        self.kernel = EventKernel()
         self._unhandled: list[tuple[Process, BaseException]] = []
         # Optional fault injector (repro.faults.FaultInjector); duck-typed
         # so the kernel stays free of upward imports.
@@ -343,11 +343,6 @@ class Simulator:
     def now(self) -> float:
         """The current simulated time in seconds."""
         return self.kernel.now
-
-    @property
-    def rng(self):
-        """The kernel's injected ``numpy.random.Generator``."""
-        return self.kernel.rng
 
     # -- factory helpers -------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 This module is the *engine layer* of the stack documented in
 ``docs/kernel.md``: a domain-agnostic event core with no knowledge of
-workflows, staging or policies.  It owns exactly four things:
+workflows, staging or policies.  It owns exactly three things:
 
 - **Typed event records.**  Every scheduled occurrence is a
   ``(time, seq, kind, func, args)`` tuple.  ``kind`` is a small integer
@@ -17,9 +17,6 @@ workflows, staging or policies.  It owns exactly four things:
 - **First-class cheap counters** (:class:`KernelCounters`): per-kind
   scheduled/processed tallies, each a plain integer increment -- always
   on, no observability hook required.
-- **An injected RNG**: :class:`EventKernel` owns a
-  ``numpy.random.Generator`` so stochastic domains draw from a seeded,
-  replaceable stream instead of global state.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.errors import SimulationError
 
@@ -169,7 +164,7 @@ class KernelCounters:
 
 
 class EventKernel:
-    """The pure engine: clock + heapq heap + counters + RNG.
+    """The pure engine: clock + heapq heap + counters.
 
     ``heap`` is a plain list of ``(time, seq, kind, func, args)`` tuples
     kept in :mod:`heapq` order; ``seq`` is unique, so comparison stops
@@ -177,25 +172,13 @@ class EventKernel:
     :meth:`repro.hpc.event.Simulator.run` pops each record, sets
     :attr:`now`, counts it in ``counters.processed`` and calls
     ``func(*args)``.
-
-    Parameters
-    ----------
-    rng:
-        Seed or ``numpy.random.Generator`` for stochastic domains.  The
-        kernel never draws from it itself; owning it here gives every
-        domain one seeded, injectable stream (``kernel.rng``).
     """
 
-    def __init__(self, rng: Any = None):
+    def __init__(self):
         self.now = 0.0
         self.heap: list[tuple[float, int, int, Callable, tuple]] = []
         self._next_seq = 0
         self.counters = KernelCounters()
-        self.rng = (
-            rng
-            if isinstance(rng, np.random.Generator)
-            else np.random.default_rng(rng)
-        )
 
     def __len__(self) -> int:
         return len(self.heap)

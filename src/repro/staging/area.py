@@ -84,8 +84,8 @@ class StagingArea:
     sim:
         Event simulator.
     network:
-        The machine network; ingest transfers go ``src_endpoint ->
-        dst_endpoint``.
+        The machine network; ingest transfers go from endpoint ``"sim"``
+        to endpoint ``"staging"``.
     core_rate:
         Work units per second per core (same calibration as the machine).
     total_cores:
@@ -123,8 +123,6 @@ class StagingArea:
         total_cores: int,
         active_cores: int | None = None,
         memory_bytes: float = float("inf"),
-        src_endpoint: str = "sim",
-        dst_endpoint: str = "staging",
         faults=None,
         retry_policy: RetryPolicy | None = None,
         observer: Observer = NULL_OBSERVER,
@@ -144,8 +142,6 @@ class StagingArea:
             )
         self.memory_total = float(memory_bytes)
         self.memory_used = 0.0
-        self.src = src_endpoint
-        self.dst = dst_endpoint
         self.tracer = observer.tracer
         self.ledger = observer.ledger
         self.faults = faults
@@ -369,10 +365,10 @@ class StagingArea:
         exactly the network's completion event.
         """
         if self.faults is None or not self.faults.may_drop(step):
-            return self.network.transfer(self.src, self.dst, nbytes)
+            return self.network.transfer("sim", "staging", nbytes)
 
         def _attempt(_k: int) -> Event:
-            return self.network.transfer(self.src, self.dst, nbytes)
+            return self.network.transfer("sim", "staging", nbytes)
 
         def _accept(_k: int, _transfer) -> bool:
             return not self.faults.consume_drop(step)

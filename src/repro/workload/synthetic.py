@@ -1,8 +1,7 @@
 """Synthetic AMR-like workload generator.
 
 The 2K-16K-core experiments of the paper cannot be re-run directly, so we
-generate traces with the statistical structure of an AMR run, calibrated
-against traces captured from the real (small-scale) solvers:
+generate traces with the qualitative structure of an AMR run:
 
 - total cells grow as the refined region expands -- a logistic envelope
   with multiplicative bursts at regrid steps (Chombo regrids every k
@@ -11,6 +10,28 @@ against traces captured from the real (small-scale) solvers:
   right tail across ranks);
 - occasional coarsening shrinks the grid (refined regions "maybe further
   refined or coarsened").
+
+The only trace captured from a real solver is the 3-D polytropic-gas run
+(:func:`~repro.experiments.fig1_memory.captured_gas_trace`), and it is
+the reference the family is measured against.  The family is not fitted
+to it: ``growth``, ``burst_sigma``, ``imbalance_sigma`` and
+``coarsen_probability`` are stated assumptions.  A 16-rank capture is
+nearly balanced, so imbalance at thousands of ranks is argued from the
+paper's Fig. 1 instead (see :func:`~repro.workload.scale.scale_trace`).
+``tests/workload/test_calibration.py`` measures the gap between the
+40-step gas capture and the four ``SCALES`` traces of
+:func:`~repro.experiments.common.advection_trace`; growth is max over
+first-step cells, log-sigma the per-step spread of ``log(rank_bytes)``
+and peak/mean the per-step max over mean rank bytes, both averaged over
+steps:
+
+==========  =========  =========
+statistic   gas        family
+==========  =========  =========
+growth      1.7-1.9    2.5-3.3
+log-sigma   0.03-0.06  0.42-0.48
+peak/mean   1.02-1.1   4-6
+==========  =========  =========
 
 Everything is seeded; identical configs give identical traces.
 """
@@ -35,7 +56,8 @@ class SyntheticAMRConfig:
     ``(1 + growth) * base_cells`` following a logistic curve centred at
     ``midpoint_step`` with ``burst_sigma`` multiplicative noise applied at
     regrid steps.  ``sim_cost_per_cell`` converts cells to work units
-    (8 for the Godunov gas solver, 1 for the scalar tracer);
+    (the gas solver's ``work_per_cell`` is 8; the paper-scale traces of
+    :func:`~repro.experiments.common.advection_trace` set 12);
     ``state_bytes_per_cell`` sizes the resident simulation state while
     ``output_bytes_per_cell`` sizes the published analysis variable.
     """

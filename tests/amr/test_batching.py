@@ -162,10 +162,10 @@ class TestLevelWavesEquivalence:
 
     def test_stable_dt_chunk_size_invariance(self, monkeypatch):
         solver, spec = self._blast_level()
-        reference = solver.stable_dt_level(spec, dx=1.0 / 32, ndim=2)
+        reference = solver.stable_dt_level(spec, dx=1.0 / 32)
         for batch_cells in (1, 1 << 30):
             monkeypatch.setattr(godunov, "_BATCH_CELLS", batch_cells)
-            assert solver.stable_dt_level(spec, dx=1.0 / 32, ndim=2) == reference
+            assert solver.stable_dt_level(spec, dx=1.0 / 32) == reference
 
 
 class TestExchangePlanCache:

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.amr.box import Box
 from repro.amr.clustering import cluster_tags
-from repro.amr.tagging import buffer_tags, tag_gradient, tag_undivided_difference
+from repro.amr.tagging import buffer_tags, tag_undivided_difference
 from repro.errors import GeometryError
 
 
@@ -43,18 +43,6 @@ class TestTagging:
     def test_negative_threshold_rejected(self):
         with pytest.raises(GeometryError):
             tag_undivided_difference(np.zeros(4), -1.0)
-
-    def test_gradient_tagging_scales_with_dx(self):
-        x = np.linspace(0, 1, 100)
-        field = x.copy()  # gradient 1.0 in physical units when dx=1/99... use dx arg
-        tags_fine = tag_gradient(field, threshold=0.5, dx=0.01)
-        tags_coarse = tag_gradient(field, threshold=0.5, dx=10.0)
-        assert tags_fine.all()
-        assert not tags_coarse.any()
-
-    def test_gradient_bad_dx(self):
-        with pytest.raises(GeometryError):
-            tag_gradient(np.zeros(4), 0.1, dx=0)
 
 
 class TestBufferTags:

@@ -281,25 +281,6 @@ class TestEventKernel:
         assert processed["staging"] == processed["timer"] == 1
         assert kernel.counters.total_processed == 2
 
-    def test_injected_rng_is_reproducible(self):
-        results = []
-        for _ in range(2):
-            draws = []
-            sim = Simulator(rng=1234)
-            kernel = sim.kernel
-            for t in (1.0, 2.0, 3.0):
-                kernel.schedule(
-                    t, TIMER, lambda: draws.append(float(kernel.rng.uniform())))
-            sim.run()
-            results.append(draws)
-        assert results[0] == results[1]
-        assert len(results[0]) == 3
-
-    def test_rng_accepts_generator_instance(self):
-        gen = np.random.default_rng(7)
-        kernel = EventKernel(rng=gen)
-        assert kernel.rng is gen
-
 
 class TestSimulatorTieBreakRegression:
     """Same-timestamp events preserve submission order through the
@@ -478,8 +459,3 @@ class TestAdapterIntegration:
         assert len(sim.kernel) == 0
         assert sim.now == 100.0
         assert sim.kernel.counters.processed_by_kind()["compute"] == 1
-
-    def test_seeded_simulator_rng_injection(self):
-        a = Simulator(rng=99).rng.uniform(size=4)
-        b = Simulator(rng=99).rng.uniform(size=4)
-        assert np.array_equal(a, b)

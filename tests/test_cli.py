@@ -111,10 +111,16 @@ class TestRunAllCLI:
         assert "Cache metrics" in out
 
     def test_run_all_with_workers(self, capsys):
-        assert main(["run-all", "--jobs", "2", "--only", "fig4"]) == 0
-        out = capsys.readouterr().out
-        assert "### fig4" in out
-        assert "jobs=2" in out
+        # Every "### <id>" section matches --jobs 1 byte for byte; only the
+        # closing summary and the per-worker cache metrics may differ.
+        sections = {}
+        for jobs in ("1", "2"):
+            assert main(["run-all", "--jobs", jobs, "--only", "fig4,fig9"]) == 0
+            out = capsys.readouterr().out
+            assert f"jobs={jobs}" in out
+            sections[jobs] = out[: out.index("\nran ")]
+        assert "### fig4" in sections["2"] and "### fig9" in sections["2"]
+        assert sections["2"] == sections["1"]
 
     def test_run_all_unknown_experiment_fails(self, capsys):
         assert main(["run-all", "--only", "fig99"]) == 2
