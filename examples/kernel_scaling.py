@@ -14,9 +14,8 @@ workload over increasing rank counts and, for each scale, prints:
   span tree ``python -m repro profile`` renders, which must account for
   (nearly) all of the measured wall time.
 
-``benchmarks/bench_kernel.py`` enforces the budget ceilings at 64K
-ranks; this example keeps the rank counts modest so it runs in about a
-second.
+``benchmarks/bench_kernel.py`` asserts the attribution at 64K ranks;
+this example keeps the rank counts modest so it runs in about a second.
 
 Run:  python examples/kernel_scaling.py
 """

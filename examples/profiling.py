@@ -14,20 +14,18 @@ and the hot list, shows that the spans attribute essentially all of the
 measured wall time, and folds a second (simulated worker) profile in
 with :func:`~repro.observability.merge_worker_profiles` -- the same
 cross-process aggregation ``repro run-all --jobs N`` uses.  The
-assertions double as a smoke test: every recorded span name must be
-registered in ``PROFILE_SPANS`` and the run must satisfy the shipped
-hot-path budgets in ``benchmarks/budgets.json``.
+assertion doubles as a smoke test: every recorded span name must be
+registered in ``PROFILE_SPANS``.  The span budget is checked on the
+quickstart replay by ``benchmarks/bench_profile.py``, not here.
 
 Run:  python examples/profiling.py
 """
 
 import time
-from pathlib import Path
 
 from repro.hpc.systems import titan
 from repro.observability import (
     Profiler,
-    check_budgets,
     merge_worker_profiles,
     render_hot_spans,
     render_profile,
@@ -35,9 +33,6 @@ from repro.observability import (
 )
 from repro.workflow import CoupledWorkflow, Mode, WorkflowConfig
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
-
-BUDGETS = Path(__file__).resolve().parent.parent / "benchmarks" / "budgets.json"
-
 
 def build_workload(steps: int, seed: int):
     config = WorkflowConfig(mode=Mode.GLOBAL, sim_cores=1024,
@@ -84,9 +79,7 @@ def main() -> None:
           f"its nested workflow.run count {nested.count}")
 
     assert unregistered_spans(profiler.dump()) == []
-    violations = check_budgets(profiler.dump(), BUDGETS)
-    assert not violations, "; ".join(v.describe() for v in violations)
-    print("every span registered and within budget: YES")
+    print("every span registered: YES")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ Usage::
     python -m repro triggers --list
     python -m repro triggers --steps 20 --scenario blackout
     python -m repro profile --steps 20
-    python -m repro profile --budgets benchmarks/budgets.json
     python -m repro tenants --list
     python -m repro tenants --policy smallest --tenants 4
     python -m repro tenants --smoke
@@ -58,10 +57,9 @@ record, and ``--record PATH`` writes it.
 - ``profile`` injects a :class:`~repro.observability.Profiler` and prints
   the span tree (call counts, cumulative and self wall-clock seconds per
   span path), the top-N hot list by self time, and the fraction of
-  measured wall time the named spans attribute.  ``--budgets`` also
-  checks the spans against a ``benchmarks/budgets.json`` manifest and
-  exits non-zero on any ceiling violation (the CI ``profile-smoke``
-  job's check).  See ``docs/profiling.md``.
+  measured wall time the named spans attribute.  It is a view only: the
+  span budget is checked by ``benchmarks/bench_profile.py``.  See
+  ``docs/profiling.md``.
 
 ``triggers`` compares every registered trigger-detection policy
 (:data:`repro.workflow.triggers.TRIGGER_POLICIES`) on one workload --
@@ -522,36 +520,19 @@ def _profile_command(argv: list[str]) -> int:
         "profiler and print where the host's wall-clock time goes: the "
         "span tree (count, cumulative, self seconds per path), the hot "
         "list by self time, and the attributed fraction of measured "
-        "wall time.  With --budgets, check the profile against a "
-        "budget manifest and exit 1 on any ceiling violation.",
+        "wall time.",
         parents=[_observed_run_flags()],
     )
     parser.add_argument("--top", type=int, default=10,
                         help="hot-list length (default: 10)")
-    parser.add_argument("--budgets", metavar="PATH", default=None,
-                        help="check the profile against this "
-                        "repro.budgets/1 manifest (benchmarks/budgets.json)")
     args = parser.parse_args(argv)
 
-    from repro.errors import ObservabilityError
     from repro.observability import (
         Profiler,
-        check_budgets,
-        load_budgets,
-        render_budget_report,
         render_hot_spans,
         render_profile,
         unregistered_spans,
     )
-
-    budgets = None
-    if args.budgets is not None:
-        try:
-            budgets = load_budgets(args.budgets)
-        except (OSError, ObservabilityError) as exc:
-            print(f"invalid budget manifest {args.budgets}: {exc}",
-                  file=sys.stderr)
-            return 2
 
     result, record, wall = _observe(args, {"profiler": Profiler()},
                                     _label(args))
@@ -574,11 +555,6 @@ def _profile_command(argv: list[str]) -> int:
         print(f"\nWARNING: unregistered span names: {', '.join(unknown)} "
               "(register them in PROFILE_SPANS)", file=sys.stderr)
     _write_record(args, record)
-    if budgets is not None:
-        print("\n## Budget check " + "#" * 55)
-        print(render_budget_report(spans, budgets))
-        if check_budgets(spans, budgets):
-            return 1
     return 0
 
 
@@ -595,7 +571,7 @@ _COMMANDS = {
     "triggers": (_triggers_command, "trigger-policy comparison: "
                  "monitoring overhead vs adaptation lag"),
     "profile": (_profile_command, "span profile of a quickstart run: "
-                "where host wall time goes, budget check"),
+                "where host wall time goes"),
     "tenants": (_tenants_command, "multi-tenant service: contention, "
                 "queue waits and fairness on a shared machine"),
 }

@@ -10,6 +10,12 @@ one sweep per axis over the pencils of all its boxes
 (:meth:`PolytropicGasSolver.advance`) is the reference that sweep is
 tested against.
 
+``order=2`` is second order in space only.  Each step applies one
+forward-Euler update of the MUSCL-HLL face fluxes, with no Hancock
+predictor, so on smooth flow the scheme converges at first order in
+time; ``tests/amr/test_convergence.py::TestGasOrder`` measures this.
+Chombo's PolytropicGas is second order in time.
+
 Conserved state layout (component axis first):
 
 ====== ======================
@@ -174,7 +180,8 @@ class PolytropicGasSolver:
     cfl:
         Courant number (shared across the unsplit update).
     order:
-        1 = piecewise-constant Godunov, 2 = MUSCL minmod reconstruction.
+        1 = piecewise-constant Godunov, 2 = MUSCL minmod reconstruction
+        (second order in space; the time update stays forward Euler).
     tag_threshold:
         Relative undivided density difference that triggers refinement.
     blast_pressure_jump, blast_density_jump, blast_radius:

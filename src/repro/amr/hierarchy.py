@@ -130,10 +130,6 @@ class AMRHierarchy:
         """Mesh spacing at ``level``."""
         return self.dx0 / (self.ref_ratio**level)
 
-    def total_cells(self) -> int:
-        """Valid cells summed over all levels."""
-        return sum(spec.layout.total_cells for spec in self.levels)
-
     def total_bytes(self) -> int:
         """State bytes (ghosts included) summed over all levels."""
         return sum(spec.data.nbytes for spec in self.levels)

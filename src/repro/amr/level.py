@@ -193,13 +193,6 @@ class LevelData:
 
     # -- initialization ----------------------------------------------------
 
-    def fill(self, value: float, comp: int | None = None) -> None:
-        """Set every cell (ghosts included) to ``value``."""
-        if comp is None:
-            self.buffer[...] = value
-        else:
-            self.buffer[comp] = value
-
     def set_from_function(self, fn: Callable[..., np.ndarray], dx: float = 1.0) -> None:
         """Initialize interior cells from ``fn(*cell_center_coords) -> (ncomp, ...)``.
 

@@ -19,7 +19,6 @@ from repro.analysis.compression import (
     decompress_field,
 )
 from repro.analysis.downsample import (
-    downsample_mean,
     downsample_stride,
     downsample_memory_cost,
     reduced_nbytes,
@@ -38,7 +37,6 @@ __all__ = [
     "block_entropies",
     "compress_field",
     "decompress_field",
-    "downsample_mean",
     "downsample_memory_cost",
     "downsample_stride",
     "entropy_downsample_factors",

@@ -3,8 +3,7 @@
 These are the actuators of the application-layer adaptation (paper
 Section 4.1): the policy picks a factor ``X`` and the simulation reduces
 its output with ``downsample_stride`` (sample every X-th point, the
-paper's "down-sampled at every 4th grid point") or ``downsample_mean``
-(block averaging, an anti-aliased alternative).
+paper's "down-sampled at every 4th grid point").
 
 ``downsample_memory_cost`` is the paper's ``Mem_data_reduce(S_data, X)``:
 performing the reduction needs the input buffer plus the reduced output
@@ -24,7 +23,6 @@ from repro.errors import PolicyError
 
 __all__ = [
     "blockwise_stride_reconstruction",
-    "downsample_mean",
     "downsample_memory_cost",
     "downsample_stride",
     "reduced_nbytes",
@@ -47,24 +45,6 @@ def downsample_stride(field: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
         return field
     return field[tuple(slice(None, None, factor) for _ in range(field.ndim))]
-
-
-def downsample_mean(field: np.ndarray, factor: int) -> np.ndarray:
-    """Block-average ``factor``-cubes; trailing remainder cells are cropped."""
-    _check_factor(factor)
-    if factor == 1:
-        return field
-    trimmed = field[tuple(slice(0, (s // factor) * factor) for s in field.shape)]
-    if trimmed.size == 0:
-        raise PolicyError(
-            f"field of shape {field.shape} too small for factor {factor}"
-        )
-    shape = []
-    for s in trimmed.shape:
-        shape.extend([s // factor, factor])
-    reshaped = trimmed.reshape(shape)
-    axes = tuple(1 + 2 * d for d in range(field.ndim))
-    return reshaped.mean(axis=axes)
 
 
 def upsample_nearest(field: np.ndarray, factor: int,

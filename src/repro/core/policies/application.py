@@ -87,7 +87,3 @@ class ApplicationLayerPolicy:
                 f"{fallback}"
             ),
         )
-
-    def memory_required(self, state: OperationalState, factor: int) -> float:
-        """Eq. 2's left-hand side for a candidate factor (for diagnostics)."""
-        return downsample_memory_cost(state.rank_data_bytes, factor, state.ndim)

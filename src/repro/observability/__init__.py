@@ -15,10 +15,8 @@ publishes into:
   and self seconds per span path (:data:`PROFILE_SPANS` is the closed
   registry of span names), put on the layers' methods from outside by
   :func:`instrument`, with :func:`render_profile` /
-  :func:`render_hot_spans` renderings, :func:`merge_worker_profiles`
-  cross-process aggregation and the :func:`check_budgets` /
-  :func:`load_budgets` hot-path budget layer over
-  ``benchmarks/budgets.json`` (:data:`BUDGETS_SCHEMA`);
+  :func:`render_hot_spans` renderings and :func:`merge_worker_profiles`
+  cross-process aggregation;
 - :class:`PredictionLedger` -- every estimate the Monitor and the
   Adaptation Engine decide on, paired with the realized value the event
   simulator later delivers, plus per-step placement outcomes for
@@ -51,13 +49,6 @@ closed registries of everything the built-in instrumentation can emit;
 see ``docs/observability.md`` for the schemas and worked examples.
 """
 
-from repro.observability.budgets import (
-    BUDGETS_SCHEMA,
-    BudgetViolation,
-    check_budgets,
-    load_budgets,
-    render_budget_report,
-)
 from repro.observability.calibration import (
     EstimatorCalibration,
     RegretSummary,
@@ -105,8 +96,6 @@ from repro.observability.timeline import (
 from repro.observability.tracer import Tracer
 
 __all__ = [
-    "BUDGETS_SCHEMA",
-    "BudgetViolation",
     "Counter",
     "EmaTimer",
     "EstimatorCalibration",
@@ -129,19 +118,16 @@ __all__ = [
     "Tracer",
     "calibrate",
     "calibration_report",
-    "check_budgets",
     "decision_timeline",
     "diff_records",
     "fault_timeline",
     "instrument",
-    "load_budgets",
     "load_record",
     "merge_worker_metrics",
     "merge_worker_profiles",
     "occupancy_gantt",
     "placement_regret",
     "prometheus_text",
-    "render_budget_report",
     "render_diff",
     "render_hot_spans",
     "render_profile",

@@ -346,14 +346,6 @@ class PredictionLedger:
             out = [r for r in out if r.step == step]
         return list(out)
 
-    def resolved_records(self, quantity: str | None = None) -> list[PredictionRecord]:
-        """Records whose realized value has arrived, in prediction order."""
-        return [r for r in self.records(quantity) if r.resolved]
-
-    def pending_count(self, quantity: str | None = None) -> int:
-        """Predictions still awaiting their realized value."""
-        return sum(1 for r in self.records(quantity) if not r.resolved)
-
     def quantities_seen(self) -> set[str]:
         """Distinct quantities currently recorded."""
         return {r.quantity for r in self._records}

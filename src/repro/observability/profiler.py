@@ -4,10 +4,10 @@ The third observability pillar.  The tracer answers *why* (a decision's
 inputs), the metrics registry answers *how much* (counts and smoothed
 rates); the :class:`Profiler` answers *where* -- which layer of the
 stack the host process actually spent its wall-clock seconds in.
-``benchmarks/budgets.json`` declares per-span-path ceilings over the
-profile this module collects, and ``benchmarks/bench_profile.py``
-fails when a hot path regresses past its ceiling.  The renderers read a
-:meth:`Profiler.dump` (a run record's ``spans`` section).
+``benchmarks/bench_profile.py`` fails when a guarded root span's cost,
+relative to the rest of the quickstart replay, passes its ceiling.  The
+renderers read a :meth:`Profiler.dump` (a run record's ``spans``
+section).
 
 Spans nest::
 
@@ -66,7 +66,7 @@ __all__ = [
 #: Every span name the built-in instrumentation opens, with its layer
 #: and meaning.  Span *paths* are slash-joined stacks of these names;
 #: ``docs/profiling.md`` documents each and ``TestProfilingDocs`` keeps
-#: the registry, the docs and ``benchmarks/budgets.json`` in sync.
+#: the registry and the docs in sync.
 PROFILE_SPANS: dict[str, str] = {
     "workflow.setup": "workflow layer: constructing the CoupledWorkflow "
     "(machine, staging area, monitor, engine)",
@@ -328,7 +328,7 @@ class Profiler:
         The cross-process wire format: workers ship dumps back to the
         sweep parent (:func:`merge_worker_profiles`), the run record
         embeds one as its ``spans`` section, and the renderers
-        and budget checks read it.
+        and the budget check read it.
         """
         self._flush()
         return {

@@ -209,11 +209,6 @@ class StagingArea:
     # -- fault surface -----------------------------------------------------------
 
     @property
-    def failed_cores(self) -> int:
-        """Cores currently dead (0 unless a fault plan killed some)."""
-        return self._failed_cores
-
-    @property
     def healthy_cores(self) -> int:
         """Physically usable cores: ``total_cores - failed_cores``."""
         return self.total_cores - self._failed_cores

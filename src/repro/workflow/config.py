@@ -84,8 +84,3 @@ class WorkflowConfig:
             raise WorkflowError("insitu_memory_factor must be >= 0")
         if self.estimator_bias <= 0:
             raise WorkflowError("estimator_bias must be positive")
-
-    @property
-    def staging_ratio(self) -> float:
-        """Simulation-to-staging core ratio (the paper uses 16:1)."""
-        return self.sim_cores / self.staging_cores

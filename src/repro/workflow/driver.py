@@ -523,25 +523,9 @@ class CoupledWorkflow:
                     self.ledger.resolve(
                         "insitu_time", record.step, analysis_seconds
                     )
-                ship_bytes = out_bytes * (1.0 - fraction)
-                ship_work = out_work * (1.0 - fraction)
-                blocked_from = self.sim.now
-                while not self.staging.can_fit(ship_bytes):
-                    pending = [j.done for j in self._outstanding
-                               if not j.done.triggered]
-                    if not pending:
-                        raise WorkflowError(
-                            f"step {record.step}: hybrid remainder exceeds "
-                            "staging memory outright"
-                        )
-                    yield self.sim.any_of(pending)
-                metric.block_seconds = self.sim.now - blocked_from
-                self._note_stall(metric, "staging_memory")
-                self._predict_shipment(record.step, ship_bytes, ship_work)
-                job = self.staging.submit(record.step, ship_bytes, ship_work)
-                self._outstanding.append(job)
-                job.done.add_callback(
-                    lambda _evt, job=job, metric=metric: self._on_job_done(job, metric)
+                yield from self._ship(
+                    metric, out_bytes * (1.0 - fraction),
+                    out_work * (1.0 - fraction),
                 )
             elif placement is Placement.POST_PROCESS:
                 # Traditional output: the collective write blocks the
@@ -571,23 +555,7 @@ class CoupledWorkflow:
             else:
                 if self.ledger.enabled:
                     self._record_placement(record.step, "in_transit", out_work)
-                blocked_from = self.sim.now
-                while not self.staging.can_fit(out_bytes):
-                    pending = [j.done for j in self._outstanding if not j.done.triggered]
-                    if not pending:
-                        raise WorkflowError(
-                            f"step {record.step}: {out_bytes:.0f} B exceed staging "
-                            f"memory {self.staging.memory_total:.0f} B outright"
-                        )
-                    yield self.sim.any_of(pending)
-                metric.block_seconds = self.sim.now - blocked_from
-                self._note_stall(metric, "staging_memory")
-                self._predict_shipment(record.step, out_bytes, out_work)
-                job = self.staging.submit(record.step, out_bytes, out_work)
-                self._outstanding.append(job)
-                job.done.add_callback(
-                    lambda _evt, job=job, metric=metric: self._on_job_done(job, metric)
-                )
+                yield from self._ship(metric, out_bytes, out_work)
 
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -631,6 +599,26 @@ class CoupledWorkflow:
             yield self.sim.timeout(analysis_seconds, kind=_COMPUTE)
             self._post_busy_core_seconds += analysis_seconds * m_cores
             metric.analysis_done_at = self.sim.now
+
+    def _ship(self, metric: StepMetrics, nbytes: float, work_units: float):
+        """Ship a step's staged share: wait until staging memory fits
+        ``nbytes`` (the stall is ``metric.block_seconds``), then submit
+        the job.  Run with ``yield from`` inside the simulation process."""
+        blocked_from = self.sim.now
+        while not self.staging.can_fit(nbytes):
+            pending = [j.done for j in self._outstanding if not j.done.triggered]
+            if not pending:
+                raise WorkflowError(
+                    f"step {metric.step}: {nbytes:.0f} B exceed staging "
+                    f"memory {self.staging.memory_total:.0f} B outright"
+                )
+            yield self.sim.any_of(pending)
+        metric.block_seconds = self.sim.now - blocked_from
+        self._note_stall(metric, "staging_memory")
+        self._predict_shipment(metric.step, nbytes, work_units)
+        job = self.staging.submit(metric.step, nbytes, work_units)
+        self._outstanding.append(job)
+        job.done.add_callback(lambda _evt: self._on_job_done(job, metric))
 
     def _decide(
         self,

@@ -95,11 +95,6 @@ class WorkloadTrace:
         """Sum of S_data over all steps (the no-reduction movement bound)."""
         return sum(record.data_bytes for record in self.steps)
 
-    @property
-    def total_sim_work(self) -> float:
-        """Total simulation cell-updates."""
-        return sum(record.sim_work for record in self.steps)
-
     def peak_memory_series(self) -> np.ndarray:
         """Per-step peak rank memory (Figure 1's trajectory)."""
         return np.array([record.peak_rank_bytes for record in self.steps])

@@ -76,7 +76,7 @@ def mixed_shapes(ndim):
 def ghost_columns(level):
     """Boolean mask of the buffer columns that hold ghost cells."""
     probe = LevelData(level.layout, ncomp=1, nghost=level.nghost)
-    probe.fill(1.0)
+    probe.buffer[...] = 1.0
     for i in range(len(probe.layout)):
         probe.valid_view(i)[...] = 0.0
     return probe.buffer[0] == 1.0

@@ -141,7 +141,7 @@ class TestInterlevelData:
     def test_average_down_constant(self):
         h = make_hierarchy()
         h.regrid({0: central_tags((32, 32))})
-        h.levels[0].data.fill(1.0)
+        h.levels[0].data.buffer[...] = 1.0
         for i in range(len(h.levels[1].layout)):
             h.levels[1].data.valid_view(i)[...] = 5.0
         h.average_down()
@@ -230,7 +230,6 @@ class TestInterlevelData:
     def test_total_accounting(self):
         h = make_hierarchy()
         h.regrid({0: central_tags((32, 32))})
-        assert h.total_cells() == sum(s.layout.total_cells for s in h.levels)
         assert h.total_bytes() == sum(s.data.nbytes for s in h.levels)
         assert h.rank_bytes().sum() == h.total_bytes()
 

@@ -151,7 +151,7 @@ class TestFillPhysical:
     def test_constant_mode(self):
         layout = BoxLayout([Box((0, 0), (3, 3))])
         ld = LevelData(layout, nghost=1)
-        ld.fill(5.0)
+        ld.buffer[...] = 5.0
         ld.fill_physical(Box((0, 0), (3, 3)), mode="constant", value=-1.0)
         arr = ld.data[0]
         assert (arr[0, 0, :] == -1.0).all()
@@ -160,7 +160,7 @@ class TestFillPhysical:
         # Box 0's high-x face is interior (bordering box 1), so physical
         # fill must not touch it.
         ld = LevelData(two_box_layout(), nghost=1)
-        ld.fill(3.0)
+        ld.buffer[...] = 3.0
         ld.data[0][0, -1, :] = 7.0
         ld.fill_physical(Box((0, 0), (7, 7)), mode="constant", value=0.0)
         assert (ld.data[0][0, -1, 1:-1] == 7.0).all()
@@ -264,7 +264,7 @@ class TestBufferCoherence:
 
         h = AMRHierarchy(Box((0, 0), (15, 15)), ncomp=2, nghost=2, max_levels=2,
                          max_box_size=4)
-        h.levels[0].data.fill(7.0)
+        h.levels[0].data.buffer[...] = 7.0
         h.regrid({0: np.eye(16, dtype=bool)})
         fine = h.levels[1].data
         assert len(fine.layout) > 1

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis.downsample import (
-    downsample_mean,
     downsample_memory_cost,
     downsample_stride,
     reduced_nbytes,
@@ -36,24 +35,6 @@ class TestStride:
     def test_bad_factor(self):
         with pytest.raises(PolicyError):
             downsample_stride(np.zeros(4), 0)
-
-
-class TestMean:
-    def test_block_average(self):
-        a = np.array([1.0, 3.0, 5.0, 7.0])
-        np.testing.assert_array_equal(downsample_mean(a, 2), [2.0, 6.0])
-
-    def test_constant_preserved(self):
-        a = np.full((8, 8), 3.0)
-        np.testing.assert_allclose(downsample_mean(a, 4), 3.0)
-
-    def test_remainder_cropped(self):
-        a = np.arange(7.0)
-        assert downsample_mean(a, 2).shape == (3,)
-
-    def test_too_small_rejected(self):
-        with pytest.raises(PolicyError):
-            downsample_mean(np.zeros(3), 4)
 
 
 class TestUpsample:

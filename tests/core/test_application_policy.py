@@ -62,11 +62,6 @@ class TestFactorSelection:
         action = policy().decide(state)
         assert action.factor == 4
 
-    def test_memory_required_helper(self, make_state):
-        state = make_state(rank_data_bytes=64 * MiB)
-        p = policy()
-        assert p.memory_required(state, 2) == pytest.approx(2 * 64 * MiB / 8)
-
     @given(
         st.floats(1 * MiB, 512 * MiB),
         st.floats(1 * MiB, 1024 * MiB),

@@ -1,7 +1,5 @@
 """Smoke tests for the ``repro profile`` CLI subcommand."""
 
-import json
-
 from repro.__main__ import SUBCOMMANDS, main
 from repro.observability import load_record
 
@@ -34,31 +32,6 @@ class TestProfileCommand:
         assert "workflow.run/sim.run" in dump
         for snap in dump.values():
             assert set(snap) == {"count", "cum_seconds", "self_seconds"}
-
-    def test_budget_check_passes_on_shipped_manifest(self, capsys):
-        assert main(["profile", "--budgets", "benchmarks/budgets.json"]) == 0
-        out = capsys.readouterr().out
-        assert "Budget check" in out
-        assert "span budgets satisfied" in out
-
-    def test_budget_violation_exits_nonzero(self, capsys, tmp_path):
-        manifest = tmp_path / "tight.json"
-        manifest.write_text(json.dumps({
-            "schema": "repro.budgets/1",
-            "workload": {"mode": "global", "steps": 5, "seed": 42},
-            "budgets": {"workflow.run": 1e-9},
-        }))
-        assert main(["profile", "--steps", "5",
-                     "--budgets", str(manifest)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-
-    def test_invalid_budget_manifest_is_a_usage_error(self, capsys, tmp_path):
-        manifest = tmp_path / "bad.json"
-        manifest.write_text("{nope")
-        assert main(["profile", "--steps", "5",
-                     "--budgets", str(manifest)]) == 2
-        assert "invalid budget manifest" in capsys.readouterr().err
 
     def test_profile_listed(self, capsys):
         assert "profile" in SUBCOMMANDS

@@ -1,5 +1,5 @@
 """Tests for the span profiler: nesting, buffered replay, merge,
-renderers, budgets, and the profiled run's bit-identity guarantee."""
+renderers, and the profiled run's bit-identity guarantee."""
 
 import itertools
 import json
@@ -12,15 +12,11 @@ from repro.observability import (
     PROFILE_SPANS,
     Profiler,
     SpanStat,
-    check_budgets,
-    load_budgets,
     merge_worker_profiles,
-    render_budget_report,
     render_hot_spans,
     render_profile,
     unregistered_spans,
 )
-from repro.observability.budgets import BUDGETS_SCHEMA
 from repro.workflow import Mode, WorkflowConfig, run_workflow
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
 
@@ -324,102 +320,6 @@ class TestSpanRegistry:
         for name, description in PROFILE_SPANS.items():
             assert "." in name and "/" not in name
             assert description
-
-
-class TestBudgets:
-    def _manifest(self, **overrides):
-        manifest = {
-            "schema": BUDGETS_SCHEMA,
-            "workload": {"mode": "global", "steps": 20, "seed": 42},
-            "budgets": {"workflow.run": 2.0, "workflow.run/sim.run": 1.5},
-        }
-        manifest.update(overrides)
-        return manifest
-
-    def test_load_accepts_dict_json_text_and_path(self, tmp_path):
-        manifest = self._manifest()
-        assert load_budgets(manifest)["budgets"] == manifest["budgets"]
-        assert load_budgets(json.dumps(manifest)) == manifest
-        path = tmp_path / "budgets.json"
-        path.write_text(json.dumps(manifest))
-        assert load_budgets(path) == manifest
-        assert load_budgets(str(path)) == manifest
-
-    def test_load_rejects_wrong_schema(self):
-        with pytest.raises(ObservabilityError, match="schema"):
-            load_budgets(self._manifest(schema="repro.budgets/99"))
-
-    def test_load_rejects_invalid_json(self):
-        with pytest.raises(ObservabilityError, match="not a budget manifest"):
-            load_budgets("{nope")
-
-    def test_load_rejects_missing_budgets(self):
-        with pytest.raises(ObservabilityError, match="no 'budgets'"):
-            load_budgets(self._manifest(budgets={}))
-
-    def test_load_rejects_unregistered_span_names(self):
-        with pytest.raises(ObservabilityError, match="unregistered span"):
-            load_budgets(self._manifest(budgets={"workflow.run/nope": 1.0}))
-
-    def test_load_rejects_nonpositive_ceilings(self):
-        with pytest.raises(ObservabilityError, match="positive number"):
-            load_budgets(self._manifest(budgets={"workflow.run": 0}))
-        with pytest.raises(ObservabilityError, match="positive number"):
-            load_budgets(self._manifest(budgets={"workflow.run": "fast"}))
-
-    def test_check_passes_a_profile_within_ceilings(self):
-        profile = {
-            "workflow.run": {"count": 1, "cum_seconds": 0.5,
-                             "self_seconds": 0.1},
-            "workflow.run/sim.run": {"count": 1, "cum_seconds": 0.4,
-                                     "self_seconds": 0.4},
-        }
-        assert check_budgets(profile, self._manifest()) == []
-
-    def test_check_names_the_overrun_span(self):
-        profile = {
-            "workflow.run": {"count": 1, "cum_seconds": 9.0,
-                             "self_seconds": 9.0},
-            "workflow.run/sim.run": {"count": 1, "cum_seconds": 0.1,
-                                     "self_seconds": 0.1},
-        }
-        violations = check_budgets(profile, self._manifest())
-        assert [v.path for v in violations] == ["workflow.run"]
-        assert violations[0].measured_seconds == 9.0
-        assert "exceeds ceiling" in violations[0].describe()
-
-    def test_check_flags_a_missing_guarded_span(self):
-        violations = check_budgets({}, self._manifest())
-        assert {v.path for v in violations} == {
-            "workflow.run", "workflow.run/sim.run",
-        }
-        assert all(v.measured_seconds is None for v in violations)
-        assert "missing from the profile" in violations[0].describe()
-
-    def test_report_marks_status_per_guarded_path(self):
-        profile = {
-            "workflow.run": {"count": 1, "cum_seconds": 9.0,
-                             "self_seconds": 9.0},
-        }
-        report = render_budget_report(profile, self._manifest())
-        assert "FAIL" in report and "MISSING" in report
-        assert "0/2 span budgets satisfied (2 VIOLATED)" in report
-        ok = render_budget_report(
-            {
-                "workflow.run": {"count": 1, "cum_seconds": 0.1,
-                                 "self_seconds": 0.1},
-                "workflow.run/sim.run": {"count": 1, "cum_seconds": 0.1,
-                                         "self_seconds": 0.1},
-            },
-            self._manifest(),
-        )
-        assert "2/2 span budgets satisfied" in ok
-        assert "FAIL" not in ok
-
-    def test_shipped_manifest_loads_and_pins_the_quickstart(self):
-        manifest = load_budgets("benchmarks/budgets.json")
-        assert manifest["workload"] == {"mode": "global", "steps": 20,
-                                        "seed": 42}
 
 
 def _trace(steps=8):

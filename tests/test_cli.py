@@ -42,7 +42,7 @@ class TestCLI:
 #: SHA-256 of each deterministic view's stdout, captured before the CLI
 #: read experiments from ``SWEEPS`` and its views rendered run records.
 _PINNED_STDOUT_SHA256 = {
-    "list": "2125e0841e05c1ba2e6d75fa9f062d837ff59f380d09d2f8a273ce41b2265f14",
+    "list": "2d8834a85a713f42748134758b926717ac862b9456a5b967323156e587fefd68",
     "trace": "6b3f2ed9f533b9b555fd43aa44d7545b92a2e109c0e4d14cb4db4b951b7bfa87",
     "trace --steps 5 --width 40":
         "4e74685d3224e4ec3b0cbef188e31b2963010b6413104a0296ea4327c029b4e8",

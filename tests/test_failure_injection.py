@@ -141,6 +141,32 @@ class TestStagingFailures:
         with pytest.raises(WorkflowError, match="exceed staging memory"):
             run_workflow(config, trace)
 
+    def test_oversized_hybrid_remainder_raises_workflow_error(self):
+        """The shipped half of a hybrid step that cannot fit staging
+        memory even when empty fails the same way."""
+        from repro.core.actions import Placement
+        from repro.core.engine import AdaptationDecision
+        from repro.workflow.config import Mode, WorkflowConfig
+        from repro.workflow.driver import CoupledWorkflow
+        from repro.workload.trace import StepRecord, WorkloadTrace
+
+        trace = WorkloadTrace(
+            "huge", 3, 4, 8.0,
+            [StepRecord(1, 1e6, 10**7, 1e18, 1e9, np.full(4, 2.5e8))],
+        )
+        config = WorkflowConfig(mode=Mode.ADAPTIVE_MIDDLEWARE, sim_cores=64,
+                                staging_cores=4, spec=titan())
+        workflow = CoupledWorkflow(config, trace)
+        # No built-in policy splits a step staging cannot hold, so the
+        # decision is forced: half in situ, half (5e17 B) shipped.
+        workflow._decide = lambda step, *args, **kwargs: AdaptationDecision(
+            step=step, placement=Placement.HYBRID, insitu_fraction=0.5,
+        )
+        with pytest.raises(WorkflowError,
+                           match=r"step 1: 500000000000000000 B exceed "
+                                 "staging memory"):
+            workflow.run()
+
 
 class TestKernelFaultBarriers:
     def test_failed_event_poisons_all_waiters(self):
