@@ -62,6 +62,17 @@ class TestFactorSelection:
         action = policy().decide(state)
         assert action.factor == 4
 
+    def test_factor_fits_at_exactly_its_reduce_cost(self, make_state):
+        # Eq. 2 is an inclusive bound: a factor whose reduce buffers
+        # exactly fill the available memory is feasible.
+        state = make_state(rank_data_bytes=64 * MiB)
+        cost = downsample_memory_cost(64 * MiB, 2, state.ndim)
+        fits = make_state(rank_data_bytes=64 * MiB, rank_memory_available=cost)
+        assert policy().decide(fits).factor == 2
+        short = make_state(rank_data_bytes=64 * MiB,
+                           rank_memory_available=cost * (1 - 1e-9))
+        assert policy().decide(short).factor == 4
+
     @given(
         st.floats(1 * MiB, 512 * MiB),
         st.floats(1 * MiB, 1024 * MiB),

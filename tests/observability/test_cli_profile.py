@@ -1,5 +1,7 @@
 """Smoke tests for the ``repro profile`` CLI subcommand."""
 
+import pytest
+
 from repro.__main__ import SUBCOMMANDS, main
 from repro.observability import load_record
 
@@ -32,6 +34,14 @@ class TestProfileCommand:
         assert "workflow.run/sim.run" in dump
         for snap in dump.values():
             assert set(snap) == {"count", "cum_seconds", "self_seconds"}
+
+    def test_profile_takes_no_budget_option(self, capsys):
+        # The span budget lives in benchmarks/bench_profile.py; the CLI
+        # is a view only.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--budgets", "budgets.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budgets" in capsys.readouterr().err
 
     def test_profile_listed(self, capsys):
         assert "profile" in SUBCOMMANDS

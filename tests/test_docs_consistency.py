@@ -10,6 +10,7 @@ broken intra-repo markdown link (the CI docs job runs this module).
 """
 
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -215,9 +216,45 @@ class TestProfilingDocs:
         assert "bench_profile.py" in profiling_doc
         assert "BASELINE" in profiling_doc and "MARGIN" in profiling_doc
 
+    def test_budget_table_matches_bench_constants(self, profiling_doc):
+        bench = _bench_profile()
+        assert f"`MARGIN = {bench.MARGIN}`" in profiling_doc
+        for span, base in bench.BASELINE.items():
+            row = (f"| `{span}` | {base:.2f} | "
+                   f"{bench.MARGIN * base:.2f} |")
+            assert row in profiling_doc, f"stale budget row for {span}"
+
+    def test_replay_count_matches_bench(self, profiling_doc):
+        bench = _bench_profile()
+        assert f"{bench._BUDGET_REPEATS} replays" in profiling_doc
+
     def test_linked_from_readme_and_architecture(self):
         assert "profiling.md" in (REPO / "README.md").read_text()
         assert "profiling.md" in (REPO / "docs" / "architecture.md").read_text()
+
+
+def _bench_profile():
+    """``benchmarks/bench_profile.py``, whose constants the docs quote."""
+    path = REPO / "benchmarks" / "bench_profile.py"
+    spec = importlib.util.spec_from_file_location("bench_profile_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGasOrderDocs:
+    """``order=2`` is second order in space only; each place that
+    describes the gas solver says so and names the test measuring it."""
+
+    @pytest.mark.parametrize("path", [
+        "src/repro/amr/godunov.py", "DESIGN.md", "docs/architecture.md",
+    ])
+    def test_space_only_order_stated(self, path):
+        text = " ".join((REPO / path).read_text().split())
+        assert "order=2" in text
+        assert "is second order in space only" in text
+        assert "TestGasOrder" in text
+        assert "PolytropicGas is second order in time" in text
 
 
 class TestTriggerDocs:

@@ -113,3 +113,62 @@ class TestStaticModesIgnoreHints:
         result = run_workflow(config, trace())
         assert all(m.factor == 1 for m in result.steps)
         assert all(m.data_bytes_out == m.data_bytes_full for m in result.steps)
+
+
+class TestStagedShipment:
+    """In-transit and hybrid steps ship through one path: wait for
+    staging memory, stamp the stall, submit, and resolve on completion."""
+
+    @staticmethod
+    def _workflow(mode, share_of_staging, tracer=None):
+        """Three steps whose output each fills ``share_of_staging`` of
+        staging memory, with analysis slow enough that they queue."""
+        spec = titan()
+        memory = spec.partition_memory(4)
+        steps = [StepRecord(i, 1e3, 10**9, share_of_staging * memory, 1e9,
+                            np.full(4, 2.5e8)) for i in (1, 2, 3)]
+        config = WorkflowConfig(mode=mode, sim_cores=64, staging_cores=4,
+                                spec=spec)
+        return CoupledWorkflow(config, WorkloadTrace("queued", 3, 4, 8.0, steps),
+                               tracer=tracer)
+
+    def test_in_transit_step_blocks_until_staging_frees(self):
+        from repro.observability import Tracer
+        from repro.observability.events import SIM_STALL
+
+        tracer = Tracer()
+        wf = self._workflow(Mode.STATIC_INTRANSIT, 0.6, tracer=tracer)
+        result = wf.run()
+        assert [m.placement for m in result.steps] == [Placement.IN_TRANSIT] * 3
+        assert result.steps[0].block_seconds == 0.0
+        assert all(m.block_seconds > 0 for m in result.steps[1:])
+        stalls = tracer.events(SIM_STALL)
+        assert [e.step for e in stalls] == [2, 3]
+        for event, metric in zip(stalls, result.steps[1:]):
+            assert event.fields["cause"] == "staging_memory"
+            assert event.fields["seconds"] == metric.block_seconds
+
+    def test_each_step_resolves_on_its_own_job(self):
+        wf = self._workflow(Mode.STATIC_INTRANSIT, 0.6)
+        result = wf.run()
+        jobs = {job.step: job for job in wf.staging.completed}
+        assert sorted(jobs) == [1, 2, 3]
+        for metric in result.steps:
+            assert jobs[metric.step].nbytes == metric.data_bytes_out
+            assert metric.analysis_done_at == jobs[metric.step].finished_at
+
+    def test_hybrid_ships_the_remainder_and_blocks_on_it(self):
+        from repro.core.engine import AdaptationDecision
+
+        wf = self._workflow(Mode.ADAPTIVE_MIDDLEWARE, 1.2)
+        wf._decide = lambda step, *args, **kwargs: AdaptationDecision(
+            step=step, placement=Placement.HYBRID, insitu_fraction=0.5,
+        )
+        result = wf.run()
+        jobs = {job.step: job for job in wf.staging.completed}
+        for metric in result.steps:
+            assert metric.placement is Placement.HYBRID
+            assert jobs[metric.step].nbytes == pytest.approx(
+                0.5 * metric.data_bytes_out)
+        assert result.steps[0].block_seconds == 0.0
+        assert result.steps[1].block_seconds > 0
