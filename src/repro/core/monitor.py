@@ -59,7 +59,6 @@ class Monitor:
         network_bandwidth: float,
         network_latency: float = 0.0,
         interval: int = 1,
-        analysis_rate_hint: float | None = None,
         estimate_bias: float = 1.0,
         trigger=None,
         observer: Observer = NULL_OBSERVER,
@@ -69,9 +68,8 @@ class Monitor:
         if estimate_bias <= 0:
             raise PolicyError(f"estimate_bias must be positive, got {estimate_bias}")
         self.interval = int(interval)
-        rate = analysis_rate_hint if analysis_rate_hint is not None else core_rate
-        self.insitu_rate = RateEstimator(rate)
-        self.intransit_rate = RateEstimator(rate)
+        self.insitu_rate = RateEstimator(core_rate)
+        self.intransit_rate = RateEstimator(core_rate)
         self.transfer = TransferEstimator(network_bandwidth, network_latency)
         #: EMA of recent step times, seeded by the first (T_{i+1}_sim).
         self.sim_step_seconds = EmaTimer(0.3)

@@ -27,12 +27,7 @@ __all__ = ["ResourcePolicy"]
 
 
 class ResourcePolicy:
-    """Chooses the active staging core count M per step."""
-
-    def __init__(self, min_cores: int = 1):
-        if min_cores < 1:
-            raise PolicyError(f"min_cores must be >= 1, got {min_cores}")
-        self.min_cores = min_cores
+    """Chooses the active staging core count M per step (at least one)."""
 
     def decide(self, state: OperationalState) -> SetStagingCores:
         """Minimal M meeting Eq. 9 and Eq. 10."""
@@ -60,7 +55,7 @@ class ResourcePolicy:
         else:
             m_balance = state.staging_total_cores
 
-        m = max(self.min_cores, m_memory, m_balance)
+        m = max(1, m_memory, m_balance)
         clamped = min(m, state.staging_total_cores)
         reason = (
             f"memory bound {m_memory}, balance bound {m_balance} "

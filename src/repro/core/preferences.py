@@ -43,14 +43,11 @@ class UserHints:
     ``[(1, (2, 4)), (21, (2, 4, 8, 16))]`` -- {2,4} for the first half of
     a 40-step run, {2,4,8,16} for the second.
 
-    ``entropy_thresholds``/``entropy_factors`` configure the automatic
-    (information-theoretic) variant; ``monitor_interval`` is the paper's
-    "every specified number of simulation time steps".
+    ``monitor_interval`` is the paper's "every specified number of
+    simulation time steps".
     """
 
     downsample_phases: tuple[tuple[int, tuple[int, ...]], ...] = ((1, (1,)),)
-    entropy_thresholds: tuple[float, ...] = ()
-    entropy_factors: tuple[int, ...] = ()
     monitor_interval: int = 1
 
     def __post_init__(self) -> None:
@@ -64,12 +61,6 @@ class UserHints:
                 raise PolicyError(f"phase at step {start} has no factors")
             if any(f < 1 for f in factors):
                 raise PolicyError(f"factors must be >= 1: {factors}")
-        if self.entropy_thresholds and (
-            len(self.entropy_factors) != len(self.entropy_thresholds) + 1
-        ):
-            raise PolicyError(
-                "entropy_factors must have one more entry than entropy_thresholds"
-            )
         if self.monitor_interval < 1:
             raise PolicyError(
                 f"monitor_interval must be >= 1, got {self.monitor_interval}"

@@ -93,12 +93,12 @@ class Fig1Result:
         return float(deltas.std() / np.abs(deltas.mean()))
 
 
-def run_fig1(nsteps: int = 50, memory_scale: float | None = None) -> Fig1Result:
+def run_fig1(nsteps: int = 50) -> Fig1Result:
     """Capture, scale to 4K ranks, and summarize the distribution.
 
-    ``memory_scale`` maps the small-run footprints into the paper's
-    regime (peaks of hundreds of MB per process); by default the peak is
-    normalized to ~320 MiB at the end of the run.
+    The small-run footprints are scaled into the paper's regime (peaks
+    of hundreds of MB per process): the peak is normalized to ~320 MiB
+    at the end of the run.
     """
     base = captured_gas_trace(nsteps)
     # jitter_sigma 0.6: the 16-rank capture is nearly perfectly balanced,
@@ -106,12 +106,11 @@ def run_fig1(nsteps: int = 50, memory_scale: float | None = None) -> Fig1Result:
     # order-of-magnitude spread (what the paper's Fig. 1 shows).
     scaled = scale_trace(base, nranks=TARGET_RANKS, name="polytropic-4k",
                          seed=7, jitter_sigma=0.6)
-    if memory_scale is None:
-        final_peak = scaled.steps[-1].peak_rank_bytes
-        memory_scale = (320 * MiB) / final_peak if final_peak > 0 else 1.0
+    final_peak = scaled.steps[-1].peak_rank_bytes
+    scale = (320 * MiB) / final_peak if final_peak > 0 else 1.0
     peak, p90, median, minimum = [], [], [], []
     for record in scaled:
-        ranks = record.rank_bytes * memory_scale
+        ranks = record.rank_bytes * scale
         peak.append(ranks.max())
         p90.append(np.percentile(ranks, 90))
         median.append(np.median(ranks))

@@ -11,13 +11,13 @@ unlike the observability hooks they have no null object.
 Lifecycle::
 
     injector = FaultInjector(plan, observer=Observer(tracer))
-    sim = Simulator(faults=injector)          # attach_simulator
+    injector.attach_simulator(sim)
     area = StagingArea(..., faults=injector)  # attach_staging
     injector.attach_network(net)
     injector.arm()                            # schedules the timed faults
 
 :class:`~repro.workflow.driver.CoupledWorkflow` performs all four steps
-when given ``faults=``.  Timed faults fire at their planned simulated
+when given a plan as ``faults=``.  Timed faults fire at their planned simulated
 times; per-step faults (drops/corruptions) are consumed when the staging
 area touches that step.  Every application emits a ``fault.injected``
 trace event and bumps :attr:`FaultInjector.injected` (the run publishes
@@ -90,7 +90,7 @@ class FaultInjector:
     # -- wiring ------------------------------------------------------------
 
     def attach_simulator(self, sim) -> None:
-        """Bind the event kernel (called by ``Simulator(faults=...)``)."""
+        """Bind the simulator whose clock the timed faults ride."""
         self.sim = sim
 
     def attach_network(self, network) -> None:
@@ -112,8 +112,8 @@ class FaultInjector:
             raise FaultError("fault injector already armed")
         timed = self.plan.timed()
         if (timed or self._drops or self._corrupts) and self.sim is None:
-            raise FaultError("fault plan needs a simulator: pass "
-                            "Simulator(faults=injector)")
+            raise FaultError("fault plan needs a simulator: call "
+                            "injector.attach_simulator(sim)")
         needs_staging = bool(
             self._drops
             or self._corrupts

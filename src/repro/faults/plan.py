@@ -155,9 +155,10 @@ class ObjectDrop:
     """Corrupt the first ``count`` ingest attempts for ``step`` in flight.
 
     Each dropped attempt costs its full transfer time (the corruption is
-    detected on arrival) and is retried under the staging area's
-    :class:`~repro.staging.messaging.RetryPolicy`; exhausting the policy
-    raises :class:`~repro.errors.StagingError`.
+    detected on arrival) and is retried with the staging area's bounded
+    exponential backoff (:data:`~repro.staging.area.RETRY_ATTEMPTS`
+    transfers at most); exhausting it raises
+    :class:`~repro.errors.StagingError`.
     """
 
     kind: ClassVar[str] = "staging.object_drop"

@@ -29,7 +29,6 @@ from repro.hpc.kernel import (
     KernelCounters,
     event_kind_code,
     event_kind_name,
-    register_event_kind,
 )
 from repro.hpc.network import Link, Network, Transfer
 from repro.hpc.resources import Store
@@ -55,6 +54,5 @@ __all__ = [
     "event_kind_code",
     "event_kind_name",
     "intrepid",
-    "register_event_kind",
     "titan",
 ]

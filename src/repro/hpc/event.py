@@ -25,11 +25,11 @@ to SimPy users) but is intentionally small and fully deterministic:
 - :class:`Event` is a one-shot triggerable with a value; failing an event
   propagates the exception into every waiter.
 
-Domain components tag the events they schedule with the ``compute``,
-``transfer`` and ``staging`` kind codes (resolved once at import with
-:func:`~repro.hpc.kernel.event_kind_code`) so the kernel's counters
-attribute event traffic per layer; untagged engine bookkeeping is ``control`` and plain
-timeouts are ``timer``.  There is no wall-clock or thread anywhere in
+Domain components tag the events they schedule with the ``COMPUTE``,
+``TRANSFER``, ``STAGING`` and ``TENANT`` kind constants of
+:mod:`repro.hpc.kernel` so the kernel's counters attribute event traffic
+per layer; untagged engine bookkeeping is ``CONTROL`` and plain timeouts
+are ``TIMER``.  There is no wall-clock or thread anywhere in
 the kernel.
 """
 
@@ -41,7 +41,7 @@ from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.hpc.kernel import EventKernel, event_kind_code
+from repro.hpc.kernel import CONTROL, TIMER, EventKernel
 
 __all__ = [
     "AllOf",
@@ -54,9 +54,6 @@ __all__ = [
 ]
 
 _PENDING = object()
-
-_CONTROL = event_kind_code("control")
-_TIMER = event_kind_code("timer")
 
 
 class Interrupt(Exception):
@@ -147,13 +144,13 @@ class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future.
 
     ``kind`` tags the scheduled record for the kernel's per-kind
-    counters; domain components pass the ``compute``/``staging`` codes
+    counters; domain components pass the ``COMPUTE``/``STAGING`` codes
     so event traffic is attributable per layer.  The ``timeout(<delay>)``
     name is built only when a message or repr reads it.
     """
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 kind: int | str = _TIMER):
+                 kind: int = TIMER):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
@@ -250,7 +247,7 @@ class Process(Event):
         self._waiting_on = target
         if target.triggered:
             kernel = self.sim.kernel
-            kernel.schedule(kernel.now, _CONTROL, self._on_event, (target,))
+            kernel.schedule(kernel.now, CONTROL, self._on_event, (target,))
         else:
             target._callbacks.append(self._on_event)
 
@@ -330,14 +327,9 @@ class Simulator:
     :meth:`_schedule_at` call.
     """
 
-    def __init__(self, faults: Any = None):
+    def __init__(self):
         self.kernel = EventKernel()
         self._unhandled: list[tuple[Process, BaseException]] = []
-        # Optional fault injector (repro.faults.FaultInjector); duck-typed
-        # so the kernel stays free of upward imports.
-        self.faults = faults
-        if faults is not None:
-            faults.attach_simulator(self)
 
     @property
     def now(self) -> float:
@@ -351,7 +343,7 @@ class Simulator:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None,
-                kind: int | str = _TIMER) -> Timeout:
+                kind: int = TIMER) -> Timeout:
         """Create a :class:`Timeout` firing ``delay`` seconds from now."""
         return Timeout(self, delay, value, kind=kind)
 
@@ -370,14 +362,13 @@ class Simulator:
     # -- scheduling internals --------------------------------------------
 
     def _schedule_at(self, when: float, func: Callable, *args: Any,
-                     kind: int | str = _CONTROL) -> None:
+                     kind: int = CONTROL) -> None:
         """Schedule ``func(*args)`` at simulated time ``when``.
 
         Same-``when`` calls run in the order they were scheduled (the
         kernel's ``seq`` tie-break); scheduling in the past raises.
         """
-        code = kind if type(kind) is int else event_kind_code(kind)
-        self.kernel.schedule(when, code, func, args)
+        self.kernel.schedule(when, kind, func, args)
 
     def _queue_callbacks(self, event: Event) -> None:
         """Schedule each of ``event``'s callbacks as its own ``control``
@@ -386,7 +377,7 @@ class Simulator:
         kernel = self.kernel
         args = (event,)
         for callback in callbacks:
-            kernel.schedule(kernel.now, _CONTROL, callback, args)
+            kernel.schedule(kernel.now, CONTROL, callback, args)
 
     def _note_process_failure(self, process: Process, error: BaseException) -> None:
         self._unhandled.append((process, error))

@@ -20,6 +20,10 @@ from repro.hpc.network import Link, Network
 
 __all__ = ["ParallelFileSystem"]
 
+# The network endpoints the PFS's write and read links end at.
+_WRITE_EP = "pfs.write"
+_READ_EP = "pfs.read"
+
 
 class ParallelFileSystem:
     """A bandwidth-shared storage target attached to a network.
@@ -32,9 +36,9 @@ class ParallelFileSystem:
         Aggregate sequential bandwidths of the storage system.
     latency:
         Per-operation software/metadata latency.
-    endpoint:
-        Prefix of the PFS endpoints (``"<endpoint>.write"`` and
-        ``"<endpoint>.read"``) created on the network.
+
+    Clients reach it through the network endpoints ``"pfs.write"`` and
+    ``"pfs.read"``.
     """
 
     def __init__(
@@ -44,21 +48,18 @@ class ParallelFileSystem:
         write_bandwidth: float,
         read_bandwidth: float,
         latency: float = 1e-3,
-        endpoint: str = "pfs",
     ):
         self.sim = sim
         self.network = network
-        self._write_ep = f"{endpoint}.write"
-        self._read_ep = f"{endpoint}.read"
-        self._write_link = Link(self._write_ep, float(write_bandwidth), float(latency))
-        self._read_link = Link(self._read_ep, float(read_bandwidth), float(latency))
+        self._write_link = Link(_WRITE_EP, float(write_bandwidth), float(latency))
+        self._read_link = Link(_READ_EP, float(read_bandwidth), float(latency))
         self.bytes_written = 0.0
         self.bytes_read = 0.0
 
     def attach(self, client: str) -> None:
         """Put ``client`` (a network endpoint) on the shared write/read links."""
-        self.network.connect(client, self._write_ep, self._write_link)
-        self.network.connect(self._read_ep, client, self._read_link)
+        self.network.connect(client, _WRITE_EP, self._write_link)
+        self.network.connect(_READ_EP, client, self._read_link)
 
     def write(self, client: str, nbytes: float) -> Event:
         """Start a write from ``client``; returns the completion event.
@@ -66,12 +67,12 @@ class ParallelFileSystem:
         Raises :class:`~repro.errors.SimulationError` if ``client`` was
         never attached.
         """
-        done = self.network.transfer(client, self._write_ep, nbytes)
+        done = self.network.transfer(client, _WRITE_EP, nbytes)
         self.bytes_written += nbytes
         return done
 
     def read(self, client: str, nbytes: float) -> Event:
         """Start a read into ``client``; returns the completion event."""
-        done = self.network.transfer(self._read_ep, client, nbytes)
+        done = self.network.transfer(_READ_EP, client, nbytes)
         self.bytes_read += nbytes
         return done

@@ -6,9 +6,9 @@ workflows, staging or policies.  It owns exactly three things:
 
 - **Typed event records.**  Every scheduled occurrence is a
   ``(time, seq, kind, func, args)`` tuple.  ``kind`` is a small integer
-  code drawn from the :data:`KERNEL_EVENT_KINDS` registry (``control``,
-  ``timer``, ``compute``, ``transfer``, ``staging``, ...), so the engine
-  can count events without inspecting them; ``func(*args)`` is what the
+  code drawn from the closed :data:`KERNEL_EVENT_KINDS` table (``control``,
+  ``timer``, ``compute``, ``transfer``, ``staging``, ``tenant``), so the
+  engine can count events without inspecting them; ``func(*args)`` is what the
   event does when it fires.
 - **One heapq heap**: :class:`EventKernel` keeps the records in a plain
   list ordered by :mod:`heapq`.  ``seq`` increases monotonically with
@@ -28,38 +28,43 @@ from typing import Any, Callable
 from repro.errors import SimulationError
 
 __all__ = [
+    "COMPUTE",
+    "CONTROL",
     "KERNEL_EVENT_KINDS",
+    "STAGING",
+    "TENANT",
+    "TIMER",
+    "TRANSFER",
     "EventKernel",
     "KernelCounters",
     "event_kind_code",
     "event_kind_name",
-    "register_event_kind",
 ]
 
 
-#: Every registered event kind, ``name -> description``.  Codes are the
-#: insertion order (``control`` is 0).  ``docs/kernel.md`` documents each
-#: and ``TestKernelDocs`` keeps the table in sync with this registry.
-KERNEL_EVENT_KINDS: dict[str, str] = {}
+#: Every event kind, ``name -> description``.  Codes are the insertion
+#: order (``control`` is 0).  ``docs/kernel.md`` documents each and
+#: ``TestKernelDocs`` keeps the table in sync with this registry.
+KERNEL_EVENT_KINDS: dict[str, str] = {
+    "control": "engine bookkeeping: process starts/resumes, event-callback "
+               "deliveries and combinator wake-ups",
+    "timer": "a plain Timeout firing (untagged simulated delays)",
+    "compute": "a compute interval completing: simulation steps, "
+               "reductions and analysis passes",
+    "transfer": "a network flow-set change: flow admission, completion "
+                "wake-up or zero-size finish",
+    "staging": "a staging service interval completing (one analysis "
+               "job's pass)",
+    "tenant": "multi-tenant service control: tenant arrivals, "
+              "admission-queue drains and staging-grant renegotiations "
+              "on the shared machine",
+}
 
-_KIND_CODES: dict[str, int] = {}
-_KIND_NAMES: list[str] = []
+_KIND_NAMES: list[str] = list(KERNEL_EVENT_KINDS)
+_KIND_CODES: dict[str, int] = {name: code for code, name in enumerate(_KIND_NAMES)}
 
-
-def register_event_kind(name: str, description: str) -> int:
-    """Register an event kind; returns its integer code.
-
-    Codes are assigned by registration order and never reused.
-    """
-    if not name or not description.strip():
-        raise SimulationError("event kinds need a name and a description")
-    if name in _KIND_CODES:
-        raise SimulationError(f"event kind {name!r} already registered")
-    code = len(_KIND_NAMES)
-    KERNEL_EVENT_KINDS[name] = description
-    _KIND_CODES[name] = code
-    _KIND_NAMES.append(name)
-    return code
+#: The kind codes, one constant per registered name.
+CONTROL, TIMER, COMPUTE, TRANSFER, STAGING, TENANT = range(len(_KIND_NAMES))
 
 
 def event_kind_code(name: str) -> int:
@@ -77,38 +82,6 @@ def event_kind_name(code: int) -> str:
     raise SimulationError(f"unknown event kind code {code}")
 
 
-#: The engine's own bookkeeping events: process starts and resumes,
-#: event-callback deliveries, combinator wake-ups.
-CONTROL = register_event_kind(
-    "control",
-    "engine bookkeeping: process starts/resumes, event-callback "
-    "deliveries and combinator wake-ups",
-)
-#: A plain :class:`~repro.hpc.event.Timeout` firing.
-TIMER = register_event_kind(
-    "timer",
-    "a plain Timeout firing (untagged simulated delays)",
-)
-#: Simulation/analysis compute intervals (the workflow driver's step,
-#: reduction and analysis timeouts).
-COMPUTE = register_event_kind(
-    "compute",
-    "a compute interval completing: simulation steps, reductions and "
-    "analysis passes",
-)
-#: Network flow-set changes (admissions, wake-ups, zero-size finishes).
-TRANSFER = register_event_kind(
-    "transfer",
-    "a network flow-set change: flow admission, completion wake-up or "
-    "zero-size finish",
-)
-#: Staging service intervals.
-STAGING = register_event_kind(
-    "staging",
-    "a staging service interval completing (one analysis job's pass)",
-)
-
-
 class KernelCounters:
     """Always-on integer tallies: the kernel's first-class cheap metrics.
 
@@ -124,11 +97,6 @@ class KernelCounters:
         self.scheduled = [0] * n
         self.processed = [0] * n
 
-    def _ensure(self, code: int) -> None:
-        while len(self.scheduled) <= code:
-            self.scheduled.append(0)
-            self.processed.append(0)
-
     @property
     def total_scheduled(self) -> int:
         """Events scheduled across every kind."""
@@ -140,20 +108,12 @@ class KernelCounters:
         return sum(self.processed)
 
     def scheduled_by_kind(self) -> dict[str, int]:
-        """``kind name -> scheduled count`` (registered kinds only)."""
-        return {
-            name: self.scheduled[code]
-            for code, name in enumerate(_KIND_NAMES)
-            if code < len(self.scheduled)
-        }
+        """``kind name -> scheduled count``."""
+        return dict(zip(_KIND_NAMES, self.scheduled))
 
     def processed_by_kind(self) -> dict[str, int]:
-        """``kind name -> processed count`` (registered kinds only)."""
-        return {
-            name: self.processed[code]
-            for code, name in enumerate(_KIND_NAMES)
-            if code < len(self.processed)
-        }
+        """``kind name -> processed count``."""
+        return dict(zip(_KIND_NAMES, self.processed))
 
     def as_dict(self) -> dict[str, Any]:
         """A JSON-friendly snapshot of every tally."""
@@ -187,22 +147,17 @@ class EventKernel:
                  args: tuple = ()) -> int:
         """Schedule ``func(*args)`` at ``when``; returns its sequence number.
 
-        ``kind`` must be a registered integer code (resolve names once
-        with :func:`event_kind_code`; this is the per-event hot path).
+        ``kind`` is one of the integer kind constants (:data:`CONTROL`
+        ... :data:`TENANT`); this is the per-event hot path.
         """
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule in the past ({when} < {self.now})"
             )
-        scheduled = self.counters.scheduled
         try:
-            scheduled[kind] += 1
+            self.counters.scheduled[kind] += 1
         except IndexError:
-            if kind >= len(_KIND_NAMES):
-                raise SimulationError(f"unknown event kind code {kind}") from None
-            # A kind registered after this kernel was built.
-            self.counters._ensure(kind)
-            scheduled[kind] += 1
+            raise SimulationError(f"unknown event kind code {kind}") from None
         seq = self._next_seq
         self._next_seq = seq + 1
         heapq.heappush(self.heap, (float(when), seq, kind, func, args))

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.hpc.event import Event, Simulator
-from repro.hpc.kernel import event_kind_code
+from repro.hpc.kernel import TRANSFER
 
 __all__ = ["Link", "Network", "Transfer"]
 
-_TRANSFER = event_kind_code("transfer")
 _EPS_BYTES = 1e-6
 _MIN_STEP = 1e-9  # seconds; smallest wake-up interval the scheduler will use
 
@@ -165,7 +164,7 @@ class Network:
         self.total_bytes_moved += flow.size
         arrive = self._finish_zero if nbytes <= _EPS_BYTES else self._admit
         self.sim._schedule_at(self.sim.now + link.latency, arrive, flow,
-                              kind=_TRANSFER)
+                              kind=TRANSFER)
         return done
 
     # -- fluid-flow internals ---------------------------------------------
@@ -199,7 +198,7 @@ class Network:
         # could otherwise pin the wake-up at the current timestamp forever.
         horizon = max(horizon, _MIN_STEP)
         self.sim._schedule_at(self.sim.now + horizon, self._wake,
-                              self._wake_version, kind=_TRANSFER)
+                              self._wake_version, kind=TRANSFER)
 
     def _wake(self, version: int) -> None:
         if version != self._wake_version:

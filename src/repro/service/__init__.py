@@ -8,7 +8,8 @@ Layering (top of the stack documented in ``docs/architecture.md``)::
       CoupledWorkflow x N    per-tenant driver, Monitor, AdaptationEngine
         StagingArea x N      pool-wide area masked to the tenant's grant
 
-Importing this package registers the ``tenant`` kernel event kind.
+Service traffic rides the kernel's ``tenant`` event kind
+(:data:`repro.hpc.kernel.TENANT`).
 """
 
 from repro.service.admission import ADMISSION_POLICIES, AdmissionController

@@ -1,11 +1,10 @@
 """Exact core bookkeeping for the shared compute and staging pools.
 
 The :class:`TenantScheduler` is the service's ledger of who holds what:
-compute cores are *partitioned* (optionally oversubscribed by a factor,
-modelling time-sharing of the simulation partition), staging cores are
-*granted* -- each admitted tenant receives a base grant carved out of
-the shared staging pool, and may later borrow uncommitted cores through
-the negotiation path (:meth:`borrow`/:meth:`give_back`).
+compute cores are *partitioned*, staging cores are *granted* -- each
+admitted tenant receives a base grant carved out of the shared staging
+pool, and may later borrow uncommitted cores through the negotiation
+path (:meth:`borrow`/:meth:`give_back`).
 
 The scheduler never touches a :class:`~repro.staging.area.StagingArea`
 itself; the service actuates grants by masking each tenant's area with
@@ -21,7 +20,13 @@ from collections import defaultdict
 
 from repro.errors import ServiceError
 
-__all__ = ["TenantScheduler"]
+__all__ = ["MIN_SHARE", "TenantScheduler"]
+
+#: Fraction of a tenant's requested staging cores that must be
+#: uncommitted for admission (the grant is ``min(request, uncommitted)``,
+#: so under pressure tenants are admitted squeezed rather than waiting
+#: for their full request).
+MIN_SHARE = 0.25
 
 
 class TenantScheduler:
@@ -31,38 +36,16 @@ class TenantScheduler:
     ----------
     sim_cores, staging_cores:
         The shared machine's pool sizes (the whole simulation and
-        staging partitions).
-    oversubscribe:
-        Compute-pool multiplier (>= 1): ``2.0`` lets the sum of admitted
-        tenants' simulation cores reach twice the physical partition
-        (time-shared).  Staging cores are never oversubscribed -- grants
-        are physical cores.
-    min_share:
-        Fraction of a tenant's requested staging cores that must be
-        uncommitted for admission (the grant is
-        ``min(request, uncommitted)``, so under pressure tenants are
-        admitted squeezed rather than waiting for their full request).
+        staging partitions).  Both are physical cores: the sum of
+        admitted tenants' simulation cores never exceeds ``sim_cores``,
+        and staging grants never exceed ``staging_cores``.
     """
 
-    def __init__(
-        self,
-        sim_cores: int,
-        staging_cores: int,
-        oversubscribe: float = 1.0,
-        min_share: float = 0.25,
-    ):
+    def __init__(self, sim_cores: int, staging_cores: int):
         if sim_cores < 1 or staging_cores < 1:
             raise ServiceError("pool core counts must be >= 1")
-        if oversubscribe < 1.0:
-            raise ServiceError(
-                f"oversubscribe must be >= 1, got {oversubscribe}"
-            )
-        if not 0.0 < min_share <= 1.0:
-            raise ServiceError(f"min_share must be in (0, 1], got {min_share}")
-        self.sim_cores_total = int(sim_cores)
+        self.compute_total = int(sim_cores)
         self.staging_total = int(staging_cores)
-        self.compute_capacity = int(math.floor(sim_cores * oversubscribe))
-        self.min_share = float(min_share)
         self.compute_committed = 0
         self.staging_committed = 0
         #: Accumulated staging core-seconds served, per user -- the
@@ -78,12 +61,12 @@ class TenantScheduler:
 
     @property
     def compute_uncommitted(self) -> int:
-        """Compute capacity (after oversubscription) not yet committed."""
-        return self.compute_capacity - self.compute_committed
+        """Simulation-partition cores not committed to any tenant."""
+        return self.compute_total - self.compute_committed
 
     def min_staging_grant(self, requested: int) -> int:
         """Smallest admissible grant for a ``requested``-core tenant."""
-        return max(1, math.ceil(requested * self.min_share))
+        return max(1, math.ceil(requested * MIN_SHARE))
 
     def fits(self, sim_cores: int, staging_cores: int) -> bool:
         """Would a (compute, staging) request be admissible right now?"""
@@ -99,7 +82,7 @@ class TenantScheduler:
         is admissible at the latest when every other tenant has finished.
         """
         return (
-            1 <= sim_cores <= self.compute_capacity
+            1 <= sim_cores <= self.compute_total
             and 1 <= staging_cores
             and self.min_staging_grant(staging_cores) <= self.staging_total
         )
@@ -111,7 +94,7 @@ class TenantScheduler:
 
         The grant is the full request when the pool has room, else every
         remaining uncommitted core (``fits`` guarantees at least the
-        ``min_share`` floor).
+        :data:`MIN_SHARE` floor).
         """
         if not self.fits(sim_cores, staging_cores):
             raise ServiceError(
@@ -168,10 +151,10 @@ class TenantScheduler:
         self._check()
 
     def _check(self) -> None:
-        if not 0 <= self.compute_committed <= self.compute_capacity:
+        if not 0 <= self.compute_committed <= self.compute_total:
             raise ServiceError(
                 f"compute commitment {self.compute_committed} outside "
-                f"[0, {self.compute_capacity}]"
+                f"[0, {self.compute_total}]"
             )
         if not 0 <= self.staging_committed <= self.staging_total:
             raise ServiceError(

@@ -16,9 +16,9 @@ Mechanics
 
 - The service builds the staging-uplink network once
   (:func:`~repro.hpc.systems.build_workflow_network` with the pool
-  sizes) and registers the ``tenant`` kernel event kind; arrivals,
-  queue drains and grant renegotiations all ride typed ``tenant``
-  events so the kernel's per-kind counters attribute service traffic.
+  sizes); arrivals, queue drains and grant renegotiations all ride
+  typed ``tenant`` kernel events so the kernel's per-kind counters
+  attribute service traffic.
 - Each admitted tenant gets its own :class:`~repro.staging.area.
   StagingArea` spanning the whole pool, masked down to its grant with
   ``fail_cores`` (and expanded with ``restore_cores`` when it borrows),
@@ -54,11 +54,7 @@ from typing import Any
 from repro.errors import ServiceError
 from repro.hpc.event import Simulator
 from repro.hpc.filesystem import ParallelFileSystem
-from repro.hpc.kernel import (
-    KERNEL_EVENT_KINDS,
-    event_kind_code,
-    register_event_kind,
-)
+from repro.hpc.kernel import TENANT
 from repro.hpc.systems import SystemSpec, build_workflow_network, titan
 from repro.observability.events import (
     TENANT_ADMITTED,
@@ -87,18 +83,6 @@ __all__ = [
     "TenantReport",
     "WorkflowService",
 ]
-
-# The service's kernel event family.  Guarded: the registry refuses
-# duplicate names, and this module may be re-imported (tests reload it).
-if "tenant" not in KERNEL_EVENT_KINDS:
-    TENANT_KIND = register_event_kind(
-        "tenant",
-        "multi-tenant service control: tenant arrivals, admission-queue "
-        "drains and staging-grant renegotiations on the shared machine",
-    )
-else:  # pragma: no cover - only on re-import
-    TENANT_KIND = event_kind_code("tenant")
-
 
 @dataclass(eq=False)
 class Tenant:
@@ -223,9 +207,6 @@ class WorkflowService:
     max_queue:
         Bounded admission queue; arrivals beyond it are rejected
         (``None`` = unbounded).
-    oversubscribe, min_share:
-        Compute-pool multiplier and the staging-grant admission floor
-        (see :class:`~repro.service.scheduler.TenantScheduler`).
     starvation_wait:
         When set, a queued tenant waiting longer than this (simulated
         seconds) raises the ``tenant.starved`` event and counter once.
@@ -244,8 +225,6 @@ class WorkflowService:
         *,
         policy: str = "fifo",
         max_queue: int | None = None,
-        oversubscribe: float = 1.0,
-        min_share: float = 0.25,
         starvation_wait: float | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -269,10 +248,7 @@ class WorkflowService:
         )
         self.pfs.attach("sim")
         self.pfs.attach("staging")
-        self.scheduler = TenantScheduler(
-            sim_cores, staging_cores,
-            oversubscribe=oversubscribe, min_share=min_share,
-        )
+        self.scheduler = TenantScheduler(sim_cores, staging_cores)
         self.admission = AdmissionController(policy=policy, max_queue=max_queue)
         if starvation_wait is not None and starvation_wait <= 0:
             raise ServiceError(
@@ -325,7 +301,7 @@ class WorkflowService:
             raise ServiceError(
                 f"tenant {name!r} can never fit the machine: needs "
                 f"{config.sim_cores} sim cores (capacity "
-                f"{self.scheduler.compute_capacity}) and a minimum staging "
+                f"{self.scheduler.compute_total}) and a minimum staging "
                 f"grant of {self.scheduler.min_staging_grant(config.staging_cores)} "
                 f"(pool {self.staging_cores})"
             )
@@ -335,7 +311,7 @@ class WorkflowService:
         )
         self.tenants.append(tenant)
         self.sim._schedule_at(
-            tenant.arrival, self._arrive, tenant, kind=TENANT_KIND
+            tenant.arrival, self._arrive, tenant, kind=TENANT
         )
         return tenant
 
@@ -369,7 +345,7 @@ class WorkflowService:
                 self.sim.now + self.starvation_wait,
                 self._check_starvation,
                 tenant,
-                kind=TENANT_KIND,
+                kind=TENANT,
             )
         self._drain()
 
@@ -501,7 +477,7 @@ class WorkflowService:
         )
         # Freed capacity: drain the queue on a fresh tenant-kind event so
         # kernel counters attribute admission work to the service.
-        self.sim._schedule_at(self.sim.now, self._drain, kind=TENANT_KIND)
+        self.sim._schedule_at(self.sim.now, self._drain, kind=TENANT)
 
     def _negotiate(self, tenant: Tenant, requested: int) -> None:
         """Grant negotiation: the tenant's Eq. 9-10 resize, pool-clamped.

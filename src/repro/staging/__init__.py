@@ -8,17 +8,10 @@ models exactly that over the simulated machine:
 
 - :mod:`repro.staging.area` -- the staging area: a resizable pool of
   staging cores executing analysis jobs, with ingest transfers over the
-  simulated network and utilization accounting (Eq. 12);
-- :mod:`repro.staging.messaging` -- the bounded retry-with-backoff
-  recovery policy used by faulted ingests.
+  simulated network, bounded retry with backoff for faulted ingests,
+  and utilization accounting (Eq. 12).
 """
 
 from repro.staging.area import AnalysisJob, StagingArea
-from repro.staging.messaging import RetryPolicy, retry_with_backoff
 
-__all__ = [
-    "AnalysisJob",
-    "RetryPolicy",
-    "StagingArea",
-    "retry_with_backoff",
-]
+__all__ = ["AnalysisJob", "StagingArea"]

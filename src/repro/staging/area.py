@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import StagingError
 from repro.hpc.event import Event, Interrupt, Simulator
-from repro.hpc.kernel import event_kind_code
+from repro.hpc.kernel import STAGING
 from repro.hpc.network import Network
 from repro.hpc.resources import Store
 from repro.observability.events import (
@@ -36,11 +36,15 @@ from repro.observability.events import (
     STAGING_SUBMIT,
 )
 from repro.observability.observer import NULL_OBSERVER, Observer
-from repro.staging.messaging import RetryPolicy, retry_with_backoff
 
 __all__ = ["AnalysisJob", "StagingArea"]
 
-_STAGING = event_kind_code("staging")
+#: Bounded retry of a dropped ingest: at most ``RETRY_ATTEMPTS``
+#: transfers, and failed attempt ``k`` (0-based) is retried after
+#: ``RETRY_BASE_DELAY * RETRY_BACKOFF ** k`` simulated seconds.
+RETRY_ATTEMPTS = 4
+RETRY_BASE_DELAY = 0.5
+RETRY_BACKOFF = 2.0
 
 
 @dataclass(eq=False)
@@ -106,13 +110,11 @@ class StagingArea:
         Optional :class:`repro.faults.FaultInjector`.  When attached, the
         area can lose and regain cores (:meth:`fail_cores` /
         :meth:`restore_cores`), ingest attempts the plan marks as dropped
-        are retried under ``retry_policy``, corrupted analyses re-run from
-        the staged copy, and straggler windows stretch service times.
-        When ``None`` (the default) every code path is byte-identical to
-        the fault-free area.
-    retry_policy:
-        Bounded-backoff policy for faulted ingest attempts (only consulted
-        when a fault plan drops objects).
+        are retried with exponential backoff (:data:`RETRY_ATTEMPTS`
+        transfers at most), corrupted analyses re-run from the staged
+        copy, and straggler windows stretch service times.  When ``None``
+        (the default) every code path is byte-identical to the
+        fault-free area.
     """
 
     def __init__(
@@ -124,7 +126,6 @@ class StagingArea:
         active_cores: int | None = None,
         memory_bytes: float = float("inf"),
         faults=None,
-        retry_policy: RetryPolicy | None = None,
         observer: Observer = NULL_OBSERVER,
     ):
         if total_cores < 1:
@@ -145,7 +146,6 @@ class StagingArea:
         self.tracer = observer.tracer
         self.ledger = observer.ledger
         self.faults = faults
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._failed_cores = 0
         self._restored: Event | None = None
 
@@ -361,14 +361,31 @@ class StagingArea:
         """
         if self.faults is None or not self.faults.may_drop(step):
             return self.network.transfer("sim", "staging", nbytes)
+        return self.sim.process(
+            self._retry_ingest(step, nbytes), name=f"retry(ingest(step={step}))"
+        )
 
-        def _attempt(_k: int) -> Event:
-            return self.network.transfer("sim", "staging", nbytes)
+    def _retry_ingest(self, step: int, nbytes: float):
+        """Re-send a step's data while the fault plan drops it.
 
-        def _accept(_k: int, _transfer) -> bool:
-            return not self.faults.consume_drop(step)
-
-        def _on_retry(k: int, delay: float) -> None:
+        Each arrival consumes one planned drop, if any is left; a dropped
+        arrival is retried after the backoff.  When all
+        :data:`RETRY_ATTEMPTS` arrivals are dropped it raises
+        :class:`StagingError`, chained from the last rejected attempt.
+        """
+        describe = f"ingest(step={step})"
+        for k in range(RETRY_ATTEMPTS):
+            transfer = yield self.network.transfer("sim", "staging", nbytes)
+            if not self.faults.consume_drop(step):
+                return transfer
+            if k + 1 == RETRY_ATTEMPTS:
+                rejected = StagingError(
+                    f"{describe}: attempt {k + 1} rejected (corrupt result)"
+                )
+                raise StagingError(
+                    f"{describe}: retries exhausted after {RETRY_ATTEMPTS} attempts"
+                ) from rejected
+            delay = RETRY_BASE_DELAY * RETRY_BACKOFF ** k
             self.retries += 1
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -378,15 +395,7 @@ class StagingArea:
                     backoff_seconds=delay,
                     nbytes=nbytes,
                 )
-
-        return retry_with_backoff(
-            self.sim,
-            _attempt,
-            self.retry_policy,
-            accept=_accept,
-            on_retry=_on_retry,
-            describe=f"ingest(step={step})",
-        )
+            yield self.sim.timeout(delay)
 
     def _serve(self):
         while True:
@@ -420,7 +429,7 @@ class StagingArea:
                         work_units=job.work_units,
                     )
                 try:
-                    yield self.sim.timeout(duration, kind=_STAGING)
+                    yield self.sim.timeout(duration, kind=STAGING)
                 except Interrupt as interrupt:
                     # Core loss aborted the pass; the partial service is
                     # real core time, and the job re-runs from the staged

@@ -27,7 +27,7 @@ from repro.errors import WorkflowError
 from repro.faults import FaultInjector, FaultPlan
 from repro.hpc.event import Simulator
 from repro.hpc.filesystem import ParallelFileSystem
-from repro.hpc.kernel import event_kind_code
+from repro.hpc.kernel import COMPUTE
 from repro.hpc.systems import build_workflow_network
 from repro.observability.events import (
     PLACEMENT_FALLBACK,
@@ -54,8 +54,6 @@ from repro.workload.trace import WorkloadTrace
 
 __all__ = ["CoupledWorkflow", "run_workflow"]
 
-_COMPUTE = event_kind_code("compute")
-
 
 class CoupledWorkflow:
     """One workflow run; construct, then :meth:`run`.
@@ -73,10 +71,10 @@ class CoupledWorkflow:
     ``metrics`` is an optional registry :meth:`finalize` fills from the
     run's tallies (:func:`~repro.observability.observer.publish`).
 
-    ``faults`` accepts a :class:`~repro.faults.FaultPlan` (wrapped in an
-    injector sharing this run's tracer) or a pre-built
-    :class:`~repro.faults.FaultInjector`; the driver attaches it to the
-    simulator, the network and the staging area and arms it.  Injected
+    ``faults`` accepts a :class:`~repro.faults.FaultPlan`; the driver
+    wraps it in a :class:`~repro.faults.FaultInjector` sharing this run's
+    tracer, attaches that to the simulator, the network and the staging
+    area and arms it.  Injected
     faults surface as ``fault.*`` trace events; the driver degrades
     staging placements to in-situ while staging is unreachable
     (``placement.fallback``) and re-runs the adaptation plan when the
@@ -124,7 +122,7 @@ class CoupledWorkflow:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         ledger: PredictionLedger | None = None,
-        faults: FaultPlan | FaultInjector | None = None,
+        faults: FaultPlan | None = None,
         trigger: TriggerPolicy | None = None,
         profiler: "Profiler | None" = None,
         sim: Simulator | None = None,
@@ -140,12 +138,14 @@ class CoupledWorkflow:
         self.trace = trace
         self.trigger = trigger
         observer = Observer(tracer, ledger)
-        if isinstance(faults, FaultPlan):
+        if faults is not None:
             faults = FaultInjector(faults, observer=observer)
         self.faults = faults
         if sim is None:
-            sim = Simulator(faults=faults)
+            sim = Simulator()
             instrument(profiler, sim, {"run": "sim.run"})
+            if faults is not None:
+                faults.attach_simulator(sim)
         elif faults is not None:
             raise WorkflowError(
                 "per-workflow fault plans need a dedicated simulator; "
@@ -403,7 +403,7 @@ class CoupledWorkflow:
                     cells=record.cells,
                     data_bytes=record.data_bytes,
                 )
-            yield self.sim.timeout(sim_seconds, kind=_COMPUTE)
+            yield self.sim.timeout(sim_seconds, kind=COMPUTE)
             self.monitor.observe_sim_step(sim_seconds)
             self._total_sim_seconds += sim_seconds
 
@@ -457,7 +457,7 @@ class CoupledWorkflow:
                 reduce_seconds = record.cells * cfg.reduce_cost_per_cell / (
                     rate * n_cores
                 )
-                yield self.sim.timeout(reduce_seconds, kind=_COMPUTE)
+                yield self.sim.timeout(reduce_seconds, kind=COMPUTE)
                 insitu_seconds += reduce_seconds
 
             if decision.staging_cores is not None:
@@ -515,7 +515,7 @@ class CoupledWorkflow:
                         self.monitor.estimate_insitu(insitu_work, n_cores),
                         mechanism="monitor",
                     )
-                yield self.sim.timeout(analysis_seconds, kind=_COMPUTE)
+                yield self.sim.timeout(analysis_seconds, kind=COMPUTE)
                 metric.insitu_seconds += analysis_seconds
                 if insitu_work > 0:
                     self.monitor.observe_insitu(insitu_work, n_cores,
@@ -544,7 +544,7 @@ class CoupledWorkflow:
                         mechanism="monitor",
                     )
                     self._record_placement(record.step, "in_situ", out_work)
-                yield self.sim.timeout(analysis_seconds, kind=_COMPUTE)
+                yield self.sim.timeout(analysis_seconds, kind=COMPUTE)
                 metric.insitu_seconds += analysis_seconds
                 metric.analysis_done_at = self.sim.now
                 self.monitor.observe_insitu(out_work, n_cores, analysis_seconds)
@@ -596,7 +596,7 @@ class CoupledWorkflow:
         for metric, nbytes, work in self._post_tasks:
             yield self.pfs.read("staging", nbytes)
             analysis_seconds = work / (rate * m_cores)
-            yield self.sim.timeout(analysis_seconds, kind=_COMPUTE)
+            yield self.sim.timeout(analysis_seconds, kind=COMPUTE)
             self._post_busy_core_seconds += analysis_seconds * m_cores
             metric.analysis_done_at = self.sim.now
 
@@ -778,7 +778,7 @@ def run_workflow(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     ledger: PredictionLedger | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
+    faults: FaultPlan | None = None,
     trigger: TriggerPolicy | None = None,
     profiler: Profiler | None = None,
 ) -> WorkflowResult:

@@ -1,11 +1,8 @@
 """Tests for the middleware (placement) and resource (allocation) policies."""
 
-import pytest
-
 from repro.core.actions import Placement
 from repro.core.policies.middleware import MiddlewarePolicy
 from repro.core.policies.resource import ResourcePolicy
-from repro.errors import PolicyError
 from repro.units import GiB, MiB
 
 
@@ -85,15 +82,14 @@ class TestResourcePolicy:
         action = ResourcePolicy().decide(state)
         assert action.cores == state.staging_total_cores
 
-    def test_min_cores_floor(self, make_state):
-        state = make_state(data_bytes=1.0, analysis_work=0.0,
+    def test_one_core_floor(self, make_state):
+        # Both bounds are 0 with no data, no work and no backlog.
+        state = make_state(data_bytes=0.0, analysis_work=0.0,
+                           est_intransit_remaining=0.0,
                            est_next_sim_time=100.0)
-        action = ResourcePolicy(min_cores=8).decide(state)
-        assert action.cores == 8
-
-    def test_min_cores_validation(self):
-        with pytest.raises(PolicyError):
-            ResourcePolicy(min_cores=0)
+        action = ResourcePolicy().decide(state)
+        assert action.cores == 1
+        assert action.reason.startswith("memory bound 0, balance bound 0")
 
     def test_small_data_small_allocation(self, make_state):
         # Fig. 9's start: small data -> ~50 of 256 cores.

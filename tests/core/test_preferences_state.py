@@ -42,8 +42,6 @@ class TestUserHints:
             UserHints(downsample_phases=((1, (0,)),))
         with pytest.raises(PolicyError):
             UserHints(monitor_interval=0)
-        with pytest.raises(PolicyError):
-            UserHints(entropy_thresholds=(5.0,), entropy_factors=(4,))
 
     def test_default_objective(self):
         assert UserPreferences().objective is Objective.MINIMIZE_TIME_TO_SOLUTION

@@ -24,7 +24,8 @@ def wired(plan, tracer=None, total_cores=4):
     """A fully wired injector over a tiny simulator/network/staging trio."""
     observer = Observer(tracer=tracer)
     injector = FaultInjector(plan, observer=observer)
-    sim = Simulator(faults=injector)
+    sim = Simulator()
+    injector.attach_simulator(sim)
     net = Network(sim)
     net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
     area = StagingArea(sim, net, core_rate=10.0, total_cores=total_cores,
@@ -51,7 +52,7 @@ class TestWiring:
 
     def test_staging_fault_without_staging_rejected(self):
         injector = FaultInjector(FaultPlan([CoreLoss(at=1.0, cores=2)]))
-        Simulator(faults=injector)
+        injector.attach_simulator(Simulator())
         with pytest.raises(FaultError, match="staging"):
             injector.arm()
 
@@ -59,7 +60,7 @@ class TestWiring:
         injector = FaultInjector(
             FaultPlan([LinkDegrade(at=1.0, duration=1.0, bandwidth_factor=0.5)])
         )
-        Simulator(faults=injector)
+        injector.attach_simulator(Simulator())
         with pytest.raises(FaultError, match="[Nn]etwork"):
             injector.arm()
 

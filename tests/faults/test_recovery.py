@@ -14,7 +14,7 @@ The contracts under test, in order of strength:
 import pytest
 
 from repro.core.actions import Placement
-from repro.errors import StagingError
+from repro.errors import FaultError, StagingError, WorkflowError
 from repro.faults import CoreLoss, CoreRestore, FaultInjector, FaultPlan, ObjectDrop
 from repro.hpc.event import Simulator
 from repro.hpc.network import Network
@@ -26,10 +26,9 @@ from repro.observability.events import (
     PLACEMENT_FALLBACK,
     STAGING_RETRY,
 )
-from repro.staging.area import StagingArea
-from repro.staging.messaging import RetryPolicy
+from repro.staging.area import RETRY_ATTEMPTS, StagingArea
 from repro.workflow.config import Mode, WorkflowConfig
-from repro.workflow.driver import run_workflow
+from repro.workflow.driver import CoupledWorkflow, run_workflow
 from repro.workflow.report import result_to_json
 from repro.workload.synthetic import SyntheticAMRConfig, synthetic_amr_trace
 
@@ -60,11 +59,26 @@ class TestBitIdentity:
                                faults=FaultPlan())
         assert result_to_json(faulted) == result_to_json(baseline)
 
-    def test_accepts_prewired_injector(self):
-        baseline = run_workflow(config(), small_trace())
+    def test_rejects_prewired_injector(self):
         injector = FaultInjector(FaultPlan())
-        via_injector = run_workflow(config(), small_trace(), faults=injector)
-        assert result_to_json(via_injector) == result_to_json(baseline)
+        with pytest.raises(FaultError, match="needs a FaultPlan"):
+            run_workflow(config(), small_trace(), faults=injector)
+
+
+class TestWiring:
+    def test_workflow_wires_its_injector(self):
+        workflow = CoupledWorkflow(config(), small_trace(),
+                                   faults=FaultPlan([ObjectDrop(step=1)]))
+        injector = workflow.faults
+        assert isinstance(injector, FaultInjector)
+        assert injector.sim is workflow.sim
+        assert injector.network is workflow.network
+        assert injector.staging is workflow.staging
+
+    def test_plan_needs_a_dedicated_simulator(self):
+        with pytest.raises(WorkflowError, match="dedicated simulator"):
+            CoupledWorkflow(config(), small_trace(), faults=FaultPlan(),
+                            sim=Simulator())
 
 
 class TestBlackoutDegradation:
@@ -142,34 +156,37 @@ class TestFaultFreeEquivalence:
         assert len(tracer.events(kind=STAGING_RETRY)) == 2
 
 
+def dropping_area(drops):
+    """A staging area whose fault plan drops ``drops`` ingests of step 0."""
+    injector = FaultInjector(FaultPlan([ObjectDrop(step=0, count=drops)]))
+    sim = Simulator()
+    injector.attach_simulator(sim)
+    net = Network(sim)
+    net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
+    area = StagingArea(sim, net, core_rate=10.0, total_cores=4,
+                       faults=injector)
+    injector.attach_network(net)
+    injector.arm()
+    return sim, area
+
+
 class TestRetryExhaustion:
     def test_exhausted_retries_raise_staging_error(self):
-        """More drops than attempts: the run must fail loudly."""
-        policy = RetryPolicy(max_attempts=2, base_delay=0.1)
-        plan = FaultPlan([ObjectDrop(step=0, count=2)])
-        injector = FaultInjector(plan)
-        sim = Simulator(faults=injector)
-        net = Network(sim)
-        net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
-        area = StagingArea(sim, net, core_rate=10.0, total_cores=4,
-                           faults=injector, retry_policy=policy)
-        injector.attach_network(net)
-        injector.arm()
+        """As many drops as attempts: the run must fail loudly."""
+        sim, area = dropping_area(RETRY_ATTEMPTS)
         area.submit(0, nbytes=100.0, work_units=10.0)
         with pytest.raises(StagingError):
             sim.run()
 
+    def test_exhausted_retries_fail_the_workflow_run(self):
+        plan = FaultPlan([ObjectDrop(step=1, count=RETRY_ATTEMPTS)])
+        with pytest.raises(StagingError,
+                           match=r"ingest\(step=1\): retries exhausted"):
+            run_workflow(config(Mode.STATIC_INTRANSIT), small_trace(),
+                         faults=plan)
+
     def test_drops_within_budget_recover(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.1)
-        plan = FaultPlan([ObjectDrop(step=0, count=2)])
-        injector = FaultInjector(plan)
-        sim = Simulator(faults=injector)
-        net = Network(sim)
-        net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
-        area = StagingArea(sim, net, core_rate=10.0, total_cores=4,
-                           faults=injector, retry_policy=policy)
-        injector.attach_network(net)
-        injector.arm()
+        sim, area = dropping_area(RETRY_ATTEMPTS - 1)
         job = area.submit(0, nbytes=100.0, work_units=10.0)
         sim.run(job.done)
         assert len(area.completed) == 1

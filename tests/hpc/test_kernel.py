@@ -19,13 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-# Registers the ``tenant`` kind, so every kernel built below counts it
-# and the pinned counter dicts have one shape however the suite is run.
-import repro.service  # noqa: F401
 from repro.errors import SimulationError
 from repro.hpc.event import Interrupt, Simulator
 from repro.hpc.kernel import (
+    COMPUTE,
+    CONTROL,
     KERNEL_EVENT_KINDS,
+    STAGING,
+    TENANT,
+    TIMER,
+    TRANSFER,
     EventKernel,
     KernelCounters,
     event_kind_code,
@@ -33,8 +36,6 @@ from repro.hpc.kernel import (
 )
 from repro.hpc.network import Network
 from tests.observability.jsonl import to_jsonl
-
-TIMER = event_kind_code("timer")
 
 
 def _recording_sim() -> tuple[Simulator, EventKernel, list]:
@@ -62,14 +63,20 @@ def _payloads(seen: list) -> list:
 
 
 class TestEventKindRegistry:
-    def test_builtin_kinds_registered_in_order(self):
+    def test_kinds_registered_in_order(self):
         names = list(KERNEL_EVENT_KINDS)
-        assert names[:5] == ["control", "timer", "compute", "transfer", "staging"]
+        assert names == [
+            "control", "timer", "compute", "transfer", "staging", "tenant"]
 
     def test_codes_round_trip(self):
-        for code, name in enumerate(list(KERNEL_EVENT_KINDS)[:5]):
+        for code, name in enumerate(KERNEL_EVENT_KINDS):
             assert event_kind_code(name) == code
             assert event_kind_name(code) == name
+
+    def test_constants_are_the_codes(self):
+        constants = (CONTROL, TIMER, COMPUTE, TRANSFER, STAGING, TENANT)
+        assert constants == tuple(
+            event_kind_code(name) for name in KERNEL_EVENT_KINDS)
 
     def test_every_kind_has_description(self):
         assert all(desc.strip() for desc in KERNEL_EVENT_KINDS.values())
@@ -225,7 +232,7 @@ class TestKernelCounters:
         sim, kernel, seen = _recording_sim()
         _schedule(kernel, seen, 1.0, TIMER, None)
         for payload in (1, 2, 3):
-            _schedule(kernel, seen, 2.0, event_kind_code("compute"), payload)
+            _schedule(kernel, seen, 2.0, COMPUTE, payload)
         assert kernel.counters.scheduled_by_kind()["timer"] == 1
         assert kernel.counters.scheduled_by_kind()["compute"] == 3
         assert kernel.counters.total_processed == 0
@@ -272,7 +279,7 @@ class TestEventKernel:
         calls = []
         sim = Simulator()
         kernel = sim.kernel
-        kernel.schedule(1.0, event_kind_code("staging"),
+        kernel.schedule(1.0, STAGING,
                         lambda p: calls.append(("staging", p)), ("s",))
         kernel.schedule(1.0, TIMER, lambda p: calls.append(("timer", p)), ("t",))
         sim.run()
@@ -418,8 +425,8 @@ class TestAdapterIntegration:
 
         def proc(sim):
             yield sim.timeout(1.0)
-            yield sim.timeout(1.0, kind="compute")
-            yield sim.timeout(1.0, kind="staging")
+            yield sim.timeout(1.0, kind=COMPUTE)
+            yield sim.timeout(1.0, kind=STAGING)
 
         sim.process(proc(sim))
         sim.run()
@@ -442,7 +449,7 @@ class TestAdapterIntegration:
 
         def sleeper(sim):
             try:
-                yield sim.timeout(100.0, kind="compute")
+                yield sim.timeout(100.0, kind=COMPUTE)
             except Interrupt as i:
                 return ("interrupted", i.cause, sim.now)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ResourceError
 from repro.hpc.event import Simulator
 from repro.hpc.resources import Store
 
@@ -16,14 +15,11 @@ class TestStore:
     def test_put_then_get(self, sim):
         store = Store(sim)
 
-        def producer(sim):
-            yield store.put("item")
-
         def consumer(sim):
             item = yield store.get()
             return item
 
-        sim.process(producer(sim))
+        store.put("item")
         c = sim.process(consumer(sim))
         sim.run()
         assert c.value == "item"
@@ -37,7 +33,7 @@ class TestStore:
 
         def producer(sim):
             yield sim.timeout(4.0)
-            yield store.put("late")
+            store.put("late")
 
         c = sim.process(consumer(sim))
         sim.process(producer(sim))
@@ -48,50 +44,28 @@ class TestStore:
         store = Store(sim)
         received = []
 
-        def producer(sim):
-            for item in ("a", "b", "c"):
-                yield store.put(item)
-
         def consumer(sim):
             for _ in range(3):
                 item = yield store.get()
                 received.append(item)
 
-        sim.process(producer(sim))
+        for item in ("a", "b", "c"):
+            store.put(item)
         sim.process(consumer(sim))
         sim.run()
         assert received == ["a", "b", "c"]
 
-    def test_bounded_put_blocks(self, sim):
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer(sim):
-            yield store.put("first")
-            log.append(("put-first", sim.now))
-            yield store.put("second")
-            log.append(("put-second", sim.now))
-
-        def consumer(sim):
-            yield sim.timeout(3.0)
-            yield store.get()
-
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
-        sim.run()
-        assert log == [("put-first", 0.0), ("put-second", 3.0)]
+    def test_put_serves_waiting_getters_in_order(self, sim):
+        store = Store(sim)
+        first, second = store.get(), store.get()
+        assert store.put("a") is None
+        store.put("b")
+        store.put("c")
+        assert (first.value, second.value) == ("a", "b")
+        assert len(store) == 1
 
     def test_len_reflects_buffer(self, sim):
         store = Store(sim)
-
-        def producer(sim):
-            yield store.put(1)
-            yield store.put(2)
-
-        sim.process(producer(sim))
-        sim.run()
+        store.put(1)
+        store.put(2)
         assert len(store) == 2
-
-    def test_invalid_capacity_rejected(self, sim):
-        with pytest.raises(ResourceError):
-            Store(sim, capacity=0)

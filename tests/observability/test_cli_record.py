@@ -8,13 +8,19 @@ written one per line, the tracer's JSONL bytes.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.__main__
+import repro.service  # noqa: F401 - the import that once added a counter kind
 import repro.workflow
 from repro.__main__ import _quickstart, main
 from repro.faults import SCENARIOS
+from repro.hpc.kernel import KERNEL_EVENT_KINDS
 from repro.observability import MetricsRegistry, Tracer, load_record
 from repro.workflow import CoupledWorkflow
 from repro.workflow.report import result_to_json
@@ -115,3 +121,25 @@ class TestRecordEvents:
         assert len(lines) == len(record["events"]) > 0
         for event, line in zip(record["events"], lines):
             assert json.dumps(event) == line
+
+
+class TestCounterKinds:
+    """A record's ``counters`` list all six kernel event kinds in every
+    process: the ``tenant`` kind once appeared only in processes that
+    had imported ``repro.service``."""
+
+    def test_fresh_process_record_equals_in_process_run(self, tmp_path, capsys):
+        fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+        src = str(Path(repro.__main__.__file__).resolve().parent.parent)
+        subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "--steps", "4",
+             "--record", str(fresh)],
+            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+            capture_output=True, check=True,
+        )
+        assert main(["trace", "--steps", "4", "--record", str(here)]) == 0
+        capsys.readouterr()
+        processed = json.loads(fresh.read_text())["counters"]["processed"]
+        assert list(processed) == list(KERNEL_EVENT_KINDS) == [
+            "control", "timer", "compute", "transfer", "staging", "tenant"]
+        assert processed == json.loads(here.read_text())["counters"]["processed"]

@@ -9,33 +9,22 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import TenantScheduler
+from repro.service.scheduler import MIN_SHARE
 
 
 class TestConstruction:
     def test_defaults(self):
         s = TenantScheduler(1024, 64)
-        assert s.compute_capacity == 1024
+        assert s.compute_total == 1024
         assert s.staging_total == 64
         assert s.compute_uncommitted == 1024
         assert s.staging_uncommitted == 64
-
-    def test_oversubscribe_scales_compute_only(self):
-        s = TenantScheduler(100, 10, oversubscribe=2.5)
-        assert s.compute_capacity == 250
-        # Staging grants stay physical.
-        assert s.staging_total == 10
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ServiceError):
             TenantScheduler(0, 64)
         with pytest.raises(ServiceError):
             TenantScheduler(1024, 0)
-        with pytest.raises(ServiceError):
-            TenantScheduler(1024, 64, oversubscribe=0.5)
-        with pytest.raises(ServiceError):
-            TenantScheduler(1024, 64, min_share=0.0)
-        with pytest.raises(ServiceError):
-            TenantScheduler(1024, 64, min_share=1.5)
 
 
 class TestAdmission:
@@ -49,14 +38,14 @@ class TestAdmission:
         s = TenantScheduler(1024, 16)
         assert s.admit(256, 12) == 12
         # 4 cores left; a 12-core request is squeezed onto them because
-        # min_share * 12 = 3 <= 4.
+        # MIN_SHARE * 12 = 3 <= 4.
         assert s.admit(256, 12) == 4
         assert s.staging_uncommitted == 0
 
-    def test_min_share_floor_blocks_admission(self):
-        s = TenantScheduler(1024, 16, min_share=0.5)
-        s.admit(256, 16)
-        # min grant for a 12-core request is 6 > 0 uncommitted.
+    def test_share_floor_blocks_admission(self):
+        s = TenantScheduler(1024, 16)
+        s.admit(256, 15)
+        # min grant for a 12-core request is 3 > 1 uncommitted.
         assert not s.fits(256, 12)
         with pytest.raises(ServiceError):
             s.admit(256, 12)
@@ -67,14 +56,6 @@ class TestAdmission:
         assert not s.fits(1, 8)
         with pytest.raises(ServiceError):
             s.admit(1, 8)
-
-    def test_oversubscription_admits_past_physical(self):
-        s = TenantScheduler(64, 64, oversubscribe=2.0)
-        s.admit(64, 8)
-        assert s.fits(64, 8)
-        s.admit(64, 8)
-        assert s.compute_committed == 128
-        assert not s.fits(1, 8)
 
     def test_feasible_is_empty_machine_fits(self):
         s = TenantScheduler(64, 8)
@@ -88,7 +69,8 @@ class TestAdmission:
         assert not s.feasible(1, 64)
 
     def test_min_staging_grant(self):
-        s = TenantScheduler(1024, 64, min_share=0.25)
+        s = TenantScheduler(1024, 64)
+        assert MIN_SHARE == 0.25
         assert s.min_staging_grant(1) == 1
         assert s.min_staging_grant(4) == 1
         assert s.min_staging_grant(5) == 2

@@ -11,7 +11,7 @@ grants, starvation, and grant negotiation against the shared pool.
 import pytest
 
 from repro.errors import ServiceError
-from repro.hpc.kernel import KERNEL_EVENT_KINDS, event_kind_code
+from repro.hpc.kernel import TENANT
 from repro.hpc.systems import titan
 from repro.observability.events import (
     TENANT_ADMITTED,
@@ -151,10 +151,10 @@ class TestContention:
         assert tenant(report, "second").queue_wait == 0.0
         assert tenant(report, "second").staging_share == pytest.approx(4 / 16)
 
-    def test_oversubscribed_compute_admits_concurrently(self):
-        service = WorkflowService(
-            sim_cores=512, staging_cores=64, oversubscribe=2.0
-        )
+    def test_compute_partition_is_physical(self):
+        # Staging has room for both, but the two 512-core tenants do
+        # not fit the 512-core partition together: b waits for a.
+        service = WorkflowService(sim_cores=512, staging_cores=64)
         service.submit(
             "a", config(sim_cores=512, staging_cores=32), small_trace(seed=1)
         )
@@ -162,8 +162,10 @@ class TestContention:
             "b", config(sim_cores=512, staging_cores=32), small_trace(seed=2)
         )
         report = service.run()
-        assert tenant(report, "a").queue_wait == 0.0
-        assert tenant(report, "b").queue_wait == 0.0
+        a, b = tenant(report, "a"), tenant(report, "b")
+        assert a.queue_wait == 0.0
+        assert b.admitted_at == pytest.approx(a.completed_at)
+        assert service.scheduler.compute_total == 512
 
     def test_starvation_detector_flags_long_wait(self):
         tracer = Tracer()
@@ -254,15 +256,15 @@ class TestGrantNegotiation:
 
 class TestPolicies:
     def _three_tenant_report(self, policy):
-        # Staging pool of 16 with full-grant admission (min_share=1):
-        # a holds 12, the wide tenant w (8) cannot fit, the narrow
-        # tenant n (4) can.  fifo blocks n behind w; smallest backfills.
+        # Staging pool of 16: a holds 15, leaving 1 uncommitted.  The
+        # wide tenant w (8, minimum grant 2) cannot fit, the narrow
+        # tenant n (4, minimum grant 1) can.  fifo blocks n behind w;
+        # smallest backfills.
         service = WorkflowService(
-            sim_cores=1024, staging_cores=16,
-            policy=policy, min_share=1.0,
+            sim_cores=1024, staging_cores=16, policy=policy,
         )
         service.submit(
-            "a", config(sim_cores=256, staging_cores=12),
+            "a", config(sim_cores=256, staging_cores=15),
             small_trace(seed=1),
         )
         service.submit(
@@ -355,15 +357,8 @@ class TestServiceErrors:
 
 
 class TestKernelIntegration:
-    def test_tenant_kind_registered(self):
-        assert "tenant" in KERNEL_EVENT_KINDS
-        from repro.service.tenancy import TENANT_KIND
-
-        assert TENANT_KIND == event_kind_code("tenant")
-
     def test_service_traffic_rides_tenant_events(self):
         service = WorkflowService()
         service.submit("t", config(), small_trace())
         service.run()
-        code = event_kind_code("tenant")
-        assert service.sim.kernel.counters.processed[code] > 0
+        assert service.sim.kernel.counters.processed[TENANT] > 0

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.errors import StagingError
-from repro.hpc.event import Simulator
+from repro.faults import FaultInjector, FaultPlan, ObjectDrop
+from repro.hpc.event import Process, Simulator
 from repro.hpc.network import Network
+from repro.observability import Tracer
+from repro.observability.events import FAULT_INJECTED, STAGING_RETRY
+from repro.observability.observer import Observer
 from repro.staging.area import StagingArea
 
 
@@ -191,13 +195,13 @@ class TestResizeFaultInterleaving:
         return area.active_cores <= max(1, area.healthy_cores) <= area.total_cores
 
     def test_resize_during_seeded_blackout_is_clamped(self):
-        from repro.faults import FaultInjector
         from repro.faults.scenarios import build_scenario
 
         plan = build_scenario("blackout", horizon=100.0, seed=7,
                               staging_cores=8, steps=12)
         injector = FaultInjector(plan)
-        sim = Simulator(faults=injector)
+        sim = Simulator()
+        injector.attach_simulator(sim)
         net = Network(sim)
         net.add_link("sim", "staging", bandwidth=1e9, latency=0.0)
         area = StagingArea(sim, net, core_rate=10.0, total_cores=8,
@@ -245,3 +249,74 @@ class TestResizeFaultInterleaving:
         assert area.active_cores == 8
         with pytest.raises(StagingError):
             area.set_active_cores(9)
+
+
+def dropping_area(drops, step=3):
+    """A traced area whose fault plan drops ``drops`` ingests of ``step``.
+
+    The uplink moves 100 B/s with no latency, so a 100-byte ingest
+    attempt takes exactly 1 s.
+    """
+    sim = Simulator()
+    tracer = Tracer()
+    observer = Observer(tracer)
+    observer.bind_clock(lambda: sim.now)
+    injector = FaultInjector(FaultPlan([ObjectDrop(step=step, count=drops)]),
+                             observer=observer)
+    injector.attach_simulator(sim)
+    net = Network(sim)
+    net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
+    area = StagingArea(sim, net, core_rate=10.0, total_cores=4,
+                       faults=injector, observer=observer)
+    injector.attach_network(net)
+    injector.arm()
+    return sim, area, tracer
+
+
+class TestIngestRetry:
+    """Bounded retry with exponential backoff of dropped ingests."""
+
+    def test_four_drops_exhaust_the_retries(self):
+        sim, area, tracer = dropping_area(drops=4)
+        area.submit(3, nbytes=100.0, work_units=10.0)
+        with pytest.raises(StagingError) as excinfo:
+            sim.run()
+        error = excinfo.value
+        assert str(error) == (
+            "ingest(step=3): retries exhausted after 4 attempts")
+        assert isinstance(error.__cause__, StagingError)
+        assert str(error.__cause__) == (
+            "ingest(step=3): attempt 4 rejected (corrupt result)")
+        # Four 1 s attempts and the three backoffs between them.
+        assert sim.now == 7.5
+        assert area.retries == 3
+        assert [e.fields["attempt"] for e in tracer.events(kind=STAGING_RETRY)] \
+            == [1, 2, 3]
+        assert len(tracer.events(kind=FAULT_INJECTED)) == 4
+        assert area.completed == []
+
+    def test_three_drops_recover_with_pinned_backoff(self):
+        sim, area, tracer = dropping_area(drops=3)
+        job = area.submit(3, nbytes=100.0, work_units=10.0)
+        sim.run(job.done)
+        retries = tracer.events(kind=STAGING_RETRY)
+        assert [e.fields["backoff_seconds"] for e in retries] == [0.5, 1.0, 2.0]
+        assert [e.fields["attempt"] for e in retries] == [1, 2, 3]
+        assert all(e.step == 3 and e.fields["nbytes"] == 100.0 for e in retries)
+        # Each retry is announced when its 1 s attempt lands; the next
+        # attempt starts one backoff later.
+        assert [e.ts for e in retries] == [1.0, 2.5, 4.5]
+        assert job.started_at == 4.5 + 2.0 + 1.0
+        assert area.retries == 3
+        assert len(tracer.events(kind=FAULT_INJECTED)) == 3
+        assert len(area.completed) == 1
+        assert area.bytes_ingested == 100.0
+
+    def test_undropped_step_takes_the_plain_transfer(self):
+        sim, area, tracer = dropping_area(drops=1, step=3)
+        job = area.submit(2, nbytes=100.0, work_units=10.0)
+        assert not isinstance(job.ingest_done, Process)
+        sim.run(job.done)
+        assert job.started_at == 1.0
+        assert area.retries == 0
+        assert tracer.events(kind=STAGING_RETRY) == []

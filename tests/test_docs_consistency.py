@@ -19,9 +19,6 @@ import pytest
 
 import repro.faults as faults
 import repro.observability as observability
-
-# Importing the service package registers the `tenant` kernel event
-# kind, so the kernel-taxonomy checks below see the full registry.
 import repro.service as service
 from repro.__main__ import SUBCOMMANDS
 from repro.experiments.parallel import SWEEPS
@@ -440,7 +437,8 @@ class TestKernelDocs:
 
     def test_public_kernel_symbols_documented(self, kernel_doc):
         for symbol in ("EventKernel", "KernelCounters", "KERNEL_EVENT_KINDS",
-                       "register_event_kind"):
+                       "event_kind_code", "event_kind_name", "CONTROL",
+                       "TIMER", "COMPUTE", "TRANSFER", "STAGING", "TENANT"):
             assert symbol in kernel_doc, (
                 f"kernel symbol {symbol} missing from docs/kernel.md"
             )
@@ -500,9 +498,7 @@ class TestServiceDocs:
             )
 
     def test_tenant_kernel_kind_documented(self):
-        # Importing repro.service (top of this module) registers the
-        # kind; the taxonomy checks in TestKernelDocs then cover the
-        # row itself.
+        # The taxonomy checks in TestKernelDocs cover the row itself.
         from repro.hpc.kernel import KERNEL_EVENT_KINDS
 
         assert "tenant" in KERNEL_EVENT_KINDS

@@ -18,18 +18,18 @@ from repro.hpc.event import Interrupt, Simulator
 from repro.hpc.network import Network
 from repro.hpc.resources import Store
 from repro.hpc.systems import titan
-from repro.staging.area import StagingArea
-from repro.staging.messaging import RetryPolicy
+from repro.staging.area import RETRY_ATTEMPTS, StagingArea
 
 
-def faulted_area(plan, total_cores=4, retry_policy=None):
+def faulted_area(plan, total_cores=4):
     """A minimal simulator/network/staging trio wired to ``plan``."""
     injector = FaultInjector(plan)
-    sim = Simulator(faults=injector)
+    sim = Simulator()
+    injector.attach_simulator(sim)
     net = Network(sim)
     net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
     area = StagingArea(sim, net, core_rate=10.0, total_cores=total_cores,
-                       faults=injector, retry_policy=retry_policy)
+                       faults=injector)
     injector.attach_network(net)
     injector.arm()
     return sim, area
@@ -268,29 +268,21 @@ class TestPlannedRetry:
     """In-flight corruption recovery: bounded retry, loud exhaustion."""
 
     def test_retry_exhaustion_raises_staging_error(self):
-        plan = FaultPlan([ObjectDrop(step=0, count=3)])
-        sim, area = faulted_area(
-            plan, retry_policy=RetryPolicy(max_attempts=3, base_delay=0.1))
+        plan = FaultPlan([ObjectDrop(step=0, count=RETRY_ATTEMPTS)])
+        sim, area = faulted_area(plan)
         area.submit(0, nbytes=100.0, work_units=10.0)
         with pytest.raises(StagingError):
             sim.run()
 
     def test_backoff_delays_are_exponential(self):
-        delays = []
         plan = FaultPlan([ObjectDrop(step=0, count=2)])
-        injector = FaultInjector(plan)
-        sim = Simulator(faults=injector)
-        net = Network(sim)
-        net.add_link("sim", "staging", bandwidth=100.0, latency=0.0)
-        policy = RetryPolicy(max_attempts=4, base_delay=0.5, backoff_factor=2.0)
-        area = StagingArea(sim, net, core_rate=10.0, total_cores=4,
-                           faults=injector, retry_policy=policy)
-        injector.attach_network(net)
-        injector.arm()
-        assert [policy.delay(k) for k in range(3)] == [0.5, 1.0, 2.0]
+        sim, area = faulted_area(plan)
         job = area.submit(0, nbytes=100.0, work_units=10.0)
         sim.run(job.done)
         assert len(area.completed) == 1
+        # Two 1 s dropped attempts, backoffs of 0.5 s and 1.0 s, then
+        # the accepted 1 s attempt.
+        assert job.started_at == 1.0 + 0.5 + 1.0 + 1.0 + 1.0
 
 
 class TestPlannedDegradation:
