@@ -23,8 +23,8 @@ Two guarantees are enforced here:
   plain replays alternated so machine drift hits both alike, a
   trimmed-mean ratio (empirically far more stable here than min-of-N,
   which chases rare turbo windows), a ``gc.collect()`` before every
-  replay so cyclic garbage from earlier replays is never collected
-  inside a timed one, and up to three independent
+  replay so the cyclic garbage an instrumented replay leaves is never
+  collected inside a timed one, and up to three independent
   measurement passes -- the assert fails only if *every* pass lands
   above the ceiling, so a single noise burst cannot fail the session
   while a real regression (all passes high) still does.
@@ -69,9 +69,12 @@ def _replay(steps: int, profiler=None) -> float:
     The full instrumented surface -- ``workload.build`` and
     ``workflow.setup`` spans included -- so the ratio measures exactly
     what ``python -m repro profile`` instruments.  A full collection
-    runs first, outside the timed region: each replay leaves garbage in
-    reference cycles, and without it the collections that garbage forces
-    would land in whichever variant happens to cross the threshold.
+    runs first, outside the timed region.  A plain replay frees itself
+    by reference counting, but an instrumented one leaves 379 objects in
+    reference cycles: ``instrument()`` puts each span wrapper on the
+    instance, holding the bound method it replaced.  Without the
+    collection, the passes that garbage forces would land in whichever
+    replay happens to cross the threshold.
     """
     gc.collect()
     started = time.process_time()

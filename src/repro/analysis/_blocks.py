@@ -151,9 +151,13 @@ def blockwise_histogram(
     The bin index is estimated with NumPy's own scaling expression and
     then corrected against the actual edge values, so the result is
     determined by the edge predicates alone -- identical to NumPy's
-    uniform-bin fast path.
+    uniform-bin fast path.  A range wider than a float64 can hold
+    raises :class:`PolicyError`.
     """
-    denom = hi - lo
+    with np.errstate(over="ignore"):
+        denom = hi - lo
+    if not np.isfinite(denom).all():
+        raise PolicyError("histogram range wider than float64 can hold")
     keep = (values >= lo[bids]) & (values <= hi[bids])
     kv = values[keep]
     kb = bids[keep]

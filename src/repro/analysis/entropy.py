@@ -34,6 +34,12 @@ def shannon_entropy(values: np.ndarray, bins: int = 256,
 
     NaNs are ignored.  A constant (or empty) block has zero entropy.  The
     maximum possible value is ``log2(bins)`` (8 bits for 256 bins).
+
+    The histogram is ``np.histogram``'s (range defaulting to the finite
+    min/max, a constant range widened by 0.5 each way), computed as the
+    one-block case of :func:`block_entropies`, so a range too narrow for
+    ``bins`` distinct edges is binned as that path bins it instead of
+    raising.
     """
     if bins < 2:
         raise PolicyError(f"bins must be >= 2, got {bins}")
@@ -41,7 +47,20 @@ def shannon_entropy(values: np.ndarray, bins: int = 256,
     flat = flat[np.isfinite(flat)]
     if flat.size == 0:
         return 0.0
-    counts, _edges = np.histogram(flat, bins=bins, range=value_range)
+    if value_range is None:
+        lo, hi = float(flat.min()), float(flat.max())
+    else:
+        lo, hi = float(value_range[0]), float(value_range[1])
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise PolicyError(
+                f"value_range must be finite with lo <= hi, got {value_range}"
+            )
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    counts = blockwise_histogram(
+        flat, np.zeros(flat.size, dtype=np.intp), 1, bins,
+        np.array([lo]), np.array([hi]),
+    )[0]
     total = counts.sum()
     if total == 0:
         return 0.0
@@ -131,7 +150,8 @@ def _reference_block_entropies(
 
     The pre-vectorization implementation, kept as the equivalence oracle
     for :func:`block_entropies` (the property tests assert exact
-    agreement).
+    agreement).  Both bin through :func:`blockwise_histogram`, which the
+    tests check against ``np.histogram`` directly.
     """
     if len(block_shape) != field.ndim:
         raise PolicyError(

@@ -192,6 +192,22 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its current yield."""
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
+        self._stop_waiting()
+        self.sim._schedule_at(self.sim.now, self._resume, None, Interrupt(cause))
+
+    def close(self) -> None:
+        """Stop the process where it waits, scheduling nothing.
+
+        The process detaches from the event it waits on and its generator
+        is closed; the process-event never fires.  A process parked on an
+        event that never fires (a worker's queue get) is otherwise kept
+        alive by that event's callbacks, and with it everything its
+        generator's frame holds.
+        """
+        self._stop_waiting()
+        self._generator.close()
+
+    def _stop_waiting(self) -> None:
         waited = self._waiting_on
         if waited is not None and not waited.triggered:
             # Detach from whatever the process was waiting on; if that
@@ -201,7 +217,6 @@ class Process(Event):
             if not waited._callbacks:
                 waited.abandoned = True
         self._waiting_on = None
-        self.sim._schedule_at(self.sim.now, self._resume, None, Interrupt(cause))
 
     def _detach(self, event: Event) -> None:
         event._callbacks = [cb for cb in event._callbacks if getattr(cb, "__self__", None) is not self]

@@ -148,13 +148,16 @@ class EventKernel:
         """Schedule ``func(*args)`` at ``when``; returns its sequence number.
 
         ``kind`` is one of the integer kind constants (:data:`CONTROL`
-        ... :data:`TENANT`); this is the per-event hot path.
+        ... :data:`TENANT`); any other code, negative ones included,
+        raises :class:`SimulationError`.  This is the per-event hot path.
         """
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule in the past ({when} < {self.now})"
             )
         try:
+            if kind < 0:  # would index the tallies from the end
+                raise IndexError(kind)
             self.counters.scheduled[kind] += 1
         except IndexError:
             raise SimulationError(f"unknown event kind code {kind}") from None

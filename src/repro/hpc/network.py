@@ -60,14 +60,18 @@ class Link:
 
 @dataclass(eq=False)
 class Transfer:
-    """One fluid flow in progress.  ``done`` fires with the transfer itself."""
+    """One fluid flow in progress.
+
+    Its completion event (what :meth:`Network.transfer` returns) fires
+    with the transfer itself.  The transfer does not hold that event, so
+    the pair forms no reference cycle.
+    """
 
     transfer_id: int
     src: str
     dst: str
     size: float
     link: Link
-    done: Event
     remaining: float = 0.0
     rate: float = 0.0
     started_at: float = 0.0
@@ -95,7 +99,8 @@ class Network:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._links: dict[tuple[str, str], Link] = {}
-        self._flows: dict[Transfer, None] = {}  # active flows, admission order
+        # Active flows in admission order, each mapped to its completion event.
+        self._flows: dict[Transfer, Event] = {}
         self._ids = itertools.count()
         self._last_update = sim.now
         self._wake_version = 0
@@ -146,7 +151,8 @@ class Network:
     # -- transfers ----------------------------------------------------------
 
     def transfer(self, src: str, dst: str, nbytes: float) -> Event:
-        """Start an asynchronous transfer; returns its completion event."""
+        """Start an asynchronous transfer; returns its completion event,
+        which fires with the finished :class:`Transfer`."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
         link = self.link_between(src, dst)
@@ -157,26 +163,25 @@ class Network:
             dst=dst,
             size=float(nbytes),
             link=link,
-            done=done,
             remaining=float(nbytes),
             started_at=self.sim.now,
         )
         self.total_bytes_moved += flow.size
         arrive = self._finish_zero if nbytes <= _EPS_BYTES else self._admit
-        self.sim._schedule_at(self.sim.now + link.latency, arrive, flow,
+        self.sim._schedule_at(self.sim.now + link.latency, arrive, flow, done,
                               kind=TRANSFER)
         return done
 
     # -- fluid-flow internals ---------------------------------------------
 
-    def _finish_zero(self, flow: Transfer) -> None:
+    def _finish_zero(self, flow: Transfer, done: Event) -> None:
         flow.finished_at = self.sim.now
-        flow.done.succeed(flow)
+        done.succeed(flow)
 
-    def _admit(self, flow: Transfer) -> None:
+    def _admit(self, flow: Transfer, done: Event) -> None:
         self._materialize_progress()
         flow.started_at = min(flow.started_at, self.sim.now)
-        self._flows[flow] = None
+        self._flows[flow] = done
         flow.link.flows.append(flow)
         flow.link._share()
         self._reschedule()
@@ -211,11 +216,11 @@ class Network:
             if f.remaining <= max(_EPS_BYTES, f.rate * _MIN_STEP)
         ]
         for flow in finished:
-            del self._flows[flow]
+            done = self._flows.pop(flow)
             flow.link.flows.remove(flow)
             flow.remaining = 0.0
             flow.finished_at = self.sim.now
-            flow.done.succeed(flow)
+            done.succeed(flow)
         for link in dict.fromkeys(f.link for f in finished):
             link._share()
         self._reschedule()

@@ -259,7 +259,8 @@ class WorkflowService:
         self.staging_cores = int(staging_cores)
         self._staging_memory = self.spec.partition_memory(staging_cores)
         self.tracer = self.observer.tracer
-        self.observer.bind_clock(lambda: self.sim.now)
+        kernel = self.sim.kernel
+        self.observer.bind_clock(lambda: kernel.now)
         self.tenants: list[Tenant] = []
         self._starvation_count = 0
         #: Grant renegotiations that borrowed / returned pool cores, and

@@ -49,7 +49,13 @@ RETRY_BACKOFF = 2.0
 
 @dataclass(eq=False)
 class AnalysisJob:
-    """One in-transit analysis task (typically: one time step's data)."""
+    """One in-transit analysis task (typically: one time step's data).
+
+    ``ingest_done`` fires with the ingest's
+    :class:`~repro.hpc.network.Transfer` once the data has arrived;
+    ``done`` fires with ``None`` when the analysis completes (the job
+    holds ``done``, so the event does not carry the job back).
+    """
 
     job_id: int
     step: int
@@ -470,7 +476,16 @@ class StagingArea:
                 service_seconds=duration,
                 memory_used=self.memory_used,
             )
-        job.done.succeed(job)
+        job.done.succeed()
+
+    def close(self) -> None:
+        """Stop the idle worker once no job will be submitted again.
+
+        The worker waits on the job queue forever, and that wait keeps
+        the area alive; closing it schedules nothing, and every tally
+        stays readable.
+        """
+        self._worker.close()
 
     # -- state the policies observe ------------------------------------------------
 

@@ -155,7 +155,8 @@ class CoupledWorkflow:
         self.tracer = observer.tracer
         self.ledger = observer.ledger
         self._registry = metrics
-        observer.bind_clock(lambda: self.sim.now)
+        kernel = sim.kernel
+        observer.bind_clock(lambda: kernel.now)
         if network is None:
             network = build_workflow_network(
                 self.sim, config.spec, config.sim_cores, config.staging_cores
@@ -278,7 +279,10 @@ class CoupledWorkflow:
 
         Must be called with the simulator clock at the main process's
         completion time (true after :meth:`run`'s ``sim.run`` and inside
-        the service's completion watcher).  Idempotent.
+        the service's completion watcher).  Idempotent.  It stops the
+        idle staging worker and drops ``staging_resizer`` and
+        ``staging_ceiling``, so nothing the run built refers back to it
+        and dropping the run frees it by reference counting.
         """
         if self._main is None:
             raise WorkflowError("workflow never started")
@@ -312,6 +316,8 @@ class CoupledWorkflow:
         )
         result.validate()
         self._result = result
+        self.staging.close()
+        self._staging_resizer = self._staging_ceiling = None
         return result
 
     def _energy(self, elapsed: float) -> tuple[float, dict[str, float]]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis._blocks import blockwise_histogram
 from repro.analysis.downsample import (
     _reference_blockwise_stride_reconstruction,
     blockwise_stride_reconstruction,
@@ -51,6 +52,32 @@ def _field(shape, kind, rng):
     if kind == "all_nan":
         return np.full(shape, np.nan)
     return base
+
+
+class TestBlockwiseHistogram:
+    # The oracle of every histogram in repro.analysis, the scalar
+    # shannon_entropy's included: np.histogram itself, on ranges wide
+    # enough for np.histogram to accept.
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 64))
+    def test_rows_match_np_histogram(self, seed, nblocks, bins):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-50.0, 50.0, nblocks)
+        hi = lo + rng.uniform(1e-6, 100.0, nblocks)
+        bids = rng.integers(0, nblocks, 300)
+        values = rng.uniform(lo[bids] - 5.0, hi[bids] + 5.0)  # some outside
+        # Samples on every bin edge of every block, ends included, and
+        # one ulp either side of each.
+        edges = np.array([np.linspace(lo[k], hi[k], bins + 1)
+                          for k in range(nblocks)]).ravel()
+        near = [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        values = np.concatenate([values, *near])
+        edge_bids = np.repeat(np.arange(nblocks), bins + 1)
+        bids = np.concatenate([bids, edge_bids, edge_bids, edge_bids])
+        got = blockwise_histogram(values, bids, nblocks, bins, lo, hi)
+        for k in range(nblocks):
+            want, _ = np.histogram(values[bids == k], bins, range=(lo[k], hi[k]))
+            assert np.array_equal(got[k], want)
 
 
 class TestBlockEntropies:

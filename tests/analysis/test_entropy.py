@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.analysis.entropy import (
@@ -45,9 +45,37 @@ class TestShannonEntropy:
             shannon_entropy(np.zeros(4), bins=1)
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=200))
+    @example(values=[0.0, 5e-324])
     def test_nonnegative_and_bounded(self, values):
         h = shannon_entropy(np.array(values), bins=32)
         assert 0.0 <= h <= 5.0 + 1e-9
+
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=200))
+    @example(values=[0.0, 5e-324])
+    def test_matches_one_block_of_block_entropies(self, values):
+        # A range too narrow for 32 distinct bin edges is binned, not
+        # rejected, exactly as the blockwise path bins it.
+        values = np.array(values)
+        whole = block_entropies(values, values.shape, bins=32,
+                                global_range=False)
+        assert shannon_entropy(values, bins=32) == whole[0]
+
+    def test_tiny_range_bins_like_blocks(self):
+        values = np.array([0.0, 5e-324])
+        assert shannon_entropy(values, bins=32) == 1.0
+        assert shannon_entropy(values, bins=32, value_range=(0.0, 5e-324)) == 1.0
+
+    def test_range_wider_than_float64_raises(self):
+        values = np.array([-1e308, 0.0, 1e308])
+        with pytest.raises(PolicyError, match="wider than float64"):
+            shannon_entropy(values)
+        with pytest.raises(PolicyError, match="wider than float64"):
+            block_entropies(values, (3,), global_range=False)
+
+    def test_bad_value_range(self):
+        for bad in ((1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(PolicyError):
+                shannon_entropy(np.zeros(4), value_range=bad)
 
 
 class TestBlockEntropies:

@@ -327,6 +327,46 @@ class TestInterrupt:
         assert victim.value == 3.0
 
 
+class TestClose:
+    def test_close_stops_a_waiting_process_and_schedules_nothing(self, sim):
+        gate = sim.event("gate")
+        closed = []
+
+        def waiter(sim):
+            try:
+                yield gate
+            finally:
+                closed.append(sim.now)
+
+        p = sim.process(waiter(sim))
+        sim.run()
+        scheduled = sim.kernel.counters.total_scheduled
+        p.close()
+        assert closed == [0.0]
+        assert sim.kernel.counters.total_scheduled == scheduled
+        assert len(sim.kernel) == 0
+        assert gate._callbacks == [] and gate.abandoned
+        gate.succeed("late")
+        sim.run()
+        assert not p.triggered  # the process-event never fires
+
+    def test_close_keeps_other_waiters(self, sim):
+        gate = sim.event("gate")
+
+        def waiter(sim):
+            return (yield gate)
+
+        closed = sim.process(waiter(sim))
+        kept = sim.process(waiter(sim))
+        sim.run()
+        closed.close()
+        assert not gate.abandoned
+        gate.succeed("go")
+        sim.run()
+        assert kept.value == "go"
+        assert not closed.triggered
+
+
 class TestCombinators:
     def test_all_of_waits_for_slowest(self, sim):
         def worker(sim, delay):

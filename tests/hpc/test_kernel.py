@@ -275,6 +275,17 @@ class TestEventKernel:
         assert len(kernel) == 0
         assert kernel.counters.as_dict() == before
 
+    @pytest.mark.parametrize("code", [-1, -6, -7])
+    def test_negative_kind_raises_at_schedule(self, code):
+        # Negative codes are not counted from the end of the tallies.
+        kernel = EventKernel()
+        before = kernel.counters.as_dict()
+        with pytest.raises(SimulationError,
+                           match=f"unknown event kind code {code}"):
+            kernel.schedule(1.0, code, _noop)
+        assert len(kernel) == 0
+        assert kernel.counters.as_dict() == before
+
     def test_records_run_their_func_and_count_their_kind(self):
         calls = []
         sim = Simulator()
