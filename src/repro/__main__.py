@@ -383,6 +383,8 @@ def _faults_command(argv: list[str]) -> int:
     print(f"delta      : {delta_bytes:+15.0f} B")
     print("\n## Fault/recovery timeline " + "#" * 44)
     print(fault_timeline(record))
+    if not hooks["metrics"].as_dict().get("faults.injected"):
+        print(f"{len(plan)} planned fault{'s' * (len(plan) != 1)}, 0 applied")
     print("\n## Metrics " + "#" * 60)
     print(hooks["metrics"].render())
     _write_record(args, record)

@@ -77,22 +77,30 @@ class Event:
     event is scheduled immediately.
     """
 
-    #: Unnamed events read this class default (see :class:`Timeout`).
-    name = ""
     #: True once the event has been succeeded or failed; every path that
     #: fires an event sets it.
     triggered = False
+    _value: Any = _PENDING
+    _exception: BaseException | None = None
+    #: Set when the last waiter detached (interrupt) before the trigger:
+    #: resources/stores use it to drop zombie requests from their queues.
+    abandoned = False
+    _name = ""
+    _name_args: tuple = ()
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(self, sim: "Simulator", name: str = "", *name_args: Any):
         self.sim = sim
-        if name:
-            self.name = name
-        self._value: Any = _PENDING
-        self._exception: BaseException | None = None
         self._callbacks: list[Callable[["Event"], None]] = []
-        # Set when the last waiter detached (interrupt) before the trigger:
-        # resources/stores use it to drop zombie requests from their queues.
-        self.abandoned = False
+        if name:
+            self._name = name
+            self._name_args = name_args
+
+    @property
+    def name(self) -> str:
+        """The name; a ``%`` template with ``name_args`` is formatted only when read."""
+        if self._name_args:
+            return self._name % self._name_args
+        return self._name
 
     @property
     def ok(self) -> bool:
@@ -112,9 +120,7 @@ class Event:
         """Trigger the event successfully, waking all waiters."""
         if self.triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
-        self._value = value
-        self.triggered = True
-        self.sim._queue_callbacks(self)
+        self._fire(value)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -123,15 +129,28 @@ class Event:
             raise SimulationError(f"event {self.name!r} already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail requires an exception instance")
+        self._fire(None, exception)
+        return self
+
+    def _fire(self, value: Any, exception: BaseException | None = None) -> None:
+        """Trigger the event unless it already has and schedule each callback
+        as its own ``control`` record now, in registration order: the one
+        delivery loop, which a :class:`Timeout`'s kernel record calls directly."""
+        if self.triggered:
+            return
+        self._value = value
         self._exception = exception
         self.triggered = True
-        self.sim._queue_callbacks(self)
-        return self
+        callbacks, self._callbacks = self._callbacks, []
+        kernel = self.sim.kernel
+        args = (self,)
+        for callback in callbacks:
+            kernel.schedule(kernel.now, CONTROL, callback, args)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)`` to run when the event triggers."""
         if self.triggered:
-            self.sim._schedule_at(self.sim.now, callback, self)
+            self.sim.kernel.schedule(self.sim.kernel.now, CONTROL, callback, (self,))
         else:
             self._callbacks.append(callback)
 
@@ -143,29 +162,29 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future.
 
-    ``kind`` tags the scheduled record for the kernel's per-kind
-    counters; domain components pass the ``COMPUTE``/``STAGING`` codes
-    so event traffic is attributable per layer.  The ``timeout(<delay>)``
-    name is built only when a message or repr reads it.
+    :meth:`Simulator.timeout` builds it with no ``__init__`` chain; the
+    ``timeout(<delay>)`` name is built only when something reads it.
     """
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 kind: int = TIMER):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = float(delay)
-        sim._schedule_at(sim.now + self.delay, self._fire, value, kind=kind)
+    def __init__(self, *args: Any, **kwargs: Any):
+        raise TypeError("create a Timeout with Simulator.timeout")
 
     @property
     def name(self) -> str:
         return f"timeout({self.delay:g})"
 
-    def _fire(self, value: Any) -> None:
-        if not self.triggered:
-            self._value = value
-            self.triggered = True
-            self.sim._queue_callbacks(self)
+
+class _Wake:
+    """The pre-fired stand-in event a process's start (value ``None``)
+    or an interrupt (its :class:`Interrupt`) delivers to ``_resume``."""
+
+    _value = None
+
+    def __init__(self, exception: BaseException | None = None):
+        self._exception = exception
+
+
+_START = _Wake()
 
 
 class Process(Event):
@@ -177,11 +196,13 @@ class Process(Event):
     pass silently).
     """
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+    def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
+                 *name_args: Any):
+        super().__init__(sim, name or getattr(generator, "__name__", "process"),
+                         *name_args)
         self._generator = generator
         self._waiting_on: Event | None = None
-        sim._schedule_at(sim.now, self._resume, None, None)
+        sim.kernel.schedule(sim.kernel.now, CONTROL, self._resume, (_START,))
 
     @property
     def is_alive(self) -> bool:
@@ -193,7 +214,8 @@ class Process(Event):
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         self._stop_waiting()
-        self.sim._schedule_at(self.sim.now, self._resume, None, Interrupt(cause))
+        kernel = self.sim.kernel
+        kernel.schedule(kernel.now, CONTROL, self._resume, (_Wake(Interrupt(cause)),))
 
     def close(self) -> None:
         """Stop the process where it waits, scheduling nothing.
@@ -213,47 +235,37 @@ class Process(Event):
             # Detach from whatever the process was waiting on; if that
             # leaves the event with no waiters it is a zombie (e.g. a
             # queued store get) and must never consume an item.
-            self._detach(waited)
+            waited._callbacks = [cb for cb in waited._callbacks
+                                 if getattr(cb, "__self__", None) is not self]
             if not waited._callbacks:
                 waited.abandoned = True
         self._waiting_on = None
 
-    def _detach(self, event: Event) -> None:
-        event._callbacks = [cb for cb in event._callbacks if getattr(cb, "__self__", None) is not self]
-
-    def _on_event(self, event: Event) -> None:
+    def _resume(self, event: Event | _Wake) -> None:
+        """Send ``event``'s outcome into the generator and wait on what it
+        yields next.  The one generator-driving body: every ``control``
+        record a process receives calls it."""
         if self.triggered:
             return
-        if event is not self._waiting_on:
+        if event is self._waiting_on:
+            self._waiting_on = None
+        elif not isinstance(event, _Wake):
             return  # stale wake-up after an interrupt
-        self._waiting_on = None
-        if event._exception is not None:
-            self._resume(None, event._exception)
-        else:
-            self._resume(event._value, None)
-
-    def _resume(self, value: Any, exc: BaseException | None) -> None:
-        if self.triggered:
-            return
         try:
-            if exc is not None:
-                target = self._generator.throw(exc)
+            if event._exception is not None:
+                target = self._generator.throw(event._exception)
             else:
-                target = self._generator.send(value)
+                target = self._generator.send(event._value)
         except StopIteration as stop:
-            self._value = stop.value
-            self.triggered = True
-            self.sim._queue_callbacks(self)
+            self._fire(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - deliberate fault barrier
-            self._exception = error
-            self.triggered = True
             # A failure is "handled" iff somebody was already waiting on this
             # process when it died; that waiter receives the exception.
             handled = bool(self._callbacks)
-            self.sim._queue_callbacks(self)
+            self._fire(None, error)
             if not handled:
-                self.sim._note_process_failure(self, error)
+                self.sim._unhandled.append((self, error))
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -262,9 +274,9 @@ class Process(Event):
         self._waiting_on = target
         if target.triggered:
             kernel = self.sim.kernel
-            kernel.schedule(kernel.now, CONTROL, self._on_event, (target,))
+            kernel.schedule(kernel.now, CONTROL, self._resume, (target,))
         else:
-            target._callbacks.append(self._on_event)
+            target._callbacks.append(self._resume)
 
 
 class AllOf(Event):
@@ -339,7 +351,7 @@ class Simulator:
     **Determinism / tie-breaking.**  Events scheduled for the same
     timestamp fire in submission order: the kernel's heap orders records
     by ``(time, seq)`` and ``seq`` increases monotonically with each
-    :meth:`_schedule_at` call.
+    record scheduled.
     """
 
     def __init__(self):
@@ -355,16 +367,30 @@ class Simulator:
 
     def event(self, name: str = "") -> Event:
         """Create a fresh pending :class:`Event`."""
-        return Event(self, name=name)
+        return Event(self, name)
 
     def timeout(self, delay: float, value: Any = None,
                 kind: int = TIMER) -> Timeout:
-        """Create a :class:`Timeout` firing ``delay`` seconds from now."""
-        return Timeout(self, delay, value, kind=kind)
+        """Create a :class:`Timeout` firing ``delay`` seconds from now.
 
-    def process(self, generator: Generator, name: str = "") -> Process:
+        ``kind`` tags the scheduled record for the kernel's per-kind
+        counters; domain components pass the ``COMPUTE``/``STAGING``
+        codes so event traffic is attributable per layer.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        timeout = Timeout.__new__(Timeout)
+        timeout.sim = self
+        timeout._callbacks = []
+        timeout.delay = delay = float(delay)
+        kernel = self.kernel
+        kernel.schedule(kernel.now + delay, kind, timeout._fire, (value,))
+        return timeout
+
+    def process(self, generator: Generator, name: str = "",
+                *name_args: Any) -> Process:
         """Start a new :class:`Process` from a generator."""
-        return Process(self, generator, name=name)
+        return Process(self, generator, name, *name_args)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing when all of ``events`` have fired."""
@@ -384,18 +410,6 @@ class Simulator:
         kernel's ``seq`` tie-break); scheduling in the past raises.
         """
         self.kernel.schedule(when, kind, func, args)
-
-    def _queue_callbacks(self, event: Event) -> None:
-        """Schedule each of ``event``'s callbacks as its own ``control``
-        event at the current time, in registration order."""
-        callbacks, event._callbacks = event._callbacks, []
-        kernel = self.kernel
-        args = (event,)
-        for callback in callbacks:
-            kernel.schedule(kernel.now, CONTROL, callback, args)
-
-    def _note_process_failure(self, process: Process, error: BaseException) -> None:
-        self._unhandled.append((process, error))
 
     # -- run loop ----------------------------------------------------------
 

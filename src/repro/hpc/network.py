@@ -98,11 +98,12 @@ class Network:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
+        self.kernel = sim.kernel
         self._links: dict[tuple[str, str], Link] = {}
         # Active flows in admission order, each mapped to its completion event.
         self._flows: dict[Transfer, Event] = {}
         self._ids = itertools.count()
-        self._last_update = sim.now
+        self._last_update = sim.kernel.now
         self._wake_version = 0
         self.total_bytes_moved = 0.0
 
@@ -156,7 +157,8 @@ class Network:
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
         link = self.link_between(src, dst)
-        done = self.sim.event(name=f"xfer({src}->{dst}, {nbytes:.0f}B)")
+        done = Event(self.sim, "xfer(%s->%s, %.0fB)", src, dst, nbytes)
+        kernel = self.kernel
         flow = Transfer(
             transfer_id=next(self._ids),
             src=src,
@@ -164,30 +166,29 @@ class Network:
             size=float(nbytes),
             link=link,
             remaining=float(nbytes),
-            started_at=self.sim.now,
+            started_at=kernel.now,
         )
         self.total_bytes_moved += flow.size
         arrive = self._finish_zero if nbytes <= _EPS_BYTES else self._admit
-        self.sim._schedule_at(self.sim.now + link.latency, arrive, flow, done,
-                              kind=TRANSFER)
+        kernel.schedule(kernel.now + link.latency, TRANSFER, arrive, (flow, done))
         return done
 
     # -- fluid-flow internals ---------------------------------------------
 
     def _finish_zero(self, flow: Transfer, done: Event) -> None:
-        flow.finished_at = self.sim.now
+        flow.finished_at = self.kernel.now
         done.succeed(flow)
 
     def _admit(self, flow: Transfer, done: Event) -> None:
         self._materialize_progress()
-        flow.started_at = min(flow.started_at, self.sim.now)
+        flow.started_at = min(flow.started_at, self.kernel.now)
         self._flows[flow] = done
         flow.link.flows.append(flow)
         flow.link._share()
         self._reschedule()
 
     def _materialize_progress(self) -> None:
-        now = self.sim.now
+        now = self.kernel.now
         dt = now - self._last_update
         if dt > 0:
             for flow in self._flows:
@@ -202,8 +203,9 @@ class Network:
         # Never schedule a zero/denormal step: float residue on `remaining`
         # could otherwise pin the wake-up at the current timestamp forever.
         horizon = max(horizon, _MIN_STEP)
-        self.sim._schedule_at(self.sim.now + horizon, self._wake,
-                              self._wake_version, kind=TRANSFER)
+        kernel = self.kernel
+        kernel.schedule(kernel.now + horizon, TRANSFER, self._wake,
+                        (self._wake_version,))
 
     def _wake(self, version: int) -> None:
         if version != self._wake_version:
@@ -219,7 +221,7 @@ class Network:
             done = self._flows.pop(flow)
             flow.link.flows.remove(flow)
             flow.remaining = 0.0
-            flow.finished_at = self.sim.now
+            flow.finished_at = self.kernel.now
             done.succeed(flow)
         for link in dict.fromkeys(f.link for f in finished):
             link._share()

@@ -38,7 +38,7 @@ class Store:
 
     def get(self) -> Event:
         """Remove and return (via the event value) the oldest item."""
-        event = Event(self.sim, name=f"get({self.name})")
+        event = Event(self.sim, "get(%s)", self.name)
         self._getters.append(event)
         self._serve()
         return event

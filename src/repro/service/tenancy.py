@@ -421,7 +421,7 @@ class WorkflowService:
             ),
             pfs=self.pfs,
         )
-        self.sim.process(self._watch(tenant), name=f"tenant({tenant.name})")
+        self.sim.process(self._watch(tenant), "tenant(%s)", tenant.name)
         self.tracer.emit(
             TENANT_ADMITTED,
             tenant=tenant.name,

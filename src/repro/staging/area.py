@@ -199,13 +199,13 @@ class StagingArea:
         previous = self._active_cores
         self._account_alloc()
         self._active_cores = int(count)
-        self.core_history.append(_CoreSample(self.sim.now, count))
+        self.core_history.append(_CoreSample(self.sim.kernel.now, count))
         if self.tracer.enabled and count != previous:
             self.tracer.emit(STAGING_RESIZE, cores=count, previous=previous)
         self._check_invariants()
 
     def _account_alloc(self) -> None:
-        now = self.sim.now
+        now = self.sim.kernel.now
         # During a blackout (no healthy cores) nothing is effectively
         # allocated; with no faults this is exactly the active count.
         effective = self._active_cores if self.reachable else 0
@@ -330,9 +330,9 @@ class StagingArea:
             step=step,
             nbytes=nbytes,
             work_units=work_units,
-            submitted_at=self.sim.now,
+            submitted_at=self.sim.kernel.now,
             ingest_done=self._ingest(step, nbytes),
-            done=self.sim.event(name=f"analysis(step={step})"),
+            done=Event(self.sim, "analysis(step=%s)", step),
         )
         self.jobs_submitted += 1
         self._queued_work += work_units
@@ -368,7 +368,7 @@ class StagingArea:
         if self.faults is None or not self.faults.may_drop(step):
             return self.network.transfer("sim", "staging", nbytes)
         return self.sim.process(
-            self._retry_ingest(step, nbytes), name=f"retry(ingest(step={step}))"
+            self._retry_ingest(step, nbytes), "retry(ingest(step=%s))", step
         )
 
     def _retry_ingest(self, step: int, nbytes: float):
@@ -420,11 +420,11 @@ class StagingArea:
                 cores = self._active_cores
                 duration = self.service_time(job.work_units, cores)
                 if self.faults is not None:
-                    duration *= self.faults.service_multiplier(self.sim.now)
-                job.started_at = self.sim.now
+                    duration *= self.faults.service_multiplier(self.sim.kernel.now)
+                job.started_at = self.sim.kernel.now
                 job.cores_used = cores
                 self._running = job
-                self._running_ends_at = self.sim.now + duration
+                self._running_ends_at = self.sim.kernel.now + duration
                 if self.tracer.enabled:
                     self.tracer.emit(
                         STAGING_JOB_START,
@@ -440,7 +440,7 @@ class StagingArea:
                     # Core loss aborted the pass; the partial service is
                     # real core time, and the job re-runs from the staged
                     # copy (analysis is idempotent).
-                    elapsed = max(0.0, self.sim.now - job.started_at)
+                    elapsed = max(0.0, self.sim.kernel.now - job.started_at)
                     self._busy_core_seconds += cores * elapsed
                     self._running = None
                     if self.tracer.enabled:
@@ -463,7 +463,7 @@ class StagingArea:
 
     def _complete(self, job: AnalysisJob, duration: float) -> None:
         """Completion bookkeeping for one drained job (synchronous)."""
-        job.finished_at = self.sim.now
+        job.finished_at = self.sim.kernel.now
         job.service_seconds = duration
         # Clamp: float residue must never drive the gauge negative.
         self.memory_used = max(0.0, self.memory_used - job.nbytes)
@@ -503,7 +503,7 @@ class StagingArea:
         """``T_intransit_remaining``: time to drain running + queued work."""
         remaining = 0.0
         if self._running is not None:
-            remaining += max(0.0, self._running_ends_at - self.sim.now)
+            remaining += max(0.0, self._running_ends_at - self.sim.kernel.now)
         # ``_queued_work`` is a running float sum of += / -= updates; it can
         # drift a few ULPs below zero once the queue empties.
         queued = max(0.0, self._queued_work)

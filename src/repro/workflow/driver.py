@@ -610,7 +610,7 @@ class CoupledWorkflow:
         """Ship a step's staged share: wait until staging memory fits
         ``nbytes`` (the stall is ``metric.block_seconds``), then submit
         the job.  Run with ``yield from`` inside the simulation process."""
-        blocked_from = self.sim.now
+        blocked_from = self.sim.kernel.now
         while not self.staging.can_fit(nbytes):
             pending = [j.done for j in self._outstanding if not j.done.triggered]
             if not pending:
@@ -619,7 +619,7 @@ class CoupledWorkflow:
                     f"memory {self.staging.memory_total:.0f} B outright"
                 )
             yield self.sim.any_of(pending)
-        metric.block_seconds = self.sim.now - blocked_from
+        metric.block_seconds = self.sim.kernel.now - blocked_from
         self._note_stall(metric, "staging_memory")
         self._predict_shipment(metric.step, nbytes, work_units)
         job = self.staging.submit(metric.step, nbytes, work_units)

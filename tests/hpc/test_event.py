@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hpc.event import Interrupt, Simulator
+from repro.hpc.event import Interrupt, Simulator, Timeout
 
 
 @pytest.fixture()
@@ -101,6 +101,13 @@ class TestClockAndTimeout:
         with pytest.raises(SimulationError, match=r"'timeout\(1\.5\)' already triggered"):
             timeout.succeed()
         assert repr(timeout) == "<Timeout 'timeout(1.5)' triggered>"
+
+    def test_timeout_is_built_only_by_the_simulator(self, sim):
+        # Simulator.timeout sets the fields itself; a direct constructor
+        # call would otherwise make a nameless event that never fires.
+        with pytest.raises(TypeError, match="Simulator.timeout"):
+            Timeout(sim, 1.0)
+        assert sim.peek() == float("inf")
 
 
 class TestDeterminism:
@@ -325,6 +332,30 @@ class TestInterrupt:
         sim.process(interrupter(sim, victim))
         sim.run()
         assert victim.value == 3.0
+
+    def test_interrupts_in_one_instant_all_arrive_and_stale_wakes_drop(self, sim):
+        gate = sim.event("gate")
+
+        def victim(sim):
+            seen = []
+            for _ in range(3):
+                try:
+                    seen.append((yield sim.timeout(5.0) if gate.triggered else gate))
+                except Interrupt as interrupt:
+                    seen.append(interrupt.cause)
+            return seen, sim.now
+
+        def interrupter(sim, target):
+            yield sim.timeout(1.0)
+            gate.succeed("gate")  # the victim's wake-up is queued first
+            target.interrupt("a")
+            target.interrupt("b")
+
+        target = sim.process(victim(sim))
+        sim.process(interrupter(sim, target))
+        sim.run()
+        # The gate's wake-up and the first 5 s timeout's went stale.
+        assert target.value == (["a", "b", None], 6.0)
 
 
 class TestClose:

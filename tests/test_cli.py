@@ -38,6 +38,20 @@ class TestCLI:
             assert spec.name == name
             assert spec.description
 
+    def test_fault_run_that_applies_nothing_says_so(self, capsys):
+        """At 8 steps the plan's one ingest drop (step 2) never meets an
+        ingest; the view says so after the empty timeline."""
+        assert main(["faults", "flaky-ingest", "--steps", "8"]) == 0
+        out = capsys.readouterr().out
+        assert ("(no fault activity in trace)\n1 planned fault, 0 applied\n"
+                in out)
+
+    def test_fault_run_that_applies_a_fault_prints_no_count(self, capsys):
+        assert main(["faults", "flaky-ingest"]) == 0
+        out = capsys.readouterr().out
+        assert "inject staging.object_drop" in out
+        assert "applied" not in out
+
 
 #: SHA-256 of each deterministic view's stdout, captured before the CLI
 #: read experiments from ``SWEEPS`` and its views rendered run records.
